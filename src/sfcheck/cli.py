@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 when a REFUTED verdict (or an oracle disagreement)
-is present, 2 on usage or build errors.  RF_THREADS caps how many sweep
-jobs run in parallel; each job's solver stays single-threaded, so results
-are identical at any thread count.
+is present, 2 on usage or build errors, 3 on an internal error (any other
+exception, such as a failed witness re-check, RecursionError or
+MemoryError), so a crash never reads as a refutation.  RF_THREADS caps how
+many sweep jobs run in parallel; each job's solver stays single-threaded,
+so results are identical at any thread count.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import dataclasses
 import os
 import random
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 
 from sfcheck.construct import DEFAULT_PROFILE, InterpretationProfile
@@ -209,6 +212,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def entry() -> None:

@@ -14,7 +14,6 @@ pure, bit-reproducible function of (parameter, profile).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable
 
 from sfcheck.graphs import Graph, combine, complement, primitive, product
 
@@ -177,10 +176,10 @@ def build_sides(r: int, profile: InterpretationProfile = DEFAULT_PROFILE) -> Lab
     return LabeledGraph(graph, g_labels + h_labels, tuple(prov), corr)
 
 
-def _parity_masks(labels: Iterable[int], start: int, stop: int, all_labels: tuple[int, ...]) -> dict[int, int]:
+def _parity_masks(labels: tuple[int, ...], start: int, stop: int) -> dict[int, int]:
     masks = {0: 0, 1: 0}
     for v in range(start, stop):
-        masks[label_parity(all_labels[v])] |= 1 << v
+        masks[label_parity(labels[v])] |= 1 << v
     return masks
 
 
@@ -202,13 +201,13 @@ def build_F(r: int, profile: InterpretationProfile = DEFAULT_PROFILE) -> Labeled
     sides = build_sides(r, profile)
     side_n = sides.graph.n // 2
     rows = list(sides.graph.rows)
-    h_par = _parity_masks(sides.labels, side_n, sides.graph.n, sides.labels)
-    g_par = _parity_masks(sides.labels, 0, side_n, sides.labels)
+    h_par = _parity_masks(sides.labels, side_n, sides.graph.n)
+    g_par = _parity_masks(sides.labels, 0, side_n)
     for v in range(side_n):
         rows[v] |= h_par[1 - label_parity(sides.labels[v])]
     for w in range(side_n, sides.graph.n):
         rows[w] |= g_par[1 - label_parity(sides.labels[w])]
-    return replace(sides, graph=Graph(sides.graph.n, tuple(rows)))
+    return replace(sides, graph=Graph._trusted(sides.graph.n, tuple(rows)))
 
 
 def build_SF(t: int, profile: InterpretationProfile = DEFAULT_PROFILE) -> LabeledGraph:
@@ -225,8 +224,8 @@ def build_SF(t: int, profile: InterpretationProfile = DEFAULT_PROFILE) -> Labele
         rows = [row for row in acc.graph.rows]
         rows.extend(row << off for row in stage.graph.rows)
         labels = acc.labels + stage.labels
-        acc_par = _parity_masks(labels, 0, off, labels)
-        stage_par = _parity_masks(labels, off, n, labels)
+        acc_par = _parity_masks(labels, 0, off)
+        stage_par = _parity_masks(labels, off, n)
         for v in range(off):
             rows[v] |= stage_par[1 - label_parity(labels[v])]
         for w in range(off, n):
@@ -234,7 +233,7 @@ def build_SF(t: int, profile: InterpretationProfile = DEFAULT_PROFILE) -> Labele
         corr = acc.correspondence + tuple(
             (a + off, b + off) for a, b in stage.correspondence
         )
-        acc = LabeledGraph(Graph(n, tuple(rows)), labels, acc.provenance + stage.provenance, corr)
+        acc = LabeledGraph(Graph._trusted(n, tuple(rows)), labels, acc.provenance + stage.provenance, corr)
     return acc
 
 

@@ -4,6 +4,17 @@ Vertices are the integers 0..n-1 and adjacency is one bitmask per vertex,
 so equality of two graphs is bit-identity and every operation here defines
 its output vertex order deterministically (first operand first, copy-major
 for products).
+
+The symmetry, loop and range check (``Graph.__post_init__``) runs at the
+trust boundary only: public ``Graph(...)``, ``Graph.from_edges`` (hence
+``path`` and ``cycle``), ``random_graph`` and ``formats.decode_graph6``.
+The algebra below (``complement``, ``combine``, ``product``, ``induced``,
+the complete and empty primitives) and the builders in ``construct`` derive
+rows from graphs that already satisfy the invariants, so they wrap their
+output with the unchecked ``Graph._trusted``.
+``test_operations_preserve_invariants`` and ``test_builds_preserve_invariants``
+in ``tests/test_graphs.py`` re-run the full check on every trusted path,
+the builds under all 24 profiles included.
 """
 
 from __future__ import annotations
@@ -21,8 +32,10 @@ PRODUCT_KINDS = ("cartesian", "tensor", "lexicographic")
 class Graph:
     """Undirected simple graph; ``rows[i]`` is the neighbor bitmask of i.
 
-    Construction validates symmetry and the absence of self-loops, so every
-    Graph value in the system satisfies both invariants by construction.
+    ``Graph(n, rows)`` checks that rows are symmetric, loop-free and inside
+    0..n-1 and raises ValueError otherwise.  Only the package's own algebra
+    and builders skip that check, through ``_trusted`` (see the module
+    docstring).
     """
 
     n: int
@@ -45,6 +58,14 @@ class Graph:
                 mask &= mask - 1
                 if not (self.rows[j] >> i) & 1:
                     raise ValueError(f"asymmetric adjacency between {i} and {j}")
+
+    @classmethod
+    def _trusted(cls, n: int, rows: tuple[int, ...]) -> Graph:
+        """Wrap rows already known to satisfy the invariants, without the check."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "rows", rows)
+        return g
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -104,10 +125,10 @@ def primitive(kind: str, n: int) -> Graph:
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
     if kind == "empty":
-        return Graph(n, (0,) * n)
+        return Graph._trusted(n, (0,) * n)
     if kind == "complete":
         full = (1 << n) - 1
-        return Graph(n, tuple(full & ~(1 << i) for i in range(n)))
+        return Graph._trusted(n, tuple(full & ~(1 << i) for i in range(n)))
     if kind == "path":
         return Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)))
     if n < 3:
@@ -136,7 +157,7 @@ def cycle(n: int) -> Graph:
 def complement(g: Graph) -> Graph:
     """Edge present iff absent in the input; the diagonal stays clear."""
     full = (1 << g.n) - 1
-    return Graph(g.n, tuple((full & ~row) & ~(1 << i) for i, row in enumerate(g.rows)))
+    return Graph._trusted(g.n, tuple((full & ~row) & ~(1 << i) for i, row in enumerate(g.rows)))
 
 
 def combine(a: Graph, b: Graph, op: str) -> Graph:
@@ -147,7 +168,7 @@ def combine(a: Graph, b: Graph, op: str) -> Graph:
     cross_a = ((1 << a.n) - 1) if op == "join" else 0
     rows = [row | cross_b for row in a.rows]
     rows.extend((row << a.n) | cross_a for row in b.rows)
-    return Graph(a.n + b.n, tuple(rows))
+    return Graph._trusted(a.n + b.n, tuple(rows))
 
 
 def product(a: Graph, b: Graph, kind: str) -> Graph:
@@ -183,7 +204,7 @@ def product(a: Graph, b: Graph, kind: str) -> Graph:
                     m &= m - 1
                     mask |= full_b << (i2 * b.n)
             rows[u] = mask
-    return Graph(n, tuple(rows))
+    return Graph._trusted(n, tuple(rows))
 
 
 def induced(g: Graph, members: Iterable[int]) -> Graph:
@@ -197,7 +218,7 @@ def induced(g: Graph, members: Iterable[int]) -> Graph:
             if (rp >> vs[q]) & 1:
                 rows[p] |= 1 << q
                 rows[q] |= 1 << p
-    return Graph(k, tuple(rows))
+    return Graph._trusted(k, tuple(rows))
 
 
 def random_graph(n: int, edge_probability: float, rng: random.Random) -> Graph:

@@ -235,7 +235,7 @@ def run_verification(
     started = _now()
     if theorem == "1.1":
         lg = build_F(r, profile)
-        tc = check_theorem_1_1(r, profile, deterministic=deterministic)
+        tc = check_theorem_1_1(r, profile, deterministic=deterministic, lg=lg)
         bound = None
         kind, param = "F", r
     elif theorem == "1.2":

@@ -52,27 +52,46 @@ def verify_witness(g: Graph, members, mode: str) -> bool:
 
 
 def _degeneracy_order(rows: tuple[int, ...], n: int) -> list[int]:
-    """Repeatedly remove a minimum-degree vertex, lowest index first."""
+    """Smallest-last order: repeatedly remove a vertex of minimum remaining
+    degree, the lowest index among ties.
+
+    Vertices sit in buckets, a dict from remaining degree to the bitmask of
+    the vertices with that degree.  Removing v moves each remaining
+    neighbour down one bucket; a neighbour leaves ``nbrs`` once moved, so
+    none moves twice.  That costs O(n * distinct degrees) big-int
+    operations in place of a Python-level O(n^2) scan for the minimum; the
+    order, and so every search that follows it, is the same as that scan's
+    (``tests/oracles.py::scan_degeneracy_order``).
+    """
+    buckets: dict[int, int] = {}
+    for v in range(n):
+        d = rows[v].bit_count()
+        buckets[d] = buckets.get(d, 0) | (1 << v)
     remaining = (1 << n) - 1
-    deg = [rows[v].bit_count() for v in range(n)]
     order = []
     for _ in range(n):
-        best_v = -1
-        best_d = n + 1
-        m = remaining
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            if deg[v] < best_d:
-                best_d = deg[v]
-                best_v = v
-        order.append(best_v)
-        remaining &= ~(1 << best_v)
-        m = rows[best_v] & remaining
-        while m:
-            w = (m & -m).bit_length() - 1
-            m &= m - 1
-            deg[w] -= 1
+        degrees = sorted(buckets)
+        low = buckets[degrees[0]]
+        bit = low & -low
+        v = bit.bit_length() - 1
+        order.append(v)
+        remaining ^= bit
+        if low == bit:
+            del buckets[degrees[0]]
+        else:
+            buckets[degrees[0]] = low ^ bit
+        nbrs = rows[v] & remaining
+        for e in degrees:
+            if not nbrs:
+                break
+            moved = buckets.get(e, 0) & nbrs
+            if moved:
+                nbrs ^= moved
+                if buckets[e] == moved:
+                    del buckets[e]
+                else:
+                    buckets[e] ^= moved
+                buckets[e - 1] = buckets.get(e - 1, 0) | moved
     return order
 
 

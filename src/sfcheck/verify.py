@@ -17,7 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from sfcheck.construct import DEFAULT_PROFILE, InterpretationProfile, build_F, build_SF
+from sfcheck.construct import (
+    DEFAULT_PROFILE,
+    InterpretationProfile,
+    LabeledGraph,
+    build_F,
+    build_SF,
+)
 from sfcheck.graphs import Graph, cycle
 from sfcheck.solve import (
     max_clique,
@@ -80,11 +86,17 @@ def check_theorem_1_1(
     profile: InterpretationProfile = DEFAULT_PROFILE,
     *,
     deterministic: bool = True,
+    lg: LabeledGraph | None = None,
 ) -> TheoremCheck:
-    """Compare the largest single-label clique of F(r) against ceil(r/2)."""
+    """Compare the largest single-label clique of F(r) against ceil(r/2).
+
+    ``lg`` passes in an already-built F(r) (callers that report on the same
+    build); otherwise F(r) is built here under ``profile``.
+    """
     if r < 3:
         raise ValueError(f"claim T1.1 needs r >= 3, got {r}")
-    lg = build_F(r, profile)
+    if lg is None:
+        lg = build_F(r, profile)
     res = max_mono_clique(lg, deterministic=deterministic)
     claimed = (r + 1) // 2
     status = "CONFIRMED" if res.size == claimed else "REFUTED"

@@ -97,3 +97,30 @@ def stacked_vertex_count(t: int, explicit_base: bool) -> int:
     for r in range(4, t + 1):
         total += stage_vertex_count(r)
     return total
+
+
+def scan_degeneracy_order(rows: tuple[int, ...], n: int) -> list[int]:
+    """Smallest-last order by an O(n^2) scan for the minimum remaining
+    degree, lowest index among ties; the reference for the solver's
+    bucket-queue order."""
+    remaining = (1 << n) - 1
+    deg = [rows[v].bit_count() for v in range(n)]
+    order = []
+    for _ in range(n):
+        best_v = -1
+        best_d = n + 1
+        m = remaining
+        while m:
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            if deg[v] < best_d:
+                best_d = deg[v]
+                best_v = v
+        order.append(best_v)
+        remaining &= ~(1 << best_v)
+        m = rows[best_v] & remaining
+        while m:
+            w = (m & -m).bit_length() - 1
+            m &= m - 1
+            deg[w] -= 1
+    return order

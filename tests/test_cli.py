@@ -117,6 +117,30 @@ class TestSweep:
             assert a == b
 
 
+class TestInternalError:
+    @pytest.mark.parametrize(
+        "exc", [AssertionError("witness failed"), RecursionError("too deep"), MemoryError()]
+    )
+    def test_solver_crash_exit_3(self, tmp_path, capsys, monkeypatch, exc):
+        def crash(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr("sfcheck.verify.max_clique", crash)
+        report_path = tmp_path / "out.json"
+        code = main(["verify", "--theorem", "1.2", "--r", "2", "--report", str(report_path)])
+        assert code == 3
+        assert f"internal error: {type(exc).__name__}" in capsys.readouterr().err
+        assert not report_path.exists()
+
+    def test_sweep_crash_exit_3(self, tmp_path, capsys, monkeypatch):
+        def crash(*args, **kwargs):
+            raise AssertionError("single-label witness spans both labels")
+
+        monkeypatch.setattr("sfcheck.verify.max_mono_clique", crash)
+        assert main(["sweep", "--t-max", "3", "--report-dir", str(tmp_path)]) == 3
+        assert "internal error: AssertionError" in capsys.readouterr().err
+
+
 class TestOracleCheck:
     def test_quick_run_exit_0(self, capsys):
         code = main(["oracle-check", "--trials", "30", "--max-n", "10", "--seed", "7"])

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sfcheck.construct import build_F, build_SF
+from sfcheck.formats import decode_graph6
 from sfcheck.graphs import (
+    PRODUCT_KINDS,
     Graph,
     as_vertex_set,
     combine,
@@ -20,8 +23,10 @@ from sfcheck.graphs import (
     product,
     random_graph,
 )
+from sfcheck.report import run_verification
+from sfcheck.solve import max_independent_set
 
-from oracles import brute_force_isomorphic, edge_set, naive_product_edges
+from oracles import all_profiles, brute_force_isomorphic, edge_set, naive_product_edges
 
 
 @st.composite
@@ -197,11 +202,78 @@ def test_edgeless_factor_product_properties(k, b):
         assert induced(lex, range(i * b.n, (i + 1) * b.n)) == b
 
 
+def assert_passes_public_check(g):
+    assert type(g.rows) is tuple
+    assert Graph(g.n, g.rows) == g
+
+
 @settings(max_examples=40, deadline=None)
-@given(graphs(max_n=6), graphs(max_n=6))
-def test_operations_preserve_invariants(a, b):
-    # Graph.__post_init__ enforces symmetry and loop-freeness, so reaching
-    # here without ValueError is the property; spot-check a few values too.
-    for g in (complement(a), combine(a, b, "join"), product(a, b, "cartesian")):
-        for i in range(g.n):
-            assert not g.has_edge(i, i)
+@given(graphs(max_n=6), graphs(max_n=6), st.sets(st.integers(min_value=0, max_value=5)))
+def test_operations_preserve_invariants(a, b, picks):
+    # The algebra builds its output unchecked; re-run the public check on it.
+    outputs = [
+        complement(a),
+        combine(a, b, "disjoint_union"),
+        combine(a, b, "join"),
+        induced(a, [v for v in picks if v < a.n]),
+        primitive("complete", a.n),
+        primitive("empty", a.n),
+    ]
+    outputs.extend(product(a, b, kind) for kind in PRODUCT_KINDS)
+    for g in outputs:
+        assert_passes_public_check(g)
+
+
+@pytest.mark.parametrize("profile", all_profiles(), ids=str)
+def test_builds_preserve_invariants(profile):
+    for t in range(3, 7):
+        assert_passes_public_check(build_F(t, profile).graph)
+        assert_passes_public_check(build_SF(t, profile).graph)
+
+
+PATH6_ROWS = path(6).rows
+
+
+@pytest.fixture
+def checked(monkeypatch):
+    """(n, rows) of every graph that runs Graph's invariant check."""
+    calls = []
+    check = Graph.__post_init__
+
+    def counting(self):
+        calls.append((self.n, self.rows))
+        check(self)
+
+    monkeypatch.setattr(Graph, "__post_init__", counting)
+    return calls
+
+
+class TestTrustBoundary:
+    def test_only_boundary_constructions_check(self, checked):
+        run_verification("1.2", 7)
+        max_independent_set(build_SF(8).graph)
+        # One check per SF(8) build: the explicit base path's from_edges.
+        assert checked == [(6, PATH6_ROWS)] * 2
+
+    def test_public_constructors_check_once(self, checked):
+        Graph(3, (0b110, 0b101, 0b011))
+        assert len(checked) == 1
+        decode_graph6("Bw")
+        assert len(checked) == 2
+        Graph.from_edges(3, [(0, 1)])
+        assert len(checked) == 3
+        random_graph(4, 0.5, random.Random(1))
+        assert len(checked) == 4
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ((0b10, 0b00), "asymmetric"),
+            ((0b11, 0b01), "self-loop"),
+            ((0b100, 0b000), "outside"),
+        ],
+    )
+    def test_public_constructor_still_rejects(self, checked, rows, message):
+        with pytest.raises(ValueError, match=message):
+            Graph(2, rows)
+        assert len(checked) == 1

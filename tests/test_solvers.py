@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sfcheck.construct import DEFAULT_PROFILE, LabeledGraph, VertexProvenance, build_F
+from sfcheck.construct import (
+    DEFAULT_PROFILE,
+    InterpretationProfile,
+    LabeledGraph,
+    VertexProvenance,
+    build_F,
+    build_SF,
+)
 from sfcheck.graphs import (
     Graph,
     combine,
@@ -18,6 +25,7 @@ from sfcheck.graphs import (
     random_graph,
 )
 from sfcheck.solve import (
+    _degeneracy_order,
     max_clique,
     max_independent_set,
     max_mono_clique,
@@ -25,7 +33,7 @@ from sfcheck.solve import (
     verify_witness,
 )
 
-from oracles import subset_max_clique, subset_max_independent
+from oracles import scan_degeneracy_order, subset_max_clique, subset_max_independent
 
 
 @st.composite
@@ -194,3 +202,26 @@ def test_clique_number_composition_rules(a, b):
     wa, wb = max_clique(a).size, max_clique(b).size
     assert max_clique(combine(a, b, "join")).size == wa + wb
     assert max_clique(combine(a, b, "disjoint_union")).size == max(wa, wb)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_n=14))
+def test_degeneracy_order_matches_scan(g):
+    for h in (g, complement(g)):
+        assert _degeneracy_order(h.rows, h.n) == scan_degeneracy_order(h.rows, h.n)
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [
+        DEFAULT_PROFILE,
+        InterpretationProfile(sum="join", prod="cartesian", base_case="general", y_label=1),
+        InterpretationProfile(prod="tensor", y_label=1),
+        InterpretationProfile(sum="join", base_case="general"),
+    ],
+)
+def test_degeneracy_order_matches_scan_on_sf(profile):
+    for t in range(3, 10):
+        g = build_SF(t, profile).graph
+        for h in (g, complement(g)):
+            assert _degeneracy_order(h.rows, h.n) == scan_degeneracy_order(h.rows, h.n)
