@@ -89,7 +89,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     profile = _profile_from_args(args)
-    report = run_verification(args.theorem, args.r, profile, deterministic=True)
+    report = run_verification(args.theorem, args.r, profile)
     write_report(args.report, report)
     print(_check_summary(report))
     if report["bound"] is not None:
@@ -99,9 +99,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _sweep_job(job: tuple) -> tuple[str, dict]:
-    theorem, r, profile_dict, deterministic = job
-    profile = InterpretationProfile.from_dict(profile_dict)
-    report = run_verification(theorem, r, profile, deterministic=deterministic)
+    theorem, r, profile = job
+    report = run_verification(theorem, r, profile)
     name = f"t{theorem.replace('.', '')}_r{r}.json"
     return name, report
 
@@ -111,8 +110,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print("error: --t-max must be >= 3", file=sys.stderr)
         return 2
     profile = _profile_from_args(args)
-    jobs = [("1.1", r, profile.to_dict(), True) for r in range(3, args.t_max + 1)]
-    jobs += [("1.2", r, profile.to_dict(), True) for r in range(2, args.t_max)]
+    jobs = [("1.1", r, profile) for r in range(3, args.t_max + 1)]
+    jobs += [("1.2", r, profile) for r in range(2, args.t_max)]
     workers = min(_rf_threads(), len(jobs))
     os.makedirs(args.report_dir, exist_ok=True)
     if workers > 1:
@@ -181,7 +180,7 @@ def _make_parser() -> argparse.ArgumentParser:
     _add_profile_args(p_verify)
     p_verify.add_argument("--report", required=True)
     p_verify.add_argument("--deterministic", action="store_true",
-                          help="force reproducible witnesses (always on; accepted for compatibility)")
+                          help="accepted and ignored: every run is deterministic")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="run all claim checks up to --t-max")
@@ -189,7 +188,7 @@ def _make_parser() -> argparse.ArgumentParser:
     _add_profile_args(p_sweep)
     p_sweep.add_argument("--report-dir", dest="report_dir", required=True)
     p_sweep.add_argument("--deterministic", action="store_true",
-                         help="force reproducible witnesses (always on; accepted for compatibility)")
+                         help="accepted and ignored: every run is deterministic")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_oracle = sub.add_parser("oracle-check", help="cross-check the solver against the enumeration oracle")
@@ -206,10 +205,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -13,7 +13,7 @@ pure, bit-reproducible function of (parameter, profile).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from sfcheck.graphs import Graph, combine, complement, primitive, product
 
@@ -71,12 +71,7 @@ class InterpretationProfile:
             raise ValueError(f"y_label must be 1 or 2, got {self.y_label!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "sum": self.sum,
-            "prod": self.prod,
-            "base_case": self.base_case,
-            "y_label": self.y_label,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> InterpretationProfile:
@@ -156,8 +151,6 @@ def build_sides(r: int, profile: InterpretationProfile = DEFAULT_PROFILE) -> Lab
     fresh vertex range, with flipped labels and the index-preserving
     correspondence.  No cross edges between the sides yet, so validate()
     will report the missing cross pairs until build_F adds them."""
-    if r < 3:
-        raise ValueError(f"stage parameter must be >= 3, got {r}")
     block = build_block(r, profile)
     copies = r - 1
     g_graph = product(primitive("empty", copies), block.graph, profile.prod)
@@ -176,11 +169,18 @@ def build_sides(r: int, profile: InterpretationProfile = DEFAULT_PROFILE) -> Lab
     return LabeledGraph(graph, g_labels + h_labels, tuple(prov), corr)
 
 
-def _parity_masks(labels: tuple[int, ...], start: int, stop: int) -> dict[int, int]:
-    masks = {0: 0, 1: 0}
-    for v in range(start, stop):
-        masks[label_parity(labels[v])] |= 1 << v
-    return masks
+def _join_opposite_parity(rows: list[int], labels: tuple[int, ...], split: int) -> Graph:
+    """Add every opposite-parity edge between vertices [0, split) and
+    [split, n) to ``rows`` (updated in place) and wrap the result."""
+    n = len(rows)
+    # masks[side][p]: the vertices of label parity p below split (side 0)
+    # or from split on (side 1).
+    masks = [[0, 0], [0, 0]]
+    for v in range(n):
+        masks[v >= split][label_parity(labels[v])] |= 1 << v
+    for v in range(n):
+        rows[v] |= masks[v < split][1 - label_parity(labels[v])]
+    return Graph._trusted(n, tuple(rows))
 
 
 def build_F(r: int, profile: InterpretationProfile = DEFAULT_PROFILE) -> LabeledGraph:
@@ -189,8 +189,6 @@ def build_F(r: int, profile: InterpretationProfile = DEFAULT_PROFILE) -> Labeled
     Under base_case="explicit_path", F(3) is instead the fixed 6-vertex path
     v-u-w-x-y-t with labels 1,2,1,1,profile.y_label,2 and no correspondence.
     """
-    if r < 3:
-        raise ValueError(f"stage parameter must be >= 3, got {r}")
     if r == 3 and profile.base_case == "explicit_path":
         graph = primitive("path", 6)
         labels = (1, 2, 1, 1, profile.y_label, 2)
@@ -199,15 +197,8 @@ def build_F(r: int, profile: InterpretationProfile = DEFAULT_PROFILE) -> Labeled
         )
         return LabeledGraph(graph, labels, prov, ())
     sides = build_sides(r, profile)
-    side_n = sides.graph.n // 2
-    rows = list(sides.graph.rows)
-    h_par = _parity_masks(sides.labels, side_n, sides.graph.n)
-    g_par = _parity_masks(sides.labels, 0, side_n)
-    for v in range(side_n):
-        rows[v] |= h_par[1 - label_parity(sides.labels[v])]
-    for w in range(side_n, sides.graph.n):
-        rows[w] |= g_par[1 - label_parity(sides.labels[w])]
-    return replace(sides, graph=Graph._trusted(sides.graph.n, tuple(rows)))
+    graph = _join_opposite_parity(list(sides.graph.rows), sides.labels, sides.graph.n // 2)
+    return replace(sides, graph=graph)
 
 
 def build_SF(t: int, profile: InterpretationProfile = DEFAULT_PROFILE) -> LabeledGraph:
@@ -220,20 +211,14 @@ def build_SF(t: int, profile: InterpretationProfile = DEFAULT_PROFILE) -> Labele
     for r in range(4, t + 1):
         stage = build_F(r, profile)
         off = acc.graph.n
-        n = off + stage.graph.n
-        rows = [row for row in acc.graph.rows]
+        rows = list(acc.graph.rows)
         rows.extend(row << off for row in stage.graph.rows)
         labels = acc.labels + stage.labels
-        acc_par = _parity_masks(labels, 0, off)
-        stage_par = _parity_masks(labels, off, n)
-        for v in range(off):
-            rows[v] |= stage_par[1 - label_parity(labels[v])]
-        for w in range(off, n):
-            rows[w] |= acc_par[1 - label_parity(labels[w])]
         corr = acc.correspondence + tuple(
             (a + off, b + off) for a, b in stage.correspondence
         )
-        acc = LabeledGraph(Graph._trusted(n, tuple(rows)), labels, acc.provenance + stage.provenance, corr)
+        graph = _join_opposite_parity(rows, labels, off)
+        acc = LabeledGraph(graph, labels, acc.provenance + stage.provenance, corr)
     return acc
 
 

@@ -175,36 +175,29 @@ def product(a: Graph, b: Graph, kind: str) -> Graph:
     """Cartesian, tensor, or lexicographic product; (i, j) -> i*b.n + j."""
     if kind not in PRODUCT_KINDS:
         raise ValueError(f"unknown product kind {kind!r}")
-    n = a.n * b.n
-    full_b = (1 << b.n) - 1
-    rows = [0] * n
+
+    def spread(arow: int, mask: int) -> int:
+        """``mask`` placed in the block of every vertex set in ``arow``."""
+        out = 0
+        while arow:
+            i2 = (arow & -arow).bit_length() - 1
+            arow &= arow - 1
+            out |= mask << (i2 * b.n)
+        return out
+
+    rows = []
     for i in range(a.n):
         arow = a.rows[i]
+        blocks = spread(arow, (1 << b.n) - 1) if kind == "lexicographic" else 0
         for j in range(b.n):
-            u = i * b.n + j
-            mask = 0
+            own = b.rows[j] << (i * b.n)
             if kind == "cartesian":
-                mask |= b.rows[j] << (i * b.n)
-                m = arow
-                while m:
-                    i2 = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    mask |= 1 << (i2 * b.n + j)
+                rows.append(own | spread(arow, 1 << j))
             elif kind == "tensor":
-                m = arow
-                while m:
-                    i2 = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    mask |= b.rows[j] << (i2 * b.n)
+                rows.append(spread(arow, b.rows[j]))
             else:
-                mask |= b.rows[j] << (i * b.n)
-                m = arow
-                while m:
-                    i2 = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    mask |= full_b << (i2 * b.n)
-            rows[u] = mask
-    return Graph._trusted(n, tuple(rows))
+                rows.append(own | blocks)
+    return Graph._trusted(a.n * b.n, tuple(rows))
 
 
 def induced(g: Graph, members: Iterable[int]) -> Graph:

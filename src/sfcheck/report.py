@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 from sfcheck import __version__
@@ -42,31 +43,6 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def check_to_dict(tc: TheoremCheck) -> dict:
-    return {
-        "theorem_id": tc.theorem_id,
-        "r": tc.r,
-        "profile": tc.profile.to_dict(),
-        "claimed": tc.claimed,
-        "computed": dict(tc.computed),
-        "status": tc.status,
-        "witness": list(tc.witness),
-        "witness_mode": tc.witness_mode,
-        "solver_stats": dict(tc.solver_stats),
-    }
-
-
-def bound_to_dict(b: BoundReport) -> dict:
-    return {
-        "t": b.t,
-        "n": b.n,
-        "witness_ok": b.witness_ok,
-        "implied": b.implied,
-        "contradiction": b.contradiction,
-        "reference": b.reference,
-    }
-
-
 def build_target(kind: str, param: int, profile: InterpretationProfile) -> LabeledGraph:
     if kind == "F":
         return build_F(param, profile)
@@ -82,7 +58,6 @@ def make_report(
     lg: LabeledGraph,
     checks: list[TheoremCheck],
     bound: BoundReport | None,
-    deterministic: bool,
     started: str,
     finished: str,
 ) -> dict:
@@ -96,14 +71,14 @@ def make_report(
         "generated_by": f"sfcheck {__version__}",
         "target": {"kind": kind, "param": param},
         "profile": profile.to_dict(),
-        "deterministic": deterministic,
+        "deterministic": True,
         "graph_stats": {
             "n": lg.graph.n,
             "m": lg.graph.m,
             "label_counts": {str(k): v for k, v in counts.items()},
         },
-        "checks": [check_to_dict(tc) for tc in checks],
-        "bound": bound_to_dict(bound) if bound is not None else None,
+        "checks": [dict(asdict(tc), witness=list(tc.witness)) for tc in checks],
+        "bound": asdict(bound) if bound is not None else None,
         "solver_stats": {"nodes_explored": total_nodes},
         "notes": notes,
         "timestamps": {"started": started, "finished": finished},
@@ -134,35 +109,72 @@ def strip_volatile(report: dict) -> dict:
     return {k: v for k, v in report.items() if k != "timestamps"}
 
 
-def verify_report(report: dict) -> list[str]:
+# The type of each field verify_report indexes; the fields it reads with
+# .get may be missing, and a missing one fails the comparison it feeds.
+_REPORT_FIELDS = {"profile": dict, "target": dict, "graph_stats": dict, "checks": list}
+_CHECK_FIELDS = {"theorem_id": str, "r": int, "computed": dict, "witness": list}
+_COMPUTED_FIELDS = {"T1_1": {"mono_clique": int}, "T1_2": {"omega": int, "alpha": int}}
+
+
+def _shape_problem(obj, fields: dict, where: str) -> str | None:
+    """Why ``obj`` is not an object holding ``fields`` with their types, or None."""
+    if not isinstance(obj, dict):
+        return f"{where}: expected an object, got {type(obj).__name__}"
+    for key, kind in fields.items():
+        if not isinstance(obj.get(key), kind):
+            return f"{where}: field {key!r} is {type(obj.get(key)).__name__}, expected {kind.__name__}"
+    return None
+
+
+def _check_shape_problem(check, where: str) -> str | None:
+    """_shape_problem for one entry of ``checks``, its witness and computed block included."""
+    shape = _shape_problem(check, _CHECK_FIELDS, where)
+    if shape:
+        return shape
+    if check["theorem_id"] not in _COMPUTED_FIELDS:
+        return f"{where}: unknown theorem_id {check['theorem_id']!r}"
+    if not all(isinstance(v, int) for v in check["witness"]):
+        return f"{where}: witness holds a non-integer vertex"
+    return _shape_problem(check["computed"], _COMPUTED_FIELDS[check["theorem_id"]], f"{where} computed")
+
+
+def verify_report(report) -> list[str]:
     """Re-check a loaded report against a fresh build of its target.
 
-    Rebuilds the target graph, re-verifies every witness pairwise, and
-    checks internal consistency (sizes, verdict arithmetic, bound flags).
-    Returns a list of problems, empty when the report stands.
+    Checks the shape of every field it reads, rebuilds the target graph,
+    re-verifies every witness pairwise, and checks internal consistency
+    (sizes, verdict arithmetic, bound flags).  Returns a list of problems,
+    empty when the report stands; never raises on malformed input.
     """
-    problems: list[str] = []
+    if not isinstance(report, dict):
+        return [f"report: expected an object, got {type(report).__name__}"]
     if report.get("schema_version") != SCHEMA_VERSION:
-        problems.append(f"unsupported schema_version {report.get('schema_version')!r}")
-        return problems
+        return [f"unsupported schema_version {report.get('schema_version')!r}"]
+    shape = _shape_problem(report, _REPORT_FIELDS, "report")
+    shape = shape or _shape_problem(report["target"], {"param": int}, "target")
+    if shape:
+        return [shape]
     try:
         profile = InterpretationProfile.from_dict(report["profile"])
-        target = report["target"]
-        lg = build_target(target["kind"], target["param"], profile)
+        lg = build_target(report["target"].get("kind"), report["target"]["param"], profile)
     except (KeyError, ValueError) as exc:
-        problems.append(f"cannot rebuild target: {exc}")
-        return problems
+        return [f"cannot rebuild target: {exc}"]
 
-    stats = report.get("graph_stats", {})
+    problems: list[str] = []
+    stats = report["graph_stats"]
     if stats.get("n") != lg.graph.n or stats.get("m") != lg.graph.m:
         problems.append(
             f"graph_stats mismatch: report says n={stats.get('n')}, m={stats.get('m')}, "
             f"rebuild has n={lg.graph.n}, m={lg.graph.m}"
         )
 
-    for idx, check in enumerate(report.get("checks", [])):
+    for idx, check in enumerate(report["checks"]):
+        shape = _check_shape_problem(check, f"check {idx}")
+        if shape:
+            problems.append(shape)
+            continue
         witness = tuple(check["witness"])
-        mode = check["witness_mode"]
+        mode = check.get("witness_mode")
         try:
             if not verify_witness(lg.graph, witness, mode):
                 problems.append(f"check {idx}: witness {witness} is not a valid {mode}")
@@ -173,36 +185,31 @@ def verify_report(report: dict) -> list[str]:
         if check["theorem_id"] == "T1_1":
             if len({lg.labels[v] for v in witness}) > 1:
                 problems.append(f"check {idx}: witness spans more than one label")
-            if len(witness) != computed["mono_clique"]:
-                problems.append(f"check {idx}: witness size differs from computed value")
-            want = "CONFIRMED" if computed["mono_clique"] == check["claimed"] else "REFUTED"
-            if check["status"] != want:
-                problems.append(f"check {idx}: status {check['status']} inconsistent with computed values")
-        elif check["theorem_id"] == "T1_2":
-            expected_size = computed["omega"] if mode == "clique" else computed["alpha"]
-            if len(witness) != expected_size:
-                problems.append(f"check {idx}: witness size differs from computed value")
-            want = (
-                "CONFIRMED"
-                if computed["omega"] <= check["r"] and computed["alpha"] <= check["r"]
-                else "REFUTED"
-            )
-            if check["status"] != want:
-                problems.append(f"check {idx}: status {check['status']} inconsistent with computed values")
+            size = computed["mono_clique"]
+            holds = size == check.get("claimed")
         else:
-            problems.append(f"check {idx}: unknown theorem_id {check['theorem_id']!r}")
+            size = computed["omega"] if mode == "clique" else computed["alpha"]
+            holds = computed["omega"] <= check["r"] and computed["alpha"] <= check["r"]
+        if len(witness) != size:
+            problems.append(f"check {idx}: witness size differs from computed value")
+        if check.get("status") != ("CONFIRMED" if holds else "REFUTED"):
+            problems.append(f"check {idx}: status {check.get('status')} inconsistent with computed values")
 
     bound = report.get("bound")
-    if bound is not None:
-        if bound["witness_ok"] != (bound["implied"] is not None):
-            problems.append("bound: implied statement present iff witness_ok")
-        if (
-            bound["witness_ok"]
-            and bound["t"] == 3
-            and bound["n"] >= 6
-            and not bound["contradiction"]
-        ):
-            problems.append("bound: R(3) implication on >= 6 vertices lacks contradiction flag")
+    if bound is None:
+        return problems
+    shape = _shape_problem(bound, {"t": int, "n": int}, "bound")
+    if shape:
+        return problems + [shape]
+    if bound.get("witness_ok") != (bound.get("implied") is not None):
+        problems.append("bound: implied statement present iff witness_ok")
+    if (
+        bound.get("witness_ok")
+        and bound["t"] == 3
+        and bound["n"] >= 6
+        and not bound.get("contradiction")
+    ):
+        problems.append("bound: R(3) implication on >= 6 vertices lacks contradiction flag")
     return problems
 
 
@@ -211,12 +218,12 @@ def read_report(path) -> dict:
         return json.load(fh)
 
 
-def load_report(path, *, reverify: bool = True) -> dict:
+def load_report(path) -> dict:
+    """Read a report and re-verify it; ValueError lists the problems found."""
     report = read_report(path)
-    if reverify:
-        problems = verify_report(report)
-        if problems:
-            raise ValueError(f"report {path} failed re-verification: " + "; ".join(problems))
+    problems = verify_report(report)
+    if problems:
+        raise ValueError(f"report {path} failed re-verification: " + "; ".join(problems))
     return report
 
 
@@ -224,8 +231,6 @@ def run_verification(
     theorem: str,
     r: int,
     profile: InterpretationProfile = DEFAULT_PROFILE,
-    *,
-    deterministic: bool = True,
 ) -> dict:
     """Build the target, run one claim check, and assemble the full report.
 
@@ -235,16 +240,16 @@ def run_verification(
     started = _now()
     if theorem == "1.1":
         lg = build_F(r, profile)
-        tc = check_theorem_1_1(r, profile, deterministic=deterministic, lg=lg)
+        tc = check_theorem_1_1(r, profile, lg=lg)
         bound = None
         kind, param = "F", r
     elif theorem == "1.2":
         lg = build_SF(r + 1, profile)
-        tc = check_theorem_1_2(r, profile, deterministic=deterministic, graph_override=lg.graph)
+        tc = check_theorem_1_2(r, profile, graph_override=lg.graph)
         bound = bound_report_from_counts(
             r + 1, lg.graph.n, tc.computed["omega"], tc.computed["alpha"]
         )
         kind, param = "SF", r + 1
     else:
         raise ValueError(f"unknown theorem {theorem!r}")
-    return make_report(kind, param, profile, lg, [tc], bound, deterministic, started, _now())
+    return make_report(kind, param, profile, lg, [tc], bound, started, _now())

@@ -8,14 +8,11 @@ so the two can cross-check each other on small graphs.
 
 All searches are single-threaded and fully deterministic (ties break toward
 the lowest vertex index), so sizes, witnesses, and node counts reproduce
-across runs.  The ``deterministic`` flag is part of the solver interface
-for callers that must insist on reproducible witnesses; it never changes
-behavior here because no parallel mode is implemented.
+across runs.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -32,7 +29,6 @@ class CliqueResult:
     size: int
     witness: tuple[int, ...]
     nodes_explored: int
-    elapsed: float
 
 
 def verify_witness(g: Graph, members, mode: str) -> bool:
@@ -116,9 +112,8 @@ def _greedy_clique(rows: tuple[int, ...], n: int) -> list[int]:
     return clique
 
 
-def max_clique(g: Graph, *, deterministic: bool = True) -> CliqueResult:
+def max_clique(g: Graph) -> CliqueResult:
     """Exact maximum clique by branch and bound with a greedy-coloring bound."""
-    start = time.perf_counter()
     n = g.n
     rows = g.rows
     nodes = 0
@@ -174,39 +169,37 @@ def max_clique(g: Graph, *, deterministic: bool = True) -> CliqueResult:
 
     if not verify_witness(g, best_witness, "clique"):
         raise AssertionError("solver produced an invalid clique witness")
-    return CliqueResult(best_size, best_witness, nodes, time.perf_counter() - start)
+    return CliqueResult(best_size, best_witness, nodes)
 
 
-def max_independent_set(g: Graph, *, deterministic: bool = True) -> CliqueResult:
+def max_independent_set(g: Graph) -> CliqueResult:
     """Exact maximum independent set via the complement's maximum clique."""
-    start = time.perf_counter()
-    res = max_clique(complement(g), deterministic=deterministic)
+    res = max_clique(complement(g))
     if not verify_witness(g, res.witness, "independent"):
         raise AssertionError("solver produced an invalid independent-set witness")
-    return CliqueResult(res.size, res.witness, res.nodes_explored, time.perf_counter() - start)
+    return res
 
 
-def max_mono_clique(lg: LabeledGraph, *, deterministic: bool = True) -> CliqueResult:
+def max_mono_clique(lg: LabeledGraph) -> CliqueResult:
     """Largest clique whose vertices all carry one label.
 
     Solves each label class on its induced subgraph; the witness is reported
     in the original vertex numbering and carries a single label.
     """
-    start = time.perf_counter()
     g = lg.graph
     best_size = 0
     best_witness: tuple[int, ...] = ()
     nodes = 0
     for label in (1, 2):
         members = lg.vertices_with_label(label)
-        res = max_clique(induced(g, members), deterministic=deterministic)
+        res = max_clique(induced(g, members))
         nodes += res.nodes_explored
         if res.size > best_size:
             best_size = res.size
             best_witness = tuple(members[i] for i in res.witness)
     if not verify_witness(g, best_witness, "clique"):
         raise AssertionError("solver produced an invalid single-label witness")
-    return CliqueResult(best_size, best_witness, nodes, time.perf_counter() - start)
+    return CliqueResult(best_size, best_witness, nodes)
 
 
 def oracle_max_clique(g: Graph) -> int:

@@ -26,6 +26,7 @@ from sfcheck.construct import (
 )
 from sfcheck.graphs import Graph, cycle
 from sfcheck.solve import (
+    CliqueResult,
     max_clique,
     max_independent_set,
     max_mono_clique,
@@ -85,7 +86,6 @@ def check_theorem_1_1(
     r: int,
     profile: InterpretationProfile = DEFAULT_PROFILE,
     *,
-    deterministic: bool = True,
     lg: LabeledGraph | None = None,
 ) -> TheoremCheck:
     """Compare the largest single-label clique of F(r) against ceil(r/2).
@@ -97,7 +97,7 @@ def check_theorem_1_1(
         raise ValueError(f"claim T1.1 needs r >= 3, got {r}")
     if lg is None:
         lg = build_F(r, profile)
-    res = max_mono_clique(lg, deterministic=deterministic)
+    res = max_mono_clique(lg)
     claimed = (r + 1) // 2
     status = "CONFIRMED" if res.size == claimed else "REFUTED"
     if res.witness and len({lg.labels[v] for v in res.witness}) != 1:
@@ -115,11 +115,31 @@ def check_theorem_1_1(
     )
 
 
+def _certificate(
+    g: Graph, s: int, t: int
+) -> tuple[CliqueResult, CliqueResult, bool, tuple[int, ...], str]:
+    """Solve omega(g) and alpha(g) and pick the certificate of the verdict.
+
+    The verdict holds when omega < s and alpha < t.  The certificate is the
+    violating clique first, else the violating independent set, else the
+    maximum clique; it is re-verified pairwise before it is returned.
+    """
+    omega = max_clique(g)
+    alpha = max_independent_set(g)
+    ok = omega.size < s and alpha.size < t
+    if omega.size < s and alpha.size >= t:
+        witness, mode = alpha.witness, "independent"
+    else:
+        witness, mode = omega.witness, "clique"
+    if not verify_witness(g, witness, mode):
+        raise AssertionError("certificate witness failed re-verification")
+    return omega, alpha, ok, witness, mode
+
+
 def check_theorem_1_2(
     r: int,
     profile: InterpretationProfile = DEFAULT_PROFILE,
     *,
-    deterministic: bool = True,
     graph_override: Graph | None = None,
 ) -> TheoremCheck:
     """Check that SF(r+1) has no clique or independent set on r+1 vertices.
@@ -130,18 +150,7 @@ def check_theorem_1_2(
     if r < 2:
         raise ValueError(f"claim T1.2 needs r >= 2, got {r}")
     g = graph_override if graph_override is not None else build_SF(r + 1, profile).graph
-    omega = max_clique(g, deterministic=deterministic)
-    alpha = max_independent_set(g, deterministic=deterministic)
-    confirmed = omega.size <= r and alpha.size <= r
-    if not confirmed:
-        if omega.size > r:
-            witness, mode = omega.witness, "clique"
-        else:
-            witness, mode = alpha.witness, "independent"
-    else:
-        witness, mode = omega.witness, "clique"
-    if not verify_witness(g, witness, mode):
-        raise AssertionError("verdict witness failed re-verification")
+    omega, alpha, confirmed, witness, mode = _certificate(g, r + 1, r + 1)
     return TheoremCheck(
         theorem_id="T1_2",
         r=r,
@@ -158,30 +167,19 @@ def check_theorem_1_2(
     )
 
 
-def ramsey_witness(g: Graph, s: int, t: int, *, deterministic: bool = True) -> RamseyCheck:
+def ramsey_witness(g: Graph, s: int, t: int) -> RamseyCheck:
     """True iff omega(g) < s and alpha(g) < t; otherwise carries the violation."""
     if s < 1 or t < 1:
         raise ValueError("clique and independence thresholds must be >= 1")
-    omega = max_clique(g, deterministic=deterministic)
-    alpha = max_independent_set(g, deterministic=deterministic)
-    ok = omega.size < s and alpha.size < t
-    witness: tuple[int, ...] | None = None
-    mode: str | None = None
-    if not ok:
-        if omega.size >= s:
-            witness, mode = omega.witness, "clique"
-        else:
-            witness, mode = alpha.witness, "independent"
-        if not verify_witness(g, witness, mode):
-            raise AssertionError("violating witness failed re-verification")
+    omega, alpha, ok, witness, mode = _certificate(g, s, t)
     return RamseyCheck(
         ok=ok,
         s=s,
         t=t,
         omega=omega.size,
         alpha=alpha.size,
-        violating_witness=witness,
-        violating_mode=mode,
+        violating_witness=None if ok else witness,
+        violating_mode=None if ok else mode,
         nodes_explored=omega.nodes_explored + alpha.nodes_explored,
     )
 
@@ -216,14 +214,13 @@ def implied_bound(
     t: int,
     profile: InterpretationProfile = DEFAULT_PROFILE,
     *,
-    deterministic: bool = True,
     graph: Graph | None = None,
 ) -> BoundReport:
     """State the Ramsey implication of SF(t) (or of an injected test graph)."""
     if t < 3:
         raise ValueError(f"implied bound needs t >= 3, got {t}")
     g = graph if graph is not None else build_SF(t, profile).graph
-    rc = ramsey_witness(g, t, t, deterministic=deterministic)
+    rc = ramsey_witness(g, t, t)
     return bound_report_from_counts(t, g.n, rc.omega, rc.alpha)
 
 

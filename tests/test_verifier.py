@@ -2,12 +2,15 @@
 
 import dataclasses
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sfcheck.verify as verify_mod
 from sfcheck.construct import DEFAULT_PROFILE, build_F, build_SF
-from sfcheck.graphs import complete, cycle, empty
+from sfcheck.graphs import complete, cycle, empty, random_graph
 from sfcheck.solve import verify_witness
 from sfcheck.verify import (
     RamseyCheck,
@@ -194,3 +197,22 @@ class TestConfirmR3:
         for a, b, c in itertools.combinations(range(4), 3):
             count = sum(int(red.has_edge(u, v)) for u, v in itertools.combinations((a, b, c), 2))
             assert count not in (0, 3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=14),
+    density=st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9]),
+    seed=st.integers(min_value=0, max_value=2**16),
+    r=st.integers(min_value=2, max_value=5),
+)
+def test_t12_agrees_with_ramsey_witness(n, density, seed, r):
+    g = random_graph(n, density, random.Random(seed))
+    tc = check_theorem_1_2(r, graph_override=g)
+    rc = ramsey_witness(g, r + 1, r + 1)
+    assert (tc.status == "CONFIRMED") == rc.ok
+    assert (tc.computed["omega"], tc.computed["alpha"]) == (rc.omega, rc.alpha)
+    if tc.status == "REFUTED":
+        assert (tc.witness, tc.witness_mode) == (rc.violating_witness, rc.violating_mode)
+    else:
+        assert (rc.violating_witness, rc.violating_mode) == (None, None)
