@@ -17,6 +17,7 @@ import random
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 
 from sfcheck.construct import DEFAULT_PROFILE, InterpretationProfile
 from sfcheck.formats import encode_dimacs, encode_graph6
@@ -114,17 +115,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     jobs += [("1.2", r, profile) for r in range(2, args.t_max)]
     workers = min(_rf_threads(), len(jobs))
     os.makedirs(args.report_dir, exist_ok=True)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_job, jobs))
-    else:
-        results = [_sweep_job(job) for job in jobs]
     refuted = False
-    for name, report in results:
-        write_report(os.path.join(args.report_dir, name), report)
-        print(_check_summary(report))
-        refuted = refuted or report["checks"][0]["status"] == "REFUTED"
-    print(f"sweep: {len(results)} reports -> {args.report_dir}")
+    # Each report is written as its job finishes, in job order, so a failed
+    # job keeps the reports of the jobs before it.
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        results = pool.map(_sweep_job, jobs) if pool else map(_sweep_job, jobs)
+        for name, report in results:
+            write_report(os.path.join(args.report_dir, name), report)
+            print(_check_summary(report))
+            refuted = refuted or report["checks"][0]["status"] == "REFUTED"
+    print(f"sweep: {len(jobs)} reports -> {args.report_dir}")
     return 1 if refuted else 0
 
 

@@ -13,6 +13,7 @@ pure, bit-reproducible function of (parameter, profile).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass, replace
 
 from sfcheck.graphs import Graph, combine, complement, primitive, product
@@ -67,7 +68,7 @@ class InterpretationProfile:
             raise ValueError(f"unknown prod reading {self.prod!r}")
         if self.base_case not in PROFILE_BASES:
             raise ValueError(f"unknown base_case reading {self.base_case!r}")
-        if self.y_label not in LABELS:
+        if isinstance(self.y_label, bool) or self.y_label not in LABELS:
             raise ValueError(f"y_label must be 1 or 2, got {self.y_label!r}")
 
     def to_dict(self) -> dict:
@@ -222,141 +223,93 @@ def build_SF(t: int, profile: InterpretationProfile = DEFAULT_PROFILE) -> Labele
     return acc
 
 
-def _stage_ranges(lg: LabeledGraph) -> list[tuple[int, int, int]]:
-    """Consecutive runs of equal stage_r as (stage, start, stop)."""
-    ranges = []
-    start = 0
-    for v in range(1, lg.graph.n + 1):
-        if v == lg.graph.n or lg.provenance[v].stage_r != lg.provenance[start].stage_r:
-            ranges.append((lg.provenance[start].stage_r, start, v))
-            start = v
-    return ranges
-
-
-def _expected_stage_provenance(
-    stage: int, start: int, stop: int, sides: tuple[str, ...], lg: LabeledGraph
-) -> list[str]:
-    """Check one general stage's provenance layout against the fixed order:
-    G side then H side, copies ascending, x block before y block."""
-    out = []
-    size = stop - start
-    r = stage
-    side_n = size // len(sides)
-    if size % len(sides) != 0 or side_n % r != 0:
-        out.append(f"provenance-order: stage {stage} has irregular size {size}")
-        return out
-    copies = side_n // r
-    x_size = sum(
-        1 for v in range(start, start + min(r, side_n)) if lg.provenance[v].block == X_BLOCK
-    )
-    pos = start
-    for side in sides:
-        for i in range(copies):
-            for block, blen in ((X_BLOCK, x_size), (Y_BLOCK, r - x_size)):
-                for k in range(blen):
-                    got = lg.provenance[pos]
-                    want = VertexProvenance(stage, side, i, block, k)
-                    if got != want:
-                        out.append(
-                            f"provenance-order: vertex {pos} is {got}, expected {want}"
-                        )
-                    pos += 1
-    return out
-
-
 def validate(lg: LabeledGraph) -> list[str]:
     """Diagnostics for a finished build; returns violations, empty if valid.
 
-    Checks adjacency symmetry and loop-freeness, the label flip across every
-    correspondence pair, the opposite-parity cross-edge rule wherever it
-    applies (between sides of one stage and between any two stages), the
-    per-stage correspondence bijection, and provenance layout consistency.
-    Never raises.
+    Lists ``Graph.problems()`` (the one range, loop and symmetry check),
+    then checks each run of equal ``stage_r`` against the provenance layout
+    that its stage fixes, the correspondence against the index-preserving
+    pairs of every two-sided stage with a label flip across each, and the
+    opposite-parity cross-edge rule between the sides of one stage and
+    between any two stages.  Never raises.
     """
-    out: list[str] = []
-    g = lg.graph
+    g, prov, labels = lg.graph, lg.provenance, lg.labels
     n = g.n
+    out = list(g.problems())
 
-    for i in range(n):
-        if (g.rows[i] >> i) & 1:
-            out.append(f"self-loop: {i}")
-        mask = g.rows[i] >> (i + 1)
-        j = i + 1
-        while mask:
-            step = (mask & -mask).bit_length() - 1
-            j += step
-            if not (g.rows[j] >> i) & 1:
-                out.append(f"asymmetric-adjacency: ({i}, {j})")
-            mask >>= step + 1
-            j += 1
-
-    corr_domain: set[int] = set()
-    corr_image: set[int] = set()
-    for v, w in lg.correspondence:
-        if not (0 <= v < n and 0 <= w < n):
-            out.append(f"correspondence: pair ({v}, {w}) out of range")
-            continue
-        if v in corr_domain:
-            out.append(f"correspondence: vertex {v} mapped twice")
-        if w in corr_image:
-            out.append(f"correspondence: vertex {w} hit twice")
-        corr_domain.add(v)
-        corr_image.add(w)
-        pv, pw = lg.provenance[v], lg.provenance[w]
-        if pv.stage_r != pw.stage_r or pv.side != G_SIDE or pw.side != H_SIDE:
-            out.append(f"correspondence: pair ({v}, {w}) does not map G_side to H_side within one stage")
-        if not opposite_parity(lg.labels[v], lg.labels[w]):
-            out.append(
-                f"label-flip: correspondence pair ({v}, {w}) carries same-parity labels "
-                f"({lg.labels[v]}, {lg.labels[w]})"
-            )
-
-    ranges = _stage_ranges(lg)
-    stages_seen = [s for s, _, _ in ranges]
-    if stages_seen != sorted(set(stages_seen)):
-        out.append(f"provenance-order: stages appear as {stages_seen}, expected strictly increasing runs")
-
-    for stage, start, stop in ranges:
-        sides = {lg.provenance[v].side for v in range(start, stop)}
-        if sides == {PATH_SIDE}:
-            if stage != 3 or stop - start != 6:
-                out.append(f"provenance-order: path stage must be stage 3 on 6 vertices")
-            else:
-                for k, v in enumerate(range(start, stop)):
-                    got = lg.provenance[v]
-                    if got.block != PATH_POSITIONS[k] or got.within != k:
-                        out.append(
-                            f"provenance-order: path vertex {v} is {got.block!r}, expected {PATH_POSITIONS[k]!r}"
-                        )
-            if any(v in corr_domain or v in corr_image for v in range(start, stop)):
-                out.append(f"correspondence: path stage {stage} must carry no pairs")
-        elif sides <= {G_SIDE, H_SIDE}:
-            side_seq = (G_SIDE, H_SIDE) if sides == {G_SIDE, H_SIDE} else (next(iter(sides)),)
-            out.extend(_expected_stage_provenance(stage, start, stop, side_seq, lg))
-            if sides == {G_SIDE, H_SIDE}:
-                side_n = (stop - start) // 2
-                for k in range(side_n):
-                    v, w = start + k, start + side_n + k
-                    if (v, w) not in lg.correspondence:
-                        out.append(f"correspondence: stage {stage} missing pair ({v}, {w})")
+    # Layout: the base path's six positions; otherwise G side then H side,
+    # copies ascending, each copy an x block of r // 2 then a y block.
+    pairs: list[tuple[int, int]] = []
+    runs: list[int] = []
+    start = 0
+    while start < n:
+        stage = prov[start].stage_r
+        stop = start + 1
+        while stop < n and prov[stop].stage_r == stage:
+            stop += 1
+        runs.append(stage)
+        sides = {p.side for p in prov[start:stop]}
+        if PATH_SIDE in sides:
+            want = [
+                VertexProvenance(3, PATH_SIDE, 0, pos, k) for k, pos in enumerate(PATH_POSITIONS)
+            ]
         else:
-            out.append(f"provenance-order: stage {stage} mixes sides {sorted(sides)}")
+            order = [side for side in (G_SIDE, H_SIDE) if side in sides] or [G_SIDE]
+            half = (stop - start) // len(order)
+            x = stage // 2
+            blocks = [(X_BLOCK, k) for k in range(x)] + [(Y_BLOCK, k) for k in range(stage - x)]
+            want = [
+                VertexProvenance(stage, side, i, block, k)
+                for side in order
+                for i in range(half // max(stage, 1))  # stage_r <= 0 has no blocks
+                for block, k in blocks
+            ]
+            if len(order) == 2:
+                pairs.extend((start + k, start + half + k) for k in range(half))
+        if len(want) != stop - start:
+            out.append(f"provenance-order: stage {stage} has irregular size {stop - start}")
+        else:
+            out.extend(
+                f"provenance-order: vertex {v} is {got}, expected {exp}"
+                for v, got, exp in zip(range(start, stop), prov[start:stop], want)
+                if got != exp
+            )
+        start = stop
+    if runs != sorted(set(runs)):
+        out.append(f"provenance-order: stages appear as {runs}, expected strictly increasing runs")
 
-    # Cross-edge rule: applies across stages and between the two sides of one
-    # stage; edges within one side (or inside the base path) are exempt.
-    for v in range(n):
-        pv = lg.provenance[v]
-        parv = label_parity(lg.labels[v])
-        for w in range(v + 1, n):
-            pw = lg.provenance[w]
-            if pv.stage_r == pw.stage_r:
-                if pv.side == pw.side or PATH_SIDE in (pv.side, pw.side):
-                    continue
-            should = parv != label_parity(lg.labels[w])
-            has = bool((g.rows[v] >> w) & 1)
-            if should and not has:
-                out.append(f"missing-cross-edge: ({v}, {w})")
-            elif has and not should:
-                out.append(f"unexpected-cross-edge: ({v}, {w})")
+    expected = set(pairs)
+    given = Counter(lg.correspondence)
+    out.extend(f"correspondence: unexpected pair {pair}" for pair in given if pair not in expected)
+    out.extend(f"correspondence: missing pair {pair}" for pair in pairs if pair not in given)
+    out.extend(f"correspondence: repeated pair {pair}" for pair, k in given.items() if k > 1)
+    out.extend(
+        f"label-flip: correspondence pair ({v}, {w}) carries same-parity labels "
+        f"({labels[v]}, {labels[w]})"
+        for v, w in pairs
+        if (v, w) in given and not opposite_parity(labels[v], labels[w])
+    )
 
+    # Cross-edge rule: a pair is an edge iff its label parities differ,
+    # except within one side of a stage and within a stage holding the path.
+    group: dict[tuple[int, str], int] = {}
+    stage_mask: dict[int, int] = {}
+    parity = [0, 0]
+    for v, p in enumerate(prov):
+        group[p.stage_r, p.side] = group.get((p.stage_r, p.side), 0) | 1 << v
+        stage_mask[p.stage_r] = stage_mask.get(p.stage_r, 0) | 1 << v
+        parity[label_parity(labels[v])] |= 1 << v
+    full = (1 << n) - 1
+    for v, p in enumerate(prov):
+        if p.side == PATH_SIDE:
+            exempt = stage_mask[p.stage_r]
+        else:
+            exempt = group[p.stage_r, p.side] | group.get((p.stage_r, PATH_SIDE), 0)
+        should = parity[1 - label_parity(labels[v])]
+        bad = (g.rows[v] ^ should) & (full >> (v + 1) << (v + 1)) & ~exempt
+        while bad:
+            w = (bad & -bad).bit_length() - 1
+            bad &= bad - 1
+            kind = "missing" if (should >> w) & 1 else "unexpected"
+            out.append(f"{kind}-cross-edge: ({v}, {w})")
     return out

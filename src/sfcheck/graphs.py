@@ -5,9 +5,11 @@ so equality of two graphs is bit-identity and every operation here defines
 its output vertex order deterministically (first operand first, copy-major
 for products).
 
-The symmetry, loop and range check (``Graph.__post_init__``) runs at the
-trust boundary only: public ``Graph(...)``, ``Graph.from_edges`` (hence
-``path`` and ``cycle``), ``random_graph`` and ``formats.decode_graph6``.
+``Graph.problems()`` is the one check of the range, loop and symmetry
+invariants.  ``Graph.__post_init__`` raises its first problem, so the check
+runs at the trust boundary: public ``Graph(...)``, ``Graph.from_edges``
+(hence ``path`` and ``cycle``), ``random_graph`` and
+``formats.decode_graph6``; ``construct.validate`` lists every problem.
 The algebra below (``complement``, ``combine``, ``product``, ``induced``,
 the complete and empty primitives) and the builders in ``construct`` derive
 rows from graphs that already satisfy the invariants, so they wrap their
@@ -32,32 +34,39 @@ PRODUCT_KINDS = ("cartesian", "tensor", "lexicographic")
 class Graph:
     """Undirected simple graph; ``rows[i]`` is the neighbor bitmask of i.
 
-    ``Graph(n, rows)`` checks that rows are symmetric, loop-free and inside
-    0..n-1 and raises ValueError otherwise.  Only the package's own algebra
-    and builders skip that check, through ``_trusted`` (see the module
-    docstring).
+    ``Graph(n, rows)`` raises ValueError with the first of ``problems()``:
+    rows must be symmetric, loop-free and inside 0..n-1.  Only the package's
+    own algebra and builders skip that check, through ``_trusted`` (see the
+    module docstring).
     """
 
     n: int
     rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        for problem in self.problems():
+            raise ValueError(problem)
+
+    def problems(self) -> Iterator[str]:
+        """Every range, self-loop and asymmetry violation, row by row; never raises."""
         if self.n < 0:
-            raise ValueError("vertex count must be nonnegative")
+            yield "vertex count must be nonnegative"
+            return
         if len(self.rows) != self.n:
-            raise ValueError("rows length must equal vertex count")
+            yield "rows length must equal vertex count"
+            return
         full = (1 << self.n) - 1
         for i, row in enumerate(self.rows):
             if row & ~full:
-                raise ValueError(f"row {i} addresses vertices outside 0..{self.n - 1}")
+                yield f"row {i} addresses vertices outside 0..{self.n - 1}"
             if (row >> i) & 1:
-                raise ValueError(f"self-loop at vertex {i}")
-            mask = row
+                yield f"self-loop at vertex {i}"
+            mask = row & full
             while mask:
                 j = (mask & -mask).bit_length() - 1
                 mask &= mask - 1
                 if not (self.rows[j] >> i) & 1:
-                    raise ValueError(f"asymmetric adjacency between {i} and {j}")
+                    yield f"asymmetric adjacency between {i} and {j}"
 
     @classmethod
     def _trusted(cls, n: int, rows: tuple[int, ...]) -> Graph:
@@ -108,13 +117,13 @@ class Graph:
 
 
 def as_vertex_set(g: Graph, members: Iterable[int]) -> tuple[int, ...]:
-    """Normalize to a sorted tuple; rejects duplicates and out-of-range ids."""
+    """Normalize to a sorted tuple; rejects duplicates, bools and out-of-range ids."""
     vs = tuple(sorted(members))
     if len(set(vs)) != len(vs):
         raise ValueError("vertex set contains duplicates")
     for v in vs:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range for n={g.n}")
+        if isinstance(v, bool) or not 0 <= v < g.n:
+            raise ValueError(f"vertex {v!r} out of range for n={g.n}")
     return vs
 
 

@@ -121,7 +121,8 @@ def _shape_problem(obj, fields: dict, where: str) -> str | None:
     if not isinstance(obj, dict):
         return f"{where}: expected an object, got {type(obj).__name__}"
     for key, kind in fields.items():
-        if not isinstance(obj.get(key), kind):
+        # JSON true and false load as bool, a subclass of int; no field here is a bool.
+        if not isinstance(obj.get(key), kind) or isinstance(obj.get(key), bool):
             return f"{where}: field {key!r} is {type(obj.get(key)).__name__}, expected {kind.__name__}"
     return None
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from sfcheck import cli
 from sfcheck.cli import main
 from sfcheck.formats import decode_graph6
 from sfcheck.graphs import path
@@ -115,6 +116,25 @@ class TestSweep:
             a.pop("timestamps")
             b.pop("timestamps")
             assert a == b
+
+
+    def test_sweep_writes_each_report_as_its_job_finishes(self, tmp_path, capsys, monkeypatch):
+        real = cli.run_verification
+        calls = []
+
+        def third_job_fails(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise AssertionError("job 3 failed")
+            return real(*args)
+
+        monkeypatch.delenv("RF_THREADS", raising=False)
+        monkeypatch.setattr(cli, "run_verification", third_job_fails)
+        assert main(["sweep", "--t-max", "4", "--report-dir", str(tmp_path)]) == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t11_r3.json", "t11_r4.json"]
+        for name in ("t11_r3.json", "t11_r4.json"):
+            load_report(tmp_path / name)
+        assert capsys.readouterr().out.count("T1_1") == 2
 
 
 class TestInternalError:

@@ -1,6 +1,7 @@
 """Constructor tests: blocks, sides, stage graphs, stacked graphs, validate."""
 
 import dataclasses
+import random
 
 import pytest
 
@@ -12,6 +13,7 @@ from sfcheck.construct import (
     build_SF,
     build_block,
     build_sides,
+    flip_label,
     label_parity,
     validate,
 )
@@ -55,6 +57,10 @@ class TestProfile:
     def test_rejects_unknown_values(self, kwargs):
         with pytest.raises(ValueError):
             InterpretationProfile(**kwargs)
+
+    def test_rejects_bool_y_label(self):
+        with pytest.raises(ValueError):
+            InterpretationProfile(y_label=True)
 
     def test_dict_round_trip(self):
         for p in all_profiles():
@@ -211,9 +217,10 @@ class TestBuildSF:
         with pytest.raises(ValueError):
             build_SF(2)
 
+    @pytest.mark.parametrize("t", range(3, 8))
     @pytest.mark.parametrize("profile", all_profiles())
-    def test_all_profiles_validate_clean(self, profile):
-        assert validate(build_SF(4, profile)) == []
+    def test_all_profiles_validate_clean(self, profile, t):
+        assert validate(build_SF(t, profile)) == []
 
 
 class TestValidate:
@@ -240,6 +247,88 @@ class TestValidate:
         flips = [x for x in validate(doctored) if x.startswith("label-flip")]
         assert len(flips) == 1
         assert f"({v}, {w})" in flips[0]
+
+    def test_lower_triangle_bit_detected(self):
+        lg = build_F(4, DEFAULT_PROFILE)
+        rows = list(lg.graph.rows)
+        rows[5] |= 1 << 2
+        doctored = dataclasses.replace(lg, graph=Graph._trusted(lg.graph.n, tuple(rows)))
+        assert validate(doctored) == ["asymmetric adjacency between 5 and 2"]
+
+    def test_bit_beyond_n_reported_not_raised(self):
+        lg = build_F(4, DEFAULT_PROFILE)
+        n = lg.graph.n
+        rows = list(lg.graph.rows)
+        rows[0] |= 1 << n
+        doctored = dataclasses.replace(lg, graph=Graph._trusted(n, tuple(rows)))
+        assert validate(doctored) == [f"row 0 addresses vertices outside 0..{n - 1}"]
+
+    @pytest.mark.parametrize("profile", all_profiles(), ids=str)
+    def test_cross_edge_messages_follow_rule_on_doctored_builds(self, profile):
+        rng = random.Random(11)
+        for t in (3, 4, 5):
+            lg = build_SF(t, profile)
+            n = lg.graph.n
+            for _ in range(8):
+                # Flipping rows[v] alone leaves a bit on one side of the diagonal.
+                rows = list(lg.graph.rows)
+                for _ in range(rng.randint(1, 4)):
+                    v, w = rng.sample(range(n), 2)
+                    rows[v] ^= 1 << w
+                    if rng.random() < 0.5:
+                        rows[w] ^= 1 << v
+                labels = tuple(flip_label(x) if rng.random() < 0.05 else x for x in lg.labels)
+                doctored = dataclasses.replace(
+                    lg, graph=Graph._trusted(n, tuple(rows)), labels=labels
+                )
+                want = []
+                for v, w in cross_pairs_by_rule(doctored):
+                    differs = label_parity(labels[v]) != label_parity(labels[w])
+                    if doctored.graph.has_edge(v, w) != differs:
+                        want.append(f"{'missing' if differs else 'unexpected'}-cross-edge: ({v}, {w})")
+                got = validate(doctored)
+                assert [m for m in got if "cross-edge" in m] == want
+                problems = list(doctored.graph.problems())
+                assert got[: len(problems)] == problems
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda c: c[1:], "correspondence: missing pair (0, 12)"),
+            (lambda c: c + ((0, 1),), "correspondence: unexpected pair (0, 1)"),
+            (lambda c: c + c[:1], "correspondence: repeated pair (0, 12)"),
+        ],
+        ids=["dropped", "added", "repeated"],
+    )
+    def test_correspondence_edit_detected(self, edit, message):
+        lg = build_F(4, DEFAULT_PROFILE)
+        doctored = dataclasses.replace(lg, correspondence=edit(lg.correspondence))
+        assert validate(doctored) == [message]
+
+    @pytest.mark.parametrize("v", [2, 7, 20])
+    def test_shifted_within_detected(self, v):
+        lg = build_SF(4, DEFAULT_PROFILE)
+        prov = list(lg.provenance)
+        prov[v] = dataclasses.replace(prov[v], within=prov[v].within + 1)
+        doctored = dataclasses.replace(lg, provenance=tuple(prov))
+        assert validate(doctored) == [
+            f"provenance-order: vertex {v} is {prov[v]}, expected {lg.provenance[v]}"
+        ]
+
+    @pytest.mark.parametrize(
+        "lg, field, value, vertices",
+        [
+            (build_block(5), "side", "elsewhere", range(5)),
+            (build_SF(4), "stage_r", 0, [7]),
+        ],
+        ids=["unknown-side", "stage-zero"],
+    )
+    def test_odd_provenance_reported_not_raised(self, lg, field, value, vertices):
+        prov = list(lg.provenance)
+        for v in vertices:
+            prov[v] = dataclasses.replace(prov[v], **{field: value})
+        doctored = dataclasses.replace(lg, provenance=tuple(prov))
+        assert any(m.startswith("provenance-order") for m in validate(doctored))
 
     def test_labeled_graph_rejects_bad_shapes(self):
         lg = build_F(3, DEFAULT_PROFILE)

@@ -72,6 +72,23 @@ class TestGraphValue:
         with pytest.raises(ValueError):
             as_vertex_set(g, [4])
 
+    def test_vertex_set_rejects_bools(self):
+        with pytest.raises(ValueError):
+            as_vertex_set(path(4), [True, 2])
+
+    def test_problems_lists_every_violation_without_raising(self):
+        g = Graph._trusted(3, (0b1001, 0b011, 0b000))
+        assert list(g.problems()) == [
+            "row 0 addresses vertices outside 0..2",
+            "self-loop at vertex 0",
+            "self-loop at vertex 1",
+            "asymmetric adjacency between 1 and 0",
+        ]
+        with pytest.raises(ValueError, match="^row 0 addresses vertices outside 0..2$"):
+            Graph(3, g.rows)
+        assert list(Graph._trusted(2, (0,)).problems()) == ["rows length must equal vertex count"]
+        assert list(complete(4).problems()) == []
+
 
 class TestPrimitives:
     def test_empty_two(self):

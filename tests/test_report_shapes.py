@@ -69,6 +69,20 @@ def test_malformed_report_is_a_problem_not_a_crash(case, tmp_path):
         load_report(target)
 
 
+@pytest.mark.parametrize(
+    "theorem, path",
+    [("1.2", ("profile", "y_label")), ("1.1", ("checks", 0, "r"))],
+    ids=["profile.y_label", "checks.r"],
+)
+def test_bool_is_not_an_int(theorem, path, tmp_path):
+    report = edited(base_report(theorem), path, True)
+    assert verify_report(report)
+    target = tmp_path / "r.json"
+    write_report(target, report)
+    with pytest.raises(ValueError, match="re-verification"):
+        load_report(target)
+
+
 def test_unedited_reports_stand():
     assert verify_report(base_report("1.1")) == []
     assert verify_report(base_report("1.2")) == []
