@@ -122,7 +122,7 @@ class LabeledGraph:
         if len(self.provenance) != self.graph.n:
             raise ValueError("provenance length must equal vertex count")
         for lab in self.labels:
-            if lab not in LABELS:
+            if isinstance(lab, bool) or lab not in LABELS:
                 raise ValueError(f"label {lab!r} outside {{1, 2}}")
 
     def label_counts(self) -> dict[int, int]:

@@ -4,13 +4,34 @@ graph6 packs the upper adjacency triangle column-major, six bits per
 printable character (value + 63), after a size header N(n): one character
 for n <= 62, '~' plus three characters for larger n, '~~' plus six beyond
 258047.  Padding bits are zero on encode and ignored on decode.
+
+The codecs run on whole strings, not bit by bit.  graph6 data is base64
+with another alphabet: the base64 character of value v becomes chr(63 + v),
+so encode writes the triangle as one '0'/'1' string (column j is bits 0..j-1
+of ``rows[j]``, lowest first), converts it with ``int(bits, 2)``, and lets
+``binascii.b2a_base64`` and ``bytes.translate`` spell it.  Decode runs the
+same steps backwards, pads each column to n characters, and transposes the
+columns with ``zip(*cols)``: row i is column i (its neighbors below i) OR
+the i-th character of every later column (its neighbors above i).  Base-2
+``int`` and ``format`` are exempt from the int string-digit limit.  DIMACS
+turns each row's bits above the diagonal into a flag string and joins the
+vertex numbers it selects with ``itertools.compress``.
 """
 
 from __future__ import annotations
 
+import binascii
+from itertools import compress
+
 from sfcheck.graphs import Graph
 
 _HEADER = ">>graph6<<"
+
+_B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_G6 = bytes(range(63, 127))
+_B64_TO_G6 = bytes.maketrans(_B64, _G6)
+_G6_TO_B64 = bytes.maketrans(_G6, _B64)
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
 class Graph6ParseError(ValueError):
@@ -32,19 +53,12 @@ def encode_graph6(g: Graph) -> str:
         out.extend(chr(((n >> shift) & 63) + 63) for shift in range(30, -1, -6))
     else:
         raise ValueError(f"graph too large for graph6: n={n}")
-    acc = 0
-    nbits = 0
-    for j in range(1, n):
-        col = g.rows[j]
-        for i in range(j):
-            acc = (acc << 1) | ((col >> i) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(acc + 63))
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append(chr((acc << (6 - nbits)) + 63))
+    rows = g.rows
+    bits = "".join(format(rows[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n))
+    nchars = (len(bits) + 5) // 6
+    bits += "0" * (-len(bits) % 24)  # whole base64 quanta, so no '=' padding
+    raw = int(bits or "0", 2).to_bytes(len(bits) // 8, "big")
+    out.append(binascii.b2a_base64(raw, newline=False)[:nchars].translate(_B64_TO_G6).decode())
     return "".join(out)
 
 
@@ -57,23 +71,23 @@ def decode_graph6(text: str) -> Graph:
     if not body:
         raise Graph6ParseError("empty graph6 string", base)
 
-    vals = []
-    for k, ch in enumerate(body):
-        o = ord(ch)
-        if o < 63 or o > 126:
-            raise Graph6ParseError(f"invalid graph6 character {ch!r}", base + k)
-        vals.append(o - 63)
+    if not body.isascii() or body.encode().translate(None, _G6):
+        for k, ch in enumerate(body):
+            if not 63 <= ord(ch) <= 126:
+                raise Graph6ParseError(f"invalid graph6 character {ch!r}", base + k)
+    raw = body.encode()
+    vals = [c - 63 for c in raw[:8]]
 
     if vals[0] < 63:
         n = vals[0]
         pos = 1
-    elif len(vals) >= 2 and vals[1] < 63:
-        if len(vals) < 4:
+    elif len(raw) >= 2 and vals[1] < 63:
+        if len(raw) < 4:
             raise Graph6ParseError("truncated size header", base + len(body))
         n = (vals[1] << 12) | (vals[2] << 6) | vals[3]
         pos = 4
     else:
-        if len(vals) < 8:
+        if len(raw) < 8:
             raise Graph6ParseError("truncated size header", base + len(body))
         n = 0
         for v in vals[2:8]:
@@ -82,7 +96,7 @@ def decode_graph6(text: str) -> Graph:
 
     nbits = n * (n - 1) // 2
     ndata = (nbits + 5) // 6
-    have = len(vals) - pos
+    have = len(raw) - pos
     if have < ndata:
         raise Graph6ParseError(
             f"truncated edge data: need {ndata} characters, have {have}", base + len(body)
@@ -90,20 +104,28 @@ def decode_graph6(text: str) -> Graph:
     if have > ndata:
         raise Graph6ParseError("trailing characters after edge data", base + pos + ndata)
 
-    rows = [0] * n
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if (vals[pos + k // 6] >> (5 - k % 6)) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            k += 1
-    return Graph(n, tuple(rows))
+    data = raw[pos:].translate(_G6_TO_B64)
+    data += b"A" * (-len(data) % 4)  # 'A' is base64 zero
+    packed = binascii.a2b_base64(data)
+    bits = format(int.from_bytes(packed, "big"), f"0{8 * len(packed)}b")
+    # cols[j]: the pairs (i, j), i < j, lowest i first, padded with '0' to n.
+    cols = [bits[j * (j - 1) // 2 : j * (j + 1) // 2].ljust(n, "0") for j in range(n)]
+    rows = tuple(
+        int(low[::-1], 2) | int("".join(high)[::-1], 2) for low, high in zip(cols, zip(*cols))
+    )
+    return Graph(n, rows)
 
 
 def encode_dimacs(g: Graph) -> str:
     """DIMACS edge format: "p edge n m" then 1-indexed "e u v" lines, u < v,
     in lexicographic order."""
+    names = [str(v + 1) for v in range(g.n)]
     lines = [f"p edge {g.n} {g.m}"]
-    lines.extend(f"e {u + 1} {v + 1}" for u, v in g.edges())
+    for i, row in enumerate(g.rows):
+        # flags[k] is 1 when i is adjacent to i + 1 + k; one join per row.
+        flags = format(row >> (i + 1), "b")[::-1].encode().translate(_FLAGS)
+        sep = f"\ne {i + 1} "
+        ends = sep.join(compress(names[i + 1 :], flags))
+        if ends:
+            lines.append(sep[1:] + ends)
     return "\n".join(lines) + "\n"

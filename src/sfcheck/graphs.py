@@ -10,6 +10,10 @@ invariants.  ``Graph.__post_init__`` raises its first problem, so the check
 runs at the trust boundary: public ``Graph(...)``, ``Graph.from_edges``
 (hence ``path`` and ``cycle``), ``random_graph`` and
 ``formats.decode_graph6``; ``construct.validate`` lists every problem.
+The check runs in full at that boundary: range and loop per row, then
+symmetry as one comparison of the LSB-first bit strings with their
+transpose.  The per-bit walk runs only on a graph that fails, to name its
+violations.
 The algebra below (``complement``, ``combine``, ``product``, ``induced``,
 the complete and empty primitives) and the builders in ``construct`` derive
 rows from graphs that already satisfy the invariants, so they wrap their
@@ -48,7 +52,12 @@ class Graph:
             raise ValueError(problem)
 
     def problems(self) -> Iterator[str]:
-        """Every range, self-loop and asymmetry violation, row by row; never raises."""
+        """Every range, self-loop and asymmetry violation, row by row; never raises.
+
+        A whole-matrix check clears a valid graph in C-level string work;
+        the per-bit walk below runs only when it fails, to name each
+        violation in row order.
+        """
         if self.n < 0:
             yield "vertex count must be nonnegative"
             return
@@ -56,6 +65,13 @@ class Graph:
             yield "rows length must equal vertex count"
             return
         full = (1 << self.n) - 1
+        if not any(row & ~full or (row >> i) & 1 for i, row in enumerate(self.rows)):
+            # Symmetric iff the matrix of LSB-first bit strings equals its
+            # transpose; the sentinel bit n fixes every string's width.
+            top = 1 << self.n
+            bits = [format(row | top, "b")[:0:-1] for row in self.rows]
+            if list(map("".join, zip(*bits))) == bits:
+                return
         for i, row in enumerate(self.rows):
             if row & ~full:
                 yield f"row {i} addresses vertices outside 0..{self.n - 1}"

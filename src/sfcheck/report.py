@@ -43,6 +43,24 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+# verify_report refuses, unbuilt, a target with more vertices than this, so a
+# report file cannot demand an arbitrarily large build.  SF(30) has 17970
+# vertices, SF(31) 19830 and SF(32) 21814.
+MAX_REBUILD_VERTICES = 20_000
+
+
+def target_vertex_count(kind: str, param: int, profile: InterpretationProfile) -> int:
+    """Vertex count of ``build_target(kind, param, profile)`` from the stage
+    layout, without building: 2r(r-1) for stage r (both sides of r-1 copies
+    of r vertices), 6 for the explicit base path.  SF(t) sums stages 3..t:
+    the sum of 2r(r-1) over 1 <= r <= t is 2(t-1)t(t+1)/3, less 4 for r = 2."""
+    explicit = profile.base_case == "explicit_path"
+    if kind == "F":
+        return 6 if param == 3 and explicit else 2 * param * (param - 1)
+    stacked = 2 * (param - 1) * param * (param + 1) // 3 - 4
+    return stacked - 6 if explicit else stacked
+
+
 def build_target(kind: str, param: int, profile: InterpretationProfile) -> LabeledGraph:
     if kind == "F":
         return build_F(param, profile)
@@ -142,10 +160,11 @@ def _check_shape_problem(check, where: str) -> str | None:
 def verify_report(report) -> list[str]:
     """Re-check a loaded report against a fresh build of its target.
 
-    Checks the shape of every field it reads, rebuilds the target graph,
-    re-verifies every witness pairwise, and checks internal consistency
-    (sizes, verdict arithmetic, bound flags).  Returns a list of problems,
-    empty when the report stands; never raises on malformed input.
+    Checks the shape of every field it reads, rebuilds the target graph
+    (refusing, unbuilt, one above ``MAX_REBUILD_VERTICES``), re-verifies
+    every witness pairwise, and checks internal consistency (sizes, verdict
+    arithmetic, bound flags).  Returns a list of problems, empty when the
+    report stands; never raises on malformed input.
     """
     if not isinstance(report, dict):
         return [f"report: expected an object, got {type(report).__name__}"]
@@ -155,9 +174,16 @@ def verify_report(report) -> list[str]:
     shape = shape or _shape_problem(report["target"], {"param": int}, "target")
     if shape:
         return [shape]
+    kind, param = report["target"].get("kind"), report["target"]["param"]
     try:
         profile = InterpretationProfile.from_dict(report["profile"])
-        lg = build_target(report["target"].get("kind"), report["target"]["param"], profile)
+        size = target_vertex_count(kind, param, profile)
+        if size > MAX_REBUILD_VERTICES:
+            return [
+                f"cannot rebuild target: {kind}({param}) has {size} vertices, "
+                f"above the limit of {MAX_REBUILD_VERTICES}"
+            ]
+        lg = build_target(kind, param, profile)
     except (KeyError, ValueError) as exc:
         return [f"cannot rebuild target: {exc}"]
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 
 from sfcheck.construct import InterpretationProfile
+from sfcheck.formats import Graph6ParseError
 from sfcheck.graphs import Graph
 
 
@@ -124,3 +125,117 @@ def scan_degeneracy_order(rows: tuple[int, ...], n: int) -> list[int]:
             m &= m - 1
             deg[w] -= 1
     return order
+
+
+def walk_problems(n: int, rows: tuple[int, ...]) -> list[str]:
+    """Range, self-loop and asymmetry messages by a per-bit walk over every
+    row; the reference for ``Graph.problems()``."""
+    if n < 0:
+        return ["vertex count must be nonnegative"]
+    if len(rows) != n:
+        return ["rows length must equal vertex count"]
+    out = []
+    full = (1 << n) - 1
+    for i, row in enumerate(rows):
+        if row & ~full:
+            out.append(f"row {i} addresses vertices outside 0..{n - 1}")
+        if (row >> i) & 1:
+            out.append(f"self-loop at vertex {i}")
+        mask = row & full
+        while mask:
+            j = (mask & -mask).bit_length() - 1
+            mask &= mask - 1
+            if not (rows[j] >> i) & 1:
+                out.append(f"asymmetric adjacency between {i} and {j}")
+    return out
+
+
+def bitwise_encode_graph6(g: Graph) -> str:
+    """graph6 one bit at a time; the reference for ``encode_graph6``."""
+    n = g.n
+    if n <= 62:
+        out = [chr(n + 63)]
+    elif n <= 258047:
+        out = ["~", chr((n >> 12) + 63), chr(((n >> 6) & 63) + 63), chr((n & 63) + 63)]
+    else:
+        out = ["~", "~"]
+        out.extend(chr(((n >> shift) & 63) + 63) for shift in range(30, -1, -6))
+    acc = 0
+    nbits = 0
+    for j in range(1, n):
+        col = g.rows[j]
+        for i in range(j):
+            acc = (acc << 1) | ((col >> i) & 1)
+            nbits += 1
+            if nbits == 6:
+                out.append(chr(acc + 63))
+                acc = 0
+                nbits = 0
+    if nbits:
+        out.append(chr((acc << (6 - nbits)) + 63))
+    return "".join(out)
+
+
+def bitwise_decode_graph6(text: str) -> Graph:
+    """graph6 one character and one bit at a time, with the same errors;
+    the reference for ``decode_graph6``."""
+    base = len(">>graph6<<") if text.startswith(">>graph6<<") else 0
+    end = len(text)
+    while end > base and text[end - 1] in "\r\n \t":
+        end -= 1
+    body = text[base:end]
+    if not body:
+        raise Graph6ParseError("empty graph6 string", base)
+
+    vals = []
+    for k, ch in enumerate(body):
+        o = ord(ch)
+        if o < 63 or o > 126:
+            raise Graph6ParseError(f"invalid graph6 character {ch!r}", base + k)
+        vals.append(o - 63)
+
+    if vals[0] < 63:
+        n = vals[0]
+        pos = 1
+    elif len(vals) >= 2 and vals[1] < 63:
+        if len(vals) < 4:
+            raise Graph6ParseError("truncated size header", base + len(body))
+        n = (vals[1] << 12) | (vals[2] << 6) | vals[3]
+        pos = 4
+    else:
+        if len(vals) < 8:
+            raise Graph6ParseError("truncated size header", base + len(body))
+        n = 0
+        for v in vals[2:8]:
+            n = (n << 6) | v
+        pos = 8
+
+    nbits = n * (n - 1) // 2
+    ndata = (nbits + 5) // 6
+    have = len(vals) - pos
+    if have < ndata:
+        raise Graph6ParseError(
+            f"truncated edge data: need {ndata} characters, have {have}", base + len(body)
+        )
+    if have > ndata:
+        raise Graph6ParseError("trailing characters after edge data", base + pos + ndata)
+
+    rows = [0] * n
+    k = 0
+    for j in range(1, n):
+        for i in range(j):
+            if (vals[pos + k // 6] >> (5 - k % 6)) & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            k += 1
+    return Graph._trusted(n, tuple(rows))
+
+
+def edgewise_encode_dimacs(g: Graph) -> str:
+    """DIMACS one edge at a time; the reference for ``encode_dimacs``."""
+    lines = [f"p edge {g.n} {len(edge_set(g))}"]
+    for i in range(g.n):
+        for j in range(i + 1, g.n):
+            if (g.rows[i] >> j) & 1:
+                lines.append(f"e {i + 1} {j + 1}")
+    return "\n".join(lines) + "\n"

@@ -336,3 +336,9 @@ class TestValidate:
             LabeledGraph(lg.graph, lg.labels[:-1], lg.provenance, ())
         with pytest.raises(ValueError):
             LabeledGraph(lg.graph, (0,) * 6, lg.provenance, ())
+
+    def test_labeled_graph_rejects_bool_label(self):
+        # True == 1, so a plain membership test in (1, 2) would accept it.
+        lg = build_F(3, DEFAULT_PROFILE)
+        with pytest.raises(ValueError, match="outside"):
+            LabeledGraph(lg.graph, (True,) + lg.labels[1:], lg.provenance, ())

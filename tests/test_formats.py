@@ -5,6 +5,8 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sfcheck.construct import DEFAULT_PROFILE, build_F, build_SF
 from sfcheck.formats import Graph6ParseError, decode_graph6, encode_dimacs, encode_graph6
@@ -19,7 +21,12 @@ from sfcheck.report import (
     write_report,
 )
 
-from oracles import all_profiles
+from oracles import (
+    all_profiles,
+    bitwise_decode_graph6,
+    bitwise_encode_graph6,
+    edgewise_encode_dimacs,
+)
 
 
 def nx_encode(g: Graph) -> str:
@@ -101,6 +108,69 @@ class TestGraph6:
         # n=3 spelled in the 18-bit and 36-bit headers; decoders take both.
         assert decode_graph6("~??Bw") == complete(3)
         assert decode_graph6("~~?????Bw") == complete(3)
+
+
+@st.composite
+def gnp(draw):
+    """G(n, p) with n = 0..140, across the 62/63 header switch."""
+    n = draw(st.one_of(st.integers(min_value=0, max_value=140), st.sampled_from([62, 63])))
+    return random_graph(n, draw(st.floats(0, 1)), random.Random(draw(st.integers(0, 2**32))))
+
+
+def decode_outcome(decode, text):
+    """The graph a decoder returns, or the message and offset it raises."""
+    try:
+        g = decode(text)
+    except Graph6ParseError as exc:
+        return ("error", str(exc), exc.offset)
+    return ("graph", g.n, g.rows)
+
+
+BAD_CHARS = st.one_of(
+    st.integers(min_value=0, max_value=62).map(chr),
+    st.integers(min_value=127, max_value=255).map(chr),
+    st.characters(min_codepoint=256),
+)
+
+
+@st.composite
+def damaged_graph6(draw):
+    """graph6 text of a G(n, p) graph, maybe framed by the header and a
+    newline, with one bad character, truncated data or trailing data."""
+    body = encode_graph6(draw(gnp()))
+    damage = draw(st.sampled_from(["char", "truncate", "trail"]))
+    if damage == "char":
+        k = draw(st.integers(min_value=0, max_value=len(body) - 1))
+        body = body[:k] + draw(BAD_CHARS) + body[k + 1 :]
+    elif damage == "truncate":
+        body = body[: draw(st.integers(min_value=1, max_value=len(body)))]
+    else:
+        body += draw(st.text(st.characters(min_codepoint=63, max_codepoint=126), min_size=1, max_size=5))
+    header = draw(st.sampled_from(["", ">>graph6<<"]))
+    return header + body + draw(st.sampled_from(["", "\n", " \r\n"]))
+
+
+class TestCodecsMatchTheBitwiseOracles:
+    @settings(max_examples=150, deadline=None)
+    @given(gnp())
+    def test_encode_decode_dimacs(self, g):
+        text = encode_graph6(g)
+        assert text == bitwise_encode_graph6(g)
+        assert decode_graph6(text) == bitwise_decode_graph6(text) == g
+        assert encode_dimacs(g) == edgewise_encode_dimacs(g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(damaged_graph6())
+    def test_parse_errors(self, text):
+        assert decode_outcome(decode_graph6, text) == decode_outcome(bitwise_decode_graph6, text)
+
+    @settings(max_examples=100, deadline=None)
+    @given(gnp(), st.integers(min_value=1, max_value=31))
+    def test_nonzero_padding_is_ignored(self, g, bits):
+        pad = -(g.n * (g.n - 1) // 2) % 6
+        text = encode_graph6(g)
+        text = text[:-1] + chr(ord(text[-1]) | bits & ((1 << pad) - 1))
+        assert decode_graph6(text) == bitwise_decode_graph6(text) == g
 
 
 class TestDimacs:

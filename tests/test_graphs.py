@@ -1,6 +1,7 @@
 """Graph value and algebra tests."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,7 @@ from sfcheck.graphs import (
 from sfcheck.report import run_verification
 from sfcheck.solve import max_independent_set
 
-from oracles import all_profiles, brute_force_isomorphic, edge_set, naive_product_edges
+from oracles import all_profiles, brute_force_isomorphic, edge_set, naive_product_edges, walk_problems
 
 
 @st.composite
@@ -246,6 +247,40 @@ def test_builds_preserve_invariants(profile):
     for t in range(3, 7):
         assert_passes_public_check(build_F(t, profile).graph)
         assert_passes_public_check(build_SF(t, profile).graph)
+
+
+@st.composite
+def doctored_rows(draw):
+    """(n, rows) of a G(n, p) graph with up to four faults written into its
+    rows: a bit only below the diagonal, a bit at or beyond n, a self-loop."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    g = random_graph(n, draw(st.floats(0, 1)), random.Random(draw(st.integers(0, 2**32))))
+    rows = list(g.rows)
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        fault = draw(st.sampled_from(["below", "beyond", "loop"]))
+        i = draw(st.integers(min_value=0, max_value=n - 1))
+        if fault == "below" and i > 0:
+            j = draw(st.integers(min_value=0, max_value=i - 1))
+            rows[i] |= 1 << j
+            rows[j] &= ~(1 << i)
+        elif fault == "beyond":
+            rows[i] |= 1 << (n + draw(st.integers(min_value=0, max_value=3)))
+        elif fault == "loop":
+            rows[i] |= 1 << i
+    return n, tuple(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doctored_rows())
+def test_problems_match_the_per_bit_walk(case):
+    n, rows = case
+    expected = walk_problems(n, rows)
+    assert list(Graph._trusted(n, rows).problems()) == expected
+    if expected:
+        with pytest.raises(ValueError, match=f"^{re.escape(expected[0])}$"):
+            Graph(n, rows)
+    else:
+        assert Graph(n, rows).rows == rows
 
 
 PATH6_ROWS = path(6).rows

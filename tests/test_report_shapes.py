@@ -7,7 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sfcheck.report import load_report, run_verification, verify_report, write_report
+from sfcheck import report as report_module
+from sfcheck.construct import build_F, build_SF
+from sfcheck.report import (
+    MAX_REBUILD_VERTICES,
+    load_report,
+    run_verification,
+    target_vertex_count,
+    verify_report,
+    write_report,
+)
+
+from oracles import all_profiles
 
 DELETE = object()
 
@@ -81,6 +92,30 @@ def test_bool_is_not_an_int(theorem, path, tmp_path):
     write_report(target, report)
     with pytest.raises(ValueError, match="re-verification"):
         load_report(target)
+
+
+@pytest.mark.parametrize("profile", all_profiles(), ids=str)
+def test_target_vertex_count_matches_builds(profile):
+    for r in range(3, 9):
+        assert target_vertex_count("F", r, profile) == build_F(r, profile).graph.n
+        assert target_vertex_count("SF", r, profile) == build_SF(r, profile).graph.n
+
+
+@pytest.mark.parametrize("theorem, param", [("1.2", 32), ("1.2", 10**9), ("1.1", 101)])
+def test_oversized_target_refused_unbuilt(theorem, param, monkeypatch):
+    def no_build(*args):
+        raise AssertionError("verify_report built an oversized target")
+
+    report = edited(base_report(theorem), ("target", "param"), param)
+    monkeypatch.setattr(report_module, "build_F", no_build)
+    monkeypatch.setattr(report_module, "build_SF", no_build)
+    problems = verify_report(report)
+    assert len(problems) == 1 and f"above the limit of {MAX_REBUILD_VERTICES}" in problems[0]
+
+
+def test_sf30_is_within_the_rebuild_limit():
+    for profile in all_profiles():
+        assert target_vertex_count("SF", 30, profile) <= MAX_REBUILD_VERTICES
 
 
 def test_unedited_reports_stand():
