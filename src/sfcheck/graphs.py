@@ -39,9 +39,9 @@ class Graph:
     """Undirected simple graph; ``rows[i]`` is the neighbor bitmask of i.
 
     ``Graph(n, rows)`` raises ValueError with the first of ``problems()``:
-    rows must be symmetric, loop-free and inside 0..n-1.  Only the package's
-    own algebra and builders skip that check, through ``_trusted`` (see the
-    module docstring).
+    n must be an int and rows a tuple of n ints, symmetric, loop-free and
+    inside 0..n-1.  Only the package's own algebra and builders skip that
+    check, through ``_trusted`` (see the module docstring).
     """
 
     n: int
@@ -56,13 +56,25 @@ class Graph:
 
         A whole-matrix check clears a valid graph in C-level string work;
         the per-bit walk below runs only when it fails, to name each
-        violation in row order.
+        violation in row order.  A count or row that is not an int (bools
+        included) and rows that are not a tuple are problems too, named
+        before any other check reads them.
         """
+        if type(self.n) is not int:
+            yield "vertex count must be an int"
+            return
         if self.n < 0:
             yield "vertex count must be nonnegative"
             return
+        if type(self.rows) is not tuple:
+            yield "rows must be a tuple"
+            return
         if len(self.rows) != self.n:
             yield "rows length must equal vertex count"
+            return
+        if not set(map(type, self.rows)) <= {int}:
+            i = next(i for i, row in enumerate(self.rows) if type(row) is not int)
+            yield f"row {i} must be an int"
             return
         full = (1 << self.n) - 1
         if not any(row & ~full or (row >> i) & 1 for i, row in enumerate(self.rows)):

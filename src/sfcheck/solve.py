@@ -2,9 +2,19 @@
 
 max_clique is a branch-and-bound search: a greedy clique seeds the lower
 bound, root vertices are processed in degeneracy order, and inside the tree
-candidate sets are bounded by a greedy coloring.  oracle_max_clique is a
-deliberately plain clique enumeration kept independent of the main solver
-so the two can cross-check each other on small graphs.
+candidate sets are bounded by a greedy coloring.  The search runs on an
+explicit stack of (classes, color, candidates) frames, so its depth is not
+bounded by Python's recursion limit.  Each coloring step and each branch
+reads a table built once per call and indexed by ``bit.bit_length()``
+(v + 1 for bit 1 << v): the mask that removes v and its neighbours, and
+v's row.  That saves the shifts and complements of a per-vertex step but
+explores exactly the tree of the recursive search it replaced
+(``recursive_max_clique`` in ``tests/oracles.py``): the same classes and
+the same branching order, hence the same node counts and witnesses.
+
+oracle_max_clique is a deliberately plain clique enumeration kept
+independent of the main solver so the two can cross-check each other on
+small graphs.
 
 All searches are single-threaded and fully deterministic (ties break toward
 the lowest vertex index), so sizes, witnesses, and node counts reproduce
@@ -122,50 +132,71 @@ def max_clique(g: Graph) -> CliqueResult:
     best_size = len(seed)
     best_witness = tuple(sorted(seed))
 
-    def expand(base: list[int], cand: int) -> None:
-        nonlocal nodes, best_size, best_witness
-        nodes += 1
-        if cand == 0:
-            if len(base) > best_size:
-                best_size = len(base)
-                best_witness = tuple(sorted(base))
-            return
-        # Greedy coloring: peel independent classes; a vertex in class c can
-        # extend the clique to at most len(base) + c.
-        classes: list[int] = []
-        rest = cand
-        while rest:
-            avail = rest
-            cls = 0
-            while avail:
-                v = (avail & -avail).bit_length() - 1
-                cls |= 1 << v
-                avail &= ~(rows[v] | (1 << v))
-            classes.append(cls)
-            rest &= ~cls
-        cur = cand
-        for color in range(len(classes), 0, -1):
-            cls = classes[color - 1]
-            while True:
-                if len(base) + color <= best_size:
-                    return
-                rem = cls & cur
-                if rem == 0:
-                    break
-                v = (rem & -rem).bit_length() - 1
-                cur &= ~(1 << v)
-                base.append(v)
-                expand(base, cur & rows[v])
-                base.pop()
+    # Tables indexed by bit.bit_length(), i.e. v + 1 for bit = 1 << v:
+    # nn[v + 1] masks out v and its neighbours, rb[v + 1] is row v.
+    full = (1 << n) - 1
+    nn = (0, *(full ^ (row | 1 << v) for v, row in enumerate(rows)))
+    rb = (0, *rows)
 
     order = _degeneracy_order(rows, n)
-    remaining = (1 << n) - 1
+    remaining = full
     for v in order:
-        remaining &= ~(1 << v)
+        remaining ^= 1 << v
         cand = rows[v] & remaining
         if 1 + cand.bit_count() <= best_size:
             continue
-        expand([v], cand)
+        # Depth-first search from root v.  The node being expanded keeps its
+        # state in (classes, color, cur), each ancestor's state waits on
+        # ``stack``, and base[i] is the bit of the i-th clique vertex.
+        base = [1 << v]
+        stack: list[tuple[list[int], int, int]] = []
+        while True:
+            nodes += 1
+            depth = len(base)
+            if cand:
+                # Greedy coloring: peel independent classes; a vertex in
+                # class c can extend the clique to at most depth + c.
+                classes: list[int] = []
+                rest = cand
+                while rest:
+                    avail = rest
+                    cls = 0
+                    while avail:
+                        bit = avail & -avail
+                        cls |= bit
+                        avail &= nn[bit.bit_length()]
+                    classes.append(cls)
+                    rest ^= cls
+                color = len(classes)
+                cur = cand
+            else:
+                if depth > best_size:
+                    best_size = depth
+                    best_witness = tuple(sorted(b.bit_length() - 1 for b in base))
+                color = 0
+            # Branch on the next vertex of the highest class left; once the
+            # bound prunes or the classes run out, resume the parent.
+            while True:
+                while color and depth + color > best_size:
+                    rem = classes[color - 1] & cur
+                    if rem:
+                        break
+                    color -= 1
+                else:
+                    if not stack:
+                        break
+                    base.pop()
+                    depth -= 1
+                    classes, color, cur = stack.pop()
+                    continue
+                bit = rem & -rem
+                cur ^= bit
+                stack.append((classes, color, cur))
+                base.append(bit)
+                cand = cur & rb[bit.bit_length()]
+                break
+            if not stack:
+                break
 
     if not verify_witness(g, best_witness, "clique"):
         raise AssertionError("solver produced an invalid clique witness")

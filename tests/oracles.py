@@ -12,6 +12,7 @@ import itertools
 from sfcheck.construct import InterpretationProfile
 from sfcheck.formats import Graph6ParseError
 from sfcheck.graphs import Graph
+from sfcheck.solve import CliqueResult, _degeneracy_order, _greedy_clique, verify_witness
 
 
 def edge_set(g: Graph) -> set[frozenset[int]]:
@@ -125,6 +126,69 @@ def scan_degeneracy_order(rows: tuple[int, ...], n: int) -> list[int]:
             m &= m - 1
             deg[w] -= 1
     return order
+
+
+def recursive_max_clique(g: Graph) -> CliqueResult:
+    """The solver's search as a recursive ``expand``, kept as it was before
+    the explicit stack: the reference for the tree ``max_clique`` explores
+    (same classes, same branching order, same node count and witness).
+    Recursion depth grows with the clique, so keep inputs small."""
+    n = g.n
+    rows = g.rows
+    nodes = 0
+
+    seed = _greedy_clique(rows, n)
+    best_size = len(seed)
+    best_witness = tuple(sorted(seed))
+
+    def expand(base: list[int], cand: int) -> None:
+        nonlocal nodes, best_size, best_witness
+        nodes += 1
+        if cand == 0:
+            if len(base) > best_size:
+                best_size = len(base)
+                best_witness = tuple(sorted(base))
+            return
+        # Greedy coloring: peel independent classes; a vertex in class c can
+        # extend the clique to at most len(base) + c.
+        classes: list[int] = []
+        rest = cand
+        while rest:
+            avail = rest
+            cls = 0
+            while avail:
+                v = (avail & -avail).bit_length() - 1
+                cls |= 1 << v
+                avail &= ~(rows[v] | (1 << v))
+            classes.append(cls)
+            rest &= ~cls
+        cur = cand
+        for color in range(len(classes), 0, -1):
+            cls = classes[color - 1]
+            while True:
+                if len(base) + color <= best_size:
+                    return
+                rem = cls & cur
+                if rem == 0:
+                    break
+                v = (rem & -rem).bit_length() - 1
+                cur &= ~(1 << v)
+                base.append(v)
+                expand(base, cur & rows[v])
+                base.pop()
+
+    order = _degeneracy_order(rows, n)
+    remaining = (1 << n) - 1
+    for v in order:
+        remaining &= ~(1 << v)
+        cand = rows[v] & remaining
+        if 1 + cand.bit_count() <= best_size:
+            continue
+        expand([v], cand)
+
+    if not verify_witness(g, best_witness, "clique"):
+        raise AssertionError("solver produced an invalid clique witness")
+    return CliqueResult(best_size, best_witness, nodes)
 
 
 def walk_problems(n: int, rows: tuple[int, ...]) -> list[str]:

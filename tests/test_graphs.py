@@ -90,6 +90,22 @@ class TestGraphValue:
         assert list(Graph._trusted(2, (0,)).problems()) == ["rows length must equal vertex count"]
         assert list(complete(4).problems()) == []
 
+    @pytest.mark.parametrize(
+        "n, rows, problem",
+        [
+            (2, (0.5, 0), "row 0 must be an int"),
+            (1, (None,), "row 0 must be an int"),
+            (2, (0, True), "row 1 must be an int"),
+            ("2", (0, 0), "vertex count must be an int"),
+            (True, (0,), "vertex count must be an int"),
+            (2, [0, 0], "rows must be a tuple"),
+        ],
+    )
+    def test_problems_name_wrong_types_without_raising(self, n, rows, problem):
+        assert list(Graph._trusted(n, rows).problems()) == [problem]
+        with pytest.raises(ValueError, match=f"^{problem}$"):
+            Graph(n, rows)
+
 
 class TestPrimitives:
     def test_empty_two(self):

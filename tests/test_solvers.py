@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sfcheck.construct import (
@@ -24,6 +24,7 @@ from sfcheck.graphs import (
     path,
     random_graph,
 )
+from sfcheck import solve
 from sfcheck.solve import (
     _degeneracy_order,
     max_clique,
@@ -33,7 +34,12 @@ from sfcheck.solve import (
     verify_witness,
 )
 
-from oracles import scan_degeneracy_order, subset_max_clique, subset_max_independent
+from oracles import (
+    recursive_max_clique,
+    scan_degeneracy_order,
+    subset_max_clique,
+    subset_max_independent,
+)
 
 
 @st.composite
@@ -225,3 +231,47 @@ def test_degeneracy_order_matches_scan_on_sf(profile):
         g = build_SF(t, profile).graph
         for h in (g, complement(g)):
             assert _degeneracy_order(h.rows, h.n) == scan_degeneracy_order(h.rows, h.n)
+
+
+# One profile per sum reading crossed with tensor / non-tensor products.
+TREE_PROFILES = [
+    DEFAULT_PROFILE,
+    InterpretationProfile(sum="join", prod="cartesian", base_case="general", y_label=1),
+    InterpretationProfile(prod="tensor", y_label=1),
+    InterpretationProfile(sum="join", prod="tensor", base_case="general"),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=80),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(80, 0.5, 1)
+@example(80, 0.85, 2)
+def test_search_tree_matches_recursive_search(n, p, seed):
+    """Same size, witness and node count as the recursive search."""
+    g = random_graph(n, p, random.Random(seed))
+    for h in (g, complement(g)):
+        assert max_clique(h) == recursive_max_clique(h)
+
+
+@pytest.mark.parametrize("profile", TREE_PROFILES)
+def test_search_tree_matches_recursive_search_on_builds(profile):
+    builds = [build_F(r, profile).graph for r in range(3, 9)]
+    builds += [build_SF(t, profile).graph for t in range(3, 8)]
+    for g in builds:
+        for h in (g, complement(g)):
+            assert max_clique(h) == recursive_max_clique(h)
+
+
+def test_deep_search_needs_no_recursion(monkeypatch):
+    """A one-vertex seed makes the search descend through all 1200 vertices
+    of the complete graph, past Python's default recursion limit."""
+    monkeypatch.setattr(solve, "_greedy_clique", lambda rows, n: [0] if n else [])
+    expected = tuple(range(1200))
+    res = max_clique(complete(1200))
+    assert res.size == 1200 and res.witness == expected
+    res = max_independent_set(empty(1200))
+    assert res.size == 1200 and res.witness == expected
