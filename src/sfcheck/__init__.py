@@ -15,7 +15,6 @@ from sfcheck.graphs import (
     empty,
     induced,
     path,
-    primitive,
     product,
 )
 from sfcheck.construct import (
@@ -39,13 +38,10 @@ from sfcheck.solve import (
 )
 from sfcheck.verify import (
     BoundReport,
-    RamseyCheck,
     TheoremCheck,
     check_theorem_1_1,
     check_theorem_1_2,
     confirm_R3,
-    implied_bound,
-    ramsey_witness,
 )
 from sfcheck.formats import (
     Graph6ParseError,
@@ -58,7 +54,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Graph",
-    "primitive",
     "complete",
     "empty",
     "path",
@@ -84,11 +79,8 @@ __all__ = [
     "verify_witness",
     "TheoremCheck",
     "BoundReport",
-    "RamseyCheck",
     "check_theorem_1_1",
     "check_theorem_1_2",
-    "ramsey_witness",
-    "implied_bound",
     "confirm_R3",
     "encode_graph6",
     "decode_graph6",

@@ -29,12 +29,8 @@ _SUM_FLAGS = {"union": "disjoint_union", "join": "join"}
 _PROD_FLAGS = {"lex": "lexicographic", "cart": "cartesian", "tensor": "tensor"}
 _BASE_FLAGS = {"explicit": "explicit_path", "general": "general"}
 
-NAMED_PROFILES = {"default": DEFAULT_PROFILE}
-
 
 def _add_profile_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--profile", choices=sorted(NAMED_PROFILES), default="default",
-                        help="named profile to start from")
     parser.add_argument("--sum", choices=sorted(_SUM_FLAGS), help="reading of the block combination")
     parser.add_argument("--prod", choices=sorted(_PROD_FLAGS), help="reading of the copy product")
     parser.add_argument("--base", choices=sorted(_BASE_FLAGS), help="stage-3 base case")
@@ -43,7 +39,6 @@ def _add_profile_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _profile_from_args(args: argparse.Namespace) -> InterpretationProfile:
-    profile = NAMED_PROFILES[args.profile]
     updates = {}
     if args.sum is not None:
         updates["sum"] = _SUM_FLAGS[args.sum]
@@ -53,7 +48,7 @@ def _profile_from_args(args: argparse.Namespace) -> InterpretationProfile:
         updates["base_case"] = _BASE_FLAGS[args.base]
     if args.y_label is not None:
         updates["y_label"] = args.y_label
-    return dataclasses.replace(profile, **updates) if updates else profile
+    return dataclasses.replace(DEFAULT_PROFILE, **updates)
 
 
 def _rf_threads() -> int:
@@ -129,6 +124,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
+    if args.trials < 1:
+        print("error: --trials must be >= 1", file=sys.stderr)
+        return 2
+    if args.max_n < 1:
+        print("error: --max-n must be >= 1", file=sys.stderr)
+        return 2
     if args.max_n > 24:
         print("error: --max-n above the oracle cap of 24", file=sys.stderr)
         return 2
@@ -179,16 +180,12 @@ def _make_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--r", type=int, required=True)
     _add_profile_args(p_verify)
     p_verify.add_argument("--report", required=True)
-    p_verify.add_argument("--deterministic", action="store_true",
-                          help="accepted and ignored: every run is deterministic")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="run all claim checks up to --t-max")
     p_sweep.add_argument("--t-max", dest="t_max", type=int, required=True)
     _add_profile_args(p_sweep)
     p_sweep.add_argument("--report-dir", dest="report_dir", required=True)
-    p_sweep.add_argument("--deterministic", action="store_true",
-                         help="accepted and ignored: every run is deterministic")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_oracle = sub.add_parser("oracle-check", help="cross-check the solver against the enumeration oracle")

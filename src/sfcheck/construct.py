@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
 
-from sfcheck.graphs import Graph, combine, complement, primitive, product
+from sfcheck.graphs import Graph, combine, complement, complete, empty, path, product
 
 PROFILE_SUMS = ("disjoint_union", "join")
 PROFILE_PRODS = ("lexicographic", "cartesian", "tensor")
@@ -139,7 +139,7 @@ def build_block(r: int, profile: InterpretationProfile = DEFAULT_PROFILE) -> Lab
         raise ValueError(f"stage parameter must be >= 3, got {r}")
     a = r // 2
     b = r - a
-    graph = combine(primitive("complete", a), primitive("complete", b), profile.sum)
+    graph = combine(complete(a), complete(b), profile.sum)
     labels = (1,) * a + (2,) * b
     prov = tuple(
         VertexProvenance(r, G_SIDE, 0, X_BLOCK, i) for i in range(a)
@@ -154,7 +154,7 @@ def build_sides(r: int, profile: InterpretationProfile = DEFAULT_PROFILE) -> Lab
     will report the missing cross pairs until build_F adds them."""
     block = build_block(r, profile)
     copies = r - 1
-    g_graph = product(primitive("empty", copies), block.graph, profile.prod)
+    g_graph = product(empty(copies), block.graph, profile.prod)
     g_labels = tuple(block.labels[j] for _ in range(copies) for j in range(r))
     h_graph = complement(g_graph)
     h_labels = tuple(flip_label(lab) for lab in g_labels)
@@ -191,7 +191,7 @@ def build_F(r: int, profile: InterpretationProfile = DEFAULT_PROFILE) -> Labeled
     v-u-w-x-y-t with labels 1,2,1,1,profile.y_label,2 and no correspondence.
     """
     if r == 3 and profile.base_case == "explicit_path":
-        graph = primitive("path", 6)
+        graph = path(6)
         labels = (1, 2, 1, 1, profile.y_label, 2)
         prov = tuple(
             VertexProvenance(3, PATH_SIDE, 0, PATH_POSITIONS[i], i) for i in range(6)

@@ -15,7 +15,7 @@ symmetry as one comparison of the LSB-first bit strings with their
 transpose.  The per-bit walk runs only on a graph that fails, to name its
 violations.
 The algebra below (``complement``, ``combine``, ``product``, ``induced``,
-the complete and empty primitives) and the builders in ``construct`` derive
+``complete`` and ``empty``) and the builders in ``construct`` derive
 rows from graphs that already satisfy the invariants, so they wrap their
 output with the unchecked ``Graph._trusted``.
 ``test_operations_preserve_invariants`` and ``test_builds_preserve_invariants``
@@ -29,7 +29,6 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-PRIMITIVE_KINDS = ("complete", "empty", "path", "cycle")
 COMBINE_OPS = ("disjoint_union", "join")
 PRODUCT_KINDS = ("cartesian", "tensor", "lexicographic")
 
@@ -155,40 +154,27 @@ def as_vertex_set(g: Graph, members: Iterable[int]) -> tuple[int, ...]:
     return vs
 
 
-def primitive(kind: str, n: int) -> Graph:
-    """Build one of the four primitive families: complete, empty, path, cycle."""
-    if kind not in PRIMITIVE_KINDS:
-        raise ValueError(f"unknown primitive kind {kind!r}")
+def complete(n: int) -> Graph:
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
-    if kind == "empty":
-        return Graph._trusted(n, (0,) * n)
-    if kind == "complete":
-        full = (1 << n) - 1
-        return Graph._trusted(n, tuple(full & ~(1 << i) for i in range(n)))
-    if kind == "path":
-        return Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)))
-    if n < 3:
-        raise ValueError("cycle requires at least 3 vertices")
-    edges = [(i, i + 1) for i in range(n - 1)]
-    edges.append((n - 1, 0))
-    return Graph.from_edges(n, edges)
-
-
-def complete(n: int) -> Graph:
-    return primitive("complete", n)
+    full = (1 << n) - 1
+    return Graph._trusted(n, tuple(full & ~(1 << i) for i in range(n)))
 
 
 def empty(n: int) -> Graph:
-    return primitive("empty", n)
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    return Graph._trusted(n, (0,) * n)
 
 
 def path(n: int) -> Graph:
-    return primitive("path", n)
+    return Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def cycle(n: int) -> Graph:
-    return primitive("cycle", n)
+    if n < 3:
+        raise ValueError("cycle requires at least 3 vertices")
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complement(g: Graph) -> Graph:

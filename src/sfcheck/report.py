@@ -29,6 +29,7 @@ from sfcheck.verify import (
     bound_report_from_counts,
     check_theorem_1_1,
     check_theorem_1_2,
+    require_claim_r,
 )
 
 SCHEMA_VERSION = "1"
@@ -261,22 +262,22 @@ def run_verification(
 ) -> dict:
     """Build the target, run one claim check, and assemble the full report.
 
-    For T1.2 the Ramsey implication of the same build is derived from the
+    The theorem and r are checked before anything is built.  For T1.2 the
+    Ramsey implication of the same build is derived from the
     already-computed clique and independence numbers, not re-solved.
     """
     started = _now()
+    require_claim_r(theorem, r)
     if theorem == "1.1":
         lg = build_F(r, profile)
         tc = check_theorem_1_1(r, profile, lg=lg)
         bound = None
         kind, param = "F", r
-    elif theorem == "1.2":
+    else:
         lg = build_SF(r + 1, profile)
         tc = check_theorem_1_2(r, profile, graph_override=lg.graph)
         bound = bound_report_from_counts(
             r + 1, lg.graph.n, tc.computed["omega"], tc.computed["alpha"]
         )
         kind, param = "SF", r + 1
-    else:
-        raise ValueError(f"unknown theorem {theorem!r}")
     return make_report(kind, param, profile, lg, [tc], bound, started, _now())

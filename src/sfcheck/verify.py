@@ -6,15 +6,17 @@ the claims, and a refutation ships the violating witness.
 
 Claim T1.1: the largest single-label clique in F(r) has size ceil(r/2).
 Claim T1.2: SF(r+1) contains neither a clique nor an independent set on
-r+1 vertices.  When T1.2 holds, SF(t) with t = r+1 is a Ramsey witness and
-implies R(t) > n; the one diagonal Ramsey value small enough to re-derive
-at desk scale, R(3) = 6, is established exhaustively by confirm_R3 and
-used to flag contradictory implications.
+r+1 vertices.  ``check_theorem_1_2`` is the one route to that answer;
+``bound_report_from_counts`` turns its omega and alpha into the Ramsey
+implication R(t) > n of SF(t), t = r+1.  The one diagonal Ramsey value
+small enough to re-derive at desk scale, R(3) = 6, is established
+exhaustively by confirm_R3 and used to flag contradictory implications.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 from sfcheck.construct import (
@@ -26,7 +28,6 @@ from sfcheck.construct import (
 )
 from sfcheck.graphs import Graph, cycle
 from sfcheck.solve import (
-    CliqueResult,
     max_clique,
     max_independent_set,
     max_mono_clique,
@@ -38,7 +39,16 @@ from sfcheck.solve import (
 # scratch by confirm_R3.
 KNOWN_DIAGONAL_RAMSEY = {3: 6, 4: 18}
 
-_R3_CACHE: bool | None = None
+# The smallest r each claim is stated for, keyed by theorem number.
+CLAIM_MIN_R = {"1.1": 3, "1.2": 2}
+
+
+def require_claim_r(theorem: str, r: int) -> None:
+    """Raise ValueError for an unknown theorem or an r below the claim's minimum."""
+    if theorem not in CLAIM_MIN_R:
+        raise ValueError(f"unknown theorem {theorem!r}")
+    if r < CLAIM_MIN_R[theorem]:
+        raise ValueError(f"claim T{theorem} needs r >= {CLAIM_MIN_R[theorem]}, got {r}")
 
 
 @dataclass(frozen=True)
@@ -54,20 +64,6 @@ class TheoremCheck:
     witness: tuple[int, ...]
     witness_mode: str
     solver_stats: dict
-
-
-@dataclass(frozen=True)
-class RamseyCheck:
-    """Whether a graph witnesses R(s, t) > n, with the violation if not."""
-
-    ok: bool
-    s: int
-    t: int
-    omega: int
-    alpha: int
-    violating_witness: tuple[int, ...] | None
-    violating_mode: str | None
-    nodes_explored: int
 
 
 @dataclass(frozen=True)
@@ -93,8 +89,7 @@ def check_theorem_1_1(
     ``lg`` passes in an already-built F(r) (callers that report on the same
     build); otherwise F(r) is built here under ``profile``.
     """
-    if r < 3:
-        raise ValueError(f"claim T1.1 needs r >= 3, got {r}")
+    require_claim_r("1.1", r)
     if lg is None:
         lg = build_F(r, profile)
     res = max_mono_clique(lg)
@@ -115,27 +110,6 @@ def check_theorem_1_1(
     )
 
 
-def _certificate(
-    g: Graph, s: int, t: int
-) -> tuple[CliqueResult, CliqueResult, bool, tuple[int, ...], str]:
-    """Solve omega(g) and alpha(g) and pick the certificate of the verdict.
-
-    The verdict holds when omega < s and alpha < t.  The certificate is the
-    violating clique first, else the violating independent set, else the
-    maximum clique; it is re-verified pairwise before it is returned.
-    """
-    omega = max_clique(g)
-    alpha = max_independent_set(g)
-    ok = omega.size < s and alpha.size < t
-    if omega.size < s and alpha.size >= t:
-        witness, mode = alpha.witness, "independent"
-    else:
-        witness, mode = omega.witness, "clique"
-    if not verify_witness(g, witness, mode):
-        raise AssertionError("certificate witness failed re-verification")
-    return omega, alpha, ok, witness, mode
-
-
 def check_theorem_1_2(
     r: int,
     profile: InterpretationProfile = DEFAULT_PROFILE,
@@ -147,10 +121,19 @@ def check_theorem_1_2(
     ``graph_override`` substitutes the graph under test (seeded-fault tests
     and callers that already built SF(r+1)); the claim thresholds stay r.
     """
-    if r < 2:
-        raise ValueError(f"claim T1.2 needs r >= 2, got {r}")
+    require_claim_r("1.2", r)
     g = graph_override if graph_override is not None else build_SF(r + 1, profile).graph
-    omega, alpha, confirmed, witness, mode = _certificate(g, r + 1, r + 1)
+    omega = max_clique(g)
+    alpha = max_independent_set(g)
+    confirmed = omega.size <= r and alpha.size <= r
+    # The certificate: the violating clique first, else the violating
+    # independent set, else the maximum clique; re-verified pairwise.
+    if omega.size <= r < alpha.size:
+        witness, mode = alpha.witness, "independent"
+    else:
+        witness, mode = omega.witness, "clique"
+    if not verify_witness(g, witness, mode):
+        raise AssertionError("certificate witness failed re-verification")
     return TheoremCheck(
         theorem_id="T1_2",
         r=r,
@@ -164,23 +147,6 @@ def check_theorem_1_2(
             "omega_nodes": omega.nodes_explored,
             "alpha_nodes": alpha.nodes_explored,
         },
-    )
-
-
-def ramsey_witness(g: Graph, s: int, t: int) -> RamseyCheck:
-    """True iff omega(g) < s and alpha(g) < t; otherwise carries the violation."""
-    if s < 1 or t < 1:
-        raise ValueError("clique and independence thresholds must be >= 1")
-    omega, alpha, ok, witness, mode = _certificate(g, s, t)
-    return RamseyCheck(
-        ok=ok,
-        s=s,
-        t=t,
-        omega=omega.size,
-        alpha=alpha.size,
-        violating_witness=None if ok else witness,
-        violating_mode=None if ok else mode,
-        nodes_explored=omega.nodes_explored + alpha.nodes_explored,
     )
 
 
@@ -210,20 +176,7 @@ def bound_report_from_counts(t: int, n: int, omega: int, alpha: int) -> BoundRep
     )
 
 
-def implied_bound(
-    t: int,
-    profile: InterpretationProfile = DEFAULT_PROFILE,
-    *,
-    graph: Graph | None = None,
-) -> BoundReport:
-    """State the Ramsey implication of SF(t) (or of an injected test graph)."""
-    if t < 3:
-        raise ValueError(f"implied bound needs t >= 3, got {t}")
-    g = graph if graph is not None else build_SF(t, profile).graph
-    rc = ramsey_witness(g, t, t)
-    return bound_report_from_counts(t, g.n, rc.omega, rc.alpha)
-
-
+@cache
 def confirm_R3() -> bool:
     """Re-derive R(3) = 6 from scratch.
 
@@ -231,10 +184,6 @@ def confirm_R3() -> bool:
     contains a monochromatic triangle, then confirms the 5-cycle coloring of
     K_5 contains none.  The result is cached after the first call.
     """
-    global _R3_CACHE
-    if _R3_CACHE is not None:
-        return _R3_CACHE
-
     pairs = list(combinations(range(6), 2))
     index = {p: i for i, p in enumerate(pairs)}
     triangle_masks = []
@@ -261,5 +210,4 @@ def confirm_R3() -> bool:
             k5_free = False
             break
 
-    _R3_CACHE = k6_forced and k5_free
-    return _R3_CACHE
+    return k6_forced and k5_free

@@ -42,9 +42,19 @@ class TestBuild:
             main(["build", "--kind", "F", "--r", "3", "--prod", "strong", "--out", "x"])
         assert err.value.code == 2
 
-    def test_unknown_named_profile_exit_2(self, tmp_path):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build", "--kind", "F", "--r", "3", "--profile", "fancy", "--out", "x"],
+            ["build", "--kind", "F", "--r", "3", "--profile", "default", "--out", "x"],
+            ["verify", "--theorem", "1.1", "--r", "3", "--report", "x", "--deterministic"],
+            ["sweep", "--t-max", "3", "--report-dir", "x", "--deterministic"],
+        ],
+    )
+    def test_unknown_named_profile_exit_2(self, argv):
+        # --profile and --deterministic are not options: a usage error.
         with pytest.raises(SystemExit) as err:
-            main(["build", "--kind", "F", "--r", "3", "--profile", "fancy", "--out", "x"])
+            main(argv)
         assert err.value.code == 2
 
 
@@ -53,7 +63,7 @@ class TestVerify:
         report_path = tmp_path / "out.json"
         code = main(
             ["verify", "--theorem", "1.1", "--r", "3", "--base", "explicit",
-             "--report", str(report_path), "--deterministic"]
+             "--report", str(report_path)]
         )
         assert code == 0
         report = load_report(report_path)
@@ -66,7 +76,7 @@ class TestVerify:
     def test_theorem_12_r2_refuted_exit_1(self, tmp_path):
         report_path = tmp_path / "out.json"
         code = main(
-            ["verify", "--theorem", "1.2", "--r", "2", "--profile", "default",
+            ["verify", "--theorem", "1.2", "--r", "2",
              "--report", str(report_path)]
         )
         assert code == 1
@@ -74,6 +84,16 @@ class TestVerify:
         assert report["checks"][0]["status"] == "REFUTED"
         assert report["target"] == {"kind": "SF", "param": 3}
         assert report["bound"]["witness_ok"] is False
+
+    @pytest.mark.parametrize(
+        "theorem, r, message",
+        [("1.1", "2", "claim T1.1 needs r >= 3, got 2"), ("1.2", "1", "claim T1.2 needs r >= 2, got 1")],
+    )
+    def test_small_r_names_the_claim_exit_2(self, tmp_path, capsys, theorem, r, message):
+        report_path = tmp_path / "out.json"
+        assert main(["verify", "--theorem", theorem, "--r", r, "--report", str(report_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not report_path.exists()
 
     def test_verify_usage_error_exit_2(self, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -169,3 +189,15 @@ class TestOracleCheck:
 
     def test_rejects_oversized_max_n(self, capsys):
         assert main(["oracle-check", "--trials", "1", "--max-n", "30", "--seed", "1"]) == 2
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_rejects_trials_below_one(self, capsys, trials):
+        assert main(["oracle-check", "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert "--trials must be >= 1" in captured.err
+        assert "agreements" not in captured.out
+
+    @pytest.mark.parametrize("max_n", ["0", "-1"])
+    def test_rejects_max_n_below_one(self, capsys, max_n):
+        assert main(["oracle-check", "--trials", "1", "--max-n", max_n]) == 2
+        assert "--max-n must be >= 1" in capsys.readouterr().err

@@ -20,7 +20,6 @@ from sfcheck.graphs import (
     empty,
     induced,
     path,
-    primitive,
     product,
     random_graph,
 )
@@ -109,28 +108,25 @@ class TestGraphValue:
 
 class TestPrimitives:
     def test_empty_two(self):
-        g = primitive("empty", 2)
+        g = empty(2)
         assert g.n == 2 and g.m == 0
 
     def test_path_six_edges(self):
-        g = primitive("path", 6)
+        g = path(6)
         assert edge_set(g) == {frozenset(e) for e in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]}
 
     def test_complete_four(self):
-        assert primitive("complete", 4).m == 6
+        assert complete(4).m == 6
 
     def test_cycle_needs_three(self):
         with pytest.raises(ValueError):
-            primitive("cycle", 2)
-        assert primitive("cycle", 3).m == 3
+            cycle(2)
+        assert cycle(3).m == 3
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            primitive("star", 4)
-
-    def test_negative_count(self):
-        with pytest.raises(ValueError):
-            primitive("empty", -1)
+    @pytest.mark.parametrize("build", [empty, complete])
+    def test_negative_count(self, build):
+        with pytest.raises(ValueError, match="^vertex count must be nonnegative$"):
+            build(-1)
 
 
 class TestComplement:
@@ -250,8 +246,8 @@ def test_operations_preserve_invariants(a, b, picks):
         combine(a, b, "disjoint_union"),
         combine(a, b, "join"),
         induced(a, [v for v in picks if v < a.n]),
-        primitive("complete", a.n),
-        primitive("empty", a.n),
+        complete(a.n),
+        empty(a.n),
     ]
     outputs.extend(product(a, b, kind) for kind in PRODUCT_KINDS)
     for g in outputs:

@@ -8,18 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import sfcheck.verify as verify_mod
 from sfcheck.construct import DEFAULT_PROFILE, build_F, build_SF
-from sfcheck.graphs import complete, cycle, empty, random_graph
-from sfcheck.solve import verify_witness
+from sfcheck.graphs import complement, complete, cycle, empty, random_graph
+from sfcheck.report import run_verification
+from sfcheck.solve import oracle_max_clique, verify_witness
 from sfcheck.verify import (
-    RamseyCheck,
     bound_report_from_counts,
     check_theorem_1_1,
     check_theorem_1_2,
     confirm_R3,
-    implied_bound,
-    ramsey_witness,
 )
 
 GENERAL = dataclasses.replace(DEFAULT_PROFILE, base_case="general")
@@ -96,73 +93,68 @@ class TestTheorem12:
         with pytest.raises(ValueError):
             check_theorem_1_2(1)
 
+    def test_cycle5_confirmed(self):
+        tc = check_theorem_1_2(2, graph_override=cycle(5))
+        assert tc.status == "CONFIRMED"
+        assert tc.computed == {"omega": 2, "alpha": 2}
+        assert tc.witness_mode == "clique" and len(tc.witness) == 2
 
-class TestRamseyWitness:
-    def test_cycle5_witnesses_r33(self):
-        rc = ramsey_witness(cycle(5), 3, 3)
-        assert rc.ok
-        assert (rc.omega, rc.alpha) == (2, 2)
-        assert rc.violating_witness is None
+    def test_complete6_refuted_with_clique(self):
+        tc = check_theorem_1_2(2, graph_override=complete(6))
+        assert tc.status == "REFUTED"
+        assert tc.witness_mode == "clique"
+        assert verify_witness(complete(6), tc.witness, "clique")
 
-    def test_complete6_fails_with_clique(self):
-        rc = ramsey_witness(complete(6), 3, 3)
-        assert not rc.ok
-        assert rc.violating_mode == "clique"
-        assert len(rc.violating_witness) >= 3
-        assert verify_witness(complete(6), rc.violating_witness, "clique")
-
-    def test_empty6_fails_with_independent_set(self):
-        rc = ramsey_witness(empty(6), 3, 3)
-        assert not rc.ok
-        assert rc.violating_mode == "independent"
-        assert len(rc.violating_witness) >= 3
-
-    def test_rejects_bad_thresholds(self):
-        with pytest.raises(ValueError):
-            ramsey_witness(cycle(5), 0, 3)
+    def test_empty6_refuted_with_independent_set(self):
+        tc = check_theorem_1_2(2, graph_override=empty(6))
+        assert tc.status == "REFUTED"
+        assert tc.witness_mode == "independent"
+        assert len(tc.witness) >= 3
 
 
-class TestImpliedBound:
+class TestClaimMinimum:
+    @pytest.mark.parametrize(
+        "theorem, r, message",
+        [("1.1", 2, "claim T1.1 needs r >= 3, got 2"), ("1.2", 1, "claim T1.2 needs r >= 2, got 1")],
+    )
+    def test_run_verification_names_the_claim(self, theorem, r, message):
+        # r is checked before the target is built, so the build's own
+        # parameter (t = r + 1 for T1.2) never appears in the message.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_verification(theorem, r)
+
+    def test_run_verification_rejects_unknown_theorem(self):
+        with pytest.raises(ValueError, match="unknown theorem"):
+            run_verification("2.1", 3)
+
+
+class TestBoundReport:
     def test_t3_explicit_no_implication(self):
-        b = implied_bound(3, DEFAULT_PROFILE)
-        assert not b.witness_ok
-        assert b.implied is None
-        assert b.contradiction is None
+        b = run_verification("1.2", 2)["bound"]
+        assert not b["witness_ok"]
+        assert b["implied"] is None
+        assert b["contradiction"] is None
 
-    def test_t3_injected_c5(self):
-        b = implied_bound(3, DEFAULT_PROFILE, graph=cycle(5))
+    def test_t3_c5_implication(self):
+        b = bound_report_from_counts(3, 5, 2, 2)
         assert b.witness_ok
         assert b.implied == "R(3) > 5"
         assert b.contradiction is None
 
     def test_t4_default_consistency(self):
-        b = implied_bound(4, DEFAULT_PROFILE)
-        assert b.t == 4 and b.n == 30
-        assert b.witness_ok == (b.implied is not None)
-        assert "R(4) = 18" in b.reference
+        b = run_verification("1.2", 3)["bound"]
+        assert b["t"] == 4 and b["n"] == 30
+        assert b["witness_ok"] == (b["implied"] is not None)
+        assert "R(4) = 18" in b["reference"]
 
-    def test_contradiction_flag_guards_r3(self, monkeypatch):
-        # No real graph on >= 6 vertices can pass the omega < 3, alpha < 3
-        # test (that is exactly what confirm_R3 proves), so the flag is
-        # exercised by injecting a fake solver verdict.
-        def fake_ramsey_witness(g, s, t, *, deterministic=True):
-            return RamseyCheck(True, s, t, 2, 2, None, None, 0)
-
-        monkeypatch.setattr(verify_mod, "ramsey_witness", fake_ramsey_witness)
-        b = verify_mod.implied_bound(3, DEFAULT_PROFILE, graph=complete(6))
+    def test_contradiction_flag_guards_r3(self):
+        # No real graph on >= 6 vertices has omega < 3 and alpha < 3 (that
+        # is exactly what confirm_R3 proves), so the flag is exercised on
+        # counts no solver can return.
+        b = bound_report_from_counts(3, 6, 2, 2)
         assert b.witness_ok
         assert b.implied == "R(3) > 6"
         assert b.contradiction is not None and "R(3) = 6" in b.contradiction
-
-    def test_counts_route_matches_direct_route(self):
-        rc = ramsey_witness(build_SF(4, DEFAULT_PROFILE).graph, 4, 4)
-        via_counts = bound_report_from_counts(4, 30, rc.omega, rc.alpha)
-        direct = implied_bound(4, DEFAULT_PROFILE)
-        assert via_counts == direct
-
-    def test_rejects_small_t(self):
-        with pytest.raises(ValueError):
-            implied_bound(2)
 
 
 class TestConfirmR3:
@@ -206,13 +198,15 @@ class TestConfirmR3:
     seed=st.integers(min_value=0, max_value=2**16),
     r=st.integers(min_value=2, max_value=5),
 )
-def test_t12_agrees_with_ramsey_witness(n, density, seed, r):
+def test_t12_matches_enumeration_oracle(n, density, seed, r):
     g = random_graph(n, density, random.Random(seed))
     tc = check_theorem_1_2(r, graph_override=g)
-    rc = ramsey_witness(g, r + 1, r + 1)
-    assert (tc.status == "CONFIRMED") == rc.ok
-    assert (tc.computed["omega"], tc.computed["alpha"]) == (rc.omega, rc.alpha)
-    if tc.status == "REFUTED":
-        assert (tc.witness, tc.witness_mode) == (rc.violating_witness, rc.violating_mode)
-    else:
-        assert (rc.violating_witness, rc.violating_mode) == (None, None)
+    omega, alpha = oracle_max_clique(g), oracle_max_clique(complement(g))
+    assert tc.computed == {"omega": omega, "alpha": alpha}
+    assert tc.status == ("CONFIRMED" if omega <= r and alpha <= r else "REFUTED")
+    # The violating clique first, else the violating independent set, else
+    # the maximum clique.
+    mode = "independent" if omega <= r < alpha else "clique"
+    assert tc.witness_mode == mode
+    assert len(tc.witness) == (alpha if mode == "independent" else omega)
+    assert verify_witness(g, tc.witness, mode)
