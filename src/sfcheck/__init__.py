@@ -24,8 +24,6 @@ from sfcheck.construct import (
     VertexProvenance,
     build_F,
     build_SF,
-    build_block,
-    build_sides,
     validate,
 )
 from sfcheck.solve import (
@@ -66,8 +64,6 @@ __all__ = [
     "DEFAULT_PROFILE",
     "LabeledGraph",
     "VertexProvenance",
-    "build_block",
-    "build_sides",
     "build_F",
     "build_SF",
     "validate",

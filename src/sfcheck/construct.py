@@ -5,6 +5,8 @@ The construction stacks stages: each stage r contributes a block graph G_z
 H side that is the complement of the G side on a fresh vertex range, and
 cross edges that join exactly the opposite-parity label pairs.  SF(t)
 chains stages 3..t, again joining opposite-parity pairs across stages.
+A build records that layout once, as its list of stages; provenance, the
+G-to-H correspondence and ``validate``'s exempt groups derive from it.
 
 Several operators in that recipe admit more than one defensible reading.
 An InterpretationProfile pins all of them explicitly, so every build is a
@@ -13,8 +15,8 @@ pure, bit-reproducible function of (parameter, profile).
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
+from typing import Iterator
 
 from sfcheck.graphs import Graph, combine, complement, complete, empty, path, product
 
@@ -87,9 +89,29 @@ class InterpretationProfile:
 DEFAULT_PROFILE = InterpretationProfile()
 
 
+def stage_size(r: int, base_path: bool) -> int:
+    """Vertex count of stage r: 6 for the explicit base path (r = 3 under
+    ``base_path``), else two sides of r-1 copies of an r-vertex block."""
+    return 6 if r == 3 and base_path else 2 * r * (r - 1)
+
+
+def target_vertex_count(kind: str, param: int, profile: InterpretationProfile) -> int:
+    """Vertex count of F(param) or SF(param), unbuilt; ValueError on another
+    kind.  SF(t) sums ``stage_size`` over r = 3..t in closed form, so SF(10**9)
+    is sized without a loop: 2r(r-1) summed over 3 <= r <= t is
+    2(t-1)t(t+1)/3 - 4, and stage 3 is then taken at its own size."""
+    base_path = profile.base_case == "explicit_path"
+    if kind == "F":
+        return stage_size(param, base_path)
+    if kind != "SF":
+        raise ValueError(f"unknown target kind {kind!r}")
+    general = 2 * (param - 1) * param * (param + 1) // 3 - 4
+    return general - stage_size(3, False) + stage_size(3, base_path)
+
+
 @dataclass(frozen=True)
 class VertexProvenance:
-    """Where a vertex came from in the build.
+    """Where a vertex sits in the build.
 
     General stages use side G_side/H_side with copy, block and within-block
     index.  Explicit base-path vertices use side "path" with the position
@@ -105,22 +127,26 @@ class VertexProvenance:
 
 @dataclass(frozen=True)
 class LabeledGraph:
-    """Graph plus per-vertex label, provenance, and the G->H correspondence.
+    """Graph plus per-vertex labels and the stage layout that places them.
 
-    ``correspondence`` is a tuple of (g_vertex, h_vertex) pairs; within each
-    general stage it is the index-preserving bijection between the sides.
+    ``stages`` holds each stage's r in vertex order; ``base_path`` says
+    whether stage 3 is the six-vertex explicit path.  Any other stage is a
+    G side then an H side, each r-1 copies of an x block of r // 2 vertices
+    then a y block; G vertex v corresponds to H vertex v + half.
+    Provenance and correspondence derive from this layout, never stored.
     """
 
     graph: Graph
     labels: tuple[int, ...]
-    provenance: tuple[VertexProvenance, ...]
-    correspondence: tuple[tuple[int, int], ...]
+    stages: tuple[int, ...]
+    base_path: bool
 
     def __post_init__(self) -> None:
         if len(self.labels) != self.graph.n:
             raise ValueError("labels length must equal vertex count")
-        if len(self.provenance) != self.graph.n:
-            raise ValueError("provenance length must equal vertex count")
+        laid_out = sum(stage_size(r, self.base_path) for r in self.stages)
+        if laid_out != self.graph.n or any(r < 3 for r in self.stages):
+            raise ValueError(f"stages {self.stages} do not lay out {self.graph.n} vertices")
         for lab in self.labels:
             if isinstance(lab, bool) or lab not in LABELS:
                 raise ValueError(f"label {lab!r} outside {{1, 2}}")
@@ -128,78 +154,70 @@ class LabeledGraph:
     def label_counts(self) -> dict[int, int]:
         return {lab: self.labels.count(lab) for lab in LABELS}
 
-    def vertices_with_label(self, label: int) -> tuple[int, ...]:
-        return tuple(v for v in range(self.graph.n) if self.labels[v] == label)
+    def stage_spans(self) -> Iterator[tuple[int, int, int]]:
+        """(r, start, stop) of each stage's vertex range, in vertex order."""
+        stop = 0
+        for r in self.stages:
+            start, stop = stop, stop + stage_size(r, self.base_path)
+            yield r, start, stop
+
+    def provenance(self, v: int) -> VertexProvenance:
+        """Where vertex v sits, in closed form within its stage's span."""
+        if isinstance(v, bool) or not 0 <= v < self.graph.n:
+            raise ValueError(f"vertex {v!r} out of range for n={self.graph.n}")
+        r, start, stop = next(span for span in self.stage_spans() if v < span[2])
+        i = v - start
+        if r == 3 and self.base_path:
+            return VertexProvenance(3, PATH_SIDE, 0, PATH_POSITIONS[i], i)
+        half = (stop - start) // 2
+        copy, j = divmod(i % half, r)
+        block, within = (X_BLOCK, j) if j < r // 2 else (Y_BLOCK, j - r // 2)
+        return VertexProvenance(r, (G_SIDE, H_SIDE)[i >= half], copy, block, within)
 
 
-def build_block(r: int, profile: InterpretationProfile = DEFAULT_PROFILE) -> LabeledGraph:
-    """Block graph G_z for stage r: clique on floor(r/2) vertices labeled 1,
-    then clique on ceil(r/2) vertices labeled 2, combined per profile.sum."""
-    if r < 3:
-        raise ValueError(f"stage parameter must be >= 3, got {r}")
-    a = r // 2
-    b = r - a
-    graph = combine(complete(a), complete(b), profile.sum)
-    labels = (1,) * a + (2,) * b
-    prov = tuple(
-        VertexProvenance(r, G_SIDE, 0, X_BLOCK, i) for i in range(a)
-    ) + tuple(VertexProvenance(r, G_SIDE, 0, Y_BLOCK, i) for i in range(b))
-    return LabeledGraph(graph, labels, prov, ())
+def _opposite_parity_joins(labels: tuple[int, ...], bounds: list[int]) -> Iterator[tuple[int, int, int]]:
+    """(v, hi, mask) for each v of each range [lo, hi) between consecutive
+    ``bounds``: ``mask`` holds every vertex outside v's range whose label
+    parity differs from v's, the cross edges v must have."""
+    parity = [0, 0]
+    for v, lab in enumerate(labels):
+        parity[label_parity(lab)] |= 1 << v
+    for lo, hi in zip(bounds, bounds[1:]):
+        outside = ~((1 << hi) - (1 << lo))
+        joins = (parity[1] & outside, parity[0] & outside)
+        for v in range(lo, hi):
+            yield v, hi, joins[label_parity(labels[v])]
 
 
-def build_sides(r: int, profile: InterpretationProfile = DEFAULT_PROFILE) -> LabeledGraph:
-    """G side (r-1 product copies of the block) and its complement H side on a
-    fresh vertex range, with flipped labels and the index-preserving
-    correspondence.  No cross edges between the sides yet, so validate()
-    will report the missing cross pairs until build_F adds them."""
-    block = build_block(r, profile)
-    copies = r - 1
-    g_graph = product(empty(copies), block.graph, profile.prod)
-    g_labels = tuple(block.labels[j] for _ in range(copies) for j in range(r))
-    h_graph = complement(g_graph)
-    h_labels = tuple(flip_label(lab) for lab in g_labels)
-    side_n = copies * r
-    graph = combine(g_graph, h_graph, "disjoint_union")
-    prov = []
-    for side in (G_SIDE, H_SIDE):
-        for i in range(copies):
-            for j in range(r):
-                base = block.provenance[j]
-                prov.append(VertexProvenance(r, side, i, base.block, base.within))
-    corr = tuple((v, side_n + v) for v in range(side_n))
-    return LabeledGraph(graph, g_labels + h_labels, tuple(prov), corr)
-
-
-def _join_opposite_parity(rows: list[int], labels: tuple[int, ...], split: int) -> Graph:
-    """Add every opposite-parity edge between vertices [0, split) and
-    [split, n) to ``rows`` (updated in place) and wrap the result."""
-    n = len(rows)
-    # masks[side][p]: the vertices of label parity p below split (side 0)
-    # or from split on (side 1).
-    masks = [[0, 0], [0, 0]]
-    for v in range(n):
-        masks[v >= split][label_parity(labels[v])] |= 1 << v
-    for v in range(n):
-        rows[v] |= masks[v < split][1 - label_parity(labels[v])]
-    return Graph._trusted(n, tuple(rows))
+def _join_opposite_parity(rows: list[int], labels: tuple[int, ...], cuts: list[int]) -> Graph:
+    """Add to ``rows`` (in place) every opposite-parity edge across a cut, in one pass."""
+    for v, _, join in _opposite_parity_joins(labels, [0, *cuts, len(rows)]):
+        rows[v] |= join
+    return Graph._trusted(len(rows), tuple(rows))
 
 
 def build_F(r: int, profile: InterpretationProfile = DEFAULT_PROFILE) -> LabeledGraph:
-    """Stage graph F(r): both sides plus every opposite-parity cross edge.
+    """Stage graph F(r).  Its G side is r-1 product copies (profile.prod)
+    of the block graph G_z: a clique on r // 2 vertices labeled 1 and one
+    on the rest labeled 2, combined per profile.sum.  Its H side is the
+    complement of the G side on a fresh vertex range, labels flipped.
+    Every opposite-parity pair across the sides is an edge.
 
     Under base_case="explicit_path", F(3) is instead the fixed 6-vertex path
-    v-u-w-x-y-t with labels 1,2,1,1,profile.y_label,2 and no correspondence.
+    v-u-w-x-y-t with labels 1,2,1,1,profile.y_label,2.
     """
-    if r == 3 and profile.base_case == "explicit_path":
-        graph = path(6)
-        labels = (1, 2, 1, 1, profile.y_label, 2)
-        prov = tuple(
-            VertexProvenance(3, PATH_SIDE, 0, PATH_POSITIONS[i], i) for i in range(6)
-        )
-        return LabeledGraph(graph, labels, prov, ())
-    sides = build_sides(r, profile)
-    graph = _join_opposite_parity(list(sides.graph.rows), sides.labels, sides.graph.n // 2)
-    return replace(sides, graph=graph)
+    base_path = profile.base_case == "explicit_path"
+    if r == 3 and base_path:
+        return LabeledGraph(path(6), (1, 2, 1, 1, profile.y_label, 2), (3,), True)
+    if r < 3:
+        raise ValueError(f"stage parameter must be >= 3, got {r}")
+    a = r // 2
+    g_side = product(empty(r - 1), combine(complete(a), complete(r - a), profile.sum), profile.prod)
+    labels = ((1,) * a + (2,) * (r - a)) * (r - 1)
+    labels += tuple(map(flip_label, labels))
+    sides = combine(g_side, complement(g_side), "disjoint_union")
+    graph = _join_opposite_parity(list(sides.rows), labels, [g_side.n])
+    return LabeledGraph(graph, labels, (r,), base_path)
 
 
 def build_SF(t: int, profile: InterpretationProfile = DEFAULT_PROFILE) -> LabeledGraph:
@@ -208,105 +226,52 @@ def build_SF(t: int, profile: InterpretationProfile = DEFAULT_PROFILE) -> Labele
     parities differ.  The stage-(t-1) prefix is an induced copy of SF(t-1)."""
     if t < 3:
         raise ValueError(f"stack parameter must be >= 3, got {t}")
-    acc = build_F(3, profile)
-    for r in range(4, t + 1):
+    rows: list[int] = []
+    labels: tuple[int, ...] = ()
+    offsets = []
+    for r in range(3, t + 1):
         stage = build_F(r, profile)
-        off = acc.graph.n
-        rows = list(acc.graph.rows)
-        rows.extend(row << off for row in stage.graph.rows)
-        labels = acc.labels + stage.labels
-        corr = acc.correspondence + tuple(
-            (a + off, b + off) for a, b in stage.correspondence
-        )
-        graph = _join_opposite_parity(rows, labels, off)
-        acc = LabeledGraph(graph, labels, acc.provenance + stage.provenance, corr)
-    return acc
+        offsets.append(len(rows))
+        rows.extend(row << offsets[-1] for row in stage.graph.rows)
+        labels += stage.labels
+    graph = _join_opposite_parity(rows, labels, offsets[1:])
+    return LabeledGraph(graph, labels, tuple(range(3, t + 1)), profile.base_case == "explicit_path")
 
 
 def validate(lg: LabeledGraph) -> list[str]:
     """Diagnostics for a finished build; returns violations, empty if valid.
 
-    Lists ``Graph.problems()`` (the one range, loop and symmetry check),
-    then checks each run of equal ``stage_r`` against the provenance layout
-    that its stage fixes, the correspondence against the index-preserving
-    pairs of every two-sided stage with a label flip across each, and the
-    opposite-parity cross-edge rule between the sides of one stage and
-    between any two stages.  Never raises.
+    Lists ``Graph.problems()`` (the one shape, range, loop and symmetry
+    check) and stops there when the rows are not a tuple of n ints.  Then
+    checks, from the stage layout, the label flip across each pair
+    (v, v + half) of a two-sided stage, and the opposite-parity cross-edge
+    rule between any two vertices outside one exempt group: one side of a
+    stage, or the whole base path.  Never raises.
     """
-    g, prov, labels = lg.graph, lg.provenance, lg.labels
-    n = g.n
+    g, labels = lg.graph, lg.labels
     out = list(g.problems())
-
-    # Layout: the base path's six positions; otherwise G side then H side,
-    # copies ascending, each copy an x block of r // 2 then a y block.
-    pairs: list[tuple[int, int]] = []
-    runs: list[int] = []
-    start = 0
-    while start < n:
-        stage = prov[start].stage_r
-        stop = start + 1
-        while stop < n and prov[stop].stage_r == stage:
-            stop += 1
-        runs.append(stage)
-        sides = {p.side for p in prov[start:stop]}
-        if PATH_SIDE in sides:
-            want = [
-                VertexProvenance(3, PATH_SIDE, 0, pos, k) for k, pos in enumerate(PATH_POSITIONS)
-            ]
-        else:
-            order = [side for side in (G_SIDE, H_SIDE) if side in sides] or [G_SIDE]
-            half = (stop - start) // len(order)
-            x = stage // 2
-            blocks = [(X_BLOCK, k) for k in range(x)] + [(Y_BLOCK, k) for k in range(stage - x)]
-            want = [
-                VertexProvenance(stage, side, i, block, k)
-                for side in order
-                for i in range(half // max(stage, 1))  # stage_r <= 0 has no blocks
-                for block, k in blocks
-            ]
-            if len(order) == 2:
-                pairs.extend((start + k, start + half + k) for k in range(half))
-        if len(want) != stop - start:
-            out.append(f"provenance-order: stage {stage} has irregular size {stop - start}")
-        else:
-            out.extend(
-                f"provenance-order: vertex {v} is {got}, expected {exp}"
-                for v, got, exp in zip(range(start, stop), prov[start:stop], want)
-                if got != exp
-            )
-        start = stop
-    if runs != sorted(set(runs)):
-        out.append(f"provenance-order: stages appear as {runs}, expected strictly increasing runs")
-
-    expected = set(pairs)
-    given = Counter(lg.correspondence)
-    out.extend(f"correspondence: unexpected pair {pair}" for pair in given if pair not in expected)
-    out.extend(f"correspondence: missing pair {pair}" for pair in pairs if pair not in given)
-    out.extend(f"correspondence: repeated pair {pair}" for pair, k in given.items() if k > 1)
-    out.extend(
-        f"label-flip: correspondence pair ({v}, {w}) carries same-parity labels "
-        f"({labels[v]}, {labels[w]})"
-        for v, w in pairs
-        if (v, w) in given and not opposite_parity(labels[v], labels[w])
-    )
+    if g.shape_problem():
+        return out
+    bounds = []  # where each exempt group starts: a side, or the whole base path
+    for r, start, stop in lg.stage_spans():
+        if r == 3 and lg.base_path:
+            bounds.append(start)
+            continue
+        half = (stop - start) // 2
+        bounds += [start, start + half]
+        out.extend(
+            f"label-flip: correspondence pair ({v}, {v + half}) carries same-parity labels "
+            f"({labels[v]}, {labels[v + half]})"
+            for v in range(start, start + half)
+            if not opposite_parity(labels[v], labels[v + half])
+        )
 
     # Cross-edge rule: a pair is an edge iff its label parities differ,
-    # except within one side of a stage and within a stage holding the path.
-    group: dict[tuple[int, str], int] = {}
-    stage_mask: dict[int, int] = {}
-    parity = [0, 0]
-    for v, p in enumerate(prov):
-        group[p.stage_r, p.side] = group.get((p.stage_r, p.side), 0) | 1 << v
-        stage_mask[p.stage_r] = stage_mask.get(p.stage_r, 0) | 1 << v
-        parity[label_parity(labels[v])] |= 1 << v
-    full = (1 << n) - 1
-    for v, p in enumerate(prov):
-        if p.side == PATH_SIDE:
-            exempt = stage_mask[p.stage_r]
-        else:
-            exempt = group[p.stage_r, p.side] | group.get((p.stage_r, PATH_SIDE), 0)
-        should = parity[1 - label_parity(labels[v])]
-        bad = (g.rows[v] ^ should) & (full >> (v + 1) << (v + 1)) & ~exempt
+    # unless both ends lie in one group.  Groups are consecutive ranges, so
+    # the pairs (v, w > v) to check are exactly those with w past v's group.
+    full = (1 << g.n) - 1
+    for v, hi, should in _opposite_parity_joins(labels, bounds + [g.n]):
+        bad = (g.rows[v] ^ should) & (full >> hi << hi)
         while bad:
             w = (bad & -bad).bit_length() - 1
             bad &= bad - 1

@@ -55,25 +55,12 @@ class Graph:
 
         A whole-matrix check clears a valid graph in C-level string work;
         the per-bit walk below runs only when it fails, to name each
-        violation in row order.  A count or row that is not an int (bools
-        included) and rows that are not a tuple are problems too, named
-        before any other check reads them.
+        violation in row order.  A ``shape_problem()`` (a count or row that
+        is not an int, rows not a tuple of n) is named alone, before the rest.
         """
-        if type(self.n) is not int:
-            yield "vertex count must be an int"
-            return
-        if self.n < 0:
-            yield "vertex count must be nonnegative"
-            return
-        if type(self.rows) is not tuple:
-            yield "rows must be a tuple"
-            return
-        if len(self.rows) != self.n:
-            yield "rows length must equal vertex count"
-            return
-        if not set(map(type, self.rows)) <= {int}:
-            i = next(i for i, row in enumerate(self.rows) if type(row) is not int)
-            yield f"row {i} must be an int"
+        shape = self.shape_problem()
+        if shape:
+            yield shape
             return
         full = (1 << self.n) - 1
         if not any(row & ~full or (row >> i) & 1 for i, row in enumerate(self.rows)):
@@ -94,6 +81,21 @@ class Graph:
                 mask &= mask - 1
                 if not (self.rows[j] >> i) & 1:
                     yield f"asymmetric adjacency between {i} and {j}"
+
+    def shape_problem(self) -> str | None:
+        """Why n and rows are not a count and a tuple of n ints, or None."""
+        if type(self.n) is not int:
+            return "vertex count must be an int"
+        if self.n < 0:
+            return "vertex count must be nonnegative"
+        if type(self.rows) is not tuple:
+            return "rows must be a tuple"
+        if len(self.rows) != self.n:
+            return "rows length must equal vertex count"
+        if not set(map(type, self.rows)) <= {int}:
+            i = next(i for i, row in enumerate(self.rows) if type(row) is not int)
+            return f"row {i} must be an int"
+        return None
 
     @classmethod
     def _trusted(cls, n: int, rows: tuple[int, ...]) -> Graph:

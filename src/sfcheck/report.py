@@ -21,6 +21,7 @@ from sfcheck.construct import (
     LabeledGraph,
     build_F,
     build_SF,
+    target_vertex_count,
 )
 from sfcheck.solve import verify_witness
 from sfcheck.verify import (
@@ -48,18 +49,6 @@ def _now() -> str:
 # report file cannot demand an arbitrarily large build.  SF(30) has 17970
 # vertices, SF(31) 19830 and SF(32) 21814.
 MAX_REBUILD_VERTICES = 20_000
-
-
-def target_vertex_count(kind: str, param: int, profile: InterpretationProfile) -> int:
-    """Vertex count of ``build_target(kind, param, profile)`` from the stage
-    layout, without building: 2r(r-1) for stage r (both sides of r-1 copies
-    of r vertices), 6 for the explicit base path.  SF(t) sums stages 3..t:
-    the sum of 2r(r-1) over 1 <= r <= t is 2(t-1)t(t+1)/3, less 4 for r = 2."""
-    explicit = profile.base_case == "explicit_path"
-    if kind == "F":
-        return 6 if param == 3 and explicit else 2 * param * (param - 1)
-    stacked = 2 * (param - 1) * param * (param + 1) // 3 - 4
-    return stacked - 6 if explicit else stacked
 
 
 def build_target(kind: str, param: int, profile: InterpretationProfile) -> LabeledGraph:

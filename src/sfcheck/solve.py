@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from sfcheck.construct import LabeledGraph
 from sfcheck.graphs import Graph, as_vertex_set, complement, induced
 
 ORACLE_MAX_N = 24
@@ -211,18 +210,17 @@ def max_independent_set(g: Graph) -> CliqueResult:
     return res
 
 
-def max_mono_clique(lg: LabeledGraph) -> CliqueResult:
-    """Largest clique whose vertices all carry one label.
+def max_mono_clique(g: Graph, labels: tuple[int, ...]) -> CliqueResult:
+    """Largest clique of ``g`` whose vertices all carry one label (1 or 2).
 
     Solves each label class on its induced subgraph; the witness is reported
     in the original vertex numbering and carries a single label.
     """
-    g = lg.graph
     best_size = 0
     best_witness: tuple[int, ...] = ()
     nodes = 0
     for label in (1, 2):
-        members = lg.vertices_with_label(label)
+        members = tuple(v for v, lab in enumerate(labels) if lab == label)
         res = max_clique(induced(g, members))
         nodes += res.nodes_explored
         if res.size > best_size:

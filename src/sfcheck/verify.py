@@ -92,7 +92,7 @@ def check_theorem_1_1(
     require_claim_r("1.1", r)
     if lg is None:
         lg = build_F(r, profile)
-    res = max_mono_clique(lg)
+    res = max_mono_clique(lg.graph, lg.labels)
     claimed = (r + 1) // 2
     status = "CONFIRMED" if res.size == claimed else "REFUTED"
     if res.witness and len({lg.labels[v] for v in res.witness}) != 1:

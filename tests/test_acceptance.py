@@ -66,7 +66,7 @@ def test_criterion_1_explicit_base_case(tmp_path):
     assert check["status"] == "CONFIRMED"
     assert check["witness"] == [2, 3]
     lg = build_F(3, DEFAULT_PROFILE)
-    assert [lg.provenance[v].block for v in check["witness"]] == ["w", "x"]
+    assert [lg.provenance(v).block for v in check["witness"]] == ["w", "x"]
     assert elapsed < 1.0
     print(f"\nPASS criterion 1: base case CONFIRMED with witness (w, x) in {elapsed:.3f}s")
 

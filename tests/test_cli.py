@@ -1,9 +1,13 @@
 """Command-line behavior: subcommands, exit codes, file outputs."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import sfcheck
 from sfcheck import cli
 from sfcheck.cli import main
 from sfcheck.formats import decode_graph6
@@ -201,3 +205,19 @@ class TestOracleCheck:
     def test_rejects_max_n_below_one(self, capsys, max_n):
         assert main(["oracle-check", "--trials", "1", "--max-n", max_n]) == 2
         assert "--max-n must be >= 1" in capsys.readouterr().err
+
+
+def test_runtime_loads_only_the_standard_library():
+    # -S skips site's .pth hooks, so every module listed was loaded by the import.
+    src = os.path.dirname(os.path.dirname(sfcheck.__file__))
+    code = "import sys, sfcheck.cli; print(' '.join(sorted({m.split('.')[0] for m in sys.modules})))"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+    assert "sfcheck" in out
+    outside = set(out) - sys.stdlib_module_names - {"sfcheck", "__main__", "__mp_main__"}
+    assert not outside, f"non-stdlib modules loaded: {sorted(outside)}"

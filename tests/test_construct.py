@@ -1,4 +1,4 @@
-"""Constructor tests: blocks, sides, stage graphs, stacked graphs, validate."""
+"""Constructor tests: blocks, sides, stage graphs, stacked graphs, layout, validate."""
 
 import dataclasses
 import random
@@ -11,15 +11,13 @@ from sfcheck.construct import (
     LabeledGraph,
     build_F,
     build_SF,
-    build_block,
-    build_sides,
     flip_label,
     label_parity,
     validate,
 )
 from sfcheck.graphs import Graph, complete, induced
 
-from oracles import all_profiles, stacked_vertex_count, stage_vertex_count
+from oracles import all_profiles, layout_provenance, stacked_vertex_count, stage_vertex_count
 
 GENERAL = dataclasses.replace(DEFAULT_PROFILE, base_case="general")
 
@@ -28,10 +26,11 @@ def cross_pairs_by_rule(lg):
     """Pairs the opposite-parity rule applies to, recomputed from provenance."""
     out = []
     n = lg.graph.n
+    prov = [lg.provenance(v) for v in range(n)]
     for v in range(n):
-        pv = lg.provenance[v]
+        pv = prov[v]
         for w in range(v + 1, n):
-            pw = lg.provenance[w]
+            pw = prov[w]
             if pv.stage_r != pw.stage_r:
                 out.append((v, w))
             elif pv.side != pw.side and "path" not in (pv.side, pw.side):
@@ -68,56 +67,49 @@ class TestProfile:
 
 
 class TestBuildBlock:
+    """The block G_z is the first r vertices of F(r) under the lexicographic
+    and cartesian products: copy 0 of the G side."""
+
     def test_r3_disjoint_union(self):
-        lg = build_block(3, DEFAULT_PROFILE)
-        assert lg.graph.n == 3
-        assert lg.labels == (1, 2, 2)
-        assert lg.graph.m == 1
+        lg = build_F(3, GENERAL)
+        assert induced(lg.graph, range(3)).m == 1
+        assert lg.labels[:3] == (1, 2, 2)
 
-    def test_r4_disjoint_union(self):
-        lg = build_block(4, DEFAULT_PROFILE)
-        assert lg.labels == (1, 1, 2, 2)
-        assert lg.graph.m == 2
-        assert lg.graph.has_edge(0, 1) and lg.graph.has_edge(2, 3)
+    @pytest.mark.parametrize("prod", ["lexicographic", "cartesian"])
+    def test_r4_disjoint_union(self, prod):
+        lg = build_F(4, dataclasses.replace(DEFAULT_PROFILE, prod=prod))
+        block = induced(lg.graph, range(4))
+        assert lg.labels[:4] == (1, 1, 2, 2)
+        assert block.m == 2
+        assert block.has_edge(0, 1) and block.has_edge(2, 3)
 
-    def test_r5_join(self):
-        lg = build_block(5, dataclasses.replace(DEFAULT_PROFILE, sum="join"))
-        assert lg.graph == complete(5)
-        assert lg.labels == (1, 1, 2, 2, 2)
-
-    def test_rejects_small_r(self):
-        with pytest.raises(ValueError):
-            build_block(2)
-
-    def test_block_validates_clean(self):
-        assert validate(build_block(5)) == []
+    @pytest.mark.parametrize("prod", ["lexicographic", "cartesian"])
+    def test_r5_join(self, prod):
+        lg = build_F(5, dataclasses.replace(DEFAULT_PROFILE, sum="join", prod=prod))
+        assert induced(lg.graph, range(5)) == complete(5)
+        assert lg.labels[:5] == (1, 1, 2, 2, 2)
 
 
 class TestBuildSides:
-    def test_r3_default(self):
-        lg = build_sides(3, DEFAULT_PROFILE)
-        g_side = induced(lg.graph, range(6))
-        h_side = induced(lg.graph, range(6, 12))
-        assert g_side.m == 2
-        assert h_side.m == 15 - 2
-        # no cross edges yet
-        assert lg.graph.m == g_side.m + h_side.m
+    def test_r3_general(self):
+        lg = build_F(3, GENERAL)
+        assert induced(lg.graph, range(6)).m == 2
+        assert induced(lg.graph, range(6, 12)).m == 15 - 2
 
     def test_r4_tensor_degenerate(self):
-        lg = build_sides(4, dataclasses.replace(DEFAULT_PROFILE, prod="tensor"))
+        lg = build_F(4, dataclasses.replace(DEFAULT_PROFILE, prod="tensor"))
         assert induced(lg.graph, range(12)).m == 0
         assert induced(lg.graph, range(12, 24)) == complete(12)
 
     @pytest.mark.parametrize("r", [3, 4, 5, 6])
     def test_label_flip_across_correspondence(self, r):
-        lg = build_sides(r, DEFAULT_PROFILE)
-        assert len(lg.correspondence) == (r - 1) * r
-        for v, w in lg.correspondence:
-            assert label_parity(lg.labels[v]) != label_parity(lg.labels[w])
-
-    def test_rejects_small_r(self):
-        with pytest.raises(ValueError):
-            build_sides(2)
+        lg = build_F(r, GENERAL)
+        half = (r - 1) * r
+        for v in range(half):
+            g, h = lg.provenance(v), lg.provenance(v + half)
+            assert (g.side, h.side) == ("G_side", "H_side")
+            assert (g.copy, g.block, g.within) == (h.copy, h.block, h.within)
+            assert label_parity(lg.labels[v]) != label_parity(lg.labels[v + half])
 
 
 class TestBuildF:
@@ -125,8 +117,8 @@ class TestBuildF:
         lg = build_F(3, DEFAULT_PROFILE)
         assert lg.graph.n == 6 and lg.graph.m == 5
         assert lg.labels == (1, 2, 1, 1, 2, 2)
-        assert [p.block for p in lg.provenance] == ["v", "u", "w", "x", "y", "t"]
-        assert lg.correspondence == ()
+        assert [lg.provenance(v).block for v in range(6)] == ["v", "u", "w", "x", "y", "t"]
+        assert lg.stages == (3,) and lg.base_path
 
     def test_explicit_path_y_label_one(self):
         lg = build_F(3, dataclasses.replace(DEFAULT_PROFILE, y_label=1))
@@ -223,6 +215,27 @@ class TestBuildSF:
         assert validate(build_SF(t, profile)) == []
 
 
+class TestLayout:
+    @pytest.mark.parametrize("profile", all_profiles(), ids=str)
+    def test_provenance_matches_nested_loop_layout(self, profile):
+        for kind, build in (("F", build_F), ("SF", build_SF)):
+            for param in range(3, 9):
+                lg = build(param, profile)
+                got = [lg.provenance(v) for v in range(lg.graph.n)]
+                assert got == layout_provenance(kind, param, profile), (kind, param)
+
+    def test_stages_record_the_stack(self):
+        lg = build_SF(6, GENERAL)
+        assert lg.stages == (3, 4, 5, 6) and not lg.base_path
+        spans = list(lg.stage_spans())
+        assert spans == [(3, 0, 12), (4, 12, 36), (5, 36, 76), (6, 76, 136)]
+
+    @pytest.mark.parametrize("v", [-1, 6, True])
+    def test_provenance_rejects_outside_vertex(self, v):
+        with pytest.raises(ValueError, match="out of range"):
+            build_F(3).provenance(v)
+
+
 class TestValidate:
     def test_clean_build(self):
         assert validate(build_F(4, DEFAULT_PROFILE)) == []
@@ -240,7 +253,7 @@ class TestValidate:
 
     def test_broken_label_flip_detected(self):
         lg = build_F(4, DEFAULT_PROFILE)
-        v, w = lg.correspondence[0]
+        v, w = 0, 12
         labels = list(lg.labels)
         labels[w] = labels[v]
         doctored = dataclasses.replace(lg, labels=tuple(labels))
@@ -292,53 +305,40 @@ class TestValidate:
                 assert got[: len(problems)] == problems
 
     @pytest.mark.parametrize(
-        "edit, message",
+        "rows, message",
         [
-            (lambda c: c[1:], "correspondence: missing pair (0, 12)"),
-            (lambda c: c + ((0, 1),), "correspondence: unexpected pair (0, 1)"),
-            (lambda c: c + c[:1], "correspondence: repeated pair (0, 12)"),
+            (lambda rows: (None,) * len(rows), "row 0 must be an int"),
+            (lambda rows: rows[:-1], "rows length must equal vertex count"),
         ],
-        ids=["dropped", "added", "repeated"],
+        ids=["not-ints", "one-short"],
     )
-    def test_correspondence_edit_detected(self, edit, message):
+    def test_bad_row_shape_reported_not_raised(self, rows, message):
         lg = build_F(4, DEFAULT_PROFILE)
-        doctored = dataclasses.replace(lg, correspondence=edit(lg.correspondence))
+        doctored = dataclasses.replace(lg, graph=Graph._trusted(lg.graph.n, rows(lg.graph.rows)))
         assert validate(doctored) == [message]
-
-    @pytest.mark.parametrize("v", [2, 7, 20])
-    def test_shifted_within_detected(self, v):
-        lg = build_SF(4, DEFAULT_PROFILE)
-        prov = list(lg.provenance)
-        prov[v] = dataclasses.replace(prov[v], within=prov[v].within + 1)
-        doctored = dataclasses.replace(lg, provenance=tuple(prov))
-        assert validate(doctored) == [
-            f"provenance-order: vertex {v} is {prov[v]}, expected {lg.provenance[v]}"
-        ]
-
-    @pytest.mark.parametrize(
-        "lg, field, value, vertices",
-        [
-            (build_block(5), "side", "elsewhere", range(5)),
-            (build_SF(4), "stage_r", 0, [7]),
-        ],
-        ids=["unknown-side", "stage-zero"],
-    )
-    def test_odd_provenance_reported_not_raised(self, lg, field, value, vertices):
-        prov = list(lg.provenance)
-        for v in vertices:
-            prov[v] = dataclasses.replace(prov[v], **{field: value})
-        doctored = dataclasses.replace(lg, provenance=tuple(prov))
-        assert any(m.startswith("provenance-order") for m in validate(doctored))
 
     def test_labeled_graph_rejects_bad_shapes(self):
         lg = build_F(3, DEFAULT_PROFILE)
         with pytest.raises(ValueError):
-            LabeledGraph(lg.graph, lg.labels[:-1], lg.provenance, ())
+            LabeledGraph(lg.graph, lg.labels[:-1], lg.stages, lg.base_path)
         with pytest.raises(ValueError):
-            LabeledGraph(lg.graph, (0,) * 6, lg.provenance, ())
+            LabeledGraph(lg.graph, (0,) * 6, lg.stages, lg.base_path)
+
+    @pytest.mark.parametrize(
+        "stages, base_path", [((3,), False), ((4,), True), ((3, 4), True), ((), True)]
+    )
+    def test_labeled_graph_rejects_stage_size_mismatch(self, stages, base_path):
+        lg = build_F(3, DEFAULT_PROFILE)
+        with pytest.raises(ValueError, match="do not lay out 6 vertices"):
+            LabeledGraph(lg.graph, lg.labels, stages, base_path)
+
+    def test_labeled_graph_rejects_stage_below_three(self):
+        # Stage 2 would lay out 2 * 2 * 1 = 4 vertices, but no build has one.
+        with pytest.raises(ValueError, match="do not lay out 4 vertices"):
+            LabeledGraph(Graph(4, (0,) * 4), (1, 2, 2, 1), (2,), False)
 
     def test_labeled_graph_rejects_bool_label(self):
         # True == 1, so a plain membership test in (1, 2) would accept it.
         lg = build_F(3, DEFAULT_PROFILE)
         with pytest.raises(ValueError, match="outside"):
-            LabeledGraph(lg.graph, (True,) + lg.labels[1:], lg.provenance, ())
+            LabeledGraph(lg.graph, (True,) + lg.labels[1:], lg.stages, lg.base_path)

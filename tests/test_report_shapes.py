@@ -113,6 +113,12 @@ def test_oversized_target_refused_unbuilt(theorem, param, monkeypatch):
     assert len(problems) == 1 and f"above the limit of {MAX_REBUILD_VERTICES}" in problems[0]
 
 
+@pytest.mark.parametrize("param", [4, 10**9])
+def test_unknown_kind_named_before_sizing(param):
+    report = edited(base_report("1.2"), ("target",), {"kind": "X", "param": param})
+    assert verify_report(report) == ["cannot rebuild target: unknown target kind 'X'"]
+
+
 def test_sf30_is_within_the_rebuild_limit():
     for profile in all_profiles():
         assert target_vertex_count("SF", 30, profile) <= MAX_REBUILD_VERTICES

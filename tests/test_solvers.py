@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from sfcheck.construct import (
     DEFAULT_PROFILE,
     InterpretationProfile,
-    LabeledGraph,
-    VertexProvenance,
     build_F,
     build_SF,
 )
@@ -143,7 +141,7 @@ class TestSolverAgainstOracle:
 class TestMaxMonoClique:
     def test_explicit_path_witness(self):
         lg = build_F(3, DEFAULT_PROFILE)
-        res = max_mono_clique(lg)
+        res = max_mono_clique(lg.graph, lg.labels)
         assert res.size == 2
         assert res.witness == (2, 3)
         assert {lg.labels[v] for v in res.witness} == {1}
@@ -151,24 +149,22 @@ class TestMaxMonoClique:
     def test_uniform_labels_degenerate_to_clique_number(self):
         rng = random.Random(21)
         g = random_graph(9, 0.5, rng)
-        prov = tuple(VertexProvenance(3, "G_side", 0, "x_block", i) for i in range(9))
-        lg = LabeledGraph(g, (1,) * 9, prov, ())
-        assert max_mono_clique(lg).size == max_clique(g).size
+        assert max_mono_clique(g, (1,) * 9).size == max_clique(g).size
 
     def test_f4_matches_per_class_enumeration(self):
         lg = build_F(4, DEFAULT_PROFILE)
         expected = max(
-            subset_max_clique(lg.graph, lg.vertices_with_label(1)),
-            subset_max_clique(lg.graph, lg.vertices_with_label(2)),
+            subset_max_clique(lg.graph, [v for v in range(lg.graph.n) if lg.labels[v] == 1]),
+            subset_max_clique(lg.graph, [v for v in range(lg.graph.n) if lg.labels[v] == 2]),
         )
-        res = max_mono_clique(lg)
+        res = max_mono_clique(lg.graph, lg.labels)
         assert res.size == expected == 3
         assert len({lg.labels[v] for v in res.witness}) == 1
 
     def test_bounded_by_clique_number(self):
         for r in (3, 4, 5):
             lg = build_F(r, DEFAULT_PROFILE)
-            assert max_mono_clique(lg).size <= max_clique(lg.graph).size
+            assert max_mono_clique(lg.graph, lg.labels).size <= max_clique(lg.graph).size
 
 
 class TestVerifyWitness:
