@@ -24,6 +24,7 @@ from sfcheck.formats import encode_dimacs, encode_graph6
 from sfcheck.graphs import complement, random_graph
 from sfcheck.report import build_target, run_verification, write_report
 from sfcheck.solve import max_clique, max_independent_set, oracle_max_clique
+from sfcheck.verify import CLAIMS
 
 _SUM_FLAGS = {"union": "disjoint_union", "join": "join"}
 _PROD_FLAGS = {"lex": "lexicographic", "cart": "cartesian", "tensor": "tensor"}
@@ -106,8 +107,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print("error: --t-max must be >= 3", file=sys.stderr)
         return 2
     profile = _profile_from_args(args)
-    jobs = [("1.1", r, profile) for r in range(3, args.t_max + 1)]
-    jobs += [("1.2", r, profile) for r in range(2, args.t_max)]
+    # Every claim at every r from its minimum whose target's parameter is at most t-max.
+    jobs = [
+        (theorem, r, profile)
+        for theorem, (min_r, _, shift) in CLAIMS.items()
+        for r in range(min_r, args.t_max - shift + 1)
+    ]
     workers = min(_rf_threads(), len(jobs))
     os.makedirs(args.report_dir, exist_ok=True)
     refuted = False
@@ -176,7 +181,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p_build.set_defaults(func=_cmd_build)
 
     p_verify = sub.add_parser("verify", help="check one claim instance and write a JSON report")
-    p_verify.add_argument("--theorem", choices=("1.1", "1.2"), required=True)
+    p_verify.add_argument("--theorem", choices=tuple(CLAIMS), required=True)
     p_verify.add_argument("--r", type=int, required=True)
     _add_profile_args(p_verify)
     p_verify.add_argument("--report", required=True)

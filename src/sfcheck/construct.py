@@ -95,16 +95,24 @@ def stage_size(r: int, base_path: bool) -> int:
     return 6 if r == 3 and base_path else 2 * r * (r - 1)
 
 
+def _require_param(kind: str, param: int) -> None:
+    """ValueError for an unknown target kind or a parameter below 3."""
+    if kind not in ("F", "SF"):
+        raise ValueError(f"unknown target kind {kind!r}")
+    if param < 3:
+        raise ValueError(f"{'stage' if kind == 'F' else 'stack'} parameter must be >= 3, got {param}")
+
+
 def target_vertex_count(kind: str, param: int, profile: InterpretationProfile) -> int:
-    """Vertex count of F(param) or SF(param), unbuilt; ValueError on another
-    kind.  SF(t) sums ``stage_size`` over r = 3..t in closed form, so SF(10**9)
-    is sized without a loop: 2r(r-1) summed over 3 <= r <= t is
-    2(t-1)t(t+1)/3 - 4, and stage 3 is then taken at its own size."""
+    """Vertex count of F(param) or SF(param), unbuilt; the builders'
+    ValueError on another kind or a parameter below 3.  SF(t) sums
+    ``stage_size`` over r = 3..t in closed form, so SF(10**9) is sized
+    without a loop: 2r(r-1) summed over 3 <= r <= t is 2(t-1)t(t+1)/3 - 4,
+    and stage 3 is then taken at its own size."""
+    _require_param(kind, param)
     base_path = profile.base_case == "explicit_path"
     if kind == "F":
         return stage_size(param, base_path)
-    if kind != "SF":
-        raise ValueError(f"unknown target kind {kind!r}")
     general = 2 * (param - 1) * param * (param + 1) // 3 - 4
     return general - stage_size(3, False) + stage_size(3, base_path)
 
@@ -206,11 +214,10 @@ def build_F(r: int, profile: InterpretationProfile = DEFAULT_PROFILE) -> Labeled
     Under base_case="explicit_path", F(3) is instead the fixed 6-vertex path
     v-u-w-x-y-t with labels 1,2,1,1,profile.y_label,2.
     """
+    _require_param("F", r)
     base_path = profile.base_case == "explicit_path"
     if r == 3 and base_path:
         return LabeledGraph(path(6), (1, 2, 1, 1, profile.y_label, 2), (3,), True)
-    if r < 3:
-        raise ValueError(f"stage parameter must be >= 3, got {r}")
     a = r // 2
     g_side = product(empty(r - 1), combine(complete(a), complete(r - a), profile.sum), profile.prod)
     labels = ((1,) * a + (2,) * (r - a)) * (r - 1)
@@ -224,8 +231,7 @@ def build_SF(t: int, profile: InterpretationProfile = DEFAULT_PROFILE) -> Labele
     """Stacked graph SF(t): stages 3..t placed disjointly in order, with an
     edge between vertices of different stages exactly when their label
     parities differ.  The stage-(t-1) prefix is an induced copy of SF(t-1)."""
-    if t < 3:
-        raise ValueError(f"stack parameter must be >= 3, got {t}")
+    _require_param("SF", t)
     rows: list[int] = []
     labels: tuple[int, ...] = ()
     offsets = []

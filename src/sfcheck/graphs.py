@@ -127,11 +127,6 @@ class Graph:
             raise ValueError(f"vertex pair ({i}, {j}) out of range for n={self.n}")
         return bool((self.rows[i] >> j) & 1)
 
-    def degree(self, v: int) -> int:
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range for n={self.n}")
-        return self.rows[v].bit_count()
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, in lexicographic order."""
         for i in range(self.n):

@@ -3,7 +3,9 @@
 Reports are plain dicts with a mandatory schema_version.  Serialization is
 canonical (sorted keys, fixed separators), so two runs over the same target
 and profile produce byte-identical files except for the timestamps block.
-Loading re-verifies every witness against a fresh build of the target.
+Loading re-verifies the witness against a fresh build of the target, then
+re-assembles the report through ``make_report`` and names each field that
+differs.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import os
 import tempfile
 from dataclasses import asdict
 from datetime import datetime, timezone
+from typing import Iterator
 
 from sfcheck import __version__
 from sfcheck.construct import (
@@ -25,12 +28,12 @@ from sfcheck.construct import (
 )
 from sfcheck.solve import verify_witness
 from sfcheck.verify import (
-    BoundReport,
     TheoremCheck,
     bound_report_from_counts,
     check_theorem_1_1,
     check_theorem_1_2,
-    require_claim_r,
+    claim_target,
+    claim_verdict,
 )
 
 SCHEMA_VERSION = "1"
@@ -59,35 +62,36 @@ def build_target(kind: str, param: int, profile: InterpretationProfile) -> Label
     raise ValueError(f"unknown target kind {kind!r}")
 
 
-def make_report(
-    kind: str,
-    param: int,
-    profile: InterpretationProfile,
-    lg: LabeledGraph,
-    checks: list[TheoremCheck],
-    bound: BoundReport | None,
-    started: str,
-    finished: str,
-) -> dict:
+def make_report(lg: LabeledGraph, tc: TheoremCheck, started, finished) -> dict:
+    """The report of check ``tc`` on the build ``lg``.
+
+    The target is the claim's (``claim_target``).  For T1.2 the Ramsey
+    implication of the same build is derived from the check's omega and
+    alpha, not re-solved.  ValueError for an r the claim is not stated for.
+    """
+    kind, param = claim_target(tc.theorem_id[1:].replace("_", "."), tc.r)  # "T1_2" -> "1.2"
+    bound = None
+    if tc.theorem_id == "T1_2":
+        omega, alpha = tc.computed["omega"], tc.computed["alpha"]
+        bound = asdict(bound_report_from_counts(param, lg.graph.n, omega, alpha))
     counts = lg.label_counts()
     notes = []
-    if profile.base_case == "explicit_path":
+    if tc.profile.base_case == "explicit_path":
         notes.append(Y_LABEL_NOTE)
-    total_nodes = sum(sum(tc.solver_stats.values()) for tc in checks)
     return {
         "schema_version": SCHEMA_VERSION,
         "generated_by": f"sfcheck {__version__}",
         "target": {"kind": kind, "param": param},
-        "profile": profile.to_dict(),
+        "profile": tc.profile.to_dict(),
         "deterministic": True,
         "graph_stats": {
             "n": lg.graph.n,
             "m": lg.graph.m,
             "label_counts": {str(k): v for k, v in counts.items()},
         },
-        "checks": [dict(asdict(tc), witness=list(tc.witness)) for tc in checks],
-        "bound": asdict(bound) if bound is not None else None,
-        "solver_stats": {"nodes_explored": total_nodes},
+        "checks": [dict(vars(tc), profile=tc.profile.to_dict(), witness=list(tc.witness))],
+        "bound": bound,
+        "solver_stats": {"nodes_explored": sum(tc.solver_stats.values())},
         "notes": notes,
         "timestamps": {"started": started, "finished": finished},
     }
@@ -117,10 +121,10 @@ def strip_volatile(report: dict) -> dict:
     return {k: v for k, v in report.items() if k != "timestamps"}
 
 
-# The type of each field verify_report indexes; the fields it reads with
-# .get may be missing, and a missing one fails the comparison it feeds.
-_REPORT_FIELDS = {"profile": dict, "target": dict, "graph_stats": dict, "checks": list}
-_CHECK_FIELDS = {"theorem_id": str, "r": int, "computed": dict, "witness": list}
+# The type of each field verify_report reads before it re-assembles the
+# report; every other field is compared with the re-assembly.
+_REPORT_FIELDS = {"profile": dict, "target": dict, "checks": list}
+_CHECK_FIELDS = {"theorem_id": str, "r": int, "computed": dict, "witness": list, "solver_stats": dict}
 _COMPUTED_FIELDS = {"T1_1": {"mono_clique": int}, "T1_2": {"omega": int, "alpha": int}}
 
 
@@ -136,7 +140,8 @@ def _shape_problem(obj, fields: dict, where: str) -> str | None:
 
 
 def _check_shape_problem(check, where: str) -> str | None:
-    """_shape_problem for one entry of ``checks``, its witness and computed block included."""
+    """_shape_problem for one entry of ``checks``: its witness, computed
+    block and solver_stats included, so that re-assembly cannot raise."""
     shape = _shape_problem(check, _CHECK_FIELDS, where)
     if shape:
         return shape
@@ -144,17 +149,42 @@ def _check_shape_problem(check, where: str) -> str | None:
         return f"{where}: unknown theorem_id {check['theorem_id']!r}"
     if not all(isinstance(v, int) for v in check["witness"]):
         return f"{where}: witness holds a non-integer vertex"
+    if not all(type(v) is int for v in check["solver_stats"].values()):
+        return f"{where}: solver_stats holds a non-integer count"
     return _shape_problem(check["computed"], _COMPUTED_FIELDS[check["theorem_id"]], f"{where} computed")
+
+
+_MISSING = object()
+
+
+def _differences(expected, actual, where: str = "") -> Iterator[str]:
+    """The path of each field where ``actual`` differs from ``expected``,
+    is missing or is extra.  Equal subtrees are passed over in one
+    comparison, so an unedited report costs one ``==``."""
+    if expected == actual:
+        return
+    if isinstance(expected, dict) and isinstance(actual, dict):
+        for key in [*expected, *(k for k in actual if k not in expected)]:
+            path = f"{where}.{key}" if where else key
+            yield from _differences(expected.get(key, _MISSING), actual.get(key, _MISSING), path)
+    elif isinstance(expected, list) and isinstance(actual, list) and len(expected) == len(actual):
+        for i, (e, a) in enumerate(zip(expected, actual)):
+            yield from _differences(e, a, f"{where}[{i}]")
+    else:
+        yield where
 
 
 def verify_report(report) -> list[str]:
     """Re-check a loaded report against a fresh build of its target.
 
-    Checks the shape of every field it reads, rebuilds the target graph
-    (refusing, unbuilt, one above ``MAX_REBUILD_VERTICES``), re-verifies
-    every witness pairwise, and checks internal consistency (sizes, verdict
-    arithmetic, bound flags).  Returns a list of problems, empty when the
-    report stands; never raises on malformed input.
+    Checks the shape of every field it reads, rebuilds the report's stated
+    target (refusing, unbuilt, one above ``MAX_REBUILD_VERTICES``), and
+    re-verifies the witness pairwise, as one label for T1.1, and against
+    its computed size.  Then re-assembles the report with ``make_report``
+    from the rebuild and the report's own r, computed sizes, witness and
+    solver_stats, and names each field where the two differ.  Copied, not
+    compared: ``generated_by``, and the node counts, which need a re-solve.
+    Returns a list of problems, empty when the report stands; never raises.
     """
     if not isinstance(report, dict):
         return [f"report: expected an object, got {type(report).__name__}"]
@@ -162,6 +192,9 @@ def verify_report(report) -> list[str]:
         return [f"unsupported schema_version {report.get('schema_version')!r}"]
     shape = _shape_problem(report, _REPORT_FIELDS, "report")
     shape = shape or _shape_problem(report["target"], {"param": int}, "target")
+    if not shape and len(report["checks"]) != 1:
+        shape = f"report: expected one check, got {len(report['checks'])}"
+    shape = shape or _check_shape_problem(report["checks"][0], "check 0")
     if shape:
         return [shape]
     kind, param = report["target"].get("kind"), report["target"]["param"]
@@ -178,56 +211,31 @@ def verify_report(report) -> list[str]:
         return [f"cannot rebuild target: {exc}"]
 
     problems: list[str] = []
-    stats = report["graph_stats"]
-    if stats.get("n") != lg.graph.n or stats.get("m") != lg.graph.m:
-        problems.append(
-            f"graph_stats mismatch: report says n={stats.get('n')}, m={stats.get('m')}, "
-            f"rebuild has n={lg.graph.n}, m={lg.graph.m}"
-        )
+    check = report["checks"][0]
+    theorem_id, r = check["theorem_id"], check["r"]
+    witness, mode = tuple(check["witness"]), check.get("witness_mode")
+    try:
+        if not verify_witness(lg.graph, witness, mode):
+            problems.append(f"check 0: witness {witness} is not a valid {mode}")
+    except ValueError as exc:
+        problems.append(f"check 0: witness invalid: {exc}")
+    else:
+        if theorem_id == "T1_1" and len({lg.labels[v] for v in witness}) > 1:
+            problems.append("check 0: witness spans more than one label")
+        field = "mono_clique" if theorem_id == "T1_1" else "omega" if mode == "clique" else "alpha"
+        if len(witness) != check["computed"][field]:
+            problems.append("check 0: witness size differs from computed value")
 
-    for idx, check in enumerate(report["checks"]):
-        shape = _check_shape_problem(check, f"check {idx}")
-        if shape:
-            problems.append(shape)
-            continue
-        witness = tuple(check["witness"])
-        mode = check.get("witness_mode")
-        try:
-            if not verify_witness(lg.graph, witness, mode):
-                problems.append(f"check {idx}: witness {witness} is not a valid {mode}")
-        except ValueError as exc:
-            problems.append(f"check {idx}: witness invalid: {exc}")
-            continue
-        computed = check["computed"]
-        if check["theorem_id"] == "T1_1":
-            if len({lg.labels[v] for v in witness}) > 1:
-                problems.append(f"check {idx}: witness spans more than one label")
-            size = computed["mono_clique"]
-            holds = size == check.get("claimed")
-        else:
-            size = computed["omega"] if mode == "clique" else computed["alpha"]
-            holds = computed["omega"] <= check["r"] and computed["alpha"] <= check["r"]
-        if len(witness) != size:
-            problems.append(f"check {idx}: witness size differs from computed value")
-        if check.get("status") != ("CONFIRMED" if holds else "REFUTED"):
-            problems.append(f"check {idx}: status {check.get('status')} inconsistent with computed values")
-
-    bound = report.get("bound")
-    if bound is None:
-        return problems
-    shape = _shape_problem(bound, {"t": int, "n": int}, "bound")
-    if shape:
-        return problems + [shape]
-    if bound.get("witness_ok") != (bound.get("implied") is not None):
-        problems.append("bound: implied statement present iff witness_ok")
-    if (
-        bound.get("witness_ok")
-        and bound["t"] == 3
-        and bound["n"] >= 6
-        and not bound.get("contradiction")
-    ):
-        problems.append("bound: R(3) implication on >= 6 vertices lacks contradiction flag")
-    return problems
+    computed = {key: check["computed"][key] for key in _COMPUTED_FIELDS[theorem_id]}
+    claimed, status, rule_mode = claim_verdict(theorem_id, r, computed)
+    tc = TheoremCheck(theorem_id, r, profile, claimed, computed, status, witness, rule_mode, check["solver_stats"])
+    try:
+        expected = make_report(lg, tc, None, None)
+    except ValueError as exc:
+        return problems + [f"check 0: {exc}"]
+    expected["generated_by"] = report.get("generated_by")
+    diffs = _differences(strip_volatile(expected), strip_volatile(report))
+    return problems + [f"{path} differs from the re-assembled report" for path in diffs]
 
 
 def read_report(path) -> dict:
@@ -249,24 +257,13 @@ def run_verification(
     r: int,
     profile: InterpretationProfile = DEFAULT_PROFILE,
 ) -> dict:
-    """Build the target, run one claim check, and assemble the full report.
-
-    The theorem and r are checked before anything is built.  For T1.2 the
-    Ramsey implication of the same build is derived from the
-    already-computed clique and independence numbers, not re-solved.
+    """Build the claim's target, run its check on that build, and assemble
+    the full report.  The theorem and r are checked before anything is built.
     """
     started = _now()
-    require_claim_r(theorem, r)
+    lg = build_target(*claim_target(theorem, r), profile)
     if theorem == "1.1":
-        lg = build_F(r, profile)
-        tc = check_theorem_1_1(r, profile, lg=lg)
-        bound = None
-        kind, param = "F", r
+        tc = check_theorem_1_1(r, profile, lg)
     else:
-        lg = build_SF(r + 1, profile)
-        tc = check_theorem_1_2(r, profile, graph_override=lg.graph)
-        bound = bound_report_from_counts(
-            r + 1, lg.graph.n, tc.computed["omega"], tc.computed["alpha"]
-        )
-        kind, param = "SF", r + 1
-    return make_report(kind, param, profile, lg, [tc], bound, started, _now())
+        tc = check_theorem_1_2(r, profile, lg.graph)
+    return make_report(lg, tc, started, _now())

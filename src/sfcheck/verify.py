@@ -6,10 +6,16 @@ the claims, and a refutation ships the violating witness.
 
 Claim T1.1: the largest single-label clique in F(r) has size ceil(r/2).
 Claim T1.2: SF(r+1) contains neither a clique nor an independent set on
-r+1 vertices.  ``check_theorem_1_2`` is the one route to that answer;
-``bound_report_from_counts`` turns its omega and alpha into the Ramsey
-implication R(t) > n of SF(t), t = r+1.  The one diagonal Ramsey value
-small enough to re-derive at desk scale, R(3) = 6, is established
+r+1 vertices.
+
+Each claim's rules are written once.  ``CLAIMS`` gives its smallest r and
+the target it is checked on, and ``claim_verdict`` its claimed value,
+status and witness mode from r and the computed sizes.  The checks take
+the build they judge: ``report.run_verification`` turns a claim into a
+build, and ``report.verify_report`` re-assembles a report through the same
+rules.  ``bound_report_from_counts`` turns T1.2's omega and alpha into the
+Ramsey implication R(t) > n of SF(t), t = r+1.  The one diagonal Ramsey
+value small enough to re-derive at desk scale, R(3) = 6, is established
 exhaustively by confirm_R3 and used to flag contradictory implications.
 """
 
@@ -19,13 +25,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 
-from sfcheck.construct import (
-    DEFAULT_PROFILE,
-    InterpretationProfile,
-    LabeledGraph,
-    build_F,
-    build_SF,
-)
+from sfcheck.construct import InterpretationProfile, LabeledGraph
 from sfcheck.graphs import Graph, cycle
 from sfcheck.solve import (
     max_clique,
@@ -39,16 +39,42 @@ from sfcheck.solve import (
 # scratch by confirm_R3.
 KNOWN_DIAGONAL_RAMSEY = {3: 6, 4: 18}
 
-# The smallest r each claim is stated for, keyed by theorem number.
-CLAIM_MIN_R = {"1.1": 3, "1.2": 2}
+# Each claim by theorem number: the smallest r it is stated for, and the
+# kind of its target with the target's parameter less r, so that T1.1 is
+# checked on F(r) and T1.2 on SF(r + 1).
+CLAIMS = {"1.1": (3, "F", 0), "1.2": (2, "SF", 1)}
 
 
-def require_claim_r(theorem: str, r: int) -> None:
-    """Raise ValueError for an unknown theorem or an r below the claim's minimum."""
-    if theorem not in CLAIM_MIN_R:
+def claim_target(theorem: str, r: int) -> tuple[str, int]:
+    """(kind, param) of the target claim T<theorem> is checked on at r.
+
+    ValueError for an unknown theorem or an r below the claim's minimum.
+    """
+    if theorem not in CLAIMS:
         raise ValueError(f"unknown theorem {theorem!r}")
-    if r < CLAIM_MIN_R[theorem]:
-        raise ValueError(f"claim T{theorem} needs r >= {CLAIM_MIN_R[theorem]}, got {r}")
+    min_r, kind, shift = CLAIMS[theorem]
+    if r < min_r:
+        raise ValueError(f"claim T{theorem} needs r >= {min_r}, got {r}")
+    return kind, r + shift
+
+
+def claim_verdict(theorem_id: str, r: int, computed: dict) -> tuple[object, str, str]:
+    """(claimed, status, witness_mode) of claim ``theorem_id`` at r, given
+    its computed sizes: the one verdict rule per claim, shared by the check
+    and by ``report.verify_report``.
+
+    T1.2's certificate is the violating clique first, else the violating
+    independent set, else the maximum clique.
+    """
+    if theorem_id == "T1_1":
+        claimed = (r + 1) // 2
+        holds, mode = computed["mono_clique"] == claimed, "clique"
+    else:
+        omega, alpha = computed["omega"], computed["alpha"]
+        claimed = f"omega(SF({r + 1})) <= {r} and alpha(SF({r + 1})) <= {r}"
+        holds = omega <= r and alpha <= r
+        mode = "independent" if omega <= r < alpha else "clique"
+    return claimed, "CONFIRMED" if holds else "REFUTED", mode
 
 
 @dataclass(frozen=True)
@@ -78,75 +104,39 @@ class BoundReport:
     reference: str | None
 
 
-def check_theorem_1_1(
-    r: int,
-    profile: InterpretationProfile = DEFAULT_PROFILE,
-    *,
-    lg: LabeledGraph | None = None,
-) -> TheoremCheck:
-    """Compare the largest single-label clique of F(r) against ceil(r/2).
-
-    ``lg`` passes in an already-built F(r) (callers that report on the same
-    build); otherwise F(r) is built here under ``profile``.
-    """
-    require_claim_r("1.1", r)
-    if lg is None:
-        lg = build_F(r, profile)
+def check_theorem_1_1(r: int, profile: InterpretationProfile, lg: LabeledGraph) -> TheoremCheck:
+    """Compare the largest single-label clique of ``lg``, the build of F(r)
+    under ``profile``, against ceil(r/2)."""
+    claim_target("1.1", r)  # ValueError for an r the claim is not stated for
     res = max_mono_clique(lg.graph, lg.labels)
-    claimed = (r + 1) // 2
-    status = "CONFIRMED" if res.size == claimed else "REFUTED"
     if res.witness and len({lg.labels[v] for v in res.witness}) != 1:
         raise AssertionError("single-label witness spans both labels")
+    computed = {"mono_clique": res.size}
+    claimed, status, mode = claim_verdict("T1_1", r, computed)
     return TheoremCheck(
-        theorem_id="T1_1",
-        r=r,
-        profile=profile,
-        claimed=claimed,
-        computed={"mono_clique": res.size},
-        status=status,
-        witness=res.witness,
-        witness_mode="clique",
-        solver_stats={"mono_nodes": res.nodes_explored},
+        "T1_1", r, profile, claimed, computed, status, res.witness, mode,
+        {"mono_nodes": res.nodes_explored},
     )
 
 
-def check_theorem_1_2(
-    r: int,
-    profile: InterpretationProfile = DEFAULT_PROFILE,
-    *,
-    graph_override: Graph | None = None,
-) -> TheoremCheck:
-    """Check that SF(r+1) has no clique or independent set on r+1 vertices.
+def check_theorem_1_2(r: int, profile: InterpretationProfile, g: Graph) -> TheoremCheck:
+    """Check that ``g`` has no clique or independent set on r+1 vertices.
 
-    ``graph_override`` substitutes the graph under test (seeded-fault tests
-    and callers that already built SF(r+1)); the claim thresholds stay r.
+    ``g`` is the build of SF(r+1) under ``profile``, or a graph under test
+    (the seeded-fault tests); the claim thresholds stay r.  The witness is
+    re-verified pairwise before it is returned.
     """
-    require_claim_r("1.2", r)
-    g = graph_override if graph_override is not None else build_SF(r + 1, profile).graph
+    claim_target("1.2", r)  # ValueError for an r the claim is not stated for
     omega = max_clique(g)
     alpha = max_independent_set(g)
-    confirmed = omega.size <= r and alpha.size <= r
-    # The certificate: the violating clique first, else the violating
-    # independent set, else the maximum clique; re-verified pairwise.
-    if omega.size <= r < alpha.size:
-        witness, mode = alpha.witness, "independent"
-    else:
-        witness, mode = omega.witness, "clique"
+    computed = {"omega": omega.size, "alpha": alpha.size}
+    claimed, status, mode = claim_verdict("T1_2", r, computed)
+    witness = alpha.witness if mode == "independent" else omega.witness
     if not verify_witness(g, witness, mode):
         raise AssertionError("certificate witness failed re-verification")
     return TheoremCheck(
-        theorem_id="T1_2",
-        r=r,
-        profile=profile,
-        claimed=f"omega(SF({r + 1})) <= {r} and alpha(SF({r + 1})) <= {r}",
-        computed={"omega": omega.size, "alpha": alpha.size},
-        status="CONFIRMED" if confirmed else "REFUTED",
-        witness=witness,
-        witness_mode=mode,
-        solver_stats={
-            "omega_nodes": omega.nodes_explored,
-            "alpha_nodes": alpha.nodes_explored,
-        },
+        "T1_2", r, profile, claimed, computed, status, witness, mode,
+        {"omega_nodes": omega.nodes_explored, "alpha_nodes": alpha.nodes_explored},
     )
 
 

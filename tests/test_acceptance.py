@@ -106,12 +106,12 @@ def test_criterion_2_theorem_sweep(tmp_path):
 
 
 def test_criterion_3_base_case_honesty():
-    tc = check_theorem_1_2(2, DEFAULT_PROFILE)
+    g = build_SF(3, DEFAULT_PROFILE).graph
+    tc = check_theorem_1_2(2, DEFAULT_PROFILE, g)
     assert tc.status == "REFUTED"
     assert tc.computed == {"omega": 2, "alpha": 3}
     assert tc.witness_mode == "independent"
     assert len(tc.witness) == 3
-    g = build_SF(3, DEFAULT_PROFILE).graph
     assert verify_witness(g, tc.witness, "independent")
     print(f"\nPASS criterion 3: SF(3) honestly REFUTED with independent set {tc.witness}")
 

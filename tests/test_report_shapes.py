@@ -1,4 +1,4 @@
-"""verify_report on malformed reports: a list of problems, never an exception."""
+"""verify_report on malformed and tampered reports: a list of problems, never an exception."""
 
 import copy
 import functools
@@ -24,8 +24,8 @@ DELETE = object()
 
 
 @functools.cache
-def base_report(theorem: str) -> dict:
-    return run_verification(theorem, 3 if theorem == "1.1" else 2)
+def base_report(theorem: str, r: int | None = None) -> dict:
+    return run_verification(theorem, r or (3 if theorem == "1.1" else 2))
 
 
 def edited(report, path, value):
@@ -68,16 +68,48 @@ MALFORMED = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(MALFORMED))
-def test_malformed_report_is_a_problem_not_a_crash(case, tmp_path):
-    path, value = MALFORMED[case]
-    report = edited(base_report("1.1"), path, value)
+def assert_rejected(report, tmp_path):
     problems = verify_report(report)
     assert isinstance(problems, list) and problems
     target = tmp_path / "r.json"
     write_report(target, report)
     with pytest.raises(ValueError, match="re-verification"):
         load_report(target)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_report_is_a_problem_not_a_crash(case, tmp_path):
+    path, value = MALFORMED[case]
+    assert_rejected(edited(base_report("1.1"), path, value), tmp_path)
+
+
+# Well-formed edits that change what a report says: (theorem, r, edits).
+# Every witness stays valid, so only re-assembling the report from its own
+# r, computed sizes and witness shows them.
+CHECK = ("checks", 0)
+TAMPERED = {
+    "T1.1 r=4 claims 3, CONFIRMED": ("1.1", 4, [(CHECK + ("claimed",), 3), (CHECK + ("status",), "CONFIRMED")]),
+    "T1.1 r set to 99": ("1.1", 3, [(CHECK + ("r",), 99)]),
+    "T1.2 r=3 set to r=100, CONFIRMED": ("1.2", 3, [(CHECK + ("r",), 100), (CHECK + ("status",), "CONFIRMED")]),
+    "bound.implied forged": ("1.2", 3, [(("bound", "implied"), "R(4) > 1000000"), (("bound", "witness_ok"), True)]),
+    "bound.t set to 99": ("1.2", 3, [(("bound", "t"), 99)]),
+    "bound is null": ("1.2", 3, [(("bound",), None)]),
+    "checks is empty": ("1.1", 3, [(("checks",), [])]),
+    "label_counts forged": ("1.1", 3, [(("graph_stats", "label_counts"), {"1": 4, "2": 2})]),
+    "check profile differs": ("1.1", 3, [(CHECK + ("profile", "sum"), "join")]),
+    "T1.1 r=4 computed lowered to the claim": (
+        "1.1", 4, [(CHECK + ("computed", "mono_clique"), 2), (CHECK + ("status",), "CONFIRMED")]
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TAMPERED))
+def test_tampered_report_is_rejected(case, tmp_path):
+    theorem, r, edits = TAMPERED[case]
+    report = base_report(theorem, r)
+    for path, value in edits:
+        report = edited(report, path, value)
+    assert_rejected(report, tmp_path)
 
 
 @pytest.mark.parametrize(
@@ -119,14 +151,23 @@ def test_unknown_kind_named_before_sizing(param):
     assert verify_report(report) == ["cannot rebuild target: unknown target kind 'X'"]
 
 
+@pytest.mark.parametrize("kind, name", [("F", "stage"), ("SF", "stack")])
+@pytest.mark.parametrize("param", [-(10**9), 2])
+def test_parameter_below_3_named_before_sizing(kind, name, param):
+    report = edited(base_report("1.2"), ("target",), {"kind": kind, "param": param})
+    assert verify_report(report) == [f"cannot rebuild target: {name} parameter must be >= 3, got {param}"]
+
+
 def test_sf30_is_within_the_rebuild_limit():
     for profile in all_profiles():
         assert target_vertex_count("SF", 30, profile) <= MAX_REBUILD_VERTICES
 
 
-def test_unedited_reports_stand():
-    assert verify_report(base_report("1.1")) == []
-    assert verify_report(base_report("1.2")) == []
+@pytest.mark.parametrize("profile", all_profiles(), ids=str)
+def test_unedited_reports_stand(profile):
+    for theorem, rs in (("1.1", range(3, 6)), ("1.2", range(2, 5))):
+        for r in rs:
+            assert verify_report(run_verification(theorem, r, profile)) == []
 
 
 VALUES = st.one_of(

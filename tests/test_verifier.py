@@ -25,7 +25,7 @@ TENSOR = dataclasses.replace(GENERAL, prod="tensor")
 
 class TestTheorem11:
     def test_r3_explicit_confirmed(self):
-        tc = check_theorem_1_1(3, DEFAULT_PROFILE)
+        tc = check_theorem_1_1(3, DEFAULT_PROFILE, build_F(3, DEFAULT_PROFILE))
         assert tc.status == "CONFIRMED"
         assert tc.claimed == 2
         assert tc.computed == {"mono_clique": 2}
@@ -35,42 +35,43 @@ class TestTheorem11:
         # The harness must not presume the claim holds; at r=4 the computed
         # value is 3 (one vertex per complement part on one side) against a
         # claimed 2, so the honest verdict is REFUTED.
-        tc = check_theorem_1_1(4, DEFAULT_PROFILE)
+        lg = build_F(4, DEFAULT_PROFILE)
+        tc = check_theorem_1_1(4, DEFAULT_PROFILE, lg)
         assert tc.claimed == 2
         assert tc.computed["mono_clique"] == 3
         assert tc.status == "REFUTED"
-        lg = build_F(4, DEFAULT_PROFILE)
         assert verify_witness(lg.graph, tc.witness, "clique")
         assert len({lg.labels[v] for v in tc.witness}) == 1
 
     @pytest.mark.parametrize("r", [3, 4, 5])
     def test_tensor_profile_still_computes_both_sides(self, r):
-        tc = check_theorem_1_1(r, TENSOR)
+        tc = check_theorem_1_1(r, TENSOR, build_F(r, TENSOR))
         assert tc.computed["mono_clique"] >= 1
         assert tc.status == ("CONFIRMED" if tc.computed["mono_clique"] == tc.claimed else "REFUTED")
 
     def test_status_is_pure_arithmetic(self):
         for r in (3, 4, 5):
-            tc = check_theorem_1_1(r, GENERAL)
+            tc = check_theorem_1_1(r, GENERAL, build_F(r, GENERAL))
             assert (tc.status == "CONFIRMED") == (tc.computed["mono_clique"] == tc.claimed)
 
     def test_rejects_small_r(self):
         with pytest.raises(ValueError):
-            check_theorem_1_1(2)
+            check_theorem_1_1(2, DEFAULT_PROFILE, build_F(3, DEFAULT_PROFILE))
 
 
 class TestTheorem12:
     def test_base_case_honest_refutation(self):
-        tc = check_theorem_1_2(2, DEFAULT_PROFILE)
+        g = build_SF(3, DEFAULT_PROFILE).graph
+        tc = check_theorem_1_2(2, DEFAULT_PROFILE, g)
         assert tc.status == "REFUTED"
         assert tc.computed == {"omega": 2, "alpha": 3}
         assert tc.witness_mode == "independent"
         assert len(tc.witness) == 3
-        assert verify_witness(build_SF(3, DEFAULT_PROFILE).graph, tc.witness, "independent")
+        assert verify_witness(g, tc.witness, "independent")
 
     def test_r3_default_certificate(self):
-        tc = check_theorem_1_2(3, DEFAULT_PROFILE)
         g = build_SF(4, DEFAULT_PROFILE).graph
+        tc = check_theorem_1_2(3, DEFAULT_PROFILE, g)
         assert verify_witness(g, tc.witness, tc.witness_mode)
         confirmed = tc.computed["omega"] <= 3 and tc.computed["alpha"] <= 3
         assert tc.status == ("CONFIRMED" if confirmed else "REFUTED")
@@ -79,34 +80,34 @@ class TestTheorem12:
 
     def test_seeded_fault_complete_graph(self):
         r = 4
-        tc = check_theorem_1_2(r, DEFAULT_PROFILE, graph_override=complete(r + 1))
+        tc = check_theorem_1_2(r, DEFAULT_PROFILE, complete(r + 1))
         assert tc.status == "REFUTED"
         assert tc.witness_mode == "clique"
         assert len(tc.witness) == r + 1
 
     def test_deterministic_reruns(self):
-        a = check_theorem_1_2(3, DEFAULT_PROFILE)
-        b = check_theorem_1_2(3, DEFAULT_PROFILE)
+        a = check_theorem_1_2(3, DEFAULT_PROFILE, build_SF(4, DEFAULT_PROFILE).graph)
+        b = check_theorem_1_2(3, DEFAULT_PROFILE, build_SF(4, DEFAULT_PROFILE).graph)
         assert a == b
 
     def test_rejects_small_r(self):
         with pytest.raises(ValueError):
-            check_theorem_1_2(1)
+            check_theorem_1_2(1, DEFAULT_PROFILE, cycle(5))
 
     def test_cycle5_confirmed(self):
-        tc = check_theorem_1_2(2, graph_override=cycle(5))
+        tc = check_theorem_1_2(2, DEFAULT_PROFILE, cycle(5))
         assert tc.status == "CONFIRMED"
         assert tc.computed == {"omega": 2, "alpha": 2}
         assert tc.witness_mode == "clique" and len(tc.witness) == 2
 
     def test_complete6_refuted_with_clique(self):
-        tc = check_theorem_1_2(2, graph_override=complete(6))
+        tc = check_theorem_1_2(2, DEFAULT_PROFILE, complete(6))
         assert tc.status == "REFUTED"
         assert tc.witness_mode == "clique"
         assert verify_witness(complete(6), tc.witness, "clique")
 
     def test_empty6_refuted_with_independent_set(self):
-        tc = check_theorem_1_2(2, graph_override=empty(6))
+        tc = check_theorem_1_2(2, DEFAULT_PROFILE, empty(6))
         assert tc.status == "REFUTED"
         assert tc.witness_mode == "independent"
         assert len(tc.witness) >= 3
@@ -200,7 +201,7 @@ class TestConfirmR3:
 )
 def test_t12_matches_enumeration_oracle(n, density, seed, r):
     g = random_graph(n, density, random.Random(seed))
-    tc = check_theorem_1_2(r, graph_override=g)
+    tc = check_theorem_1_2(r, DEFAULT_PROFILE, g)
     omega, alpha = oracle_max_clique(g), oracle_max_clique(complement(g))
     assert tc.computed == {"omega": omega, "alpha": alpha}
     assert tc.status == ("CONFIRMED" if omega <= r and alpha <= r else "REFUTED")
