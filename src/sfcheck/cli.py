@@ -22,7 +22,7 @@ from contextlib import nullcontext
 from sfcheck.construct import DEFAULT_PROFILE, InterpretationProfile
 from sfcheck.formats import encode_dimacs, encode_graph6
 from sfcheck.graphs import complement, random_graph
-from sfcheck.report import build_target, run_verification, write_report
+from sfcheck.report import build_target, require_rebuildable, run_verification, write_report
 from sfcheck.solve import max_clique, max_independent_set, oracle_max_clique
 from sfcheck.verify import CLAIMS
 
@@ -107,6 +107,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print("error: --t-max must be >= 3", file=sys.stderr)
         return 2
     profile = _profile_from_args(args)
+    # Each claim's largest job is its target at t-max; refuse the sweep
+    # before listing jobs if any of them is too large to reload.
+    for _, kind, _ in CLAIMS.values():
+        require_rebuildable(kind, args.t_max, profile)
     # Every claim at every r from its minimum whose target's parameter is at most t-max.
     jobs = [
         (theorem, r, profile)

@@ -70,7 +70,7 @@ class InterpretationProfile:
             raise ValueError(f"unknown prod reading {self.prod!r}")
         if self.base_case not in PROFILE_BASES:
             raise ValueError(f"unknown base_case reading {self.base_case!r}")
-        if isinstance(self.y_label, bool) or self.y_label not in LABELS:
+        if type(self.y_label) is not int or self.y_label not in LABELS:
             raise ValueError(f"y_label must be 1 or 2, got {self.y_label!r}")
 
     def to_dict(self) -> dict:
@@ -156,7 +156,7 @@ class LabeledGraph:
         if laid_out != self.graph.n or any(r < 3 for r in self.stages):
             raise ValueError(f"stages {self.stages} do not lay out {self.graph.n} vertices")
         for lab in self.labels:
-            if isinstance(lab, bool) or lab not in LABELS:
+            if type(lab) is not int or lab not in LABELS:
                 raise ValueError(f"label {lab!r} outside {{1, 2}}")
 
     def label_counts(self) -> dict[int, int]:
@@ -168,6 +168,10 @@ class LabeledGraph:
         for r in self.stages:
             start, stop = stop, stop + stage_size(r, self.base_path)
             yield r, start, stop
+
+    def stage_cuts(self) -> tuple[int, ...]:
+        """Where each stage after the first starts: the cuts ``solve.stage_solve`` takes."""
+        return tuple(start for _, start, _ in self.stage_spans())[1:]
 
     def provenance(self, v: int) -> VertexProvenance:
         """Where vertex v sits, in closed form within its stage's span."""

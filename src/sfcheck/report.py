@@ -54,6 +54,15 @@ def _now() -> str:
 MAX_REBUILD_VERTICES = 20_000
 
 
+def require_rebuildable(kind: str, param: int, profile: InterpretationProfile) -> None:
+    """ValueError, unbuilt, for a target above ``MAX_REBUILD_VERTICES``,
+    which ``verify_report`` refuses to rebuild, and for the builders'
+    invalid kinds and parameters."""
+    size = target_vertex_count(kind, param, profile)
+    if size > MAX_REBUILD_VERTICES:
+        raise ValueError(f"{kind}({param}) has {size} vertices, above the limit of {MAX_REBUILD_VERTICES}")
+
+
 def build_target(kind: str, param: int, profile: InterpretationProfile) -> LabeledGraph:
     if kind == "F":
         return build_F(param, profile)
@@ -157,11 +166,23 @@ def _check_shape_problem(check, where: str) -> str | None:
 _MISSING = object()
 
 
+def _canonical(value) -> str | None:
+    """Compact sorted-key JSON of ``value``, in which 0, 0.0 and false
+    differ; None for a value JSON cannot hold."""
+    try:
+        return json.dumps(value, sort_keys=True)
+    except (TypeError, ValueError):
+        return None
+
+
 def _differences(expected, actual, where: str = "") -> Iterator[str]:
     """The path of each field where ``actual`` differs from ``expected``,
-    is missing or is extra.  Equal subtrees are passed over in one
-    comparison, so an unedited report costs one ``==``."""
-    if expected == actual:
+    is missing or is extra.  Values are compared as JSON, so a bool, an
+    int and a float never stand for each other.  Equal subtrees are passed
+    over in one comparison, so an unedited report costs one serialization
+    of each side."""
+    text = _canonical(expected)
+    if text is not None and text == _canonical(actual):
         return
     if isinstance(expected, dict) and isinstance(actual, dict):
         for key in [*expected, *(k for k in actual if k not in expected)]:
@@ -200,12 +221,7 @@ def verify_report(report) -> list[str]:
     kind, param = report["target"].get("kind"), report["target"]["param"]
     try:
         profile = InterpretationProfile.from_dict(report["profile"])
-        size = target_vertex_count(kind, param, profile)
-        if size > MAX_REBUILD_VERTICES:
-            return [
-                f"cannot rebuild target: {kind}({param}) has {size} vertices, "
-                f"above the limit of {MAX_REBUILD_VERTICES}"
-            ]
+        require_rebuildable(kind, param, profile)
         lg = build_target(kind, param, profile)
     except (KeyError, ValueError) as exc:
         return [f"cannot rebuild target: {exc}"]
@@ -258,12 +274,15 @@ def run_verification(
     profile: InterpretationProfile = DEFAULT_PROFILE,
 ) -> dict:
     """Build the claim's target, run its check on that build, and assemble
-    the full report.  The theorem and r are checked before anything is built.
+    the full report.  The theorem, r and the target's size (``verify_report``'s
+    limit) are checked before anything is built.
     """
     started = _now()
-    lg = build_target(*claim_target(theorem, r), profile)
+    target = claim_target(theorem, r)
+    require_rebuildable(*target, profile)
+    lg = build_target(*target, profile)
     if theorem == "1.1":
         tc = check_theorem_1_1(r, profile, lg)
     else:
-        tc = check_theorem_1_2(r, profile, lg.graph)
+        tc = check_theorem_1_2(r, profile, lg.graph, lg.labels, lg.stage_cuts())
     return make_report(lg, tc, started, _now())

@@ -19,13 +19,44 @@ small graphs.
 All searches are single-threaded and fully deterministic (ties break toward
 the lowest vertex index), so sizes, witnesses, and node counts reproduce
 across runs.
+
+stage_solve is the stage route: omega and alpha of a stack such as SF(t)
+composed from solves on its stages.  Its premise is the cross-stage rule,
+checked on the graph it is given: two vertices of different stages are
+adjacent exactly when their label parities differ (label 1 is odd,
+label 2 even).  Write omega_1, omega_2 (alpha_1, alpha_2) for the clique
+(independence) number of one stage's label-1 and label-2 classes.  Then
+
+    omega = max(max_r omega(r), max over r != s of omega_1(r) + omega_2(s)),
+    alpha = max(max_r alpha(r), sum_r alpha_1(r), sum_r alpha_2(r)).
+
+Proof.  A clique K that meets stages r != s is joined across them, so every
+vertex of K in r has the parity opposite to every vertex of K in s: all of
+K within r lies in one class, all of K within s in the other.  Three
+stages would need three pairwise opposite parities, so K meets at most
+two, and |K| is at most omega(r) or omega_1(r) + omega_2(s) for some
+r != s.  An independent set I that meets stages r != s has no edge across
+them, so each of its vertices in r shares the parity of each in s, and
+then of every vertex of I: I lies in one class throughout, and |I| is at
+most alpha(r) or sum_r alpha_p(r) for its class p.  Each bound is met:
+by one stage's optimum, by an odd clique and an even clique of two
+stages (every pair across them is joined), and by one class's
+independent sets of every stage (no pair across them is joined).
+
+Every solve of stage_solve and max_mono_clique goes through one memo keyed
+on the solved graph's value and the mode, so a sweep solves each stage,
+and each of its classes, once.  T1.1's single-label cliques of F(r) are
+the class cliques of the stage r of every SF(t), and share those solves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cache
+from itertools import permutations
+from typing import Iterator
 
+from sfcheck.construct import LABELS, _opposite_parity_joins
 from sfcheck.graphs import Graph, as_vertex_set, complement, induced
 
 ORACLE_MAX_N = 24
@@ -41,19 +72,20 @@ class CliqueResult:
 
 
 def verify_witness(g: Graph, members, mode: str) -> bool:
-    """O(k^2) pairwise re-check that ``members`` is a clique / independent set.
+    """Pairwise re-check that ``members`` is a clique / independent set.
 
-    Independent of the solvers; every witness that leaves this module has
-    passed it, and reports re-run it on load.
+    Each member's row, restricted to the members, must hold every other
+    member (clique) or none (independent set): k row masks in place of
+    k^2/2 single-pair queries.  Independent of the solvers; every witness
+    that leaves this module has passed it, and reports re-run it on load.
     """
     if mode not in ("clique", "independent"):
         raise ValueError(f"unknown witness mode {mode!r}")
     vs = as_vertex_set(g, members)
-    want = mode == "clique"
-    for a, b in combinations(vs, 2):
-        if g.has_edge(a, b) != want:
-            return False
-    return True
+    chosen = sum(1 << v for v in vs)
+    if mode == "clique":
+        return all(g.rows[v] & chosen == chosen ^ (1 << v) for v in vs)
+    return all(not g.rows[v] & chosen for v in vs)
 
 
 def _degeneracy_order(rows: tuple[int, ...], n: int) -> list[int]:
@@ -210,6 +242,32 @@ def max_independent_set(g: Graph) -> CliqueResult:
     return res
 
 
+@cache
+def _solve(g: Graph, mode: str) -> CliqueResult:
+    """max_clique or max_independent_set of ``g``, memoized on its value
+    for the life of the process; results are deterministic, so a hit
+    returns what a fresh solve would."""
+    return max_clique(g) if mode == "clique" else max_independent_set(g)
+
+
+@cache
+def _label_classes(g: Graph, labels: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], Graph], ...]:
+    """(members, induced subgraph) of each label class of ``g``, label 1
+    first; memoized like ``_solve``, so a sweep induces each class once."""
+    classes = []
+    for label in LABELS:
+        members = tuple(v for v, lab in enumerate(labels) if lab == label)
+        classes.append((members, induced(g, members)))
+    return tuple(classes)
+
+
+def _class_solves(g: Graph, labels, mode: str) -> Iterator[tuple[tuple[int, ...], CliqueResult]]:
+    """(members, result) of the ``mode`` solve on each label class of
+    ``g``, label 1 first; the result numbers the class's own vertices."""
+    for members, sub in _label_classes(g, tuple(labels)):
+        yield members, _solve(sub, mode)
+
+
 def max_mono_clique(g: Graph, labels: tuple[int, ...]) -> CliqueResult:
     """Largest clique of ``g`` whose vertices all carry one label (1 or 2).
 
@@ -219,9 +277,7 @@ def max_mono_clique(g: Graph, labels: tuple[int, ...]) -> CliqueResult:
     best_size = 0
     best_witness: tuple[int, ...] = ()
     nodes = 0
-    for label in (1, 2):
-        members = tuple(v for v, lab in enumerate(labels) if lab == label)
-        res = max_clique(induced(g, members))
+    for members, res in _class_solves(g, labels, "clique"):
         nodes += res.nodes_explored
         if res.size > best_size:
             best_size = res.size
@@ -229,6 +285,64 @@ def max_mono_clique(g: Graph, labels: tuple[int, ...]) -> CliqueResult:
     if not verify_witness(g, best_witness, "clique"):
         raise AssertionError("solver produced an invalid single-label witness")
     return CliqueResult(best_size, best_witness, nodes)
+
+
+def _require_stage_joins(g: Graph, labels, bounds: list[int]) -> None:
+    """AssertionError unless each row, outside its own stage, is exactly
+    that vertex's opposite-parity joins: the stage route's premise."""
+    if len(labels) != g.n or any(lo >= hi for lo, hi in zip(bounds, bounds[1:])):
+        raise ValueError(f"labels and stage cuts {bounds[1:-1]} do not lay out {g.n} vertices")
+    full = (1 << g.n) - 1
+    outside = {hi: full ^ ((1 << hi) - (1 << lo)) for lo, hi in zip(bounds, bounds[1:])}
+    for v, hi, join in _opposite_parity_joins(labels, bounds):
+        if g.rows[v] & outside[hi] != join:
+            raise AssertionError(f"vertex {v} breaks the opposite-parity rule between stages")
+
+
+def _stage_parts(g: Graph, labels, lo: int, hi: int, mode: str) -> tuple[list[tuple[int, ...]], int]:
+    """The ``mode`` optima, in ``g``'s numbering, of the stage [lo, hi) of
+    ``g``: the whole stage, its label-1 class and its label-2 class; and
+    the nodes of the three solves."""
+    mask = (1 << (hi - lo)) - 1
+    piece = Graph._trusted(hi - lo, tuple(row >> lo & mask for row in g.rows[lo:hi]))
+    whole = _solve(piece, mode)
+    optima = [tuple(v + lo for v in whole.witness)]
+    nodes = whole.nodes_explored
+    for members, res in _class_solves(piece, labels[lo:hi], mode):
+        optima.append(tuple(members[i] + lo for i in res.witness))
+        nodes += res.nodes_explored
+    return optima, nodes
+
+
+def stage_solve(
+    g: Graph, labels: tuple[int, ...], cuts: tuple[int, ...]
+) -> tuple[CliqueResult, CliqueResult]:
+    """Maximum clique and maximum independent set of ``g``, whose stages
+    start at 0 and at each of ``cuts``, composed from per-stage solves (the
+    module docstring proves the formulas).
+
+    Checks the cross-stage rule first and raises AssertionError where it
+    fails.  Ties go to a single stage, then to the first candidate in stage
+    order; the node count sums every solve the answer rests on, memoized
+    or not, so it does not depend on what ran before.
+    """
+    bounds = [0, *cuts, g.n]
+    _require_stage_joins(g, labels, bounds)
+    results = []
+    for mode in ("clique", "independent"):
+        parts = [_stage_parts(g, labels, lo, hi, mode) for lo, hi in zip(bounds, bounds[1:])]
+        stages = [optima for optima, _ in parts]  # [whole, label 1, label 2] per stage
+        candidates = [whole for whole, _, _ in stages]
+        if mode == "clique":
+            candidates += [a[1] + b[2] for a, b in permutations(stages, 2)]
+        else:
+            candidates += [sum((stage[label] for stage in stages), ()) for label in LABELS]
+        witness = tuple(sorted(max(candidates, key=len)))
+        if not verify_witness(g, witness, mode):
+            raise AssertionError(f"stage route assembled an invalid {mode} witness")
+        nodes = sum(count for _, count in parts)
+        results.append(CliqueResult(len(witness), witness, nodes))
+    return results[0], results[1]
 
 
 def oracle_max_clique(g: Graph) -> int:

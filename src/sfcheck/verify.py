@@ -31,6 +31,7 @@ from sfcheck.solve import (
     max_clique,
     max_independent_set,
     max_mono_clique,
+    stage_solve,
     verify_witness,
 )
 
@@ -119,16 +120,23 @@ def check_theorem_1_1(r: int, profile: InterpretationProfile, lg: LabeledGraph) 
     )
 
 
-def check_theorem_1_2(r: int, profile: InterpretationProfile, g: Graph) -> TheoremCheck:
+def check_theorem_1_2(
+    r: int, profile: InterpretationProfile, g: Graph, labels=(), cuts=()
+) -> TheoremCheck:
     """Check that ``g`` has no clique or independent set on r+1 vertices.
 
-    ``g`` is the build of SF(r+1) under ``profile``, or a graph under test
-    (the seeded-fault tests); the claim thresholds stay r.  The witness is
+    ``g`` is the build of SF(r+1) under ``profile``, with its labels and
+    the vertices where its stages after the first start; omega and alpha
+    then come from per-stage solves (``solve.stage_solve``).  A graph with
+    no cuts, SF(3) or a graph under test (the seeded-fault tests), is
+    solved whole.  The claim thresholds stay r.  The witness is
     re-verified pairwise before it is returned.
     """
     claim_target("1.2", r)  # ValueError for an r the claim is not stated for
-    omega = max_clique(g)
-    alpha = max_independent_set(g)
+    if cuts:
+        omega, alpha = stage_solve(g, labels, cuts)
+    else:
+        omega, alpha = max_clique(g), max_independent_set(g)
     computed = {"omega": omega.size, "alpha": alpha.size}
     claimed, status, mode = claim_verdict("T1_2", r, computed)
     witness = alpha.witness if mode == "independent" else omega.witness

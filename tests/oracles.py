@@ -320,3 +320,24 @@ def edgewise_encode_dimacs(g: Graph) -> str:
             if (g.rows[i] >> j) & 1:
                 lines.append(f"e {i + 1} {j + 1}")
     return "\n".join(lines) + "\n"
+
+
+def pairwise_induced(g: Graph, members) -> Graph:
+    """Induced subgraph by one bit test per member pair, renumbered in
+    increasing original order; the reference for ``graphs.induced``."""
+    vs = sorted(members)
+    k = len(vs)
+    rows = [0] * k
+    for p in range(k):
+        for q in range(p + 1, k):
+            if (g.rows[vs[p]] >> vs[q]) & 1:
+                rows[p] |= 1 << q
+                rows[q] |= 1 << p
+    return Graph(k, tuple(rows))
+
+
+def pairwise_witness_ok(g: Graph, members, mode: str) -> bool:
+    """Clique / independent-set check by one ``has_edge`` per member pair;
+    the reference for ``solve.verify_witness``."""
+    want = mode == "clique"
+    return all(g.has_edge(a, b) == want for a, b in itertools.combinations(sorted(members), 2))

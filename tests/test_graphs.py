@@ -26,7 +26,14 @@ from sfcheck.graphs import (
 from sfcheck.report import run_verification
 from sfcheck.solve import max_independent_set
 
-from oracles import all_profiles, brute_force_isomorphic, edge_set, naive_product_edges, walk_problems
+from oracles import (
+    all_profiles,
+    brute_force_isomorphic,
+    edge_set,
+    naive_product_edges,
+    pairwise_induced,
+    walk_problems,
+)
 
 
 @st.composite
@@ -341,3 +348,10 @@ class TestTrustBoundary:
         with pytest.raises(ValueError, match=message):
             Graph(2, rows)
         assert len(checked) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(max_n=12), st.sets(st.integers(min_value=0, max_value=11)))
+def test_induced_matches_pairwise_reference(g, picks):
+    members = [v for v in picks if v < g.n]
+    assert induced(g, members) == pairwise_induced(g, members)

@@ -2,10 +2,17 @@
 
 ``report_digests.json`` holds the sha256 of
 ``report_to_json(strip_volatile(report))`` for each of the 24 profiles
-under T1.1 at r=3..7 and T1.2 at r=2..6, recorded before the graph algebra
-stopped re-checking its own output and the degeneracy order moved to
-bucket queues.  Any change to a verdict, witness, node count or graph
-statistic changes a digest.
+under T1.1 at r=3..7 and T1.2 at r=2..6.  The T1.1 and the T1.2 r=2
+digests were recorded before the graph algebra stopped re-checking its own
+output and the degeneracy order moved to bucket queues; the T1.2 r>=3
+digests when T1.2 moved to the stage route, which changed only their
+witnesses and node counts.  Any change to a verdict, witness, node count
+or graph statistic changes a digest.
+
+``report_values.json`` holds, for the same 240 reports, every field but
+the witness and the node counts, as the monolithic solver gave them
+before the stage route: n, m, label counts, computed sizes, claim, status,
+witness mode and bound.
 """
 
 import hashlib
@@ -16,11 +23,12 @@ from sfcheck.construct import InterpretationProfile
 from sfcheck.report import report_to_json, run_verification, strip_volatile
 
 DIGESTS = os.path.join(os.path.dirname(__file__), "report_digests.json")
+VALUES = os.path.join(os.path.dirname(__file__), "report_values.json")
 
 # sha256 of all 240 reports concatenated in the file's order: profiles in
 # itertools.product(sums, prods, bases, y_labels) order, T1.1 before T1.2,
 # r ascending.
-ALL_REPORTS_SHA256 = "40679f25a0a215647ad2e624a4d2693f542fc0731763ef7cd1292bf7043d2676"
+ALL_REPORTS_SHA256 = "41a9438f7dbbef52bd6e7bf317eb18bcdc00b9987adbdc1141e4e35143bb7914"
 
 
 def test_reports_match_recorded_digests():
@@ -37,3 +45,28 @@ def test_reports_match_recorded_digests():
             mismatches.append((s, p, b, y, theorem, r))
     assert mismatches == []
     assert total.hexdigest() == ALL_REPORTS_SHA256
+
+
+def test_reports_keep_the_monolithic_values():
+    with open(VALUES) as fh:
+        entries = json.load(fh)
+    with open(DIGESTS) as fh:
+        assert [entry[:6] for entry in entries] == [entry[:6] for entry in json.load(fh)]
+    mismatches = []
+    for s, p, b, y, theorem, r, values in entries:
+        profile = InterpretationProfile(sum=s, prod=p, base_case=b, y_label=y)
+        report = run_verification(theorem, r, profile)
+        check = report["checks"][0]
+        got = {
+            "n": report["graph_stats"]["n"],
+            "m": report["graph_stats"]["m"],
+            "label_counts": report["graph_stats"]["label_counts"],
+            "computed": check["computed"],
+            "claimed": check["claimed"],
+            "status": check["status"],
+            "witness_mode": check["witness_mode"],
+            "bound": report["bound"],
+        }
+        if got != values:
+            mismatches.append((s, p, b, y, theorem, r))
+    assert mismatches == []

@@ -2,13 +2,14 @@
 
 import copy
 import functools
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfcheck import report as report_module
-from sfcheck.construct import build_F, build_SF
+from sfcheck.construct import InterpretationProfile, LabeledGraph, build_F, build_SF
 from sfcheck.report import (
     MAX_REBUILD_VERTICES,
     load_report,
@@ -100,6 +101,11 @@ TAMPERED = {
     "T1.1 r=4 computed lowered to the claim": (
         "1.1", 4, [(CHECK + ("computed", "mono_clique"), 2), (CHECK + ("status",), "CONFIRMED")]
     ),
+    # JSON values that Python's == takes for the recorded ones: 0 == False, 30.0 == 30, 1 == True.
+    "bound.witness_ok is 0": ("1.2", 3, [(("bound", "witness_ok"), 0)]),
+    "graph_stats.n is a float": ("1.2", 3, [(("graph_stats", "n"), 30.0)]),
+    "solver_stats.nodes_explored is false": ("1.1", 3, [(("solver_stats", "nodes_explored"), False)]),
+    "deterministic is 1": ("1.1", 3, [(("deterministic",), 1)]),
 }
 
 
@@ -196,3 +202,48 @@ def test_verify_report_never_raises(report):
     problems = verify_report(report)
     assert isinstance(problems, list)
     assert all(isinstance(p, str) for p in problems)
+
+
+@pytest.mark.parametrize("theorem", ["1.1", "1.2"])
+def test_float_y_label_cannot_rebuild(theorem, tmp_path):
+    report = base_report(theorem, 3)
+    for path in (("profile", "y_label"), CHECK + ("profile", "y_label")):
+        assert report_path_value(report, path) == 2
+        report = edited(report, path, 2.0)
+    assert verify_report(report) == ["cannot rebuild target: y_label must be 1 or 2, got 2.0"]
+    assert_rejected(report, tmp_path)
+
+
+def report_path_value(report, path):
+    for key in path:
+        report = report[key]
+    return report
+
+
+def test_float_labels_are_refused():
+    with pytest.raises(ValueError, match="y_label must be 1 or 2, got 2.0"):
+        InterpretationProfile(y_label=2.0)
+    lg = build_F(3)
+    with pytest.raises(ValueError, match="label 1.0 outside"):
+        LabeledGraph(lg.graph, (1.0, *lg.labels[1:]), lg.stages, lg.base_path)
+
+
+def test_sf31_is_the_largest_stack_within_the_limit():
+    for profile in all_profiles():
+        assert target_vertex_count("SF", 31, profile) <= MAX_REBUILD_VERTICES
+        assert target_vertex_count("SF", 32, profile) > MAX_REBUILD_VERTICES
+
+
+@pytest.mark.parametrize("theorem, r, target", [("1.2", 40, "SF(41) has 45910"), ("1.1", 101, "F(101) has 20200")])
+def test_run_verification_refuses_what_verify_report_would(theorem, r, target, monkeypatch):
+    def no_build(*args):
+        raise AssertionError("run_verification built an oversized target")
+
+    monkeypatch.setattr(report_module, "build_F", no_build)
+    monkeypatch.setattr(report_module, "build_SF", no_build)
+    message = f"{target} vertices, above the limit of {MAX_REBUILD_VERTICES}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_verification(theorem, r)
+    kind, param = target.split()[0].rstrip(")").split("(")
+    report = edited(base_report(theorem), ("target",), {"kind": kind, "param": int(param)})
+    assert verify_report(report) == [f"cannot rebuild target: {message}"]

@@ -33,6 +33,7 @@ from sfcheck.solve import (
 )
 
 from oracles import (
+    pairwise_witness_ok,
     recursive_max_clique,
     scan_degeneracy_order,
     subset_max_clique,
@@ -271,3 +272,10 @@ def test_deep_search_needs_no_recursion(monkeypatch):
     assert res.size == 1200 and res.witness == expected
     res = max_independent_set(empty(1200))
     assert res.size == 1200 and res.witness == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(), st.sets(st.integers(min_value=0, max_value=8)), st.sampled_from(["clique", "independent"]))
+def test_verify_witness_matches_pairwise_reference(g, picks, mode):
+    members = [v for v in picks if v < g.n]
+    assert verify_witness(g, members, mode) == pairwise_witness_ok(g, members, mode)

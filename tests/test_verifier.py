@@ -70,8 +70,9 @@ class TestTheorem12:
         assert verify_witness(g, tc.witness, "independent")
 
     def test_r3_default_certificate(self):
-        g = build_SF(4, DEFAULT_PROFILE).graph
-        tc = check_theorem_1_2(3, DEFAULT_PROFILE, g)
+        lg = build_SF(4, DEFAULT_PROFILE)
+        g = lg.graph
+        tc = check_theorem_1_2(3, DEFAULT_PROFILE, g, lg.labels, lg.stage_cuts())
         assert verify_witness(g, tc.witness, tc.witness_mode)
         confirmed = tc.computed["omega"] <= 3 and tc.computed["alpha"] <= 3
         assert tc.status == ("CONFIRMED" if confirmed else "REFUTED")
@@ -86,8 +87,10 @@ class TestTheorem12:
         assert len(tc.witness) == r + 1
 
     def test_deterministic_reruns(self):
-        a = check_theorem_1_2(3, DEFAULT_PROFILE, build_SF(4, DEFAULT_PROFILE).graph)
-        b = check_theorem_1_2(3, DEFAULT_PROFILE, build_SF(4, DEFAULT_PROFILE).graph)
+        lg = build_SF(4, DEFAULT_PROFILE)
+        a = check_theorem_1_2(3, DEFAULT_PROFILE, lg.graph, lg.labels, lg.stage_cuts())
+        lg = build_SF(4, DEFAULT_PROFILE)
+        b = check_theorem_1_2(3, DEFAULT_PROFILE, lg.graph, lg.labels, lg.stage_cuts())
         assert a == b
 
     def test_rejects_small_r(self):
