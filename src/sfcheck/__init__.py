@@ -21,10 +21,8 @@ from sfcheck.construct import (
     DEFAULT_PROFILE,
     InterpretationProfile,
     LabeledGraph,
-    VertexProvenance,
     build_F,
     build_SF,
-    validate,
 )
 from sfcheck.solve import (
     CliqueResult,
@@ -63,10 +61,8 @@ __all__ = [
     "InterpretationProfile",
     "DEFAULT_PROFILE",
     "LabeledGraph",
-    "VertexProvenance",
     "build_F",
     "build_SF",
-    "validate",
     "CliqueResult",
     "max_clique",
     "max_independent_set",

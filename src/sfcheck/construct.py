@@ -5,8 +5,9 @@ The construction stacks stages: each stage r contributes a block graph G_z
 H side that is the complement of the G side on a fresh vertex range, and
 cross edges that join exactly the opposite-parity label pairs.  SF(t)
 chains stages 3..t, again joining opposite-parity pairs across stages.
-A build records that layout once, as its list of stages; provenance, the
-G-to-H correspondence and ``validate``'s exempt groups derive from it.
+A build records that layout once, as its list of stages; the cuts between
+its sides and stages, where ``solve.stage_solve`` checks that rule, derive
+from it.
 
 Several operators in that recipe admit more than one defensible reading.
 An InterpretationProfile pins all of them explicitly, so every build is a
@@ -25,15 +26,6 @@ PROFILE_PRODS = ("lexicographic", "cartesian", "tensor")
 PROFILE_BASES = ("explicit_path", "general")
 LABELS = (1, 2)
 
-# Position names of the six-vertex explicit base path, in index order.
-PATH_POSITIONS = ("v", "u", "w", "x", "y", "t")
-
-G_SIDE = "G_side"
-H_SIDE = "H_side"
-PATH_SIDE = "path"
-X_BLOCK = "x_block"
-Y_BLOCK = "y_block"
-
 
 def label_parity(label: int) -> int:
     return label % 2
@@ -41,11 +33,6 @@ def label_parity(label: int) -> int:
 
 def flip_label(label: int) -> int:
     return 3 - label
-
-
-def opposite_parity(a: int, b: int) -> bool:
-    """The cross-edge condition: labels whose parities differ."""
-    return label_parity(a) != label_parity(b)
 
 
 @dataclass(frozen=True)
@@ -118,22 +105,6 @@ def target_vertex_count(kind: str, param: int, profile: InterpretationProfile) -
 
 
 @dataclass(frozen=True)
-class VertexProvenance:
-    """Where a vertex sits in the build.
-
-    General stages use side G_side/H_side with copy, block and within-block
-    index.  Explicit base-path vertices use side "path" with the position
-    name stored in ``block`` and the path index in ``within``.
-    """
-
-    stage_r: int
-    side: str
-    copy: int
-    block: str
-    within: int
-
-
-@dataclass(frozen=True)
 class LabeledGraph:
     """Graph plus per-vertex labels and the stage layout that places them.
 
@@ -141,7 +112,6 @@ class LabeledGraph:
     whether stage 3 is the six-vertex explicit path.  Any other stage is a
     G side then an H side, each r-1 copies of an x block of r // 2 vertices
     then a y block; G vertex v corresponds to H vertex v + half.
-    Provenance and correspondence derive from this layout, never stored.
     """
 
     graph: Graph
@@ -170,21 +140,15 @@ class LabeledGraph:
             yield r, start, stop
 
     def stage_cuts(self) -> tuple[int, ...]:
-        """Where each stage after the first starts: the cuts ``solve.stage_solve`` takes."""
-        return tuple(start for _, start, _ in self.stage_spans())[1:]
-
-    def provenance(self, v: int) -> VertexProvenance:
-        """Where vertex v sits, in closed form within its stage's span."""
-        if isinstance(v, bool) or not 0 <= v < self.graph.n:
-            raise ValueError(f"vertex {v!r} out of range for n={self.graph.n}")
-        r, start, stop = next(span for span in self.stage_spans() if v < span[2])
-        i = v - start
-        if r == 3 and self.base_path:
-            return VertexProvenance(3, PATH_SIDE, 0, PATH_POSITIONS[i], i)
-        half = (stop - start) // 2
-        copy, j = divmod(i % half, r)
-        block, within = (X_BLOCK, j) if j < r // 2 else (Y_BLOCK, j - r // 2)
-        return VertexProvenance(r, (G_SIDE, H_SIDE)[i >= half], copy, block, within)
+        """Where each part after the first starts, a part being the base
+        path or one side of a stage: the cuts ``solve.stage_solve`` takes.
+        Any two parts are joined by the opposite-parity rule alone."""
+        cuts = []
+        for r, start, stop in self.stage_spans():
+            cuts.append(start)
+            if not (r == 3 and self.base_path):
+                cuts.append((start + stop) // 2)
+        return tuple(cuts[1:])
 
 
 def _opposite_parity_joins(labels: tuple[int, ...], bounds: list[int]) -> Iterator[tuple[int, int, int]]:
@@ -246,45 +210,3 @@ def build_SF(t: int, profile: InterpretationProfile = DEFAULT_PROFILE) -> Labele
         labels += stage.labels
     graph = _join_opposite_parity(rows, labels, offsets[1:])
     return LabeledGraph(graph, labels, tuple(range(3, t + 1)), profile.base_case == "explicit_path")
-
-
-def validate(lg: LabeledGraph) -> list[str]:
-    """Diagnostics for a finished build; returns violations, empty if valid.
-
-    Lists ``Graph.problems()`` (the one shape, range, loop and symmetry
-    check) and stops there when the rows are not a tuple of n ints.  Then
-    checks, from the stage layout, the label flip across each pair
-    (v, v + half) of a two-sided stage, and the opposite-parity cross-edge
-    rule between any two vertices outside one exempt group: one side of a
-    stage, or the whole base path.  Never raises.
-    """
-    g, labels = lg.graph, lg.labels
-    out = list(g.problems())
-    if g.shape_problem():
-        return out
-    bounds = []  # where each exempt group starts: a side, or the whole base path
-    for r, start, stop in lg.stage_spans():
-        if r == 3 and lg.base_path:
-            bounds.append(start)
-            continue
-        half = (stop - start) // 2
-        bounds += [start, start + half]
-        out.extend(
-            f"label-flip: correspondence pair ({v}, {v + half}) carries same-parity labels "
-            f"({labels[v]}, {labels[v + half]})"
-            for v in range(start, start + half)
-            if not opposite_parity(labels[v], labels[v + half])
-        )
-
-    # Cross-edge rule: a pair is an edge iff its label parities differ,
-    # unless both ends lie in one group.  Groups are consecutive ranges, so
-    # the pairs (v, w > v) to check are exactly those with w past v's group.
-    full = (1 << g.n) - 1
-    for v, hi, should in _opposite_parity_joins(labels, bounds + [g.n]):
-        bad = (g.rows[v] ^ should) & (full >> hi << hi)
-        while bad:
-            w = (bad & -bad).bit_length() - 1
-            bad &= bad - 1
-            kind = "missing" if (should >> w) & 1 else "unexpected"
-            out.append(f"{kind}-cross-edge: ({v}, {w})")
-    return out

@@ -9,7 +9,7 @@ for products).
 invariants.  ``Graph.__post_init__`` raises its first problem, so the check
 runs at the trust boundary: public ``Graph(...)``, ``Graph.from_edges``
 (hence ``path`` and ``cycle``), ``random_graph`` and
-``formats.decode_graph6``; ``construct.validate`` lists every problem.
+``formats.decode_graph6``.
 The check runs in full at that boundary: range and loop per row, then
 symmetry as one comparison of the LSB-first bit strings with their
 transpose.  The per-bit walk runs only on a graph that fails, to name its

@@ -21,45 +21,72 @@ the lowest vertex index), so sizes, witnesses, and node counts reproduce
 across runs.
 
 stage_solve is the stage route: omega and alpha of a stack such as SF(t)
-composed from solves on its stages.  Its premise is the cross-stage rule,
-checked on the graph it is given: two vertices of different stages are
-adjacent exactly when their label parities differ (label 1 is odd,
-label 2 even).  Write omega_1, omega_2 (alpha_1, alpha_2) for the clique
-(independence) number of one stage's label-1 and label-2 classes.  Then
+composed from solves on its parts, the vertex ranges between the cuts it
+is given.  The builds cut at every stage and at the half of every
+two-sided stage, so a part is the base path or one side of one stage.
+Its premise is the cross-part rule, checked on the graph it is given: two
+vertices of different parts are adjacent exactly when their label
+parities differ (label 1 is odd, label 2 even).  ``construct.build_F``
+joins the G and H sides of a stage by that rule, as ``build_SF`` joins
+stages.  Write omega_1, omega_2 (alpha_1, alpha_2) for the clique
+(independence) number of one part's label-1 and label-2 classes.  Then
 
     omega = max(max_r omega(r), max over r != s of omega_1(r) + omega_2(s)),
     alpha = max(max_r alpha(r), sum_r alpha_1(r), sum_r alpha_2(r)).
 
-Proof.  A clique K that meets stages r != s is joined across them, so every
+Proof.  A clique K that meets parts r != s is joined across them, so every
 vertex of K in r has the parity opposite to every vertex of K in s: all of
 K within r lies in one class, all of K within s in the other.  Three
-stages would need three pairwise opposite parities, so K meets at most
+parts would need three pairwise opposite parities, so K meets at most
 two, and |K| is at most omega(r) or omega_1(r) + omega_2(s) for some
-r != s.  An independent set I that meets stages r != s has no edge across
+r != s.  An independent set I that meets parts r != s has no edge across
 them, so each of its vertices in r shares the parity of each in s, and
 then of every vertex of I: I lies in one class throughout, and |I| is at
 most alpha(r) or sum_r alpha_p(r) for its class p.  Each bound is met:
-by one stage's optimum, by an odd clique and an even clique of two
-stages (every pair across them is joined), and by one class's
-independent sets of every stage (no pair across them is joined).
+by one part's optimum, by an odd clique and an even clique of two
+parts (every pair across them is joined), and by one class's
+independent sets of every part (no pair across them is joined).
 
-Every solve of stage_solve and max_mono_clique goes through one memo keyed
-on the solved graph's value and the mode, so a sweep solves each stage,
-and each of its classes, once.  T1.1's single-label cliques of F(r) are
-the class cliques of the stage r of every SF(t), and share those solves.
+Each part, and each label class of it, is split before any search (an
+independent set is a clique of the complement):
+
+- a clique is its own maximum clique;
+- a disconnected piece has omega = max over its components: a clique is
+  connected, so it lies in one;
+- a piece with a disconnected complement has omega = sum over its
+  co-components: each vertex of one is joined to every vertex of the
+  others, so a clique is one clique from each;
+- only a piece that is connected and co-connected (prime) is searched.
+
+Cographs are exactly the graphs this split takes down to single vertices
+(Corneil, Lerchs and Stewart Burlingham, Discrete Applied Mathematics
+3(3), 1981).  Every stage side is one under every profile (r-1 disjoint
+copies of K_a + K_(r-a) or of K_r, or edgeless, and their complement),
+and so is each label class of it; the classes of F(r) join no pair across
+its sides.  Only the six-vertex base path and its complement are prime.
+
+Two memos of MEMO_SIZE entries keep the results, one keyed on the solved
+graph (a part's slice, or the graph max_mono_clique is given), the mode
+and the label class, one on each prime piece; a sweep splits each stage
+side and each of its classes once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache, reduce
 from itertools import permutations
+from operator import or_
 from typing import Iterator
 
 from sfcheck.construct import LABELS, _opposite_parity_joins
 from sfcheck.graphs import Graph, as_vertex_set, complement, induced
 
 ORACLE_MAX_N = 24
+
+# Entries each memo keeps.  An in-process sweep to t-max 31, the largest a
+# report loader accepts, keys about 400 stage solves and two prime pieces.
+MEMO_SIZE = 512
 
 
 @dataclass(frozen=True)
@@ -242,53 +269,108 @@ def max_independent_set(g: Graph) -> CliqueResult:
     return res
 
 
-@cache
-def _solve(g: Graph, mode: str) -> CliqueResult:
-    """max_clique or max_independent_set of ``g``, memoized on its value
-    for the life of the process; results are deterministic, so a hit
-    returns what a fresh solve would."""
-    return max_clique(g) if mode == "clique" else max_independent_set(g)
+@lru_cache(maxsize=MEMO_SIZE)
+def _solve_prime(g: Graph) -> CliqueResult:
+    """max_clique of a piece the split leaves prime, memoized on its value."""
+    return max_clique(g)
 
 
-@cache
-def _label_classes(g: Graph, labels: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], Graph], ...]:
-    """(members, induced subgraph) of each label class of ``g``, label 1
-    first; memoized like ``_solve``, so a sweep induces each class once."""
-    classes = []
+def _members(mask: int) -> Iterator[int]:
+    """The vertices of ``mask``, ascending."""
+    while mask:
+        bit = mask & -mask
+        yield bit.bit_length() - 1
+        mask ^= bit
+
+
+def _components(rows: tuple[int, ...], mask: int, flip: int) -> list[int]:
+    """The components of ``mask`` in the graph of ``rows`` (flip 0) or in
+    its complement (flip -1), as masks, lowest vertex first."""
+    parts = []
+    while mask:
+        part = frontier = mask & -mask
+        mask ^= part
+        while frontier:
+            bit = frontier & -frontier
+            frontier ^= bit
+            new = mask & (rows[bit.bit_length() - 1] ^ flip)
+            part |= new
+            frontier |= new
+            mask ^= new
+        parts.append(part)
+    return parts
+
+
+def _split_clique(g: Graph, mask: int) -> tuple[int, int]:
+    """A maximum clique of ``g`` within ``mask``, as a mask, and the
+    branch-and-bound nodes it took (the module docstring gives the rules).
+
+    Pieces are split, parents first, until each is a clique or prime, and
+    a prime piece is induced and searched.  Their cliques are combined
+    children first, so no recursion limits the depth; a component split
+    keeps its first largest clique, so ties go to the lowest vertex.
+    """
+    rows = g.rows
+    pieces, found, splits, nodes = [mask], [], [], 0
+    for piece in pieces:
+        best, split = 0, None
+        if all(rows[v] & piece == piece ^ (1 << v) for v in _members(piece)):
+            best = piece
+        else:
+            for union, flip in ((False, 0), (True, -1)):
+                parts = _components(rows, piece, flip)
+                if len(parts) > 1:
+                    split = (union, len(pieces), len(pieces) + len(parts))
+                    pieces += parts
+                    break
+            else:
+                members = list(_members(piece))
+                res = _solve_prime(induced(g, members))
+                nodes += res.nodes_explored
+                best = sum(1 << members[i] for i in res.witness)
+        found.append(best)
+        splits.append(split)
+    for i in reversed(range(len(pieces))):
+        if splits[i]:
+            union, lo, hi = splits[i]
+            found[i] = reduce(or_, found[lo:hi]) if union else max(found[lo:hi], key=int.bit_count)
+    return found[0], nodes
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _solve(g: Graph, mode: str, labels: tuple[int, ...] = (), label: int | None = None) -> CliqueResult:
+    """The ``mode`` optimum of ``g``, or of its vertices whose ``labels``
+    entry is ``label`` when one is given, numbered as in ``g``, by the
+    split.  Results are deterministic, so a memo hit returns what a fresh
+    solve would."""
+    mask = (1 << g.n) - 1 if label is None else sum(1 << v for v, lab in enumerate(labels) if lab == label)
+    found, nodes = _split_clique(g if mode == "clique" else complement(g), mask)
+    witness = tuple(_members(found))
+    if not verify_witness(g, witness, mode):
+        raise AssertionError(f"decomposition produced an invalid {mode} witness")
+    return CliqueResult(len(witness), witness, nodes)
+
+
+def _class_solves(g: Graph, labels, mode: str) -> Iterator[tuple[int, CliqueResult]]:
+    """(label, result) of the ``mode`` solve on each label class of ``g``,
+    label 1 first; each result numbers ``g``'s vertices."""
+    labels = tuple(labels)
     for label in LABELS:
-        members = tuple(v for v, lab in enumerate(labels) if lab == label)
-        classes.append((members, induced(g, members)))
-    return tuple(classes)
-
-
-def _class_solves(g: Graph, labels, mode: str) -> Iterator[tuple[tuple[int, ...], CliqueResult]]:
-    """(members, result) of the ``mode`` solve on each label class of
-    ``g``, label 1 first; the result numbers the class's own vertices."""
-    for members, sub in _label_classes(g, tuple(labels)):
-        yield members, _solve(sub, mode)
+        yield label, _solve(g, mode, labels, label)
 
 
 def max_mono_clique(g: Graph, labels: tuple[int, ...]) -> CliqueResult:
-    """Largest clique of ``g`` whose vertices all carry one label (1 or 2).
-
-    Solves each label class on its induced subgraph; the witness is reported
-    in the original vertex numbering and carries a single label.
-    """
-    best_size = 0
-    best_witness: tuple[int, ...] = ()
-    nodes = 0
-    for members, res in _class_solves(g, labels, "clique"):
-        nodes += res.nodes_explored
-        if res.size > best_size:
-            best_size = res.size
-            best_witness = tuple(members[i] for i in res.witness)
-    if not verify_witness(g, best_witness, "clique"):
+    """Largest clique of ``g`` whose vertices all carry one label (1 or 2),
+    label 1 on a tie; the node count sums both classes' solves."""
+    results = [res for _, res in _class_solves(g, labels, "clique")]
+    best = max(results, key=lambda res: res.size)
+    if not verify_witness(g, best.witness, "clique"):
         raise AssertionError("solver produced an invalid single-label witness")
-    return CliqueResult(best_size, best_witness, nodes)
+    return CliqueResult(best.size, best.witness, sum(res.nodes_explored for res in results))
 
 
 def _require_stage_joins(g: Graph, labels, bounds: list[int]) -> None:
-    """AssertionError unless each row, outside its own stage, is exactly
+    """AssertionError unless each row, outside its own part, is exactly
     that vertex's opposite-parity joins: the stage route's premise."""
     if len(labels) != g.n or any(lo >= hi for lo, hi in zip(bounds, bounds[1:])):
         raise ValueError(f"labels and stage cuts {bounds[1:-1]} do not lay out {g.n} vertices")
@@ -296,51 +378,43 @@ def _require_stage_joins(g: Graph, labels, bounds: list[int]) -> None:
     outside = {hi: full ^ ((1 << hi) - (1 << lo)) for lo, hi in zip(bounds, bounds[1:])}
     for v, hi, join in _opposite_parity_joins(labels, bounds):
         if g.rows[v] & outside[hi] != join:
-            raise AssertionError(f"vertex {v} breaks the opposite-parity rule between stages")
-
-
-def _stage_parts(g: Graph, labels, lo: int, hi: int, mode: str) -> tuple[list[tuple[int, ...]], int]:
-    """The ``mode`` optima, in ``g``'s numbering, of the stage [lo, hi) of
-    ``g``: the whole stage, its label-1 class and its label-2 class; and
-    the nodes of the three solves."""
-    mask = (1 << (hi - lo)) - 1
-    piece = Graph._trusted(hi - lo, tuple(row >> lo & mask for row in g.rows[lo:hi]))
-    whole = _solve(piece, mode)
-    optima = [tuple(v + lo for v in whole.witness)]
-    nodes = whole.nodes_explored
-    for members, res in _class_solves(piece, labels[lo:hi], mode):
-        optima.append(tuple(members[i] + lo for i in res.witness))
-        nodes += res.nodes_explored
-    return optima, nodes
+            raise AssertionError(f"vertex {v} breaks the opposite-parity rule between parts")
 
 
 def stage_solve(
     g: Graph, labels: tuple[int, ...], cuts: tuple[int, ...]
 ) -> tuple[CliqueResult, CliqueResult]:
-    """Maximum clique and maximum independent set of ``g``, whose stages
-    start at 0 and at each of ``cuts``, composed from per-stage solves (the
+    """Maximum clique and maximum independent set of ``g``, whose parts
+    start at 0 and at each of ``cuts``, composed from per-part solves (the
     module docstring proves the formulas).
 
-    Checks the cross-stage rule first and raises AssertionError where it
-    fails.  Ties go to a single stage, then to the first candidate in stage
+    Checks the cross-part rule first and raises AssertionError where it
+    fails.  Ties go to a single part, then to the first candidate in part
     order; the node count sums every solve the answer rests on, memoized
     or not, so it does not depend on what ran before.
     """
     bounds = [0, *cuts, g.n]
     _require_stage_joins(g, labels, bounds)
+    spans = list(zip(bounds, bounds[1:]))
+    pieces = []  # each part's slice of g
+    for lo, hi in spans:
+        mask = (1 << (hi - lo)) - 1
+        pieces.append(Graph._trusted(hi - lo, tuple(row >> lo & mask for row in g.rows[lo:hi])))
     results = []
     for mode in ("clique", "independent"):
-        parts = [_stage_parts(g, labels, lo, hi, mode) for lo, hi in zip(bounds, bounds[1:])]
-        stages = [optima for optima, _ in parts]  # [whole, label 1, label 2] per stage
-        candidates = [whole for whole, _, _ in stages]
+        optima, nodes = [], 0  # optima: the whole part's, label 1's and label 2's, per part
+        for (lo, hi), piece in zip(spans, pieces):
+            solves = [_solve(piece, mode), *(res for _, res in _class_solves(piece, labels[lo:hi], mode))]
+            optima.append([tuple(v + lo for v in res.witness) for res in solves])
+            nodes += sum(res.nodes_explored for res in solves)
+        candidates = [whole for whole, _, _ in optima]
         if mode == "clique":
-            candidates += [a[1] + b[2] for a, b in permutations(stages, 2)]
+            candidates += [a[1] + b[2] for a, b in permutations(optima, 2)]
         else:
-            candidates += [sum((stage[label] for stage in stages), ()) for label in LABELS]
+            candidates += [sum((part[label] for part in optima), ()) for label in LABELS]
         witness = tuple(sorted(max(candidates, key=len)))
         if not verify_witness(g, witness, mode):
             raise AssertionError(f"stage route assembled an invalid {mode} witness")
-        nodes = sum(count for _, count in parts)
         results.append(CliqueResult(len(witness), witness, nodes))
     return results[0], results[1]
 

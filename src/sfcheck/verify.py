@@ -126,10 +126,10 @@ def check_theorem_1_2(
     """Check that ``g`` has no clique or independent set on r+1 vertices.
 
     ``g`` is the build of SF(r+1) under ``profile``, with its labels and
-    the vertices where its stages after the first start; omega and alpha
-    then come from per-stage solves (``solve.stage_solve``).  A graph with
-    no cuts, SF(3) or a graph under test (the seeded-fault tests), is
-    solved whole.  The claim thresholds stay r.  The witness is
+    its cuts (``LabeledGraph.stage_cuts``: every stage and stage side after
+    the first); omega and alpha then come from per-part solves
+    (``solve.stage_solve``).  A graph with no cuts, SF(3) or a graph under
+    test, is solved whole.  The claim thresholds stay r.  The witness is
     re-verified pairwise before it is returned.
     """
     claim_target("1.2", r)  # ValueError for an r the claim is not stated for

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 
-from sfcheck.construct import InterpretationProfile, VertexProvenance
+from sfcheck.construct import InterpretationProfile
 from sfcheck.formats import Graph6ParseError
 from sfcheck.graphs import Graph
 from sfcheck.solve import CliqueResult, _degeneracy_order, _greedy_clique, verify_witness
@@ -101,21 +101,19 @@ def stacked_vertex_count(t: int, explicit_base: bool) -> int:
     return total
 
 
-def layout_provenance(kind: str, param: int, profile: InterpretationProfile) -> list[VertexProvenance]:
-    """Provenance of every vertex of F(param) or SF(param), written out by
-    the nested loops of the layout: the base path's six positions, else a
-    G side then an H side, each r-1 copies of an x block of r // 2 vertices
-    then a y block."""
-    out = []
+def layout_cuts(kind: str, param: int, profile: InterpretationProfile) -> tuple[int, ...]:
+    """Where each part of F(param) or SF(param) after the first starts,
+    written out by the nested loops of the layout: the base path is one
+    part, and any other stage is a G side then an H side of r-1 copies of
+    r vertices each."""
+    starts = []
+    n = 0
     for r in range(3 if kind == "SF" else param, param + 1):
-        if r == 3 and profile.base_case == "explicit_path":
-            out.extend(VertexProvenance(3, "path", 0, pos, i) for i, pos in enumerate("vuwxyt"))
-            continue
-        for side in ("G_side", "H_side"):
-            for copy in range(r - 1):
-                out.extend(VertexProvenance(r, side, copy, "x_block", i) for i in range(r // 2))
-                out.extend(VertexProvenance(r, side, copy, "y_block", i) for i in range(r - r // 2))
-    return out
+        sides = 1 if r == 3 and profile.base_case == "explicit_path" else 2
+        for _ in range(sides):
+            starts.append(n)
+            n += 6 if sides == 1 else (r - 1) * r
+    return tuple(starts[1:])
 
 
 def scan_degeneracy_order(rows: tuple[int, ...], n: int) -> list[int]:

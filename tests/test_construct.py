@@ -1,10 +1,13 @@
-"""Constructor tests: blocks, sides, stage graphs, stacked graphs, layout, validate."""
+"""Constructor tests: blocks, sides, stage graphs, stacked graphs, layout, and the
+stage route's premise on doctored builds."""
 
 import dataclasses
 import random
 
 import pytest
 
+from sfcheck import report as report_module
+from sfcheck.cli import main
 from sfcheck.construct import (
     DEFAULT_PROFILE,
     InterpretationProfile,
@@ -13,29 +16,31 @@ from sfcheck.construct import (
     build_SF,
     flip_label,
     label_parity,
-    validate,
 )
 from sfcheck.graphs import Graph, complete, induced
+from sfcheck.solve import stage_solve
 
-from oracles import all_profiles, layout_provenance, stacked_vertex_count, stage_vertex_count
+from oracles import all_profiles, layout_cuts, stacked_vertex_count, stage_vertex_count
 
 GENERAL = dataclasses.replace(DEFAULT_PROFILE, base_case="general")
 
 
 def cross_pairs_by_rule(lg):
-    """Pairs the opposite-parity rule applies to, recomputed from provenance."""
-    out = []
+    """Pairs the opposite-parity rule applies to: those in different parts,
+    a part being the base path or one side of a stage, laid out by hand."""
+    part = []
+    for r in lg.stages:
+        if r == 3 and lg.base_path:
+            part += [len(part)] * 6
+        else:
+            part += [len(part)] * (r - 1) * r
+            part += [len(part)] * (r - 1) * r
     n = lg.graph.n
-    prov = [lg.provenance(v) for v in range(n)]
-    for v in range(n):
-        pv = prov[v]
-        for w in range(v + 1, n):
-            pw = prov[w]
-            if pv.stage_r != pw.stage_r:
-                out.append((v, w))
-            elif pv.side != pw.side and "path" not in (pv.side, pw.side):
-                out.append((v, w))
-    return out
+    return [(v, w) for v in range(n) for w in range(v + 1, n) if part[v] != part[w]]
+
+
+def route(lg):
+    return stage_solve(lg.graph, lg.labels, lg.stage_cuts())
 
 
 class TestProfile:
@@ -106,10 +111,7 @@ class TestBuildSides:
         lg = build_F(r, GENERAL)
         half = (r - 1) * r
         for v in range(half):
-            g, h = lg.provenance(v), lg.provenance(v + half)
-            assert (g.side, h.side) == ("G_side", "H_side")
-            assert (g.copy, g.block, g.within) == (h.copy, h.block, h.within)
-            assert label_parity(lg.labels[v]) != label_parity(lg.labels[v + half])
+            assert lg.labels[v + half] == flip_label(lg.labels[v])
 
 
 class TestBuildF:
@@ -117,7 +119,6 @@ class TestBuildF:
         lg = build_F(3, DEFAULT_PROFILE)
         assert lg.graph.n == 6 and lg.graph.m == 5
         assert lg.labels == (1, 2, 1, 1, 2, 2)
-        assert [lg.provenance(v).block for v in range(6)] == ["v", "u", "w", "x", "y", "t"]
         assert lg.stages == (3,) and lg.base_path
 
     def test_explicit_path_y_label_one(self):
@@ -211,111 +212,23 @@ class TestBuildSF:
 
     @pytest.mark.parametrize("t", range(3, 8))
     @pytest.mark.parametrize("profile", all_profiles())
-    def test_all_profiles_validate_clean(self, profile, t):
-        assert validate(build_SF(t, profile)) == []
+    def test_all_profiles_meet_the_premise(self, profile, t):
+        route(build_SF(t, profile))  # AssertionError where the premise fails
 
 
 class TestLayout:
     @pytest.mark.parametrize("profile", all_profiles(), ids=str)
-    def test_provenance_matches_nested_loop_layout(self, profile):
+    def test_stage_cuts_match_nested_loop_layout(self, profile):
         for kind, build in (("F", build_F), ("SF", build_SF)):
             for param in range(3, 9):
-                lg = build(param, profile)
-                got = [lg.provenance(v) for v in range(lg.graph.n)]
-                assert got == layout_provenance(kind, param, profile), (kind, param)
+                assert build(param, profile).stage_cuts() == layout_cuts(kind, param, profile), (kind, param)
 
     def test_stages_record_the_stack(self):
         lg = build_SF(6, GENERAL)
         assert lg.stages == (3, 4, 5, 6) and not lg.base_path
         spans = list(lg.stage_spans())
         assert spans == [(3, 0, 12), (4, 12, 36), (5, 36, 76), (6, 76, 136)]
-
-    @pytest.mark.parametrize("v", [-1, 6, True])
-    def test_provenance_rejects_outside_vertex(self, v):
-        with pytest.raises(ValueError, match="out of range"):
-            build_F(3).provenance(v)
-
-
-class TestValidate:
-    def test_clean_build(self):
-        assert validate(build_F(4, DEFAULT_PROFILE)) == []
-
-    def test_missing_cross_edge_detected(self):
-        lg = build_F(4, DEFAULT_PROFILE)
-        # drop one G-H cross edge: vertex 0 (G side) to its first cross partner
-        partner = next(
-            w for w in range(12, 24) if lg.graph.has_edge(0, w)
-        )
-        edges = [e for e in lg.graph.edges() if e != (0, partner)]
-        doctored = dataclasses.replace(lg, graph=Graph.from_edges(lg.graph.n, edges))
-        violations = validate(doctored)
-        assert violations == [f"missing-cross-edge: (0, {partner})"]
-
-    def test_broken_label_flip_detected(self):
-        lg = build_F(4, DEFAULT_PROFILE)
-        v, w = 0, 12
-        labels = list(lg.labels)
-        labels[w] = labels[v]
-        doctored = dataclasses.replace(lg, labels=tuple(labels))
-        flips = [x for x in validate(doctored) if x.startswith("label-flip")]
-        assert len(flips) == 1
-        assert f"({v}, {w})" in flips[0]
-
-    def test_lower_triangle_bit_detected(self):
-        lg = build_F(4, DEFAULT_PROFILE)
-        rows = list(lg.graph.rows)
-        rows[5] |= 1 << 2
-        doctored = dataclasses.replace(lg, graph=Graph._trusted(lg.graph.n, tuple(rows)))
-        assert validate(doctored) == ["asymmetric adjacency between 5 and 2"]
-
-    def test_bit_beyond_n_reported_not_raised(self):
-        lg = build_F(4, DEFAULT_PROFILE)
-        n = lg.graph.n
-        rows = list(lg.graph.rows)
-        rows[0] |= 1 << n
-        doctored = dataclasses.replace(lg, graph=Graph._trusted(n, tuple(rows)))
-        assert validate(doctored) == [f"row 0 addresses vertices outside 0..{n - 1}"]
-
-    @pytest.mark.parametrize("profile", all_profiles(), ids=str)
-    def test_cross_edge_messages_follow_rule_on_doctored_builds(self, profile):
-        rng = random.Random(11)
-        for t in (3, 4, 5):
-            lg = build_SF(t, profile)
-            n = lg.graph.n
-            for _ in range(8):
-                # Flipping rows[v] alone leaves a bit on one side of the diagonal.
-                rows = list(lg.graph.rows)
-                for _ in range(rng.randint(1, 4)):
-                    v, w = rng.sample(range(n), 2)
-                    rows[v] ^= 1 << w
-                    if rng.random() < 0.5:
-                        rows[w] ^= 1 << v
-                labels = tuple(flip_label(x) if rng.random() < 0.05 else x for x in lg.labels)
-                doctored = dataclasses.replace(
-                    lg, graph=Graph._trusted(n, tuple(rows)), labels=labels
-                )
-                want = []
-                for v, w in cross_pairs_by_rule(doctored):
-                    differs = label_parity(labels[v]) != label_parity(labels[w])
-                    if doctored.graph.has_edge(v, w) != differs:
-                        want.append(f"{'missing' if differs else 'unexpected'}-cross-edge: ({v}, {w})")
-                got = validate(doctored)
-                assert [m for m in got if "cross-edge" in m] == want
-                problems = list(doctored.graph.problems())
-                assert got[: len(problems)] == problems
-
-    @pytest.mark.parametrize(
-        "rows, message",
-        [
-            (lambda rows: (None,) * len(rows), "row 0 must be an int"),
-            (lambda rows: rows[:-1], "rows length must equal vertex count"),
-        ],
-        ids=["not-ints", "one-short"],
-    )
-    def test_bad_row_shape_reported_not_raised(self, rows, message):
-        lg = build_F(4, DEFAULT_PROFILE)
-        doctored = dataclasses.replace(lg, graph=Graph._trusted(lg.graph.n, rows(lg.graph.rows)))
-        assert validate(doctored) == [message]
+        assert lg.stage_cuts() == (6, 12, 24, 36, 56, 76, 106)
 
     def test_labeled_graph_rejects_bad_shapes(self):
         lg = build_F(3, DEFAULT_PROFILE)
@@ -342,3 +255,68 @@ class TestValidate:
         lg = build_F(3, DEFAULT_PROFILE)
         with pytest.raises(ValueError, match="outside"):
             LabeledGraph(lg.graph, (True,) + lg.labels[1:], lg.stages, lg.base_path)
+
+
+def flipped_edge(lg, v, w):
+    rows = list(lg.graph.rows)
+    rows[v] ^= 1 << w
+    rows[w] ^= 1 << v
+    return dataclasses.replace(lg, graph=Graph(lg.graph.n, tuple(rows)))
+
+
+def flipped_label(lg, v):
+    labels = list(lg.labels)
+    labels[v] = flip_label(labels[v])
+    return dataclasses.replace(lg, labels=tuple(labels))
+
+
+# Seeded faults in SF(5): stage 3 is the base path 0..5, stage 4 has its G
+# side at 6..17 and its H side at 18..29, stage 5 starts at 30.
+FAULTS = {
+    "edge between the sides of a stage": lambda lg: flipped_edge(lg, 6, 18),
+    "edge across two stages": lambda lg: flipped_edge(lg, 7, 31),
+    "label of one vertex of a correspondence pair": lambda lg: flipped_label(lg, 6),
+}
+
+
+class TestPremise:
+    """The stage route's premise check stands where a separate validation
+    pass stood: every fault against the construction's cross-edge rule
+    makes the route raise, and the CLI exit 3."""
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_seeded_fault_raises(self, fault):
+        with pytest.raises(AssertionError, match="opposite-parity rule"):
+            route(FAULTS[fault](build_SF(5)))
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_seeded_fault_exits_3(self, fault, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(report_module, "build_SF", lambda t, profile: FAULTS[fault](build_SF(t, profile)))
+        out = tmp_path / "r.json"
+        assert main(["verify", "--theorem", "1.2", "--r", "4", "--report", str(out)]) == 3
+        assert "internal error: AssertionError" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("profile", all_profiles(), ids=str)
+    def test_premise_fails_exactly_on_doctored_builds(self, profile):
+        rng = random.Random(11)
+        for t in (3, 4, 5):
+            lg = build_SF(t, profile)
+            n = lg.graph.n
+            for _ in range(8):
+                rows = list(lg.graph.rows)
+                for _ in range(rng.randint(1, 4)):
+                    v, w = rng.sample(range(n), 2)
+                    rows[v] ^= 1 << w
+                    rows[w] ^= 1 << v
+                labels = tuple(flip_label(x) if rng.random() < 0.05 else x for x in lg.labels)
+                doctored = LabeledGraph(Graph(n, tuple(rows)), labels, lg.stages, lg.base_path)
+                broken = any(
+                    doctored.graph.has_edge(v, w) != (label_parity(labels[v]) != label_parity(labels[w]))
+                    for v, w in cross_pairs_by_rule(doctored)
+                )
+                if broken:
+                    with pytest.raises(AssertionError, match="opposite-parity rule"):
+                        route(doctored)
+                else:
+                    route(doctored)

@@ -2,12 +2,11 @@
 
 ``report_digests.json`` holds the sha256 of
 ``report_to_json(strip_volatile(report))`` for each of the 24 profiles
-under T1.1 at r=3..7 and T1.2 at r=2..6.  The T1.1 and the T1.2 r=2
-digests were recorded before the graph algebra stopped re-checking its own
-output and the degeneracy order moved to bucket queues; the T1.2 r>=3
-digests when T1.2 moved to the stage route, which changed only their
-witnesses and node counts.  Any change to a verdict, witness, node count
-or graph statistic changes a digest.
+under T1.1 at r=3..7 and T1.2 at r=2..6.  They were last recorded when
+the stage sides came to be solved by the component and co-component
+split, which changed only witnesses and node counts (those of 144
+reports).  Any change to a verdict, witness, node count or graph
+statistic changes a digest.
 
 ``report_values.json`` holds, for the same 240 reports, every field but
 the witness and the node counts, as the monolithic solver gave them
@@ -28,7 +27,7 @@ VALUES = os.path.join(os.path.dirname(__file__), "report_values.json")
 # sha256 of all 240 reports concatenated in the file's order: profiles in
 # itertools.product(sums, prods, bases, y_labels) order, T1.1 before T1.2,
 # r ascending.
-ALL_REPORTS_SHA256 = "41a9438f7dbbef52bd6e7bf317eb18bcdc00b9987adbdc1141e4e35143bb7914"
+ALL_REPORTS_SHA256 = "e0b3f21b278af515a830b72e8bd266670612e5ce80c576938df731b47ec72104"
 
 
 def test_reports_match_recorded_digests():
