@@ -16,7 +16,6 @@ import os
 import random
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 
 from sfcheck.construct import DEFAULT_PROFILE, InterpretationProfile
@@ -76,6 +75,7 @@ def _check_summary(report: dict) -> str:
 
 def _cmd_build(args: argparse.Namespace) -> int:
     profile = _profile_from_args(args)
+    require_rebuildable(args.kind, args.param, profile, dense=True)
     lg = build_target(args.kind, args.param, profile)
     text = encode_graph6(lg.graph) + "\n" if args.format == "graph6" else encode_dimacs(lg.graph)
     with open(args.out, "w") as fh:
@@ -120,10 +120,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     workers = min(_rf_threads(), len(jobs))
     os.makedirs(args.report_dir, exist_ok=True)
     refuted = False
+    pool = nullcontext()
+    if workers > 1:
+        # multiprocessing is loaded only here: a serial sweep starts without it.
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=workers)
     # Each report is written as its job finishes, in job order, so a failed
     # job keeps the reports of the jobs before it.
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        results = pool.map(_sweep_job, jobs) if pool else map(_sweep_job, jobs)
+    with pool:
+        results = pool.map(_sweep_job, jobs) if workers > 1 else map(_sweep_job, jobs)
         for name, report in results:
             write_report(os.path.join(args.report_dir, name), report)
             print(_check_summary(report))

@@ -6,8 +6,13 @@ H side that is the complement of the G side on a fresh vertex range, and
 cross edges that join exactly the opposite-parity label pairs.  SF(t)
 chains stages 3..t, again joining opposite-parity pairs across stages.
 A build records that layout once, as its list of stages; the cuts between
-its sides and stages, where ``solve.stage_solve`` checks that rule, derive
-from it.
+its sides and stages derive from it.
+
+Verification never builds SF(t) whole: ``solve.Stack`` holds its stages,
+each built once by the stage memo, which checks the rule between a
+stage's sides.  Across stages the rule is the definition, so SF(t)'s n,
+m and label counts follow from the stages' counts.  ``build_SF`` makes
+the dense graph, for graph6 and DIMACS export.
 
 Several operators in that recipe admit more than one defensible reading.
 An InterpretationProfile pins all of them explicitly, so every build is a
@@ -141,8 +146,8 @@ class LabeledGraph:
 
     def stage_cuts(self) -> tuple[int, ...]:
         """Where each part after the first starts, a part being the base
-        path or one side of a stage: the cuts ``solve.stage_solve`` takes.
-        Any two parts are joined by the opposite-parity rule alone."""
+        path or one side of a stage: the parts the stage route solves.  Any
+        two parts are joined by the opposite-parity rule alone."""
         cuts = []
         for r, start, stop in self.stage_spans():
             cuts.append(start)

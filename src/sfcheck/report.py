@@ -3,9 +3,10 @@
 Reports are plain dicts with a mandatory schema_version.  Serialization is
 canonical (sorted keys, fixed separators), so two runs over the same target
 and profile produce byte-identical files except for the timestamps block.
-Loading re-verifies the witness against a fresh build of the target, then
-re-assembles the report through ``make_report`` and names each field that
-differs.
+Loading re-verifies the witness against the target's stages, rebuilt
+through the stage memo, then re-assembles the report through
+``make_report`` and names each field that differs.  Neither route builds
+the dense SF(t); only ``build_target``, for graph6 and DIMACS export, does.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from sfcheck.construct import (
     build_SF,
     target_vertex_count,
 )
-from sfcheck.solve import verify_witness
+from sfcheck.solve import Stack
 from sfcheck.verify import (
     TheoremCheck,
     bound_report_from_counts,
@@ -48,22 +49,26 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-# verify_report refuses, unbuilt, a target with more vertices than this, so a
-# report file cannot demand an arbitrarily large build.  SF(30) has 17970
-# vertices, SF(31) 19830 and SF(32) 21814.
+# verify_report refuses, unbuilt, a target with a stage of more vertices
+# than this, so a report file cannot demand an arbitrarily large build: F(100)
+# has 19800 vertices and F(101) 20200, so SF(100) is the largest stack.  A
+# dense build, for export, is limited in its total: SF(31) has 19830.
 MAX_REBUILD_VERTICES = 20_000
 
 
-def require_rebuildable(kind: str, param: int, profile: InterpretationProfile) -> None:
-    """ValueError, unbuilt, for a target above ``MAX_REBUILD_VERTICES``,
-    which ``verify_report`` refuses to rebuild, and for the builders'
-    invalid kinds and parameters."""
-    size = target_vertex_count(kind, param, profile)
+def require_rebuildable(kind: str, param: int, profile: InterpretationProfile, dense: bool = False) -> None:
+    """ValueError, unbuilt, for a target whose largest stage (the whole
+    graph, when ``dense``) is above ``MAX_REBUILD_VERTICES``, and for the
+    builders' invalid kinds and parameters."""
+    size, what = target_vertex_count(kind, param, profile), f"{kind}({param}) has"
+    if kind == "SF" and not dense:
+        size, what = target_vertex_count("F", param, profile), f"SF({param}) has a stage of"
     if size > MAX_REBUILD_VERTICES:
-        raise ValueError(f"{kind}({param}) has {size} vertices, above the limit of {MAX_REBUILD_VERTICES}")
+        raise ValueError(f"{what} {size} vertices, above the limit of {MAX_REBUILD_VERTICES}")
 
 
 def build_target(kind: str, param: int, profile: InterpretationProfile) -> LabeledGraph:
+    """The dense build of F(param) or SF(param), for export."""
     if kind == "F":
         return build_F(param, profile)
     if kind == "SF":
@@ -71,19 +76,18 @@ def build_target(kind: str, param: int, profile: InterpretationProfile) -> Label
     raise ValueError(f"unknown target kind {kind!r}")
 
 
-def make_report(lg: LabeledGraph, tc: TheoremCheck, started, finished) -> dict:
-    """The report of check ``tc`` on the build ``lg``.
+def make_report(stack: Stack, tc: TheoremCheck, started, finished) -> dict:
+    """The report of check ``tc`` on ``stack``, the claim's target.
 
     The target is the claim's (``claim_target``).  For T1.2 the Ramsey
-    implication of the same build is derived from the check's omega and
+    implication of the same stack is derived from the check's omega and
     alpha, not re-solved.  ValueError for an r the claim is not stated for.
     """
     kind, param = claim_target(tc.theorem_id[1:].replace("_", "."), tc.r)  # "T1_2" -> "1.2"
     bound = None
     if tc.theorem_id == "T1_2":
         omega, alpha = tc.computed["omega"], tc.computed["alpha"]
-        bound = asdict(bound_report_from_counts(param, lg.graph.n, omega, alpha))
-    counts = lg.label_counts()
+        bound = asdict(bound_report_from_counts(param, stack.n, omega, alpha))
     notes = []
     if tc.profile.base_case == "explicit_path":
         notes.append(Y_LABEL_NOTE)
@@ -94,9 +98,9 @@ def make_report(lg: LabeledGraph, tc: TheoremCheck, started, finished) -> dict:
         "profile": tc.profile.to_dict(),
         "deterministic": True,
         "graph_stats": {
-            "n": lg.graph.n,
-            "m": lg.graph.m,
-            "label_counts": {str(k): v for k, v in counts.items()},
+            "n": stack.n,
+            "m": stack.m,
+            "label_counts": {str(k): v for k, v in stack.label_counts.items()},
         },
         "checks": [dict(vars(tc), profile=tc.profile.to_dict(), witness=list(tc.witness))],
         "bound": bound,
@@ -196,15 +200,16 @@ def _differences(expected, actual, where: str = "") -> Iterator[str]:
 
 
 def verify_report(report) -> list[str]:
-    """Re-check a loaded report against a fresh build of its target.
+    """Re-check a loaded report against its target's stages.
 
-    Checks the shape of every field it reads, rebuilds the report's stated
-    target (refusing, unbuilt, one above ``MAX_REBUILD_VERTICES``), and
-    re-verifies the witness pairwise, as one label for T1.1, and against
-    its computed size.  Then re-assembles the report with ``make_report``
-    from the rebuild and the report's own r, computed sizes, witness and
-    solver_stats, and names each field where the two differ.  Copied, not
-    compared: ``generated_by``, and the node counts, which need a re-solve.
+    Checks the shape of every field it reads, rebuilds the stages of the
+    report's stated target (refusing, unbuilt, one with a stage above
+    ``MAX_REBUILD_VERTICES``), and re-verifies the witness pairwise on
+    them, as one label for T1.1, and against its computed size.  Then
+    re-assembles the report with ``make_report`` from the stages and the
+    report's own r, computed sizes, witness and solver_stats, and names
+    each field where the two differ.  Copied, not compared:
+    ``generated_by``, and the node counts, which need a re-solve.
     Returns a list of problems, empty when the report stands; never raises.
     """
     if not isinstance(report, dict):
@@ -222,7 +227,7 @@ def verify_report(report) -> list[str]:
     try:
         profile = InterpretationProfile.from_dict(report["profile"])
         require_rebuildable(kind, param, profile)
-        lg = build_target(kind, param, profile)
+        stack = Stack(kind, param, profile)
     except (KeyError, ValueError) as exc:
         return [f"cannot rebuild target: {exc}"]
 
@@ -231,12 +236,12 @@ def verify_report(report) -> list[str]:
     theorem_id, r = check["theorem_id"], check["r"]
     witness, mode = tuple(check["witness"]), check.get("witness_mode")
     try:
-        if not verify_witness(lg.graph, witness, mode):
+        if not stack.verify_witness(witness, mode):
             problems.append(f"check 0: witness {witness} is not a valid {mode}")
     except ValueError as exc:
         problems.append(f"check 0: witness invalid: {exc}")
     else:
-        if theorem_id == "T1_1" and len({lg.labels[v] for v in witness}) > 1:
+        if theorem_id == "T1_1" and len({stack.label(v) for v in witness}) > 1:
             problems.append("check 0: witness spans more than one label")
         field = "mono_clique" if theorem_id == "T1_1" else "omega" if mode == "clique" else "alpha"
         if len(witness) != check["computed"][field]:
@@ -246,7 +251,7 @@ def verify_report(report) -> list[str]:
     claimed, status, rule_mode = claim_verdict(theorem_id, r, computed)
     tc = TheoremCheck(theorem_id, r, profile, claimed, computed, status, witness, rule_mode, check["solver_stats"])
     try:
-        expected = make_report(lg, tc, None, None)
+        expected = make_report(stack, tc, None, None)
     except ValueError as exc:
         return problems + [f"check 0: {exc}"]
     expected["generated_by"] = report.get("generated_by")
@@ -273,16 +278,17 @@ def run_verification(
     r: int,
     profile: InterpretationProfile = DEFAULT_PROFILE,
 ) -> dict:
-    """Build the claim's target, run its check on that build, and assemble
-    the full report.  The theorem, r and the target's size (``verify_report``'s
-    limit) are checked before anything is built.
+    """Build the claim's target as a stack of memoized stages, run its check
+    on it, and assemble the full report.  The theorem, r and the target's
+    largest stage (``verify_report``'s limit) are checked before anything
+    is built.
     """
     started = _now()
     target = claim_target(theorem, r)
     require_rebuildable(*target, profile)
-    lg = build_target(*target, profile)
+    stack = Stack(*target, profile)
     if theorem == "1.1":
-        tc = check_theorem_1_1(r, profile, lg)
+        tc = check_theorem_1_1(r, profile, stack.stages[0].lg)
     else:
-        tc = check_theorem_1_2(r, profile, lg.graph, lg.labels, lg.stage_cuts())
-    return make_report(lg, tc, started, _now())
+        tc = check_theorem_1_2(r, profile, stack)
+    return make_report(stack, tc, started, _now())

@@ -20,16 +20,16 @@ All searches are single-threaded and fully deterministic (ties break toward
 the lowest vertex index), so sizes, witnesses, and node counts reproduce
 across runs.
 
-stage_solve is the stage route: omega and alpha of a stack such as SF(t)
-composed from solves on its parts, the vertex ranges between the cuts it
-is given.  The builds cut at every stage and at the half of every
-two-sided stage, so a part is the base path or one side of one stage.
-Its premise is the cross-part rule, checked on the graph it is given: two
-vertices of different parts are adjacent exactly when their label
-parities differ (label 1 is odd, label 2 even).  ``construct.build_F``
-joins the G and H sides of a stage by that rule, as ``build_SF`` joins
-stages.  Write omega_1, omega_2 (alpha_1, alpha_2) for the clique
-(independence) number of one part's label-1 and label-2 classes.  Then
+stage_solve is the stage route: omega and alpha of a Stack, SF(t) laid
+out as its stages F(3..t), composed from solves on its parts.  A part is
+the base path or one side of a stage.  Its premise is the cross-part
+rule: two vertices of different parts are adjacent exactly when their
+label parities differ (label 1 is odd, label 2 even).  Across stages that
+is how SF(t) is defined, so the dense SF(t) is never built;
+``construct.build_F`` joins the G and H sides of a stage by the same rule,
+and the stage memo checks it on each stage's own rows.  Write omega_1,
+omega_2 (alpha_1, alpha_2) for the clique (independence) number of one
+part's label-1 and label-2 classes.  Then
 
     omega = max(max_r omega(r), max over r != s of omega_1(r) + omega_2(s)),
     alpha = max(max_r alpha(r), sum_r alpha_1(r), sum_r alpha_2(r)).
@@ -65,27 +65,44 @@ copies of K_a + K_(r-a) or of K_r, or edgeless, and their complement),
 and so is each label class of it; the classes of F(r) join no pair across
 its sides.  Only the six-vertex base path and its complement are prime.
 
-Two memos of MEMO_SIZE entries keep the results, one keyed on the solved
-graph (a part's slice, or the graph max_mono_clique is given), the mode
-and the label class, one on each prime piece; a sweep splits each stage
-side and each of its classes once.
+Three memos of MEMO_SIZE entries keep the results.  The stage memo,
+``stage``, is keyed on (r, profile): it builds F(r) and checks its side
+premise once, and keeps the build, its edge count, its label counts and,
+from the first T1.2 check on it, the six optima of each part (whole,
+label 1 and label 2, for clique and for independent set).  A Stack reads
+its n, m and label counts from those counts in closed form, and checks a
+witness against the stages' rows and the parity rule.  The other two are
+keyed on the solved graph (a part's slice, or the graph max_mono_clique is
+given), the mode and the label class, and on each prime piece; a graph
+that several profiles share, such as a side of F(r) for r >= 4 under
+either base case, is solved once.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from itertools import permutations
+from functools import cached_property, lru_cache, reduce
+from itertools import accumulate, permutations
 from operator import or_
 from typing import Iterator
 
-from sfcheck.construct import LABELS, _opposite_parity_joins
+from sfcheck.construct import (
+    LABELS,
+    InterpretationProfile,
+    LabeledGraph,
+    _opposite_parity_joins,
+    _require_param,
+    build_F,
+    label_parity,
+)
 from sfcheck.graphs import Graph, as_vertex_set, complement, induced
 
 ORACLE_MAX_N = 24
 
-# Entries each memo keeps.  An in-process sweep to t-max 31, the largest a
-# report loader accepts, keys about 400 stage solves and two prime pieces.
+# Entries each memo keeps.  An in-process sweep to t-max 100, the largest a
+# report loader accepts, keys 98 stages and two prime pieces; its part
+# solves pass 512, but each stage keeps its own optima, so none is redone.
 MEMO_SIZE = 512
 
 
@@ -351,69 +368,125 @@ def _solve(g: Graph, mode: str, labels: tuple[int, ...] = (), label: int | None 
     return CliqueResult(len(witness), witness, nodes)
 
 
-def _class_solves(g: Graph, labels, mode: str) -> Iterator[tuple[int, CliqueResult]]:
-    """(label, result) of the ``mode`` solve on each label class of ``g``,
-    label 1 first; each result numbers ``g``'s vertices."""
-    labels = tuple(labels)
-    for label in LABELS:
-        yield label, _solve(g, mode, labels, label)
-
-
 def max_mono_clique(g: Graph, labels: tuple[int, ...]) -> CliqueResult:
     """Largest clique of ``g`` whose vertices all carry one label (1 or 2),
     label 1 on a tie; the node count sums both classes' solves."""
-    results = [res for _, res in _class_solves(g, labels, "clique")]
+    results = [_solve(g, "clique", tuple(labels), label) for label in LABELS]
     best = max(results, key=lambda res: res.size)
     if not verify_witness(g, best.witness, "clique"):
         raise AssertionError("solver produced an invalid single-label witness")
     return CliqueResult(best.size, best.witness, sum(res.nodes_explored for res in results))
 
 
-def _require_stage_joins(g: Graph, labels, bounds: list[int]) -> None:
-    """AssertionError unless each row, outside its own part, is exactly
-    that vertex's opposite-parity joins: the stage route's premise."""
-    if len(labels) != g.n or any(lo >= hi for lo, hi in zip(bounds, bounds[1:])):
-        raise ValueError(f"labels and stage cuts {bounds[1:-1]} do not lay out {g.n} vertices")
-    full = (1 << g.n) - 1
-    outside = {hi: full ^ ((1 << hi) - (1 << lo)) for lo, hi in zip(bounds, bounds[1:])}
-    for v, hi, join in _opposite_parity_joins(labels, bounds):
-        if g.rows[v] & outside[hi] != join:
+class Stage:
+    """One stage F(r) as the stage memo keeps it: the build, its edge count
+    and its label counts (label 1 is odd, label 2 even), and, once first
+    asked for, its part optima."""
+
+    def __init__(self, lg: LabeledGraph) -> None:
+        self.lg, self.m, self.label_counts = lg, lg.graph.m, lg.label_counts()
+
+    @cached_property
+    def optima(self) -> dict[str, list[tuple[int, tuple[CliqueResult, ...]]]]:
+        """Per mode, each part's first vertex and its whole, label-1 and
+        label-2 optima, numbered within the part."""
+        g, labels = self.lg.graph, self.lg.labels
+        bounds = [0, *self.lg.stage_cuts(), g.n]
+        optima: dict[str, list] = {"clique": [], "independent": []}
+        for lo, hi in zip(bounds, bounds[1:]):
+            mask = (1 << (hi - lo)) - 1
+            piece = Graph._trusted(hi - lo, tuple(row >> lo & mask for row in g.rows[lo:hi]))
+            for mode, parts in optima.items():
+                parts.append((lo, tuple(_solve(piece, mode, labels[lo:hi], label) for label in (None, *LABELS))))
+        return optima
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def stage(r: int, profile: InterpretationProfile) -> Stage:
+    """F(r) under ``profile``, built once.  AssertionError unless each row,
+    outside its own side, is exactly that vertex's opposite-parity joins:
+    the stage route's premise, checked once per stage."""
+    lg = build_F(r, profile)
+    n, bounds = lg.graph.n, [0, *lg.stage_cuts(), lg.graph.n]
+    outside = {hi: ((1 << n) - 1) ^ ((1 << hi) - (1 << lo)) for lo, hi in zip(bounds, bounds[1:])}
+    for v, hi, join in _opposite_parity_joins(lg.labels, bounds):
+        if lg.graph.rows[v] & outside[hi] != join:
             raise AssertionError(f"vertex {v} breaks the opposite-parity rule between parts")
+    return Stage(lg)
 
 
-def stage_solve(
-    g: Graph, labels: tuple[int, ...], cuts: tuple[int, ...]
-) -> tuple[CliqueResult, CliqueResult]:
-    """Maximum clique and maximum independent set of ``g``, whose parts
-    start at 0 and at each of ``cuts``, composed from per-part solves (the
-    module docstring proves the formulas).
+class Stack:
+    """F(param) or SF(param) under ``profile`` as its memoized stages laid
+    out in order, F(3..t) for SF(t); the builders' ValueError on another
+    kind or a parameter below 3.
 
-    Checks the cross-part rule first and raises AssertionError where it
-    fails.  Ties go to a single part, then to the first candidate in part
-    order; the node count sums every solve the answer rests on, memoized
-    or not, so it does not depend on what ran before.
+    Two vertices of different stages are adjacent exactly when their label
+    parities differ, so n, m, the label counts and every witness check
+    follow from the stages, and the dense graph is never built.
     """
-    bounds = [0, *cuts, g.n]
-    _require_stage_joins(g, labels, bounds)
-    spans = list(zip(bounds, bounds[1:]))
-    pieces = []  # each part's slice of g
-    for lo, hi in spans:
-        mask = (1 << (hi - lo)) - 1
-        pieces.append(Graph._trusted(hi - lo, tuple(row >> lo & mask for row in g.rows[lo:hi])))
+
+    def __init__(self, kind: str, param: int, profile: InterpretationProfile) -> None:
+        _require_param(kind, param)
+        self.stages = [stage(r, profile) for r in ((param,) if kind == "F" else range(3, param + 1))]
+        *self.starts, self.n = accumulate((s.lg.graph.n for s in self.stages), initial=0)
+        ones, twos = (sum(s.label_counts[label] for s in self.stages) for label in LABELS)
+        self.label_counts = {1: ones, 2: twos}
+        # The cross edges are the sum over stages i < j of odd_i * even_j +
+        # even_i * odd_j: every odd-even pair but those within one stage.
+        cross = ones * twos - sum(s.label_counts[1] * s.label_counts[2] for s in self.stages)
+        self.m = sum(s.m for s in self.stages) + cross
+
+    def label(self, v: int) -> int:
+        i = bisect_right(self.starts, v) - 1
+        return self.stages[i].lg.labels[v - self.starts[i]]
+
+    def verify_witness(self, members, mode: str) -> bool:
+        """``verify_witness`` on the stack: pairs within a stage against its
+        rows, pairs across stages by the opposite-parity rule, so a clique
+        meets at most two stages, one parity in each and opposite, and an
+        independent set that meets two or more lies in one parity."""
+        if mode not in ("clique", "independent"):
+            raise ValueError(f"unknown witness mode {mode!r}")
+        groups: dict[int, list[int]] = {}
+        for v in as_vertex_set(self, members):
+            groups.setdefault(bisect_right(self.starts, v) - 1, []).append(v)
+        parities = []
+        for i, vs in groups.items():
+            lg = self.stages[i].lg
+            local = [v - self.starts[i] for v in vs]
+            if not verify_witness(lg.graph, local, mode):
+                return False
+            parities.append({label_parity(lg.labels[v]) for v in local})
+        if len(parities) < 2:
+            return True
+        if mode == "clique":
+            return len(parities) == 2 and parities[0] ^ parities[1] == {0, 1}
+        return len(set().union(*parities)) == 1
+
+
+def stage_solve(stack: Stack) -> tuple[CliqueResult, CliqueResult]:
+    """Maximum clique and maximum independent set of ``stack``, composed
+    from its stages' memoized part optima (the module docstring proves the
+    formulas).
+
+    Ties go to a single part, then to the first candidate in part order;
+    the node count sums every solve the answer rests on, memoized or not,
+    so it does not depend on what ran before.
+    """
     results = []
     for mode in ("clique", "independent"):
         optima, nodes = [], 0  # optima: the whole part's, label 1's and label 2's, per part
-        for (lo, hi), piece in zip(spans, pieces):
-            solves = [_solve(piece, mode), *(res for _, res in _class_solves(piece, labels[lo:hi], mode))]
-            optima.append([tuple(v + lo for v in res.witness) for res in solves])
-            nodes += sum(res.nodes_explored for res in solves)
+        for start, stage_ in zip(stack.starts, stack.stages):
+            for lo, solves in stage_.optima[mode]:
+                optima.append([tuple(v + start + lo for v in res.witness) for res in solves])
+                nodes += sum(res.nodes_explored for res in solves)
         candidates = [whole for whole, _, _ in optima]
         if mode == "clique":
             candidates += [a[1] + b[2] for a, b in permutations(optima, 2)]
         else:
             candidates += [sum((part[label] for part in optima), ()) for label in LABELS]
         witness = tuple(sorted(max(candidates, key=len)))
-        if not verify_witness(g, witness, mode):
+        if not stack.verify_witness(witness, mode):
             raise AssertionError(f"stage route assembled an invalid {mode} witness")
         results.append(CliqueResult(len(witness), witness, nodes))
     return results[0], results[1]

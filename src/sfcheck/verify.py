@@ -11,9 +11,9 @@ r+1 vertices.
 Each claim's rules are written once.  ``CLAIMS`` gives its smallest r and
 the target it is checked on, and ``claim_verdict`` its claimed value,
 status and witness mode from r and the computed sizes.  The checks take
-the build they judge: ``report.run_verification`` turns a claim into a
-build, and ``report.verify_report`` re-assembles a report through the same
-rules.  ``bound_report_from_counts`` turns T1.2's omega and alpha into the
+what they judge: ``report.run_verification`` turns a claim into a stack
+of memoized stages, and ``report.verify_report`` re-assembles a report
+through the same rules.  ``bound_report_from_counts`` turns T1.2's omega and alpha into the
 Ramsey implication R(t) > n of SF(t), t = r+1.  The one diagonal Ramsey
 value small enough to re-derive at desk scale, R(3) = 6, is established
 exhaustively by confirm_R3 and used to flag contradictory implications.
@@ -22,12 +22,13 @@ exhaustively by confirm_R3 and used to flag contradictory implications.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from itertools import combinations
 
 from sfcheck.construct import InterpretationProfile, LabeledGraph
 from sfcheck.graphs import Graph, cycle
 from sfcheck.solve import (
+    Stack,
     max_clique,
     max_independent_set,
     max_mono_clique,
@@ -120,27 +121,26 @@ def check_theorem_1_1(r: int, profile: InterpretationProfile, lg: LabeledGraph) 
     )
 
 
-def check_theorem_1_2(
-    r: int, profile: InterpretationProfile, g: Graph, labels=(), cuts=()
-) -> TheoremCheck:
-    """Check that ``g`` has no clique or independent set on r+1 vertices.
+def check_theorem_1_2(r: int, profile: InterpretationProfile, target: Graph | Stack) -> TheoremCheck:
+    """Check that ``target`` has no clique or independent set on r+1 vertices.
 
-    ``g`` is the build of SF(r+1) under ``profile``, with its labels and
-    its cuts (``LabeledGraph.stage_cuts``: every stage and stage side after
-    the first); omega and alpha then come from per-part solves
-    (``solve.stage_solve``).  A graph with no cuts, SF(3) or a graph under
-    test, is solved whole.  The claim thresholds stay r.  The witness is
-    re-verified pairwise before it is returned.
+    ``target`` is the stack SF(r+1) under ``profile`` (``solve.Stack``),
+    whose omega and alpha come from its memoized stages
+    (``solve.stage_solve``), or any graph under test, solved whole.  The
+    claim thresholds stay r.  The witness is re-verified pairwise before it
+    is returned.
     """
     claim_target("1.2", r)  # ValueError for an r the claim is not stated for
-    if cuts:
-        omega, alpha = stage_solve(g, labels, cuts)
+    if isinstance(target, Stack):
+        omega, alpha = stage_solve(target)
+        verify = target.verify_witness
     else:
-        omega, alpha = max_clique(g), max_independent_set(g)
+        omega, alpha = max_clique(target), max_independent_set(target)
+        verify = partial(verify_witness, target)
     computed = {"omega": omega.size, "alpha": alpha.size}
     claimed, status, mode = claim_verdict("T1_2", r, computed)
     witness = alpha.witness if mode == "independent" else omega.witness
-    if not verify_witness(g, witness, mode):
+    if not verify(witness, mode):
         raise AssertionError("certificate witness failed re-verification")
     return TheoremCheck(
         "T1_2", r, profile, claimed, computed, status, witness, mode,

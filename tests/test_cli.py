@@ -9,6 +9,7 @@ import pytest
 
 import sfcheck
 from sfcheck import cli
+from sfcheck import report as report_module
 from sfcheck.cli import main
 from sfcheck.formats import decode_graph6
 from sfcheck.graphs import path
@@ -35,6 +36,18 @@ class TestBuild:
         )
         assert code == 0
         assert out.read_text().startswith("p edge 6 5\n")
+
+    @pytest.mark.parametrize("kind, param, size", [("SF", 400, 42666390), ("SF", 32, 21814), ("F", 101, 20200)])
+    def test_oversized_build_refused_unbuilt(self, kind, param, size, tmp_path, monkeypatch, capsys):
+        def no_build(*args):
+            raise AssertionError("built a target above the export limit")
+
+        monkeypatch.setattr(report_module, "build_F", no_build)
+        monkeypatch.setattr(report_module, "build_SF", no_build)
+        out = tmp_path / "big.g6"
+        assert main(["build", "--kind", kind, "--r", str(param), "--out", str(out)]) == 2
+        assert f"{kind}({param}) has {size} vertices, above the limit of 20000" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_build_error_exit_2(self, tmp_path, capsys):
         out = tmp_path / "x.g6"
@@ -169,7 +182,7 @@ class TestInternalError:
         def crash(*args, **kwargs):
             raise exc
 
-        monkeypatch.setattr("sfcheck.verify.max_clique", crash)
+        monkeypatch.setattr("sfcheck.verify.stage_solve", crash)
         report_path = tmp_path / "out.json"
         code = main(["verify", "--theorem", "1.2", "--r", "2", "--report", str(report_path)])
         assert code == 3
@@ -221,3 +234,24 @@ def test_runtime_loads_only_the_standard_library():
     assert "sfcheck" in out
     outside = set(out) - sys.stdlib_module_names - {"sfcheck", "__main__", "__mp_main__"}
     assert not outside, f"non-stdlib modules loaded: {sorted(outside)}"
+
+
+def test_serial_sweep_starts_without_multiprocessing(tmp_path):
+    # A serial sweep never spawns a worker, so it must not pay for loading
+    # multiprocessing; test_reports_do_not_depend_on_what_ran_before covers
+    # RF_THREADS=2.
+    src = os.path.dirname(os.path.dirname(sfcheck.__file__))
+    code = (
+        "import sys, sfcheck.cli; "
+        f"sfcheck.cli.main(['sweep', '--t-max', '4', '--report-dir', {str(tmp_path)!r}]); "
+        "print('multiprocessing' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=src, RF_THREADS="1"),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+    assert out[-1] == "False"
+    assert len(list(tmp_path.glob("*.json"))) == 4

@@ -1,12 +1,11 @@
 """Constructor tests: blocks, sides, stage graphs, stacked graphs, layout, and the
-stage route's premise on doctored builds."""
+stage route's premise on doctored stage builds."""
 
 import dataclasses
 import random
 
 import pytest
 
-from sfcheck import report as report_module
 from sfcheck.cli import main
 from sfcheck.construct import (
     DEFAULT_PROFILE,
@@ -18,7 +17,7 @@ from sfcheck.construct import (
     label_parity,
 )
 from sfcheck.graphs import Graph, complete, induced
-from sfcheck.solve import stage_solve
+from sfcheck.solve import Stack, stage
 
 from oracles import all_profiles, layout_cuts, stacked_vertex_count, stage_vertex_count
 
@@ -37,10 +36,6 @@ def cross_pairs_by_rule(lg):
             part += [len(part)] * (r - 1) * r
     n = lg.graph.n
     return [(v, w) for v in range(n) for w in range(v + 1, n) if part[v] != part[w]]
-
-
-def route(lg):
-    return stage_solve(lg.graph, lg.labels, lg.stage_cuts())
 
 
 class TestProfile:
@@ -213,7 +208,7 @@ class TestBuildSF:
     @pytest.mark.parametrize("t", range(3, 8))
     @pytest.mark.parametrize("profile", all_profiles())
     def test_all_profiles_meet_the_premise(self, profile, t):
-        route(build_SF(t, profile))  # AssertionError where the premise fails
+        stage(t, profile)  # AssertionError where the premise fails
 
 
 class TestLayout:
@@ -270,53 +265,61 @@ def flipped_label(lg, v):
     return dataclasses.replace(lg, labels=tuple(labels))
 
 
-# Seeded faults in SF(5): stage 3 is the base path 0..5, stage 4 has its G
-# side at 6..17 and its H side at 18..29, stage 5 starts at 30.
+# Seeded faults in F(4), stage 4 of SF(5): its G side is 0..11 and its H
+# side 12..23.  An edge between two stages is not a fault that can be
+# seeded: a stack has no rows between its stages, whose adjacency is the
+# parity rule by definition.
 FAULTS = {
-    "edge between the sides of a stage": lambda lg: flipped_edge(lg, 6, 18),
-    "edge across two stages": lambda lg: flipped_edge(lg, 7, 31),
-    "label of one vertex of a correspondence pair": lambda lg: flipped_label(lg, 6),
+    "edge between the sides of a stage": lambda lg: flipped_edge(lg, 0, 12),
+    "label of one vertex of a correspondence pair": lambda lg: flipped_label(lg, 0),
 }
 
 
 class TestPremise:
     """The stage route's premise check stands where a separate validation
-    pass stood: every fault against the construction's cross-edge rule
-    makes the route raise, and the CLI exit 3."""
+    pass stood: every fault against the construction's rule between the
+    sides of a stage, seeded into the build the stage memo makes, makes the
+    stack raise, and the CLI exit 3."""
 
     @pytest.mark.parametrize("fault", FAULTS)
-    def test_seeded_fault_raises(self, fault):
+    def test_seeded_fault_raises(self, fault, seed_stage):
+        seed_stage(4, FAULTS[fault])
         with pytest.raises(AssertionError, match="opposite-parity rule"):
-            route(FAULTS[fault](build_SF(5)))
+            Stack("SF", 5, DEFAULT_PROFILE)
 
     @pytest.mark.parametrize("fault", FAULTS)
-    def test_seeded_fault_exits_3(self, fault, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(report_module, "build_SF", lambda t, profile: FAULTS[fault](build_SF(t, profile)))
+    def test_seeded_fault_exits_3(self, fault, seed_stage, tmp_path, capsys):
+        seed_stage(4, FAULTS[fault])
         out = tmp_path / "r.json"
         assert main(["verify", "--theorem", "1.2", "--r", "4", "--report", str(out)]) == 3
         assert "internal error: AssertionError" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("profile", all_profiles(), ids=str)
-    def test_premise_fails_exactly_on_doctored_builds(self, profile):
+    def test_premise_fails_exactly_on_doctored_builds(self, profile, seed_stage):
         rng = random.Random(11)
-        for t in (3, 4, 5):
-            lg = build_SF(t, profile)
-            n = lg.graph.n
+        for r in (3, 4, 5):
+            n = build_F(r, profile).graph.n
             for _ in range(8):
-                rows = list(lg.graph.rows)
-                for _ in range(rng.randint(1, 4)):
-                    v, w = rng.sample(range(n), 2)
-                    rows[v] ^= 1 << w
-                    rows[w] ^= 1 << v
-                labels = tuple(flip_label(x) if rng.random() < 0.05 else x for x in lg.labels)
-                doctored = LabeledGraph(Graph(n, tuple(rows)), labels, lg.stages, lg.base_path)
+                flips = [rng.sample(range(n), 2) for _ in range(rng.randint(1, 4))]
+                relabel = [rng.random() < 0.05 for _ in range(n)]
+
+                def doctor(lg, flips=flips, relabel=relabel):
+                    rows = list(lg.graph.rows)
+                    for v, w in flips:
+                        rows[v] ^= 1 << w
+                        rows[w] ^= 1 << v
+                    labels = tuple(flip_label(x) if f else x for x, f in zip(lg.labels, relabel))
+                    return LabeledGraph(Graph(n, tuple(rows)), labels, lg.stages, lg.base_path)
+
+                seed_stage(r, doctor)
+                doctored = doctor(build_F(r, profile))
                 broken = any(
-                    doctored.graph.has_edge(v, w) != (label_parity(labels[v]) != label_parity(labels[w]))
+                    doctored.graph.has_edge(v, w) != (label_parity(doctored.labels[v]) != label_parity(doctored.labels[w]))
                     for v, w in cross_pairs_by_rule(doctored)
                 )
                 if broken:
                     with pytest.raises(AssertionError, match="opposite-parity rule"):
-                        route(doctored)
+                        stage(r, profile)
                 else:
-                    route(doctored)
+                    stage(r, profile)

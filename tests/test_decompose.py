@@ -13,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfcheck import solve
-from sfcheck.construct import build_F, build_SF
+from sfcheck.construct import build_F
 from sfcheck.graphs import Graph, combine, complement, induced, random_graph
 from sfcheck.solve import (
     MEMO_SIZE,
+    Stack,
     _solve,
     _solve_prime,
     max_clique,
@@ -135,12 +136,11 @@ def test_search_sees_nothing_past_the_base_path(monkeypatch):
         return max_clique(g)
 
     monkeypatch.setattr(solve, "max_clique", recording)
-    _solve.cache_clear()
-    _solve_prime.cache_clear()
+    for memo in (solve.stage, _solve, _solve_prime):
+        memo.cache_clear()
     for profile in all_profiles():
         for t in range(3, 13):
-            lg = build_SF(t, profile)
-            stage_solve(lg.graph, lg.labels, lg.stage_cuts())
+            stage_solve(Stack("SF", t, profile))
             f = build_F(t, profile)
             max_mono_clique(f.graph, f.labels)
     assert sizes and max(sizes) <= 6
@@ -154,7 +154,7 @@ def test_memos_stay_bounded():
         g = random_graph(rng.randint(8, 16), 0.5, rng)
         labels = tuple(rng.choice((1, 2)) for _ in range(g.n))
         max_mono_clique(g, labels)
-    for memo in (_solve, _solve_prime):
+    for memo in (solve.stage, _solve, _solve_prime):
         info = memo.cache_info()
         assert info.maxsize == MEMO_SIZE and info.currsize <= MEMO_SIZE
     assert _solve.cache_info().misses > MEMO_SIZE

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sfcheck import solve
 from sfcheck.construct import build_F, build_SF
 from sfcheck.formats import decode_graph6
 from sfcheck.graphs import (
@@ -321,9 +322,10 @@ def checked(monkeypatch):
 
 class TestTrustBoundary:
     def test_only_boundary_constructions_check(self, checked):
+        solve.stage.cache_clear()  # so that run_verification builds every stage of SF(8)
         run_verification("1.2", 7)
         max_independent_set(build_SF(8).graph)
-        # One check per SF(8) build: the explicit base path's from_edges.
+        # One check per build of stages 3..8: the explicit base path's from_edges.
         assert checked == [(6, PATH6_ROWS)] * 2
 
     def test_public_constructors_check_once(self, checked):

@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfcheck import report as report_module
+from sfcheck import solve as solve_module
 from sfcheck.construct import InterpretationProfile, LabeledGraph, build_F, build_SF
 from sfcheck.report import (
     MAX_REBUILD_VERTICES,
     load_report,
+    require_rebuildable,
     run_verification,
     target_vertex_count,
     verify_report,
@@ -139,7 +141,7 @@ def test_target_vertex_count_matches_builds(profile):
         assert target_vertex_count("SF", r, profile) == build_SF(r, profile).graph.n
 
 
-@pytest.mark.parametrize("theorem, param", [("1.2", 32), ("1.2", 10**9), ("1.1", 101)])
+@pytest.mark.parametrize("theorem, param", [("1.2", 101), ("1.2", 10**9), ("1.1", 101)])
 def test_oversized_target_refused_unbuilt(theorem, param, monkeypatch):
     def no_build(*args):
         raise AssertionError("verify_report built an oversized target")
@@ -147,6 +149,7 @@ def test_oversized_target_refused_unbuilt(theorem, param, monkeypatch):
     report = edited(base_report(theorem), ("target", "param"), param)
     monkeypatch.setattr(report_module, "build_F", no_build)
     monkeypatch.setattr(report_module, "build_SF", no_build)
+    monkeypatch.setattr(solve_module, "build_F", no_build)
     problems = verify_report(report)
     assert len(problems) == 1 and f"above the limit of {MAX_REBUILD_VERTICES}" in problems[0]
 
@@ -228,19 +231,28 @@ def test_float_labels_are_refused():
         LabeledGraph(lg.graph, (1.0, *lg.labels[1:]), lg.stages, lg.base_path)
 
 
-def test_sf31_is_the_largest_stack_within_the_limit():
+def test_sf100_is_the_largest_stack_within_the_limit():
+    # Verification rebuilds stages, so the limit bounds the largest stage,
+    # F(t); a dense build, for export, is limited in its total.
     for profile in all_profiles():
-        assert target_vertex_count("SF", 31, profile) <= MAX_REBUILD_VERTICES
-        assert target_vertex_count("SF", 32, profile) > MAX_REBUILD_VERTICES
+        require_rebuildable("SF", 100, profile)
+        with pytest.raises(ValueError, match="SF.101. has a stage of 20200 vertices"):
+            require_rebuildable("SF", 101, profile)
+        require_rebuildable("SF", 31, profile, dense=True)
+        with pytest.raises(ValueError, match=r"SF.32. has \d+ vertices"):
+            require_rebuildable("SF", 32, profile, dense=True)
 
 
-@pytest.mark.parametrize("theorem, r, target", [("1.2", 40, "SF(41) has 45910"), ("1.1", 101, "F(101) has 20200")])
+@pytest.mark.parametrize(
+    "theorem, r, target", [("1.2", 100, "SF(101) has a stage of 20200"), ("1.1", 101, "F(101) has 20200")]
+)
 def test_run_verification_refuses_what_verify_report_would(theorem, r, target, monkeypatch):
     def no_build(*args):
         raise AssertionError("run_verification built an oversized target")
 
     monkeypatch.setattr(report_module, "build_F", no_build)
     monkeypatch.setattr(report_module, "build_SF", no_build)
+    monkeypatch.setattr(solve_module, "build_F", no_build)
     message = f"{target} vertices, above the limit of {MAX_REBUILD_VERTICES}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         run_verification(theorem, r)

@@ -1,46 +1,105 @@
 """The stage route: omega and alpha of SF(t) composed from per-stage solves.
 
-The monolithic solve of the whole SF(t) is the reference.  The closed forms
-of the per-stage numbers are a test oracle only; no verdict rests on them.
+The monolithic solve of the dense SF(t) is the reference, for the numbers,
+for the stack's closed-form counts and for its witness check.  The closed
+forms of the per-stage numbers are a test oracle only; no verdict rests on
+them.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sfcheck
+from sfcheck import construct as construct_module
 from sfcheck import report as report_module
+from sfcheck import solve as solve_module
 from sfcheck.cli import main
-from sfcheck.construct import DEFAULT_PROFILE, InterpretationProfile, LabeledGraph, build_F, build_SF
+from sfcheck.construct import DEFAULT_PROFILE, InterpretationProfile, build_F, build_SF
 from sfcheck.graphs import Graph
-from sfcheck.report import report_to_json, strip_volatile
-from sfcheck.solve import _class_solves, _solve, max_clique, max_independent_set, stage_solve
+from sfcheck.report import report_to_json, run_verification, strip_volatile, verify_report
+from sfcheck.solve import LABELS, Stack, _solve, max_clique, max_independent_set, stage_solve, verify_witness
 
 from oracles import all_profiles
 
 
-def route(lg):
-    return stage_solve(lg.graph, lg.labels, lg.stage_cuts())
-
-
-def assert_route_matches_monolithic(lg):
-    omega, alpha = route(lg)
-    assert (omega.size, alpha.size) == (max_clique(lg.graph).size, max_independent_set(lg.graph).size)
+def assert_route_matches_monolithic(t, profile=DEFAULT_PROFILE):
+    omega, alpha = stage_solve(Stack("SF", t, profile))
+    g = build_SF(t, profile).graph
+    assert (omega.size, alpha.size) == (max_clique(g).size, max_independent_set(g).size)
+    assert verify_witness(g, omega.witness, "clique") and verify_witness(g, alpha.witness, "independent")
     assert len(omega.witness) == omega.size and len(alpha.witness) == alpha.size
 
 
 @pytest.mark.parametrize("profile", all_profiles(), ids=str)
 def test_route_matches_monolithic_solve(profile):
-    for t in range(4, 11):
-        assert_route_matches_monolithic(build_SF(t, profile))
+    for t in range(3, 11):
+        assert_route_matches_monolithic(t, profile)
 
 
 @pytest.mark.parametrize("t", range(11, 17))
 def test_route_matches_monolithic_solve_default_profile(t):
-    assert_route_matches_monolithic(build_SF(t, DEFAULT_PROFILE))
+    assert_route_matches_monolithic(t)
+
+
+@pytest.mark.parametrize("profile", all_profiles(), ids=str)
+def test_stack_counts_match_the_dense_build(profile):
+    for t in range(3, 13):
+        stack, lg = Stack("SF", t, profile), build_SF(t, profile)
+        assert (stack.n, stack.m, stack.label_counts) == (lg.graph.n, lg.graph.m, lg.label_counts()), t
+        assert [stack.label(v) for v in range(stack.n)] == list(lg.labels)
+
+
+@st.composite
+def stack_witnesses(draw):
+    """(t, profile, members, mode): a stage-route optimum, or vertices drawn
+    from one to three ranges (a side, a whole stage), with a few vertices
+    added and removed, so that pairs fall inside one side, across the two
+    sides of a stage and across stages."""
+    t = draw(st.integers(3, 7))
+    profile = draw(st.sampled_from(all_profiles()))
+    mode = draw(st.sampled_from(["clique", "independent"]))
+    stack = Stack("SF", t, profile)
+    ranges = []
+    for start, stage in zip(stack.starts, stack.stages):
+        bounds = [0, *stage.lg.stage_cuts(), stage.lg.graph.n]
+        ranges += [(start + lo, start + hi) for lo, hi in zip(bounds, bounds[1:])]
+        ranges.append((start, start + stage.lg.graph.n))
+    if draw(st.booleans()):
+        members = set(stage_solve(stack)[mode == "independent"].witness)
+    else:
+        members = set()
+        for lo, hi in draw(st.lists(st.sampled_from(ranges), min_size=1, max_size=3)):
+            members |= set(draw(st.lists(st.integers(lo, hi - 1), max_size=4)))
+    members |= set(draw(st.lists(st.integers(0, stack.n - 1), max_size=2)))
+    if members:
+        members -= set(draw(st.lists(st.sampled_from(sorted(members)), max_size=3)))
+    return t, profile, sorted(members), mode
+
+
+@settings(max_examples=300, deadline=None)
+@given(stack_witnesses())
+def test_stack_witness_check_matches_the_dense_one(case):
+    t, profile, members, mode = case
+    assert Stack("SF", t, profile).verify_witness(members, mode) == verify_witness(
+        build_SF(t, profile).graph, members, mode
+    )
+
+
+@pytest.mark.parametrize("members", [[0, 0], [-1], [30], [True]], ids=["repeated", "negative", "n", "bool"])
+def test_stack_witness_check_refuses_what_the_dense_one_does(members):
+    stack, g = Stack("SF", 4, DEFAULT_PROFILE), build_SF(4).graph
+    for check in (stack.verify_witness, lambda m, mode: verify_witness(g, m, mode)):
+        with pytest.raises(ValueError):
+            check(members, "clique")
+        with pytest.raises(ValueError, match="unknown witness mode"):
+            check([], "path")
 
 
 def stage_numbers(lg):
@@ -48,8 +107,7 @@ def stage_numbers(lg):
     and _2 are its label-1 and label-2 classes."""
     numbers = []
     for mode in ("clique", "independent"):
-        numbers.append(_solve(lg.graph, mode).size)
-        numbers += [res.size for _, res in _class_solves(lg.graph, lg.labels, mode)]
+        numbers += [_solve(lg.graph, mode, lg.labels, label).size for label in (None, *LABELS)]
     return numbers
 
 
@@ -83,44 +141,27 @@ def flipped(lg, u, v):
     rows = list(lg.graph.rows)
     rows[u] ^= 1 << v
     rows[v] ^= 1 << u
-    return LabeledGraph(Graph(lg.graph.n, tuple(rows)), lg.labels, lg.stages, lg.base_path)
+    return dataclasses.replace(lg, graph=Graph(lg.graph.n, tuple(rows)))
 
 
-@pytest.mark.parametrize("u, v", [(0, 6), (5, 29), (7, 31)], ids=["stages 3-4", "stages 3-4 far", "stages 4-5"])
-def test_flipped_cross_stage_edge_raises(u, v):
-    with pytest.raises(AssertionError, match="opposite-parity rule"):
-        route(flipped(build_SF(5), u, v))
+def test_flipped_edge_within_a_side_is_solved(seed_stage):
+    # The premise concerns only edges between parts; a side's own edges are
+    # whatever the build holds.  The dense SF(6) sees the same doctored F(4).
+    edge = build_F(4).graph.has_edge(0, 1)
+    seed_stage(4, lambda lg: flipped(lg, 0, 1))
+    assert solve_module.stage(4, DEFAULT_PROFILE).lg.graph.has_edge(0, 1) != edge
+    assert_route_matches_monolithic(6)
 
 
-@pytest.mark.parametrize("cut", ["labels short", "cuts out of order", "cut at n"])
-def test_layout_that_does_not_fit_is_refused(cut):
-    lg = build_SF(5)
-    labels, cuts = lg.labels, lg.stage_cuts()
-    if cut == "labels short":
-        labels = labels[:-1]
-    elif cut == "cuts out of order":
-        cuts = cuts[::-1]
-    else:
-        cuts = (*cuts, lg.graph.n)
-    with pytest.raises(ValueError, match="do not lay out 70 vertices"):
-        stage_solve(lg.graph, labels, cuts)
+def test_verification_never_builds_the_dense_stack(monkeypatch):
+    def no_build(*args):
+        raise AssertionError("built the dense SF(t)")
 
-
-def test_flipped_edge_within_a_stage_is_solved():
-    # The premise concerns only edges between stages; a stage's own edges
-    # are whatever the graph holds.
-    assert_route_matches_monolithic(flipped(build_SF(6), 6, 7))
-
-
-def test_broken_build_exits_3(tmp_path, monkeypatch, capsys):
-    def broken(t, profile):
-        return flipped(build_SF(t, profile), 0, 6)
-
-    monkeypatch.setattr(report_module, "build_SF", broken)
-    out = tmp_path / "r.json"
-    assert main(["verify", "--theorem", "1.2", "--r", "4", "--report", str(out)]) == 3
-    assert "internal error: AssertionError" in capsys.readouterr().err
-    assert not out.exists()
+    monkeypatch.setattr(report_module, "build_SF", no_build)
+    monkeypatch.setattr(construct_module, "build_SF", no_build)
+    for r in (2, 3, 9):
+        report = run_verification("1.2", r)
+        assert verify_report(report) == []
 
 
 def test_reports_do_not_depend_on_what_ran_before(tmp_path, monkeypatch):
@@ -146,8 +187,8 @@ def test_reports_do_not_depend_on_what_ran_before(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(
     "argv",
-    [["sweep", "--t-max", "32", "--report-dir", "DIR"], ["verify", "--theorem", "1.2", "--r", str(10**9), "--report", "DIR/r.json"]],
-    ids=["sweep t-max 32", "verify r 10**9"],
+    [["sweep", "--t-max", "101", "--report-dir", "DIR"], ["verify", "--theorem", "1.2", "--r", str(10**9), "--report", "DIR/r.json"]],
+    ids=["sweep t-max 101", "verify r 10**9"],
 )
 def test_unloadable_targets_refused_unbuilt(argv, tmp_path, monkeypatch, capsys):
     def no_build(*args):
@@ -155,6 +196,7 @@ def test_unloadable_targets_refused_unbuilt(argv, tmp_path, monkeypatch, capsys)
 
     monkeypatch.setattr(report_module, "build_F", no_build)
     monkeypatch.setattr(report_module, "build_SF", no_build)
+    monkeypatch.setattr(solve_module, "build_F", no_build)
     out_dir = tmp_path / "out"
     assert main([arg.replace("DIR", str(out_dir)) for arg in argv]) == 2
     assert "above the limit of 20000" in capsys.readouterr().err

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sfcheck import solve
 from sfcheck.construct import DEFAULT_PROFILE, build_F, build_SF
 from sfcheck.graphs import complement, complete, cycle, empty, random_graph
 from sfcheck.report import run_verification
-from sfcheck.solve import oracle_max_clique, verify_witness
+from sfcheck.solve import Stack, oracle_max_clique, verify_witness
 from sfcheck.verify import (
     bound_report_from_counts,
     check_theorem_1_1,
@@ -70,9 +71,8 @@ class TestTheorem12:
         assert verify_witness(g, tc.witness, "independent")
 
     def test_r3_default_certificate(self):
-        lg = build_SF(4, DEFAULT_PROFILE)
-        g = lg.graph
-        tc = check_theorem_1_2(3, DEFAULT_PROFILE, g, lg.labels, lg.stage_cuts())
+        g = build_SF(4, DEFAULT_PROFILE).graph
+        tc = check_theorem_1_2(3, DEFAULT_PROFILE, Stack("SF", 4, DEFAULT_PROFILE))
         assert verify_witness(g, tc.witness, tc.witness_mode)
         confirmed = tc.computed["omega"] <= 3 and tc.computed["alpha"] <= 3
         assert tc.status == ("CONFIRMED" if confirmed else "REFUTED")
@@ -87,10 +87,9 @@ class TestTheorem12:
         assert len(tc.witness) == r + 1
 
     def test_deterministic_reruns(self):
-        lg = build_SF(4, DEFAULT_PROFILE)
-        a = check_theorem_1_2(3, DEFAULT_PROFILE, lg.graph, lg.labels, lg.stage_cuts())
-        lg = build_SF(4, DEFAULT_PROFILE)
-        b = check_theorem_1_2(3, DEFAULT_PROFILE, lg.graph, lg.labels, lg.stage_cuts())
+        a = check_theorem_1_2(3, DEFAULT_PROFILE, Stack("SF", 4, DEFAULT_PROFILE))
+        solve.stage.cache_clear()
+        b = check_theorem_1_2(3, DEFAULT_PROFILE, Stack("SF", 4, DEFAULT_PROFILE))
         assert a == b
 
     def test_rejects_small_r(self):
