@@ -288,7 +288,7 @@ def run_verification(
     require_rebuildable(*target, profile)
     stack = Stack(*target, profile)
     if theorem == "1.1":
-        tc = check_theorem_1_1(r, profile, stack.stages[0].lg)
+        tc = check_theorem_1_1(r, profile, stack)
     else:
         tc = check_theorem_1_2(r, profile, stack)
     return make_report(stack, tc, started, _now())

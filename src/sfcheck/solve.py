@@ -47,47 +47,57 @@ by one part's optimum, by an odd clique and an even clique of two
 parts (every pair across them is joined), and by one class's
 independent sets of every part (no pair across them is joined).
 
-Each part, and each label class of it, is split before any search (an
-independent set is a clique of the complement):
+Each part is split once, before any search, into pieces: cliques and
+independent sets (leaves), then components, then co-components, and the
+prime pieces, connected and co-connected, that are left.  Six queries
+read that one tree (the part, label 1 and label 2, for clique and for
+independent set), each piece as its part within the query, children
+first:
 
-- a clique is its own maximum clique;
+- a clique is its own maximum clique, an independent set has one vertex;
 - a disconnected piece has omega = max over its components: a clique is
   connected, so it lies in one;
 - a piece with a disconnected complement has omega = sum over its
   co-components: each vertex of one is joined to every vertex of the
   others, so a clique is one clique from each;
-- only a piece that is connected and co-connected (prime) is searched.
+- only a prime piece is searched, on its part within the query.
 
-Cographs are exactly the graphs this split takes down to single vertices
+An independent set is a clique of the complement, so an independent-set
+query reads the tree with the two leaves and the two splits swapped, and
+no part's complement is built.  On a tie a split keeps the candidate
+whose component of the query's part (in the graph, or for an independent
+set in its complement) has the lowest first vertex, carried up as its
+key, so each witness is the one a split of the query's set alone gives.
+T1.1 reads the same optima: a label class has one parity, so no edge of
+it crosses between parts, and its largest clique is its parts' largest.
+
+Cographs are exactly the graphs this split takes down to leaves
 (Corneil, Lerchs and Stewart Burlingham, Discrete Applied Mathematics
 3(3), 1981).  Every stage side is one under every profile (r-1 disjoint
-copies of K_a + K_(r-a) or of K_r, or edgeless, and their complement),
-and so is each label class of it; the classes of F(r) join no pair across
-its sides.  Only the six-vertex base path and its complement are prime.
+copies of K_a + K_(r-a) or of K_r, or edgeless, and their complement).
+Only the six-vertex base path and its complement are prime.
 
-Three memos of MEMO_SIZE entries keep the results.  The stage memo,
+Two memos of MEMO_SIZE entries keep the results.  The stage memo,
 ``stage``, is keyed on (r, profile): it builds F(r) and checks its side
 premise once, and keeps the build, its edge count, its label counts and,
-from the first T1.2 check on it, the six optima of each part (whole,
-label 1 and label 2, for clique and for independent set).  A Stack reads
-its n, m and label counts from those counts in closed form, and checks a
-witness against the stages' rows and the parity rule.  The other two are
-keyed on the solved graph (a part's slice, or the graph max_mono_clique is
-given), the mode and the label class, and on each prime piece; a graph
-that several profiles share, such as a side of F(r) for r >= 4 under
-either base case, is solved once.
+from the first check that reads them, the six optima of each part.  A
+Stack reads its n, m and label counts from those counts in closed form,
+and checks a witness against the stages' rows and the parity rule.
+``_solve_prime`` is keyed on each prime piece, so the base path and its
+complement are searched once.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, permutations
 from operator import or_
 from typing import Iterator
 
 from sfcheck.construct import (
+    DEFAULT_PROFILE,
     LABELS,
     InterpretationProfile,
     LabeledGraph,
@@ -101,8 +111,7 @@ from sfcheck.graphs import Graph, as_vertex_set, complement, induced
 ORACLE_MAX_N = 24
 
 # Entries each memo keeps.  An in-process sweep to t-max 100, the largest a
-# report loader accepts, keys 98 stages and two prime pieces; its part
-# solves pass 512, but each stage keeps its own optima, so none is redone.
+# report loader accepts, keys 98 stages and two prime pieces.
 MEMO_SIZE = 512
 
 
@@ -118,18 +127,22 @@ class CliqueResult:
 def verify_witness(g: Graph, members, mode: str) -> bool:
     """Pairwise re-check that ``members`` is a clique / independent set.
 
-    Each member's row, restricted to the members, must hold every other
-    member (clique) or none (independent set): k row masks in place of
-    k^2/2 single-pair queries.  Independent of the solvers; every witness
-    that leaves this module has passed it, and reports re-run it on load.
+    Independent of the solvers; every witness that leaves this module has
+    passed its check, ``_holds``, and reports re-run it on load.
     """
     if mode not in ("clique", "independent"):
         raise ValueError(f"unknown witness mode {mode!r}")
-    vs = as_vertex_set(g, members)
-    chosen = sum(1 << v for v in vs)
-    if mode == "clique":
-        return all(g.rows[v] & chosen == chosen ^ (1 << v) for v in vs)
-    return all(not g.rows[v] & chosen for v in vs)
+    return _holds(g.rows, sum(1 << v for v in as_vertex_set(g, members)), -1 if mode == "independent" else 0)
+
+
+def _holds(rows: tuple[int, ...], chosen: int, flip: int) -> bool:
+    """Whether ``chosen`` is a clique of the graph of ``rows`` (flip 0) or
+    of its complement (flip -1): each member's row, restricted to
+    ``chosen``, must hold every other member or none, k row masks in place
+    of k^2/2 single-pair queries."""
+    if flip:
+        return all(not rows[v] & chosen for v in _members(chosen))
+    return all(rows[v] & chosen == chosen ^ (1 << v) for v in _members(chosen))
 
 
 def _degeneracy_order(rows: tuple[int, ...], n: int) -> list[int]:
@@ -307,7 +320,7 @@ def _components(rows: tuple[int, ...], mask: int, flip: int) -> list[int]:
     while mask:
         part = frontier = mask & -mask
         mask ^= part
-        while frontier:
+        while frontier and mask:
             bit = frontier & -frontier
             frontier ^= bit
             new = mask & (rows[bit.bit_length() - 1] ^ flip)
@@ -318,63 +331,75 @@ def _components(rows: tuple[int, ...], mask: int, flip: int) -> list[int]:
     return parts
 
 
-def _split_clique(g: Graph, mask: int) -> tuple[int, int]:
-    """A maximum clique of ``g`` within ``mask``, as a mask, and the
-    branch-and-bound nodes it took (the module docstring gives the rules).
+def _split_clique(g: Graph, mask: int, queries: list[tuple[int, int]]) -> list[CliqueResult]:
+    """Per query (within, flip), a maximum clique (flip 0) or independent
+    set (flip -1) of ``g`` within ``within``, a subset of ``mask``, with
+    its branch-and-bound nodes, by the module docstring's rules.
 
-    Pieces are split, parents first, until each is a clique or prime, and
-    a prime piece is induced and searched.  Their cliques are combined
-    children first, so no recursion limits the depth; a component split
-    keeps its first largest clique, so ties go to the lowest vertex.
+    ``mask`` is split once, parents first; each query reads the pieces
+    children first, so no recursion limits the depth.  A prime piece's
+    part within a query is induced, complemented for an independent set,
+    and searched, or split again if it is not the whole piece.
     """
     rows = g.rows
-    pieces, found, splits, nodes = [mask], [], [], 0
+    pieces, splits = [mask], []
     for piece in pieces:
-        best, split = 0, None
-        if all(rows[v] & piece == piece ^ (1 << v) for v in _members(piece)):
-            best = piece
+        if _holds(rows, piece, 0):
+            split = 0  # a clique
+        elif _holds(rows, piece, -1):
+            split = -1  # an independent set
         else:
-            for union, flip in ((False, 0), (True, -1)):
+            split = None  # prime, unless it splits
+            for flip in (0, -1):
                 parts = _components(rows, piece, flip)
                 if len(parts) > 1:
-                    split = (union, len(pieces), len(pieces) + len(parts))
+                    split = (flip, len(pieces), len(pieces) + len(parts))
                     pieces += parts
                     break
-            else:
-                members = list(_members(piece))
-                res = _solve_prime(induced(g, members))
-                nodes += res.nodes_explored
-                best = sum(1 << members[i] for i in res.witness)
-        found.append(best)
         splits.append(split)
-    for i in reversed(range(len(pieces))):
-        if splits[i]:
-            union, lo, hi = splits[i]
-            found[i] = reduce(or_, found[lo:hi]) if union else max(found[lo:hi], key=int.bit_count)
-    return found[0], nodes
+    results = []
+    for within, flip in queries:
+        found, nodes = [(0, 0)] * len(pieces), 0  # each piece's answer and key
+        for i in reversed(range(len(pieces))):
+            part, split = pieces[i] & within, splits[i]
+            if not part:
+                continue
+            low = part & -part
+            if isinstance(split, int):
+                found[i] = (part if split == flip else low, low)
+            elif split:
+                kids = [kid for kid in found[split[1] : split[2]] if kid[0]]
+                if split[0] == flip or len(kids) == 1:  # a union in the query's view, or one kid
+                    found[i] = min(kids, key=lambda kid: (-kid[0].bit_count(), kid[1]))
+                else:
+                    found[i] = (reduce(or_, (kid[0] for kid in kids)), low)
+            else:
+                members = list(_members(part))
+                h = complement(induced(g, members)) if flip else induced(g, members)
+                full = (1 << h.n) - 1
+                res = _solve_prime(h) if part == pieces[i] else _split_clique(h, full, [(full, 0)])[0]
+                nodes += res.nodes_explored
+                best = sum(1 << members[j] for j in res.witness)
+                view = next(c for c in _components(rows, part, flip) if c & best)
+                found[i] = (best, view & -view)
+        if not _holds(rows, found[0][0], flip):
+            raise AssertionError(f"decomposition produced an invalid {'independent set' if flip else 'clique'}")
+        witness = tuple(_members(found[0][0]))
+        results.append(CliqueResult(len(witness), witness, nodes))
+    return results
 
 
-@lru_cache(maxsize=MEMO_SIZE)
-def _solve(g: Graph, mode: str, labels: tuple[int, ...] = (), label: int | None = None) -> CliqueResult:
-    """The ``mode`` optimum of ``g``, or of its vertices whose ``labels``
-    entry is ``label`` when one is given, numbered as in ``g``, by the
-    split.  Results are deterministic, so a memo hit returns what a fresh
-    solve would."""
-    mask = (1 << g.n) - 1 if label is None else sum(1 << v for v, lab in enumerate(labels) if lab == label)
-    found, nodes = _split_clique(g if mode == "clique" else complement(g), mask)
-    witness = tuple(_members(found))
-    if not verify_witness(g, witness, mode):
-        raise AssertionError(f"decomposition produced an invalid {mode} witness")
-    return CliqueResult(len(witness), witness, nodes)
+def _class_masks(labels: tuple[int, ...]) -> list[int]:
+    """The vertices labeled 1 and those labeled 2, as two masks."""
+    return [sum(1 << v for v, lab in enumerate(labels) if lab == label) for label in LABELS]
 
 
 def max_mono_clique(g: Graph, labels: tuple[int, ...]) -> CliqueResult:
     """Largest clique of ``g`` whose vertices all carry one label (1 or 2),
-    label 1 on a tie; the node count sums both classes' solves."""
-    results = [_solve(g, "clique", tuple(labels), label) for label in LABELS]
+    label 1 on a tie, from one split of ``g``; the node count sums both
+    classes' solves."""
+    results = _split_clique(g, (1 << g.n) - 1, [(within, 0) for within in _class_masks(labels)])
     best = max(results, key=lambda res: res.size)
-    if not verify_witness(g, best.witness, "clique"):
-        raise AssertionError("solver produced an invalid single-label witness")
     return CliqueResult(best.size, best.witness, sum(res.nodes_explored for res in results))
 
 
@@ -387,17 +412,17 @@ class Stage:
         self.lg, self.m, self.label_counts = lg, lg.graph.m, lg.label_counts()
 
     @cached_property
-    def optima(self) -> dict[str, list[tuple[int, tuple[CliqueResult, ...]]]]:
-        """Per mode, each part's first vertex and its whole, label-1 and
-        label-2 optima, numbered within the part."""
-        g, labels = self.lg.graph, self.lg.labels
+    def optima(self) -> dict[str, list[tuple[CliqueResult, ...]]]:
+        """Per mode, each part's whole, label-1 and label-2 optima,
+        numbered within the stage, read from one split of the part."""
+        g, classes = self.lg.graph, _class_masks(self.lg.labels)
         bounds = [0, *self.lg.stage_cuts(), g.n]
         optima: dict[str, list] = {"clique": [], "independent": []}
         for lo, hi in zip(bounds, bounds[1:]):
-            mask = (1 << (hi - lo)) - 1
-            piece = Graph._trusted(hi - lo, tuple(row >> lo & mask for row in g.rows[lo:hi]))
-            for mode, parts in optima.items():
-                parts.append((lo, tuple(_solve(piece, mode, labels[lo:hi], label) for label in (None, *LABELS))))
+            part = (1 << hi) - (1 << lo)
+            solves = _split_clique(g, part, [(part & within, flip) for flip in (0, -1) for within in (part, *classes)])
+            optima["clique"].append(tuple(solves[:3]))
+            optima["independent"].append(tuple(solves[3:]))
         return optima
 
 
@@ -427,7 +452,10 @@ class Stack:
 
     def __init__(self, kind: str, param: int, profile: InterpretationProfile) -> None:
         _require_param(kind, param)
-        self.stages = [stage(r, profile) for r in ((param,) if kind == "F" else range(3, param + 1))]
+        # y_label labels only the base path: other stages share one memo entry.
+        other = replace(profile, y_label=DEFAULT_PROFILE.y_label)
+        rs = (param,) if kind == "F" else range(3, param + 1)
+        self.stages = [stage(r, profile if r == 3 and profile.base_case == "explicit_path" else other) for r in rs]
         *self.starts, self.n = accumulate((s.lg.graph.n for s in self.stages), initial=0)
         ones, twos = (sum(s.label_counts[label] for s in self.stages) for label in LABELS)
         self.label_counts = {1: ones, 2: twos}
@@ -477,8 +505,8 @@ def stage_solve(stack: Stack) -> tuple[CliqueResult, CliqueResult]:
     for mode in ("clique", "independent"):
         optima, nodes = [], 0  # optima: the whole part's, label 1's and label 2's, per part
         for start, stage_ in zip(stack.starts, stack.stages):
-            for lo, solves in stage_.optima[mode]:
-                optima.append([tuple(v + start + lo for v in res.witness) for res in solves])
+            for solves in stage_.optima[mode]:
+                optima.append([tuple(v + start for v in res.witness) for res in solves])
                 nodes += sum(res.nodes_explored for res in solves)
         candidates = [whole for whole, _, _ in optima]
         if mode == "clique":
@@ -490,6 +518,16 @@ def stage_solve(stack: Stack) -> tuple[CliqueResult, CliqueResult]:
             raise AssertionError(f"stage route assembled an invalid {mode} witness")
         results.append(CliqueResult(len(witness), witness, nodes))
     return results[0], results[1]
+
+
+def stage_mono_clique(stack: Stack) -> CliqueResult:
+    """Largest single-label clique of ``stack``: its parts' largest (the
+    module docstring says why), label 1 and then the first part in order
+    winning a tie; the node count sums both classes' solves of every part."""
+    parts = [(start, solves) for start, stage_ in zip(stack.starts, stack.stages) for solves in stage_.optima["clique"]]
+    best, start = max(((solves[label], start) for label in LABELS for start, solves in parts), key=lambda c: c[0].size)
+    nodes = sum(solves[label].nodes_explored for _, solves in parts for label in LABELS)
+    return CliqueResult(best.size, tuple(v + start for v in best.witness), nodes)
 
 
 def oracle_max_clique(g: Graph) -> int:

@@ -25,13 +25,13 @@ from dataclasses import dataclass
 from functools import cache, partial
 from itertools import combinations
 
-from sfcheck.construct import InterpretationProfile, LabeledGraph
+from sfcheck.construct import InterpretationProfile
 from sfcheck.graphs import Graph, cycle
 from sfcheck.solve import (
     Stack,
     max_clique,
     max_independent_set,
-    max_mono_clique,
+    stage_mono_clique,
     stage_solve,
     verify_witness,
 )
@@ -106,12 +106,13 @@ class BoundReport:
     reference: str | None
 
 
-def check_theorem_1_1(r: int, profile: InterpretationProfile, lg: LabeledGraph) -> TheoremCheck:
-    """Compare the largest single-label clique of ``lg``, the build of F(r)
-    under ``profile``, against ceil(r/2)."""
+def check_theorem_1_1(r: int, profile: InterpretationProfile, stack: Stack) -> TheoremCheck:
+    """Compare the largest single-label clique of ``stack``, F(r) under
+    ``profile``, read from its stage's part optima (``solve.stage_mono_clique``),
+    against ceil(r/2)."""
     claim_target("1.1", r)  # ValueError for an r the claim is not stated for
-    res = max_mono_clique(lg.graph, lg.labels)
-    if res.witness and len({lg.labels[v] for v in res.witness}) != 1:
+    res = stage_mono_clique(stack)
+    if res.witness and len({stack.label(v) for v in res.witness}) != 1:
         raise AssertionError("single-label witness spans both labels")
     computed = {"mono_clique": res.size}
     claimed, status, mode = claim_verdict("T1_1", r, computed)

@@ -8,11 +8,21 @@ the library code paths under test.
 from __future__ import annotations
 
 import itertools
+from functools import reduce
+from operator import or_
 
 from sfcheck.construct import InterpretationProfile
 from sfcheck.formats import Graph6ParseError
-from sfcheck.graphs import Graph
-from sfcheck.solve import CliqueResult, _degeneracy_order, _greedy_clique, verify_witness
+from sfcheck.graphs import Graph, complement, induced
+from sfcheck.solve import (
+    CliqueResult,
+    _components,
+    _degeneracy_order,
+    _greedy_clique,
+    _members,
+    max_clique,
+    verify_witness,
+)
 
 
 def edge_set(g: Graph) -> set[frozenset[int]]:
@@ -204,6 +214,47 @@ def recursive_max_clique(g: Graph) -> CliqueResult:
     if not verify_witness(g, best_witness, "clique"):
         raise AssertionError("solver produced an invalid clique witness")
     return CliqueResult(best_size, best_witness, nodes)
+
+
+def class_split(g: Graph, mode: str, labels: tuple[int, ...] = (), label: int | None = None) -> CliqueResult:
+    """The ``mode`` optimum of ``g``, or of its vertices whose ``labels``
+    entry is ``label``, by splitting that set alone, on ``g`` or on its
+    complement: the split route as it was before one split of a part
+    answered all six queries, kept as the reference for the read pass
+    (same size, witness and node count).
+
+    Pieces are split, parents first, until each is a clique or prime, and
+    a prime piece is induced and searched.  Their cliques are combined
+    children first; a component split keeps its first largest clique.
+    """
+    mask = (1 << g.n) - 1 if label is None else sum(1 << v for v, lab in enumerate(labels) if lab == label)
+    h = g if mode == "clique" else complement(g)
+    rows = h.rows
+    pieces, found, splits, nodes = [mask], [], [], 0
+    for piece in pieces:
+        best, split = 0, None
+        if all(rows[v] & piece == piece ^ (1 << v) for v in _members(piece)):
+            best = piece
+        else:
+            for union, flip in ((False, 0), (True, -1)):
+                parts = _components(rows, piece, flip)
+                if len(parts) > 1:
+                    split = (union, len(pieces), len(pieces) + len(parts))
+                    pieces += parts
+                    break
+            else:
+                members = list(_members(piece))
+                res = max_clique(induced(h, members))
+                nodes += res.nodes_explored
+                best = sum(1 << members[i] for i in res.witness)
+        found.append(best)
+        splits.append(split)
+    for i in reversed(range(len(pieces))):
+        if splits[i]:
+            union, lo, hi = splits[i]
+            found[i] = reduce(or_, found[lo:hi]) if union else max(found[lo:hi], key=int.bit_count)
+    witness = tuple(_members(found[0]))
+    return CliqueResult(len(witness), witness, nodes)
 
 
 def walk_problems(n: int, rows: tuple[int, ...]) -> list[str]:

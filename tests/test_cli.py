@@ -193,7 +193,7 @@ class TestInternalError:
         def crash(*args, **kwargs):
             raise AssertionError("single-label witness spans both labels")
 
-        monkeypatch.setattr("sfcheck.verify.max_mono_clique", crash)
+        monkeypatch.setattr("sfcheck.verify.stage_mono_clique", crash)
         assert main(["sweep", "--t-max", "3", "--report-dir", str(tmp_path)]) == 3
         assert "internal error: AssertionError" in capsys.readouterr().err
 

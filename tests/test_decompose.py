@@ -1,35 +1,41 @@
-"""The component and co-component split that solves every stage side.
+"""The one split of a part and the read pass that answers its six queries.
 
-Branch and bound (``max_clique``) is the reference: on random cographs,
-where the split leaves only single vertices, and on G(n, p) graphs, where
-it leaves prime pieces to search, the split must give the same sizes and
-witnesses that pass ``verify_witness``.
+``class_split`` in ``tests/oracles.py``, which splits each label class
+alone (on the complement, for an independent set), is the reference: on
+random cographs, where the split leaves only leaves, on G(n, p) graphs
+and their complements, where it leaves prime pieces to search, and on the
+base path, the read pass must give the same sizes, witnesses and node
+counts.  Branch and bound (``max_clique``) checks the sizes.
 """
 
 import random
 from functools import reduce
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfcheck import solve
-from sfcheck.construct import build_F
+from sfcheck.construct import InterpretationProfile, build_F
 from sfcheck.graphs import Graph, combine, complement, induced, random_graph
+from sfcheck.report import run_verification
 from sfcheck.solve import (
+    LABELS,
     MEMO_SIZE,
     Stack,
-    _solve,
+    _class_masks,
     _solve_prime,
+    _split_clique,
     max_clique,
     max_independent_set,
     max_mono_clique,
     stage_solve,
-    verify_witness,
 )
 
-from oracles import all_profiles
+from oracles import all_profiles, class_split
 
 VERTEX = Graph(1, (0,))
+MODES = ("clique", "independent")
 
 
 def relabel(g, order):
@@ -64,22 +70,34 @@ def cographs(draw):
     return relabel(g, draw(st.permutations(range(g.n))))
 
 
-def assert_split_matches_search(g):
-    """Returns the nodes the split's searches took."""
-    nodes = 0
-    for h in (g, complement(g)):
-        for mode, search in (("clique", max_clique), ("independent", max_independent_set)):
-            res = _solve(h, mode)
-            assert res.size == search(h).size
-            assert len(res.witness) == res.size and verify_witness(h, res.witness, mode)
-            nodes += res.nodes_explored
-    return nodes
+def six_queries(g, labels):
+    """The whole graph's, label 1's and label 2's optima, for clique then
+    for independent set, from one split of ``g``."""
+    full = (1 << g.n) - 1
+    return _split_clique(g, full, [(within, flip) for flip in (0, -1) for within in (full, *_class_masks(labels))])
+
+
+def assert_read_matches_reference(g, labels):
+    """Returns the nodes the read pass's searches took."""
+    results = six_queries(g, labels)
+    expected = [class_split(g, mode, labels, label) for mode in MODES for label in (None, *LABELS)]
+    assert results == expected
+    assert (results[0].size, results[3].size) == (max_clique(g).size, max_independent_set(g).size)
+    for label, res in zip(LABELS, results[1:3]):
+        assert res.size == max_clique(induced(g, [v for v in range(g.n) if labels[v] == label])).size
+    mono = max_mono_clique(g, labels)
+    best = max(results[1:3], key=lambda res: res.size)
+    assert (mono.size, mono.witness) == (best.size, best.witness)
+    assert mono.nodes_explored == results[1].nodes_explored + results[2].nodes_explored
+    return sum(res.nodes_explored for res in results)
 
 
 @settings(max_examples=150, deadline=None)
-@given(cographs())
-def test_split_matches_search_on_cographs(g):
-    assert assert_split_matches_search(g) == 0  # no piece of a cograph is prime
+@given(cographs(), st.integers(min_value=0, max_value=2**32 - 1))
+def test_read_matches_reference_on_cographs(g, seed):
+    rng = random.Random(seed)
+    labels = tuple(rng.choice(LABELS) for _ in range(g.n))
+    assert assert_read_matches_reference(g, labels) == 0  # no piece of a cograph is prime
 
 
 @settings(max_examples=100, deadline=None)
@@ -88,26 +106,37 @@ def test_split_matches_search_on_cographs(g):
     st.floats(min_value=0.0, max_value=1.0),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_split_matches_search_on_random_graphs(n, p, seed):
-    assert_split_matches_search(random_graph(n, p, random.Random(seed)))
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.integers(min_value=0, max_value=40),
-    st.floats(min_value=0.0, max_value=1.0),
-    st.integers(min_value=0, max_value=2**32 - 1),
-)
-def test_split_of_a_label_class_matches_search_on_the_induced_graph(n, p, seed):
+def test_read_matches_reference_on_random_graphs(n, p, seed):
     rng = random.Random(seed)
     g = random_graph(n, p, rng)
-    labels = tuple(rng.choice((1, 2)) for _ in range(n))
-    members = [v for v in range(n) if labels[v] == 1]
-    sub = induced(g, members)
-    for mode, search in (("clique", max_clique), ("independent", max_independent_set)):
-        res = _solve(g, mode, labels, 1)
-        assert res.size == search(sub).size
-        assert set(res.witness) <= set(members) and verify_witness(g, res.witness, mode)
+    labels = tuple(rng.choice(LABELS) for _ in range(n))
+    for h in (g, complement(g)):
+        assert_read_matches_reference(h, labels)
+
+
+@pytest.mark.parametrize("y_label", LABELS)
+def test_read_matches_reference_on_the_base_path(y_label):
+    lg = build_F(3, InterpretationProfile(y_label=y_label))
+    assert lg.graph.n == 6
+    assert assert_read_matches_reference(lg.graph, lg.labels) > 0  # P6 is prime
+
+
+# Two graphs in which label 1 (every vertex but 5) splits further than the
+# pieces of the whole graph do, and its clique {1, 2} ties with {3, 4}.
+# Vertex 5 joins {0, 3, 4} to the rest of their co-component, or is the
+# second vertex of the path 0-5-3-4, a prime piece; either way 0 is the
+# lowest vertex of a piece whose clique {3, 4} must not win the tie.
+TIES = {"co-component": [(1, 2), (3, 4), (5, 0), (5, 3), (5, 4)], "prime": [(1, 2), (3, 4), (0, 5), (5, 3)]}
+
+
+@pytest.mark.parametrize("edges", TIES.values(), ids=TIES)
+def test_ties_go_where_a_split_of_the_class_alone_sends_them(edges):
+    g = Graph.from_edges(6, edges)
+    labels = (1, 1, 1, 1, 1, 2)
+    for h, mode, flip in ((g, "clique", 0), (complement(g), "independent", -1)):
+        [res] = _split_clique(h, (1 << 6) - 1, [(0b11111, flip)])
+        assert res == class_split(h, mode, labels, 1)
+        assert res.witness == (1, 2)
 
 
 def test_deep_cotree_needs_no_recursion():
@@ -121,9 +150,12 @@ def test_deep_cotree_needs_no_recursion():
         for u in range(v):
             rows[u] |= 1 << v
     g = Graph(n, tuple(rows))
-    clique = _solve(g, "clique")
-    assert clique.size == n // 2 + 1 and clique.nodes_explored == 0
-    assert _solve(g, "independent").size == n // 2
+    rng = random.Random(5)
+    labels = tuple(rng.choice(LABELS) for _ in range(n))
+    results = six_queries(g, labels)
+    assert results == [class_split(g, mode, labels, label) for mode in MODES for label in (None, *LABELS)]
+    assert (results[0].size, results[3].size) == (n // 2 + 1, n // 2)
+    assert all(res.nodes_explored == 0 for res in results)
 
 
 def test_search_sees_nothing_past_the_base_path(monkeypatch):
@@ -136,7 +168,7 @@ def test_search_sees_nothing_past_the_base_path(monkeypatch):
         return max_clique(g)
 
     monkeypatch.setattr(solve, "max_clique", recording)
-    for memo in (solve.stage, _solve, _solve_prime):
+    for memo in (solve.stage, _solve_prime):
         memo.cache_clear()
     for profile in all_profiles():
         for t in range(3, 13):
@@ -146,15 +178,34 @@ def test_search_sees_nothing_past_the_base_path(monkeypatch):
     assert sizes and max(sizes) <= 6
 
 
+def test_no_part_complement_is_built(monkeypatch):
+    """The stage route reads independent sets from the parts' own split:
+    the only complements it builds are of prime pieces, at most the six
+    vertices of the base path."""
+    sizes = []
+
+    def recording(g):
+        sizes.append(g.n)
+        return complement(g)
+
+    monkeypatch.setattr(solve, "complement", recording)
+    for memo in (solve.stage, _solve_prime):
+        memo.cache_clear()
+    for profile in all_profiles():
+        run_verification("1.2", 11, profile)
+        run_verification("1.1", 12, profile)
+    assert sizes and max(sizes) <= 6
+    solve.stage.cache_clear()
+
+
 def test_memos_stay_bounded():
-    _solve.cache_clear()
     _solve_prime.cache_clear()
     for seed in range(1000):
         rng = random.Random(seed)
         g = random_graph(rng.randint(8, 16), 0.5, rng)
         labels = tuple(rng.choice((1, 2)) for _ in range(g.n))
         max_mono_clique(g, labels)
-    for memo in (solve.stage, _solve, _solve_prime):
+    for memo in (solve.stage, _solve_prime):
         info = memo.cache_info()
         assert info.maxsize == MEMO_SIZE and info.currsize <= MEMO_SIZE
-    assert _solve.cache_info().misses > MEMO_SIZE
+    assert _solve_prime.cache_info().misses > MEMO_SIZE

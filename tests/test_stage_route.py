@@ -24,7 +24,18 @@ from sfcheck.cli import main
 from sfcheck.construct import DEFAULT_PROFILE, InterpretationProfile, build_F, build_SF
 from sfcheck.graphs import Graph
 from sfcheck.report import report_to_json, run_verification, strip_volatile, verify_report
-from sfcheck.solve import LABELS, Stack, _solve, max_clique, max_independent_set, stage_solve, verify_witness
+from sfcheck.solve import (
+    LABELS,
+    Stack,
+    _class_masks,
+    _split_clique,
+    max_clique,
+    max_independent_set,
+    max_mono_clique,
+    stage_solve,
+    verify_witness,
+)
+from sfcheck.verify import check_theorem_1_1
 
 from oracles import all_profiles
 
@@ -104,11 +115,11 @@ def test_stack_witness_check_refuses_what_the_dense_one_does(members):
 
 def stage_numbers(lg):
     """[omega, omega_1, omega_2, alpha, alpha_1, alpha_2] of one stage; _1
-    and _2 are its label-1 and label-2 classes."""
-    numbers = []
-    for mode in ("clique", "independent"):
-        numbers += [_solve(lg.graph, mode, lg.labels, label).size for label in (None, *LABELS)]
-    return numbers
+    and _2 are its label-1 and label-2 classes.  All six are read from one
+    split of the whole stage."""
+    full = (1 << lg.graph.n) - 1
+    queries = [(within, flip) for flip in (0, -1) for within in (full, *_class_masks(lg.labels))]
+    return [res.size for res in _split_clique(lg.graph, full, queries)]
 
 
 def closed_form(profile, r):
@@ -134,6 +145,28 @@ def test_stage_numbers_follow_closed_forms_to_20(sum_, prod):
     profile = InterpretationProfile(sum=sum_, prod=prod)
     for r in range(11, 21):
         assert stage_numbers(build_F(r, profile)) == closed_form(profile, r)
+
+
+@pytest.mark.parametrize("profile", all_profiles(), ids=str)
+def test_theorem_1_1_reads_the_stage_as_the_whole_graph_is_split(profile):
+    """T1.1 takes its single-label clique from the stage's part optima;
+    splitting each label class of the whole F(r) gives the same witness
+    and node count."""
+    for r in range(3, 17):
+        tc = check_theorem_1_1(r, profile, Stack("F", r, profile))
+        lg = build_F(r, profile)
+        whole = max_mono_clique(lg.graph, lg.labels)
+        assert (tc.computed["mono_clique"], tc.witness) == (whole.size, whole.witness), r
+        assert tc.solver_stats == {"mono_nodes": whole.nodes_explored}, r
+
+
+def test_profiles_that_differ_only_in_y_label_share_all_but_the_base_path():
+    one, two = (Stack("SF", 5, InterpretationProfile(y_label=y)) for y in LABELS)
+    assert one.stages[0] is not two.stages[0] and one.stages[0].lg != two.stages[0].lg
+    assert one.stages[1:] == two.stages[1:]
+    assert all(a is b for a, b in zip(one.stages[1:], two.stages[1:]))
+    general = [Stack("F", 3, InterpretationProfile(base_case="general", y_label=y)) for y in LABELS]
+    assert general[0].stages[0] is general[1].stages[0]
 
 
 def flipped(lg, u, v):

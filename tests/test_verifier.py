@@ -26,7 +26,7 @@ TENSOR = dataclasses.replace(GENERAL, prod="tensor")
 
 class TestTheorem11:
     def test_r3_explicit_confirmed(self):
-        tc = check_theorem_1_1(3, DEFAULT_PROFILE, build_F(3, DEFAULT_PROFILE))
+        tc = check_theorem_1_1(3, DEFAULT_PROFILE, Stack("F", 3, DEFAULT_PROFILE))
         assert tc.status == "CONFIRMED"
         assert tc.claimed == 2
         assert tc.computed == {"mono_clique": 2}
@@ -37,7 +37,7 @@ class TestTheorem11:
         # value is 3 (one vertex per complement part on one side) against a
         # claimed 2, so the honest verdict is REFUTED.
         lg = build_F(4, DEFAULT_PROFILE)
-        tc = check_theorem_1_1(4, DEFAULT_PROFILE, lg)
+        tc = check_theorem_1_1(4, DEFAULT_PROFILE, Stack("F", 4, DEFAULT_PROFILE))
         assert tc.claimed == 2
         assert tc.computed["mono_clique"] == 3
         assert tc.status == "REFUTED"
@@ -46,18 +46,18 @@ class TestTheorem11:
 
     @pytest.mark.parametrize("r", [3, 4, 5])
     def test_tensor_profile_still_computes_both_sides(self, r):
-        tc = check_theorem_1_1(r, TENSOR, build_F(r, TENSOR))
+        tc = check_theorem_1_1(r, TENSOR, Stack("F", r, TENSOR))
         assert tc.computed["mono_clique"] >= 1
         assert tc.status == ("CONFIRMED" if tc.computed["mono_clique"] == tc.claimed else "REFUTED")
 
     def test_status_is_pure_arithmetic(self):
         for r in (3, 4, 5):
-            tc = check_theorem_1_1(r, GENERAL, build_F(r, GENERAL))
+            tc = check_theorem_1_1(r, GENERAL, Stack("F", r, GENERAL))
             assert (tc.status == "CONFIRMED") == (tc.computed["mono_clique"] == tc.claimed)
 
     def test_rejects_small_r(self):
         with pytest.raises(ValueError):
-            check_theorem_1_1(2, DEFAULT_PROFILE, build_F(3, DEFAULT_PROFILE))
+            check_theorem_1_1(2, DEFAULT_PROFILE, Stack("F", 3, DEFAULT_PROFILE))
 
 
 class TestTheorem12:
