@@ -11,7 +11,6 @@ so results are identical at any thread count.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import random
 import sys
@@ -48,7 +47,7 @@ def _profile_from_args(args: argparse.Namespace) -> InterpretationProfile:
         updates["base_case"] = _BASE_FLAGS[args.base]
     if args.y_label is not None:
         updates["y_label"] = args.y_label
-    return dataclasses.replace(DEFAULT_PROFILE, **updates)
+    return DEFAULT_PROFILE.replace(**updates)
 
 
 def _rf_threads() -> int:

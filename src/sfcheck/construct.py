@@ -21,10 +21,10 @@ pure, bit-reproducible function of (parameter, profile).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from typing import Iterator
 
-from sfcheck.graphs import Graph, combine, complement, complete, empty, path, product
+from sfcheck.graphs import Checked, Graph, combine, complement, complete, empty, path, product
 
 PROFILE_SUMS = ("disjoint_union", "join")
 PROFILE_PRODS = ("lexicographic", "cartesian", "tensor")
@@ -40,8 +40,9 @@ def flip_label(label: int) -> int:
     return 3 - label
 
 
-@dataclass(frozen=True)
-class InterpretationProfile:
+class InterpretationProfile(Checked, namedtuple(
+    "InterpretationProfile", "sum prod base_case y_label", defaults=("disjoint_union", "lexicographic", "explicit_path", 2)
+)):
     """Resolved readings of the construction's ambiguous operators.
 
     sum       reading of the block combination (disjoint_union or join)
@@ -50,10 +51,7 @@ class InterpretationProfile:
     y_label   label assigned to the base path's underdetermined vertex y
     """
 
-    sum: str = "disjoint_union"
-    prod: str = "lexicographic"
-    base_case: str = "explicit_path"
-    y_label: int = 2
+    __slots__ = ()
 
     def __post_init__(self) -> None:
         if self.sum not in PROFILE_SUMS:
@@ -66,16 +64,11 @@ class InterpretationProfile:
             raise ValueError(f"y_label must be 1 or 2, got {self.y_label!r}")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, d: dict) -> InterpretationProfile:
-        return cls(
-            sum=d["sum"],
-            prod=d["prod"],
-            base_case=d["base_case"],
-            y_label=d["y_label"],
-        )
+        return cls(*(d[field] for field in cls._fields))
 
 
 DEFAULT_PROFILE = InterpretationProfile()
@@ -109,8 +102,7 @@ def target_vertex_count(kind: str, param: int, profile: InterpretationProfile) -
     return general - stage_size(3, False) + stage_size(3, base_path)
 
 
-@dataclass(frozen=True)
-class LabeledGraph:
+class LabeledGraph(Checked, namedtuple("LabeledGraph", "graph labels stages base_path")):
     """Graph plus per-vertex labels and the stage layout that places them.
 
     ``stages`` holds each stage's r in vertex order; ``base_path`` says
@@ -119,10 +111,7 @@ class LabeledGraph:
     then a y block; G vertex v corresponds to H vertex v + half.
     """
 
-    graph: Graph
-    labels: tuple[int, ...]
-    stages: tuple[int, ...]
-    base_path: bool
+    __slots__ = ()
 
     def __post_init__(self) -> None:
         if len(self.labels) != self.graph.n:

@@ -6,9 +6,9 @@ its output vertex order deterministically (first operand first, copy-major
 for products).
 
 ``Graph.problems()`` is the one check of the range, loop and symmetry
-invariants.  ``Graph.__post_init__`` raises its first problem, so the check
-runs at the trust boundary: public ``Graph(...)``, ``Graph.from_edges``
-(hence ``path`` and ``cycle``), ``random_graph`` and
+invariants.  ``Graph.__post_init__`` raises its first problem; it runs at
+the trust boundary: ``Graph(...)``, ``replace`` and unpickling (``Checked``),
+``Graph.from_edges`` (hence ``path`` and ``cycle``), ``random_graph`` and
 ``formats.decode_graph6``.
 The check runs in full at that boundary: range and loop per row, then
 symmetry as one comparison of the LSB-first bit strings with their
@@ -26,15 +26,35 @@ the builds under all 24 profiles included.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Iterator
 
 COMBINE_OPS = ("disjoint_union", "join")
 PRODUCT_KINDS = ("cartesian", "tensor", "lexicographic")
 
 
-@dataclass(frozen=True)
-class Graph:
+class Checked:
+    """Base of a named tuple whose ``__post_init__`` (on Graph, the hook
+    ``bench/tracer.py`` wraps) raises ValueError for invalid fields.  The
+    constructor, ``replace``, unpickling and copying run it; only the named
+    tuple's own ``_make`` and ``_replace``, like ``Graph._trusted``, skip it."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self.__post_init__()
+        return self
+
+    def __reduce__(self):
+        return type(self), tuple(self)
+
+    def replace(self, **changes):
+        """A copy with ``changes`` to its fields, checked like a new record."""
+        return type(self)(**{**self._asdict(), **changes})
+
+
+class Graph(Checked, namedtuple("Graph", "n rows")):
     """Undirected simple graph; ``rows[i]`` is the neighbor bitmask of i.
 
     ``Graph(n, rows)`` raises ValueError with the first of ``problems()``:
@@ -43,8 +63,7 @@ class Graph:
     check, through ``_trusted`` (see the module docstring).
     """
 
-    n: int
-    rows: tuple[int, ...]
+    __slots__ = ()
 
     def __post_init__(self) -> None:
         for problem in self.problems():
@@ -100,10 +119,7 @@ class Graph:
     @classmethod
     def _trusted(cls, n: int, rows: tuple[int, ...]) -> Graph:
         """Wrap rows already known to satisfy the invariants, without the check."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "rows", rows)
-        return g
+        return tuple.__new__(cls, (n, rows))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> Graph:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import asdict
 from datetime import datetime, timezone
 from typing import Iterator
 
@@ -87,7 +86,7 @@ def make_report(stack: Stack, tc: TheoremCheck, started, finished) -> dict:
     bound = None
     if tc.theorem_id == "T1_2":
         omega, alpha = tc.computed["omega"], tc.computed["alpha"]
-        bound = asdict(bound_report_from_counts(param, stack.n, omega, alpha))
+        bound = bound_report_from_counts(param, stack.n, omega, alpha)._asdict()
     notes = []
     if tc.profile.base_case == "explicit_path":
         notes.append(Y_LABEL_NOTE)
@@ -102,7 +101,7 @@ def make_report(stack: Stack, tc: TheoremCheck, started, finished) -> dict:
             "m": stack.m,
             "label_counts": {str(k): v for k, v in stack.label_counts.items()},
         },
-        "checks": [dict(vars(tc), profile=tc.profile.to_dict(), witness=list(tc.witness))],
+        "checks": [dict(tc._asdict(), profile=tc.profile.to_dict(), witness=list(tc.witness))],
         "bound": bound,
         "solver_stats": {"nodes_explored": sum(tc.solver_stats.values())},
         "notes": notes,

@@ -90,11 +90,10 @@ complement are searched once.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, reduce
-from itertools import accumulate, permutations
+from itertools import accumulate
 from operator import or_
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from sfcheck.construct import (
     DEFAULT_PROFILE,
@@ -115,8 +114,7 @@ ORACLE_MAX_N = 24
 MEMO_SIZE = 512
 
 
-@dataclass(frozen=True)
-class CliqueResult:
+class CliqueResult(NamedTuple):
     """Optimum size, a verified witness, and search statistics."""
 
     size: int
@@ -452,10 +450,11 @@ class Stack:
 
     def __init__(self, kind: str, param: int, profile: InterpretationProfile) -> None:
         _require_param(kind, param)
-        # y_label labels only the base path: other stages share one memo entry.
-        other = replace(profile, y_label=DEFAULT_PROFILE.y_label)
+        # Stages after the third read only sum and prod; the general stage 3 ignores y_label.
+        rest = DEFAULT_PROFILE.replace(sum=profile.sum, prod=profile.prod)
+        base = profile if profile.base_case == "explicit_path" else rest.replace(base_case="general")
         rs = (param,) if kind == "F" else range(3, param + 1)
-        self.stages = [stage(r, profile if r == 3 and profile.base_case == "explicit_path" else other) for r in rs]
+        self.stages = [stage(r, base if r == 3 else rest) for r in rs]
         *self.starts, self.n = accumulate((s.lg.graph.n for s in self.stages), initial=0)
         ones, twos = (sum(s.label_counts[label] for s in self.stages) for label in LABELS)
         self.label_counts = {1: ones, 2: twos}
@@ -497,23 +496,29 @@ def stage_solve(stack: Stack) -> tuple[CliqueResult, CliqueResult]:
     from its stages' memoized part optima (the module docstring proves the
     formulas).
 
-    Ties go to a single part, then to the first candidate in part order;
-    the node count sums every solve the answer rests on, memoized or not,
-    so it does not depend on what ran before.
+    Sizes pick the winner, whose witness alone is assembled.  Ties go to a
+    single part, then to the first candidate in part order (pairs in
+    ``itertools.permutations`` order); the node count sums every solve the
+    answer rests on, memoized or not, so it does not depend on what ran
+    before.
     """
     results = []
     for mode in ("clique", "independent"):
-        optima, nodes = [], 0  # optima: the whole part's, label 1's and label 2's, per part
-        for start, stage_ in zip(stack.starts, stack.stages):
-            for solves in stage_.optima[mode]:
-                optima.append([tuple(v + start for v in res.witness) for res in solves])
-                nodes += sum(res.nodes_explored for res in solves)
-        candidates = [whole for whole, _, _ in optima]
-        if mode == "clique":
-            candidates += [a[1] + b[2] for a, b in permutations(optima, 2)]
-        else:
-            candidates += [sum((part[label] for part in optima), ()) for label in LABELS]
-        witness = tuple(sorted(max(candidates, key=len)))
+        # Per part, its first vertex and its whole, label-1 and label-2 optima.
+        parts = [(start, solves) for start, stage_ in zip(stack.starts, stack.stages) for solves in stage_.optima[mode]]
+        nodes = sum(res.nodes_explored for _, solves in parts for res in solves)
+        # Each candidate is (size, [(part, 0 whole or a label), ...]).
+        candidates = [(solves[0].size, [(i, 0)]) for i, (_, solves) in enumerate(parts)]
+        if mode == "independent":
+            candidates += [(sum(solves[label].size for _, solves in parts), [(i, label) for i in range(len(parts))]) for label in LABELS]
+        elif len(parts) > 1:
+            # Part i's first best partner: the first part j != i with the largest label-2 clique.
+            by_two = sorted(range(len(parts)), key=lambda j: -parts[j][1][2].size)[:2]
+            for i, (_, solves) in enumerate(parts):
+                j = by_two[1] if by_two[0] == i else by_two[0]
+                candidates.append((solves[1].size + parts[j][1][2].size, [(i, 1), (j, 2)]))
+        chosen = max(candidates, key=lambda c: c[0])[1]
+        witness = tuple(sorted(v + parts[i][0] for i, k in chosen for v in parts[i][1][k].witness))
         if not stack.verify_witness(witness, mode):
             raise AssertionError(f"stage route assembled an invalid {mode} witness")
         results.append(CliqueResult(len(witness), witness, nodes))

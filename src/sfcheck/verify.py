@@ -21,9 +21,9 @@ exhaustively by confirm_R3 and used to flag contradictory implications.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, partial
 from itertools import combinations
+from typing import NamedTuple
 
 from sfcheck.construct import InterpretationProfile
 from sfcheck.graphs import Graph, cycle
@@ -79,8 +79,7 @@ def claim_verdict(theorem_id: str, r: int, computed: dict) -> tuple[object, str,
     return claimed, "CONFIRMED" if holds else "REFUTED", mode
 
 
-@dataclass(frozen=True)
-class TheoremCheck:
+class TheoremCheck(NamedTuple):
     """One claim instance: what was claimed, what was computed, verdict."""
 
     theorem_id: str
@@ -94,8 +93,7 @@ class TheoremCheck:
     solver_stats: dict
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """The Ramsey implication of one SF(t) build."""
 
     t: int
@@ -165,14 +163,7 @@ def bound_report_from_counts(t: int, n: int, omega: int, alpha: int) -> BoundRep
             f"known value R({t}) = {KNOWN_DIAGONAL_RAMSEY[t]} "
             "(reference annotation only; verdicts never consult it)"
         )
-    return BoundReport(
-        t=t,
-        n=n,
-        witness_ok=witness_ok,
-        implied=implied,
-        contradiction=contradiction,
-        reference=reference,
-    )
+    return BoundReport(t, n, witness_ok, implied, contradiction, reference)
 
 
 @cache

@@ -390,3 +390,22 @@ def pairwise_witness_ok(g: Graph, members, mode: str) -> bool:
     the reference for ``solve.verify_witness``."""
     want = mode == "clique"
     return all(g.has_edge(a, b) == want for a, b in itertools.combinations(sorted(members), 2))
+
+
+def pairwise_composition(stack, mode: str) -> tuple[int, ...]:
+    """The witness ``solve.stage_solve`` composes for ``mode``, by building
+    every candidate whole, as it once did: each part's optimum, then every
+    ordered pair of parts' label-1 and label-2 cliques in
+    ``itertools.permutations`` order, or each label's independent sets
+    over all parts; the first longest wins."""
+    optima = [
+        [tuple(v + start for v in res.witness) for res in solves]
+        for start, stage in zip(stack.starts, stack.stages)
+        for solves in stage.optima[mode]
+    ]
+    candidates = [whole for whole, _, _ in optima]
+    if mode == "clique":
+        candidates += [a[1] + b[2] for a, b in itertools.permutations(optima, 2)]
+    else:
+        candidates += [sum((part[label] for part in optima), ()) for label in (1, 2)]
+    return tuple(sorted(max(candidates, key=len)))

@@ -7,7 +7,6 @@ arithmetic for construction sizes, subset enumeration for clique numbers,
 networkx for graph6.
 """
 
-import dataclasses
 import itertools
 import json
 import time
@@ -26,7 +25,7 @@ from sfcheck.verify import bound_report_from_counts, check_theorem_1_2
 
 from oracles import all_profiles
 
-GENERAL = dataclasses.replace(DEFAULT_PROFILE, base_case="general")
+GENERAL = DEFAULT_PROFILE.replace(base_case="general")
 
 
 def recount_default_stack(t):

@@ -236,6 +236,22 @@ def test_runtime_loads_only_the_standard_library():
     assert not outside, f"non-stdlib modules loaded: {sorted(outside)}"
 
 
+@pytest.mark.parametrize("module", ["sfcheck", "sfcheck.cli"])
+def test_import_loads_neither_dataclasses_nor_inspect(module):
+    # The package's records are named tuples, so a cold start does not pay
+    # for dataclasses or for the inspect, ast and dis modules it loads.
+    src = os.path.dirname(os.path.dirname(sfcheck.__file__))
+    code = f"import sys, {module}; print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "[]"
+
+
 def test_serial_sweep_starts_without_multiprocessing(tmp_path):
     # A serial sweep never spawns a worker, so it must not pay for loading
     # multiprocessing; test_reports_do_not_depend_on_what_ran_before covers

@@ -1,7 +1,6 @@
 """Constructor tests: blocks, sides, stage graphs, stacked graphs, layout, and the
 stage route's premise on doctored stage builds."""
 
-import dataclasses
 import random
 
 import pytest
@@ -21,7 +20,7 @@ from sfcheck.solve import Stack, stage
 
 from oracles import all_profiles, layout_cuts, stacked_vertex_count, stage_vertex_count
 
-GENERAL = dataclasses.replace(DEFAULT_PROFILE, base_case="general")
+GENERAL = DEFAULT_PROFILE.replace(base_case="general")
 
 
 def cross_pairs_by_rule(lg):
@@ -77,7 +76,7 @@ class TestBuildBlock:
 
     @pytest.mark.parametrize("prod", ["lexicographic", "cartesian"])
     def test_r4_disjoint_union(self, prod):
-        lg = build_F(4, dataclasses.replace(DEFAULT_PROFILE, prod=prod))
+        lg = build_F(4, DEFAULT_PROFILE.replace(prod=prod))
         block = induced(lg.graph, range(4))
         assert lg.labels[:4] == (1, 1, 2, 2)
         assert block.m == 2
@@ -85,7 +84,7 @@ class TestBuildBlock:
 
     @pytest.mark.parametrize("prod", ["lexicographic", "cartesian"])
     def test_r5_join(self, prod):
-        lg = build_F(5, dataclasses.replace(DEFAULT_PROFILE, sum="join", prod=prod))
+        lg = build_F(5, DEFAULT_PROFILE.replace(sum="join", prod=prod))
         assert induced(lg.graph, range(5)) == complete(5)
         assert lg.labels[:5] == (1, 1, 2, 2, 2)
 
@@ -97,7 +96,7 @@ class TestBuildSides:
         assert induced(lg.graph, range(6, 12)).m == 15 - 2
 
     def test_r4_tensor_degenerate(self):
-        lg = build_F(4, dataclasses.replace(DEFAULT_PROFILE, prod="tensor"))
+        lg = build_F(4, DEFAULT_PROFILE.replace(prod="tensor"))
         assert induced(lg.graph, range(12)).m == 0
         assert induced(lg.graph, range(12, 24)) == complete(12)
 
@@ -117,7 +116,7 @@ class TestBuildF:
         assert lg.stages == (3,) and lg.base_path
 
     def test_explicit_path_y_label_one(self):
-        lg = build_F(3, dataclasses.replace(DEFAULT_PROFILE, y_label=1))
+        lg = build_F(3, DEFAULT_PROFILE.replace(y_label=1))
         assert lg.labels == (1, 2, 1, 1, 1, 2)
 
     def test_r3_general_counts(self):
@@ -256,13 +255,13 @@ def flipped_edge(lg, v, w):
     rows = list(lg.graph.rows)
     rows[v] ^= 1 << w
     rows[w] ^= 1 << v
-    return dataclasses.replace(lg, graph=Graph(lg.graph.n, tuple(rows)))
+    return lg.replace(graph=Graph(lg.graph.n, tuple(rows)))
 
 
 def flipped_label(lg, v):
     labels = list(lg.labels)
     labels[v] = flip_label(labels[v])
-    return dataclasses.replace(lg, labels=tuple(labels))
+    return lg.replace(labels=tuple(labels))
 
 
 # Seeded faults in F(4), stage 4 of SF(5): its G side is 0..11 and its H

@@ -1,5 +1,7 @@
 """Graph value and algebra tests."""
 
+import copy
+import pickle
 import random
 import re
 
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfcheck import solve
-from sfcheck.construct import build_F, build_SF
+from sfcheck.construct import DEFAULT_PROFILE, build_F, build_SF
 from sfcheck.formats import decode_graph6
 from sfcheck.graphs import (
     PRODUCT_KINDS,
@@ -350,6 +352,50 @@ class TestTrustBoundary:
         with pytest.raises(ValueError, match=message):
             Graph(2, rows)
         assert len(checked) == 1
+
+
+# A valid instance of each checked record, field changes that make it
+# invalid, and the ValueError those changes raise.
+INVALID_RECORDS = [
+    (path(3), {"rows": (0b010, 0b101, 0b000)}, "asymmetric adjacency between 1 and 2"),
+    (path(3), {"n": 2}, "rows length must equal vertex count"),
+    (DEFAULT_PROFILE, {"y_label": 3}, "y_label must be 1 or 2, got 3"),
+    (DEFAULT_PROFILE, {"sum": "meet"}, "unknown sum reading 'meet'"),
+    (build_F(4), {"labels": (1,) * 23 + (3,)}, "label 3 outside {1, 2}"),
+    (build_F(4), {"stages": (5,)}, "stages (5,) do not lay out 24 vertices"),
+    (build_F(4), {"labels": (1, 2)}, "labels length must equal vertex count"),
+]
+
+
+@pytest.mark.parametrize("record, changes, message", INVALID_RECORDS)
+def test_every_construction_path_checks(record, changes, message):
+    """The constructor, by position or keyword, ``replace``, a pickle round
+    trip under every protocol (a parallel sweep pickles its jobs' profile)
+    and a copy all raise the same ValueError for the same invalid fields."""
+    invalid = record._replace(**changes)  # the named tuple's unchecked route
+    paths = {
+        "positional": lambda: type(record)(*invalid),
+        "keyword": lambda: type(record)(**invalid._asdict()),
+        "replace": lambda: record.replace(**changes),
+        **{f"pickle {p}": lambda p=p: pickle.loads(pickle.dumps(invalid, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)},
+        "copy": lambda: copy.copy(invalid),
+        "deepcopy": lambda: copy.deepcopy(invalid),
+    }
+    for name, make in paths.items():
+        with pytest.raises(ValueError) as raised:
+            make()
+        assert str(raised.value) == message, name
+
+
+@pytest.mark.parametrize("record", [path(3), DEFAULT_PROFILE, build_F(4)], ids=lambda r: type(r).__name__)
+def test_valid_records_survive_every_construction_path(record):
+    pickled = [pickle.loads(pickle.dumps(record, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for made in (*pickled, copy.deepcopy(record), record.replace()):
+        assert type(made) is type(record) and made == record
+    with pytest.raises(TypeError):
+        record.replace(no_such_field=1)
+    with pytest.raises(AttributeError):
+        record.no_such_field = 1
 
 
 @settings(max_examples=200, deadline=None)

@@ -6,11 +6,11 @@ forms of the per-stage numbers are a test oracle only; no verdict rests on
 them.
 """
 
-import dataclasses
 import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +26,7 @@ from sfcheck.graphs import Graph
 from sfcheck.report import report_to_json, run_verification, strip_volatile, verify_report
 from sfcheck.solve import (
     LABELS,
+    CliqueResult,
     Stack,
     _class_masks,
     _split_clique,
@@ -37,7 +38,7 @@ from sfcheck.solve import (
 )
 from sfcheck.verify import check_theorem_1_1
 
-from oracles import all_profiles
+from oracles import all_profiles, pairwise_composition
 
 
 def assert_route_matches_monolithic(t, profile=DEFAULT_PROFILE):
@@ -169,12 +170,44 @@ def test_profiles_that_differ_only_in_y_label_share_all_but_the_base_path():
     assert general[0].stages[0] is general[1].stages[0]
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.tuples(*[st.integers(0, 3)] * 6), min_size=1, max_size=3), min_size=1, max_size=4))
+def test_stage_solve_picks_the_pairwise_composition_winner(stages):
+    """On stand-in stages whose part optima tie often, sizes alone pick the
+    witness that building every candidate picks.  Each optimum gets its own
+    vertices, so the witness names the candidate that won."""
+    stack = SimpleNamespace(starts=[], stages=[], verify_witness=lambda members, mode: True)
+    start = 0
+    for parts in stages:
+        optima = {"clique": [], "independent": []}
+        for p, sizes in enumerate(parts):
+            # Optimum k of part p holds vertices 4k.. of the part's 24 in its stage.
+            results = [CliqueResult(size, tuple(range(24 * p + 4 * k, 24 * p + 4 * k + size)), 0) for k, size in enumerate(sizes)]
+            optima["clique"].append(tuple(results[:3]))
+            optima["independent"].append(tuple(results[3:]))
+        stack.starts.append(start)
+        stack.stages.append(SimpleNamespace(optima=optima))
+        start += 24 * len(parts)
+    omega, alpha = stage_solve(stack)
+    assert omega.witness == pairwise_composition(stack, "clique")
+    assert alpha.witness == pairwise_composition(stack, "independent")
+
+
+def test_profiles_that_differ_only_in_base_case_share_every_stage_after_the_third():
+    for profile in all_profiles():
+        ours = Stack("SF", 6, profile)
+        other = Stack("SF", 6, profile.replace(base_case="general" if profile.base_case == "explicit_path" else "explicit_path"))
+        assert ours.stages[0].lg != other.stages[0].lg
+        assert all(a is b for a, b in zip(ours.stages[1:], other.stages[1:]))
+        assert Stack("F", 4, profile).stages[0] is other.stages[1]
+
+
 def flipped(lg, u, v):
     """``lg`` with the pair (u, v) toggled."""
     rows = list(lg.graph.rows)
     rows[u] ^= 1 << v
     rows[v] ^= 1 << u
-    return dataclasses.replace(lg, graph=Graph(lg.graph.n, tuple(rows)))
+    return lg.replace(graph=Graph(lg.graph.n, tuple(rows)))
 
 
 def test_flipped_edge_within_a_side_is_solved(seed_stage):

@@ -1,6 +1,5 @@
 """Verifier tests: verdict logic, certificates, Ramsey ground truth."""
 
-import dataclasses
 import itertools
 import random
 
@@ -20,8 +19,8 @@ from sfcheck.verify import (
     confirm_R3,
 )
 
-GENERAL = dataclasses.replace(DEFAULT_PROFILE, base_case="general")
-TENSOR = dataclasses.replace(GENERAL, prod="tensor")
+GENERAL = DEFAULT_PROFILE.replace(base_case="general")
+TENSOR = GENERAL.replace(prod="tensor")
 
 
 class TestTheorem11:
