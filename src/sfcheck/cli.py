@@ -14,7 +14,6 @@ import argparse
 import os
 import random
 import sys
-import traceback
 from contextlib import nullcontext
 
 from sfcheck.construct import DEFAULT_PROFILE, InterpretationProfile
@@ -220,6 +219,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
+        import traceback  # loaded only on this path: a run that ends well starts without it
+
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

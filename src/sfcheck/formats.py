@@ -10,12 +10,13 @@ with another alphabet: the base64 character of value v becomes chr(63 + v),
 so encode writes the triangle as one '0'/'1' string (column j is bits 0..j-1
 of ``rows[j]``, lowest first), converts it with ``int(bits, 2)``, and lets
 ``binascii.b2a_base64`` and ``bytes.translate`` spell it.  Decode runs the
-same steps backwards, pads each column to n characters, and transposes the
-columns with ``zip(*cols)``: row i is column i (its neighbors below i) OR
-the i-th character of every later column (its neighbors above i).  Base-2
-``int`` and ``format`` are exempt from the int string-digit limit.  DIMACS
-turns each row's bits above the diagonal into a flag string and joins the
-vertex numbers it selects with ``itertools.compress``.
+same steps backwards and joins the columns, each padded to n characters,
+into one n*n string: row i is column i (its neighbors below i) OR the
+stride-n slice from character i, the i-th character of every column (its
+neighbors above i).  Base-2 ``int`` and ``format`` are exempt from the int
+string-digit limit.  DIMACS turns each row's bits above the diagonal into a
+flag string and joins the vertex numbers it selects with
+``itertools.compress``.
 """
 
 from __future__ import annotations
@@ -106,14 +107,21 @@ def decode_graph6(text: str) -> Graph:
 
     data = raw[pos:].translate(_G6_TO_B64)
     data += b"A" * (-len(data) % 4)  # 'A' is base64 zero
-    packed = binascii.a2b_base64(data)
+    return Graph(n, _triangle_rows(binascii.a2b_base64(data), n))
+
+
+def _triangle_rows(packed: bytes, n: int) -> tuple[int, ...]:
+    """The rows of the n-vertex graph whose upper triangle, column-major,
+    is the bit string of ``packed``, trailing padding bits ignored.  It is a
+    function of its own so that the triangle and the matrix are freed
+    before ``decode_graph6`` runs the ``Graph(n, rows)`` check."""
     bits = format(int.from_bytes(packed, "big"), f"0{8 * len(packed)}b")
-    # cols[j]: the pairs (i, j), i < j, lowest i first, padded with '0' to n.
-    cols = [bits[j * (j - 1) // 2 : j * (j + 1) // 2].ljust(n, "0") for j in range(n)]
-    rows = tuple(
-        int(low[::-1], 2) | int("".join(high)[::-1], 2) for low, high in zip(cols, zip(*cols))
+    # Column j of the n*n matrix: the pairs (i, j), i < j, lowest i first,
+    # padded with '0' to n.
+    matrix = "".join(bits[j * (j - 1) // 2 : j * (j + 1) // 2].ljust(n, "0") for j in range(n))
+    return tuple(
+        int(matrix[i * n : i * n + n][::-1], 2) | int(matrix[i::n][::-1], 2) for i in range(n)
     )
-    return Graph(n, rows)
 
 
 def encode_dimacs(g: Graph) -> str:

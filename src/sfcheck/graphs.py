@@ -11,9 +11,10 @@ the trust boundary: ``Graph(...)``, ``replace`` and unpickling (``Checked``),
 ``Graph.from_edges`` (hence ``path`` and ``cycle``), ``random_graph`` and
 ``formats.decode_graph6``.
 The check runs in full at that boundary: range and loop per row, then
-symmetry as one comparison of the LSB-first bit strings with their
-transpose.  The per-bit walk runs only on a graph that fails, to name its
-violations.
+symmetry row by row: the LSB-first bit strings of the rows are joined into
+one n*n string, and row i must equal its column, the stride-n slice from
+character i.  The per-bit walk runs only on a graph that fails, to name
+its violations.
 The algebra below (``complement``, ``combine``, ``product``, ``induced``,
 ``complete`` and ``empty``) and the builders in ``construct`` derive
 rows from graphs that already satisfy the invariants, so they wrap their
@@ -83,11 +84,13 @@ class Graph(Checked, namedtuple("Graph", "n rows")):
             return
         full = (1 << self.n) - 1
         if not any(row & ~full or (row >> i) & 1 for i, row in enumerate(self.rows)):
-            # Symmetric iff the matrix of LSB-first bit strings equals its
-            # transpose; the sentinel bit n fixes every string's width.
-            top = 1 << self.n
+            # Symmetric iff row i's LSB-first bit string equals column i,
+            # the stride-n slice from character i of the rows joined; the
+            # sentinel bit n fixes every string's width.
+            n, top = self.n, 1 << self.n
             bits = [format(row | top, "b")[:0:-1] for row in self.rows]
-            if list(map("".join, zip(*bits))) == bits:
+            matrix = "".join(bits)
+            if all(row == matrix[i::n] for i, row in enumerate(bits)):
                 return
         for i, row in enumerate(self.rows):
             if row & ~full:

@@ -89,7 +89,7 @@ complement are searched once.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import cached_property, lru_cache, reduce
 from itertools import accumulate
 from operator import or_
@@ -128,9 +128,16 @@ def verify_witness(g: Graph, members, mode: str) -> bool:
     Independent of the solvers; every witness that leaves this module has
     passed its check, ``_holds``, and reports re-run it on load.
     """
+    flip = _flip(mode)
+    return _holds(g.rows, sum(1 << v for v in as_vertex_set(g, members)), flip)
+
+
+def _flip(mode: str) -> int:
+    """``_holds``'s flip for a witness mode: 0 for a clique, -1 for an
+    independent set (a clique of the complement)."""
     if mode not in ("clique", "independent"):
         raise ValueError(f"unknown witness mode {mode!r}")
-    return _holds(g.rows, sum(1 << v for v in as_vertex_set(g, members)), -1 if mode == "independent" else 0)
+    return -1 if mode == "independent" else 0
 
 
 def _holds(rows: tuple[int, ...], chosen: int, flip: int) -> bool:
@@ -472,16 +479,17 @@ class Stack:
         rows, pairs across stages by the opposite-parity rule, so a clique
         meets at most two stages, one parity in each and opposite, and an
         independent set that meets two or more lies in one parity."""
-        if mode not in ("clique", "independent"):
-            raise ValueError(f"unknown witness mode {mode!r}")
-        groups: dict[int, list[int]] = {}
-        for v in as_vertex_set(self, members):
-            groups.setdefault(bisect_right(self.starts, v) - 1, []).append(v)
+        flip = _flip(mode)
+        vs = as_vertex_set(self, members)
+        # The sorted witness cut at the stage starts: stage i holds vs[cuts[i]:cuts[i + 1]].
+        cuts = [bisect_left(vs, start) for start in self.starts] + [len(vs)]
         parities = []
-        for i, vs in groups.items():
-            lg = self.stages[i].lg
-            local = [v - self.starts[i] for v in vs]
-            if not verify_witness(lg.graph, local, mode):
+        for stage_, start, lo, hi in zip(self.stages, self.starts, cuts, cuts[1:]):
+            if lo == hi:
+                continue
+            lg = stage_.lg
+            local = [v - start for v in vs[lo:hi]]
+            if not _holds(lg.graph.rows, sum(1 << v for v in local), flip):
                 return False
             parities.append({label_parity(lg.labels[v]) for v in local})
         if len(parities) < 2:

@@ -271,3 +271,64 @@ def test_serial_sweep_starts_without_multiprocessing(tmp_path):
     ).stdout.split()
     assert out[-1] == "False"
     assert len(list(tmp_path.glob("*.json"))) == 4
+
+
+def test_package_names_load_lazily():
+    # Each public name of the package, and each submodule it bound before
+    # loading went lazy, is imported on first use; sfcheck.cli still loads
+    # every module, which bench/tracer.py wraps.
+    exports = {
+        "graphs": "Graph complete empty path cycle complement combine product induced",
+        "construct": "InterpretationProfile DEFAULT_PROFILE LabeledGraph build_F build_SF",
+        "solve": "CliqueResult max_clique max_independent_set max_mono_clique oracle_max_clique verify_witness",
+        "verify": "TheoremCheck BoundReport check_theorem_1_1 check_theorem_1_2 confirm_R3",
+        "formats": "encode_graph6 decode_graph6 encode_dimacs Graph6ParseError",
+    }
+    code = """if True:
+        import json, sys
+        loaded = lambda: sorted(m for m in sys.modules if m.startswith("sfcheck."))
+        out = {}
+        import sfcheck
+        out["import"] = loaded()
+        sfcheck.complete(3)
+        out["complete"] = loaded()
+        out["submodule"] = sfcheck.solve.Stack.__name__
+        out["solve"] = loaded()
+        try:
+            sfcheck.no_such_name
+        except AttributeError:
+            out["unknown"] = "AttributeError"
+        import sfcheck.cli
+        out["cli"] = loaded()
+        out["traceback"] = "traceback" in sys.modules
+        exports = json.loads(sys.argv[1])
+        out["same"] = {
+            name: getattr(sfcheck, name) is getattr(getattr(sfcheck, module), name)
+            for module, names in exports.items()
+            for name in names.split()
+        }
+        out["all"] = sfcheck.__all__
+        out["dir"] = sorted({*sfcheck.__all__, *exports} - set(dir(sfcheck)))
+        print(json.dumps(out))
+    """
+    src = os.path.dirname(os.path.dirname(sfcheck.__file__))
+    out = json.loads(
+        subprocess.run(
+            [sys.executable, "-S", "-c", code, json.dumps(exports)],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+    )
+    assert out["import"] == []
+    assert out["complete"] == ["sfcheck.graphs"]
+    assert out["submodule"] == "Stack"
+    assert out["solve"] == ["sfcheck.construct", "sfcheck.graphs", "sfcheck.solve"]
+    assert out["unknown"] == "AttributeError"
+    modules = ["construct", "formats", "graphs", "report", "solve", "verify"]
+    assert out["cli"] == ["sfcheck.cli"] + [f"sfcheck.{m}" for m in modules]
+    assert out["traceback"] is False
+    assert all(out["same"].values()), out["same"]
+    assert out["all"] == [name for names in exports.values() for name in names.split()] + ["__version__"]
+    assert out["dir"] == []

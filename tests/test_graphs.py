@@ -274,12 +274,13 @@ def test_builds_preserve_invariants(profile):
 @st.composite
 def doctored_rows(draw):
     """(n, rows) of a G(n, p) graph with up to four faults written into its
-    rows: a bit only below the diagonal, a bit at or beyond n, a self-loop."""
-    n = draw(st.integers(min_value=1, max_value=40))
+    rows: a bit only below the diagonal, a bit at or beyond n, a self-loop,
+    a bit flipped in the last row alone."""
+    n = draw(st.integers(min_value=0, max_value=140))
     g = random_graph(n, draw(st.floats(0, 1)), random.Random(draw(st.integers(0, 2**32))))
     rows = list(g.rows)
-    for _ in range(draw(st.integers(min_value=0, max_value=4))):
-        fault = draw(st.sampled_from(["below", "beyond", "loop"]))
+    for _ in range(draw(st.integers(min_value=0, max_value=4 if n else 0))):
+        fault = draw(st.sampled_from(["below", "beyond", "loop", "last"]))
         i = draw(st.integers(min_value=0, max_value=n - 1))
         if fault == "below" and i > 0:
             j = draw(st.integers(min_value=0, max_value=i - 1))
@@ -289,6 +290,8 @@ def doctored_rows(draw):
             rows[i] |= 1 << (n + draw(st.integers(min_value=0, max_value=3)))
         elif fault == "loop":
             rows[i] |= 1 << i
+        elif fault == "last" and n > 1:
+            rows[-1] ^= 1 << draw(st.integers(min_value=0, max_value=n - 2))
     return n, tuple(rows)
 
 
