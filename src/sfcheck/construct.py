@@ -8,11 +8,11 @@ chains stages 3..t, again joining opposite-parity pairs across stages.
 A build records that layout once, as its list of stages; the cuts between
 its sides and stages derive from it.
 
-Verification never builds SF(t) whole: ``solve.Stack`` holds its stages,
-each built once by the stage memo, which checks the rule between a
-stage's sides.  Across stages the rule is the definition, so SF(t)'s n,
-m and label counts follow from the stages' counts.  ``build_SF`` makes
-the dense graph, for graph6 and DIMACS export.
+Verification builds neither F(r) nor SF(t) whole: ``solve.Stack`` holds
+its stages, of which the stage memo keeps only ``build_side``, the G side
+(or the base path).  The H side and the rule between parts follow from it
+by definition, so n, m and the label counts come in closed form.
+``build_F`` and ``build_SF`` make the dense graphs, for export.
 
 Several operators in that recipe admit more than one defensible reading.
 An InterpretationProfile pins all of them explicitly, so every build is a
@@ -145,48 +145,48 @@ class LabeledGraph(Checked, namedtuple("LabeledGraph", "graph labels stages base
         return tuple(cuts[1:])
 
 
-def _opposite_parity_joins(labels: tuple[int, ...], bounds: list[int]) -> Iterator[tuple[int, int, int]]:
-    """(v, hi, mask) for each v of each range [lo, hi) between consecutive
-    ``bounds``: ``mask`` holds every vertex outside v's range whose label
-    parity differs from v's, the cross edges v must have."""
+def _join_opposite_parity(rows: list[int], labels: tuple[int, ...], cuts: list[int]) -> Graph:
+    """Add to ``rows`` (in place) every opposite-parity edge across a cut, in
+    one pass: each vertex joins those of the other parity outside its range."""
     parity = [0, 0]
     for v, lab in enumerate(labels):
         parity[label_parity(lab)] |= 1 << v
+    bounds = [0, *cuts, len(rows)]
     for lo, hi in zip(bounds, bounds[1:]):
         outside = ~((1 << hi) - (1 << lo))
         joins = (parity[1] & outside, parity[0] & outside)
         for v in range(lo, hi):
-            yield v, hi, joins[label_parity(labels[v])]
-
-
-def _join_opposite_parity(rows: list[int], labels: tuple[int, ...], cuts: list[int]) -> Graph:
-    """Add to ``rows`` (in place) every opposite-parity edge across a cut, in one pass."""
-    for v, _, join in _opposite_parity_joins(labels, [0, *cuts, len(rows)]):
-        rows[v] |= join
+            rows[v] |= joins[label_parity(labels[v])]
     return Graph._trusted(len(rows), tuple(rows))
 
 
-def build_F(r: int, profile: InterpretationProfile = DEFAULT_PROFILE) -> LabeledGraph:
-    """Stage graph F(r).  Its G side is r-1 product copies (profile.prod)
-    of the block graph G_z: a clique on r // 2 vertices labeled 1 and one
-    on the rest labeled 2, combined per profile.sum.  Its H side is the
-    complement of the G side on a fresh vertex range, labels flipped.
-    Every opposite-parity pair across the sides is an edge.
-
-    Under base_case="explicit_path", F(3) is instead the fixed 6-vertex path
-    v-u-w-x-y-t with labels 1,2,1,1,profile.y_label,2.
-    """
+def build_side(r: int, profile: InterpretationProfile = DEFAULT_PROFILE) -> tuple[Graph, tuple[int, ...], bool]:
+    """F(r)'s first part as (graph, labels, paired).  Normally the G side,
+    which an H side follows (paired): r-1 product copies (profile.prod) of
+    the block graph G_z, a clique on r // 2 vertices labeled 1 and one on
+    the rest labeled 2, combined per profile.sum.  Under
+    base_case="explicit_path", F(3) is this part alone: the fixed 6-vertex
+    path v-u-w-x-y-t with labels 1,2,1,1,profile.y_label,2."""
     _require_param("F", r)
-    base_path = profile.base_case == "explicit_path"
-    if r == 3 and base_path:
-        return LabeledGraph(path(6), (1, 2, 1, 1, profile.y_label, 2), (3,), True)
+    if r == 3 and profile.base_case == "explicit_path":
+        return path(6), (1, 2, 1, 1, profile.y_label, 2), False
     a = r // 2
     g_side = product(empty(r - 1), combine(complete(a), complete(r - a), profile.sum), profile.prod)
-    labels = ((1,) * a + (2,) * (r - a)) * (r - 1)
+    return g_side, ((1,) * a + (2,) * (r - a)) * (r - 1), True
+
+
+def build_F(r: int, profile: InterpretationProfile = DEFAULT_PROFILE) -> LabeledGraph:
+    """Stage graph F(r): ``build_side``'s G side, then its H side, the
+    complement of the G side on a fresh vertex range with labels flipped.
+    Every opposite-parity pair across the sides is an edge.  Under
+    base_case="explicit_path", F(3) is the base path alone."""
+    side, labels, paired = build_side(r, profile)
+    if not paired:
+        return LabeledGraph(side, labels, (3,), True)
     labels += tuple(map(flip_label, labels))
-    sides = combine(g_side, complement(g_side), "disjoint_union")
-    graph = _join_opposite_parity(list(sides.rows), labels, [g_side.n])
-    return LabeledGraph(graph, labels, (r,), base_path)
+    sides = combine(side, complement(side), "disjoint_union")
+    graph = _join_opposite_parity(list(sides.rows), labels, [side.n])
+    return LabeledGraph(graph, labels, (r,), profile.base_case == "explicit_path")
 
 
 def build_SF(t: int, profile: InterpretationProfile = DEFAULT_PROFILE) -> LabeledGraph:

@@ -22,12 +22,10 @@ across runs.
 
 stage_solve is the stage route: omega and alpha of a Stack, SF(t) laid
 out as its stages F(3..t), composed from solves on its parts.  A part is
-the base path or one side of a stage.  Its premise is the cross-part
-rule: two vertices of different parts are adjacent exactly when their
-label parities differ (label 1 is odd, label 2 even).  Across stages that
-is how SF(t) is defined, so the dense SF(t) is never built;
-``construct.build_F`` joins the G and H sides of a stage by the same rule,
-and the stage memo checks it on each stage's own rows.  Write omega_1,
+the base path or one side of a stage.  Two vertices of different parts
+are adjacent exactly when their label parities differ (label 1 is odd,
+label 2 even): that is how SF(t) joins its stages, and how F(r) joins
+its G and H sides, so neither dense graph is built.  Write omega_1,
 omega_2 (alpha_1, alpha_2) for the clique (independence) number of one
 part's label-1 and label-2 classes.  Then
 
@@ -78,11 +76,24 @@ copies of K_a + K_(r-a) or of K_r, or edgeless, and their complement).
 Only the six-vertex base path and its complement are prime.
 
 Two memos of MEMO_SIZE entries keep the results.  The stage memo,
-``stage``, is keyed on (r, profile): it builds F(r) and checks its side
-premise once, and keeps the build, its edge count, its label counts and,
-from the first check that reads them, the six optima of each part.  A
-Stack reads its n, m and label counts from those counts in closed form,
-and checks a witness against the stages' rows and the parity rule.
+``stage``, is keyed on (r, profile) and builds only F(r)'s first part,
+``construct.build_side``: the G side, or the base path.  It keeps that
+part's rows, local to it, and labels, the stage's n, m and label counts,
+and, once a check reads them, the part's six optima from one split.  The
+H side that follows a G side of h vertices is read by duality: H is G's
+complement with labels flipped, so a clique of H is an independent set of
+G at the same offsets (shifted by h).  Hence
+
+    omega(H) = alpha(G),  omega_1(H) = alpha_2(G),  omega_2(H) = alpha_1(G),
+
+witnesses and node counts included, and the same with omega and alpha
+exchanged; ``_holds`` checks an H witness on G's rows with the flip
+inverted.  G and H hold h(h-1)/2 edges together, and a vertex of G is
+joined to the H vertices of the other parity, the flips of G's vertices
+of its own label; with c1 and c2 G's label counts, m(F(r)) = h(h-1)/2 +
+c1^2 + c2^2.  A Stack reads its n, m and label counts from the stages'
+in closed form, and checks a witness against the parts' rows and the
+parity rule.
 ``_solve_prime`` is keyed on each prime piece, so the base path and its
 complement are searched once.
 """
@@ -99,10 +110,9 @@ from sfcheck.construct import (
     DEFAULT_PROFILE,
     LABELS,
     InterpretationProfile,
-    LabeledGraph,
-    _opposite_parity_joins,
     _require_param,
-    build_F,
+    build_side,
+    flip_label,
     label_parity,
 )
 from sfcheck.graphs import Graph, as_vertex_set, complement, induced
@@ -399,50 +409,39 @@ def _class_masks(labels: tuple[int, ...]) -> list[int]:
     return [sum(1 << v for v, lab in enumerate(labels) if lab == label) for label in LABELS]
 
 
-def max_mono_clique(g: Graph, labels: tuple[int, ...]) -> CliqueResult:
-    """Largest clique of ``g`` whose vertices all carry one label (1 or 2),
-    label 1 on a tie, from one split of ``g``; the node count sums both
-    classes' solves."""
-    results = _split_clique(g, (1 << g.n) - 1, [(within, 0) for within in _class_masks(labels)])
-    best = max(results, key=lambda res: res.size)
-    return CliqueResult(best.size, best.witness, sum(res.nodes_explored for res in results))
-
-
 class Stage:
-    """One stage F(r) as the stage memo keeps it: the build, its edge count
-    and its label counts (label 1 is odd, label 2 even), and, once first
-    asked for, its part optima."""
+    """One stage as the stage memo keeps it: its first part (the G side,
+    or the base path) as ``side`` and ``labels``, whether an H side
+    follows it (``paired``), the stage's n, m and label counts (label 1 is
+    odd, label 2 even), and, once first asked for, its part optima."""
 
-    def __init__(self, lg: LabeledGraph) -> None:
-        self.lg, self.m, self.label_counts = lg, lg.graph.m, lg.label_counts()
+    def __init__(self, side: Graph, labels: tuple[int, ...], paired: bool) -> None:
+        self.side, self.labels, self.paired = side, labels, paired
+        h, c1 = side.n, labels.count(1)
+        if paired:  # the module docstring counts m
+            self.n, self.m, self.label_counts = 2 * h, h * (h - 1) // 2 + c1**2 + (h - c1) ** 2, {1: h, 2: h}
+        else:
+            self.n, self.m, self.label_counts = h, side.m, {1: c1, 2: h - c1}
 
     @cached_property
     def optima(self) -> dict[str, list[tuple[CliqueResult, ...]]]:
         """Per mode, each part's whole, label-1 and label-2 optima,
-        numbered within the stage, read from one split of the part."""
-        g, classes = self.lg.graph, _class_masks(self.lg.labels)
-        bounds = [0, *self.lg.stage_cuts(), g.n]
-        optima: dict[str, list] = {"clique": [], "independent": []}
-        for lo, hi in zip(bounds, bounds[1:]):
-            part = (1 << hi) - (1 << lo)
-            solves = _split_clique(g, part, [(part & within, flip) for flip in (0, -1) for within in (part, *classes)])
-            optima["clique"].append(tuple(solves[:3]))
-            optima["independent"].append(tuple(solves[3:]))
+        numbered within the stage: the first part's from one split of it,
+        an H side's by the duality of the module docstring."""
+        h = self.side.n
+        full = (1 << h) - 1
+        solves = _split_clique(self.side, full, [(within, flip) for flip in (0, -1) for within in (full, *_class_masks(self.labels))])
+        optima = {"clique": [tuple(solves[:3])], "independent": [tuple(solves[3:])]}
+        if self.paired:
+            for mode, (whole, one, two) in (("clique", solves[3:]), ("independent", solves[:3])):
+                optima[mode].append(tuple(res._replace(witness=tuple(v + h for v in res.witness)) for res in (whole, two, one)))
         return optima
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def stage(r: int, profile: InterpretationProfile) -> Stage:
-    """F(r) under ``profile``, built once.  AssertionError unless each row,
-    outside its own side, is exactly that vertex's opposite-parity joins:
-    the stage route's premise, checked once per stage."""
-    lg = build_F(r, profile)
-    n, bounds = lg.graph.n, [0, *lg.stage_cuts(), lg.graph.n]
-    outside = {hi: ((1 << n) - 1) ^ ((1 << hi) - (1 << lo)) for lo, hi in zip(bounds, bounds[1:])}
-    for v, hi, join in _opposite_parity_joins(lg.labels, bounds):
-        if lg.graph.rows[v] & outside[hi] != join:
-            raise AssertionError(f"vertex {v} breaks the opposite-parity rule between parts")
-    return Stage(lg)
+    """F(r) under ``profile`` as its first part, built once."""
+    return Stage(*build_side(r, profile))
 
 
 class Stack:
@@ -450,7 +449,7 @@ class Stack:
     out in order, F(3..t) for SF(t); the builders' ValueError on another
     kind or a parameter below 3.
 
-    Two vertices of different stages are adjacent exactly when their label
+    Two vertices of different parts are adjacent exactly when their label
     parities differ, so n, m, the label counts and every witness check
     follow from the stages, and the dense graph is never built.
     """
@@ -462,7 +461,11 @@ class Stack:
         base = profile if profile.base_case == "explicit_path" else rest.replace(base_case="general")
         rs = (param,) if kind == "F" else range(3, param + 1)
         self.stages = [stage(r, base if r == 3 else rest) for r in rs]
-        *self.starts, self.n = accumulate((s.lg.graph.n for s in self.stages), initial=0)
+        *self.starts, self.n = accumulate((s.n for s in self.stages), initial=0)
+        # Each part as (first vertex, stage, inverse): inverse is -1 for an H side, read on its
+        # G side's rows and labels with the flip and the parities inverted, else 0.
+        self.parts = [(start - s.side.n * inverse, s, inverse) for start, s in zip(self.starts, self.stages) for inverse in (0, -1)[: 1 + s.paired]]
+        self.part_starts = [start for start, _, _ in self.parts]
         ones, twos = (sum(s.label_counts[label] for s in self.stages) for label in LABELS)
         self.label_counts = {1: ones, 2: twos}
         # The cross edges are the sum over stages i < j of odd_i * even_j +
@@ -471,27 +474,27 @@ class Stack:
         self.m = sum(s.m for s in self.stages) + cross
 
     def label(self, v: int) -> int:
-        i = bisect_right(self.starts, v) - 1
-        return self.stages[i].lg.labels[v - self.starts[i]]
+        start, s, inverse = self.parts[bisect_right(self.part_starts, v) - 1]
+        label = s.labels[v - start]
+        return flip_label(label) if inverse else label
 
     def verify_witness(self, members, mode: str) -> bool:
-        """``verify_witness`` on the stack: pairs within a stage against its
-        rows, pairs across stages by the opposite-parity rule, so a clique
-        meets at most two stages, one parity in each and opposite, and an
+        """``verify_witness`` on the stack: pairs within a part against its
+        rows, pairs across parts by the opposite-parity rule, so a clique
+        meets at most two parts, one parity in each and opposite, and an
         independent set that meets two or more lies in one parity."""
         flip = _flip(mode)
         vs = as_vertex_set(self, members)
-        # The sorted witness cut at the stage starts: stage i holds vs[cuts[i]:cuts[i + 1]].
-        cuts = [bisect_left(vs, start) for start in self.starts] + [len(vs)]
+        # The sorted witness cut at the part starts: part i holds vs[cuts[i]:cuts[i + 1]].
+        cuts = [bisect_left(vs, start) for start in self.part_starts] + [len(vs)]
         parities = []
-        for stage_, start, lo, hi in zip(self.stages, self.starts, cuts, cuts[1:]):
+        for (start, s, inverse), lo, hi in zip(self.parts, cuts, cuts[1:]):
             if lo == hi:
                 continue
-            lg = stage_.lg
             local = [v - start for v in vs[lo:hi]]
-            if not _holds(lg.graph.rows, sum(1 << v for v in local), flip):
+            if not _holds(s.side.rows, sum(1 << v for v in local), flip ^ inverse):
                 return False
-            parities.append({label_parity(lg.labels[v]) for v in local})
+            parities.append({label_parity(s.labels[v]) ^ -inverse for v in local})
         if len(parities) < 2:
             return True
         if mode == "clique":

@@ -16,10 +16,12 @@ from sfcheck.formats import Graph6ParseError
 from sfcheck.graphs import Graph, complement, induced
 from sfcheck.solve import (
     CliqueResult,
+    _class_masks,
     _components,
     _degeneracy_order,
     _greedy_clique,
     _members,
+    _split_clique,
     max_clique,
     verify_witness,
 )
@@ -255,6 +257,16 @@ def class_split(g: Graph, mode: str, labels: tuple[int, ...] = (), label: int | 
             found[i] = reduce(or_, found[lo:hi]) if union else max(found[lo:hi], key=int.bit_count)
     witness = tuple(_members(found[0]))
     return CliqueResult(len(witness), witness, nodes)
+
+
+def max_mono_clique(g: Graph, labels: tuple[int, ...]) -> CliqueResult:
+    """Largest clique of ``g`` whose vertices all carry one label (1 or 2),
+    label 1 on a tie, from one split of the whole of ``g``; the node count
+    sums both classes' solves.  The dense reference for T1.1, which reads
+    the stage's part optima (``solve.stage_mono_clique``)."""
+    results = _split_clique(g, (1 << g.n) - 1, [(within, 0) for within in _class_masks(labels)])
+    best = max(results, key=lambda res: res.size)
+    return CliqueResult(best.size, best.witness, sum(res.nodes_explored for res in results))
 
 
 def walk_problems(n: int, rows: tuple[int, ...]) -> list[str]:

@@ -1,5 +1,5 @@
-"""Constructor tests: blocks, sides, stage graphs, stacked graphs, layout, and the
-stage route's premise on doctored stage builds."""
+"""Constructor tests: blocks, sides, stage graphs, stacked graphs, layout, and
+the rule between the sides of a stage on the dense and doctored builds."""
 
 import random
 
@@ -12,11 +12,13 @@ from sfcheck.construct import (
     LabeledGraph,
     build_F,
     build_SF,
+    build_side,
     flip_label,
     label_parity,
 )
 from sfcheck.graphs import Graph, complete, induced
-from sfcheck.solve import Stack, stage
+from sfcheck.report import load_report
+from sfcheck.solve import Stack, max_clique, max_independent_set, stage, stage_solve
 
 from oracles import all_profiles, layout_cuts, stacked_vertex_count, stage_vertex_count
 
@@ -207,7 +209,7 @@ class TestBuildSF:
     @pytest.mark.parametrize("t", range(3, 8))
     @pytest.mark.parametrize("profile", all_profiles())
     def test_all_profiles_meet_the_premise(self, profile, t):
-        stage(t, profile)  # AssertionError where the premise fails
+        assert not rule_breaks(build_F(t, profile))
 
 
 class TestLayout:
@@ -251,74 +253,85 @@ class TestLayout:
             LabeledGraph(lg.graph, (True,) + lg.labels[1:], lg.stages, lg.base_path)
 
 
-def flipped_edge(lg, v, w):
-    rows = list(lg.graph.rows)
+def rule_breaks(lg):
+    """The pairs in different parts of ``lg`` whose adjacency is not the
+    opposite-parity rule's."""
+    return [
+        (v, w)
+        for v, w in cross_pairs_by_rule(lg)
+        if lg.graph.has_edge(v, w) != (label_parity(lg.labels[v]) != label_parity(lg.labels[w]))
+    ]
+
+
+def flipped_edge(g, v, w):
+    rows = list(g.rows)
     rows[v] ^= 1 << w
     rows[w] ^= 1 << v
-    return lg.replace(graph=Graph(lg.graph.n, tuple(rows)))
+    return Graph(g.n, tuple(rows))
 
 
-def flipped_label(lg, v):
-    labels = list(lg.labels)
-    labels[v] = flip_label(labels[v])
-    return lg.replace(labels=tuple(labels))
+def flipped_label(labels, v):
+    return labels[:v] + (flip_label(labels[v]),) + labels[v + 1 :]
 
 
-# Seeded faults in F(4), stage 4 of SF(5): its G side is 0..11 and its H
-# side 12..23.  An edge between two stages is not a fault that can be
-# seeded: a stack has no rows between its stages, whose adjacency is the
-# parity rule by definition.
+# Seeded faults in the G side of F(4), stage 4 of SF(5): vertices 0..11.
+# The H side and the edges between the sides, and between stages, follow
+# from the G side by definition, so no fault can be seeded there.
 FAULTS = {
-    "edge between the sides of a stage": lambda lg: flipped_edge(lg, 0, 12),
-    "label of one vertex of a correspondence pair": lambda lg: flipped_label(lg, 0),
+    "edge within the G side": lambda side, labels: (flipped_edge(side, 0, 1), labels),
+    "label of one vertex of the G side": lambda side, labels: (side, flipped_label(labels, 0)),
 }
 
 
+def assert_stack_matches_dense(t, profile):
+    """The stack SF(t) and the dense build agree in n, m, labels, omega and alpha."""
+    stack, lg = Stack("SF", t, profile), build_SF(t, profile)
+    assert (stack.n, stack.m, stack.label_counts) == (lg.graph.n, lg.graph.m, lg.label_counts())
+    assert [stack.label(v) for v in range(stack.n)] == list(lg.labels)
+    omega, alpha = stage_solve(stack)
+    assert (omega.size, alpha.size) == (max_clique(lg.graph).size, max_independent_set(lg.graph).size)
+
+
 class TestPremise:
-    """The stage route's premise check stands where a separate validation
-    pass stood: every fault against the construction's rule between the
-    sides of a stage, seeded into the build the stage memo makes, makes the
-    stack raise, and the CLI exit 3."""
+    """The stage memo keeps only a stage's G side: the H side and the rule
+    between the sides hold by definition.  The dense builder, for export,
+    must meet the rule, and a fault seeded into the G side reaches the
+    stage route and the dense build alike, so the rule still holds on the
+    doctored dense build; a report made under it fails to load."""
 
     @pytest.mark.parametrize("fault", FAULTS)
-    def test_seeded_fault_raises(self, fault, seed_stage):
+    def test_seeded_fault_reaches_both_builds(self, fault, seed_stage):
+        real = build_side(4)[:2]
         seed_stage(4, FAULTS[fault])
-        with pytest.raises(AssertionError, match="opposite-parity rule"):
-            Stack("SF", 5, DEFAULT_PROFILE)
+        doctored, kept = build_F(4), stage(4, DEFAULT_PROFILE)
+        assert (kept.side, kept.labels) != real
+        assert (kept.side, kept.labels) == (induced(doctored.graph, range(12)), doctored.labels[:12])
+        assert not rule_breaks(doctored)
+        assert_stack_matches_dense(5, DEFAULT_PROFILE)
 
     @pytest.mark.parametrize("fault", FAULTS)
-    def test_seeded_fault_exits_3(self, fault, seed_stage, tmp_path, capsys):
+    def test_report_under_a_seeded_fault_fails_to_load(self, fault, seed_stage, tmp_path):
         seed_stage(4, FAULTS[fault])
         out = tmp_path / "r.json"
-        assert main(["verify", "--theorem", "1.2", "--r", "4", "--report", str(out)]) == 3
-        assert "internal error: AssertionError" in capsys.readouterr().err
-        assert not out.exists()
+        assert main(["verify", "--theorem", "1.1", "--r", "4", "--report", str(out)]) in (0, 1)
+        seed_stage(4, lambda side, labels: (side, labels))
+        with pytest.raises(ValueError, match="failed re-verification"):
+            load_report(out)
 
     @pytest.mark.parametrize("profile", all_profiles(), ids=str)
-    def test_premise_fails_exactly_on_doctored_builds(self, profile, seed_stage):
+    def test_doctored_sides_keep_the_rule(self, profile, seed_stage):
         rng = random.Random(11)
         for r in (3, 4, 5):
-            n = build_F(r, profile).graph.n
+            side, _, _ = build_side(r, profile)
             for _ in range(8):
-                flips = [rng.sample(range(n), 2) for _ in range(rng.randint(1, 4))]
-                relabel = [rng.random() < 0.05 for _ in range(n)]
+                flips = [rng.sample(range(side.n), 2) for _ in range(rng.randint(1, 4))]
+                relabel = [rng.random() < 0.05 for _ in range(side.n)]
 
-                def doctor(lg, flips=flips, relabel=relabel):
-                    rows = list(lg.graph.rows)
+                def doctor(side, labels, flips=flips, relabel=relabel):
                     for v, w in flips:
-                        rows[v] ^= 1 << w
-                        rows[w] ^= 1 << v
-                    labels = tuple(flip_label(x) if f else x for x, f in zip(lg.labels, relabel))
-                    return LabeledGraph(Graph(n, tuple(rows)), labels, lg.stages, lg.base_path)
+                        side = flipped_edge(side, v, w)
+                    return side, tuple(flip_label(x) if f else x for x, f in zip(labels, relabel))
 
                 seed_stage(r, doctor)
-                doctored = doctor(build_F(r, profile))
-                broken = any(
-                    doctored.graph.has_edge(v, w) != (label_parity(doctored.labels[v]) != label_parity(doctored.labels[w]))
-                    for v, w in cross_pairs_by_rule(doctored)
-                )
-                if broken:
-                    with pytest.raises(AssertionError, match="opposite-parity rule"):
-                        stage(r, profile)
-                else:
-                    stage(r, profile)
+                assert not rule_breaks(build_F(r, profile))
+                assert_stack_matches_dense(r, profile)

@@ -28,11 +28,10 @@ from sfcheck.solve import (
     _split_clique,
     max_clique,
     max_independent_set,
-    max_mono_clique,
     stage_solve,
 )
 
-from oracles import all_profiles, class_split
+from oracles import all_profiles, class_split, max_mono_clique
 
 VERTEX = Graph(1, (0,))
 MODES = ("clique", "independent")

@@ -27,12 +27,12 @@ from sfcheck.solve import (
     _degeneracy_order,
     max_clique,
     max_independent_set,
-    max_mono_clique,
     oracle_max_clique,
     verify_witness,
 )
 
 from oracles import (
+    max_mono_clique,
     pairwise_witness_ok,
     recursive_max_clique,
     scan_degeneracy_order,

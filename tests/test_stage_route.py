@@ -32,13 +32,12 @@ from sfcheck.solve import (
     _split_clique,
     max_clique,
     max_independent_set,
-    max_mono_clique,
     stage_solve,
     verify_witness,
 )
 from sfcheck.verify import check_theorem_1_1
 
-from oracles import all_profiles, pairwise_composition
+from oracles import all_profiles, max_mono_clique, pairwise_composition
 
 
 def assert_route_matches_monolithic(t, profile=DEFAULT_PROFILE):
@@ -62,27 +61,50 @@ def test_route_matches_monolithic_solve_default_profile(t):
 
 @pytest.mark.parametrize("profile", all_profiles(), ids=str)
 def test_stack_counts_match_the_dense_build(profile):
-    for t in range(3, 13):
+    for t in (*range(3, 13), 16):
         stack, lg = Stack("SF", t, profile), build_SF(t, profile)
         assert (stack.n, stack.m, stack.label_counts) == (lg.graph.n, lg.graph.m, lg.label_counts()), t
         assert [stack.label(v) for v in range(stack.n)] == list(lg.labels)
 
 
+@pytest.mark.parametrize("profile", all_profiles(), ids=str)
+def test_stages_match_the_dense_build(profile):
+    """Each part-native stage, its H side read by duality, against the
+    dense F(r): n, m, label counts, every vertex's label, and each part's
+    six optima, witnesses and node counts included, as one split of that
+    part of the dense graph gives them."""
+    for r in range(3, 17):
+        stack, lg = Stack("F", r, profile), build_F(r, profile)
+        assert (stack.n, stack.m, stack.label_counts) == (lg.graph.n, lg.graph.m, lg.label_counts()), r
+        assert [stack.label(v) for v in range(stack.n)] == list(lg.labels), r
+        assert stack.stages[0].optima == dense_part_optima(lg), r
+
+
+def test_a_stage_keeps_one_side_of_rows():
+    """The stage memo keeps h rows, each below 2^h, of a stage of 2h
+    vertices, and no other graph; the base path keeps its own six."""
+    for profile in all_profiles():
+        for r in range(3, 13):
+            s = solve_module.stage(r, profile)
+            h = s.side.n
+            assert [value for value in vars(s).values() if isinstance(value, Graph)] == [s.side]
+            assert len(s.side.rows) == h and all(0 <= row < 1 << h for row in s.side.rows)
+            assert (s.n, h) == ((2 * h, r * (r - 1)) if s.paired else (6, 6))
+
+
 @st.composite
 def stack_witnesses(draw):
     """(t, profile, members, mode): a stage-route optimum, or vertices drawn
-    from one to three ranges (a side, a whole stage), with a few vertices
-    added and removed, so that pairs fall inside one side, across the two
-    sides of a stage and across stages."""
+    from one to three ranges (a part, a whole stage), with a few vertices
+    added and removed, so that pairs fall inside an H side, inside a G side,
+    across the two sides of a stage and across stages; now and then a
+    member the dense check refuses, or an unknown mode."""
     t = draw(st.integers(3, 7))
     profile = draw(st.sampled_from(all_profiles()))
     mode = draw(st.sampled_from(["clique", "independent"]))
     stack = Stack("SF", t, profile)
-    ranges = []
-    for start, stage in zip(stack.starts, stack.stages):
-        bounds = [0, *stage.lg.stage_cuts(), stage.lg.graph.n]
-        ranges += [(start + lo, start + hi) for lo, hi in zip(bounds, bounds[1:])]
-        ranges.append((start, start + stage.lg.graph.n))
+    ranges = [(start, start + s.side.n) for start, s, _ in stack.parts]
+    ranges += [(start, start + s.n) for start, s in zip(stack.starts, stack.stages)]
     if draw(st.booleans()):
         members = set(stage_solve(stack)[mode == "independent"].witness)
     else:
@@ -92,16 +114,29 @@ def stack_witnesses(draw):
     members |= set(draw(st.lists(st.integers(0, stack.n - 1), max_size=2)))
     if members:
         members -= set(draw(st.lists(st.sampled_from(sorted(members)), max_size=3)))
-    return t, profile, sorted(members), mode
+    members = sorted(members)
+    if draw(st.integers(0, 9)) == 0:
+        members.append(draw(st.sampled_from([-1, stack.n, True, *members[:1]])))
+    if draw(st.integers(0, 19)) == 0:
+        mode = "path"
+    return t, profile, members, mode
+
+
+def outcome(check, members, mode):
+    """What ``check(members, mode)`` returns, or the message it raises."""
+    try:
+        return check(members, mode)
+    except ValueError as exc:
+        return str(exc)
 
 
 @settings(max_examples=300, deadline=None)
 @given(stack_witnesses())
 def test_stack_witness_check_matches_the_dense_one(case):
     t, profile, members, mode = case
-    assert Stack("SF", t, profile).verify_witness(members, mode) == verify_witness(
-        build_SF(t, profile).graph, members, mode
-    )
+    g = build_SF(t, profile).graph
+    dense = outcome(lambda m, mode_: verify_witness(g, m, mode_), members, mode)
+    assert outcome(Stack("SF", t, profile).verify_witness, members, mode) == dense
 
 
 @pytest.mark.parametrize("members", [[0, 0], [-1], [30], [True]], ids=["repeated", "negative", "n", "bool"])
@@ -112,6 +147,20 @@ def test_stack_witness_check_refuses_what_the_dense_one_does(members):
             check(members, "clique")
         with pytest.raises(ValueError, match="unknown witness mode"):
             check([], "path")
+
+
+def dense_part_optima(lg):
+    """Per mode, each part's whole, label-1 and label-2 optima, numbered
+    within F(r), from one split of that part of the dense build."""
+    g, classes = lg.graph, _class_masks(lg.labels)
+    bounds = [0, *lg.stage_cuts(), g.n]
+    optima = {"clique": [], "independent": []}
+    for lo, hi in zip(bounds, bounds[1:]):
+        part = (1 << hi) - (1 << lo)
+        solves = _split_clique(g, part, [(part & within, flip) for flip in (0, -1) for within in (part, *classes)])
+        optima["clique"].append(tuple(solves[:3]))
+        optima["independent"].append(tuple(solves[3:]))
+    return optima
 
 
 def stage_numbers(lg):
@@ -163,7 +212,7 @@ def test_theorem_1_1_reads_the_stage_as_the_whole_graph_is_split(profile):
 
 def test_profiles_that_differ_only_in_y_label_share_all_but_the_base_path():
     one, two = (Stack("SF", 5, InterpretationProfile(y_label=y)) for y in LABELS)
-    assert one.stages[0] is not two.stages[0] and one.stages[0].lg != two.stages[0].lg
+    assert one.stages[0] is not two.stages[0] and one.stages[0].labels != two.stages[0].labels
     assert one.stages[1:] == two.stages[1:]
     assert all(a is b for a, b in zip(one.stages[1:], two.stages[1:]))
     general = [Stack("F", 3, InterpretationProfile(base_case="general", y_label=y)) for y in LABELS]
@@ -197,25 +246,27 @@ def test_profiles_that_differ_only_in_base_case_share_every_stage_after_the_thir
     for profile in all_profiles():
         ours = Stack("SF", 6, profile)
         other = Stack("SF", 6, profile.replace(base_case="general" if profile.base_case == "explicit_path" else "explicit_path"))
-        assert ours.stages[0].lg != other.stages[0].lg
+        assert (ours.stages[0].side, ours.stages[0].paired) != (other.stages[0].side, other.stages[0].paired)
         assert all(a is b for a, b in zip(ours.stages[1:], other.stages[1:]))
         assert Stack("F", 4, profile).stages[0] is other.stages[1]
 
 
-def flipped(lg, u, v):
-    """``lg`` with the pair (u, v) toggled."""
-    rows = list(lg.graph.rows)
+def flipped(g, u, v):
+    """``g`` with the pair (u, v) toggled."""
+    rows = list(g.rows)
     rows[u] ^= 1 << v
     rows[v] ^= 1 << u
-    return lg.replace(graph=Graph(lg.graph.n, tuple(rows)))
+    return Graph(g.n, tuple(rows))
 
 
 def test_flipped_edge_within_a_side_is_solved(seed_stage):
-    # The premise concerns only edges between parts; a side's own edges are
-    # whatever the build holds.  The dense SF(6) sees the same doctored F(4).
+    # A side's own edges are whatever the build holds; the H side and the
+    # edges between the sides follow from them.  The dense SF(6) sees the
+    # same doctored G side of F(4).
     edge = build_F(4).graph.has_edge(0, 1)
-    seed_stage(4, lambda lg: flipped(lg, 0, 1))
-    assert solve_module.stage(4, DEFAULT_PROFILE).lg.graph.has_edge(0, 1) != edge
+    seed_stage(4, lambda side, labels: (flipped(side, 0, 1), labels))
+    assert solve_module.stage(4, DEFAULT_PROFILE).side.has_edge(0, 1) != edge
+    assert build_F(4).graph.has_edge(0, 1) != edge
     assert_route_matches_monolithic(6)
 
 
@@ -262,7 +313,7 @@ def test_unloadable_targets_refused_unbuilt(argv, tmp_path, monkeypatch, capsys)
 
     monkeypatch.setattr(report_module, "build_F", no_build)
     monkeypatch.setattr(report_module, "build_SF", no_build)
-    monkeypatch.setattr(solve_module, "build_F", no_build)
+    monkeypatch.setattr(solve_module, "build_side", no_build)
     out_dir = tmp_path / "out"
     assert main([arg.replace("DIR", str(out_dir)) for arg in argv]) == 2
     assert "above the limit of 20000" in capsys.readouterr().err
