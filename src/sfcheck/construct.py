@@ -5,8 +5,7 @@ The construction stacks stages: each stage r contributes a block graph G_z
 H side that is the complement of the G side on a fresh vertex range, and
 cross edges that join exactly the opposite-parity label pairs.  SF(t)
 chains stages 3..t, again joining opposite-parity pairs across stages.
-A build records that layout once, as its list of stages; the cuts between
-its sides and stages derive from it.
+A build records that layout once, as its list of stages.
 
 Verification builds neither F(r) nor SF(t) whole: ``solve.Stack`` holds
 its stages, of which the stage memo keeps only ``build_side``, the G side
@@ -22,7 +21,6 @@ pure, bit-reproducible function of (parameter, profile).
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Iterator
 
 from sfcheck.graphs import Checked, Graph, combine, complement, complete, empty, path, product
 
@@ -38,6 +36,18 @@ def label_parity(label: int) -> int:
 
 def flip_label(label: int) -> int:
     return 3 - label
+
+
+_ONES = bytes.maketrans(b"\x01\x02", b"10")
+
+
+def label_masks(labels: tuple[int, ...]) -> tuple[int, int]:
+    """The vertices labeled 1 (odd) and those labeled 2 (even), as two
+    masks with bit v for vertex v, read from the label bytes at C speed:
+    reversed, so vertex 0 is the last and lowest digit, and mapped to
+    binary digits.  Every label must be 1 or 2."""
+    ones = int(b"0" + bytes(labels)[::-1].translate(_ONES), 2)
+    return ones, ones ^ ((1 << len(labels)) - 1)
 
 
 class InterpretationProfile(Checked, namedtuple(
@@ -123,38 +133,15 @@ class LabeledGraph(Checked, namedtuple("LabeledGraph", "graph labels stages base
             if type(lab) is not int or lab not in LABELS:
                 raise ValueError(f"label {lab!r} outside {{1, 2}}")
 
-    def label_counts(self) -> dict[int, int]:
-        return {lab: self.labels.count(lab) for lab in LABELS}
-
-    def stage_spans(self) -> Iterator[tuple[int, int, int]]:
-        """(r, start, stop) of each stage's vertex range, in vertex order."""
-        stop = 0
-        for r in self.stages:
-            start, stop = stop, stop + stage_size(r, self.base_path)
-            yield r, start, stop
-
-    def stage_cuts(self) -> tuple[int, ...]:
-        """Where each part after the first starts, a part being the base
-        path or one side of a stage: the parts the stage route solves.  Any
-        two parts are joined by the opposite-parity rule alone."""
-        cuts = []
-        for r, start, stop in self.stage_spans():
-            cuts.append(start)
-            if not (r == 3 and self.base_path):
-                cuts.append((start + stop) // 2)
-        return tuple(cuts[1:])
-
 
 def _join_opposite_parity(rows: list[int], labels: tuple[int, ...], cuts: list[int]) -> Graph:
     """Add to ``rows`` (in place) every opposite-parity edge across a cut, in
     one pass: each vertex joins those of the other parity outside its range."""
-    parity = [0, 0]
-    for v, lab in enumerate(labels):
-        parity[label_parity(lab)] |= 1 << v
+    odd, even = label_masks(labels)
     bounds = [0, *cuts, len(rows)]
     for lo, hi in zip(bounds, bounds[1:]):
         outside = ~((1 << hi) - (1 << lo))
-        joins = (parity[1] & outside, parity[0] & outside)
+        joins = (odd & outside, even & outside)
         for v in range(lo, hi):
             rows[v] |= joins[label_parity(labels[v])]
     return Graph._trusted(len(rows), tuple(rows))

@@ -78,22 +78,25 @@ Only the six-vertex base path and its complement are prime.
 Two memos of MEMO_SIZE entries keep the results.  The stage memo,
 ``stage``, is keyed on (r, profile) and builds only F(r)'s first part,
 ``construct.build_side``: the G side, or the base path.  It keeps that
-part's rows, local to it, and labels, the stage's n, m and label counts,
-and, once a check reads them, the part's six optima from one split.  The
-H side that follows a G side of h vertices is read by duality: H is G's
-complement with labels flipped, so a clique of H is an independent set of
-G at the same offsets (shifted by h).  Hence
+part's rows, local to it, its labels and its two label classes as masks,
+the stage's n, m and label counts, and, once a check reads them, the
+part's six optima from one split.  The H side that follows a G side of h
+vertices is read by duality: H is G's complement with labels flipped, so
+a clique of H is an independent set of G at the same offsets.  Hence
 
     omega(H) = alpha(G),  omega_1(H) = alpha_2(G),  omega_2(H) = alpha_1(G),
 
 witnesses and node counts included, and the same with omega and alpha
-exchanged; ``_holds`` checks an H witness on G's rows with the flip
+exchanged: H's optima are G's result objects themselves, shared, not
+copied.  Every witness of a stage's optima is numbered within its part,
+and only the winning one is offset, by its part's first vertex in the
+Stack.  ``_holds`` checks an H witness on G's rows with the flip
 inverted.  G and H hold h(h-1)/2 edges together, and a vertex of G is
 joined to the H vertices of the other parity, the flips of G's vertices
 of its own label; with c1 and c2 G's label counts, m(F(r)) = h(h-1)/2 +
 c1^2 + c2^2.  A Stack reads its n, m and label counts from the stages'
-in closed form, and checks a witness against the parts' rows and the
-parity rule.
+in closed form, and checks a witness against the parts' rows and, by two
+ANDs with each met part's class masks, the parity rule.
 ``_solve_prime`` is keyed on each prime piece, so the base path and its
 complement are searched once.
 """
@@ -112,8 +115,7 @@ from sfcheck.construct import (
     InterpretationProfile,
     _require_param,
     build_side,
-    flip_label,
-    label_parity,
+    label_masks,
 )
 from sfcheck.graphs import Graph, as_vertex_set, complement, induced
 
@@ -154,10 +156,17 @@ def _holds(rows: tuple[int, ...], chosen: int, flip: int) -> bool:
     """Whether ``chosen`` is a clique of the graph of ``rows`` (flip 0) or
     of its complement (flip -1): each member's row, restricted to
     ``chosen``, must hold every other member or none, k row masks in place
-    of k^2/2 single-pair queries."""
-    if flip:
-        return all(not rows[v] & chosen for v in _members(chosen))
-    return all(rows[v] & chosen == chosen ^ (1 << v) for v in _members(chosen))
+    of k^2/2 single-pair queries.  One loop, stopping at the first member
+    that fails: no row holds its own vertex, so with that member's bit
+    added the row must be ``chosen`` or the bit alone."""
+    want = 0 if flip else chosen
+    rest = chosen
+    while rest:
+        bit = rest & -rest
+        if rows[bit.bit_length() - 1] & chosen | bit != want | bit:
+            return False
+        rest ^= bit
+    return True
 
 
 def _degeneracy_order(rows: tuple[int, ...], n: int) -> list[int]:
@@ -339,9 +348,10 @@ def _components(rows: tuple[int, ...], mask: int, flip: int) -> list[int]:
             bit = frontier & -frontier
             frontier ^= bit
             new = mask & (rows[bit.bit_length() - 1] ^ flip)
-            part |= new
-            frontier |= new
-            mask ^= new
+            if new:
+                part |= new
+                frontier |= new
+                mask ^= new
         parts.append(part)
     return parts
 
@@ -374,20 +384,23 @@ def _split_clique(g: Graph, mask: int, queries: list[tuple[int, int]]) -> list[C
         splits.append(split)
     results = []
     for within, flip in queries:
-        found, nodes = [(0, 0)] * len(pieces), 0  # each piece's answer and key
+        # Each piece's answer as (minus its size, its key, its mask), so the plain
+        # tuple order ranks candidates; keys of disjoint pieces differ.
+        found, nodes = [(0, 0, 0)] * len(pieces), 0
         for i in reversed(range(len(pieces))):
             part, split = pieces[i] & within, splits[i]
             if not part:
                 continue
             low = part & -part
             if isinstance(split, int):
-                found[i] = (part if split == flip else low, low)
+                found[i] = (-part.bit_count(), low, part) if split == flip else (-1, low, low)
             elif split:
-                kids = [kid for kid in found[split[1] : split[2]] if kid[0]]
+                kids = [kid for kid in found[split[1] : split[2]] if kid[2]]
                 if split[0] == flip or len(kids) == 1:  # a union in the query's view, or one kid
-                    found[i] = min(kids, key=lambda kid: (-kid[0].bit_count(), kid[1]))
+                    found[i] = min(kids)
                 else:
-                    found[i] = (reduce(or_, (kid[0] for kid in kids)), low)
+                    sizes, _, masks = zip(*kids)
+                    found[i] = (sum(sizes), low, reduce(or_, masks))
             else:
                 members = list(_members(part))
                 h = complement(induced(g, members)) if flip else induced(g, members)
@@ -396,28 +409,25 @@ def _split_clique(g: Graph, mask: int, queries: list[tuple[int, int]]) -> list[C
                 nodes += res.nodes_explored
                 best = sum(1 << members[j] for j in res.witness)
                 view = next(c for c in _components(rows, part, flip) if c & best)
-                found[i] = (best, view & -view)
-        if not _holds(rows, found[0][0], flip):
+                found[i] = (-res.size, view & -view, best)
+        if not _holds(rows, found[0][2], flip):
             raise AssertionError(f"decomposition produced an invalid {'independent set' if flip else 'clique'}")
-        witness = tuple(_members(found[0][0]))
+        witness = tuple(_members(found[0][2]))
         results.append(CliqueResult(len(witness), witness, nodes))
     return results
 
 
-def _class_masks(labels: tuple[int, ...]) -> list[int]:
-    """The vertices labeled 1 and those labeled 2, as two masks."""
-    return [sum(1 << v for v, lab in enumerate(labels) if lab == label) for label in LABELS]
-
-
 class Stage:
     """One stage as the stage memo keeps it: its first part (the G side,
-    or the base path) as ``side`` and ``labels``, whether an H side
-    follows it (``paired``), the stage's n, m and label counts (label 1 is
-    odd, label 2 even), and, once first asked for, its part optima."""
+    or the base path) as ``side`` and ``labels``, that part's label-1 and
+    label-2 vertices as two masks (``classes``), whether an H side follows
+    it (``paired``), the stage's n, m and label counts (label 1 is odd,
+    label 2 even), and, once first asked for, its part optima."""
 
     def __init__(self, side: Graph, labels: tuple[int, ...], paired: bool) -> None:
         self.side, self.labels, self.paired = side, labels, paired
-        h, c1 = side.n, labels.count(1)
+        self.classes = label_masks(labels)
+        h, c1 = side.n, self.classes[0].bit_count()
         if paired:  # the module docstring counts m
             self.n, self.m, self.label_counts = 2 * h, h * (h - 1) // 2 + c1**2 + (h - c1) ** 2, {1: h, 2: h}
         else:
@@ -425,16 +435,16 @@ class Stage:
 
     @cached_property
     def optima(self) -> dict[str, list[tuple[CliqueResult, ...]]]:
-        """Per mode, each part's whole, label-1 and label-2 optima,
-        numbered within the stage: the first part's from one split of it,
-        an H side's by the duality of the module docstring."""
-        h = self.side.n
-        full = (1 << h) - 1
-        solves = _split_clique(self.side, full, [(within, flip) for flip in (0, -1) for within in (full, *_class_masks(self.labels))])
+        """Per mode, each part's whole, label-1 and label-2 optima, their
+        witnesses numbered within the part: the first part's from one split
+        of it, and an H side's the same results of the other mode, by the
+        duality of the module docstring."""
+        full = (1 << self.side.n) - 1
+        solves = _split_clique(self.side, full, [(within, flip) for flip in (0, -1) for within in (full, *self.classes)])
         optima = {"clique": [tuple(solves[:3])], "independent": [tuple(solves[3:])]}
         if self.paired:
             for mode, (whole, one, two) in (("clique", solves[3:]), ("independent", solves[:3])):
-                optima[mode].append(tuple(res._replace(witness=tuple(v + h for v in res.witness)) for res in (whole, two, one)))
+                optima[mode].append((whole, two, one))
         return optima
 
 
@@ -462,10 +472,11 @@ class Stack:
         rs = (param,) if kind == "F" else range(3, param + 1)
         self.stages = [stage(r, base if r == 3 else rest) for r in rs]
         *self.starts, self.n = accumulate((s.n for s in self.stages), initial=0)
-        # Each part as (first vertex, stage, inverse): inverse is -1 for an H side, read on its
-        # G side's rows and labels with the flip and the parities inverted, else 0.
-        self.parts = [(start - s.side.n * inverse, s, inverse) for start, s in zip(self.starts, self.stages) for inverse in (0, -1)[: 1 + s.paired]]
-        self.part_starts = [start for start, _, _ in self.parts]
+        # Each part as (first vertex, stage, inverse, odd, even): inverse is -1 for an H side, read
+        # on its G side's rows with the flip inverted, else 0; odd and even mask the part's label-1
+        # and label-2 vertices, G's two classes swapped for an H side.
+        self.parts = [(start - s.side.n * inverse, s, inverse, *s.classes[:: 1 + 2 * inverse]) for start, s in zip(self.starts, self.stages) for inverse in (0, -1)[: 1 + s.paired]]
+        self.part_starts = [part[0] for part in self.parts]
         ones, twos = (sum(s.label_counts[label] for s in self.stages) for label in LABELS)
         self.label_counts = {1: ones, 2: twos}
         # The cross edges are the sum over stages i < j of odd_i * even_j +
@@ -474,9 +485,8 @@ class Stack:
         self.m = sum(s.m for s in self.stages) + cross
 
     def label(self, v: int) -> int:
-        start, s, inverse = self.parts[bisect_right(self.part_starts, v) - 1]
-        label = s.labels[v - start]
-        return flip_label(label) if inverse else label
+        start, _, _, odd, _ = self.parts[bisect_right(self.part_starts, v) - 1]
+        return 1 if odd >> (v - start) & 1 else 2
 
     def verify_witness(self, members, mode: str) -> bool:
         """``verify_witness`` on the stack: pairs within a part against its
@@ -487,19 +497,20 @@ class Stack:
         vs = as_vertex_set(self, members)
         # The sorted witness cut at the part starts: part i holds vs[cuts[i]:cuts[i + 1]].
         cuts = [bisect_left(vs, start) for start in self.part_starts] + [len(vs)]
+        # Per part met, the parities it meets: 1 for odd, 2 for even, 3 for both.
         parities = []
-        for (start, s, inverse), lo, hi in zip(self.parts, cuts, cuts[1:]):
+        for (start, s, inverse, odd, even), lo, hi in zip(self.parts, cuts, cuts[1:]):
             if lo == hi:
                 continue
-            local = [v - start for v in vs[lo:hi]]
-            if not _holds(s.side.rows, sum(1 << v for v in local), flip ^ inverse):
+            chosen = sum(1 << (v - start) for v in vs[lo:hi])
+            if not _holds(s.side.rows, chosen, flip ^ inverse):
                 return False
-            parities.append({label_parity(s.labels[v]) ^ -inverse for v in local})
+            parities.append(bool(chosen & odd) | bool(chosen & even) << 1)
         if len(parities) < 2:
             return True
         if mode == "clique":
-            return len(parities) == 2 and parities[0] ^ parities[1] == {0, 1}
-        return len(set().union(*parities)) == 1
+            return len(parities) == 2 and parities[0] ^ parities[1] == 3
+        return reduce(or_, parities) != 3
 
 
 def stage_solve(stack: Stack) -> tuple[CliqueResult, CliqueResult]:
@@ -516,7 +527,7 @@ def stage_solve(stack: Stack) -> tuple[CliqueResult, CliqueResult]:
     results = []
     for mode in ("clique", "independent"):
         # Per part, its first vertex and its whole, label-1 and label-2 optima.
-        parts = [(start, solves) for start, stage_ in zip(stack.starts, stack.stages) for solves in stage_.optima[mode]]
+        parts = list(zip(stack.part_starts, (solves for s in stack.stages for solves in s.optima[mode])))
         nodes = sum(res.nodes_explored for _, solves in parts for res in solves)
         # Each candidate is (size, [(part, 0 whole or a label), ...]).
         candidates = [(solves[0].size, [(i, 0)]) for i, (_, solves) in enumerate(parts)]
@@ -540,7 +551,7 @@ def stage_mono_clique(stack: Stack) -> CliqueResult:
     """Largest single-label clique of ``stack``: its parts' largest (the
     module docstring says why), label 1 and then the first part in order
     winning a tie; the node count sums both classes' solves of every part."""
-    parts = [(start, solves) for start, stage_ in zip(stack.starts, stack.stages) for solves in stage_.optima["clique"]]
+    parts = list(zip(stack.part_starts, (solves for s in stack.stages for solves in s.optima["clique"])))
     best, start = max(((solves[label], start) for label in LABELS for start, solves in parts), key=lambda c: c[0].size)
     nodes = sum(solves[label].nodes_explored for _, solves in parts for label in LABELS)
     return CliqueResult(best.size, tuple(v + start for v in best.witness), nodes)

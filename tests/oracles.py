@@ -11,12 +11,11 @@ import itertools
 from functools import reduce
 from operator import or_
 
-from sfcheck.construct import InterpretationProfile
+from sfcheck.construct import InterpretationProfile, stage_size
 from sfcheck.formats import Graph6ParseError
 from sfcheck.graphs import Graph, complement, induced
 from sfcheck.solve import (
     CliqueResult,
-    _class_masks,
     _components,
     _degeneracy_order,
     _greedy_clique,
@@ -126,6 +125,39 @@ def layout_cuts(kind: str, param: int, profile: InterpretationProfile) -> tuple[
             starts.append(n)
             n += 6 if sides == 1 else (r - 1) * r
     return tuple(starts[1:])
+
+
+def stage_spans(lg) -> list[tuple[int, int, int]]:
+    """(r, start, stop) of each stage's vertex range in the build ``lg``,
+    in vertex order, from the layout the build records."""
+    spans, stop = [], 0
+    for r in lg.stages:
+        start, stop = stop, stop + stage_size(r, lg.base_path)
+        spans.append((r, start, stop))
+    return spans
+
+
+def stage_cuts(lg) -> tuple[int, ...]:
+    """Where each part of the build ``lg`` after the first starts, a part
+    being the base path or one side of a stage, from the layout the build
+    records."""
+    cuts = []
+    for r, start, stop in stage_spans(lg):
+        cuts.append(start)
+        if not (r == 3 and lg.base_path):
+            cuts.append((start + stop) // 2)
+    return tuple(cuts[1:])
+
+
+def label_counts(lg) -> dict[int, int]:
+    """How many vertices of the build ``lg`` carry label 1 and label 2."""
+    return {label: lg.labels.count(label) for label in (1, 2)}
+
+
+def class_masks(labels: tuple[int, ...]) -> tuple[int, int]:
+    """The vertices labeled 1 and those labeled 2, as two masks built one
+    vertex at a time; the reference for ``construct.label_masks``."""
+    return tuple(sum(1 << v for v, lab in enumerate(labels) if lab == label) for label in (1, 2))
 
 
 def scan_degeneracy_order(rows: tuple[int, ...], n: int) -> list[int]:
@@ -264,7 +296,7 @@ def max_mono_clique(g: Graph, labels: tuple[int, ...]) -> CliqueResult:
     label 1 on a tie, from one split of the whole of ``g``; the node count
     sums both classes' solves.  The dense reference for T1.1, which reads
     the stage's part optima (``solve.stage_mono_clique``)."""
-    results = _split_clique(g, (1 << g.n) - 1, [(within, 0) for within in _class_masks(labels)])
+    results = _split_clique(g, (1 << g.n) - 1, [(within, 0) for within in class_masks(labels)])
     best = max(results, key=lambda res: res.size)
     return CliqueResult(best.size, best.witness, sum(res.nodes_explored for res in results))
 
@@ -412,8 +444,7 @@ def pairwise_composition(stack, mode: str) -> tuple[int, ...]:
     over all parts; the first longest wins."""
     optima = [
         [tuple(v + start for v in res.witness) for res in solves]
-        for start, stage in zip(stack.starts, stack.stages)
-        for solves in stage.optima[mode]
+        for start, solves in zip(stack.part_starts, [solves for stage in stack.stages for solves in stage.optima[mode]])
     ]
     candidates = [whole for whole, _, _ in optima]
     if mode == "clique":

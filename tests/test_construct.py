@@ -4,23 +4,27 @@ the rule between the sides of a stage on the dense and doctored builds."""
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from sfcheck.cli import main
 from sfcheck.construct import (
     DEFAULT_PROFILE,
+    LABELS,
     InterpretationProfile,
     LabeledGraph,
     build_F,
     build_SF,
     build_side,
     flip_label,
+    label_masks,
     label_parity,
 )
 from sfcheck.graphs import Graph, complete, induced
 from sfcheck.report import load_report
 from sfcheck.solve import Stack, max_clique, max_independent_set, stage, stage_solve
 
-from oracles import all_profiles, layout_cuts, stacked_vertex_count, stage_vertex_count
+from oracles import all_profiles, class_masks, label_counts, layout_cuts, stacked_vertex_count, stage_cuts, stage_spans, stage_vertex_count
 
 GENERAL = DEFAULT_PROFILE.replace(base_case="general")
 
@@ -217,14 +221,13 @@ class TestLayout:
     def test_stage_cuts_match_nested_loop_layout(self, profile):
         for kind, build in (("F", build_F), ("SF", build_SF)):
             for param in range(3, 9):
-                assert build(param, profile).stage_cuts() == layout_cuts(kind, param, profile), (kind, param)
+                assert stage_cuts(build(param, profile)) == layout_cuts(kind, param, profile), (kind, param)
 
     def test_stages_record_the_stack(self):
         lg = build_SF(6, GENERAL)
         assert lg.stages == (3, 4, 5, 6) and not lg.base_path
-        spans = list(lg.stage_spans())
-        assert spans == [(3, 0, 12), (4, 12, 36), (5, 36, 76), (6, 76, 136)]
-        assert lg.stage_cuts() == (6, 12, 24, 36, 56, 76, 106)
+        assert stage_spans(lg) == [(3, 0, 12), (4, 12, 36), (5, 36, 76), (6, 76, 136)]
+        assert stage_cuts(lg) == (6, 12, 24, 36, 56, 76, 106)
 
     def test_labeled_graph_rejects_bad_shapes(self):
         lg = build_F(3, DEFAULT_PROFILE)
@@ -251,6 +254,26 @@ class TestLayout:
         lg = build_F(3, DEFAULT_PROFILE)
         with pytest.raises(ValueError, match="outside"):
             LabeledGraph(lg.graph, (True,) + lg.labels[1:], lg.stages, lg.base_path)
+
+
+class TestLabelMasks:
+    """``label_masks`` reads the two label classes from the label bytes;
+    ``class_masks`` in ``tests/oracles.py`` builds them one vertex at a time."""
+
+    @given(st.lists(st.sampled_from(LABELS), max_size=200).map(tuple))
+    @example(())
+    @example((1,))
+    @example((2,))
+    @example((1, 2) * 32 + (2,))
+    @example((2,) * 64 + (1,))
+    def test_match_the_per_vertex_definition(self, labels):
+        assert label_masks(labels) == class_masks(labels)
+
+    @pytest.mark.parametrize("y_label", LABELS)
+    def test_base_path(self, y_label):
+        _, labels, _ = build_side(3, DEFAULT_PROFILE.replace(y_label=y_label))
+        assert label_masks(labels) == class_masks(labels)
+        assert label_masks(labels)[y_label - 1] >> 4 & 1
 
 
 def rule_breaks(lg):
@@ -286,7 +309,7 @@ FAULTS = {
 def assert_stack_matches_dense(t, profile):
     """The stack SF(t) and the dense build agree in n, m, labels, omega and alpha."""
     stack, lg = Stack("SF", t, profile), build_SF(t, profile)
-    assert (stack.n, stack.m, stack.label_counts) == (lg.graph.n, lg.graph.m, lg.label_counts())
+    assert (stack.n, stack.m, stack.label_counts) == (lg.graph.n, lg.graph.m, label_counts(lg))
     assert [stack.label(v) for v in range(stack.n)] == list(lg.labels)
     omega, alpha = stage_solve(stack)
     assert (omega.size, alpha.size) == (max_clique(lg.graph).size, max_independent_set(lg.graph).size)

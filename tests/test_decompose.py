@@ -16,14 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfcheck import solve
-from sfcheck.construct import InterpretationProfile, build_F
+from sfcheck.construct import InterpretationProfile, build_F, label_masks
 from sfcheck.graphs import Graph, combine, complement, induced, random_graph
 from sfcheck.report import run_verification
 from sfcheck.solve import (
     LABELS,
     MEMO_SIZE,
     Stack,
-    _class_masks,
     _solve_prime,
     _split_clique,
     max_clique,
@@ -73,7 +72,7 @@ def six_queries(g, labels):
     """The whole graph's, label 1's and label 2's optima, for clique then
     for independent set, from one split of ``g``."""
     full = (1 << g.n) - 1
-    return _split_clique(g, full, [(within, flip) for flip in (0, -1) for within in (full, *_class_masks(labels))])
+    return _split_clique(g, full, [(within, flip) for flip in (0, -1) for within in (full, *label_masks(labels))])
 
 
 def assert_read_matches_reference(g, labels):

@@ -28,7 +28,6 @@ from sfcheck.solve import (
     LABELS,
     CliqueResult,
     Stack,
-    _class_masks,
     _split_clique,
     max_clique,
     max_independent_set,
@@ -37,7 +36,7 @@ from sfcheck.solve import (
 )
 from sfcheck.verify import check_theorem_1_1
 
-from oracles import all_profiles, max_mono_clique, pairwise_composition
+from oracles import all_profiles, class_masks, label_counts, max_mono_clique, pairwise_composition, stage_cuts
 
 
 def assert_route_matches_monolithic(t, profile=DEFAULT_PROFILE):
@@ -63,7 +62,7 @@ def test_route_matches_monolithic_solve_default_profile(t):
 def test_stack_counts_match_the_dense_build(profile):
     for t in (*range(3, 13), 16):
         stack, lg = Stack("SF", t, profile), build_SF(t, profile)
-        assert (stack.n, stack.m, stack.label_counts) == (lg.graph.n, lg.graph.m, lg.label_counts()), t
+        assert (stack.n, stack.m, stack.label_counts) == (lg.graph.n, lg.graph.m, label_counts(lg)), t
         assert [stack.label(v) for v in range(stack.n)] == list(lg.labels)
 
 
@@ -72,12 +71,32 @@ def test_stages_match_the_dense_build(profile):
     """Each part-native stage, its H side read by duality, against the
     dense F(r): n, m, label counts, every vertex's label, and each part's
     six optima, witnesses and node counts included, as one split of that
-    part of the dense graph gives them."""
+    part of the dense graph gives them.  A stage numbers each witness
+    within its part, so each part's first vertex is added first."""
     for r in range(3, 17):
         stack, lg = Stack("F", r, profile), build_F(r, profile)
-        assert (stack.n, stack.m, stack.label_counts) == (lg.graph.n, lg.graph.m, lg.label_counts()), r
+        assert (stack.n, stack.m, stack.label_counts) == (lg.graph.n, lg.graph.m, label_counts(lg)), r
         assert [stack.label(v) for v in range(stack.n)] == list(lg.labels), r
-        assert stack.stages[0].optima == dense_part_optima(lg), r
+        optima = {
+            mode: [tuple(res._replace(witness=tuple(v + start for v in res.witness)) for res in solves) for start, solves in zip(stack.part_starts, parts)]
+            for mode, parts in stack.stages[0].optima.items()
+        }
+        assert optima == dense_part_optima(lg), r
+
+
+def test_an_h_side_shares_its_g_sides_results():
+    """An H side's optima are its G side's result objects, not copies: its
+    whole, label-1 and label-2 optima are G's whole, label-2 and label-1
+    optima of the other mode."""
+    for profile in all_profiles():
+        for r in range(3, 9):
+            s = solve_module.stage(r, profile)
+            if not s.paired:
+                assert [len(parts) for parts in s.optima.values()] == [1, 1]
+                continue
+            for mode, other in (("clique", "independent"), ("independent", "clique")):
+                (whole, one, two), h = s.optima[other][0], s.optima[mode][1]
+                assert len(h) == 3 and all(a is b for a, b in zip(h, (whole, two, one))), (r, mode)
 
 
 def test_a_stage_keeps_one_side_of_rows():
@@ -103,7 +122,7 @@ def stack_witnesses(draw):
     profile = draw(st.sampled_from(all_profiles()))
     mode = draw(st.sampled_from(["clique", "independent"]))
     stack = Stack("SF", t, profile)
-    ranges = [(start, start + s.side.n) for start, s, _ in stack.parts]
+    ranges = [(start, start + s.side.n) for start, s, *_ in stack.parts]
     ranges += [(start, start + s.n) for start, s in zip(stack.starts, stack.stages)]
     if draw(st.booleans()):
         members = set(stage_solve(stack)[mode == "independent"].witness)
@@ -152,8 +171,8 @@ def test_stack_witness_check_refuses_what_the_dense_one_does(members):
 def dense_part_optima(lg):
     """Per mode, each part's whole, label-1 and label-2 optima, numbered
     within F(r), from one split of that part of the dense build."""
-    g, classes = lg.graph, _class_masks(lg.labels)
-    bounds = [0, *lg.stage_cuts(), g.n]
+    g, classes = lg.graph, class_masks(lg.labels)
+    bounds = [0, *stage_cuts(lg), g.n]
     optima = {"clique": [], "independent": []}
     for lo, hi in zip(bounds, bounds[1:]):
         part = (1 << hi) - (1 << lo)
@@ -168,7 +187,7 @@ def stage_numbers(lg):
     and _2 are its label-1 and label-2 classes.  All six are read from one
     split of the whole stage."""
     full = (1 << lg.graph.n) - 1
-    queries = [(within, flip) for flip in (0, -1) for within in (full, *_class_masks(lg.labels))]
+    queries = [(within, flip) for flip in (0, -1) for within in (full, *class_masks(lg.labels))]
     return [res.size for res in _split_clique(lg.graph, full, queries)]
 
 
@@ -225,18 +244,16 @@ def test_stage_solve_picks_the_pairwise_composition_winner(stages):
     """On stand-in stages whose part optima tie often, sizes alone pick the
     witness that building every candidate picks.  Each optimum gets its own
     vertices, so the witness names the candidate that won."""
-    stack = SimpleNamespace(starts=[], stages=[], verify_witness=lambda members, mode: True)
-    start = 0
+    stack = SimpleNamespace(part_starts=[], stages=[], verify_witness=lambda members, mode: True)
     for parts in stages:
         optima = {"clique": [], "independent": []}
-        for p, sizes in enumerate(parts):
-            # Optimum k of part p holds vertices 4k.. of the part's 24 in its stage.
-            results = [CliqueResult(size, tuple(range(24 * p + 4 * k, 24 * p + 4 * k + size)), 0) for k, size in enumerate(sizes)]
+        for sizes in parts:
+            # Optimum k of a part holds its vertices 4k.. of 24, numbered within the part.
+            results = [CliqueResult(size, tuple(range(4 * k, 4 * k + size)), 0) for k, size in enumerate(sizes)]
             optima["clique"].append(tuple(results[:3]))
             optima["independent"].append(tuple(results[3:]))
-        stack.starts.append(start)
+            stack.part_starts.append(24 * len(stack.part_starts))
         stack.stages.append(SimpleNamespace(optima=optima))
-        start += 24 * len(parts)
     omega, alpha = stage_solve(stack)
     assert omega.witness == pairwise_composition(stack, "clique")
     assert alpha.witness == pairwise_composition(stack, "independent")
