@@ -167,13 +167,7 @@ def build_F(r: int, profile: InterpretationProfile = DEFAULT_PROFILE) -> Labeled
     complement of the G side on a fresh vertex range with labels flipped.
     Every opposite-parity pair across the sides is an edge.  Under
     base_case="explicit_path", F(3) is the base path alone."""
-    side, labels, paired = build_side(r, profile)
-    if not paired:
-        return LabeledGraph(side, labels, (3,), True)
-    labels += tuple(map(flip_label, labels))
-    sides = combine(side, complement(side), "disjoint_union")
-    graph = _join_opposite_parity(list(sides.rows), labels, [side.n])
-    return LabeledGraph(graph, labels, (r,), profile.base_case == "explicit_path")
+    return _build_stages(range(r, r + 1), profile)
 
 
 def build_SF(t: int, profile: InterpretationProfile = DEFAULT_PROFILE) -> LabeledGraph:
@@ -181,13 +175,25 @@ def build_SF(t: int, profile: InterpretationProfile = DEFAULT_PROFILE) -> Labele
     edge between vertices of different stages exactly when their label
     parities differ.  The stage-(t-1) prefix is an induced copy of SF(t-1)."""
     _require_param("SF", t)
+    return _build_stages(range(3, t + 1), profile)
+
+
+def _build_stages(stages: range, profile: InterpretationProfile) -> LabeledGraph:
+    """The dense graph of ``stages`` in order: each stage's parts, the base
+    path or the G side and then the H side, placed disjointly, and every
+    opposite-parity pair across two parts joined in one pass.  Within a
+    stage that joins the sides; across stages it joins the stages."""
     rows: list[int] = []
     labels: tuple[int, ...] = ()
-    offsets = []
-    for r in range(3, t + 1):
-        stage = build_F(r, profile)
-        offsets.append(len(rows))
-        rows.extend(row << offsets[-1] for row in stage.graph.rows)
-        labels += stage.labels
-    graph = _join_opposite_parity(rows, labels, offsets[1:])
-    return LabeledGraph(graph, labels, tuple(range(3, t + 1)), profile.base_case == "explicit_path")
+    starts = []
+    for r in stages:
+        side, side_labels, paired = build_side(r, profile)
+        parts = [(side, side_labels)]
+        if paired:
+            parts.append((complement(side), tuple(map(flip_label, side_labels))))
+        for part, part_labels in parts:
+            starts.append(len(rows))
+            rows.extend(row << starts[-1] for row in part.rows)
+            labels += part_labels
+    graph = _join_opposite_parity(rows, labels, starts[1:])
+    return LabeledGraph(graph, labels, tuple(stages), profile.base_case == "explicit_path")

@@ -5,26 +5,29 @@ printable character (value + 63), after a size header N(n): one character
 for n <= 62, '~' plus three characters for larger n, '~~' plus six beyond
 258047.  Padding bits are zero on encode and ignored on decode.
 
-The codecs run on whole strings, not bit by bit.  graph6 data is base64
-with another alphabet: the base64 character of value v becomes chr(63 + v),
-so encode writes the triangle as one '0'/'1' string (column j is bits 0..j-1
-of ``rows[j]``, lowest first), converts it with ``int(bits, 2)``, and lets
-``binascii.b2a_base64`` and ``bytes.translate`` spell it.  Decode runs the
-same steps backwards and joins the columns, each padded to n characters,
-into one n*n string: row i is column i (its neighbors below i) OR the
-stride-n slice from character i, the i-th character of every column (its
-neighbors above i).  Base-2 ``int`` and ``format`` are exempt from the int
-string-digit limit.  DIMACS turns each row's bits above the diagonal into a
-flag string and joins the vertex numbers it selects with
+The codecs run on whole strings and big ints, not bit by bit.  graph6
+data is base64 with another alphabet: the base64 character of value v
+becomes chr(63 + v), so encode writes the triangle as one '0'/'1' string
+(column j is bits 0..j-1 of ``rows[j]``, lowest first), converts it with
+``int(bits, 2)``, and lets ``binascii.b2a_base64`` and ``bytes.translate``
+spell it.  Decode runs the same steps backwards to the triangle's bytes
+and reverses the bits of each byte, so that triangle bit p is bit p of
+one little-endian int.  Column j, row j's neighbors below j, is then read
+from the few bytes that hold it; row j's neighbors above j are column j
+of that lower triangle, so the rows are the lower rows OR their transpose
+(``graphs.transpose_rows``).  Base-2 ``int`` and ``format`` are exempt
+from the int string-digit limit.  DIMACS turns each row's bits above the
+diagonal into a flag string and joins the vertex numbers it selects with
 ``itertools.compress``.
 """
 
 from __future__ import annotations
 
 import binascii
-from itertools import compress
+from itertools import accumulate, compress
+from operator import or_
 
-from sfcheck.graphs import Graph
+from sfcheck.graphs import Graph, transpose_rows
 
 _HEADER = ">>graph6<<"
 
@@ -33,6 +36,7 @@ _G6 = bytes(range(63, 127))
 _B64_TO_G6 = bytes.maketrans(_B64, _G6)
 _G6_TO_B64 = bytes.maketrans(_G6, _B64)
 _FLAGS = bytes.maketrans(b"01", b"\0\1")
+_REVERSED_BITS = bytes(int(f"{byte:08b}"[::-1], 2) for byte in range(256))
 
 
 class Graph6ParseError(ValueError):
@@ -107,21 +111,24 @@ def decode_graph6(text: str) -> Graph:
 
     data = raw[pos:].translate(_G6_TO_B64)
     data += b"A" * (-len(data) % 4)  # 'A' is base64 zero
-    return Graph(n, _triangle_rows(binascii.a2b_base64(data), n))
+    triangle = binascii.a2b_base64(data)
+    del body, raw, data  # the text's copies, about n²/4 bytes, before the rows are built
+    return Graph(n, _triangle_rows(triangle, n))
 
 
-def _triangle_rows(packed: bytes, n: int) -> tuple[int, ...]:
+def _triangle_rows(triangle: bytes, n: int) -> tuple[int, ...]:
     """The rows of the n-vertex graph whose upper triangle, column-major,
-    is the bit string of ``packed``, trailing padding bits ignored.  It is a
-    function of its own so that the triangle and the matrix are freed
+    is the bit string of ``triangle``, trailing padding bits ignored.  It is a
+    function of its own so that the triangle and the lower rows are freed
     before ``decode_graph6`` runs the ``Graph(n, rows)`` check."""
-    bits = format(int.from_bytes(packed, "big"), f"0{8 * len(packed)}b")
-    # Column j of the n*n matrix: the pairs (i, j), i < j, lowest i first,
-    # padded with '0' to n.
-    matrix = "".join(bits[j * (j - 1) // 2 : j * (j + 1) // 2].ljust(n, "0") for j in range(n))
-    return tuple(
-        int(matrix[i * n : i * n + n][::-1], 2) | int(matrix[i::n][::-1], 2) for i in range(n)
-    )
+    # Triangle bit p, the p-th of the string, is bit p of ``bits`` read as
+    # one little-endian int; column j is the j bits from p = j(j-1)/2.
+    bits = triangle.translate(_REVERSED_BITS)
+    lower = [
+        int.from_bytes(bits[p >> 3 : (p + j + 7) >> 3], "little") >> (p & 7) & ((1 << j) - 1)
+        for j, p in zip(range(n), accumulate(range(n), initial=0))
+    ]
+    return tuple(map(or_, lower, transpose_rows(lower)))
 
 
 def encode_dimacs(g: Graph) -> str:

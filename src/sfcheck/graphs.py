@@ -10,11 +10,13 @@ invariants.  ``Graph.__post_init__`` raises its first problem; it runs at
 the trust boundary: ``Graph(...)``, ``replace`` and unpickling (``Checked``),
 ``Graph.from_edges`` (hence ``path`` and ``cycle``), ``random_graph`` and
 ``formats.decode_graph6``.
-The check runs in full at that boundary: range and loop per row, then
-symmetry row by row: the LSB-first bit strings of the rows are joined into
-one n*n string, and row i must equal its column, the stride-n slice from
-character i.  The per-bit walk runs only on a graph that fails, to name
-its violations.
+The check runs in full at that boundary, on whole big ints: the range by
+the least and greatest row, then the rows are packed into one int
+(``_packed``), loops are one AND with the diagonal, and symmetry is the
+packed matrix equal to its transpose (``_transpose_packed``: three delta
+swaps transpose every 8 x 8 tile at once, and one stride slice per row
+gathers its bytes; ``transpose_rows`` serves other callers).  The
+per-bit walk runs only on a graph that fails, to name its violations.
 The algebra below (``complement``, ``combine``, ``product``, ``induced``,
 ``complete`` and ``empty``) and the builders in ``construct`` derive
 rows from graphs that already satisfy the invariants, so they wrap their
@@ -28,7 +30,9 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
-from typing import Iterable, Iterator
+from functools import lru_cache
+from itertools import repeat
+from typing import Iterable, Iterator, Sequence
 
 COMBINE_OPS = ("disjoint_union", "join")
 PRODUCT_KINDS = ("cartesian", "tensor", "lexicographic")
@@ -73,35 +77,37 @@ class Graph(Checked, namedtuple("Graph", "n rows")):
     def problems(self) -> Iterator[str]:
         """Every range, self-loop and asymmetry violation, row by row; never raises.
 
-        A whole-matrix check clears a valid graph in C-level string work;
-        the per-bit walk below runs only when it fails, to name each
-        violation in row order.  A ``shape_problem()`` (a count or row that
-        is not an int, rows not a tuple of n) is named alone, before the rest.
+        A whole-matrix check clears a valid graph in a few big-int
+        operations; the per-bit walk below runs only when it fails, to name
+        each violation in row order.  A ``shape_problem()`` (a count or row
+        that is not an int, rows not a tuple of n) is named alone, before
+        the rest.
         """
         shape = self.shape_problem()
         if shape:
             yield shape
             return
-        full = (1 << self.n) - 1
-        if not any(row & ~full or (row >> i) & 1 for i, row in enumerate(self.rows)):
-            # Symmetric iff row i's LSB-first bit string equals column i,
-            # the stride-n slice from character i of the rows joined; the
-            # sentinel bit n fixes every string's width.
-            n, top = self.n, 1 << self.n
-            bits = [format(row | top, "b")[:0:-1] for row in self.rows]
-            matrix = "".join(bits)
-            if all(row == matrix[i::n] for i, row in enumerate(bits)):
+        n, rows = self.n, self.rows
+        if not rows:
+            return
+        # Range first: packing a negative row, or one of n // 8 + 1 bytes
+        # or more, would raise OverflowError.
+        if min(rows) >= 0 and not max(rows) >> n:
+            packed, width = _packed(rows)
+            loops = int.from_bytes(packed, "little") & (_kept_masks(width)[0] if width <= 32 else _diagonal(width))
+            if not loops and _transpose_packed(packed, width) == packed:
                 return
-        for i, row in enumerate(self.rows):
+        full = (1 << n) - 1
+        for i, row in enumerate(rows):
             if row & ~full:
-                yield f"row {i} addresses vertices outside 0..{self.n - 1}"
+                yield f"row {i} addresses vertices outside 0..{n - 1}"
             if (row >> i) & 1:
                 yield f"self-loop at vertex {i}"
             mask = row & full
             while mask:
                 j = (mask & -mask).bit_length() - 1
                 mask &= mask - 1
-                if not (self.rows[j] >> i) & 1:
+                if not (rows[j] >> i) & 1:
                     yield f"asymmetric adjacency between {i} and {j}"
 
     def shape_problem(self) -> str | None:
@@ -159,14 +165,104 @@ class Graph(Checked, namedtuple("Graph", "n rows")):
                 j += 1
 
 
+# A packed bit matrix is its rows end to end, each as ``width`` bytes,
+# little-endian (``_packed``): bit j of row i is bit 8 * width * i + j of
+# the bytes read as one little-endian int, and rows 8k..8k+7 with byte c of
+# each form the 8 x 8 tile (k, c).
+
+
+def _diagonal(width: int) -> int:
+    """Bit i of row i, for the 8 * width rows of a packed matrix: byte 0 of
+    row r is 1 << r in a group of 8 rows, and each group starts one byte
+    further right, so the mask is that group and a zero byte, repeated."""
+    group = b"".join((1 << r).to_bytes(width, "little") for r in range(8))
+    return int.from_bytes((group + b"\0") * width, "little")
+
+
+def _tile_swaps(width: int) -> Iterator[tuple[int, int]]:
+    """The delta swaps (shift, mask) that transpose every 8 x 8 tile of a
+    packed matrix of 8 * width rows, each mask built when it is reached.
+    At block size b = 4, 2, 1 the mask marks each tile's bits in the rows r
+    with r % 2b < b and the columns c with c % 2b >= b (the bytes 0xF0,
+    0xCC, 0xAA), and the shift b * (8 * width - 1) moves each onto its
+    mirror image (r + b, c - b)."""
+    zero = bytes(width)
+    for b, column in ((4, 0xF0), (2, 0xCC), (1, 0xAA)):
+        rows = bytes((column,)) * width * b + zero * b
+        yield b * (8 * width - 1), int.from_bytes(rows * (4 // b) * width, "little")
+
+
+@lru_cache(maxsize=None)
+def _kept_masks(width: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """``_diagonal`` and ``_tile_swaps`` for a width of at most 32 bytes
+    (graphs below 256 vertices), built on first use and kept.  Wider masks
+    are built on each use, one at a time: they cost a fraction of the
+    transpose they serve, and kept they would hold n²/8 bytes each for the
+    life of the process."""
+    return _diagonal(width), tuple(_tile_swaps(width))
+
+
+def transpose_rows(rows: Sequence[int]) -> tuple[int, ...]:
+    """The rows of the transpose of the square bit matrix ``rows``: bit i
+    of row j is bit j of row i.  Every row must be a nonnegative int with no
+    bit at or past n = len(rows)."""
+    packed, width = _packed(rows)
+    packed = _transpose_packed(packed, width)
+    return tuple(int.from_bytes(packed[k : k + width], "little") for k in range(0, len(packed), width))
+
+
+def _packed(rows: Sequence[int]) -> tuple[bytes, int]:
+    """``rows`` as a packed bit matrix, and its width: n // 8 + 1 bytes, room
+    for the n = len(rows) bits that each row must fit in."""
+    width = len(rows) // 8 + 1
+    return b"".join(map(int.to_bytes, rows, repeat(width), repeat("little"))), width
+
+
+def _transpose_packed(packed: bytes, width: int) -> bytes:
+    """The transpose of a square packed bit matrix of n = len(packed) // width
+    rows, n < 8 * width.
+
+    ``_transpose_tiles`` transposes every tile in place.  Row r of tile
+    (k, c) then holds bits 8k..8k+7 of row 8c + r of the transpose, so that
+    row is the stride-8·width slice of bytes that starts at row r, byte c.
+    The padded matrix is at most 8 rows and columns larger than n, at any n."""
+    tiles = _transpose_tiles(packed, width).to_bytes(8 * width * width, "little")
+    step = 8 * width
+    return b"".join([tiles[(j & 7) * width + (j >> 3) :: step] for j in range(len(packed) // width)])
+
+
+def _transpose_tiles(packed: bytes, width: int) -> int:
+    """The packed matrix as one int with every 8 x 8 tile transposed in
+    place by three delta swaps on the whole int (Warren, *Hacker's Delight*,
+    2nd ed., §7-3, "Transposing a Bit Matrix").  A function of its own so
+    that its big temporaries are freed when it returns."""
+    x = int.from_bytes(packed, "little")
+    for shift, mask in _kept_masks(width)[1] if width <= 32 else _tile_swaps(width):
+        t = (x ^ (x >> shift)) & mask
+        x ^= t
+        t <<= shift
+        x ^= t
+        del t, mask  # before the next mask is built: four ints of the matrix's size at most
+    return x
+
+
 def as_vertex_set(g: Graph, members: Iterable[int]) -> tuple[int, ...]:
-    """Normalize to a sorted tuple; rejects duplicates, bools and out-of-range ids."""
-    vs = tuple(sorted(members))
+    """Normalize to a sorted tuple; rejects duplicates, out-of-range ids and
+    any vertex that is not an int, bools included.  The types are checked
+    before sorting and the range by the ends of the sorted tuple; the
+    vertices are walked only to name the first offender."""
+    vs = list(members)
+    types = set(map(type, vs))
+    if not types <= {int, bool}:
+        v = next(v for v in vs if type(v) not in (int, bool))
+        raise ValueError(f"vertex {v!r} is not an int")
+    vs.sort()
+    vs = tuple(vs)
     if len(set(vs)) != len(vs):
         raise ValueError("vertex set contains duplicates")
-    for v in vs:
-        if isinstance(v, bool) or not 0 <= v < g.n:
-            raise ValueError(f"vertex {v!r} out of range for n={g.n}")
+    if bool in types or vs and (vs[0] < 0 or vs[-1] >= g.n):
+        v = next(v for v in vs if type(v) is bool or not 0 <= v < g.n)
+        raise ValueError(f"vertex {v!r} out of range for n={g.n}")
     return vs
 
 

@@ -324,6 +324,12 @@ def walk_problems(n: int, rows: tuple[int, ...]) -> list[str]:
     return out
 
 
+def bitwise_transpose(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Row j of the transpose has bit i exactly when row i has bit j, one
+    bit at a time; the reference for ``graphs.transpose_rows``."""
+    return tuple(sum(((rows[i] >> j) & 1) << i for i in range(n)) for j in range(n))
+
+
 def bitwise_encode_graph6(g: Graph) -> str:
     """graph6 one bit at a time; the reference for ``encode_graph6``."""
     n = g.n

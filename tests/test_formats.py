@@ -112,8 +112,9 @@ class TestGraph6:
 
 @st.composite
 def gnp(draw):
-    """G(n, p) with n = 0..140, across the 62/63 header switch."""
-    n = draw(st.one_of(st.integers(min_value=0, max_value=140), st.sampled_from([62, 63])))
+    """G(n, p) with n = 0..140, across the 62/63 header switch and the 256
+    vertices up to which the packed transpose keeps its masks."""
+    n = draw(st.one_of(st.integers(min_value=0, max_value=140), st.sampled_from([62, 63, 255, 256, 257, 300])))
     return random_graph(n, draw(st.floats(0, 1)), random.Random(draw(st.integers(0, 2**32))))
 
 

@@ -4,6 +4,7 @@ import copy
 import pickle
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from sfcheck import solve
 from sfcheck.construct import DEFAULT_PROFILE, build_F, build_SF
-from sfcheck.formats import decode_graph6
+from sfcheck.formats import decode_graph6, encode_graph6
 from sfcheck.graphs import (
     PRODUCT_KINDS,
     Graph,
@@ -25,12 +26,14 @@ from sfcheck.graphs import (
     path,
     product,
     random_graph,
+    transpose_rows,
 )
 from sfcheck.report import run_verification
-from sfcheck.solve import max_independent_set
+from sfcheck.solve import max_independent_set, verify_witness
 
 from oracles import (
     all_profiles,
+    bitwise_transpose,
     brute_force_isomorphic,
     edge_set,
     naive_product_edges,
@@ -85,6 +88,27 @@ class TestGraphValue:
     def test_vertex_set_rejects_bools(self):
         with pytest.raises(ValueError):
             as_vertex_set(path(4), [True, 2])
+
+    @pytest.mark.parametrize(
+        "members, message",
+        [
+            ([1.5, 2], "vertex 1.5 is not an int"),
+            (["a"], "vertex 'a' is not an int"),
+            ([2, "a", 1], "vertex 'a' is not an int"),
+            ([True, 2], "vertex True out of range for n=4"),
+            ([0, 4], "vertex 4 out of range for n=4"),
+            ([-1, 2], "vertex -1 out of range for n=4"),
+            ([1, True], "vertex set contains duplicates"),
+        ],
+    )
+    def test_vertex_set_names_the_offender(self, members, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            as_vertex_set(complete(4), members)
+
+    @pytest.mark.parametrize("members", [[1.5, 2], ["a"]])
+    def test_witness_check_rejects_non_int_vertices(self, members):
+        with pytest.raises(ValueError, match="is not an int"):
+            verify_witness(complete(4), members, "clique")
 
     def test_problems_lists_every_violation_without_raising(self):
         g = Graph._trusted(3, (0b1001, 0b011, 0b000))
@@ -275,8 +299,9 @@ def test_builds_preserve_invariants(profile):
 def doctored_rows(draw):
     """(n, rows) of a G(n, p) graph with up to four faults written into its
     rows: a bit only below the diagonal, a bit at or beyond n, a self-loop,
-    a bit flipped in the last row alone."""
-    n = draw(st.integers(min_value=0, max_value=140))
+    a bit flipped in the last row alone.  n crosses the byte widths of the
+    packed check and the 256 vertices up to which its masks are kept."""
+    n = draw(st.one_of(st.integers(min_value=0, max_value=140), st.sampled_from([255, 256, 257, 300])))
     g = random_graph(n, draw(st.floats(0, 1)), random.Random(draw(st.integers(0, 2**32))))
     rows = list(g.rows)
     for _ in range(draw(st.integers(min_value=0, max_value=4 if n else 0))):
@@ -306,6 +331,52 @@ def test_problems_match_the_per_bit_walk(case):
             Graph(n, rows)
     else:
         assert Graph(n, rows).rows == rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([0, 1, 7, 8, 9, 63, 64, 65, 255, 256, 257, 513]).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    )
+)
+def test_transpose_matches_the_per_bit_definition(case):
+    n, rows = case
+    assert transpose_rows(rows) == bitwise_transpose(rows, n)
+
+
+@pytest.mark.parametrize("n", [1, 8, 255, 256, 300])
+@pytest.mark.parametrize("fault", ["negative", "far negative", "past the packed width", "far past n"])
+def test_rows_out_of_range_are_named_before_packing(n, fault):
+    # A negative row, or one wider than the packed rows, would make
+    # int.to_bytes raise OverflowError; the range test runs first.
+    last = {
+        "negative": -1,
+        "far negative": -(1 << 4000),
+        "past the packed width": 1 << 8 * (n // 8 + 1),
+        "far past n": 1 << 4000,
+    }[fault]
+    rows = (*complete(n).rows[:-1], last)
+    expected = walk_problems(n, rows)
+    assert f"row {n - 1} addresses vertices outside 0..{n - 1}" in expected
+    assert list(Graph._trusted(n, rows).problems()) == expected
+    with pytest.raises(ValueError, match=f"^{re.escape(expected[0])}$"):
+        Graph(n, rows)
+
+
+def test_check_and_decode_memory_stays_near_the_matrix():
+    # A small multiple of the n²/8 bytes of the rows: the check holds the
+    # packed matrix and a few big ints of its size, never a string per bit.
+    n = 2000
+    g = random_graph(n, 0.5, random.Random(2000))
+    text = encode_graph6(g)
+    for build in (lambda: Graph(n, g.rows), lambda: decode_graph6(text)):
+        tracemalloc.start()
+        try:
+            assert build() == g
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n  # eight times the rows' n²/8 bytes
 
 
 PATH6_ROWS = path(6).rows
