@@ -3,9 +3,8 @@
 Exit codes: 0 success, 1 when a REFUTED verdict (or an oracle disagreement)
 is present, 2 on usage or build errors, 3 on an internal error (any other
 exception, such as a failed witness re-check, RecursionError or
-MemoryError), so a crash never reads as a refutation.  RF_THREADS caps how
-many sweep jobs run in parallel; each job's solver stays single-threaded,
-so results are identical at any thread count.
+MemoryError), so a crash never reads as a refutation.  ``sweep`` runs its
+jobs in order in one process and writes each report as its job finishes.
 """
 
 from __future__ import annotations
@@ -14,12 +13,11 @@ import argparse
 import os
 import random
 import sys
-from contextlib import nullcontext
 
-from sfcheck.construct import DEFAULT_PROFILE, InterpretationProfile
+from sfcheck.construct import DEFAULT_PROFILE, InterpretationProfile, build_F, build_SF
 from sfcheck.formats import encode_dimacs, encode_graph6
 from sfcheck.graphs import complement, random_graph
-from sfcheck.report import build_target, require_rebuildable, run_verification, write_report
+from sfcheck.report import require_rebuildable, run_verification, write_report
 from sfcheck.solve import max_clique, max_independent_set, oracle_max_clique
 from sfcheck.verify import CLAIMS
 
@@ -49,15 +47,6 @@ def _profile_from_args(args: argparse.Namespace) -> InterpretationProfile:
     return DEFAULT_PROFILE.replace(**updates)
 
 
-def _rf_threads() -> int:
-    raw = os.environ.get("RF_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        print(f"warning: ignoring non-integer RF_THREADS={raw!r}", file=sys.stderr)
-        return 1
-
-
 def _check_summary(report: dict) -> str:
     check = report["checks"][0]
     kind = report["target"]["kind"]
@@ -74,11 +63,11 @@ def _check_summary(report: dict) -> str:
 def _cmd_build(args: argparse.Namespace) -> int:
     profile = _profile_from_args(args)
     require_rebuildable(args.kind, args.param, profile, dense=True)
-    lg = build_target(args.kind, args.param, profile)
-    text = encode_graph6(lg.graph) + "\n" if args.format == "graph6" else encode_dimacs(lg.graph)
+    g = (build_F if args.kind == "F" else build_SF)(args.param, profile).graph
+    text = encode_graph6(g) + "\n" if args.format == "graph6" else encode_dimacs(g)
     with open(args.out, "w") as fh:
         fh.write(text)
-    print(f"{args.kind}({args.param}): n={lg.graph.n} m={lg.graph.m} -> {args.out} [{args.format}]")
+    print(f"{args.kind}({args.param}): n={g.n} m={g.m} -> {args.out} [{args.format}]")
     return 0
 
 
@@ -93,13 +82,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if report["checks"][0]["status"] == "REFUTED" else 0
 
 
-def _sweep_job(job: tuple) -> tuple[str, dict]:
-    theorem, r, profile = job
-    report = run_verification(theorem, r, profile)
-    name = f"t{theorem.replace('.', '')}_r{r}.json"
-    return name, report
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.t_max < 3:
         print("error: --t-max must be >= 3", file=sys.stderr)
@@ -111,27 +93,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         require_rebuildable(kind, args.t_max, profile)
     # Every claim at every r from its minimum whose target's parameter is at most t-max.
     jobs = [
-        (theorem, r, profile)
+        (theorem, r)
         for theorem, (min_r, _, shift) in CLAIMS.items()
         for r in range(min_r, args.t_max - shift + 1)
     ]
-    workers = min(_rf_threads(), len(jobs))
     os.makedirs(args.report_dir, exist_ok=True)
     refuted = False
-    pool = nullcontext()
-    if workers > 1:
-        # multiprocessing is loaded only here: a serial sweep starts without it.
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(max_workers=workers)
-    # Each report is written as its job finishes, in job order, so a failed
-    # job keeps the reports of the jobs before it.
-    with pool:
-        results = pool.map(_sweep_job, jobs) if workers > 1 else map(_sweep_job, jobs)
-        for name, report in results:
-            write_report(os.path.join(args.report_dir, name), report)
-            print(_check_summary(report))
-            refuted = refuted or report["checks"][0]["status"] == "REFUTED"
+    # Each report is written as its job finishes, so a failed job keeps
+    # the reports of the jobs before it.
+    for theorem, r in jobs:
+        report = run_verification(theorem, r, profile)
+        write_report(os.path.join(args.report_dir, f"t{theorem.replace('.', '')}_r{r}.json"), report)
+        print(_check_summary(report))
+        refuted = refuted or report["checks"][0]["status"] == "REFUTED"
     print(f"sweep: {len(jobs)} reports -> {args.report_dir}")
     return 1 if refuted else 0
 

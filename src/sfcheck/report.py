@@ -6,7 +6,7 @@ and profile produce byte-identical files except for the timestamps block.
 Loading re-verifies the witness against the target's stages, rebuilt
 through the stage memo, then re-assembles the report through
 ``make_report`` and names each field that differs.  Neither route builds
-the dense SF(t); only ``build_target``, for graph6 and DIMACS export, does.
+the dense graph; only ``sfcheck build``, for graph6 and DIMACS export, does.
 """
 
 from __future__ import annotations
@@ -18,14 +18,7 @@ from datetime import datetime, timezone
 from typing import Iterator
 
 from sfcheck import __version__
-from sfcheck.construct import (
-    DEFAULT_PROFILE,
-    InterpretationProfile,
-    LabeledGraph,
-    build_F,
-    build_SF,
-    target_vertex_count,
-)
+from sfcheck.construct import DEFAULT_PROFILE, InterpretationProfile, target_vertex_count
 from sfcheck.solve import Stack
 from sfcheck.verify import (
     TheoremCheck,
@@ -64,15 +57,6 @@ def require_rebuildable(kind: str, param: int, profile: InterpretationProfile, d
         size, what = target_vertex_count("F", param, profile), f"SF({param}) has a stage of"
     if size > MAX_REBUILD_VERTICES:
         raise ValueError(f"{what} {size} vertices, above the limit of {MAX_REBUILD_VERTICES}")
-
-
-def build_target(kind: str, param: int, profile: InterpretationProfile) -> LabeledGraph:
-    """The dense build of F(param) or SF(param), for export."""
-    if kind == "F":
-        return build_F(param, profile)
-    if kind == "SF":
-        return build_SF(param, profile)
-    raise ValueError(f"unknown target kind {kind!r}")
 
 
 def make_report(stack: Stack, tc: TheoremCheck, started, finished) -> dict:

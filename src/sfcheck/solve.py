@@ -455,9 +455,9 @@ def stage(r: int, profile: InterpretationProfile) -> Stage:
 
 
 class Stack:
-    """F(param) or SF(param) under ``profile`` as its memoized stages laid
-    out in order, F(3..t) for SF(t); the builders' ValueError on another
-    kind or a parameter below 3.
+    """F(param) or SF(param) under ``profile`` (kept as ``kind``, ``param``
+    and ``profile``) as its memoized stages laid out in order, F(3..t) for
+    SF(t); the builders' ValueError on another kind or a parameter below 3.
 
     Two vertices of different parts are adjacent exactly when their label
     parities differ, so n, m, the label counts and every witness check
@@ -466,6 +466,7 @@ class Stack:
 
     def __init__(self, kind: str, param: int, profile: InterpretationProfile) -> None:
         _require_param(kind, param)
+        self.kind, self.param, self.profile = kind, param, profile
         # Stages after the third read only sum and prod; the general stage 3 ignores y_label.
         rest = DEFAULT_PROFILE.replace(sum=profile.sum, prod=profile.prod)
         base = profile if profile.base_case == "explicit_path" else rest.replace(base_case="general")
@@ -485,6 +486,8 @@ class Stack:
         self.m = sum(s.m for s in self.stages) + cross
 
     def label(self, v: int) -> int:
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range for n={self.n}")
         start, _, _, odd, _ = self.parts[bisect_right(self.part_starts, v) - 1]
         return 1 if odd >> (v - start) & 1 else 2
 

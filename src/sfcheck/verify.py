@@ -10,10 +10,11 @@ r+1 vertices.
 
 Each claim's rules are written once.  ``CLAIMS`` gives its smallest r and
 the target it is checked on, and ``claim_verdict`` its claimed value,
-status and witness mode from r and the computed sizes.  The checks take
-what they judge: ``report.run_verification`` turns a claim into a stack
-of memoized stages, and ``report.verify_report`` re-assembles a report
-through the same rules.  ``bound_report_from_counts`` turns T1.2's omega and alpha into the
+status and witness mode from r and the computed sizes.  Each check takes
+the stack of memoized stages of its claim's target, which
+``report.run_verification`` builds, and refuses any other stack;
+``report.verify_report`` re-assembles a report through the same rules.
+``bound_report_from_counts`` turns T1.2's omega and alpha into the
 Ramsey implication R(t) > n of SF(t), t = r+1.  The one diagonal Ramsey
 value small enough to re-derive at desk scale, R(3) = 6, is established
 exhaustively by confirm_R3 and used to flag contradictory implications.
@@ -21,20 +22,13 @@ exhaustively by confirm_R3 and used to flag contradictory implications.
 
 from __future__ import annotations
 
-from functools import cache, partial
+from functools import cache
 from itertools import combinations
 from typing import NamedTuple
 
 from sfcheck.construct import InterpretationProfile
-from sfcheck.graphs import Graph, cycle
-from sfcheck.solve import (
-    Stack,
-    max_clique,
-    max_independent_set,
-    stage_mono_clique,
-    stage_solve,
-    verify_witness,
-)
+from sfcheck.graphs import cycle
+from sfcheck.solve import Stack, stage_mono_clique, stage_solve
 
 # Reference metadata only: shipped for report annotations, never consulted
 # by any pass/fail decision.  R(3) = 6 is additionally re-derived from
@@ -104,11 +98,19 @@ class BoundReport(NamedTuple):
     reference: str | None
 
 
+def _require_target(theorem: str, r: int, profile: InterpretationProfile, stack: Stack) -> None:
+    """ValueError unless ``stack`` is ``claim_target(theorem, r)`` under ``profile``."""
+    kind, param = claim_target(theorem, r)
+    if (stack.kind, stack.param, stack.profile) != (kind, param, profile):
+        raise ValueError(f"claim T{theorem} at r={r} is checked on {kind}({param}) under {profile}, "
+                         f"not on {stack.kind}({stack.param}) under {stack.profile}")
+
+
 def check_theorem_1_1(r: int, profile: InterpretationProfile, stack: Stack) -> TheoremCheck:
     """Compare the largest single-label clique of ``stack``, F(r) under
     ``profile``, read from its stage's part optima (``solve.stage_mono_clique``),
     against ceil(r/2)."""
-    claim_target("1.1", r)  # ValueError for an r the claim is not stated for
+    _require_target("1.1", r, profile, stack)
     res = stage_mono_clique(stack)
     if res.witness and len({stack.label(v) for v in res.witness}) != 1:
         raise AssertionError("single-label witness spans both labels")
@@ -120,27 +122,18 @@ def check_theorem_1_1(r: int, profile: InterpretationProfile, stack: Stack) -> T
     )
 
 
-def check_theorem_1_2(r: int, profile: InterpretationProfile, target: Graph | Stack) -> TheoremCheck:
-    """Check that ``target`` has no clique or independent set on r+1 vertices.
+def check_theorem_1_2(r: int, profile: InterpretationProfile, stack: Stack) -> TheoremCheck:
+    """Check that ``stack``, SF(r+1) under ``profile``, has no clique or
+    independent set on r+1 vertices.
 
-    ``target`` is the stack SF(r+1) under ``profile`` (``solve.Stack``),
-    whose omega and alpha come from its memoized stages
-    (``solve.stage_solve``), or any graph under test, solved whole.  The
-    claim thresholds stay r.  The witness is re-verified pairwise before it
-    is returned.
+    Its omega and alpha come from its memoized stages (``solve.stage_solve``),
+    which re-verifies both witnesses on the stack before it returns them.
     """
-    claim_target("1.2", r)  # ValueError for an r the claim is not stated for
-    if isinstance(target, Stack):
-        omega, alpha = stage_solve(target)
-        verify = target.verify_witness
-    else:
-        omega, alpha = max_clique(target), max_independent_set(target)
-        verify = partial(verify_witness, target)
+    _require_target("1.2", r, profile, stack)
+    omega, alpha = stage_solve(stack)
     computed = {"omega": omega.size, "alpha": alpha.size}
     claimed, status, mode = claim_verdict("T1_2", r, computed)
     witness = alpha.witness if mode == "independent" else omega.witness
-    if not verify(witness, mode):
-        raise AssertionError("certificate witness failed re-verification")
     return TheoremCheck(
         "T1_2", r, profile, claimed, computed, status, witness, mode,
         {"omega_nodes": omega.nodes_explored, "alpha_nodes": alpha.nodes_explored},

@@ -20,7 +20,7 @@ from sfcheck.construct import DEFAULT_PROFILE, build_F, build_SF
 from sfcheck.formats import decode_graph6, encode_graph6
 from sfcheck.graphs import complete
 from sfcheck.report import load_report
-from sfcheck.solve import verify_witness
+from sfcheck.solve import Stack, verify_witness
 from sfcheck.verify import bound_report_from_counts, check_theorem_1_2
 
 from oracles import all_profiles
@@ -104,7 +104,7 @@ def test_criterion_2_theorem_sweep(tmp_path):
 
 def test_criterion_3_base_case_honesty():
     g = build_SF(3, DEFAULT_PROFILE).graph
-    tc = check_theorem_1_2(2, DEFAULT_PROFILE, g)
+    tc = check_theorem_1_2(2, DEFAULT_PROFILE, Stack("SF", 3, DEFAULT_PROFILE))
     assert tc.status == "REFUTED"
     assert tc.computed == {"omega": 2, "alpha": 3}
     assert tc.witness_mode == "independent"

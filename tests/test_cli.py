@@ -9,7 +9,6 @@ import pytest
 
 import sfcheck
 from sfcheck import cli
-from sfcheck import report as report_module
 from sfcheck.cli import main
 from sfcheck.formats import decode_graph6
 from sfcheck.graphs import path
@@ -42,8 +41,8 @@ class TestBuild:
         def no_build(*args):
             raise AssertionError("built a target above the export limit")
 
-        monkeypatch.setattr(report_module, "build_F", no_build)
-        monkeypatch.setattr(report_module, "build_SF", no_build)
+        monkeypatch.setattr(cli, "build_F", no_build)
+        monkeypatch.setattr(cli, "build_SF", no_build)
         out = tmp_path / "big.g6"
         assert main(["build", "--kind", kind, "--r", str(param), "--out", str(out)]) == 2
         assert f"{kind}({param}) has {size} vertices, above the limit of 20000" in capsys.readouterr().err
@@ -141,20 +140,6 @@ class TestSweep:
         assert report["profile"]["base_case"] == "general"
         assert report["graph_stats"]["n"] == 12
 
-    def test_sweep_parallel_matches_serial(self, tmp_path, monkeypatch):
-        serial_dir = tmp_path / "serial"
-        parallel_dir = tmp_path / "parallel"
-        assert main(["sweep", "--t-max", "4", "--report-dir", str(serial_dir)]) == 1
-        monkeypatch.setenv("RF_THREADS", "2")
-        assert main(["sweep", "--t-max", "4", "--report-dir", str(parallel_dir)]) == 1
-        for name in ("t11_r3.json", "t11_r4.json", "t12_r2.json", "t12_r3.json"):
-            a = json.loads((serial_dir / name).read_text())
-            b = json.loads((parallel_dir / name).read_text())
-            a.pop("timestamps")
-            b.pop("timestamps")
-            assert a == b
-
-
     def test_sweep_writes_each_report_as_its_job_finishes(self, tmp_path, capsys, monkeypatch):
         real = cli.run_verification
         calls = []
@@ -165,7 +150,6 @@ class TestSweep:
                 raise AssertionError("job 3 failed")
             return real(*args)
 
-        monkeypatch.delenv("RF_THREADS", raising=False)
         monkeypatch.setattr(cli, "run_verification", third_job_fails)
         assert main(["sweep", "--t-max", "4", "--report-dir", str(tmp_path)]) == 3
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t11_r3.json", "t11_r4.json"]
@@ -253,9 +237,8 @@ def test_import_loads_neither_dataclasses_nor_inspect(module):
 
 
 def test_serial_sweep_starts_without_multiprocessing(tmp_path):
-    # A serial sweep never spawns a worker, so it must not pay for loading
-    # multiprocessing; test_reports_do_not_depend_on_what_ran_before covers
-    # RF_THREADS=2.
+    # A sweep runs its jobs in one process, so it must not pay for loading
+    # multiprocessing.
     src = os.path.dirname(os.path.dirname(sfcheck.__file__))
     code = (
         "import sys, sfcheck.cli; "
@@ -264,7 +247,7 @@ def test_serial_sweep_starts_without_multiprocessing(tmp_path):
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", code],
-        env=dict(os.environ, PYTHONPATH=src, RF_THREADS="1"),
+        env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
         check=True,

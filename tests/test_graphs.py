@@ -444,8 +444,8 @@ INVALID_RECORDS = [
 @pytest.mark.parametrize("record, changes, message", INVALID_RECORDS)
 def test_every_construction_path_checks(record, changes, message):
     """The constructor, by position or keyword, ``replace``, a pickle round
-    trip under every protocol (a parallel sweep pickles its jobs' profile)
-    and a copy all raise the same ValueError for the same invalid fields."""
+    trip under every protocol and a copy all raise the same ValueError for
+    the same invalid fields."""
     invalid = record._replace(**changes)  # the named tuple's unchecked route
     paths = {
         "positional": lambda: type(record)(*invalid),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sfcheck import report as report_module
+from sfcheck import construct as construct_module
 from sfcheck import solve as solve_module
 from sfcheck.construct import InterpretationProfile, LabeledGraph, build_F, build_SF
 from sfcheck.report import (
@@ -147,8 +147,8 @@ def test_oversized_target_refused_unbuilt(theorem, param, monkeypatch):
         raise AssertionError("verify_report built an oversized target")
 
     report = edited(base_report(theorem), ("target", "param"), param)
-    monkeypatch.setattr(report_module, "build_F", no_build)
-    monkeypatch.setattr(report_module, "build_SF", no_build)
+    monkeypatch.setattr(construct_module, "build_F", no_build)
+    monkeypatch.setattr(construct_module, "build_SF", no_build)
     monkeypatch.setattr(solve_module, "build_side", no_build)
     problems = verify_report(report)
     assert len(problems) == 1 and f"above the limit of {MAX_REBUILD_VERTICES}" in problems[0]
@@ -250,8 +250,8 @@ def test_run_verification_refuses_what_verify_report_would(theorem, r, target, m
     def no_build(*args):
         raise AssertionError("run_verification built an oversized target")
 
-    monkeypatch.setattr(report_module, "build_F", no_build)
-    monkeypatch.setattr(report_module, "build_SF", no_build)
+    monkeypatch.setattr(construct_module, "build_F", no_build)
+    monkeypatch.setattr(construct_module, "build_SF", no_build)
     monkeypatch.setattr(solve_module, "build_side", no_build)
     message = f"{target} vertices, above the limit of {MAX_REBUILD_VERTICES}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sfcheck
+from sfcheck import cli as cli_module
 from sfcheck import construct as construct_module
-from sfcheck import report as report_module
 from sfcheck import solve as solve_module
 from sfcheck.cli import main
 from sfcheck.construct import DEFAULT_PROFILE, InterpretationProfile, build_F, build_SF
@@ -64,6 +64,14 @@ def test_stack_counts_match_the_dense_build(profile):
         stack, lg = Stack("SF", t, profile), build_SF(t, profile)
         assert (stack.n, stack.m, stack.label_counts) == (lg.graph.n, lg.graph.m, label_counts(lg)), t
         assert [stack.label(v) for v in range(stack.n)] == list(lg.labels)
+
+
+@pytest.mark.parametrize("kind, param, v", [("F", 4, 10**6), ("F", 4, 24), ("F", 4, -1), ("SF", 5, 70), ("SF", 5, -3)])
+def test_stack_label_out_of_range(kind, param, v):
+    # F(4) has n = 24 and SF(5) n = 70; a vertex outside [0, n) names itself and n.
+    stack = Stack(kind, param, DEFAULT_PROFILE)
+    with pytest.raises(ValueError, match=rf"^vertex {v} out of range for n={stack.n}$"):
+        stack.label(v)
 
 
 @pytest.mark.parametrize("profile", all_profiles(), ids=str)
@@ -291,17 +299,15 @@ def test_verification_never_builds_the_dense_stack(monkeypatch):
     def no_build(*args):
         raise AssertionError("built the dense SF(t)")
 
-    monkeypatch.setattr(report_module, "build_SF", no_build)
     monkeypatch.setattr(construct_module, "build_SF", no_build)
     for r in (2, 3, 9):
         report = run_verification("1.2", r)
         assert verify_report(report) == []
 
 
-def test_reports_do_not_depend_on_what_ran_before(tmp_path, monkeypatch):
-    """One report, from ``verify`` in a fresh process (no memo), from a
-    serial sweep (memo filled by the jobs before it) and from a sweep at
-    RF_THREADS=2."""
+def test_reports_do_not_depend_on_what_ran_before(tmp_path):
+    """One report, from ``verify`` in a fresh process (no memo) and from a
+    sweep (memo filled by the jobs before it)."""
     src = os.path.dirname(os.path.dirname(sfcheck.__file__))
     alone = tmp_path / "alone.json"
     subprocess.run(
@@ -310,13 +316,10 @@ def test_reports_do_not_depend_on_what_ran_before(tmp_path, monkeypatch):
         capture_output=True,
         check=False,
     )
-    texts = [alone.read_text()]
-    for threads in ("1", "2"):
-        monkeypatch.setenv("RF_THREADS", threads)
-        main(["sweep", "--t-max", "10", "--report-dir", str(tmp_path / threads)])
-        texts.append((tmp_path / threads / "t12_r9.json").read_text())
+    main(["sweep", "--t-max", "10", "--report-dir", str(tmp_path / "sweep")])
+    texts = [alone.read_text(), (tmp_path / "sweep" / "t12_r9.json").read_text()]
     stripped = [report_to_json(strip_volatile(json.loads(text))) for text in texts]
-    assert stripped[0] == stripped[1] == stripped[2]
+    assert stripped[0] == stripped[1]
 
 
 @pytest.mark.parametrize(
@@ -328,8 +331,10 @@ def test_unloadable_targets_refused_unbuilt(argv, tmp_path, monkeypatch, capsys)
     def no_build(*args):
         raise AssertionError("built a target no loader would accept")
 
-    monkeypatch.setattr(report_module, "build_F", no_build)
-    monkeypatch.setattr(report_module, "build_SF", no_build)
+    monkeypatch.setattr(cli_module, "build_F", no_build)
+    monkeypatch.setattr(cli_module, "build_SF", no_build)
+    monkeypatch.setattr(construct_module, "build_F", no_build)
+    monkeypatch.setattr(construct_module, "build_SF", no_build)
     monkeypatch.setattr(solve_module, "build_side", no_build)
     out_dir = tmp_path / "out"
     assert main([arg.replace("DIR", str(out_dir)) for arg in argv]) == 2

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,8 @@ from sfcheck.verify import (
     bound_report_from_counts,
     check_theorem_1_1,
     check_theorem_1_2,
+    claim_target,
+    claim_verdict,
     confirm_R3,
 )
 
@@ -62,7 +65,7 @@ class TestTheorem11:
 class TestTheorem12:
     def test_base_case_honest_refutation(self):
         g = build_SF(3, DEFAULT_PROFILE).graph
-        tc = check_theorem_1_2(2, DEFAULT_PROFILE, g)
+        tc = check_theorem_1_2(2, DEFAULT_PROFILE, Stack("SF", 3, DEFAULT_PROFILE))
         assert tc.status == "REFUTED"
         assert tc.computed == {"omega": 2, "alpha": 3}
         assert tc.witness_mode == "independent"
@@ -78,13 +81,6 @@ class TestTheorem12:
         if tc.status == "REFUTED":
             assert len(tc.witness) >= 4
 
-    def test_seeded_fault_complete_graph(self):
-        r = 4
-        tc = check_theorem_1_2(r, DEFAULT_PROFILE, complete(r + 1))
-        assert tc.status == "REFUTED"
-        assert tc.witness_mode == "clique"
-        assert len(tc.witness) == r + 1
-
     def test_deterministic_reruns(self):
         a = check_theorem_1_2(3, DEFAULT_PROFILE, Stack("SF", 4, DEFAULT_PROFILE))
         solve.stage.cache_clear()
@@ -92,26 +88,63 @@ class TestTheorem12:
         assert a == b
 
     def test_rejects_small_r(self):
-        with pytest.raises(ValueError):
-            check_theorem_1_2(1, DEFAULT_PROFILE, cycle(5))
+        with pytest.raises(ValueError, match="needs r >= 2"):
+            check_theorem_1_2(1, DEFAULT_PROFILE, Stack("SF", 3, DEFAULT_PROFILE))
+
+
+def oracle_verdict(g, r):
+    """T1.2's verdict rule on g's clique and independence numbers, both
+    counted by the enumeration oracle."""
+    computed = {"omega": oracle_max_clique(g), "alpha": oracle_max_clique(complement(g))}
+    return computed, claim_verdict("T1_2", r, computed)
+
+
+class TestTheorem12Rule:
+    """T1.2's verdict rule on graphs outside the construction, whose sizes
+    come from the enumeration oracle."""
 
     def test_cycle5_confirmed(self):
-        tc = check_theorem_1_2(2, DEFAULT_PROFILE, cycle(5))
-        assert tc.status == "CONFIRMED"
-        assert tc.computed == {"omega": 2, "alpha": 2}
-        assert tc.witness_mode == "clique" and len(tc.witness) == 2
+        computed, (claimed, status, mode) = oracle_verdict(cycle(5), 2)
+        assert computed == {"omega": 2, "alpha": 2}
+        assert claimed == "omega(SF(3)) <= 2 and alpha(SF(3)) <= 2"
+        assert (status, mode) == ("CONFIRMED", "clique")
 
-    def test_complete6_refuted_with_clique(self):
-        tc = check_theorem_1_2(2, DEFAULT_PROFILE, complete(6))
-        assert tc.status == "REFUTED"
-        assert tc.witness_mode == "clique"
-        assert verify_witness(complete(6), tc.witness, "clique")
+    @pytest.mark.parametrize("n, r", [(6, 2), (5, 4)])
+    def test_complete_refuted_with_clique(self, n, r):
+        computed, (_, status, mode) = oracle_verdict(complete(n), r)
+        assert computed == {"omega": n, "alpha": 1}
+        assert (status, mode) == ("REFUTED", "clique")
 
     def test_empty6_refuted_with_independent_set(self):
-        tc = check_theorem_1_2(2, DEFAULT_PROFILE, empty(6))
-        assert tc.status == "REFUTED"
-        assert tc.witness_mode == "independent"
-        assert len(tc.witness) >= 3
+        computed, (_, status, mode) = oracle_verdict(empty(6), 2)
+        assert computed == {"omega": 1, "alpha": 6}
+        assert (status, mode) == ("REFUTED", "independent")
+
+
+class TestCheckTarget:
+    """A check judges only its own claim's target: the kind, the parameter
+    and the profile of the stack must all be ``claim_target``'s."""
+
+    CHECKS = {"1.1": check_theorem_1_1, "1.2": check_theorem_1_2}
+    JOIN = DEFAULT_PROFILE.replace(sum="join")
+
+    @pytest.mark.parametrize(
+        "theorem, r, stack, profile",
+        [
+            ("1.2", 3, ("F", 4, DEFAULT_PROFILE), DEFAULT_PROFILE),
+            ("1.1", 4, ("SF", 4, DEFAULT_PROFILE), DEFAULT_PROFILE),
+            ("1.2", 3, ("SF", 9, DEFAULT_PROFILE), DEFAULT_PROFILE),
+            ("1.1", 4, ("F", 5, DEFAULT_PROFILE), DEFAULT_PROFILE),
+            ("1.2", 3, ("SF", 4, DEFAULT_PROFILE), JOIN),
+            ("1.1", 4, ("F", 4, JOIN), DEFAULT_PROFILE),
+        ],
+        ids=["T1.2 kind", "T1.1 kind", "T1.2 param", "T1.1 param", "T1.2 profile", "T1.1 profile"],
+    )
+    def test_mismatched_stack_refused(self, theorem, r, stack, profile):
+        kind, param = claim_target(theorem, r)
+        message = f"claim T{theorem} at r={r} is checked on {kind}({param}) under {profile}, not on {stack[0]}({stack[1]}) under {stack[2]}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            self.CHECKS[theorem](r, profile, Stack(*stack))
 
 
 class TestClaimMinimum:
@@ -200,15 +233,10 @@ class TestConfirmR3:
     seed=st.integers(min_value=0, max_value=2**16),
     r=st.integers(min_value=2, max_value=5),
 )
-def test_t12_matches_enumeration_oracle(n, density, seed, r):
-    g = random_graph(n, density, random.Random(seed))
-    tc = check_theorem_1_2(r, DEFAULT_PROFILE, g)
-    omega, alpha = oracle_max_clique(g), oracle_max_clique(complement(g))
-    assert tc.computed == {"omega": omega, "alpha": alpha}
-    assert tc.status == ("CONFIRMED" if omega <= r and alpha <= r else "REFUTED")
+def test_t12_rule_on_enumeration_oracle_sizes(n, density, seed, r):
+    computed, (_, status, mode) = oracle_verdict(random_graph(n, density, random.Random(seed)), r)
+    omega, alpha = computed["omega"], computed["alpha"]
+    assert status == ("CONFIRMED" if omega <= r and alpha <= r else "REFUTED")
     # The violating clique first, else the violating independent set, else
     # the maximum clique.
-    mode = "independent" if omega <= r < alpha else "clique"
-    assert tc.witness_mode == mode
-    assert len(tc.witness) == (alpha if mode == "independent" else omega)
-    assert verify_witness(g, tc.witness, mode)
+    assert mode == ("independent" if omega <= r < alpha else "clique")
