@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 when a REFUTED verdict (or an oracle disagreement)
 is present, 2 on usage or build errors, 3 on an internal error (any other
 exception, such as a failed witness re-check, RecursionError or
 MemoryError), so a crash never reads as a refutation.  ``sweep`` runs its
-jobs in order in one process and writes each report as its job finishes.
+jobs in order in one process, writes each report as its job finishes, and
+ends with its wall time and the stage memo's builds and hits over the sweep.
 """
 
 from __future__ import annotations
@@ -13,12 +14,13 @@ import argparse
 import os
 import random
 import sys
+import time
 
 from sfcheck.construct import DEFAULT_PROFILE, InterpretationProfile, build_F, build_SF
 from sfcheck.formats import encode_dimacs, encode_graph6
 from sfcheck.graphs import complement, random_graph
 from sfcheck.report import require_rebuildable, run_verification, write_report
-from sfcheck.solve import max_clique, max_independent_set, oracle_max_clique
+from sfcheck.solve import max_clique, max_independent_set, oracle_max_clique, stage
 from sfcheck.verify import CLAIMS
 
 _SUM_FLAGS = {"union": "disjoint_union", "join": "join"}
@@ -98,7 +100,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for r in range(min_r, args.t_max - shift + 1)
     ]
     os.makedirs(args.report_dir, exist_ok=True)
-    refuted = False
+    refuted, started, memo = False, time.perf_counter(), stage.cache_info()
     # Each report is written as its job finishes, so a failed job keeps
     # the reports of the jobs before it.
     for theorem, r in jobs:
@@ -106,7 +108,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         write_report(os.path.join(args.report_dir, f"t{theorem.replace('.', '')}_r{r}.json"), report)
         print(_check_summary(report))
         refuted = refuted or report["checks"][0]["status"] == "REFUTED"
-    print(f"sweep: {len(jobs)} reports -> {args.report_dir}")
+    seconds, after = time.perf_counter() - started, stage.cache_info()
+    print(f"sweep: {len(jobs)} reports -> {args.report_dir} in {seconds:.2f} s; "
+          f"stage memo: {after.misses - memo.misses} built, {after.hits - memo.hits} hits")
     return 1 if refuted else 0
 
 

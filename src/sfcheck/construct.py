@@ -8,10 +8,12 @@ chains stages 3..t, again joining opposite-parity pairs across stages.
 A build records that layout once, as its list of stages.
 
 Verification builds neither F(r) nor SF(t) whole: ``solve.Stack`` holds
-its stages, of which the stage memo keeps only ``build_side``, the G side
-(or the base path).  The H side and the rule between parts follow from it
-by definition, so n, m and the label counts come in closed form.
-``build_F`` and ``build_SF`` make the dense graphs, for export.
+its stages, of which the stage memo keeps one block each, from
+``build_block``: the base path, or one copy of the G side, which is r-1
+disjoint copies.  The H side and the rule between parts follow by
+definition, so n, m and the label counts come in closed form.
+``build_side``, ``build_F`` and ``build_SF`` make the dense graphs from
+the same ``build_block``, for export and as the tests' reference.
 
 Several operators in that recipe admit more than one defensible reading.
 An InterpretationProfile pins all of them explicitly, so every build is a
@@ -147,19 +149,25 @@ def _join_opposite_parity(rows: list[int], labels: tuple[int, ...], cuts: list[i
     return Graph._trusted(len(rows), tuple(rows))
 
 
-def build_side(r: int, profile: InterpretationProfile = DEFAULT_PROFILE) -> tuple[Graph, tuple[int, ...], bool]:
-    """F(r)'s first part as (graph, labels, paired).  Normally the G side,
-    which an H side follows (paired): r-1 product copies (profile.prod) of
-    the block graph G_z, a clique on r // 2 vertices labeled 1 and one on
-    the rest labeled 2, combined per profile.sum.  Under
-    base_case="explicit_path", F(3) is this part alone: the fixed 6-vertex
-    path v-u-w-x-y-t with labels 1,2,1,1,profile.y_label,2."""
+def build_block(r: int, profile: InterpretationProfile = DEFAULT_PROFILE) -> tuple[Graph, tuple[int, ...], bool]:
+    """F(r)'s first part as (block, labels, paired), the one reading that
+    ``build_side`` and the stage memo share.  Normally the block graph G_z
+    of a G side, which an H side follows (paired): a clique on r // 2
+    vertices labeled 1 and one on the rest labeled 2, combined per
+    profile.sum.  Under base_case="explicit_path", F(3) is the whole part,
+    the fixed 6-vertex path v-u-w-x-y-t with labels 1,2,1,1,y_label,2."""
     _require_param("F", r)
     if r == 3 and profile.base_case == "explicit_path":
         return path(6), (1, 2, 1, 1, profile.y_label, 2), False
     a = r // 2
-    g_side = product(empty(r - 1), combine(complete(a), complete(r - a), profile.sum), profile.prod)
-    return g_side, ((1,) * a + (2,) * (r - a)) * (r - 1), True
+    return combine(complete(a), complete(r - a), profile.sum), (1,) * a + (2,) * (r - a), True
+
+
+def build_side(r: int, profile: InterpretationProfile = DEFAULT_PROFILE) -> tuple[Graph, tuple[int, ...], bool]:
+    """F(r)'s first part as (graph, labels, paired): the base path, or the
+    G side, r-1 product copies (profile.prod) of ``build_block``'s block."""
+    block, labels, paired = build_block(r, profile)
+    return (product(empty(r - 1), block, profile.prod), labels * (r - 1), True) if paired else (block, labels, False)
 
 
 def build_F(r: int, profile: InterpretationProfile = DEFAULT_PROFILE) -> LabeledGraph:

@@ -42,9 +42,11 @@ def _now() -> str:
 
 
 # verify_report refuses, unbuilt, a target with a stage of more vertices
-# than this, so a report file cannot demand an arbitrarily large build: F(100)
-# has 19800 vertices and F(101) 20200, so SF(100) is the largest stack.  A
-# dense build, for export, is limited in its total: SF(31) has 19830.
+# than this: F(100) has 19800 and F(101) 20200, so SF(100) is the largest
+# stack.  A stage keeps one r-vertex block, so the cap bounds no rows: it
+# bounds the stages a report can name and the witnesses a check on them
+# assembles (SF(100)'s alpha witness has 7495 vertices).  A dense build,
+# for export, is limited in its total: SF(31) has 19830.
 MAX_REBUILD_VERTICES = 20_000
 
 

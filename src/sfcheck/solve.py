@@ -76,11 +76,17 @@ copies of K_a + K_(r-a) or of K_r, or edgeless, and their complement).
 Only the six-vertex base path and its complement are prime.
 
 Two memos of MEMO_SIZE entries keep the results.  The stage memo,
-``stage``, is keyed on (r, profile) and builds only F(r)'s first part,
-``construct.build_side``: the G side, or the base path.  It keeps that
-part's rows, local to it, its labels and its two label classes as masks,
-the stage's n, m and label counts, and, once a check reads them, the
-part's six optima from one split.  The H side that follows a G side of h
+``stage``, is keyed on (r, profile) and builds one block of F(r)'s first
+part, from ``construct.build_block``: the base path (k = 1 copy), or one
+copy of the G side, ``product(empty(1), G_z, prod)``.  The G side is
+k = r-1 disjoint copies of it, since a product joins two copies only
+through an edge of ``empty(r - 1)``.  The memo keeps the block's rows,
+labels and two label classes as masks, k, the stage's n, m and label
+counts, and, once a check reads them, the part's six optima from one
+split of the block by the copy rule: a clique lies in one copy, so its
+optimum is the block's, in copy 0; an independent set is one in each
+copy, so its optimum is the block's in every copy, k times the size.
+Node counts are the block's.  The H side that follows a G side of h
 vertices is read by duality: H is G's complement with labels flipped, so
 a clique of H is an independent set of G at the same offsets.  Hence
 
@@ -94,9 +100,12 @@ Stack.  ``_holds`` checks an H witness on G's rows with the flip
 inverted.  G and H hold h(h-1)/2 edges together, and a vertex of G is
 joined to the H vertices of the other parity, the flips of G's vertices
 of its own label; with c1 and c2 G's label counts, m(F(r)) = h(h-1)/2 +
-c1^2 + c2^2.  A Stack reads its n, m and label counts from the stages'
-in closed form, and checks a witness against the parts' rows and, by two
-ANDs with each met part's class masks, the parity rule.
+c1^2 + c2^2, and the base path's m is its block's.  A Stack reads its n,
+m and label counts from the stages' in closed form.  It checks a
+witness by reading part vertex v as block vertex v % r of copy v // r:
+a clique of G must lie in one copy and an independent set of G must be
+one in each copy it meets, each checked on the block's rows, and by two
+ANDs with the block's class masks, the parity rule.
 ``_solve_prime`` is keyed on each prime piece, so the base path and its
 complement are searched once.
 """
@@ -114,10 +123,10 @@ from sfcheck.construct import (
     LABELS,
     InterpretationProfile,
     _require_param,
-    build_side,
+    build_block,
     label_masks,
 )
-from sfcheck.graphs import Graph, as_vertex_set, complement, induced
+from sfcheck.graphs import Graph, as_vertex_set, complement, empty, induced, product
 
 ORACLE_MAX_N = 24
 
@@ -418,29 +427,31 @@ def _split_clique(g: Graph, mask: int, queries: list[tuple[int, int]]) -> list[C
 
 
 class Stage:
-    """One stage as the stage memo keeps it: its first part (the G side,
-    or the base path) as ``side`` and ``labels``, that part's label-1 and
-    label-2 vertices as two masks (``classes``), whether an H side follows
+    """One stage as the stage memo keeps it: one block of its first part
+    (the base path, or one copy of the G side) as ``block`` and
+    ``labels``, the block's label-1 and label-2 vertices as two masks
+    (``classes``), the part's copy count ``k``, whether an H side follows
     it (``paired``), the stage's n, m and label counts (label 1 is odd,
     label 2 even), and, once first asked for, its part optima."""
 
-    def __init__(self, side: Graph, labels: tuple[int, ...], paired: bool) -> None:
-        self.side, self.labels, self.paired = side, labels, paired
+    def __init__(self, block: Graph, labels: tuple[int, ...], k: int, paired: bool) -> None:
+        self.block, self.labels, self.k, self.paired = block, labels, k, paired
         self.classes = label_masks(labels)
-        h, c1 = side.n, self.classes[0].bit_count()
+        h, c1 = k * block.n, k * self.classes[0].bit_count()
         if paired:  # the module docstring counts m
             self.n, self.m, self.label_counts = 2 * h, h * (h - 1) // 2 + c1**2 + (h - c1) ** 2, {1: h, 2: h}
         else:
-            self.n, self.m, self.label_counts = h, side.m, {1: c1, 2: h - c1}
+            self.n, self.m, self.label_counts = h, k * block.m, {1: c1, 2: h - c1}
 
     @cached_property
     def optima(self) -> dict[str, list[tuple[CliqueResult, ...]]]:
         """Per mode, each part's whole, label-1 and label-2 optima, their
         witnesses numbered within the part: the first part's from one split
-        of it, and an H side's the same results of the other mode, by the
-        duality of the module docstring."""
-        full = (1 << self.side.n) - 1
-        solves = _split_clique(self.side, full, [(within, flip) for flip in (0, -1) for within in (full, *self.classes)])
+        of its block by the copy rule, and an H side's the same results of
+        the other mode, by the duality of the module docstring."""
+        b, full = self.block.n, (1 << self.block.n) - 1
+        solves = _split_clique(self.block, full, [(within, flip) for flip in (0, -1) for within in (full, *self.classes)])
+        solves[3:] = [res._replace(size=self.k * res.size, witness=tuple(v + c * b for c in range(self.k) for v in res.witness)) for res in solves[3:]]
         optima = {"clique": [tuple(solves[:3])], "independent": [tuple(solves[3:])]}
         if self.paired:
             for mode, (whole, one, two) in (("clique", solves[3:]), ("independent", solves[:3])):
@@ -450,8 +461,9 @@ class Stage:
 
 @lru_cache(maxsize=MEMO_SIZE)
 def stage(r: int, profile: InterpretationProfile) -> Stage:
-    """F(r) under ``profile`` as its first part, built once."""
-    return Stage(*build_side(r, profile))
+    """F(r) under ``profile`` as one block of its first part, built once."""
+    block, labels, paired = build_block(r, profile)
+    return Stage(product(empty(1), block, profile.prod), labels, r - 1, True) if paired else Stage(block, labels, 1, False)
 
 
 class Stack:
@@ -474,9 +486,9 @@ class Stack:
         self.stages = [stage(r, base if r == 3 else rest) for r in rs]
         *self.starts, self.n = accumulate((s.n for s in self.stages), initial=0)
         # Each part as (first vertex, stage, inverse, odd, even): inverse is -1 for an H side, read
-        # on its G side's rows with the flip inverted, else 0; odd and even mask the part's label-1
-        # and label-2 vertices, G's two classes swapped for an H side.
-        self.parts = [(start - s.side.n * inverse, s, inverse, *s.classes[:: 1 + 2 * inverse]) for start, s in zip(self.starts, self.stages) for inverse in (0, -1)[: 1 + s.paired]]
+        # on its G side's block with the flip inverted, else 0; odd and even mask the block's
+        # label-1 and label-2 vertices, G's two classes swapped for an H side.
+        self.parts = [(start - s.n // 2 * inverse, s, inverse, *s.classes[:: 1 + 2 * inverse]) for start, s in zip(self.starts, self.stages) for inverse in (0, -1)[: 1 + s.paired]]
         self.part_starts = [part[0] for part in self.parts]
         ones, twos = (sum(s.label_counts[label] for s in self.stages) for label in LABELS)
         self.label_counts = {1: ones, 2: twos}
@@ -488,14 +500,15 @@ class Stack:
     def label(self, v: int) -> int:
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range for n={self.n}")
-        start, _, _, odd, _ = self.parts[bisect_right(self.part_starts, v) - 1]
-        return 1 if odd >> (v - start) & 1 else 2
+        start, s, _, odd, _ = self.parts[bisect_right(self.part_starts, v) - 1]
+        return 1 if odd >> (v - start) % s.block.n & 1 else 2
 
     def verify_witness(self, members, mode: str) -> bool:
         """``verify_witness`` on the stack: pairs within a part against its
-        rows, pairs across parts by the opposite-parity rule, so a clique
-        meets at most two parts, one parity in each and opposite, and an
-        independent set that meets two or more lies in one parity."""
+        block's rows, copy by copy, pairs across parts by the
+        opposite-parity rule, so a clique meets at most two parts, one
+        parity in each and opposite, and an independent set that meets two
+        or more lies in one parity."""
         flip = _flip(mode)
         vs = as_vertex_set(self, members)
         # The sorted witness cut at the part starts: part i holds vs[cuts[i]:cuts[i + 1]].
@@ -505,10 +518,19 @@ class Stack:
         for (start, s, inverse, odd, even), lo, hi in zip(self.parts, cuts, cuts[1:]):
             if lo == hi:
                 continue
-            chosen = sum(1 << (v - start) for v in vs[lo:hi])
-            if not _holds(s.side.rows, chosen, flip ^ inverse):
+            # Per copy met, its members as a block mask: part vertex v is block vertex v % b of copy v // b.
+            b, copies = s.block.n, {}
+            for v in vs[lo:hi]:
+                c, u = divmod(v - start, b)
+                copies[c] = copies.get(c, 0) | 1 << u
+            # No edge of G joins two copies, and every copy is the block: a clique of G lies in
+            # one copy, and an independent set of G is one in each, so each distinct projection
+            # is checked once.
+            view, chosen = flip ^ inverse, set(copies.values())
+            if not view and len(copies) > 1 or not all(_holds(s.block.rows, mask, view) for mask in chosen):
                 return False
-            parities.append(bool(chosen & odd) | bool(chosen & even) << 1)
+            met = reduce(or_, chosen)
+            parities.append(bool(met & odd) | bool(met & even) << 1)
         if len(parities) < 2:
             return True
         if mode == "clique":

@@ -2,13 +2,14 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 import sfcheck
-from sfcheck import cli
+from sfcheck import cli, solve
 from sfcheck.cli import main
 from sfcheck.formats import decode_graph6
 from sfcheck.graphs import path
@@ -156,6 +157,15 @@ class TestSweep:
         for name in ("t11_r3.json", "t11_r4.json"):
             load_report(tmp_path / name)
         assert capsys.readouterr().out.count("T1_1") == 2
+
+    def test_sweep_ends_with_its_time_and_stage_memo(self, tmp_path, capsys):
+        # On an empty memo, the default profile's F(3..12) are built once each;
+        # every T1.2 job at r reads stages 3..r+1 from the memo.
+        solve.stage.cache_clear()
+        main(["sweep", "--t-max", "12", "--report-dir", str(tmp_path)])
+        last = capsys.readouterr().out.splitlines()[-1]
+        pattern = rf"sweep: 20 reports -> {re.escape(str(tmp_path))} in \d+\.\d\d s; stage memo: 10 built, 55 hits"
+        assert re.fullmatch(pattern, last), last
 
 
 class TestInternalError:

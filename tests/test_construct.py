@@ -15,6 +15,7 @@ from sfcheck.construct import (
     LabeledGraph,
     build_F,
     build_SF,
+    build_block,
     build_side,
     flip_label,
     label_masks,
@@ -297,7 +298,8 @@ def flipped_label(labels, v):
     return labels[:v] + (flip_label(labels[v]),) + labels[v + 1 :]
 
 
-# Seeded faults in the G side of F(4), stage 4 of SF(5): vertices 0..11.
+# Seeded faults in the block of F(4), and so in each of the three copies
+# that make its G side, stage 4 of SF(5): vertices 0..3, 4..7 and 8..11.
 # The H side and the edges between the sides, and between stages, follow
 # from the G side by definition, so no fault can be seeded there.
 FAULTS = {
@@ -316,19 +318,21 @@ def assert_stack_matches_dense(t, profile):
 
 
 class TestPremise:
-    """The stage memo keeps only a stage's G side: the H side and the rule
-    between the sides hold by definition.  The dense builder, for export,
-    must meet the rule, and a fault seeded into the G side reaches the
-    stage route and the dense build alike, so the rule still holds on the
-    doctored dense build; a report made under it fails to load."""
+    """The stage memo keeps only one block of a stage's G side: its copies,
+    the H side and the rule between the sides hold by definition.  The
+    dense builder, for export, must meet the rule, and a fault seeded into
+    the block reaches the stage route and every copy of the dense build
+    alike, so the rule still holds on the doctored dense build; a report
+    made under it fails to load."""
 
     @pytest.mark.parametrize("fault", FAULTS)
     def test_seeded_fault_reaches_both_builds(self, fault, seed_stage):
-        real = build_side(4)[:2]
+        real = build_block(4)[:2]
         seed_stage(4, FAULTS[fault])
         doctored, kept = build_F(4), stage(4, DEFAULT_PROFILE)
-        assert (kept.side, kept.labels) != real
-        assert (kept.side, kept.labels) == (induced(doctored.graph, range(12)), doctored.labels[:12])
+        assert (kept.block, kept.labels) != real and kept.k == 3
+        for lo in (0, 4, 8):
+            assert (kept.block, kept.labels) == (induced(doctored.graph, range(lo, lo + 4)), doctored.labels[lo : lo + 4])
         assert not rule_breaks(doctored)
         assert_stack_matches_dense(5, DEFAULT_PROFILE)
 
@@ -345,15 +349,15 @@ class TestPremise:
     def test_doctored_sides_keep_the_rule(self, profile, seed_stage):
         rng = random.Random(11)
         for r in (3, 4, 5):
-            side, _, _ = build_side(r, profile)
+            block, _, _ = build_block(r, profile)
             for _ in range(8):
-                flips = [rng.sample(range(side.n), 2) for _ in range(rng.randint(1, 4))]
-                relabel = [rng.random() < 0.05 for _ in range(side.n)]
+                flips = [rng.sample(range(block.n), 2) for _ in range(rng.randint(1, 4))]
+                relabel = [rng.random() < 0.2 for _ in range(block.n)]
 
-                def doctor(side, labels, flips=flips, relabel=relabel):
+                def doctor(block, labels, flips=flips, relabel=relabel):
                     for v, w in flips:
-                        side = flipped_edge(side, v, w)
-                    return side, tuple(flip_label(x) if f else x for x, f in zip(labels, relabel))
+                        block = flipped_edge(block, v, w)
+                    return block, tuple(flip_label(x) if f else x for x, f in zip(labels, relabel))
 
                 seed_stage(r, doctor)
                 assert not rule_breaks(build_F(r, profile))

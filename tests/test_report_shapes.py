@@ -149,7 +149,7 @@ def test_oversized_target_refused_unbuilt(theorem, param, monkeypatch):
     report = edited(base_report(theorem), ("target", "param"), param)
     monkeypatch.setattr(construct_module, "build_F", no_build)
     monkeypatch.setattr(construct_module, "build_SF", no_build)
-    monkeypatch.setattr(solve_module, "build_side", no_build)
+    monkeypatch.setattr(solve_module, "build_block", no_build)
     problems = verify_report(report)
     assert len(problems) == 1 and f"above the limit of {MAX_REBUILD_VERTICES}" in problems[0]
 
@@ -252,7 +252,7 @@ def test_run_verification_refuses_what_verify_report_would(theorem, r, target, m
 
     monkeypatch.setattr(construct_module, "build_F", no_build)
     monkeypatch.setattr(construct_module, "build_SF", no_build)
-    monkeypatch.setattr(solve_module, "build_side", no_build)
+    monkeypatch.setattr(solve_module, "build_block", no_build)
     message = f"{target} vertices, above the limit of {MAX_REBUILD_VERTICES}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         run_verification(theorem, r)

@@ -21,7 +21,7 @@ from sfcheck import cli as cli_module
 from sfcheck import construct as construct_module
 from sfcheck import solve as solve_module
 from sfcheck.cli import main
-from sfcheck.construct import DEFAULT_PROFILE, InterpretationProfile, build_F, build_SF
+from sfcheck.construct import DEFAULT_PROFILE, InterpretationProfile, build_F, build_SF, build_side
 from sfcheck.graphs import Graph
 from sfcheck.report import report_to_json, run_verification, strip_volatile, verify_report
 from sfcheck.solve import (
@@ -107,36 +107,71 @@ def test_an_h_side_shares_its_g_sides_results():
                 assert len(h) == 3 and all(a is b for a, b in zip(h, (whole, two, one))), (r, mode)
 
 
-def test_a_stage_keeps_one_side_of_rows():
-    """The stage memo keeps h rows, each below 2^h, of a stage of 2h
-    vertices, and no other graph; the base path keeps its own six."""
+def test_a_stage_keeps_one_block_of_rows():
+    """The stage memo keeps one block of r rows, each below 2^r, of a stage
+    of 2r(r-1) vertices, its side's r-1 copies, and no other graph; the
+    base path keeps its own six rows, one copy."""
     for profile in all_profiles():
         for r in range(3, 13):
             s = solve_module.stage(r, profile)
-            h = s.side.n
-            assert [value for value in vars(s).values() if isinstance(value, Graph)] == [s.side]
-            assert len(s.side.rows) == h and all(0 <= row < 1 << h for row in s.side.rows)
-            assert (s.n, h) == ((2 * h, r * (r - 1)) if s.paired else (6, 6))
+            b = s.block.n
+            assert [value for value in vars(s).values() if isinstance(value, Graph)] == [s.block]
+            assert len(s.block.rows) == b and all(0 <= row < 1 << b for row in s.block.rows)
+            assert (s.n, b, s.k) == ((2 * r * (r - 1), r, r - 1) if s.paired else (6, 6, 1))
+
+
+def test_block_copies_match_the_dense_side():
+    """k shifted copies of a stage's block are ``build_side``'s G side, rows
+    and labels, under every profile (the fact about ``graphs.product`` that
+    the copy rule rests on), and the stage's n, m and label counts are
+    ``build_F``'s."""
+    for profile in all_profiles():
+        for r in range(4, 41):
+            s, (side, labels, paired) = solve_module.stage(r, profile), build_side(r, profile)
+            b = s.block.n
+            rows = tuple(row << c * b for c in range(s.k) for row in s.block.rows)
+            assert (s.k * b, rows, s.labels * s.k, s.paired) == (side.n, side.rows, labels, paired), (profile, r)
+            lg = build_F(r, profile)
+            assert (s.n, s.m, s.label_counts) == (lg.graph.n, lg.graph.m, label_counts(lg)), (profile, r)
+
+
+@pytest.mark.parametrize("profile", all_profiles(), ids=str)
+def test_copy_rule_optima_match_a_split_of_the_dense_side(profile):
+    """The six optima that the copy rule reads from a block, sizes,
+    witnesses and node counts, are those of one split of the whole side."""
+    for r in range(4, 21):
+        s, (side, labels, _) = solve_module.stage(r, profile), build_side(r, profile)
+        full = (1 << side.n) - 1
+        dense = _split_clique(side, full, [(within, flip) for flip in (0, -1) for within in (full, *class_masks(labels))])
+        assert [*s.optima["clique"][0], *s.optima["independent"][0]] == dense, r
 
 
 @st.composite
 def stack_witnesses(draw):
-    """(t, profile, members, mode): a stage-route optimum, or vertices drawn
-    from one to three ranges (a part, a whole stage), with a few vertices
-    added and removed, so that pairs fall inside an H side, inside a G side,
+    """(t, profile, members, mode): a stage-route optimum, vertices drawn
+    from one to three ranges (a part, a whole stage), or from one copy of
+    the block or two copies of one side, with a few vertices added and
+    removed, so that pairs fall inside a copy, across copies of one side,
     across the two sides of a stage and across stages; now and then a
     member the dense check refuses, or an unknown mode."""
     t = draw(st.integers(3, 7))
     profile = draw(st.sampled_from(all_profiles()))
     mode = draw(st.sampled_from(["clique", "independent"]))
     stack = Stack("SF", t, profile)
-    ranges = [(start, start + s.side.n) for start, s, *_ in stack.parts]
+    # Each side as its copies of the block, each copy as its range.
+    copies = [[(start + c * s.block.n, start + (c + 1) * s.block.n) for c in range(s.k)] for start, s, *_ in stack.parts]
+    ranges = [(side[0][0], side[-1][1]) for side in copies]
     ranges += [(start, start + s.n) for start, s in zip(stack.starts, stack.stages)]
-    if draw(st.booleans()):
+    source = draw(st.sampled_from(["optimum", "ranges", "copies"]))
+    if source == "optimum":
         members = set(stage_solve(stack)[mode == "independent"].witness)
     else:
+        if source == "ranges":
+            picked = draw(st.lists(st.sampled_from(ranges), min_size=1, max_size=3))
+        else:  # one copy, or two copies of one side
+            picked = draw(st.lists(st.sampled_from(draw(st.sampled_from(copies))), min_size=1, max_size=2, unique=True))
         members = set()
-        for lo, hi in draw(st.lists(st.sampled_from(ranges), min_size=1, max_size=3)):
+        for lo, hi in picked:
             members |= set(draw(st.lists(st.integers(lo, hi - 1), max_size=4)))
     members |= set(draw(st.lists(st.integers(0, stack.n - 1), max_size=2)))
     if members:
@@ -164,6 +199,19 @@ def test_stack_witness_check_matches_the_dense_one(case):
     g = build_SF(t, profile).graph
     dense = outcome(lambda m, mode_: verify_witness(g, m, mode_), members, mode)
     assert outcome(Stack("SF", t, profile).verify_witness, members, mode) == dense
+
+
+# SF(5) under the default profile: the base path is 0..5, F(4)'s G side
+# 6..17, three copies of a block K_2 + K_2 (labels 1, 1, 2, 2), and its H
+# side 18..29.
+@pytest.mark.parametrize(
+    "members, mode, valid",
+    [([6, 10], "clique", False), ([6, 10, 14, 15], "independent", False), ([18, 20, 22, 24, 26, 28], "clique", True)],
+    ids=["G clique split across two copies", "independent set broken only in the last copy", "H clique over three copies"],
+)
+def test_stack_witness_check_across_copies(members, mode, valid):
+    stack, g = Stack("SF", 5, DEFAULT_PROFILE), build_SF(5).graph
+    assert stack.verify_witness(members, mode) == verify_witness(g, members, mode) == valid
 
 
 @pytest.mark.parametrize("members", [[0, 0], [-1], [30], [True]], ids=["repeated", "negative", "n", "bool"])
@@ -271,7 +319,7 @@ def test_profiles_that_differ_only_in_base_case_share_every_stage_after_the_thir
     for profile in all_profiles():
         ours = Stack("SF", 6, profile)
         other = Stack("SF", 6, profile.replace(base_case="general" if profile.base_case == "explicit_path" else "explicit_path"))
-        assert (ours.stages[0].side, ours.stages[0].paired) != (other.stages[0].side, other.stages[0].paired)
+        assert (ours.stages[0].block, ours.stages[0].paired) != (other.stages[0].block, other.stages[0].paired)
         assert all(a is b for a, b in zip(ours.stages[1:], other.stages[1:]))
         assert Stack("F", 4, profile).stages[0] is other.stages[1]
 
@@ -285,13 +333,13 @@ def flipped(g, u, v):
 
 
 def test_flipped_edge_within_a_side_is_solved(seed_stage):
-    # A side's own edges are whatever the build holds; the H side and the
-    # edges between the sides follow from them.  The dense SF(6) sees the
-    # same doctored G side of F(4).
+    # A block's own edges are whatever the build holds; its copies, the H
+    # side and the edges between the sides follow from them.  The dense
+    # SF(6) sees the same doctored block of F(4) in each of its copies.
     edge = build_F(4).graph.has_edge(0, 1)
-    seed_stage(4, lambda side, labels: (flipped(side, 0, 1), labels))
-    assert solve_module.stage(4, DEFAULT_PROFILE).side.has_edge(0, 1) != edge
-    assert build_F(4).graph.has_edge(0, 1) != edge
+    seed_stage(4, lambda block, labels: (flipped(block, 0, 1), labels))
+    assert solve_module.stage(4, DEFAULT_PROFILE).block.has_edge(0, 1) != edge
+    assert build_F(4).graph.has_edge(0, 1) != edge and build_F(4).graph.has_edge(8, 9) != edge
     assert_route_matches_monolithic(6)
 
 
@@ -335,7 +383,7 @@ def test_unloadable_targets_refused_unbuilt(argv, tmp_path, monkeypatch, capsys)
     monkeypatch.setattr(cli_module, "build_SF", no_build)
     monkeypatch.setattr(construct_module, "build_F", no_build)
     monkeypatch.setattr(construct_module, "build_SF", no_build)
-    monkeypatch.setattr(solve_module, "build_side", no_build)
+    monkeypatch.setattr(solve_module, "build_block", no_build)
     out_dir = tmp_path / "out"
     assert main([arg.replace("DIR", str(out_dir)) for arg in argv]) == 2
     assert "above the limit of 20000" in capsys.readouterr().err
