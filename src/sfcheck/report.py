@@ -20,14 +20,7 @@ from typing import Iterator
 from sfcheck import __version__
 from sfcheck.construct import DEFAULT_PROFILE, InterpretationProfile, target_vertex_count
 from sfcheck.solve import Stack
-from sfcheck.verify import (
-    TheoremCheck,
-    bound_report_from_counts,
-    check_theorem_1_1,
-    check_theorem_1_2,
-    claim_target,
-    claim_verdict,
-)
+from sfcheck.verify import TheoremCheck, bound_report_from_counts, check_theorem_1_1, check_theorem_1_2, claim_target
 
 SCHEMA_VERSION = "1"
 
@@ -43,10 +36,13 @@ def _now() -> str:
 
 # verify_report refuses, unbuilt, a target with a stage of more vertices
 # than this: F(100) has 19800 and F(101) 20200, so SF(100) is the largest
-# stack.  A stage keeps one r-vertex block, so the cap bounds no rows: it
-# bounds the stages a report can name and the witnesses a check on them
-# assembles (SF(100)'s alpha witness has 7495 vertices).  A dense build,
-# for export, is limited in its total: SF(31) has 19830.
+# stack.  A stage keeps one r-vertex block, and a check keeps each witness
+# as one mask per part and lists only the one a report stores, so the cap
+# bounds neither rows nor an assembled alpha witness: it bounds the stages
+# a report can name, and so the loader's re-run of its check, and the
+# witness a report can store (SF(100)'s clique has 9900 vertices under
+# prod="tensor").  A dense build, for export, is limited in its total:
+# SF(31) has 19830.
 MAX_REBUILD_VERTICES = 20_000
 
 
@@ -189,13 +185,15 @@ def verify_report(report) -> list[str]:
 
     Checks the shape of every field it reads, rebuilds the stages of the
     report's stated target (refusing, unbuilt, one with a stage above
-    ``MAX_REBUILD_VERTICES``), and re-verifies the witness pairwise on
-    them, as one label for T1.1, and against its computed size.  Then
-    re-assembles the report with ``make_report`` from the stages and the
-    report's own r, computed sizes, witness and solver_stats, and names
-    each field where the two differ.  Copied, not compared:
-    ``generated_by``, and the node counts, which need a re-solve.
-    Returns a list of problems, empty when the report stands; never raises.
+    ``MAX_REBUILD_VERTICES``), and re-verifies the witness on them
+    (``Stack.verify_witness``), as one label for T1.1, and against its
+    computed size.  Then
+    re-runs the claim's check at the report's own r on the stages, so
+    computed sizes, verdict and node counts come from the re-run,
+    re-assembles the report with ``make_report`` from it and the report's
+    witness, and names each field where the two differ.  Copied, not
+    compared: ``generated_by``.  Returns a list of problems, empty when
+    the report stands; never raises.
     """
     if not isinstance(report, dict):
         return [f"report: expected an object, got {type(report).__name__}"]
@@ -232,13 +230,11 @@ def verify_report(report) -> list[str]:
         if len(witness) != check["computed"][field]:
             problems.append("check 0: witness size differs from computed value")
 
-    computed = {key: check["computed"][key] for key in _COMPUTED_FIELDS[theorem_id]}
-    claimed, status, rule_mode = claim_verdict(theorem_id, r, computed)
-    tc = TheoremCheck(theorem_id, r, profile, claimed, computed, status, witness, rule_mode, check["solver_stats"])
     try:
-        expected = make_report(stack, tc, None, None)
+        tc = (check_theorem_1_1 if theorem_id == "T1_1" else check_theorem_1_2)(r, profile, stack)
     except ValueError as exc:
         return problems + [f"check 0: {exc}"]
+    expected = make_report(stack, tc._replace(witness=witness), None, None)
     expected["generated_by"] = report.get("generated_by")
     diffs = _differences(strip_volatile(expected), strip_volatile(report))
     return problems + [f"{path} differs from the re-assembled report" for path in diffs]

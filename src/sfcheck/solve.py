@@ -81,42 +81,42 @@ part, from ``construct.build_block``: the base path (k = 1 copy), or one
 copy of the G side, ``product(empty(1), G_z, prod)``.  The G side is
 k = r-1 disjoint copies of it, since a product joins two copies only
 through an edge of ``empty(r - 1)``.  The memo keeps the block's rows,
-labels and two label classes as masks, k, the stage's n, m and label
-counts, and, once a check reads them, the part's six optima from one
-split of the block by the copy rule: a clique lies in one copy, so its
-optimum is the block's, in copy 0; an independent set is one in each
-copy, so its optimum is the block's in every copy, k times the size.
-Node counts are the block's.  The H side that follows a G side of h
-vertices is read by duality: H is G's complement with labels flipped, so
-a clique of H is an independent set of G at the same offsets.  Hence
+labels and two label classes as masks, k and the repunit R_k (bit c*b
+for each copy c of a b-vertex block), the stage's n, m and label counts,
+and, once a check reads them, per mode its node sum and each part's
+optima as sizes and part-local bit masks, from one split of the block by
+the copy rule: a clique lies in one copy, so its optimum is the block's
+mask, in copy 0; an independent set is one in each copy, so its optimum
+is the block's mask times R_k, k times the size.  Node counts are the
+block's.  The H side that follows a G side of h vertices is read by
+duality: H is G's complement with labels flipped, so a clique of H is an
+independent set of G at the same offsets.  Hence
 
     omega(H) = alpha(G),  omega_1(H) = alpha_2(G),  omega_2(H) = alpha_1(G),
 
-witnesses and node counts included, and the same with omega and alpha
-exchanged: H's optima are G's result objects themselves, shared, not
-copied.  Every witness of a stage's optima is numbered within its part,
-and only the winning one is offset, by its part's first vertex in the
-Stack.  ``_holds`` checks an H witness on G's rows with the flip
-inverted.  G and H hold h(h-1)/2 edges together, and a vertex of G is
-joined to the H vertices of the other parity, the flips of G's vertices
-of its own label; with c1 and c2 G's label counts, m(F(r)) = h(h-1)/2 +
-c1^2 + c2^2, and the base path's m is its block's.  A Stack reads its n,
-m and label counts from the stages' in closed form.  It checks a
-witness by reading part vertex v as block vertex v % r of copy v // r:
-a clique of G must lie in one copy and an independent set of G must be
-one in each copy it meets, each checked on the block's rows, and by two
-ANDs with the block's class masks, the parity rule.
+masks and node counts included, and the same with omega and alpha
+exchanged: H's optima are G's masks themselves, shared, not copied.
+``stage_solve`` picks the winner from the sizes and keeps its witness
+as {part index: mask}; ``Stack.holds`` checks it part by part, and only
+a caller that stores a witness lists its vertices (``Stack.members``).
+``_holds`` checks an H witness on G's rows with the flip inverted.  G
+and H hold h(h-1)/2 edges together, and a vertex of G is joined to the H
+vertices of the other parity, the flips of G's vertices of its own
+label; with c1 and c2 G's label counts, m(F(r)) = h(h-1)/2 + c1^2 +
+c2^2, and the base path's m is its block's.  A Stack reads its n, m and
+label counts from the stages' in closed form.
 ``_solve_prime`` is keyed on each prime piece, so the base path and its
 complement are searched once.
 """
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left, bisect_right
 from functools import cached_property, lru_cache, reduce
 from itertools import accumulate
 from operator import or_
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from sfcheck.construct import (
     DEFAULT_PROFILE,
@@ -338,12 +338,10 @@ def _solve_prime(g: Graph) -> CliqueResult:
     return max_clique(g)
 
 
-def _members(mask: int) -> Iterator[int]:
-    """The vertices of ``mask``, ascending."""
-    while mask:
-        bit = mask & -mask
-        yield bit.bit_length() - 1
-        mask ^= bit
+def _members(mask: int) -> list[int]:
+    """The vertices of ``mask``, ascending: where its binary digits, lowest
+    first, hold a 1, found at C speed in place of one big-int step each."""
+    return [found.start() for found in re.finditer("1", bin(mask)[:1:-1])]
 
 
 def _components(rows: tuple[int, ...], mask: int, flip: int) -> list[int]:
@@ -426,36 +424,59 @@ def _split_clique(g: Graph, mask: int, queries: list[tuple[int, int]]) -> list[C
     return results
 
 
+class StackResult(NamedTuple):
+    """An optimum of a Stack: its size, its witness as one bit mask per
+    part index over that part's own vertices (``Stack.members`` lists it),
+    and the node count it rests on."""
+
+    size: int
+    masks: dict[int, int]
+    nodes_explored: int
+
+
 class Stage:
     """One stage as the stage memo keeps it: one block of its first part
     (the base path, or one copy of the G side) as ``block`` and
     ``labels``, the block's label-1 and label-2 vertices as two masks
-    (``classes``), the part's copy count ``k``, whether an H side follows
-    it (``paired``), the stage's n, m and label counts (label 1 is odd,
+    (``classes``), the part's copy count ``k`` and the repunit with bit
+    c*b for each copy c of a b-vertex block, whether an H side follows it
+    (``paired``), each part as (first vertex in the stage, inverse, odd,
+    even) for ``Stack``, the stage's n, m and label counts (label 1 is odd,
     label 2 even), and, once first asked for, its part optima."""
 
     def __init__(self, block: Graph, labels: tuple[int, ...], k: int, paired: bool) -> None:
         self.block, self.labels, self.k, self.paired = block, labels, k, paired
-        self.classes = label_masks(labels)
-        h, c1 = k * block.n, k * self.classes[0].bit_count()
+        self.classes = odd, even = label_masks(labels)
+        h, c1 = k * block.n, k * odd.bit_count()
+        self.repunit = ((1 << h) - 1) // ((1 << block.n) - 1)
+        # Inverse is -1 for an H side, read on its G side's block with the flip inverted, else 0;
+        # odd and even mask the block's label-1 and label-2 vertices, G's two classes swapped for H.
+        self.parts = ((0, 0, odd, even), (h, -1, even, odd))[: 1 + paired]
         if paired:  # the module docstring counts m
             self.n, self.m, self.label_counts = 2 * h, h * (h - 1) // 2 + c1**2 + (h - c1) ** 2, {1: h, 2: h}
         else:
             self.n, self.m, self.label_counts = h, k * block.m, {1: c1, 2: h - c1}
 
     @cached_property
-    def optima(self) -> dict[str, list[tuple[CliqueResult, ...]]]:
-        """Per mode, each part's whole, label-1 and label-2 optima, their
-        witnesses numbered within the part: the first part's from one split
-        of its block by the copy rule, and an H side's the same results of
-        the other mode, by the duality of the module docstring."""
-        b, full = self.block.n, (1 << self.block.n) - 1
+    def optima(self) -> dict[str, tuple[int, int, tuple, tuple]]:
+        """Per mode, (node sum, its label-1 and label-2 share, sizes,
+        masks): per part, the sizes and witness masks of its whole,
+        label-1 and label-2 optima.  The first part's come from one split
+        of its block by the copy rule, and an H side's are the same of the
+        other mode, by the duality of the module docstring."""
+        full = (1 << self.block.n) - 1
         solves = _split_clique(self.block, full, [(within, flip) for flip in (0, -1) for within in (full, *self.classes)])
-        solves[3:] = [res._replace(size=self.k * res.size, witness=tuple(v + c * b for c in range(self.k) for v in res.witness)) for res in solves[3:]]
-        optima = {"clique": [tuple(solves[:3])], "independent": [tuple(solves[3:])]}
-        if self.paired:
-            for mode, (whole, one, two) in (("clique", solves[3:]), ("independent", solves[:3])):
-                optima[mode].append((whole, two, one))
+        sizes, masks, nodes = zip(*((res.size, sum(1 << v for v in res.witness), res.nodes_explored) for res in solves))
+        sizes, masks = sizes[:3] + tuple(self.k * size for size in sizes[3:]), masks[:3] + tuple(self.repunit * mask for mask in masks[3:])
+        optima = {}
+        for mode, g, h in (("clique", 0, 3), ("independent", 3, 0)):
+            # Per part, where its whole, label-1 and label-2 optima are in solves: G's own, and
+            # H's, G's of the other mode with the labels swapped.
+            parts = [(g, g + 1, g + 2), (h, h + 2, h + 1)][: 1 + self.paired]
+            optima[mode] = (
+                sum(nodes[i] for part in parts for i in part), sum(nodes[i] for part in parts for i in part[1:]),
+                tuple(tuple(sizes[i] for i in part) for part in parts), tuple(tuple(masks[i] for i in part) for part in parts),
+            )
         return optima
 
 
@@ -466,6 +487,15 @@ def stage(r: int, profile: InterpretationProfile) -> Stage:
     return Stage(product(empty(1), block, profile.prod), labels, r - 1, True) if paired else Stage(block, labels, 1, False)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def _stage_profiles(profile: InterpretationProfile) -> tuple[InterpretationProfile, InterpretationProfile]:
+    """The profiles under which ``profile``'s stage 3 and its later stages
+    are memoized: stages after the third read only sum and prod, and the
+    general stage 3 ignores y_label."""
+    rest = DEFAULT_PROFILE.replace(sum=profile.sum, prod=profile.prod)
+    return profile if profile.base_case == "explicit_path" else rest.replace(base_case="general"), rest
+
+
 class Stack:
     """F(param) or SF(param) under ``profile`` (kept as ``kind``, ``param``
     and ``profile``) as its memoized stages laid out in order, F(3..t) for
@@ -473,22 +503,17 @@ class Stack:
 
     Two vertices of different parts are adjacent exactly when their label
     parities differ, so n, m, the label counts and every witness check
-    follow from the stages, and the dense graph is never built.
+    follow from the stages, and the dense graph is never built.  Each part
+    is (first vertex, stage, inverse, odd, even), as its stage lists it.
     """
 
     def __init__(self, kind: str, param: int, profile: InterpretationProfile) -> None:
         _require_param(kind, param)
         self.kind, self.param, self.profile = kind, param, profile
-        # Stages after the third read only sum and prod; the general stage 3 ignores y_label.
-        rest = DEFAULT_PROFILE.replace(sum=profile.sum, prod=profile.prod)
-        base = profile if profile.base_case == "explicit_path" else rest.replace(base_case="general")
-        rs = (param,) if kind == "F" else range(3, param + 1)
-        self.stages = [stage(r, base if r == 3 else rest) for r in rs]
+        base, rest = _stage_profiles(profile)
+        self.stages = [stage(r, base if r == 3 else rest) for r in ((param,) if kind == "F" else range(3, param + 1))]
         *self.starts, self.n = accumulate((s.n for s in self.stages), initial=0)
-        # Each part as (first vertex, stage, inverse, odd, even): inverse is -1 for an H side, read
-        # on its G side's block with the flip inverted, else 0; odd and even mask the block's
-        # label-1 and label-2 vertices, G's two classes swapped for an H side.
-        self.parts = [(start - s.n // 2 * inverse, s, inverse, *s.classes[:: 1 + 2 * inverse]) for start, s in zip(self.starts, self.stages) for inverse in (0, -1)[: 1 + s.paired]]
+        self.parts = [(start + offset, s, *part) for start, s in zip(self.starts, self.stages) for offset, *part in s.parts]
         self.part_starts = [part[0] for part in self.parts]
         ones, twos = (sum(s.label_counts[label] for s in self.stages) for label in LABELS)
         self.label_counts = {1: ones, 2: twos}
@@ -503,83 +528,106 @@ class Stack:
         start, s, _, odd, _ = self.parts[bisect_right(self.part_starts, v) - 1]
         return 1 if odd >> (v - start) % s.block.n & 1 else 2
 
+    def members(self, masks: dict[int, int]) -> tuple[int, ...]:
+        """The vertices of ``masks``, a bit mask per part index over the
+        part's own vertices, numbered in the stack, ascending."""
+        return tuple(self.part_starts[i] + v for i in sorted(masks) for v in _members(masks[i]))
+
     def verify_witness(self, members, mode: str) -> bool:
-        """``verify_witness`` on the stack: pairs within a part against its
-        block's rows, copy by copy, pairs across parts by the
-        opposite-parity rule, so a clique meets at most two parts, one
-        parity in each and opposite, and an independent set that meets two
-        or more lies in one parity."""
+        """``verify_witness`` on the stack: ``members`` validated, cut at
+        the part starts into one mask per part met, and checked by
+        ``holds``."""
         flip = _flip(mode)
         vs = as_vertex_set(self, members)
-        # The sorted witness cut at the part starts: part i holds vs[cuts[i]:cuts[i + 1]].
         cuts = [bisect_left(vs, start) for start in self.part_starts] + [len(vs)]
-        # Per part met, the parities it meets: 1 for odd, 2 for even, 3 for both.
+        parts = enumerate(zip(self.part_starts, cuts, cuts[1:]))
+        return self.holds({i: sum(1 << v - start for v in vs[lo:hi]) for i, (start, lo, hi) in parts if lo < hi}, flip)
+
+    def holds(self, masks: dict[int, int], flip: int) -> bool:
+        """Whether ``masks``, a bit mask per part index over the part's own
+        vertices, is a clique (flip 0) or an independent set (flip -1) of
+        the stack.  Bit v of a part is block vertex v % b of copy v // b,
+        and no edge of G joins two copies: a clique of G meets exactly one
+        copy, and an independent set of G is one in each copy it meets,
+        on the block's rows (an H side's with the flip inverted).  Across
+        parts, the parity rule: a clique meets at most two parts, one
+        parity in each and opposite, and an independent set that meets
+        two or more lies in one parity."""
         parities = []
-        for (start, s, inverse, odd, even), lo, hi in zip(self.parts, cuts, cuts[1:]):
-            if lo == hi:
+        for i, mask in masks.items():
+            if not mask:
                 continue
-            # Per copy met, its members as a block mask: part vertex v is block vertex v % b of copy v // b.
-            b, copies = s.block.n, {}
-            for v in vs[lo:hi]:
-                c, u = divmod(v - start, b)
-                copies[c] = copies.get(c, 0) | 1 << u
-            # No edge of G joins two copies, and every copy is the block: a clique of G lies in
-            # one copy, and an independent set of G is one in each, so each distinct projection
-            # is checked once.
-            view, chosen = flip ^ inverse, set(copies.values())
-            if not view and len(copies) > 1 or not all(_holds(s.block.rows, mask, view) for mask in chosen):
+            _, s, inverse, odd, even = self.parts[i]
+            rows, b, view = s.block.rows, s.block.n, flip ^ inverse
+            met = mask & (1 << b) - 1
+            if mask == met * s.repunit:  # the same block mask in every copy
+                copies = s.k
+                if not _holds(rows, met, view):
+                    return False
+            else:  # the copies the mask meets, one by one
+                met = copies = 0
+                while mask:
+                    shift = ((mask & -mask).bit_length() - 1) // b * b
+                    piece = mask >> shift & (1 << b) - 1
+                    if not _holds(rows, piece, view):
+                        return False
+                    met, copies, mask = met | piece, copies + 1, mask ^ piece << shift
+            if copies > 1 and not view:
                 return False
-            met = reduce(or_, chosen)
             parities.append(bool(met & odd) | bool(met & even) << 1)
         if len(parities) < 2:
             return True
-        if mode == "clique":
+        if not flip:
             return len(parities) == 2 and parities[0] ^ parities[1] == 3
         return reduce(or_, parities) != 3
 
 
-def stage_solve(stack: Stack) -> tuple[CliqueResult, CliqueResult]:
+def _checked(stack: Stack, masks: dict[int, int], mode: str, nodes: int) -> StackResult:
+    """``masks`` as a StackResult, once ``Stack.holds`` has passed it."""
+    if not stack.holds(masks, _flip(mode)):
+        raise AssertionError(f"stage route assembled an invalid {mode} witness")
+    return StackResult(sum(mask.bit_count() for mask in masks.values()), masks, nodes)
+
+
+def stage_solve(stack: Stack) -> tuple[StackResult, StackResult]:
     """Maximum clique and maximum independent set of ``stack``, composed
     from its stages' memoized part optima (the module docstring proves the
     formulas).
 
-    Sizes pick the winner, whose witness alone is assembled.  Ties go to a
-    single part, then to the first candidate in part order (pairs in
-    ``itertools.permutations`` order); the node count sums every solve the
-    answer rests on, memoized or not, so it does not depend on what ran
-    before.
+    Sizes pick the winner, whose masks alone are checked; none is listed.
+    Ties go to a single part, then to the first candidate in part order
+    (pairs in ``itertools.permutations`` order); the node count sums every
+    solve the answer rests on, memoized or not, so it does not depend on
+    what ran before.
     """
     results = []
     for mode in ("clique", "independent"):
-        # Per part, its first vertex and its whole, label-1 and label-2 optima.
-        parts = list(zip(stack.part_starts, (solves for s in stack.stages for solves in s.optima[mode])))
-        nodes = sum(res.nodes_explored for _, solves in parts for res in solves)
+        optima = [s.optima[mode] for s in stack.stages]
+        # Per part, the sizes and masks of its whole, label-1 and label-2 optima.
+        sizes, masks = ([part for o in optima for part in o[j]] for j in (2, 3))
         # Each candidate is (size, [(part, 0 whole or a label), ...]).
-        candidates = [(solves[0].size, [(i, 0)]) for i, (_, solves) in enumerate(parts)]
+        candidates = [(whole, [(i, 0)]) for i, (whole, _, _) in enumerate(sizes)]
         if mode == "independent":
-            candidates += [(sum(solves[label].size for _, solves in parts), [(i, label) for i in range(len(parts))]) for label in LABELS]
-        elif len(parts) > 1:
+            candidates += [(sum(part[label] for part in sizes), [(i, label) for i in range(len(sizes))]) for label in LABELS]
+        elif len(sizes) > 1:
             # Part i's first best partner: the first part j != i with the largest label-2 clique.
-            by_two = sorted(range(len(parts)), key=lambda j: -parts[j][1][2].size)[:2]
-            for i, (_, solves) in enumerate(parts):
+            by_two = sorted(range(len(sizes)), key=lambda j: -sizes[j][2])[:2]
+            for i, (_, one, _) in enumerate(sizes):
                 j = by_two[1] if by_two[0] == i else by_two[0]
-                candidates.append((solves[1].size + parts[j][1][2].size, [(i, 1), (j, 2)]))
+                candidates.append((one + sizes[j][2], [(i, 1), (j, 2)]))
         chosen = max(candidates, key=lambda c: c[0])[1]
-        witness = tuple(sorted(v + parts[i][0] for i, k in chosen for v in parts[i][1][k].witness))
-        if not stack.verify_witness(witness, mode):
-            raise AssertionError(f"stage route assembled an invalid {mode} witness")
-        results.append(CliqueResult(len(witness), witness, nodes))
+        results.append(_checked(stack, {i: masks[i][k] for i, k in chosen}, mode, sum(o[0] for o in optima)))
     return results[0], results[1]
 
 
-def stage_mono_clique(stack: Stack) -> CliqueResult:
+def stage_mono_clique(stack: Stack) -> StackResult:
     """Largest single-label clique of ``stack``: its parts' largest (the
     module docstring says why), label 1 and then the first part in order
     winning a tie; the node count sums both classes' solves of every part."""
-    parts = list(zip(stack.part_starts, (solves for s in stack.stages for solves in s.optima["clique"])))
-    best, start = max(((solves[label], start) for label in LABELS for start, solves in parts), key=lambda c: c[0].size)
-    nodes = sum(solves[label].nodes_explored for _, solves in parts for label in LABELS)
-    return CliqueResult(best.size, tuple(v + start for v in best.witness), nodes)
+    optima = [s.optima["clique"] for s in stack.stages]
+    sizes, masks = ([part for o in optima for part in o[j]] for j in (2, 3))
+    label, i = max(((label, i) for label in LABELS for i in range(len(sizes))), key=lambda c: sizes[c[1]][c[0]])
+    return _checked(stack, {i: masks[i][label]}, "clique", sum(o[1] for o in optima))
 
 
 def oracle_max_clique(g: Graph) -> int:

@@ -13,7 +13,7 @@ the target it is checked on, and ``claim_verdict`` its claimed value,
 status and witness mode from r and the computed sizes.  Each check takes
 the stack of memoized stages of its claim's target, which
 ``report.run_verification`` builds, and refuses any other stack;
-``report.verify_report`` re-assembles a report through the same rules.
+``report.verify_report`` re-runs the check and re-assembles the report.
 ``bound_report_from_counts`` turns T1.2's omega and alpha into the
 Ramsey implication R(t) > n of SF(t), t = r+1.  The one diagonal Ramsey
 value small enough to re-derive at desk scale, R(3) = 6, is established
@@ -56,8 +56,8 @@ def claim_target(theorem: str, r: int) -> tuple[str, int]:
 
 def claim_verdict(theorem_id: str, r: int, computed: dict) -> tuple[object, str, str]:
     """(claimed, status, witness_mode) of claim ``theorem_id`` at r, given
-    its computed sizes: the one verdict rule per claim, shared by the check
-    and by ``report.verify_report``.
+    its computed sizes: the one verdict rule per claim, applied by the
+    check, which ``report.verify_report`` re-runs.
 
     T1.2's certificate is the violating clique first, else the violating
     independent set, else the maximum clique.
@@ -109,15 +109,18 @@ def _require_target(theorem: str, r: int, profile: InterpretationProfile, stack:
 def check_theorem_1_1(r: int, profile: InterpretationProfile, stack: Stack) -> TheoremCheck:
     """Compare the largest single-label clique of ``stack``, F(r) under
     ``profile``, read from its stage's part optima (``solve.stage_mono_clique``),
-    against ceil(r/2)."""
+    against ceil(r/2).  Its witness lies in one part, so one AND with that
+    part's label-1 class, over every copy, shows that it has one label."""
     _require_target("1.1", r, profile, stack)
     res = stage_mono_clique(stack)
-    if res.witness and len({stack.label(v) for v in res.witness}) != 1:
+    ((i, mask),) = res.masks.items()
+    _, s, _, odd, _ = stack.parts[i]
+    if mask & odd * s.repunit not in (0, mask):
         raise AssertionError("single-label witness spans both labels")
     computed = {"mono_clique": res.size}
     claimed, status, mode = claim_verdict("T1_1", r, computed)
     return TheoremCheck(
-        "T1_1", r, profile, claimed, computed, status, res.witness, mode,
+        "T1_1", r, profile, claimed, computed, status, stack.members(res.masks), mode,
         {"mono_nodes": res.nodes_explored},
     )
 
@@ -127,13 +130,14 @@ def check_theorem_1_2(r: int, profile: InterpretationProfile, stack: Stack) -> T
     independent set on r+1 vertices.
 
     Its omega and alpha come from its memoized stages (``solve.stage_solve``),
-    which re-verifies both witnesses on the stack before it returns them.
+    which checks both witnesses' part masks on the stack before it returns
+    them; only the witness the report stores is listed.
     """
     _require_target("1.2", r, profile, stack)
     omega, alpha = stage_solve(stack)
     computed = {"omega": omega.size, "alpha": alpha.size}
     claimed, status, mode = claim_verdict("T1_2", r, computed)
-    witness = alpha.witness if mode == "independent" else omega.witness
+    witness = stack.members((alpha if mode == "independent" else omega).masks)
     return TheoremCheck(
         "T1_2", r, profile, claimed, computed, status, witness, mode,
         {"omega_nodes": omega.nodes_explored, "alpha_nodes": alpha.nodes_explored},

@@ -442,19 +442,31 @@ def pairwise_witness_ok(g: Graph, members, mode: str) -> bool:
     return all(g.has_edge(a, b) == want for a, b in itertools.combinations(sorted(members), 2))
 
 
-def pairwise_composition(stack, mode: str) -> tuple[int, ...]:
+def pairwise_composition(part_starts, part_optima, mode: str) -> tuple[int, ...]:
     """The witness ``solve.stage_solve`` composes for ``mode``, by building
-    every candidate whole, as it once did: each part's optimum, then every
-    ordered pair of parts' label-1 and label-2 cliques in
+    every candidate whole, as it once did, from each part's whole, label-1
+    and label-2 optima (``CliqueResult`` triples numbered within the part,
+    whose first vertex is in ``part_starts``): each part's optimum, then
+    every ordered pair of parts' label-1 and label-2 cliques in
     ``itertools.permutations`` order, or each label's independent sets
     over all parts; the first longest wins."""
-    optima = [
-        [tuple(v + start for v in res.witness) for res in solves]
-        for start, solves in zip(stack.part_starts, [solves for stage in stack.stages for solves in stage.optima[mode]])
-    ]
+    optima = [[tuple(v + start for v in res.witness) for res in solves] for start, solves in zip(part_starts, part_optima)]
     candidates = [whole for whole, _, _ in optima]
     if mode == "clique":
         candidates += [a[1] + b[2] for a, b in itertools.permutations(optima, 2)]
     else:
         candidates += [sum((part[label] for part in optima), ()) for label in (1, 2)]
     return tuple(sorted(max(candidates, key=len)))
+
+
+def flat_optima(part_optima) -> tuple[int, int, tuple, tuple]:
+    """Per-part ``CliqueResult`` triples, each part's whole, label-1 and
+    label-2 optima numbered within the part, in the form of one mode of
+    ``solve.Stage.optima``: (node sum, its label-1 and label-2 share,
+    sizes, masks)."""
+    return (
+        sum(res.nodes_explored for solves in part_optima for res in solves),
+        sum(res.nodes_explored for solves in part_optima for res in solves[1:]),
+        tuple(tuple(res.size for res in solves) for solves in part_optima),
+        tuple(tuple(sum(1 << v for v in res.witness) for res in solves) for solves in part_optima),
+    )

@@ -86,10 +86,23 @@ def test_malformed_report_is_a_problem_not_a_crash(case, tmp_path):
     assert_rejected(edited(base_report("1.1"), path, value), tmp_path)
 
 
-# Well-formed edits that change what a report says: (theorem, r, edits).
-# Every witness stays valid, so only re-assembling the report from its own
-# r, computed sizes and witness shows them.
+# Well-formed edits that change what a report says: (theorem, r, edits),
+# where a callable edit maps the value it replaces.  Every witness stays
+# valid, so only re-assembling the report from its own r and witness and
+# a re-run of its check shows them.
 CHECK = ("checks", 0)
+
+
+def forged(**computed):
+    """Edits that set each computed value and cut the witness to the size of the first."""
+    size = next(iter(computed.values()))
+    return [*((CHECK + ("computed", key), value) for key, value in computed.items()), (CHECK + ("witness",), lambda w: w[:size])]
+
+
+def implies(bound):
+    """Edits that turn a T1.2 report into a CONFIRMED one that implies ``bound``."""
+    return [(CHECK + ("status",), "CONFIRMED"), (("bound", "witness_ok"), True), (("bound", "implied"), bound)]
+
 TAMPERED = {
     "T1.1 r=4 claims 3, CONFIRMED": ("1.1", 4, [(CHECK + ("claimed",), 3), (CHECK + ("status",), "CONFIRMED")]),
     "T1.1 r set to 99": ("1.1", 3, [(CHECK + ("r",), 99)]),
@@ -108,6 +121,15 @@ TAMPERED = {
     "graph_stats.n is a float": ("1.2", 3, [(("graph_stats", "n"), 30.0)]),
     "solver_stats.nodes_explored is false": ("1.1", 3, [(("solver_stats", "nodes_explored"), False)]),
     "deterministic is 1": ("1.1", 3, [(("deterministic",), 1)]),
+    # Forged numbers with a witness cut to fit them, or with no witness behind them: only a
+    # re-run of the check shows them.
+    "T1.1 r=4 REFUTED forged to CONFIRMED": ("1.1", 4, [*forged(mono_clique=2), (CHECK + ("status",), "CONFIRMED")]),
+    "T1.1 r=10 REFUTED forged to CONFIRMED": ("1.1", 10, [*forged(mono_clique=5), (CHECK + ("status",), "CONFIRMED")]),
+    "T1.1 r=3 CONFIRMED forged to REFUTED": ("1.1", 3, [*forged(mono_clique=1), (CHECK + ("status",), "REFUTED")]),
+    "T1.2 r=3 REFUTED forged to CONFIRMED, R(4) > 30": ("1.2", 3, [*forged(omega=3, alpha=3), *implies("R(4) > 30")]),
+    "T1.2 r=20 REFUTED forged to CONFIRMED, R(21) > 6150": ("1.2", 20, [*forged(omega=20, alpha=20), *implies("R(21) > 6150")]),
+    "T1.2 r=3 alpha lowered from 7 to 3": ("1.2", 3, [(CHECK + ("computed", "alpha"), 3)]),
+    "T1.2 r=3 node counts forged": ("1.2", 3, [(CHECK + ("solver_stats", "alpha_nodes"), 0), (("solver_stats", "nodes_explored"), 0)]),
 }
 
 
@@ -116,7 +138,7 @@ def test_tampered_report_is_rejected(case, tmp_path):
     theorem, r, edits = TAMPERED[case]
     report = base_report(theorem, r)
     for path, value in edits:
-        report = edited(report, path, value)
+        report = edited(report, path, value(report_path_value(report, path)) if callable(value) else value)
     assert_rejected(report, tmp_path)
 
 

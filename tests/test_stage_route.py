@@ -34,17 +34,19 @@ from sfcheck.solve import (
     stage_solve,
     verify_witness,
 )
-from sfcheck.verify import check_theorem_1_1
+from sfcheck.verify import check_theorem_1_1, check_theorem_1_2
 
-from oracles import all_profiles, class_masks, label_counts, max_mono_clique, pairwise_composition, stage_cuts
+from oracles import all_profiles, class_masks, flat_optima, label_counts, max_mono_clique, pairwise_composition, stage_cuts
 
 
 def assert_route_matches_monolithic(t, profile=DEFAULT_PROFILE):
-    omega, alpha = stage_solve(Stack("SF", t, profile))
+    stack = Stack("SF", t, profile)
+    omega, alpha = stage_solve(stack)
     g = build_SF(t, profile).graph
     assert (omega.size, alpha.size) == (max_clique(g).size, max_independent_set(g).size)
-    assert verify_witness(g, omega.witness, "clique") and verify_witness(g, alpha.witness, "independent")
-    assert len(omega.witness) == omega.size and len(alpha.witness) == alpha.size
+    clique, independent = stack.members(omega.masks), stack.members(alpha.masks)
+    assert verify_witness(g, clique, "clique") and verify_witness(g, independent, "independent")
+    assert len(clique) == omega.size and len(independent) == alpha.size
 
 
 @pytest.mark.parametrize("profile", all_profiles(), ids=str)
@@ -78,33 +80,31 @@ def test_stack_label_out_of_range(kind, param, v):
 def test_stages_match_the_dense_build(profile):
     """Each part-native stage, its H side read by duality, against the
     dense F(r): n, m, label counts, every vertex's label, and each part's
-    six optima, witnesses and node counts included, as one split of that
-    part of the dense graph gives them.  A stage numbers each witness
-    within its part, so each part's first vertex is added first."""
+    six optima, sizes and witness masks numbered within the part, with
+    their node sums, as one split of that part of the dense graph gives
+    them."""
     for r in range(3, 17):
         stack, lg = Stack("F", r, profile), build_F(r, profile)
         assert (stack.n, stack.m, stack.label_counts) == (lg.graph.n, lg.graph.m, label_counts(lg)), r
         assert [stack.label(v) for v in range(stack.n)] == list(lg.labels), r
-        optima = {
-            mode: [tuple(res._replace(witness=tuple(v + start for v in res.witness)) for res in solves) for start, solves in zip(stack.part_starts, parts)]
-            for mode, parts in stack.stages[0].optima.items()
-        }
-        assert optima == dense_part_optima(lg), r
+        assert stack.stages[0].optima == {mode: flat_optima(parts) for mode, parts in dense_part_optima(lg).items()}, r
 
 
 def test_an_h_side_shares_its_g_sides_results():
-    """An H side's optima are its G side's result objects, not copies: its
-    whole, label-1 and label-2 optima are G's whole, label-2 and label-1
-    optima of the other mode."""
+    """An H side's optima are its G side's masks, not copies: its whole,
+    label-1 and label-2 optima are G's whole, label-2 and label-1 optima of
+    the other mode."""
     for profile in all_profiles():
         for r in range(3, 9):
             s = solve_module.stage(r, profile)
             if not s.paired:
-                assert [len(parts) for parts in s.optima.values()] == [1, 1]
+                assert [len(masks) for *_, masks in s.optima.values()] == [1, 1]
                 continue
             for mode, other in (("clique", "independent"), ("independent", "clique")):
-                (whole, one, two), h = s.optima[other][0], s.optima[mode][1]
-                assert len(h) == 3 and all(a is b for a, b in zip(h, (whole, two, one))), (r, mode)
+                # Sizes, then masks: G's of the other mode, part 0, and H's, part 1.
+                for g, h in zip(s.optima[other][2:], s.optima[mode][2:]):
+                    (whole, one, two), ours = g[0], h[1]
+                    assert len(ours) == 3 and all(a is b for a, b in zip(ours, (whole, two, one))), (r, mode)
 
 
 def test_a_stage_keeps_one_block_of_rows():
@@ -138,12 +138,14 @@ def test_block_copies_match_the_dense_side():
 @pytest.mark.parametrize("profile", all_profiles(), ids=str)
 def test_copy_rule_optima_match_a_split_of_the_dense_side(profile):
     """The six optima that the copy rule reads from a block, sizes,
-    witnesses and node counts, are those of one split of the whole side."""
+    witness masks and node sums, are those of one split of the whole side,
+    and H's are G's by duality."""
     for r in range(4, 21):
         s, (side, labels, _) = solve_module.stage(r, profile), build_side(r, profile)
         full = (1 << side.n) - 1
         dense = _split_clique(side, full, [(within, flip) for flip in (0, -1) for within in (full, *class_masks(labels))])
-        assert [*s.optima["clique"][0], *s.optima["independent"][0]] == dense, r
+        for mode, (g, h) in (("clique", (dense[:3], dense[3:])), ("independent", (dense[3:], dense[:3]))):
+            assert s.optima[mode] == flat_optima([g, (h[0], h[2], h[1])]), (r, mode)
 
 
 @st.composite
@@ -164,7 +166,7 @@ def stack_witnesses(draw):
     ranges += [(start, start + s.n) for start, s in zip(stack.starts, stack.stages)]
     source = draw(st.sampled_from(["optimum", "ranges", "copies"]))
     if source == "optimum":
-        members = set(stage_solve(stack)[mode == "independent"].witness)
+        members = set(stack.members(stage_solve(stack)[mode == "independent"].masks))
     else:
         if source == "ranges":
             picked = draw(st.lists(st.sampled_from(ranges), min_size=1, max_size=3))
@@ -214,6 +216,35 @@ def test_stack_witness_check_across_copies(members, mode, valid):
     assert stack.verify_witness(members, mode) == verify_witness(g, members, mode) == valid
 
 
+def copy_cases(stack):
+    """Stage 4 of ``stack``, SF(5): its G side is three copies of a
+    four-vertex block.  Per case, (members, mode, valid) from the
+    stage's own block optima, part-local masks put in the stack's
+    numbering; valid is None where the members must raise ValueError."""
+    g = next(i for i, (_, s, inverse, *_) in enumerate(stack.parts) if s is stack.stages[1] and not inverse)
+    start, s, b = stack.parts[g][0], stack.stages[1], stack.stages[1].block.n
+    clique, indep = s.optima["clique"][3][0][0], s.optima["independent"][3][0][0]  # G's whole optima
+    low = indep & (1 << b) - 1
+    return {
+        "one block clique in two copies": (stack.members({g: clique | clique << b}), "clique", False),
+        "copy 0 empty, the block's independent set in the others": (stack.members({g: indep ^ low}), "independent", True),
+        "repeated independent set missing one copy": (stack.members({g: indep ^ low << b}), "independent", True),
+        "repeated clique missing one copy": (stack.members({g: clique | clique << 2 * b}), "clique", False),
+        "H clique over every copy": (stack.members({g + 1: indep}), "clique", True),
+        "duplicate member": ([start, start], "clique", None),
+        "member out of range": ([start, stack.n], "independent", None),
+    }
+
+
+@pytest.mark.parametrize("profile", all_profiles(), ids=str)
+def test_mask_check_matches_the_dense_one(profile):
+    stack, g = Stack("SF", 5, profile), build_SF(5, profile).graph
+    for case, (members, mode, valid) in copy_cases(stack).items():
+        ours = outcome(stack.verify_witness, members, mode)
+        assert ours == outcome(lambda m, mode_: verify_witness(g, m, mode_), members, mode), case
+        assert ours == valid if valid is not None else isinstance(ours, str), case
+
+
 @pytest.mark.parametrize("members", [[0, 0], [-1], [30], [True]], ids=["repeated", "negative", "n", "bool"])
 def test_stack_witness_check_refuses_what_the_dense_one_does(members):
     stack, g = Stack("SF", 4, DEFAULT_PROFILE), build_SF(4).graph
@@ -226,13 +257,14 @@ def test_stack_witness_check_refuses_what_the_dense_one_does(members):
 
 def dense_part_optima(lg):
     """Per mode, each part's whole, label-1 and label-2 optima, numbered
-    within F(r), from one split of that part of the dense build."""
+    within the part, from one split of that part of the dense build."""
     g, classes = lg.graph, class_masks(lg.labels)
     bounds = [0, *stage_cuts(lg), g.n]
     optima = {"clique": [], "independent": []}
     for lo, hi in zip(bounds, bounds[1:]):
         part = (1 << hi) - (1 << lo)
         solves = _split_clique(g, part, [(part & within, flip) for flip in (0, -1) for within in (part, *classes)])
+        solves = [res._replace(witness=tuple(v - lo for v in res.witness)) for res in solves]
         optima["clique"].append(tuple(solves[:3]))
         optima["independent"].append(tuple(solves[3:]))
     return optima
@@ -300,19 +332,43 @@ def test_stage_solve_picks_the_pairwise_composition_winner(stages):
     """On stand-in stages whose part optima tie often, sizes alone pick the
     witness that building every candidate picks.  Each optimum gets its own
     vertices, so the witness names the candidate that won."""
-    stack = SimpleNamespace(part_starts=[], stages=[], verify_witness=lambda members, mode: True)
+    stack = SimpleNamespace(part_starts=[], stages=[], holds=lambda masks, flip: True)
+    optima = {"clique": [], "independent": []}  # per part of every stage
     for parts in stages:
-        optima = {"clique": [], "independent": []}
+        first = len(stack.part_starts)
         for sizes in parts:
             # Optimum k of a part holds its vertices 4k.. of 24, numbered within the part.
             results = [CliqueResult(size, tuple(range(4 * k, 4 * k + size)), 0) for k, size in enumerate(sizes)]
             optima["clique"].append(tuple(results[:3]))
             optima["independent"].append(tuple(results[3:]))
             stack.part_starts.append(24 * len(stack.part_starts))
-        stack.stages.append(SimpleNamespace(optima=optima))
-    omega, alpha = stage_solve(stack)
-    assert omega.witness == pairwise_composition(stack, "clique")
-    assert alpha.witness == pairwise_composition(stack, "independent")
+        stack.stages.append(SimpleNamespace(optima={mode: flat_optima(optima[mode][first:]) for mode in optima}))
+    for mode, res in zip(optima, stage_solve(stack)):
+        witness = Stack.members(stack, res.masks)
+        assert witness == pairwise_composition(stack.part_starts, optima[mode], mode) and res.size == len(witness)
+
+
+def test_check_lists_only_the_witness_it_stores(monkeypatch):
+    """``check_theorem_1_2`` lists one witness, the one its report stores,
+    so a stack refuted by a clique never has its alpha witness listed.
+    Under every profile at t <= 20, that witness is the one that building
+    every candidate whole from the parts of the dense F(3..t) gives."""
+    listed, members = [], Stack.members
+    monkeypatch.setattr(Stack, "members", lambda self, masks: listed.append(masks) or members(self, masks))
+    refuted_by_clique = 0
+    for profile in all_profiles():
+        optima = {"clique": [], "independent": []}  # per part of SF(t), numbered within the part
+        for t in range(3, 21):
+            for mode, parts in dense_part_optima(build_F(t, profile)).items():
+                optima[mode] += parts
+            stack = Stack("SF", t, profile)
+            listed.clear()
+            tc = check_theorem_1_2(t - 1, profile, stack)
+            omega, alpha = stage_solve(stack)
+            assert listed == [(alpha if tc.witness_mode == "independent" else omega).masks], (profile, t)
+            assert tc.witness == pairwise_composition(stack.part_starts, optima[tc.witness_mode], tc.witness_mode), (profile, t)
+            refuted_by_clique += tc.status == "REFUTED" and tc.witness_mode == "clique"
+    assert refuted_by_clique
 
 
 def test_profiles_that_differ_only_in_base_case_share_every_stage_after_the_third():
