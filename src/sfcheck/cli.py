@@ -20,7 +20,7 @@ from sfcheck.construct import DEFAULT_PROFILE, InterpretationProfile, build_F, b
 from sfcheck.formats import encode_dimacs, encode_graph6
 from sfcheck.graphs import complement, random_graph
 from sfcheck.report import require_rebuildable, run_verification, write_report
-from sfcheck.solve import max_clique, max_independent_set, oracle_max_clique, stage
+from sfcheck.solve import ORACLE_MAX_N, max_clique, max_independent_set, oracle_max_clique, stage
 from sfcheck.verify import CLAIMS
 
 _SUM_FLAGS = {"union": "disjoint_union", "join": "join"}
@@ -121,8 +121,8 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
     if args.max_n < 1:
         print("error: --max-n must be >= 1", file=sys.stderr)
         return 2
-    if args.max_n > 24:
-        print("error: --max-n above the oracle cap of 24", file=sys.stderr)
+    if args.max_n > ORACLE_MAX_N:
+        print(f"error: --max-n above the oracle cap of {ORACLE_MAX_N}", file=sys.stderr)
         return 2
     rng = random.Random(args.seed)
     densities = (0.2, 0.5, 0.8)

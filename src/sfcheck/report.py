@@ -3,10 +3,12 @@
 Reports are plain dicts with a mandatory schema_version.  Serialization is
 canonical (sorted keys, fixed separators), so two runs over the same target
 and profile produce byte-identical files except for the timestamps block.
-Loading re-verifies the witness against the target's stages, rebuilt
-through the stage memo, then re-assembles the report through
-``make_report`` and names each field that differs.  Neither route builds
-the dense graph; only ``sfcheck build``, for graph6 and DIMACS export, does.
+A report loads only if its job re-runs to it: the loader re-runs the
+check on the target's stages, rebuilt through the stage memo,
+re-assembles the report through ``make_report``, witness included, and
+names each field that differs, apart from ``timestamps`` and
+``generated_by``.  Neither route builds the dense graph; only ``sfcheck
+build``, for graph6 and DIMACS export, does.
 """
 
 from __future__ import annotations
@@ -115,11 +117,11 @@ def strip_volatile(report: dict) -> dict:
     return {k: v for k, v in report.items() if k != "timestamps"}
 
 
-# The type of each field verify_report reads before it re-assembles the
-# report; every other field is compared with the re-assembly.
+# The type of each field verify_report reads before it re-runs the check;
+# every other field is compared with the re-assembly.
 _REPORT_FIELDS = {"profile": dict, "target": dict, "checks": list}
-_CHECK_FIELDS = {"theorem_id": str, "r": int, "computed": dict, "witness": list, "solver_stats": dict}
-_COMPUTED_FIELDS = {"T1_1": {"mono_clique": int}, "T1_2": {"omega": int, "alpha": int}}
+_CHECK_FIELDS = {"theorem_id": str, "r": int}
+_CHECKS = {"T1_1": check_theorem_1_1, "T1_2": check_theorem_1_2}
 
 
 def _shape_problem(obj, fields: dict, where: str) -> str | None:
@@ -131,21 +133,6 @@ def _shape_problem(obj, fields: dict, where: str) -> str | None:
         if not isinstance(obj.get(key), kind) or isinstance(obj.get(key), bool):
             return f"{where}: field {key!r} is {type(obj.get(key)).__name__}, expected {kind.__name__}"
     return None
-
-
-def _check_shape_problem(check, where: str) -> str | None:
-    """_shape_problem for one entry of ``checks``: its witness, computed
-    block and solver_stats included, so that re-assembly cannot raise."""
-    shape = _shape_problem(check, _CHECK_FIELDS, where)
-    if shape:
-        return shape
-    if check["theorem_id"] not in _COMPUTED_FIELDS:
-        return f"{where}: unknown theorem_id {check['theorem_id']!r}"
-    if not all(isinstance(v, int) for v in check["witness"]):
-        return f"{where}: witness holds a non-integer vertex"
-    if not all(type(v) is int for v in check["solver_stats"].values()):
-        return f"{where}: solver_stats holds a non-integer count"
-    return _shape_problem(check["computed"], _COMPUTED_FIELDS[check["theorem_id"]], f"{where} computed")
 
 
 _MISSING = object()
@@ -181,19 +168,17 @@ def _differences(expected, actual, where: str = "") -> Iterator[str]:
 
 
 def verify_report(report) -> list[str]:
-    """Re-check a loaded report against its target's stages.
+    """Re-run a loaded report's job and compare.
 
-    Checks the shape of every field it reads, rebuilds the stages of the
-    report's stated target (refusing, unbuilt, one with a stage above
-    ``MAX_REBUILD_VERTICES``), and re-verifies the witness on them
-    (``Stack.verify_witness``), as one label for T1.1, and against its
-    computed size.  Then
-    re-runs the claim's check at the report's own r on the stages, so
-    computed sizes, verdict and node counts come from the re-run,
-    re-assembles the report with ``make_report`` from it and the report's
-    witness, and names each field where the two differ.  Copied, not
-    compared: ``generated_by``.  Returns a list of problems, empty when
-    the report stands; never raises.
+    Checks the shape of the fields it reads (profile, target, theorem_id
+    and r), rebuilds the stages of the report's stated target (refusing,
+    unbuilt, one with a stage above ``MAX_REBUILD_VERTICES``), re-runs the
+    claim's check at the report's own r on them, re-assembles the report
+    with ``make_report`` from the re-run alone, and names each field where
+    the two differ.  So every field, the witness vertex for vertex
+    included, must be the re-run's, which ``Stack.holds`` has checked.
+    Copied, not compared: ``generated_by``.  Returns a list of problems,
+    empty when the report stands; never raises.
     """
     if not isinstance(report, dict):
         return [f"report: expected an object, got {type(report).__name__}"]
@@ -203,7 +188,9 @@ def verify_report(report) -> list[str]:
     shape = shape or _shape_problem(report["target"], {"param": int}, "target")
     if not shape and len(report["checks"]) != 1:
         shape = f"report: expected one check, got {len(report['checks'])}"
-    shape = shape or _check_shape_problem(report["checks"][0], "check 0")
+    shape = shape or _shape_problem(report["checks"][0], _CHECK_FIELDS, "check 0")
+    if not shape and report["checks"][0]["theorem_id"] not in _CHECKS:
+        shape = f"check 0: unknown theorem_id {report['checks'][0]['theorem_id']!r}"
     if shape:
         return [shape]
     kind, param = report["target"].get("kind"), report["target"]["param"]
@@ -214,30 +201,15 @@ def verify_report(report) -> list[str]:
     except (KeyError, ValueError) as exc:
         return [f"cannot rebuild target: {exc}"]
 
-    problems: list[str] = []
     check = report["checks"][0]
-    theorem_id, r = check["theorem_id"], check["r"]
-    witness, mode = tuple(check["witness"]), check.get("witness_mode")
     try:
-        if not stack.verify_witness(witness, mode):
-            problems.append(f"check 0: witness {witness} is not a valid {mode}")
+        tc = _CHECKS[check["theorem_id"]](check["r"], profile, stack)
     except ValueError as exc:
-        problems.append(f"check 0: witness invalid: {exc}")
-    else:
-        if theorem_id == "T1_1" and len({stack.label(v) for v in witness}) > 1:
-            problems.append("check 0: witness spans more than one label")
-        field = "mono_clique" if theorem_id == "T1_1" else "omega" if mode == "clique" else "alpha"
-        if len(witness) != check["computed"][field]:
-            problems.append("check 0: witness size differs from computed value")
-
-    try:
-        tc = (check_theorem_1_1 if theorem_id == "T1_1" else check_theorem_1_2)(r, profile, stack)
-    except ValueError as exc:
-        return problems + [f"check 0: {exc}"]
-    expected = make_report(stack, tc._replace(witness=witness), None, None)
+        return [f"check 0: {exc}"]
+    expected = make_report(stack, tc, None, None)
     expected["generated_by"] = report.get("generated_by")
     diffs = _differences(strip_volatile(expected), strip_volatile(report))
-    return problems + [f"{path} differs from the re-assembled report" for path in diffs]
+    return [f"{path} differs from the re-assembled report" for path in diffs]
 
 
 def read_report(path) -> dict:
@@ -268,8 +240,5 @@ def run_verification(
     target = claim_target(theorem, r)
     require_rebuildable(*target, profile)
     stack = Stack(*target, profile)
-    if theorem == "1.1":
-        tc = check_theorem_1_1(r, profile, stack)
-    else:
-        tc = check_theorem_1_2(r, profile, stack)
+    tc = _CHECKS["T" + theorem.replace(".", "_")](r, profile, stack)
     return make_report(stack, tc, started, _now())

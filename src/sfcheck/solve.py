@@ -97,8 +97,11 @@ independent set of G at the same offsets.  Hence
 masks and node counts included, and the same with omega and alpha
 exchanged: H's optima are G's masks themselves, shared, not copied.
 ``stage_solve`` picks the winner from the sizes and keeps its witness
-as {part index: mask}; ``Stack.holds`` checks it part by part, and only
-a caller that stores a witness lists its vertices (``Stack.members``).
+as {part index: mask}; ``Stack.holds`` checks it part by part, in the
+only two forms a part's mask takes (in copy 0, or one block mask in
+every copy), and only a caller that stores a witness lists its vertices
+(``Stack.members``).  A loaded report's witness is not checked on its
+own: the loader re-runs the check and compares the witness it lists.
 ``_holds`` checks an H witness on G's rows with the flip inverted.  G
 and H hold h(h-1)/2 edges together, and a vertex of G is joined to the H
 vertices of the other parity, the flips of G's vertices of its own
@@ -112,7 +115,6 @@ complement are searched once.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left, bisect_right
 from functools import cached_property, lru_cache, reduce
 from itertools import accumulate
 from operator import or_
@@ -147,7 +149,8 @@ def verify_witness(g: Graph, members, mode: str) -> bool:
     """Pairwise re-check that ``members`` is a clique / independent set.
 
     Independent of the solvers; every witness that leaves this module has
-    passed its check, ``_holds``, and reports re-run it on load.
+    passed its check, ``_holds``, and a report loads only if a re-run of
+    its check lists the same witness.
     """
     flip = _flip(mode)
     return _holds(g.rows, sum(1 << v for v in as_vertex_set(g, members)), flip)
@@ -333,9 +336,11 @@ def max_independent_set(g: Graph) -> CliqueResult:
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _solve_prime(g: Graph) -> CliqueResult:
-    """max_clique of a piece the split leaves prime, memoized on its value."""
-    return max_clique(g)
+def _solve_prime(g: Graph) -> tuple[int, int, int]:
+    """max_clique of a piece the split leaves prime, memoized on its value,
+    as (size, witness mask, nodes)."""
+    res = max_clique(g)
+    return res.size, sum(1 << v for v in res.witness), res.nodes_explored
 
 
 def _members(mask: int) -> list[int]:
@@ -363,10 +368,11 @@ def _components(rows: tuple[int, ...], mask: int, flip: int) -> list[int]:
     return parts
 
 
-def _split_clique(g: Graph, mask: int, queries: list[tuple[int, int]]) -> list[CliqueResult]:
+def _split_clique(g: Graph, mask: int, queries: list[tuple[int, int]]) -> list[tuple[int, int, int]]:
     """Per query (within, flip), a maximum clique (flip 0) or independent
-    set (flip -1) of ``g`` within ``within``, a subset of ``mask``, with
-    its branch-and-bound nodes, by the module docstring's rules.
+    set (flip -1) of ``g`` within ``within``, a subset of ``mask``, as
+    (size, witness mask, branch-and-bound nodes), by the module
+    docstring's rules.
 
     ``mask`` is split once, parents first; each query reads the pieces
     children first, so no recursion limits the depth.  A prime piece's
@@ -412,15 +418,15 @@ def _split_clique(g: Graph, mask: int, queries: list[tuple[int, int]]) -> list[C
                 members = list(_members(part))
                 h = complement(induced(g, members)) if flip else induced(g, members)
                 full = (1 << h.n) - 1
-                res = _solve_prime(h) if part == pieces[i] else _split_clique(h, full, [(full, 0)])[0]
-                nodes += res.nodes_explored
-                best = sum(1 << members[j] for j in res.witness)
+                size, local, searched = _solve_prime(h) if part == pieces[i] else _split_clique(h, full, [(full, 0)])[0]
+                nodes += searched
+                best = sum(1 << members[j] for j in _members(local))
                 view = next(c for c in _components(rows, part, flip) if c & best)
-                found[i] = (-res.size, view & -view, best)
-        if not _holds(rows, found[0][2], flip):
+                found[i] = (-size, view & -view, best)
+        witness = found[0][2]
+        if not _holds(rows, witness, flip):
             raise AssertionError(f"decomposition produced an invalid {'independent set' if flip else 'clique'}")
-        witness = tuple(_members(found[0][2]))
-        results.append(CliqueResult(len(witness), witness, nodes))
+        results.append((witness.bit_count(), witness, nodes))
     return results
 
 
@@ -465,8 +471,7 @@ class Stage:
         of its block by the copy rule, and an H side's are the same of the
         other mode, by the duality of the module docstring."""
         full = (1 << self.block.n) - 1
-        solves = _split_clique(self.block, full, [(within, flip) for flip in (0, -1) for within in (full, *self.classes)])
-        sizes, masks, nodes = zip(*((res.size, sum(1 << v for v in res.witness), res.nodes_explored) for res in solves))
+        sizes, masks, nodes = zip(*_split_clique(self.block, full, [(within, flip) for flip in (0, -1) for within in (full, *self.classes)]))
         sizes, masks = sizes[:3] + tuple(self.k * size for size in sizes[3:]), masks[:3] + tuple(self.repunit * mask for mask in masks[3:])
         optima = {}
         for mode, g, h in (("clique", 0, 3), ("independent", 3, 0)):
@@ -522,57 +527,31 @@ class Stack:
         cross = ones * twos - sum(s.label_counts[1] * s.label_counts[2] for s in self.stages)
         self.m = sum(s.m for s in self.stages) + cross
 
-    def label(self, v: int) -> int:
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range for n={self.n}")
-        start, s, _, odd, _ = self.parts[bisect_right(self.part_starts, v) - 1]
-        return 1 if odd >> (v - start) % s.block.n & 1 else 2
-
     def members(self, masks: dict[int, int]) -> tuple[int, ...]:
         """The vertices of ``masks``, a bit mask per part index over the
         part's own vertices, numbered in the stack, ascending."""
         return tuple(self.part_starts[i] + v for i in sorted(masks) for v in _members(masks[i]))
 
-    def verify_witness(self, members, mode: str) -> bool:
-        """``verify_witness`` on the stack: ``members`` validated, cut at
-        the part starts into one mask per part met, and checked by
-        ``holds``."""
-        flip = _flip(mode)
-        vs = as_vertex_set(self, members)
-        cuts = [bisect_left(vs, start) for start in self.part_starts] + [len(vs)]
-        parts = enumerate(zip(self.part_starts, cuts, cuts[1:]))
-        return self.holds({i: sum(1 << v - start for v in vs[lo:hi]) for i, (start, lo, hi) in parts if lo < hi}, flip)
-
     def holds(self, masks: dict[int, int], flip: int) -> bool:
         """Whether ``masks``, a bit mask per part index over the part's own
         vertices, is a clique (flip 0) or an independent set (flip -1) of
-        the stack.  Bit v of a part is block vertex v % b of copy v // b,
-        and no edge of G joins two copies: a clique of G meets exactly one
-        copy, and an independent set of G is one in each copy it meets,
-        on the block's rows (an H side's with the flip inverted).  Across
-        parts, the parity rule: a clique meets at most two parts, one
-        parity in each and opposite, and an independent set that meets
-        two or more lies in one parity."""
+        the stack in one of the two forms the stage route composes.  Bit v
+        of a part is block vertex v % b of copy v // b, and no edge of G
+        joins two copies.  A part's mask must be a block mask in copy 0,
+        or, where it is an independent set of G (a clique of H), one block
+        mask repeated in every copy; any other mask, valid or not, is
+        refused.  The block mask is checked once on the block's rows (an H
+        side's with the flip inverted).  Across parts, the parity rule: a
+        clique meets at most two parts, one parity in each and opposite,
+        and an independent set that meets two or more lies in one parity."""
         parities = []
         for i, mask in masks.items():
             if not mask:
                 continue
             _, s, inverse, odd, even = self.parts[i]
-            rows, b, view = s.block.rows, s.block.n, flip ^ inverse
-            met = mask & (1 << b) - 1
-            if mask == met * s.repunit:  # the same block mask in every copy
-                copies = s.k
-                if not _holds(rows, met, view):
-                    return False
-            else:  # the copies the mask meets, one by one
-                met = copies = 0
-                while mask:
-                    shift = ((mask & -mask).bit_length() - 1) // b * b
-                    piece = mask >> shift & (1 << b) - 1
-                    if not _holds(rows, piece, view):
-                        return False
-                    met, copies, mask = met | piece, copies + 1, mask ^ piece << shift
-            if copies > 1 and not view:
+            view, met = flip ^ inverse, mask & (1 << s.block.n) - 1
+            repeated = view and mask == met * s.repunit  # independent in G's view, one block mask per copy
+            if mask != met and not repeated or not _holds(s.block.rows, met, view):
                 return False
             parities.append(bool(met & odd) | bool(met & even) << 1)
         if len(parities) < 2:

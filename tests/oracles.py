@@ -250,12 +250,12 @@ def recursive_max_clique(g: Graph) -> CliqueResult:
     return CliqueResult(best_size, best_witness, nodes)
 
 
-def class_split(g: Graph, mode: str, labels: tuple[int, ...] = (), label: int | None = None) -> CliqueResult:
+def class_split(g: Graph, mode: str, labels: tuple[int, ...] = (), label: int | None = None) -> tuple[int, int, int]:
     """The ``mode`` optimum of ``g``, or of its vertices whose ``labels``
     entry is ``label``, by splitting that set alone, on ``g`` or on its
     complement: the split route as it was before one split of a part
     answered all six queries, kept as the reference for the read pass
-    (same size, witness and node count).
+    (the same size, witness mask and node count).
 
     Pieces are split, parents first, until each is a clique or prime, and
     a prime piece is induced and searched.  Their cliques are combined
@@ -287,8 +287,7 @@ def class_split(g: Graph, mode: str, labels: tuple[int, ...] = (), label: int | 
         if splits[i]:
             union, lo, hi = splits[i]
             found[i] = reduce(or_, found[lo:hi]) if union else max(found[lo:hi], key=int.bit_count)
-    witness = tuple(_members(found[0]))
-    return CliqueResult(len(witness), witness, nodes)
+    return found[0].bit_count(), found[0], nodes
 
 
 def max_mono_clique(g: Graph, labels: tuple[int, ...]) -> CliqueResult:
@@ -297,8 +296,8 @@ def max_mono_clique(g: Graph, labels: tuple[int, ...]) -> CliqueResult:
     sums both classes' solves.  The dense reference for T1.1, which reads
     the stage's part optima (``solve.stage_mono_clique``)."""
     results = _split_clique(g, (1 << g.n) - 1, [(within, 0) for within in class_masks(labels)])
-    best = max(results, key=lambda res: res.size)
-    return CliqueResult(best.size, best.witness, sum(res.nodes_explored for res in results))
+    size, mask, _ = max(results, key=lambda res: res[0])
+    return CliqueResult(size, tuple(_members(mask)), sum(nodes for _, _, nodes in results))
 
 
 def walk_problems(n: int, rows: tuple[int, ...]) -> list[str]:
@@ -445,12 +444,12 @@ def pairwise_witness_ok(g: Graph, members, mode: str) -> bool:
 def pairwise_composition(part_starts, part_optima, mode: str) -> tuple[int, ...]:
     """The witness ``solve.stage_solve`` composes for ``mode``, by building
     every candidate whole, as it once did, from each part's whole, label-1
-    and label-2 optima (``CliqueResult`` triples numbered within the part,
-    whose first vertex is in ``part_starts``): each part's optimum, then
+    and label-2 optima ((size, mask, nodes) triples, masks over the part's
+    own vertices, whose first vertex is in ``part_starts``): each part's optimum, then
     every ordered pair of parts' label-1 and label-2 cliques in
     ``itertools.permutations`` order, or each label's independent sets
     over all parts; the first longest wins."""
-    optima = [[tuple(v + start for v in res.witness) for res in solves] for start, solves in zip(part_starts, part_optima)]
+    optima = [[tuple(v + start for v in _members(mask)) for _, mask, _ in solves] for start, solves in zip(part_starts, part_optima)]
     candidates = [whole for whole, _, _ in optima]
     if mode == "clique":
         candidates += [a[1] + b[2] for a, b in itertools.permutations(optima, 2)]
@@ -460,13 +459,45 @@ def pairwise_composition(part_starts, part_optima, mode: str) -> tuple[int, ...]
 
 
 def flat_optima(part_optima) -> tuple[int, int, tuple, tuple]:
-    """Per-part ``CliqueResult`` triples, each part's whole, label-1 and
-    label-2 optima numbered within the part, in the form of one mode of
-    ``solve.Stage.optima``: (node sum, its label-1 and label-2 share,
-    sizes, masks)."""
+    """Per-part (size, mask, nodes) triples, each part's whole, label-1
+    and label-2 optima, masks over the part's own vertices, in the form of
+    one mode of ``solve.Stage.optima``: (node sum, its label-1 and label-2
+    share, sizes, masks)."""
     return (
-        sum(res.nodes_explored for solves in part_optima for res in solves),
-        sum(res.nodes_explored for solves in part_optima for res in solves[1:]),
-        tuple(tuple(res.size for res in solves) for solves in part_optima),
-        tuple(tuple(sum(1 << v for v in res.witness) for res in solves) for solves in part_optima),
+        sum(nodes for solves in part_optima for _, _, nodes in solves),
+        sum(nodes for solves in part_optima for _, _, nodes in solves[1:]),
+        tuple(tuple(size for size, _, _ in solves) for solves in part_optima),
+        tuple(tuple(mask for _, mask, _ in solves) for solves in part_optima),
     )
+
+
+def stack_labels(stack) -> list[int]:
+    """Every vertex's label in ``stack``, in the stack's numbering: each
+    part's block labels read from its odd class mask, once per copy, for
+    comparison with a dense build's labels."""
+    return [1 if odd >> v & 1 else 2 for _, s, _, odd, _ in stack.parts for _ in range(s.k) for v in range(s.block.n)]
+
+
+def part_masks(stack, members) -> dict[int, int]:
+    """``members``, distinct vertices of ``stack`` in its numbering, as a
+    bit mask per part index over the part's own vertices, parts met only:
+    the inverse of ``Stack.members``."""
+    masks: dict[int, int] = {}
+    for v in members:
+        i = max(i for i, start in enumerate(stack.part_starts) if start <= v)
+        masks[i] = masks.get(i, 0) | 1 << v - stack.part_starts[i]
+    return masks
+
+
+def route_form(stack, masks: dict[int, int]) -> bool:
+    """Whether every part's mask, read copy by copy, meets copy 0 alone or
+    the same block vertices in every copy: the two forms the stage route
+    composes (the second only as an independent set in its block's view,
+    which the dense check asks of any set over two or more copies)."""
+    for i, mask in masks.items():
+        s = stack.parts[i][1]
+        b = s.block.n
+        pieces = [mask >> c * b & (1 << b) - 1 for c in range(s.k)]
+        if any(pieces[1:]) and len(set(pieces)) > 1:
+            return False
+    return True

@@ -81,7 +81,7 @@ def test_criterion_2_theorem_sweep(tmp_path):
 
     verdicts = {}
     for name in expected:
-        report = load_report(first / name)  # load re-runs witness verification
+        report = load_report(first / name)  # load re-runs the job and compares every field, the witness included
         check = report["checks"][0]
         target = report["target"]
         lg = build_SF(target["param"], DEFAULT_PROFILE) if target["kind"] == "SF" else build_F(

@@ -201,6 +201,12 @@ class TestOracleCheck:
     def test_rejects_oversized_max_n(self, capsys):
         assert main(["oracle-check", "--trials", "1", "--max-n", "30", "--seed", "1"]) == 2
 
+    def test_max_n_is_capped_at_the_oracle_cap(self, capsys):
+        cap = solve.ORACLE_MAX_N
+        assert main(["oracle-check", "--trials", "1", "--max-n", str(cap + 1)]) == 2
+        assert capsys.readouterr().err == f"error: --max-n above the oracle cap of {cap}\n"
+        assert main(["oracle-check", "--trials", "1", "--max-n", str(cap)]) == 0
+
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_rejects_trials_below_one(self, capsys, trials):
         assert main(["oracle-check", "--trials", trials]) == 2

@@ -25,7 +25,7 @@ from sfcheck.graphs import Graph, complete, induced
 from sfcheck.report import load_report
 from sfcheck.solve import Stack, max_clique, max_independent_set, stage, stage_solve
 
-from oracles import all_profiles, class_masks, label_counts, layout_cuts, stacked_vertex_count, stage_cuts, stage_spans, stage_vertex_count
+from oracles import all_profiles, class_masks, label_counts, layout_cuts, stack_labels, stacked_vertex_count, stage_cuts, stage_spans, stage_vertex_count
 
 GENERAL = DEFAULT_PROFILE.replace(base_case="general")
 
@@ -312,7 +312,7 @@ def assert_stack_matches_dense(t, profile):
     """The stack SF(t) and the dense build agree in n, m, labels, omega and alpha."""
     stack, lg = Stack("SF", t, profile), build_SF(t, profile)
     assert (stack.n, stack.m, stack.label_counts) == (lg.graph.n, lg.graph.m, label_counts(lg))
-    assert [stack.label(v) for v in range(stack.n)] == list(lg.labels)
+    assert stack_labels(stack) == list(lg.labels)
     omega, alpha = stage_solve(stack)
     assert (omega.size, alpha.size) == (max_clique(lg.graph).size, max_independent_set(lg.graph).size)
 

@@ -80,14 +80,14 @@ def assert_read_matches_reference(g, labels):
     results = six_queries(g, labels)
     expected = [class_split(g, mode, labels, label) for mode in MODES for label in (None, *LABELS)]
     assert results == expected
-    assert (results[0].size, results[3].size) == (max_clique(g).size, max_independent_set(g).size)
-    for label, res in zip(LABELS, results[1:3]):
-        assert res.size == max_clique(induced(g, [v for v in range(g.n) if labels[v] == label])).size
+    assert (results[0][0], results[3][0]) == (max_clique(g).size, max_independent_set(g).size)
+    for label, (size, _, _) in zip(LABELS, results[1:3]):
+        assert size == max_clique(induced(g, [v for v in range(g.n) if labels[v] == label])).size
     mono = max_mono_clique(g, labels)
-    best = max(results[1:3], key=lambda res: res.size)
-    assert (mono.size, mono.witness) == (best.size, best.witness)
-    assert mono.nodes_explored == results[1].nodes_explored + results[2].nodes_explored
-    return sum(res.nodes_explored for res in results)
+    size, mask, _ = max(results[1:3], key=lambda res: res[0])
+    assert (mono.size, sum(1 << v for v in mono.witness)) == (size, mask)
+    assert mono.nodes_explored == results[1][2] + results[2][2]
+    return sum(nodes for _, _, nodes in results)
 
 
 @settings(max_examples=150, deadline=None)
@@ -134,7 +134,7 @@ def test_ties_go_where_a_split_of_the_class_alone_sends_them(edges):
     for h, mode, flip in ((g, "clique", 0), (complement(g), "independent", -1)):
         [res] = _split_clique(h, (1 << 6) - 1, [(0b11111, flip)])
         assert res == class_split(h, mode, labels, 1)
-        assert res.witness == (1, 2)
+        assert res[1] == 0b110  # the clique {1, 2}
 
 
 def test_deep_cotree_needs_no_recursion():
@@ -152,8 +152,8 @@ def test_deep_cotree_needs_no_recursion():
     labels = tuple(rng.choice(LABELS) for _ in range(n))
     results = six_queries(g, labels)
     assert results == [class_split(g, mode, labels, label) for mode in MODES for label in (None, *LABELS)]
-    assert (results[0].size, results[3].size) == (n // 2 + 1, n // 2)
-    assert all(res.nodes_explored == 0 for res in results)
+    assert (results[0][0], results[3][0]) == (n // 2 + 1, n // 2)
+    assert all(nodes == 0 for _, _, nodes in results)
 
 
 def test_search_sees_nothing_past_the_base_path(monkeypatch):

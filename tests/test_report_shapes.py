@@ -87,9 +87,10 @@ def test_malformed_report_is_a_problem_not_a_crash(case, tmp_path):
 
 
 # Well-formed edits that change what a report says: (theorem, r, edits),
-# where a callable edit maps the value it replaces.  Every witness stays
-# valid, so only re-assembling the report from its own r and witness and
-# a re-run of its check shows them.
+# where a callable edit maps the value it replaces.  Most leave a valid
+# witness, so only re-assembling the report from a re-run of its check at
+# its own r shows them; the witness itself must be the re-run's, vertex
+# for vertex and in order.
 CHECK = ("checks", 0)
 
 
@@ -130,6 +131,11 @@ TAMPERED = {
     "T1.2 r=20 REFUTED forged to CONFIRMED, R(21) > 6150": ("1.2", 20, [*forged(omega=20, alpha=20), *implies("R(21) > 6150")]),
     "T1.2 r=3 alpha lowered from 7 to 3": ("1.2", 3, [(CHECK + ("computed", "alpha"), 3)]),
     "T1.2 r=3 node counts forged": ("1.2", 3, [(CHECK + ("solver_stats", "alpha_nodes"), 0), (("solver_stats", "nodes_explored"), 0)]),
+    # Another valid optimum: F(4)'s single-label clique moved up one vertex is one too.
+    "T1.1 r=4 witness moved up one vertex": ("1.1", 4, [(CHECK + ("witness",), lambda w: [v + 1 for v in w])]),
+    "T1.2 r=3 witness reversed": ("1.2", 3, [(CHECK + ("witness",), lambda w: w[::-1])]),
+    "T1.2 r=3 witness member dropped": ("1.2", 3, [(CHECK + ("witness",), lambda w: w[1:])]),
+    "T1.2 r=3 witness member added": ("1.2", 3, [(CHECK + ("witness",), lambda w: [*w, max(w) + 1])]),
 }
 
 

@@ -26,8 +26,8 @@ from sfcheck.graphs import Graph
 from sfcheck.report import report_to_json, run_verification, strip_volatile, verify_report
 from sfcheck.solve import (
     LABELS,
-    CliqueResult,
     Stack,
+    _checked,
     _split_clique,
     max_clique,
     max_independent_set,
@@ -36,7 +36,18 @@ from sfcheck.solve import (
 )
 from sfcheck.verify import check_theorem_1_1, check_theorem_1_2
 
-from oracles import all_profiles, class_masks, flat_optima, label_counts, max_mono_clique, pairwise_composition, stage_cuts
+from oracles import (
+    all_profiles,
+    class_masks,
+    flat_optima,
+    label_counts,
+    max_mono_clique,
+    pairwise_composition,
+    part_masks,
+    route_form,
+    stack_labels,
+    stage_cuts,
+)
 
 
 def assert_route_matches_monolithic(t, profile=DEFAULT_PROFILE):
@@ -65,15 +76,7 @@ def test_stack_counts_match_the_dense_build(profile):
     for t in (*range(3, 13), 16):
         stack, lg = Stack("SF", t, profile), build_SF(t, profile)
         assert (stack.n, stack.m, stack.label_counts) == (lg.graph.n, lg.graph.m, label_counts(lg)), t
-        assert [stack.label(v) for v in range(stack.n)] == list(lg.labels)
-
-
-@pytest.mark.parametrize("kind, param, v", [("F", 4, 10**6), ("F", 4, 24), ("F", 4, -1), ("SF", 5, 70), ("SF", 5, -3)])
-def test_stack_label_out_of_range(kind, param, v):
-    # F(4) has n = 24 and SF(5) n = 70; a vertex outside [0, n) names itself and n.
-    stack = Stack(kind, param, DEFAULT_PROFILE)
-    with pytest.raises(ValueError, match=rf"^vertex {v} out of range for n={stack.n}$"):
-        stack.label(v)
+        assert stack_labels(stack) == list(lg.labels)
 
 
 @pytest.mark.parametrize("profile", all_profiles(), ids=str)
@@ -86,7 +89,7 @@ def test_stages_match_the_dense_build(profile):
     for r in range(3, 17):
         stack, lg = Stack("F", r, profile), build_F(r, profile)
         assert (stack.n, stack.m, stack.label_counts) == (lg.graph.n, lg.graph.m, label_counts(lg)), r
-        assert [stack.label(v) for v in range(stack.n)] == list(lg.labels), r
+        assert stack_labels(stack) == list(lg.labels), r
         assert stack.stages[0].optima == {mode: flat_optima(parts) for mode, parts in dense_part_optima(lg).items()}, r
 
 
@@ -154,8 +157,7 @@ def stack_witnesses(draw):
     from one to three ranges (a part, a whole stage), or from one copy of
     the block or two copies of one side, with a few vertices added and
     removed, so that pairs fall inside a copy, across copies of one side,
-    across the two sides of a stage and across stages; now and then a
-    member the dense check refuses, or an unknown mode."""
+    across the two sides of a stage and across stages."""
     t = draw(st.integers(3, 7))
     profile = draw(st.sampled_from(all_profiles()))
     mode = draw(st.sampled_from(["clique", "independent"]))
@@ -178,34 +180,27 @@ def stack_witnesses(draw):
     members |= set(draw(st.lists(st.integers(0, stack.n - 1), max_size=2)))
     if members:
         members -= set(draw(st.lists(st.sampled_from(sorted(members)), max_size=3)))
-    members = sorted(members)
-    if draw(st.integers(0, 9)) == 0:
-        members.append(draw(st.sampled_from([-1, stack.n, True, *members[:1]])))
-    if draw(st.integers(0, 19)) == 0:
-        mode = "path"
-    return t, profile, members, mode
-
-
-def outcome(check, members, mode):
-    """What ``check(members, mode)`` returns, or the message it raises."""
-    try:
-        return check(members, mode)
-    except ValueError as exc:
-        return str(exc)
+    return t, profile, sorted(members), mode
 
 
 @settings(max_examples=300, deadline=None)
 @given(stack_witnesses())
 def test_stack_witness_check_matches_the_dense_one(case):
+    """``Stack.holds`` on a set cut into part masks: the dense check's
+    verdict where every part's mask takes one of the route's two forms,
+    and a refusal where one does not."""
     t, profile, members, mode = case
-    g = build_SF(t, profile).graph
-    dense = outcome(lambda m, mode_: verify_witness(g, m, mode_), members, mode)
-    assert outcome(Stack("SF", t, profile).verify_witness, members, mode) == dense
+    stack, flip = Stack("SF", t, profile), -1 if mode == "independent" else 0
+    masks = part_masks(stack, members)
+    valid = verify_witness(build_SF(t, profile).graph, members, mode)
+    assert stack.holds(masks, flip) == (route_form(stack, masks) and valid)
 
 
 # SF(5) under the default profile: the base path is 0..5, F(4)'s G side
 # 6..17, three copies of a block K_2 + K_2 (labels 1, 1, 2, 2), and its H
-# side 18..29.
+# side 18..29.  A G clique over two copies and an independent set with an
+# odd copy are not of the route's forms; the H clique repeats one block
+# mask in every copy, and is.
 @pytest.mark.parametrize(
     "members, mode, valid",
     [([6, 10], "clique", False), ([6, 10, 14, 15], "independent", False), ([18, 20, 22, 24, 26, 28], "clique", True)],
@@ -213,46 +208,76 @@ def test_stack_witness_check_matches_the_dense_one(case):
 )
 def test_stack_witness_check_across_copies(members, mode, valid):
     stack, g = Stack("SF", 5, DEFAULT_PROFILE), build_SF(5).graph
-    assert stack.verify_witness(members, mode) == verify_witness(g, members, mode) == valid
+    assert stack.holds(part_masks(stack, members), -1 if mode == "independent" else 0) == verify_witness(g, members, mode) == valid
 
 
-def copy_cases(stack):
-    """Stage 4 of ``stack``, SF(5): its G side is three copies of a
-    four-vertex block.  Per case, (members, mode, valid) from the
-    stage's own block optima, part-local masks put in the stack's
-    numbering; valid is None where the members must raise ValueError."""
+def mask_cases(stack):
+    """Per case, (masks, mode, form) on ``stack``, SF(5), from its stages'
+    own optima, where form says whether each part's mask takes one of the
+    two forms the stage route composes: a block mask in copy 0, or one
+    block mask in every copy.  Stage 4's G side, part g, is three copies
+    of a four-vertex block, its H side is part g + 1, and the base path
+    is part 0.  The last five cases meet several parts, for the parity
+    rule."""
     g = next(i for i, (_, s, inverse, *_) in enumerate(stack.parts) if s is stack.stages[1] and not inverse)
-    start, s, b = stack.parts[g][0], stack.stages[1], stack.stages[1].block.n
-    clique, indep = s.optima["clique"][3][0][0], s.optima["independent"][3][0][0]  # G's whole optima
-    low = indep & (1 << b) - 1
+    s = stack.stages[1]
+    b = s.block.n
+    # Per mode, G's and H's whole, label-1 and label-2 optima, and the base path's.
+    (gc, hc), (gi, hi) = (s.optima[mode][3] for mode in ("clique", "independent"))
+    path = stack.stages[0].optima["clique"][3][0]
+    low = gi[0] & (1 << b) - 1
     return {
-        "one block clique in two copies": (stack.members({g: clique | clique << b}), "clique", False),
-        "copy 0 empty, the block's independent set in the others": (stack.members({g: indep ^ low}), "independent", True),
-        "repeated independent set missing one copy": (stack.members({g: indep ^ low << b}), "independent", True),
-        "repeated clique missing one copy": (stack.members({g: clique | clique << 2 * b}), "clique", False),
-        "H clique over every copy": (stack.members({g + 1: indep}), "clique", True),
-        "duplicate member": ([start, start], "clique", None),
-        "member out of range": ([start, stack.n], "independent", None),
+        "block clique in copy 0": ({g: gc[0]}, "clique", True),
+        "block independent set in every copy": ({g: gi[0]}, "independent", True),
+        "H clique over every copy": ({g + 1: gi[0]}, "clique", True),
+        "block independent set in copy 0 as a clique": ({g: low}, "clique", True),
+        "block clique in every copy": ({g: gc[0] * s.repunit}, "clique", True),
+        "one block clique in two copies": ({g: gc[0] | gc[0] << b}, "clique", False),
+        "copy 0 empty, the block's independent set in the others": ({g: gi[0] ^ low}, "independent", False),
+        "repeated independent set missing one copy": ({g: gi[0] ^ low << b}, "independent", False),
+        "odd clique of G, even clique of H": ({g: gc[1], g + 1: hc[2]}, "clique", True),
+        "odd cliques of G and of H": ({g: gc[1], g + 1: hc[1]}, "clique", True),
+        "cliques of three parts": ({0: path[1], g: gc[2], g + 1: hc[1]}, "clique", True),
+        "odd independent sets of G and of H": ({g: gi[1], g + 1: hi[1]}, "independent", True),
+        "odd independent set of G, even of H": ({g: gi[1], g + 1: hi[2]}, "independent", True),
     }
 
 
 @pytest.mark.parametrize("profile", all_profiles(), ids=str)
 def test_mask_check_matches_the_dense_one(profile):
+    """``Stack.holds`` takes masks of the route's two forms that are a
+    clique or an independent set of the dense SF(5), and refuses every
+    other mask, valid or not."""
     stack, g = Stack("SF", 5, profile), build_SF(5, profile).graph
-    for case, (members, mode, valid) in copy_cases(stack).items():
-        ours = outcome(stack.verify_witness, members, mode)
-        assert ours == outcome(lambda m, mode_: verify_witness(g, m, mode_), members, mode), case
-        assert ours == valid if valid is not None else isinstance(ours, str), case
+    for case, (masks, mode, form) in mask_cases(stack).items():
+        flip = -1 if mode == "independent" else 0
+        valid = verify_witness(g, stack.members(masks), mode)
+        assert route_form(stack, masks) == form, case
+        assert stack.holds(masks, flip) == (form and valid), case
+
+
+def test_checked_refuses_a_valid_set_the_route_does_not_compose():
+    stack = Stack("SF", 5, DEFAULT_PROFILE)
+    masks, mode, _ = mask_cases(stack)["copy 0 empty, the block's independent set in the others"]
+    assert verify_witness(build_SF(5).graph, stack.members(masks), mode)
+    with pytest.raises(AssertionError, match="invalid independent witness"):
+        _checked(stack, masks, mode, 0)
 
 
 @pytest.mark.parametrize("members", [[0, 0], [-1], [30], [True]], ids=["repeated", "negative", "n", "bool"])
 def test_stack_witness_check_refuses_what_the_dense_one_does(members):
-    stack, g = Stack("SF", 4, DEFAULT_PROFILE), build_SF(4).graph
-    for check in (stack.verify_witness, lambda m, mode: verify_witness(g, m, mode)):
-        with pytest.raises(ValueError):
-            check(members, "clique")
-        with pytest.raises(ValueError, match="unknown witness mode"):
-            check([], "path")
+    """A T1.2 r = 3 report, on SF(4), whose witness the dense check
+    refuses, or whose witness mode it does not know, does not load."""
+    report, g = run_verification("1.2", 3), build_SF(4).graph
+    mode = report["checks"][0]["witness_mode"]
+    with pytest.raises(ValueError):
+        verify_witness(g, members, mode)
+    with pytest.raises(ValueError, match="unknown witness mode"):
+        verify_witness(g, [], "path")
+    for field, value in (("witness", members), ("witness_mode", "path")):
+        forged = json.loads(report_to_json(report))
+        forged["checks"][0][field] = value
+        assert verify_report(forged), field
 
 
 def dense_part_optima(lg):
@@ -264,7 +289,7 @@ def dense_part_optima(lg):
     for lo, hi in zip(bounds, bounds[1:]):
         part = (1 << hi) - (1 << lo)
         solves = _split_clique(g, part, [(part & within, flip) for flip in (0, -1) for within in (part, *classes)])
-        solves = [res._replace(witness=tuple(v - lo for v in res.witness)) for res in solves]
+        solves = [(size, mask >> lo, nodes) for size, mask, nodes in solves]
         optima["clique"].append(tuple(solves[:3]))
         optima["independent"].append(tuple(solves[3:]))
     return optima
@@ -276,7 +301,7 @@ def stage_numbers(lg):
     split of the whole stage."""
     full = (1 << lg.graph.n) - 1
     queries = [(within, flip) for flip in (0, -1) for within in (full, *class_masks(lg.labels))]
-    return [res.size for res in _split_clique(lg.graph, full, queries)]
+    return [size for size, _, _ in _split_clique(lg.graph, full, queries)]
 
 
 def closed_form(profile, r):
@@ -338,7 +363,7 @@ def test_stage_solve_picks_the_pairwise_composition_winner(stages):
         first = len(stack.part_starts)
         for sizes in parts:
             # Optimum k of a part holds its vertices 4k.. of 24, numbered within the part.
-            results = [CliqueResult(size, tuple(range(4 * k, 4 * k + size)), 0) for k, size in enumerate(sizes)]
+            results = [(size, (1 << size) - 1 << 4 * k, 0) for k, size in enumerate(sizes)]
             optima["clique"].append(tuple(results[:3]))
             optima["independent"].append(tuple(results[3:]))
             stack.part_starts.append(24 * len(stack.part_starts))
