@@ -140,10 +140,10 @@ _MISSING = object()
 
 def _canonical(value) -> str | None:
     """Compact sorted-key JSON of ``value``, in which 0, 0.0 and false
-    differ; None for a value JSON cannot hold."""
+    differ; None for a value JSON cannot hold or nests too deep to write."""
     try:
         return json.dumps(value, sort_keys=True)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, RecursionError):
         return None
 
 
@@ -218,8 +218,12 @@ def read_report(path) -> dict:
 
 
 def load_report(path) -> dict:
-    """Read a report and re-verify it; ValueError lists the problems found."""
-    report = read_report(path)
+    """Read a report and re-verify it; ValueError, naming the path, lists
+    the problems found or says that the file does not decode."""
+    try:
+        report = read_report(path)
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep to decode
+        raise ValueError(f"report {path} does not decode as JSON: {exc}") from None
     problems = verify_report(report)
     if problems:
         raise ValueError(f"report {path} failed re-verification: " + "; ".join(problems))

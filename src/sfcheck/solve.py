@@ -45,52 +45,52 @@ by one part's optimum, by an odd clique and an even clique of two
 parts (every pair across them is joined), and by one class's
 independent sets of every part (no pair across them is joined).
 
-Each part is split once, before any search, into pieces: cliques and
-independent sets (leaves), then components, then co-components, and the
-prime pieces, connected and co-connected, that are left.  Six queries
-read that one tree (the part, label 1 and label 2, for clique and for
-independent set), each piece as its part within the query, children
-first:
+Each of a part's six optima (the part, label 1 and label 2, for clique
+and for independent set) is found by splitting its set alone, parents
+first, in the query's view: the graph, or for an independent set (a
+clique of the complement) its complement, read through the graph's rows,
+so no part's complement is built.  A piece of the set, in that view:
 
-- a clique is its own maximum clique, an independent set has one vertex;
+- a clique is its own maximum clique; a piece with no edge gives its
+  lowest vertex;
 - a disconnected piece has omega = max over its components: a clique is
   connected, so it lies in one;
 - a piece with a disconnected complement has omega = sum over its
   co-components: each vertex of one is joined to every vertex of the
   others, so a clique is one clique from each;
-- only a prime piece is searched, on its part within the query.
+- only a prime piece, connected and co-connected, is searched.
 
-An independent set is a clique of the complement, so an independent-set
-query reads the tree with the two leaves and the two splits swapped, and
-no part's complement is built.  On a tie a split keeps the candidate
-whose component of the query's part (in the graph, or for an independent
-set in its complement) has the lowest first vertex, carried up as its
-key, so each witness is the one a split of the query's set alone gives.
+The pieces' cliques are combined children first.  On a tie the component
+with the lowest first vertex wins, and a search breaks ties toward the
+lowest vertex index.
 T1.1 reads the same optima: a label class has one parity, so no edge of
 it crosses between parts, and its largest clique is its parts' largest.
 
-Cographs are exactly the graphs this split takes down to leaves
+Cographs are exactly the graphs this split leaves no prime piece of
 (Corneil, Lerchs and Stewart Burlingham, Discrete Applied Mathematics
 3(3), 1981).  Every stage side is one under every profile (r-1 disjoint
 copies of K_a + K_(r-a) or of K_r, or edgeless, and their complement).
 Only the six-vertex base path and its complement are prime.
 
-Two memos of MEMO_SIZE entries keep the results.  The stage memo,
-``stage``, is keyed on (r, profile) and builds one block of F(r)'s first
-part, from ``construct.build_block``: the base path (k = 1 copy), or one
-copy of the G side, ``product(empty(1), G_z, prod)``.  The G side is
-k = r-1 disjoint copies of it, since a product joins two copies only
-through an edge of ``empty(r - 1)``.  The memo keeps the block's rows,
-labels and two label classes as masks, k and the repunit R_k (bit c*b
-for each copy c of a b-vertex block), the stage's n, m and label counts,
-and, once a check reads them, per mode its node sum and each part's
-optima as sizes and part-local bit masks, from one split of the block by
-the copy rule: a clique lies in one copy, so its optimum is the block's
-mask, in copy 0; an independent set is one in each copy, so its optimum
-is the block's mask times R_k, k times the size.  Node counts are the
-block's.  The H side that follows a G side of h vertices is read by
-duality: H is G's complement with labels flipped, so a clique of H is an
-independent set of G at the same offsets.  Hence
+The stage memo, ``stage``, of MEMO_SIZE entries keyed on (r, profile),
+is the one memo of solved results.  A Stack asks it for each stage under
+the profile fields that stage reads alone (``_stage_profiles``): sum and
+prod, base_case at r = 3, and for the base path y_label only.  It builds
+one block of F(r)'s first part, from ``construct.build_block``: the base
+path (k = 1 copy), or one copy of the G side, ``product(empty(1), G_z,
+prod)``.  The G side is k = r-1 disjoint copies of it, since a product
+joins two copies only through an edge of ``empty(r - 1)``.  The memo
+keeps the block's rows, labels and two label classes as masks, k and the
+repunit R_k (bit c*b for each copy c of a b-vertex block), the stage's
+n, m and label counts, and, once a check reads them, per mode its node
+sum and each part's optima as sizes and part-local bit masks, from the
+block's six splits by the copy rule: a clique lies in one copy, so its
+optimum is the block's mask, in copy 0; an independent set is one in
+each copy, so its optimum is the block's mask times R_k, k times the
+size.  Node counts are the block's.  The H side that follows a G side
+of h vertices is read by duality: H is G's complement with labels
+flipped, so a clique of H is an independent set of G at the same
+offsets.  Hence
 
     omega(H) = alpha(G),  omega_1(H) = alpha_2(G),  omega_2(H) = alpha_1(G),
 
@@ -108,8 +108,6 @@ vertices of the other parity, the flips of G's vertices of its own
 label; with c1 and c2 G's label counts, m(F(r)) = h(h-1)/2 + c1^2 +
 c2^2, and the base path's m is its block's.  A Stack reads its n, m and
 label counts from the stages' in closed form.
-``_solve_prime`` is keyed on each prime piece, so the base path and its
-complement are searched once.
 """
 
 from __future__ import annotations
@@ -133,7 +131,7 @@ from sfcheck.graphs import Graph, as_vertex_set, complement, empty, induced, pro
 ORACLE_MAX_N = 24
 
 # Entries each memo keeps.  An in-process sweep to t-max 100, the largest a
-# report loader accepts, keys 98 stages and two prime pieces.
+# report loader accepts, keys 98 stages under one profile.
 MEMO_SIZE = 512
 
 
@@ -335,14 +333,6 @@ def max_independent_set(g: Graph) -> CliqueResult:
     return res
 
 
-@lru_cache(maxsize=MEMO_SIZE)
-def _solve_prime(g: Graph) -> tuple[int, int, int]:
-    """max_clique of a piece the split leaves prime, memoized on its value,
-    as (size, witness mask, nodes)."""
-    res = max_clique(g)
-    return res.size, sum(1 << v for v in res.witness), res.nodes_explored
-
-
 def _members(mask: int) -> list[int]:
     """The vertices of ``mask``, ascending: where its binary digits, lowest
     first, hold a 1, found at C speed in place of one big-int step each."""
@@ -368,66 +358,40 @@ def _components(rows: tuple[int, ...], mask: int, flip: int) -> list[int]:
     return parts
 
 
-def _split_clique(g: Graph, mask: int, queries: list[tuple[int, int]]) -> list[tuple[int, int, int]]:
-    """Per query (within, flip), a maximum clique (flip 0) or independent
-    set (flip -1) of ``g`` within ``within``, a subset of ``mask``, as
-    (size, witness mask, branch-and-bound nodes), by the module
-    docstring's rules.
-
-    ``mask`` is split once, parents first; each query reads the pieces
-    children first, so no recursion limits the depth.  A prime piece's
-    part within a query is induced, complemented for an independent set,
-    and searched, or split again if it is not the whole piece.
-    """
+def _split_clique(g: Graph, within: int, flip: int) -> tuple[int, int, int]:
+    """A maximum clique (flip 0) or independent set (flip -1) of ``g``
+    within ``within``, as (size, witness mask, branch-and-bound nodes), by
+    the module docstring's split, with no recursion to limit its depth.  A
+    prime piece is induced, complemented for an independent set, and
+    searched."""
     rows = g.rows
-    pieces, splits = [mask], []
+    # Per piece, its clique's mask; per split piece, (union, first, end) of its children.
+    pieces, found, splits, nodes = [within], [], {}, 0
     for piece in pieces:
-        if _holds(rows, piece, 0):
-            split = 0  # a clique
-        elif _holds(rows, piece, -1):
-            split = -1  # an independent set
+        if _holds(rows, piece, flip):  # a clique in the query's view, taken whole
+            found.append(piece)
+        elif _holds(rows, piece, ~flip):  # no edge in the query's view: its lowest vertex
+            found.append(piece & -piece)
         else:
-            split = None  # prime, unless it splits
-            for flip in (0, -1):
-                parts = _components(rows, piece, flip)
-                if len(parts) > 1:
-                    split = (flip, len(pieces), len(pieces) + len(parts))
+            for union, view in ((False, flip), (True, ~flip)):
+                parts = _components(rows, piece, view)
+                if len(parts) > 1:  # components, or co-components for a union
+                    splits[len(found)] = (union, len(pieces), len(pieces) + len(parts))
+                    found.append(0)
                     pieces += parts
                     break
-        splits.append(split)
-    results = []
-    for within, flip in queries:
-        # Each piece's answer as (minus its size, its key, its mask), so the plain
-        # tuple order ranks candidates; keys of disjoint pieces differ.
-        found, nodes = [(0, 0, 0)] * len(pieces), 0
-        for i in reversed(range(len(pieces))):
-            part, split = pieces[i] & within, splits[i]
-            if not part:
-                continue
-            low = part & -part
-            if isinstance(split, int):
-                found[i] = (-part.bit_count(), low, part) if split == flip else (-1, low, low)
-            elif split:
-                kids = [kid for kid in found[split[1] : split[2]] if kid[2]]
-                if split[0] == flip or len(kids) == 1:  # a union in the query's view, or one kid
-                    found[i] = min(kids)
-                else:
-                    sizes, _, masks = zip(*kids)
-                    found[i] = (sum(sizes), low, reduce(or_, masks))
-            else:
-                members = list(_members(part))
-                h = complement(induced(g, members)) if flip else induced(g, members)
-                full = (1 << h.n) - 1
-                size, local, searched = _solve_prime(h) if part == pieces[i] else _split_clique(h, full, [(full, 0)])[0]
-                nodes += searched
-                best = sum(1 << members[j] for j in _members(local))
-                view = next(c for c in _components(rows, part, flip) if c & best)
-                found[i] = (-size, view & -view, best)
-        witness = found[0][2]
-        if not _holds(rows, witness, flip):
-            raise AssertionError(f"decomposition produced an invalid {'independent set' if flip else 'clique'}")
-        results.append((witness.bit_count(), witness, nodes))
-    return results
+            else:  # prime
+                members = _members(piece)
+                h = induced(g, members)
+                res = max_clique(complement(h) if flip else h)
+                nodes += res.nodes_explored
+                found.append(sum(1 << members[v] for v in res.witness))
+    for i, (union, lo, hi) in reversed(splits.items()):  # children first
+        found[i] = reduce(or_, found[lo:hi]) if union else max(found[lo:hi], key=int.bit_count)
+    witness = found[0]
+    if not _holds(rows, witness, flip):
+        raise AssertionError(f"decomposition produced an invalid {'independent set' if flip else 'clique'}")
+    return witness.bit_count(), witness, nodes
 
 
 class StackResult(NamedTuple):
@@ -467,11 +431,11 @@ class Stage:
     def optima(self) -> dict[str, tuple[int, int, tuple, tuple]]:
         """Per mode, (node sum, its label-1 and label-2 share, sizes,
         masks): per part, the sizes and witness masks of its whole,
-        label-1 and label-2 optima.  The first part's come from one split
-        of its block by the copy rule, and an H side's are the same of the
+        label-1 and label-2 optima.  The first part's come from six splits
+        of its block, one per query, by the copy rule, and an H side's are the same of the
         other mode, by the duality of the module docstring."""
         full = (1 << self.block.n) - 1
-        sizes, masks, nodes = zip(*_split_clique(self.block, full, [(within, flip) for flip in (0, -1) for within in (full, *self.classes)]))
+        sizes, masks, nodes = zip(*(_split_clique(self.block, within, flip) for flip in (0, -1) for within in (full, *self.classes)))
         sizes, masks = sizes[:3] + tuple(self.k * size for size in sizes[3:]), masks[:3] + tuple(self.repunit * mask for mask in masks[3:])
         optima = {}
         for mode, g, h in (("clique", 0, 3), ("independent", 3, 0)):
@@ -495,10 +459,12 @@ def stage(r: int, profile: InterpretationProfile) -> Stage:
 @lru_cache(maxsize=MEMO_SIZE)
 def _stage_profiles(profile: InterpretationProfile) -> tuple[InterpretationProfile, InterpretationProfile]:
     """The profiles under which ``profile``'s stage 3 and its later stages
-    are memoized: stages after the third read only sum and prod, and the
-    general stage 3 ignores y_label."""
+    are memoized: stages after the third read only sum and prod, the
+    general stage 3 ignores y_label, and the base path reads y_label
+    alone."""
     rest = DEFAULT_PROFILE.replace(sum=profile.sum, prod=profile.prod)
-    return profile if profile.base_case == "explicit_path" else rest.replace(base_case="general"), rest
+    path = profile.base_case == "explicit_path"
+    return DEFAULT_PROFILE.replace(y_label=profile.y_label) if path else rest.replace(base_case="general"), rest
 
 
 class Stack:

@@ -253,9 +253,9 @@ def recursive_max_clique(g: Graph) -> CliqueResult:
 def class_split(g: Graph, mode: str, labels: tuple[int, ...] = (), label: int | None = None) -> tuple[int, int, int]:
     """The ``mode`` optimum of ``g``, or of its vertices whose ``labels``
     entry is ``label``, by splitting that set alone, on ``g`` or on its
-    complement: the split route as it was before one split of a part
-    answered all six queries, kept as the reference for the read pass
-    (the same size, witness mask and node count).
+    built complement: the reference for ``solve._split_clique``, which
+    reads the complement through the graph's rows (the same size, witness
+    mask and node count).
 
     Pieces are split, parents first, until each is a clique or prime, and
     a prime piece is induced and searched.  Their cliques are combined
@@ -292,10 +292,10 @@ def class_split(g: Graph, mode: str, labels: tuple[int, ...] = (), label: int | 
 
 def max_mono_clique(g: Graph, labels: tuple[int, ...]) -> CliqueResult:
     """Largest clique of ``g`` whose vertices all carry one label (1 or 2),
-    label 1 on a tie, from one split of the whole of ``g``; the node count
-    sums both classes' solves.  The dense reference for T1.1, which reads
+    label 1 on a tie, from a split of each label class of ``g``; the node
+    count sums both classes' solves.  The dense reference for T1.1, which reads
     the stage's part optima (``solve.stage_mono_clique``)."""
-    results = _split_clique(g, (1 << g.n) - 1, [(within, 0) for within in class_masks(labels)])
+    results = [_split_clique(g, within, 0) for within in class_masks(labels)]
     size, mask, _ = max(results, key=lambda res: res[0])
     return CliqueResult(size, tuple(_members(mask)), sum(nodes for _, _, nodes in results))
 

@@ -1,11 +1,12 @@
-"""The one split of a part and the read pass that answers its six queries.
+"""The split that answers each of a part's six queries on its own.
 
 ``class_split`` in ``tests/oracles.py``, which splits each label class
-alone (on the complement, for an independent set), is the reference: on
-random cographs, where the split leaves only leaves, on G(n, p) graphs
-and their complements, where it leaves prime pieces to search, and on the
-base path, the read pass must give the same sizes, witnesses and node
-counts.  Branch and bound (``max_clique``) checks the sizes.
+alone on the graph or its built complement, is the reference: on random
+cographs, where the split leaves no prime piece, on G(n, p) graphs and
+their complements, where it leaves prime pieces to search, and on the
+base path, ``_split_clique``, which splits in the query's view, must give
+the same sizes, witnesses and node counts.  Branch and bound
+(``max_clique``) checks the sizes.
 """
 
 import random
@@ -16,14 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfcheck import solve
-from sfcheck.construct import InterpretationProfile, build_F, label_masks
+from sfcheck.construct import DEFAULT_PROFILE, InterpretationProfile, build_F, label_masks
 from sfcheck.graphs import Graph, combine, complement, induced, random_graph
 from sfcheck.report import run_verification
 from sfcheck.solve import (
     LABELS,
     MEMO_SIZE,
     Stack,
-    _solve_prime,
     _split_clique,
     max_clique,
     max_independent_set,
@@ -70,13 +70,13 @@ def cographs(draw):
 
 def six_queries(g, labels):
     """The whole graph's, label 1's and label 2's optima, for clique then
-    for independent set, from one split of ``g``."""
+    for independent set, each split on its own."""
     full = (1 << g.n) - 1
-    return _split_clique(g, full, [(within, flip) for flip in (0, -1) for within in (full, *label_masks(labels))])
+    return [_split_clique(g, within, flip) for flip in (0, -1) for within in (full, *label_masks(labels))]
 
 
 def assert_read_matches_reference(g, labels):
-    """Returns the nodes the read pass's searches took."""
+    """Returns the nodes the six queries' searches took."""
     results = six_queries(g, labels)
     expected = [class_split(g, mode, labels, label) for mode in MODES for label in (None, *LABELS)]
     assert results == expected
@@ -132,7 +132,7 @@ def test_ties_go_where_a_split_of_the_class_alone_sends_them(edges):
     g = Graph.from_edges(6, edges)
     labels = (1, 1, 1, 1, 1, 2)
     for h, mode, flip in ((g, "clique", 0), (complement(g), "independent", -1)):
-        [res] = _split_clique(h, (1 << 6) - 1, [(0b11111, flip)])
+        res = _split_clique(h, 0b11111, flip)
         assert res == class_split(h, mode, labels, 1)
         assert res[1] == 0b110  # the clique {1, 2}
 
@@ -166,8 +166,7 @@ def test_search_sees_nothing_past_the_base_path(monkeypatch):
         return max_clique(g)
 
     monkeypatch.setattr(solve, "max_clique", recording)
-    for memo in (solve.stage, _solve_prime):
-        memo.cache_clear()
+    solve.stage.cache_clear()
     for profile in all_profiles():
         for t in range(3, 13):
             stage_solve(Stack("SF", t, profile))
@@ -187,8 +186,7 @@ def test_no_part_complement_is_built(monkeypatch):
         return complement(g)
 
     monkeypatch.setattr(solve, "complement", recording)
-    for memo in (solve.stage, _solve_prime):
-        memo.cache_clear()
+    solve.stage.cache_clear()
     for profile in all_profiles():
         run_verification("1.2", 11, profile)
         run_verification("1.1", 12, profile)
@@ -197,13 +195,45 @@ def test_no_part_complement_is_built(monkeypatch):
 
 
 def test_memos_stay_bounded():
-    _solve_prime.cache_clear()
-    for seed in range(1000):
-        rng = random.Random(seed)
-        g = random_graph(rng.randint(8, 16), 0.5, rng)
-        labels = tuple(rng.choice((1, 2)) for _ in range(g.n))
-        max_mono_clique(g, labels)
-    for memo in (solve.stage, _solve_prime):
-        info = memo.cache_info()
-        assert info.maxsize == MEMO_SIZE and info.currsize <= MEMO_SIZE
-    assert _solve_prime.cache_info().misses > MEMO_SIZE
+    """The stage memo, the one memo of solved results, drops its least
+    recently used stages once past MEMO_SIZE: the six sum and prod
+    readings at r = 3..90 key 528 stages."""
+    solve.stage.cache_clear()
+    for profile in all_profiles():
+        if profile.base_case == "general" and profile.y_label == 2:
+            for r in range(3, 91):
+                solve.stage(r, profile).optima
+    info = solve.stage.cache_info()
+    assert info.maxsize == MEMO_SIZE and info.currsize <= MEMO_SIZE < info.misses
+    solve.stage.cache_clear()
+
+
+def test_a_cold_base_stage_searches_only_its_prime_queries(monkeypatch):
+    """The six queries of the base path split on their own, with no
+    recursion: only the whole path and its complement are prime, so
+    they are the only two pieces induced and searched."""
+    calls = {"induced": 0, "max_clique": 0, "_split_clique": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(solve, name, counting(name, getattr(solve, name)))
+    solve.stage.cache_clear()
+    solve.stage(3, DEFAULT_PROFILE).optima
+    assert calls == {"induced": 2, "max_clique": 2, "_split_clique": 6}
+    solve.stage.cache_clear()
+
+
+def test_the_base_stage_is_shared_by_sum_and_prod():
+    """Stage 3 on the base path reads y_label alone, so profiles that
+    differ only in sum or prod share it."""
+    for y_label in LABELS:
+        p = InterpretationProfile(y_label=y_label)
+        for q in all_profiles():
+            if (q.base_case, q.y_label) == ("explicit_path", y_label):
+                assert Stack("F", 3, p).stages[0] is Stack("F", 3, q).stages[0], q

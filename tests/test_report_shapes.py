@@ -2,6 +2,7 @@
 
 import copy
 import functools
+import json
 import re
 
 import pytest
@@ -287,3 +288,24 @@ def test_run_verification_refuses_what_verify_report_would(theorem, r, target, m
     kind, param = target.split()[0].rstrip(")").split("(")
     report = edited(base_report(theorem), ("target",), {"kind": kind, "param": int(param)})
     assert verify_report(report) == [f"cannot rebuild target: {message}"]
+
+
+def test_a_file_nested_too_deep_to_decode_is_a_value_error(tmp_path):
+    target = tmp_path / "deep.json"
+    target.write_text("[" * 100_000)
+    with pytest.raises(ValueError, match=f"^report {re.escape(str(target))} does not decode as JSON"):
+        load_report(target)
+
+
+def test_notes_nested_too_deep_to_serialize_are_a_problem_not_a_crash(tmp_path):
+    """JSON decodes a 990-deep list, but writing it back for the comparison
+    passes the recursion limit."""
+    deep = []
+    for _ in range(989):
+        deep = [deep]
+    report = dict(base_report("1.1"), notes=deep)
+    assert verify_report(report) == ["notes[0] differs from the re-assembled report"]
+    target = tmp_path / "r.json"
+    target.write_text(json.dumps(dict(report, notes="DEEP")).replace('"DEEP"', "[" * 990 + "]" * 990))
+    with pytest.raises(ValueError, match=f"^report {re.escape(str(target))} "):
+        load_report(target)

@@ -84,8 +84,7 @@ def test_stages_match_the_dense_build(profile):
     """Each part-native stage, its H side read by duality, against the
     dense F(r): n, m, label counts, every vertex's label, and each part's
     six optima, sizes and witness masks numbered within the part, with
-    their node sums, as one split of that part of the dense graph gives
-    them."""
+    their node sums, as splits of that part of the dense graph give them."""
     for r in range(3, 17):
         stack, lg = Stack("F", r, profile), build_F(r, profile)
         assert (stack.n, stack.m, stack.label_counts) == (lg.graph.n, lg.graph.m, label_counts(lg)), r
@@ -141,12 +140,12 @@ def test_block_copies_match_the_dense_side():
 @pytest.mark.parametrize("profile", all_profiles(), ids=str)
 def test_copy_rule_optima_match_a_split_of_the_dense_side(profile):
     """The six optima that the copy rule reads from a block, sizes,
-    witness masks and node sums, are those of one split of the whole side,
-    and H's are G's by duality."""
+    witness masks and node sums, are those of splits of the whole dense
+    side, and H's are G's by duality."""
     for r in range(4, 21):
         s, (side, labels, _) = solve_module.stage(r, profile), build_side(r, profile)
         full = (1 << side.n) - 1
-        dense = _split_clique(side, full, [(within, flip) for flip in (0, -1) for within in (full, *class_masks(labels))])
+        dense = [_split_clique(side, within, flip) for flip in (0, -1) for within in (full, *class_masks(labels))]
         for mode, (g, h) in (("clique", (dense[:3], dense[3:])), ("independent", (dense[3:], dense[:3]))):
             assert s.optima[mode] == flat_optima([g, (h[0], h[2], h[1])]), (r, mode)
 
@@ -282,13 +281,13 @@ def test_stack_witness_check_refuses_what_the_dense_one_does(members):
 
 def dense_part_optima(lg):
     """Per mode, each part's whole, label-1 and label-2 optima, numbered
-    within the part, from one split of that part of the dense build."""
+    within the part, each from a split of its own set in the dense build."""
     g, classes = lg.graph, class_masks(lg.labels)
     bounds = [0, *stage_cuts(lg), g.n]
     optima = {"clique": [], "independent": []}
     for lo, hi in zip(bounds, bounds[1:]):
         part = (1 << hi) - (1 << lo)
-        solves = _split_clique(g, part, [(part & within, flip) for flip in (0, -1) for within in (part, *classes)])
+        solves = [_split_clique(g, part & within, flip) for flip in (0, -1) for within in (part, *classes)]
         solves = [(size, mask >> lo, nodes) for size, mask, nodes in solves]
         optima["clique"].append(tuple(solves[:3]))
         optima["independent"].append(tuple(solves[3:]))
@@ -297,11 +296,10 @@ def dense_part_optima(lg):
 
 def stage_numbers(lg):
     """[omega, omega_1, omega_2, alpha, alpha_1, alpha_2] of one stage; _1
-    and _2 are its label-1 and label-2 classes.  All six are read from one
-    split of the whole stage."""
+    and _2 are its label-1 and label-2 classes.  Each is a split of its
+    own set in the whole stage."""
     full = (1 << lg.graph.n) - 1
-    queries = [(within, flip) for flip in (0, -1) for within in (full, *class_masks(lg.labels))]
-    return [size for size, _, _ in _split_clique(lg.graph, full, queries)]
+    return [_split_clique(lg.graph, within, flip)[0] for flip in (0, -1) for within in (full, *class_masks(lg.labels))]
 
 
 def closed_form(profile, r):
