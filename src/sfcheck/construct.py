@@ -22,6 +22,7 @@ pure, bit-reproducible function of (parameter, profile).
 
 from __future__ import annotations
 
+import reprlib
 from collections import namedtuple
 
 from sfcheck.graphs import Checked, Graph, combine, complement, complete, empty, path, product
@@ -66,14 +67,11 @@ class InterpretationProfile(Checked, namedtuple(
     __slots__ = ()
 
     def __post_init__(self) -> None:
-        if self.sum not in PROFILE_SUMS:
-            raise ValueError(f"unknown sum reading {self.sum!r}")
-        if self.prod not in PROFILE_PRODS:
-            raise ValueError(f"unknown prod reading {self.prod!r}")
-        if self.base_case not in PROFILE_BASES:
-            raise ValueError(f"unknown base_case reading {self.base_case!r}")
+        for field, readings in (("sum", PROFILE_SUMS), ("prod", PROFILE_PRODS), ("base_case", PROFILE_BASES)):
+            if getattr(self, field) not in readings:
+                raise ValueError(f"unknown {field} reading {reprlib.repr(getattr(self, field))}")
         if type(self.y_label) is not int or self.y_label not in LABELS:
-            raise ValueError(f"y_label must be 1 or 2, got {self.y_label!r}")
+            raise ValueError(f"y_label must be 1 or 2, got {reprlib.repr(self.y_label)}")
 
     def to_dict(self) -> dict:
         return self._asdict()
@@ -95,7 +93,7 @@ def stage_size(r: int, base_path: bool) -> int:
 def _require_param(kind: str, param: int) -> None:
     """ValueError for an unknown target kind or a parameter below 3."""
     if kind not in ("F", "SF"):
-        raise ValueError(f"unknown target kind {kind!r}")
+        raise ValueError(f"unknown target kind {reprlib.repr(kind)}")
     if param < 3:
         raise ValueError(f"{'stage' if kind == 'F' else 'stack'} parameter must be >= 3, got {param}")
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import os
+import reprlib
 import tempfile
 from datetime import datetime, timezone
 from typing import Iterator
@@ -38,13 +39,13 @@ def _now() -> str:
 
 # verify_report refuses, unbuilt, a target with a stage of more vertices
 # than this: F(100) has 19800 and F(101) 20200, so SF(100) is the largest
-# stack.  A stage keeps one r-vertex block, and a check keeps each witness
-# as one mask per part and lists only the one a report stores, so the cap
-# bounds neither rows nor an assembled alpha witness: it bounds the stages
-# a report can name, and so the loader's re-run of its check, and the
-# witness a report can store (SF(100)'s clique has 9900 vertices under
-# prod="tensor").  A dense build, for export, is limited in its total:
-# SF(31) has 19830.
+# stack.  A stage keeps one r-vertex block and each part optimum as a
+# mask over it, and a check keeps each witness as one block mask per part
+# and lists only the one a report stores, so the cap bounds neither rows,
+# optima nor an assembled alpha witness: it bounds the stages a report can
+# name, and so the loader's re-run of its check, and the witness a report
+# can store (SF(100)'s clique has 9900 vertices under prod="tensor").  A
+# dense build, for export, is limited in its total: SF(31) has 19830.
 MAX_REBUILD_VERTICES = 20_000
 
 
@@ -176,21 +177,21 @@ def verify_report(report) -> list[str]:
     claim's check at the report's own r on them, re-assembles the report
     with ``make_report`` from the re-run alone, and names each field where
     the two differ.  So every field, the witness vertex for vertex
-    included, must be the re-run's, which ``Stack.holds`` has checked.
+    included, must be the re-run's: checked optima that ``Stack.holds`` passed.
     Copied, not compared: ``generated_by``.  Returns a list of problems,
     empty when the report stands; never raises.
     """
     if not isinstance(report, dict):
         return [f"report: expected an object, got {type(report).__name__}"]
     if report.get("schema_version") != SCHEMA_VERSION:
-        return [f"unsupported schema_version {report.get('schema_version')!r}"]
+        return [f"unsupported schema_version {reprlib.repr(report.get('schema_version'))}"]
     shape = _shape_problem(report, _REPORT_FIELDS, "report")
     shape = shape or _shape_problem(report["target"], {"param": int}, "target")
     if not shape and len(report["checks"]) != 1:
         shape = f"report: expected one check, got {len(report['checks'])}"
     shape = shape or _shape_problem(report["checks"][0], _CHECK_FIELDS, "check 0")
     if not shape and report["checks"][0]["theorem_id"] not in _CHECKS:
-        shape = f"check 0: unknown theorem_id {report['checks'][0]['theorem_id']!r}"
+        shape = f"check 0: unknown theorem_id {reprlib.repr(report['checks'][0]['theorem_id'])}"
     if shape:
         return [shape]
     kind, param = report["target"].get("kind"), report["target"]["param"]

@@ -80,31 +80,29 @@ one block of F(r)'s first part, from ``construct.build_block``: the base
 path (k = 1 copy), or one copy of the G side, ``product(empty(1), G_z,
 prod)``.  The G side is k = r-1 disjoint copies of it, since a product
 joins two copies only through an edge of ``empty(r - 1)``.  The memo
-keeps the block's rows, labels and two label classes as masks, k and the
-repunit R_k (bit c*b for each copy c of a b-vertex block), the stage's
-n, m and label counts, and, once a check reads them, per mode its node
-sum and each part's optima as sizes and part-local bit masks, from the
-block's six splits by the copy rule: a clique lies in one copy, so its
-optimum is the block's mask, in copy 0; an independent set is one in
-each copy, so its optimum is the block's mask times R_k, k times the
-size.  Node counts are the block's.  The H side that follows a G side
-of h vertices is read by duality: H is G's complement with labels
-flipped, so a clique of H is an independent set of G at the same
-offsets.  Hence
+keeps the block's rows, labels and two label classes as masks, k, the
+stage's n, m and label counts, and, once a check reads them, per mode its
+node sum and each part's optima as sizes and block masks, from the
+block's six splits, each checked by ``_holds`` where it is found, by
+the copy rule: a clique lies in one copy, so its optimum is the block's,
+in copy 0; an independent set is one in each copy, so its optimum is the
+block's in every copy, k times the size, and is kept as the block's mask
+too.  Node counts are the block's.  The H side that follows a G side of
+h vertices is read by duality: H is G's complement with labels flipped,
+so a clique of H is an independent set of G at the same offsets.  Hence
 
     omega(H) = alpha(G),  omega_1(H) = alpha_2(G),  omega_2(H) = alpha_1(G),
 
 masks and node counts included, and the same with omega and alpha
 exchanged: H's optima are G's masks themselves, shared, not copied.
 ``stage_solve`` picks the winner from the sizes and keeps its witness
-as {part index: mask}; ``Stack.holds`` checks it part by part, in the
-only two forms a part's mask takes (in copy 0, or one block mask in
-every copy), and only a caller that stores a witness lists its vertices
+as {part index: block mask}; ``Stack.holds`` checks that each part's
+mask is one of that part's optima, and the parity rule across parts.
+Only a caller that stores a witness lists its vertices, copy by copy
 (``Stack.members``).  A loaded report's witness is not checked on its
 own: the loader re-runs the check and compares the witness it lists.
-``_holds`` checks an H witness on G's rows with the flip inverted.  G
-and H hold h(h-1)/2 edges together, and a vertex of G is joined to the H
-vertices of the other parity, the flips of G's vertices of its own
+G and H hold h(h-1)/2 edges together, and a vertex of G is joined to the
+H vertices of the other parity, the flips of G's vertices of its own
 label; with c1 and c2 G's label counts, m(F(r)) = h(h-1)/2 + c1^2 +
 c2^2, and the base path's m is its block's.  A Stack reads its n, m and
 label counts from the stages' in closed form.
@@ -395,9 +393,9 @@ def _split_clique(g: Graph, within: int, flip: int) -> tuple[int, int, int]:
 
 
 class StackResult(NamedTuple):
-    """An optimum of a Stack: its size, its witness as one bit mask per
-    part index over that part's own vertices (``Stack.members`` lists it),
-    and the node count it rests on."""
+    """An optimum of a Stack: its size, its witness as one block mask per
+    part index (``Stack.members`` lists it), and the node count it rests
+    on."""
 
     size: int
     masks: dict[int, int]
@@ -408,9 +406,8 @@ class Stage:
     """One stage as the stage memo keeps it: one block of its first part
     (the base path, or one copy of the G side) as ``block`` and
     ``labels``, the block's label-1 and label-2 vertices as two masks
-    (``classes``), the part's copy count ``k`` and the repunit with bit
-    c*b for each copy c of a b-vertex block, whether an H side follows it
-    (``paired``), each part as (first vertex in the stage, inverse, odd,
+    (``classes``), the part's copy count ``k``, whether an H side follows
+    it (``paired``), each part as (first vertex in the stage, inverse, odd,
     even) for ``Stack``, the stage's n, m and label counts (label 1 is odd,
     label 2 even), and, once first asked for, its part optima."""
 
@@ -418,7 +415,6 @@ class Stage:
         self.block, self.labels, self.k, self.paired = block, labels, k, paired
         self.classes = odd, even = label_masks(labels)
         h, c1 = k * block.n, k * odd.bit_count()
-        self.repunit = ((1 << h) - 1) // ((1 << block.n) - 1)
         # Inverse is -1 for an H side, read on its G side's block with the flip inverted, else 0;
         # odd and even mask the block's label-1 and label-2 vertices, G's two classes swapped for H.
         self.parts = ((0, 0, odd, even), (h, -1, even, odd))[: 1 + paired]
@@ -430,13 +426,14 @@ class Stage:
     @cached_property
     def optima(self) -> dict[str, tuple[int, int, tuple, tuple]]:
         """Per mode, (node sum, its label-1 and label-2 share, sizes,
-        masks): per part, the sizes and witness masks of its whole,
+        block masks): per part, the sizes and witness masks of its whole,
         label-1 and label-2 optima.  The first part's come from six splits
-        of its block, one per query, by the copy rule, and an H side's are the same of the
-        other mode, by the duality of the module docstring."""
+        of its block, one per query, its independent sets' sizes taken k
+        times by the copy rule, and an H side's are the same of the other
+        mode, by the duality of the module docstring."""
         full = (1 << self.block.n) - 1
         sizes, masks, nodes = zip(*(_split_clique(self.block, within, flip) for flip in (0, -1) for within in (full, *self.classes)))
-        sizes, masks = sizes[:3] + tuple(self.k * size for size in sizes[3:]), masks[:3] + tuple(self.repunit * mask for mask in masks[3:])
+        sizes = sizes[:3] + tuple(self.k * size for size in sizes[3:])
         optima = {}
         for mode, g, h in (("clique", 0, 3), ("independent", 3, 0)):
             # Per part, where its whole, label-1 and label-2 optima are in solves: G's own, and
@@ -485,7 +482,6 @@ class Stack:
         self.stages = [stage(r, base if r == 3 else rest) for r in ((param,) if kind == "F" else range(3, param + 1))]
         *self.starts, self.n = accumulate((s.n for s in self.stages), initial=0)
         self.parts = [(start + offset, s, *part) for start, s in zip(self.starts, self.stages) for offset, *part in s.parts]
-        self.part_starts = [part[0] for part in self.parts]
         ones, twos = (sum(s.label_counts[label] for s in self.stages) for label in LABELS)
         self.label_counts = {1: ones, 2: twos}
         # The cross edges are the sum over stages i < j of odd_i * even_j +
@@ -493,45 +489,47 @@ class Stack:
         cross = ones * twos - sum(s.label_counts[1] * s.label_counts[2] for s in self.stages)
         self.m = sum(s.m for s in self.stages) + cross
 
-    def members(self, masks: dict[int, int]) -> tuple[int, ...]:
-        """The vertices of ``masks``, a bit mask per part index over the
-        part's own vertices, numbered in the stack, ascending."""
-        return tuple(self.part_starts[i] + v for i in sorted(masks) for v in _members(masks[i]))
+    def members(self, masks: dict[int, int], mode: str) -> tuple[int, ...]:
+        """The vertices of ``masks``, a ``mode`` witness as a block mask
+        per part index, numbered in the stack, ascending.  The copy rule: a
+        part's mask fills all k copies of its block where it is an
+        independent set in G's view (an independent set of G, or a clique
+        of H), since no edge of G joins two copies, and copy 0 alone
+        otherwise."""
+        flip, listed = _flip(mode), []
+        for i in sorted(masks):
+            start, s, inverse, *_ = self.parts[i]
+            block, b = _members(masks[i]), s.block.n
+            for first in range(start, start + (s.k if flip ^ inverse else 1) * b, b):
+                listed += [first + v for v in block]
+        return tuple(listed)
 
-    def holds(self, masks: dict[int, int], flip: int) -> bool:
-        """Whether ``masks``, a bit mask per part index over the part's own
-        vertices, is a clique (flip 0) or an independent set (flip -1) of
-        the stack in one of the two forms the stage route composes.  Bit v
-        of a part is block vertex v % b of copy v // b, and no edge of G
-        joins two copies.  A part's mask must be a block mask in copy 0,
-        or, where it is an independent set of G (a clique of H), one block
-        mask repeated in every copy; any other mask, valid or not, is
-        refused.  The block mask is checked once on the block's rows (an H
-        side's with the flip inverted).  Across parts, the parity rule: a
-        clique meets at most two parts, one parity in each and opposite,
-        and an independent set that meets two or more lies in one parity."""
+    def holds(self, masks: dict[int, int], mode: str) -> bool:
+        """Whether ``masks``, a block mask per part index, is a ``mode``
+        witness of the stack as the stage route composes it.  Each part's
+        mask must be one of that part's optima in ``mode``, which
+        ``_split_clique`` checked where it found them; any other mask,
+        valid or not, is refused.  Across parts, the parity rule: a clique
+        meets at most two parts, one parity in each and opposite, and an
+        independent set that meets two or more lies in one parity."""
         parities = []
         for i, mask in masks.items():
-            if not mask:
-                continue
             _, s, inverse, odd, even = self.parts[i]
-            view, met = flip ^ inverse, mask & (1 << s.block.n) - 1
-            repeated = view and mask == met * s.repunit  # independent in G's view, one block mask per copy
-            if mask != met and not repeated or not _holds(s.block.rows, met, view):
+            if mask not in s.optima[mode][3][inverse]:  # inverse -1 picks an H side, the stage's last part
                 return False
-            parities.append(bool(met & odd) | bool(met & even) << 1)
+            parities.append(bool(mask & odd) | bool(mask & even) << 1)
         if len(parities) < 2:
             return True
-        if not flip:
+        if mode == "clique":
             return len(parities) == 2 and parities[0] ^ parities[1] == 3
         return reduce(or_, parities) != 3
 
 
-def _checked(stack: Stack, masks: dict[int, int], mode: str, nodes: int) -> StackResult:
-    """``masks`` as a StackResult, once ``Stack.holds`` has passed it."""
-    if not stack.holds(masks, _flip(mode)):
+def _checked(stack: Stack, masks: dict[int, int], mode: str, size: int, nodes: int) -> StackResult:
+    """``masks`` as a StackResult of ``size``, once ``Stack.holds`` has passed it."""
+    if not stack.holds(masks, mode):
         raise AssertionError(f"stage route assembled an invalid {mode} witness")
-    return StackResult(sum(mask.bit_count() for mask in masks.values()), masks, nodes)
+    return StackResult(size, masks, nodes)
 
 
 def stage_solve(stack: Stack) -> tuple[StackResult, StackResult]:
@@ -560,8 +558,8 @@ def stage_solve(stack: Stack) -> tuple[StackResult, StackResult]:
             for i, (_, one, _) in enumerate(sizes):
                 j = by_two[1] if by_two[0] == i else by_two[0]
                 candidates.append((one + sizes[j][2], [(i, 1), (j, 2)]))
-        chosen = max(candidates, key=lambda c: c[0])[1]
-        results.append(_checked(stack, {i: masks[i][k] for i, k in chosen}, mode, sum(o[0] for o in optima)))
+        size, chosen = max(candidates, key=lambda c: c[0])
+        results.append(_checked(stack, {i: masks[i][k] for i, k in chosen}, mode, size, sum(o[0] for o in optima)))
     return results[0], results[1]
 
 
@@ -572,7 +570,7 @@ def stage_mono_clique(stack: Stack) -> StackResult:
     optima = [s.optima["clique"] for s in stack.stages]
     sizes, masks = ([part for o in optima for part in o[j]] for j in (2, 3))
     label, i = max(((label, i) for label in LABELS for i in range(len(sizes))), key=lambda c: sizes[c[1]][c[0]])
-    return _checked(stack, {i: masks[i][label]}, "clique", sum(o[1] for o in optima))
+    return _checked(stack, {i: masks[i][label]}, "clique", sizes[i][label], sum(o[1] for o in optima))
 
 
 def oracle_max_clique(g: Graph) -> int:

@@ -109,18 +109,18 @@ def _require_target(theorem: str, r: int, profile: InterpretationProfile, stack:
 def check_theorem_1_1(r: int, profile: InterpretationProfile, stack: Stack) -> TheoremCheck:
     """Compare the largest single-label clique of ``stack``, F(r) under
     ``profile``, read from its stage's part optima (``solve.stage_mono_clique``),
-    against ceil(r/2).  Its witness lies in one part, so one AND with that
-    part's label-1 class, over every copy, shows that it has one label."""
+    against ceil(r/2).  Its witness is one block mask of one part, so one
+    AND with that part's label-1 class shows that it has one label."""
     _require_target("1.1", r, profile, stack)
     res = stage_mono_clique(stack)
     ((i, mask),) = res.masks.items()
-    _, s, _, odd, _ = stack.parts[i]
-    if mask & odd * s.repunit not in (0, mask):
+    _, _, _, odd, _ = stack.parts[i]
+    if mask & odd not in (0, mask):
         raise AssertionError("single-label witness spans both labels")
     computed = {"mono_clique": res.size}
     claimed, status, mode = claim_verdict("T1_1", r, computed)
     return TheoremCheck(
-        "T1_1", r, profile, claimed, computed, status, stack.members(res.masks), mode,
+        "T1_1", r, profile, claimed, computed, status, stack.members(res.masks, mode), mode,
         {"mono_nodes": res.nodes_explored},
     )
 
@@ -137,7 +137,7 @@ def check_theorem_1_2(r: int, profile: InterpretationProfile, stack: Stack) -> T
     omega, alpha = stage_solve(stack)
     computed = {"omega": omega.size, "alpha": alpha.size}
     claimed, status, mode = claim_verdict("T1_2", r, computed)
-    witness = stack.members((alpha if mode == "independent" else omega).masks)
+    witness = stack.members((alpha if mode == "independent" else omega).masks, mode)
     return TheoremCheck(
         "T1_2", r, profile, claimed, computed, status, witness, mode,
         {"omega_nodes": omega.nodes_explored, "alpha_nodes": alpha.nodes_explored},

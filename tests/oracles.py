@@ -441,21 +441,41 @@ def pairwise_witness_ok(g: Graph, members, mode: str) -> bool:
     return all(g.has_edge(a, b) == want for a, b in itertools.combinations(sorted(members), 2))
 
 
-def pairwise_composition(part_starts, part_optima, mode: str) -> tuple[int, ...]:
+def pairwise_composition(parts, part_optima, mode: str) -> tuple[int, ...]:
     """The witness ``solve.stage_solve`` composes for ``mode``, by building
     every candidate whole, as it once did, from each part's whole, label-1
     and label-2 optima ((size, mask, nodes) triples, masks over the part's
-    own vertices, whose first vertex is in ``part_starts``): each part's optimum, then
-    every ordered pair of parts' label-1 and label-2 cliques in
-    ``itertools.permutations`` order, or each label's independent sets
-    over all parts; the first longest wins."""
-    optima = [[tuple(v + start for v in _members(mask)) for _, mask, _ in solves] for start, solves in zip(part_starts, part_optima)]
+    own vertices, whose first vertex leads its entry of ``parts``, as in
+    ``solve.Stack.parts``): each part's optimum, then every ordered pair
+    of parts' label-1 and label-2 cliques in ``itertools.permutations``
+    order, or each label's independent sets over all parts; the first
+    longest wins."""
+    optima = [[tuple(v + start for v in _members(mask)) for _, mask, _ in solves] for (start, *_), solves in zip(parts, part_optima)]
     candidates = [whole for whole, _, _ in optima]
     if mode == "clique":
         candidates += [a[1] + b[2] for a, b in itertools.permutations(optima, 2)]
     else:
         candidates += [sum((part[label] for part in optima), ()) for label in (1, 2)]
     return tuple(sorted(max(candidates, key=len)))
+
+
+def block_optima(r: int, profile: InterpretationProfile) -> tuple[int, ...]:
+    """(omega, omega_1, omega_2, alpha, alpha_1, alpha_2) of one block of
+    F(r)'s first part, from the shapes ``construct.build_block`` gives it,
+    with a = r // 2 vertices labeled 1 and r - a labeled 2.  A G side's
+    block is ``product(empty(1), G_z, prod)``: G_z itself under the
+    lexicographic and cartesian products, and edgeless under tensor.  G_z
+    is K_a + K_(r-a) under disjoint union and K_r under join.  The base
+    path v-u-w-x-y-t has labels 1, 2, 1, 1, y_label, 2."""
+    a = r // 2
+    if r == 3 and profile.base_case == "explicit_path":
+        y1 = profile.y_label == 1
+        return 2, 2, 1 if y1 else 2, 3, 3 if y1 else 2, 2
+    if profile.prod == "tensor":
+        return 1, 1, 1, r, a, r - a
+    if profile.sum == "join":
+        return r, a, r - a, 1, 1, 1
+    return r - a, a, r - a, 2, 1, 1
 
 
 def flat_optima(part_optima) -> tuple[int, int, tuple, tuple]:
@@ -476,28 +496,3 @@ def stack_labels(stack) -> list[int]:
     part's block labels read from its odd class mask, once per copy, for
     comparison with a dense build's labels."""
     return [1 if odd >> v & 1 else 2 for _, s, _, odd, _ in stack.parts for _ in range(s.k) for v in range(s.block.n)]
-
-
-def part_masks(stack, members) -> dict[int, int]:
-    """``members``, distinct vertices of ``stack`` in its numbering, as a
-    bit mask per part index over the part's own vertices, parts met only:
-    the inverse of ``Stack.members``."""
-    masks: dict[int, int] = {}
-    for v in members:
-        i = max(i for i, start in enumerate(stack.part_starts) if start <= v)
-        masks[i] = masks.get(i, 0) | 1 << v - stack.part_starts[i]
-    return masks
-
-
-def route_form(stack, masks: dict[int, int]) -> bool:
-    """Whether every part's mask, read copy by copy, meets copy 0 alone or
-    the same block vertices in every copy: the two forms the stage route
-    composes (the second only as an independent set in its block's view,
-    which the dense check asks of any set over two or more copies)."""
-    for i, mask in masks.items():
-        s = stack.parts[i][1]
-        b = s.block.n
-        pieces = [mask >> c * b & (1 << b) - 1 for c in range(s.k)]
-        if any(pieces[1:]) and len(set(pieces)) > 1:
-            return False
-    return True

@@ -297,15 +297,35 @@ def test_a_file_nested_too_deep_to_decode_is_a_value_error(tmp_path):
         load_report(target)
 
 
+def nested(depth):
+    """A list nested ``depth`` deep around an empty list."""
+    deep = []
+    for _ in range(depth):
+        deep = [deep]
+    return deep
+
+
 def test_notes_nested_too_deep_to_serialize_are_a_problem_not_a_crash(tmp_path):
     """JSON decodes a 990-deep list, but writing it back for the comparison
     passes the recursion limit."""
-    deep = []
-    for _ in range(989):
-        deep = [deep]
-    report = dict(base_report("1.1"), notes=deep)
+    report = dict(base_report("1.1"), notes=nested(989))
     assert verify_report(report) == ["notes[0] differs from the re-assembled report"]
     target = tmp_path / "r.json"
     target.write_text(json.dumps(dict(report, notes="DEEP")).replace('"DEEP"', "[" * 990 + "]" * 990))
     with pytest.raises(ValueError, match=f"^report {re.escape(str(target))} "):
         load_report(target)
+
+
+def called_through(frames, fn, *args):
+    """``fn(*args)`` called ``frames`` calls deep."""
+    return fn(*args) if frames == 0 else called_through(frames - 1, fn, *args)
+
+
+@pytest.mark.parametrize("frames", [0, 50])
+@pytest.mark.parametrize("path", [("schema_version",), ("profile", "sum"), ("target", "kind")], ids=".".join)
+def test_a_value_nested_too_deep_to_repr_is_named_in_one_short_problem(path, frames):
+    """A 989-deep list where the loader names a bad value gives one short
+    problem, also from a call 50 frames deep, where a whole repr of it
+    passes the recursion limit."""
+    problems = called_through(frames, verify_report, edited(base_report("1.1"), path, nested(989)))
+    assert len(problems) == 1 and len(problems[0]) < 200, problems

@@ -38,13 +38,12 @@ from sfcheck.verify import check_theorem_1_1, check_theorem_1_2
 
 from oracles import (
     all_profiles,
+    block_optima,
     class_masks,
     flat_optima,
     label_counts,
     max_mono_clique,
     pairwise_composition,
-    part_masks,
-    route_form,
     stack_labels,
     stage_cuts,
 )
@@ -55,7 +54,7 @@ def assert_route_matches_monolithic(t, profile=DEFAULT_PROFILE):
     omega, alpha = stage_solve(stack)
     g = build_SF(t, profile).graph
     assert (omega.size, alpha.size) == (max_clique(g).size, max_independent_set(g).size)
-    clique, independent = stack.members(omega.masks), stack.members(alpha.masks)
+    clique, independent = stack.members(omega.masks, "clique"), stack.members(alpha.masks, "independent")
     assert verify_witness(g, clique, "clique") and verify_witness(g, independent, "independent")
     assert len(clique) == omega.size and len(independent) == alpha.size
 
@@ -79,17 +78,32 @@ def test_stack_counts_match_the_dense_build(profile):
         assert stack_labels(stack) == list(lg.labels)
 
 
+def over_copies(s):
+    """``s.optima`` with each block mask written out over the copies it
+    fills, numbered within its part: every copy for an independent set of
+    G (part 0 in "independent") and a clique of H (part 1 in "clique"),
+    copy 0 alone for the rest.  The base path is one copy."""
+    b = s.block.n
+    out = {}
+    for mode, (nodes, share, sizes, masks) in s.optima.items():
+        fills = (mode == "independent", mode == "clique")
+        masks = tuple(tuple(sum(mask << c * b for c in range(s.k if fill else 1)) for mask in part) for part, fill in zip(masks, fills))
+        out[mode] = (nodes, share, sizes, masks)
+    return out
+
+
 @pytest.mark.parametrize("profile", all_profiles(), ids=str)
 def test_stages_match_the_dense_build(profile):
     """Each part-native stage, its H side read by duality, against the
     dense F(r): n, m, label counts, every vertex's label, and each part's
-    six optima, sizes and witness masks numbered within the part, with
-    their node sums, as splits of that part of the dense graph give them."""
+    six optima, sizes and witness masks written out over the copies they
+    fill and numbered within the part, with their node sums, as splits of
+    that part of the dense graph give them."""
     for r in range(3, 17):
         stack, lg = Stack("F", r, profile), build_F(r, profile)
         assert (stack.n, stack.m, stack.label_counts) == (lg.graph.n, lg.graph.m, label_counts(lg)), r
         assert stack_labels(stack) == list(lg.labels), r
-        assert stack.stages[0].optima == {mode: flat_optima(parts) for mode, parts in dense_part_optima(lg).items()}, r
+        assert over_copies(stack.stages[0]) == {mode: flat_optima(parts) for mode, parts in dense_part_optima(lg).items()}, r
 
 
 def test_an_h_side_shares_its_g_sides_results():
@@ -122,6 +136,53 @@ def test_a_stage_keeps_one_block_of_rows():
             assert (s.n, b, s.k) == ((2 * r * (r - 1), r, r - 1) if s.paired else (6, 6, 1))
 
 
+def test_optima_are_block_masks():
+    """A stage keeps each part optimum as a mask over its block alone, and
+    no mask of its copies."""
+    for profile in all_profiles():
+        for r in range(3, 13):
+            s = solve_module.stage(r, profile)
+            assert not hasattr(s, "repunit"), (profile, r)
+            assert all(0 <= mask < 1 << s.block.n for *_, masks in s.optima.values() for part in masks for mask in part), (profile, r)
+
+
+def test_a_warm_rerun_checks_no_optimum_again(monkeypatch):
+    """Each optimum is checked once, where its stage finds it: with the
+    stages of SF(21) memoized, re-running T1.2 at r = 20 and loading its
+    report make no ``_holds`` call."""
+    report, calls, holds = run_verification("1.2", 20), [], solve_module._holds
+    monkeypatch.setattr(solve_module, "_holds", lambda *args: calls.append(args) or holds(*args))
+    assert run_verification("1.2", 20)["checks"] == report["checks"] and verify_report(report) == []
+    assert calls == []
+
+
+def stage_sizes(r, profile):
+    """Per mode, per part, the sizes of F(r)'s whole, label-1 and label-2
+    optima from ``block_optima``: a clique lies in one copy, an
+    independent set of G fills all k = r - 1, and an H side's optima are
+    G's of the other mode with the labels swapped."""
+    w, w1, w2, a, a1, a2 = block_optima(r, profile)
+    if r == 3 and profile.base_case == "explicit_path":
+        return {"clique": ((w, w1, w2),), "independent": ((a, a1, a2),)}
+    k = r - 1
+    return {"clique": ((w, w1, w2), (k * a, k * a2, k * a1)), "independent": ((k * a, k * a1, k * a2), (w, w2, w1))}
+
+
+@pytest.mark.parametrize("profile", all_profiles(), ids=str)
+def test_stage_optima_follow_the_block_shapes(profile):
+    for r in range(3, 201):
+        optima = Stack("F", r, profile).stages[0].optima
+        assert {mode: sizes for mode, (_, _, sizes, _) in optima.items()} == stage_sizes(r, profile), r
+
+
+@pytest.mark.parametrize("t", [100, 200, 400])
+def test_stage_solve_follows_the_closed_forms_past_the_loader_limit(t):
+    """At the default profile and even t, omega(SF(t)) = 2(t - 1) and
+    alpha(SF(t)) = 3t^2/4 - 5."""
+    omega, alpha = stage_solve(Stack("SF", t, DEFAULT_PROFILE))
+    assert (omega.size, alpha.size) == (2 * (t - 1), 3 * t * t // 4 - 5)
+
+
 def test_block_copies_match_the_dense_side():
     """k shifted copies of a stage's block are ``build_side``'s G side, rows
     and labels, under every profile (the fact about ``graphs.product`` that
@@ -140,127 +201,104 @@ def test_block_copies_match_the_dense_side():
 @pytest.mark.parametrize("profile", all_profiles(), ids=str)
 def test_copy_rule_optima_match_a_split_of_the_dense_side(profile):
     """The six optima that the copy rule reads from a block, sizes,
-    witness masks and node sums, are those of splits of the whole dense
-    side, and H's are G's by duality."""
+    witness masks written out over the copies they fill and node sums, are
+    those of splits of the whole dense side, and H's are G's by duality."""
     for r in range(4, 21):
         s, (side, labels, _) = solve_module.stage(r, profile), build_side(r, profile)
         full = (1 << side.n) - 1
         dense = [_split_clique(side, within, flip) for flip in (0, -1) for within in (full, *class_masks(labels))]
         for mode, (g, h) in (("clique", (dense[:3], dense[3:])), ("independent", (dense[3:], dense[:3]))):
-            assert s.optima[mode] == flat_optima([g, (h[0], h[2], h[1])]), (r, mode)
+            assert over_copies(s)[mode] == flat_optima([g, (h[0], h[2], h[1])]), (r, mode)
 
 
 @st.composite
 def stack_witnesses(draw):
-    """(t, profile, members, mode): a stage-route optimum, vertices drawn
-    from one to three ranges (a part, a whole stage), or from one copy of
-    the block or two copies of one side, with a few vertices added and
-    removed, so that pairs fall inside a copy, across copies of one side,
-    across the two sides of a stage and across stages."""
+    """(t, profile, mode, masks): any set of SF(t)'s parts, each with one
+    of its whole, label-1 and label-2 optima in ``mode``, so that parts
+    meet within a stage and across stages, in every pair of parities."""
     t = draw(st.integers(3, 7))
     profile = draw(st.sampled_from(all_profiles()))
     mode = draw(st.sampled_from(["clique", "independent"]))
     stack = Stack("SF", t, profile)
-    # Each side as its copies of the block, each copy as its range.
-    copies = [[(start + c * s.block.n, start + (c + 1) * s.block.n) for c in range(s.k)] for start, s, *_ in stack.parts]
-    ranges = [(side[0][0], side[-1][1]) for side in copies]
-    ranges += [(start, start + s.n) for start, s in zip(stack.starts, stack.stages)]
-    source = draw(st.sampled_from(["optimum", "ranges", "copies"]))
-    if source == "optimum":
-        members = set(stack.members(stage_solve(stack)[mode == "independent"].masks))
-    else:
-        if source == "ranges":
-            picked = draw(st.lists(st.sampled_from(ranges), min_size=1, max_size=3))
-        else:  # one copy, or two copies of one side
-            picked = draw(st.lists(st.sampled_from(draw(st.sampled_from(copies))), min_size=1, max_size=2, unique=True))
-        members = set()
-        for lo, hi in picked:
-            members |= set(draw(st.lists(st.integers(lo, hi - 1), max_size=4)))
-    members |= set(draw(st.lists(st.integers(0, stack.n - 1), max_size=2)))
-    if members:
-        members -= set(draw(st.lists(st.sampled_from(sorted(members)), max_size=3)))
-    return t, profile, sorted(members), mode
+    masks = {}
+    for i in draw(st.lists(st.integers(0, len(stack.parts) - 1), min_size=1, unique=True)):
+        _, s, inverse, *_ = stack.parts[i]
+        masks[i] = s.optima[mode][3][1 if inverse else 0][draw(st.integers(0, 2))]
+    return t, profile, mode, masks
 
 
 @settings(max_examples=300, deadline=None)
 @given(stack_witnesses())
 def test_stack_witness_check_matches_the_dense_one(case):
-    """``Stack.holds`` on a set cut into part masks: the dense check's
-    verdict where every part's mask takes one of the route's two forms,
-    and a refusal where one does not."""
-    t, profile, members, mode = case
-    stack, flip = Stack("SF", t, profile), -1 if mode == "independent" else 0
-    masks = part_masks(stack, members)
-    valid = verify_witness(build_SF(t, profile).graph, members, mode)
-    assert stack.holds(masks, flip) == (route_form(stack, masks) and valid)
+    """``Stack.holds`` on part optima: the dense check's verdict on the
+    vertices ``Stack.members`` lists for them."""
+    t, profile, mode, masks = case
+    stack = Stack("SF", t, profile)
+    assert stack.holds(masks, mode) == verify_witness(build_SF(t, profile).graph, stack.members(masks, mode), mode)
 
 
-# SF(5) under the default profile: the base path is 0..5, F(4)'s G side
-# 6..17, three copies of a block K_2 + K_2 (labels 1, 1, 2, 2), and its H
-# side 18..29.  A G clique over two copies and an independent set with an
-# odd copy are not of the route's forms; the H clique repeats one block
-# mask in every copy, and is.
+# SF(5) under the default profile: the base path is part 0 (0..5), F(4)'s G
+# side part 1 (6..17), three copies of a block K_2 + K_2 (labels 1, 1, 2,
+# 2), and its H side part 2 (18..29).  A block mask fills every copy as an
+# independent set of G or a clique of H, and copy 0 alone otherwise.
 @pytest.mark.parametrize(
-    "members, mode, valid",
-    [([6, 10], "clique", False), ([6, 10, 14, 15], "independent", False), ([18, 20, 22, 24, 26, 28], "clique", True)],
-    ids=["G clique split across two copies", "independent set broken only in the last copy", "H clique over three copies"],
+    "masks, mode, members",
+    [
+        ({1: 0b0011}, "clique", [6, 7]),
+        ({1: 0b0101}, "independent", [6, 8, 10, 12, 14, 16]),
+        ({2: 0b0101}, "clique", [18, 20, 22, 24, 26, 28]),
+        ({2: 0b0011}, "independent", [18, 19]),
+        ({1: 0b0001, 2: 0b1100}, "independent", [6, 10, 14, 20, 21]),
+    ],
+    ids=["G clique", "G independent set", "H clique", "H independent set", "odd independent sets of G and of H"],
 )
-def test_stack_witness_check_across_copies(members, mode, valid):
+def test_members_lists_each_mask_over_the_copies_it_fills(masks, mode, members):
     stack, g = Stack("SF", 5, DEFAULT_PROFILE), build_SF(5).graph
-    assert stack.holds(part_masks(stack, members), -1 if mode == "independent" else 0) == verify_witness(g, members, mode) == valid
+    assert stack.members(masks, mode) == tuple(members)
+    assert stack.holds(masks, mode) and verify_witness(g, members, mode)
 
 
 def mask_cases(stack):
-    """Per case, (masks, mode, form) on ``stack``, SF(5), from its stages'
-    own optima, where form says whether each part's mask takes one of the
-    two forms the stage route composes: a block mask in copy 0, or one
-    block mask in every copy.  Stage 4's G side, part g, is three copies
-    of a four-vertex block, its H side is part g + 1, and the base path
-    is part 0.  The last five cases meet several parts, for the parity
-    rule."""
+    """Per case, (masks, mode) on ``stack``, SF(5), from its stages' own
+    optima.  Stage 4's G side, part g, is three copies of a four-vertex
+    block, its H side is part g + 1, and the base path is part 0.  The
+    last five cases meet several parts, for the parity rule."""
     g = next(i for i, (_, s, inverse, *_) in enumerate(stack.parts) if s is stack.stages[1] and not inverse)
     s = stack.stages[1]
-    b = s.block.n
     # Per mode, G's and H's whole, label-1 and label-2 optima, and the base path's.
     (gc, hc), (gi, hi) = (s.optima[mode][3] for mode in ("clique", "independent"))
     path = stack.stages[0].optima["clique"][3][0]
-    low = gi[0] & (1 << b) - 1
     return {
-        "block clique in copy 0": ({g: gc[0]}, "clique", True),
-        "block independent set in every copy": ({g: gi[0]}, "independent", True),
-        "H clique over every copy": ({g + 1: gi[0]}, "clique", True),
-        "block independent set in copy 0 as a clique": ({g: low}, "clique", True),
-        "block clique in every copy": ({g: gc[0] * s.repunit}, "clique", True),
-        "one block clique in two copies": ({g: gc[0] | gc[0] << b}, "clique", False),
-        "copy 0 empty, the block's independent set in the others": ({g: gi[0] ^ low}, "independent", False),
-        "repeated independent set missing one copy": ({g: gi[0] ^ low << b}, "independent", False),
-        "odd clique of G, even clique of H": ({g: gc[1], g + 1: hc[2]}, "clique", True),
-        "odd cliques of G and of H": ({g: gc[1], g + 1: hc[1]}, "clique", True),
-        "cliques of three parts": ({0: path[1], g: gc[2], g + 1: hc[1]}, "clique", True),
-        "odd independent sets of G and of H": ({g: gi[1], g + 1: hi[1]}, "independent", True),
-        "odd independent set of G, even of H": ({g: gi[1], g + 1: hi[2]}, "independent", True),
+        "G clique": ({g: gc[0]}, "clique"),
+        "G independent set over every copy": ({g: gi[0]}, "independent"),
+        "H clique over every copy": ({g + 1: hc[0]}, "clique"),
+        "H independent set": ({g + 1: hi[0]}, "independent"),
+        "odd clique of G, even clique of H": ({g: gc[1], g + 1: hc[2]}, "clique"),
+        "odd cliques of G and of H": ({g: gc[1], g + 1: hc[1]}, "clique"),
+        "cliques of three parts": ({0: path[1], g: gc[2], g + 1: hc[1]}, "clique"),
+        "odd independent sets of G and of H": ({g: gi[1], g + 1: hi[1]}, "independent"),
+        "odd independent set of G, even of H": ({g: gi[1], g + 1: hi[2]}, "independent"),
     }
 
 
 @pytest.mark.parametrize("profile", all_profiles(), ids=str)
 def test_mask_check_matches_the_dense_one(profile):
-    """``Stack.holds`` takes masks of the route's two forms that are a
-    clique or an independent set of the dense SF(5), and refuses every
-    other mask, valid or not."""
+    """``Stack.holds`` passes part optima exactly where the vertices they
+    list are a clique or an independent set of the dense SF(5)."""
     stack, g = Stack("SF", 5, profile), build_SF(5, profile).graph
-    for case, (masks, mode, form) in mask_cases(stack).items():
-        flip = -1 if mode == "independent" else 0
-        valid = verify_witness(g, stack.members(masks), mode)
-        assert route_form(stack, masks) == form, case
-        assert stack.holds(masks, flip) == (form and valid), case
+    for case, (masks, mode) in mask_cases(stack).items():
+        assert stack.holds(masks, mode) == verify_witness(g, stack.members(masks, mode), mode), case
 
 
 def test_checked_refuses_a_valid_set_the_route_does_not_compose():
+    """A clique that is no optimum, G's less its lowest vertex, is refused
+    though the dense check passes it."""
     stack = Stack("SF", 5, DEFAULT_PROFILE)
-    masks, mode, _ = mask_cases(stack)["copy 0 empty, the block's independent set in the others"]
-    assert verify_witness(build_SF(5).graph, stack.members(masks), mode)
-    with pytest.raises(AssertionError, match="invalid independent witness"):
-        _checked(stack, masks, mode, 0)
+    masks, mode = mask_cases(stack)["G clique"]
+    less = {i: mask & mask - 1 for i, mask in masks.items()}
+    assert verify_witness(build_SF(5).graph, stack.members(less, mode), mode)
+    with pytest.raises(AssertionError, match="invalid clique witness"):
+        _checked(stack, less, mode, 1, 0)
 
 
 @pytest.mark.parametrize("members", [[0, 0], [-1], [30], [True]], ids=["repeated", "negative", "n", "bool"])
@@ -355,20 +393,21 @@ def test_stage_solve_picks_the_pairwise_composition_winner(stages):
     """On stand-in stages whose part optima tie often, sizes alone pick the
     witness that building every candidate picks.  Each optimum gets its own
     vertices, so the witness names the candidate that won."""
-    stack = SimpleNamespace(part_starts=[], stages=[], holds=lambda masks, flip: True)
+    copy = SimpleNamespace(k=1, block=SimpleNamespace(n=24))  # every part one copy of 24 vertices
+    stack = SimpleNamespace(parts=[], stages=[], holds=lambda masks, mode: True)
     optima = {"clique": [], "independent": []}  # per part of every stage
     for parts in stages:
-        first = len(stack.part_starts)
+        first = len(stack.parts)
         for sizes in parts:
             # Optimum k of a part holds its vertices 4k.. of 24, numbered within the part.
             results = [(size, (1 << size) - 1 << 4 * k, 0) for k, size in enumerate(sizes)]
             optima["clique"].append(tuple(results[:3]))
             optima["independent"].append(tuple(results[3:]))
-            stack.part_starts.append(24 * len(stack.part_starts))
+            stack.parts.append((24 * len(stack.parts), copy, 0))
         stack.stages.append(SimpleNamespace(optima={mode: flat_optima(optima[mode][first:]) for mode in optima}))
     for mode, res in zip(optima, stage_solve(stack)):
-        witness = Stack.members(stack, res.masks)
-        assert witness == pairwise_composition(stack.part_starts, optima[mode], mode) and res.size == len(witness)
+        witness = Stack.members(stack, res.masks, mode)
+        assert witness == pairwise_composition(stack.parts, optima[mode], mode) and res.size == len(witness)
 
 
 def test_check_lists_only_the_witness_it_stores(monkeypatch):
@@ -377,7 +416,7 @@ def test_check_lists_only_the_witness_it_stores(monkeypatch):
     Under every profile at t <= 20, that witness is the one that building
     every candidate whole from the parts of the dense F(3..t) gives."""
     listed, members = [], Stack.members
-    monkeypatch.setattr(Stack, "members", lambda self, masks: listed.append(masks) or members(self, masks))
+    monkeypatch.setattr(Stack, "members", lambda self, masks, mode: listed.append(masks) or members(self, masks, mode))
     refuted_by_clique = 0
     for profile in all_profiles():
         optima = {"clique": [], "independent": []}  # per part of SF(t), numbered within the part
@@ -389,7 +428,7 @@ def test_check_lists_only_the_witness_it_stores(monkeypatch):
             tc = check_theorem_1_2(t - 1, profile, stack)
             omega, alpha = stage_solve(stack)
             assert listed == [(alpha if tc.witness_mode == "independent" else omega).masks], (profile, t)
-            assert tc.witness == pairwise_composition(stack.part_starts, optima[tc.witness_mode], tc.witness_mode), (profile, t)
+            assert tc.witness == pairwise_composition(stack.parts, optima[tc.witness_mode], tc.witness_mode), (profile, t)
             refuted_by_clique += tc.status == "REFUTED" and tc.witness_mode == "clique"
     assert refuted_by_clique
 
