@@ -61,24 +61,22 @@ def require_rebuildable(kind: str, param: int, profile: InterpretationProfile, d
 
 
 def make_report(stack: Stack, tc: TheoremCheck, started, finished) -> dict:
-    """The report of check ``tc`` on ``stack``, the claim's target.
-
-    The target is the claim's (``claim_target``).  For T1.2 the Ramsey
-    implication of the same stack is derived from the check's omega and
-    alpha, not re-solved.  ValueError for an r the claim is not stated for.
+    """The report of check ``tc`` on ``stack``, the claim's target, which
+    the report names.  For T1.2 the Ramsey implication of SF(t), t the
+    stack's parameter, is derived from the check's omega and alpha, not
+    re-solved.
     """
-    kind, param = claim_target(tc.theorem_id[1:].replace("_", "."), tc.r)  # "T1_2" -> "1.2"
     bound = None
     if tc.theorem_id == "T1_2":
         omega, alpha = tc.computed["omega"], tc.computed["alpha"]
-        bound = bound_report_from_counts(param, stack.n, omega, alpha)._asdict()
+        bound = bound_report_from_counts(stack.param, stack.n, omega, alpha)._asdict()
     notes = []
     if tc.profile.base_case == "explicit_path":
         notes.append(Y_LABEL_NOTE)
     return {
         "schema_version": SCHEMA_VERSION,
         "generated_by": f"sfcheck {__version__}",
-        "target": {"kind": kind, "param": param},
+        "target": {"kind": stack.kind, "param": stack.param},
         "profile": tc.profile.to_dict(),
         "deterministic": True,
         "graph_stats": {
@@ -118,11 +116,15 @@ def strip_volatile(report: dict) -> dict:
     return {k: v for k, v in report.items() if k != "timestamps"}
 
 
-# The type of each field verify_report reads before it re-runs the check;
-# every other field is compared with the re-assembly.
-_REPORT_FIELDS = {"profile": dict, "target": dict, "checks": list}
-_CHECK_FIELDS = {"theorem_id": str, "r": int}
-_CHECKS = {"T1_1": check_theorem_1_1, "T1_2": check_theorem_1_2}
+# The type of each field verify_report reads, but schema_version, before the
+# re-run; every other field, the checks too, is compared with the re-assembly.
+_REPORT_FIELDS = {"profile": dict, "target": dict}
+
+
+def _check(stack: Stack) -> TheoremCheck:
+    """Run on ``stack`` the check its kind picks, by its module-level name,
+    so that a wrapper bound in its place runs."""
+    return (check_theorem_1_1 if stack.kind == "F" else check_theorem_1_2)(stack)
 
 
 def _shape_problem(obj, fields: dict, where: str) -> str | None:
@@ -171,15 +173,15 @@ def _differences(expected, actual, where: str = "") -> Iterator[str]:
 def verify_report(report) -> list[str]:
     """Re-run a loaded report's job and compare.
 
-    Checks the shape of the fields it reads (profile, target, theorem_id
-    and r), rebuilds the stages of the report's stated target (refusing,
+    Checks the shape of the fields it reads (schema_version, profile and
+    target), rebuilds the stages of the report's stated target (refusing,
     unbuilt, one with a stage above ``MAX_REBUILD_VERTICES``), re-runs the
-    claim's check at the report's own r on them, re-assembles the report
-    with ``make_report`` from the re-run alone, and names each field where
-    the two differ.  So every field, the witness vertex for vertex
-    included, must be the re-run's: checked optima that ``Stack.holds`` passed.
-    Copied, not compared: ``generated_by``.  Returns a list of problems,
-    empty when the report stands; never raises.
+    check its kind picks on them, re-assembles the report with
+    ``make_report`` from the re-run alone, and names each field where the
+    two differ.  So every field, the claim, its r and the witness vertex
+    for vertex included, must be the re-run's: checked optima that
+    ``Stack.holds`` passed.  Copied, not compared: ``generated_by``.
+    Returns a list of problems, empty when the report stands; never raises.
     """
     if not isinstance(report, dict):
         return [f"report: expected an object, got {type(report).__name__}"]
@@ -187,11 +189,6 @@ def verify_report(report) -> list[str]:
         return [f"unsupported schema_version {reprlib.repr(report.get('schema_version'))}"]
     shape = _shape_problem(report, _REPORT_FIELDS, "report")
     shape = shape or _shape_problem(report["target"], {"param": int}, "target")
-    if not shape and len(report["checks"]) != 1:
-        shape = f"report: expected one check, got {len(report['checks'])}"
-    shape = shape or _shape_problem(report["checks"][0], _CHECK_FIELDS, "check 0")
-    if not shape and report["checks"][0]["theorem_id"] not in _CHECKS:
-        shape = f"check 0: unknown theorem_id {reprlib.repr(report['checks'][0]['theorem_id'])}"
     if shape:
         return [shape]
     kind, param = report["target"].get("kind"), report["target"]["param"]
@@ -202,12 +199,7 @@ def verify_report(report) -> list[str]:
     except (KeyError, ValueError) as exc:
         return [f"cannot rebuild target: {exc}"]
 
-    check = report["checks"][0]
-    try:
-        tc = _CHECKS[check["theorem_id"]](check["r"], profile, stack)
-    except ValueError as exc:
-        return [f"check 0: {exc}"]
-    expected = make_report(stack, tc, None, None)
+    expected = make_report(stack, _check(stack), None, None)
     expected["generated_by"] = report.get("generated_by")
     diffs = _differences(strip_volatile(expected), strip_volatile(report))
     return [f"{path} differs from the re-assembled report" for path in diffs]
@@ -236,14 +228,13 @@ def run_verification(
     r: int,
     profile: InterpretationProfile = DEFAULT_PROFILE,
 ) -> dict:
-    """Build the claim's target as a stack of memoized stages, run its check
-    on it, and assemble the full report.  The theorem, r and the target's
-    largest stage (``verify_report``'s limit) are checked before anything
-    is built.
+    """Build the claim's target as a stack of memoized stages, run the check
+    of its kind on it, and assemble the full report.  The theorem, r and the
+    target's largest stage (``verify_report``'s limit) are checked before
+    anything is built.
     """
     started = _now()
     target = claim_target(theorem, r)
     require_rebuildable(*target, profile)
     stack = Stack(*target, profile)
-    tc = _CHECKS["T" + theorem.replace(".", "_")](r, profile, stack)
-    return make_report(stack, tc, started, _now())
+    return make_report(stack, _check(stack), started, _now())

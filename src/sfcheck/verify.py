@@ -10,10 +10,10 @@ r+1 vertices.
 
 Each claim's rules are written once.  ``CLAIMS`` gives its smallest r and
 the target it is checked on, and ``claim_verdict`` its claimed value,
-status and witness mode from r and the computed sizes.  Each check takes
-the stack of memoized stages of its claim's target, which
-``report.run_verification`` builds, and refuses any other stack;
-``report.verify_report`` re-runs the check and re-assembles the report.
+status and witness mode from r and the computed sizes.  A check reads r
+and the profile from its one argument, a stack of memoized stages that
+``report.run_verification`` builds, and refuses only the other claim's
+kind; ``report.verify_report`` re-runs it and re-assembles the report.
 ``bound_report_from_counts`` turns T1.2's omega and alpha into the
 Ramsey implication R(t) > n of SF(t), t = r+1.  The one diagonal Ramsey
 value small enough to re-derive at desk scale, R(3) = 6, is established
@@ -98,20 +98,20 @@ class BoundReport(NamedTuple):
     reference: str | None
 
 
-def _require_target(theorem: str, r: int, profile: InterpretationProfile, stack: Stack) -> None:
-    """ValueError unless ``stack`` is ``claim_target(theorem, r)`` under ``profile``."""
-    kind, param = claim_target(theorem, r)
-    if (stack.kind, stack.param, stack.profile) != (kind, param, profile):
-        raise ValueError(f"claim T{theorem} at r={r} is checked on {kind}({param}) under {profile}, "
-                         f"not on {stack.kind}({stack.param}) under {stack.profile}")
+def _claim_r(theorem: str, stack: Stack) -> int:
+    """r of claim T<theorem> on ``stack``; ValueError for a stack of another kind."""
+    _, kind, shift = CLAIMS[theorem]
+    if stack.kind != kind:
+        raise ValueError(f"claim T{theorem} is checked on {kind}, not on {stack.kind}({stack.param})")
+    return stack.param - shift
 
 
-def check_theorem_1_1(r: int, profile: InterpretationProfile, stack: Stack) -> TheoremCheck:
-    """Compare the largest single-label clique of ``stack``, F(r) under
-    ``profile``, read from its stage's part optima (``solve.stage_mono_clique``),
+def check_theorem_1_1(stack: Stack) -> TheoremCheck:
+    """Compare the largest single-label clique of ``stack``, F(r) under its
+    profile, read from its stage's part optima (``solve.stage_mono_clique``),
     against ceil(r/2).  Its witness is one block mask of one part, so one
     AND with that part's label-1 class shows that it has one label."""
-    _require_target("1.1", r, profile, stack)
+    r = _claim_r("1.1", stack)
     res = stage_mono_clique(stack)
     ((i, mask),) = res.masks.items()
     _, _, _, odd, _ = stack.parts[i]
@@ -120,26 +120,26 @@ def check_theorem_1_1(r: int, profile: InterpretationProfile, stack: Stack) -> T
     computed = {"mono_clique": res.size}
     claimed, status, mode = claim_verdict("T1_1", r, computed)
     return TheoremCheck(
-        "T1_1", r, profile, claimed, computed, status, stack.members(res.masks, mode), mode,
+        "T1_1", r, stack.profile, claimed, computed, status, stack.members(res.masks, mode), mode,
         {"mono_nodes": res.nodes_explored},
     )
 
 
-def check_theorem_1_2(r: int, profile: InterpretationProfile, stack: Stack) -> TheoremCheck:
-    """Check that ``stack``, SF(r+1) under ``profile``, has no clique or
+def check_theorem_1_2(stack: Stack) -> TheoremCheck:
+    """Check that ``stack``, SF(r+1) under its profile, has no clique or
     independent set on r+1 vertices.
 
     Its omega and alpha come from its memoized stages (``solve.stage_solve``),
     which checks both witnesses' part masks on the stack before it returns
     them; only the witness the report stores is listed.
     """
-    _require_target("1.2", r, profile, stack)
+    r = _claim_r("1.2", stack)
     omega, alpha = stage_solve(stack)
     computed = {"omega": omega.size, "alpha": alpha.size}
     claimed, status, mode = claim_verdict("T1_2", r, computed)
     witness = stack.members((alpha if mode == "independent" else omega).masks, mode)
     return TheoremCheck(
-        "T1_2", r, profile, claimed, computed, status, witness, mode,
+        "T1_2", r, stack.profile, claimed, computed, status, witness, mode,
         {"omega_nodes": omega.nodes_explored, "alpha_nodes": alpha.nodes_explored},
     )
 

@@ -102,7 +102,7 @@ def test_criterion_2_theorem_sweep(tmp_path):
 
 def test_criterion_3_base_case_honesty():
     g = build_SF(3, DEFAULT_PROFILE).graph
-    tc = check_theorem_1_2(2, DEFAULT_PROFILE, Stack("SF", 3, DEFAULT_PROFILE))
+    tc = check_theorem_1_2(Stack("SF", 3, DEFAULT_PROFILE))
     assert tc.status == "REFUTED"
     assert tc.computed == {"omega": 2, "alpha": 3}
     assert tc.witness_mode == "independent"

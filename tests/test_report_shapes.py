@@ -137,6 +137,9 @@ TAMPERED = {
     "T1.2 r=3 witness reversed": ("1.2", 3, [(CHECK + ("witness",), lambda w: w[::-1])]),
     "T1.2 r=3 witness member dropped": ("1.2", 3, [(CHECK + ("witness",), lambda w: w[1:])]),
     "T1.2 r=3 witness member added": ("1.2", 3, [(CHECK + ("witness",), lambda w: [*w, max(w) + 1])]),
+    # The target's kind picks the check the loader re-runs.
+    "T1.2 r=3 target set to F(4)": ("1.2", 3, [(("target",), {"kind": "F", "param": 4})]),
+    "T1.1 r=4 target.kind set to SF": ("1.1", 4, [(("target", "kind"), "SF")]),
 }
 
 

@@ -371,7 +371,7 @@ def test_theorem_1_1_reads_the_stage_as_the_whole_graph_is_split(profile):
     splitting each label class of the whole F(r) gives the same witness
     and node count."""
     for r in range(3, 17):
-        tc = check_theorem_1_1(r, profile, Stack("F", r, profile))
+        tc = check_theorem_1_1(Stack("F", r, profile))
         lg = build_F(r, profile)
         whole = max_mono_clique(lg.graph, lg.labels)
         assert (tc.computed["mono_clique"], tc.witness) == (whole.size, whole.witness), r
@@ -425,7 +425,7 @@ def test_check_lists_only_the_witness_it_stores(monkeypatch):
                 optima[mode] += parts
             stack = Stack("SF", t, profile)
             listed.clear()
-            tc = check_theorem_1_2(t - 1, profile, stack)
+            tc = check_theorem_1_2(stack)
             omega, alpha = stage_solve(stack)
             assert listed == [(alpha if tc.witness_mode == "independent" else omega).masks], (profile, t)
             assert tc.witness == pairwise_composition(stack.parts, optima[tc.witness_mode], tc.witness_mode), (profile, t)

@@ -3,6 +3,8 @@
 import itertools
 import random
 import re
+import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -11,13 +13,12 @@ from hypothesis import strategies as st
 from sfcheck import solve
 from sfcheck.construct import DEFAULT_PROFILE, build_F, build_SF
 from sfcheck.graphs import complement, complete, cycle, empty, random_graph
-from sfcheck.report import run_verification
+from sfcheck.report import run_verification, verify_report
 from sfcheck.solve import Stack, oracle_max_clique, verify_witness
 from sfcheck.verify import (
     bound_report_from_counts,
     check_theorem_1_1,
     check_theorem_1_2,
-    claim_target,
     claim_verdict,
     confirm_R3,
 )
@@ -28,7 +29,7 @@ TENSOR = GENERAL.replace(prod="tensor")
 
 class TestTheorem11:
     def test_r3_explicit_confirmed(self):
-        tc = check_theorem_1_1(3, DEFAULT_PROFILE, Stack("F", 3, DEFAULT_PROFILE))
+        tc = check_theorem_1_1(Stack("F", 3, DEFAULT_PROFILE))
         assert tc.status == "CONFIRMED"
         assert tc.claimed == 2
         assert tc.computed == {"mono_clique": 2}
@@ -39,7 +40,7 @@ class TestTheorem11:
         # value is 3 (one vertex per complement part on one side) against a
         # claimed 2, so the honest verdict is REFUTED.
         lg = build_F(4, DEFAULT_PROFILE)
-        tc = check_theorem_1_1(4, DEFAULT_PROFILE, Stack("F", 4, DEFAULT_PROFILE))
+        tc = check_theorem_1_1(Stack("F", 4, DEFAULT_PROFILE))
         assert tc.claimed == 2
         assert tc.computed["mono_clique"] == 3
         assert tc.status == "REFUTED"
@@ -48,24 +49,25 @@ class TestTheorem11:
 
     @pytest.mark.parametrize("r", [3, 4, 5])
     def test_tensor_profile_still_computes_both_sides(self, r):
-        tc = check_theorem_1_1(r, TENSOR, Stack("F", r, TENSOR))
+        tc = check_theorem_1_1(Stack("F", r, TENSOR))
         assert tc.computed["mono_clique"] >= 1
         assert tc.status == ("CONFIRMED" if tc.computed["mono_clique"] == tc.claimed else "REFUTED")
 
     def test_status_is_pure_arithmetic(self):
         for r in (3, 4, 5):
-            tc = check_theorem_1_1(r, GENERAL, Stack("F", r, GENERAL))
+            tc = check_theorem_1_1(Stack("F", r, GENERAL))
             assert (tc.status == "CONFIRMED") == (tc.computed["mono_clique"] == tc.claimed)
 
     def test_rejects_small_r(self):
-        with pytest.raises(ValueError):
-            check_theorem_1_1(2, DEFAULT_PROFILE, Stack("F", 3, DEFAULT_PROFILE))
+        # r = 2 would be checked on F(2), a stack that cannot be built.
+        with pytest.raises(ValueError, match="^stage parameter must be >= 3, got 2$"):
+            check_theorem_1_1(Stack("F", 2, DEFAULT_PROFILE))
 
 
 class TestTheorem12:
     def test_base_case_honest_refutation(self):
         g = build_SF(3, DEFAULT_PROFILE).graph
-        tc = check_theorem_1_2(2, DEFAULT_PROFILE, Stack("SF", 3, DEFAULT_PROFILE))
+        tc = check_theorem_1_2(Stack("SF", 3, DEFAULT_PROFILE))
         assert tc.status == "REFUTED"
         assert tc.computed == {"omega": 2, "alpha": 3}
         assert tc.witness_mode == "independent"
@@ -74,7 +76,7 @@ class TestTheorem12:
 
     def test_r3_default_certificate(self):
         g = build_SF(4, DEFAULT_PROFILE).graph
-        tc = check_theorem_1_2(3, DEFAULT_PROFILE, Stack("SF", 4, DEFAULT_PROFILE))
+        tc = check_theorem_1_2(Stack("SF", 4, DEFAULT_PROFILE))
         assert verify_witness(g, tc.witness, tc.witness_mode)
         confirmed = tc.computed["omega"] <= 3 and tc.computed["alpha"] <= 3
         assert tc.status == ("CONFIRMED" if confirmed else "REFUTED")
@@ -82,14 +84,15 @@ class TestTheorem12:
             assert len(tc.witness) >= 4
 
     def test_deterministic_reruns(self):
-        a = check_theorem_1_2(3, DEFAULT_PROFILE, Stack("SF", 4, DEFAULT_PROFILE))
+        a = check_theorem_1_2(Stack("SF", 4, DEFAULT_PROFILE))
         solve.stage.cache_clear()
-        b = check_theorem_1_2(3, DEFAULT_PROFILE, Stack("SF", 4, DEFAULT_PROFILE))
+        b = check_theorem_1_2(Stack("SF", 4, DEFAULT_PROFILE))
         assert a == b
 
     def test_rejects_small_r(self):
-        with pytest.raises(ValueError, match="needs r >= 2"):
-            check_theorem_1_2(1, DEFAULT_PROFILE, Stack("SF", 3, DEFAULT_PROFILE))
+        # r = 1 would be checked on SF(2), a stack that cannot be built.
+        with pytest.raises(ValueError, match="^stack parameter must be >= 3, got 2$"):
+            check_theorem_1_2(Stack("SF", 2, DEFAULT_PROFILE))
 
 
 def oracle_verdict(g, r):
@@ -121,30 +124,63 @@ class TestTheorem12Rule:
         assert (status, mode) == ("REFUTED", "independent")
 
 
-class TestCheckTarget:
-    """A check judges only its own claim's target: the kind, the parameter
-    and the profile of the stack must all be ``claim_target``'s."""
-
-    CHECKS = {"1.1": check_theorem_1_1, "1.2": check_theorem_1_2}
-    JOIN = DEFAULT_PROFILE.replace(sum="join")
+class TestCheckKind:
+    """A check reads r and the profile from the stack it judges; the one
+    stack it refuses is one of the other claim's kind."""
 
     @pytest.mark.parametrize(
-        "theorem, r, stack, profile",
+        "check, stack, message",
         [
-            ("1.2", 3, ("F", 4, DEFAULT_PROFILE), DEFAULT_PROFILE),
-            ("1.1", 4, ("SF", 4, DEFAULT_PROFILE), DEFAULT_PROFILE),
-            ("1.2", 3, ("SF", 9, DEFAULT_PROFILE), DEFAULT_PROFILE),
-            ("1.1", 4, ("F", 5, DEFAULT_PROFILE), DEFAULT_PROFILE),
-            ("1.2", 3, ("SF", 4, DEFAULT_PROFILE), JOIN),
-            ("1.1", 4, ("F", 4, JOIN), DEFAULT_PROFILE),
+            (check_theorem_1_1, ("SF", 4), "claim T1.1 is checked on F, not on SF(4)"),
+            (check_theorem_1_2, ("F", 4), "claim T1.2 is checked on SF, not on F(4)"),
         ],
-        ids=["T1.2 kind", "T1.1 kind", "T1.2 param", "T1.1 param", "T1.2 profile", "T1.1 profile"],
+        ids=["T1.1 on SF", "T1.2 on F"],
     )
-    def test_mismatched_stack_refused(self, theorem, r, stack, profile):
-        kind, param = claim_target(theorem, r)
-        message = f"claim T{theorem} at r={r} is checked on {kind}({param}) under {profile}, not on {stack[0]}({stack[1]}) under {stack[2]}"
+    def test_stack_of_the_other_kind_refused(self, check, stack, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            self.CHECKS[theorem](r, profile, Stack(*stack))
+            check(Stack(*stack, DEFAULT_PROFILE))
+
+    @pytest.mark.parametrize(
+        "check, kind, shift",
+        [(check_theorem_1_1, "F", 0), (check_theorem_1_2, "SF", 1)],
+        ids=["T1.1", "T1.2"],
+    )
+    def test_r_and_profile_come_from_the_stack(self, check, kind, shift):
+        for profile in (DEFAULT_PROFILE, GENERAL.replace(sum="join"), TENSOR):
+            for param in (3, 4, 7):
+                tc = check(Stack(kind, param, profile))
+                assert (tc.r, tc.profile) == (param - shift, profile), (profile, param)
+                assert tc.status == claim_verdict(tc.theorem_id, tc.r, tc.computed)[1], (profile, param)
+
+
+def test_each_job_calls_its_check_by_every_module_binding(monkeypatch):
+    """A counting wrapper bound in place of each check, wherever a sfcheck
+    module binds it, as ``bench/tracer.py`` binds its spans, sees one call
+    per job from ``run_verification`` and one from ``verify_report``."""
+    import sfcheck.cli  # noqa: F401  (loads every module of the package)
+
+    calls = Counter()
+
+    def counting(check):
+        def wrapper(*args):
+            calls[check.__name__] += 1
+            return check(*args)
+
+        return wrapper
+
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "sfcheck"]
+    for check in (check_theorem_1_1, check_theorem_1_2):
+        wrapped = counting(check)
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is check:
+                    monkeypatch.setattr(module, key, wrapped)
+    for theorem, r, name in (("1.1", 4, "check_theorem_1_1"), ("1.2", 3, "check_theorem_1_2")):
+        calls.clear()
+        report = run_verification(theorem, r)
+        assert calls == {name: 1}
+        assert verify_report(report) == []
+        assert calls == {name: 2}
 
 
 class TestClaimMinimum:
