@@ -116,26 +116,10 @@ def strip_volatile(report: dict) -> dict:
     return {k: v for k, v in report.items() if k != "timestamps"}
 
 
-# The type of each field verify_report reads, but schema_version, before the
-# re-run; every other field, the checks too, is compared with the re-assembly.
-_REPORT_FIELDS = {"profile": dict, "target": dict}
-
-
 def _check(stack: Stack) -> TheoremCheck:
     """Run on ``stack`` the check its kind picks, by its module-level name,
     so that a wrapper bound in its place runs."""
     return (check_theorem_1_1 if stack.kind == "F" else check_theorem_1_2)(stack)
-
-
-def _shape_problem(obj, fields: dict, where: str) -> str | None:
-    """Why ``obj`` is not an object holding ``fields`` with their types, or None."""
-    if not isinstance(obj, dict):
-        return f"{where}: expected an object, got {type(obj).__name__}"
-    for key, kind in fields.items():
-        # JSON true and false load as bool, a subclass of int; no field here is a bool.
-        if not isinstance(obj.get(key), kind) or isinstance(obj.get(key), bool):
-            return f"{where}: field {key!r} is {type(obj.get(key)).__name__}, expected {kind.__name__}"
-    return None
 
 
 _MISSING = object()
@@ -173,8 +157,10 @@ def _differences(expected, actual, where: str = "") -> Iterator[str]:
 def verify_report(report) -> list[str]:
     """Re-run a loaded report's job and compare.
 
-    Checks the shape of the fields it reads (schema_version, profile and
-    target), rebuilds the stages of the report's stated target (refusing,
+    Reads three fields first, each in place: schema_version must be "1",
+    profile and target objects, and target.param exactly an int; the first
+    that fails is the one problem, naming its value by ``reprlib.repr``.
+    Then rebuilds the stages of the report's stated target (refusing,
     unbuilt, one with a stage above ``MAX_REBUILD_VERTICES``), re-runs the
     check its kind picks on them, re-assembles the report with
     ``make_report`` from the re-run alone, and names each field where the
@@ -187,11 +173,13 @@ def verify_report(report) -> list[str]:
         return [f"report: expected an object, got {type(report).__name__}"]
     if report.get("schema_version") != SCHEMA_VERSION:
         return [f"unsupported schema_version {reprlib.repr(report.get('schema_version'))}"]
-    shape = _shape_problem(report, _REPORT_FIELDS, "report")
-    shape = shape or _shape_problem(report["target"], {"param": int}, "target")
-    if shape:
-        return [shape]
-    kind, param = report["target"].get("kind"), report["target"]["param"]
+    for field in ("profile", "target"):
+        if not isinstance(report.get(field), dict):
+            return [f"report: {field} is {reprlib.repr(report.get(field))}, not an object"]
+    kind, param = report["target"].get("kind"), report["target"].get("param")
+    # Exactly an int: JSON true loads as a bool, and 4.0 keys the stage memo as 4 does.
+    if type(param) is not int:
+        return [f"report: target.param is {reprlib.repr(param)}, not an integer"]
     try:
         profile = InterpretationProfile.from_dict(report["profile"])
         require_rebuildable(kind, param, profile)

@@ -142,11 +142,12 @@ class CliqueResult(NamedTuple):
 
 
 def verify_witness(g: Graph, members, mode: str) -> bool:
-    """Pairwise re-check that ``members`` is a clique / independent set.
+    """Whether ``members`` is a clique / independent set of ``g``, by
+    ``_holds``: each member's row mask against the set, not each pair.
 
-    Independent of the solvers; every witness that leaves this module has
-    passed its check, ``_holds``, and a report loads only if a re-run of
-    its check lists the same witness.
+    Independent of the solvers; every part optimum that leaves this module
+    has passed ``_holds``, every composed witness ``Stack.holds``, and a
+    report loads only if a re-run of its check lists the same witness.
     """
     flip = _flip(mode)
     return _holds(g.rows, sum(1 << v for v in as_vertex_set(g, members)), flip)

@@ -12,14 +12,24 @@ statistic changes a digest.
 the witness and the node counts, as the monolithic solver gave them
 before the stage route: n, m, label counts, computed sizes, claim, status,
 witness mode and bound.
+
+Past r = 7 the reports are pinned by three sha256 digests of
+concatenations, recorded when the loader came to read its three fields in
+place: the 24 profiles up to r = 20, and the default and tensor profiles'
+196 reports of ``sweep --t-max 100``.
 """
 
 import hashlib
 import json
 import os
 
-from sfcheck.construct import InterpretationProfile
+import pytest
+
+from sfcheck.construct import DEFAULT_PROFILE, InterpretationProfile
 from sfcheck.report import report_to_json, run_verification, strip_volatile
+from sfcheck.verify import CLAIMS
+
+from oracles import all_profiles
 
 DIGESTS = os.path.join(os.path.dirname(__file__), "report_digests.json")
 VALUES = os.path.join(os.path.dirname(__file__), "report_values.json")
@@ -69,3 +79,36 @@ def test_reports_keep_the_monolithic_values():
         if got != values:
             mismatches.append((s, p, b, y, theorem, r))
     assert mismatches == []
+
+
+def reports_sha256(jobs, profiles):
+    """sha256 of ``report_to_json(strip_volatile(...))`` of each job under
+    each profile, profiles outermost, concatenated."""
+    total = hashlib.sha256()
+    for profile in profiles:
+        for theorem, r in jobs:
+            total.update(report_to_json(strip_volatile(run_verification(theorem, r, profile))).encode())
+    return total.hexdigest()
+
+
+def test_all_profiles_to_r20_match_their_digest():
+    """864 reports: profiles in ``all_profiles`` order, that of
+    itertools.product(sums, prods, bases, y_labels), each with T1.1 at
+    r = 3..20, then T1.2 at r = 2..19."""
+    jobs = [("1.1", r) for r in range(3, 21)] + [("1.2", r) for r in range(2, 20)]
+    assert reports_sha256(jobs, all_profiles()) == "08f572286e0ac578b64e9f33bde80c308b4cbb5a41f327bd727bf28237a474cb"
+
+
+@pytest.mark.parametrize(
+    "prod, digest",
+    [
+        (None, "f84bbd59197fab80fadc97b2b48ca98a64760f1e179eb53e015ad7d3debceab8"),
+        ("tensor", "079c8cd0af5f307088d04b4ca497602fcd3e3696de090620568578548a12a6eb"),
+    ],
+    ids=["default", "tensor"],
+)
+def test_sweep_to_t_max_100_matches_its_digest(prod, digest):
+    """The 196 reports of ``sweep --t-max 100``, in its job order."""
+    profile = DEFAULT_PROFILE.replace(prod=prod) if prod else DEFAULT_PROFILE
+    jobs = [(theorem, r) for theorem, (min_r, _, shift) in CLAIMS.items() for r in range(min_r, 100 - shift + 1)]
+    assert reports_sha256(jobs, [profile]) == digest

@@ -60,6 +60,13 @@ def all_paths(node, prefix=()):
         yield from all_paths(child, prefix + (key,))
 
 
+def as_floats(report):
+    """``report`` with its target's parameter, its check's r and its claim as floats."""
+    for path in (("target", "param"), CHECK + ("r",), CHECK + ("claimed",)):
+        report = edited(report, path, float(report_path_value(report, path)))
+    return report
+
+
 MALFORMED = {
     "check without witness": (("checks", 0, "witness"), DELETE),
     "computed is null": (("checks", 0, "computed"), None),
@@ -69,6 +76,21 @@ MALFORMED = {
     "report is a list": ((), [1, 2]),
     "report is a string": ((), "report"),
     "report is null": ((), None),
+    "profile is a list": (("profile",), [1, 2]),
+    "target is a string": (("target",), "F(3)"),
+    "target.param is true": (("target", "param"), True),
+    # Without the exact-int check this report loads: the stage memo keys 3.0 as 3,
+    # and the re-run's r and claim come out as the same floats.
+    "target.param, r and claim are floats": ((), as_floats),
+}
+
+# The problem each read before the re-run gives, naming the value it read.
+MISREAD = {
+    "target.param is a string": "report: target.param is '7', not an integer",
+    "profile is a list": "report: profile is [1, 2], not an object",
+    "target is a string": "report: target is 'F(3)', not an object",
+    "target.param is true": "report: target.param is True, not an integer",
+    "target.param, r and claim are floats": "report: target.param is 3.0, not an integer",
 }
 
 
@@ -84,7 +106,11 @@ def assert_rejected(report, tmp_path):
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_report_is_a_problem_not_a_crash(case, tmp_path):
     path, value = MALFORMED[case]
-    assert_rejected(edited(base_report("1.1"), path, value), tmp_path)
+    report = base_report("1.1")
+    report = edited(report, path, value(report_path_value(report, path)) if callable(value) else value)
+    assert_rejected(report, tmp_path)
+    if case in MISREAD:
+        assert verify_report(report) == [MISREAD[case]]
 
 
 # Well-formed edits that change what a report says: (theorem, r, edits),
@@ -325,7 +351,11 @@ def called_through(frames, fn, *args):
 
 
 @pytest.mark.parametrize("frames", [0, 50])
-@pytest.mark.parametrize("path", [("schema_version",), ("profile", "sum"), ("target", "kind")], ids=".".join)
+@pytest.mark.parametrize(
+    "path",
+    [("schema_version",), ("profile",), ("profile", "sum"), ("target",), ("target", "kind"), ("target", "param")],
+    ids=".".join,
+)
 def test_a_value_nested_too_deep_to_repr_is_named_in_one_short_problem(path, frames):
     """A 989-deep list where the loader names a bad value gives one short
     problem, also from a call 50 frames deep, where a whole repr of it
