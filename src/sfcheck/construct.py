@@ -91,25 +91,14 @@ def stage_size(r: int, base_path: bool) -> int:
 
 
 def _require_param(kind: str, param: int) -> None:
-    """ValueError for an unknown target kind or a parameter below 3."""
+    """ValueError, naming the value, for an unknown target kind or a
+    parameter that is not exactly an int of at least 3: the one check of a
+    target.  A bool or 4.0 would key the stage memo as 1 or 4 does."""
     if kind not in ("F", "SF"):
         raise ValueError(f"unknown target kind {reprlib.repr(kind)}")
-    if param < 3:
-        raise ValueError(f"{'stage' if kind == 'F' else 'stack'} parameter must be >= 3, got {param}")
-
-
-def target_vertex_count(kind: str, param: int, profile: InterpretationProfile) -> int:
-    """Vertex count of F(param) or SF(param), unbuilt; the builders'
-    ValueError on another kind or a parameter below 3.  SF(t) sums
-    ``stage_size`` over r = 3..t in closed form, so SF(10**9) is sized
-    without a loop: 2r(r-1) summed over 3 <= r <= t is 2(t-1)t(t+1)/3 - 4,
-    and stage 3 is then taken at its own size."""
-    _require_param(kind, param)
-    base_path = profile.base_case == "explicit_path"
-    if kind == "F":
-        return stage_size(param, base_path)
-    general = 2 * (param - 1) * param * (param + 1) // 3 - 4
-    return general - stage_size(3, False) + stage_size(3, base_path)
+    if type(param) is not int or param < 3:
+        rule = ">= 3" if type(param) is int else "an integer"
+        raise ValueError(f"{'stage' if kind == 'F' else 'stack'} parameter must be {rule}, got {reprlib.repr(param)}")
 
 
 class LabeledGraph(Checked, namedtuple("LabeledGraph", "graph labels stages base_path")):
@@ -173,6 +162,7 @@ def build_F(r: int, profile: InterpretationProfile = DEFAULT_PROFILE) -> Labeled
     complement of the G side on a fresh vertex range with labels flipped.
     Every opposite-parity pair across the sides is an edge.  Under
     base_case="explicit_path", F(3) is the base path alone."""
+    _require_param("F", r)
     return _build_stages(range(r, r + 1), profile)
 
 

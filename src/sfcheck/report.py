@@ -7,7 +7,9 @@ A report loads only if its job re-runs to it: the loader re-runs the
 check on the target's stages, rebuilt through the stage memo,
 re-assembles the report through ``make_report``, witness included, and
 names each field that differs, apart from ``timestamps`` and
-``generated_by``.  Neither route builds the dense graph; only ``sfcheck
+``generated_by``.  Both routes check the target once, by its parameter,
+before anything is built: ``require_rebuildable``, which takes an exact
+int from 3 to ``MAX_T``.  Neither builds the dense graph; only ``sfcheck
 build``, for graph6 and DIMACS export, does.
 """
 
@@ -21,7 +23,7 @@ from datetime import datetime, timezone
 from typing import Iterator
 
 from sfcheck import __version__
-from sfcheck.construct import DEFAULT_PROFILE, InterpretationProfile, target_vertex_count
+from sfcheck.construct import DEFAULT_PROFILE, InterpretationProfile, _require_param
 from sfcheck.solve import Stack
 from sfcheck.verify import TheoremCheck, bound_report_from_counts, check_theorem_1_1, check_theorem_1_2, claim_target
 
@@ -37,27 +39,21 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-# verify_report refuses, unbuilt, a target with a stage of more vertices
-# than this: F(100) has 19800 and F(101) 20200, so SF(100) is the largest
-# stack.  A stage keeps one r-vertex block and each part optimum as a
-# mask over it, and a check keeps each witness as one block mask per part
-# and lists only the one a report stores, so the cap bounds neither rows,
-# optima nor an assembled alpha witness: it bounds the stages a report can
-# name, and so the loader's re-run of its check, and the witness a report
-# can store (SF(100)'s clique has 9900 vertices under prod="tensor").  A
-# dense build, for export, is limited in its total: SF(31) has 19830.
-MAX_REBUILD_VERTICES = 20_000
+# The largest stage parameter the stage route takes: ``require_rebuildable``
+# refuses, unbuilt, F(r) and SF(t) above it, in ``run_verification`` and in
+# the loader alike.  Each stage keeps one r-vertex block, so the route's
+# cost is not what limits t: the cap bounds the stages a report can name,
+# and so the loader's re-run, and the witness a report stores, which grows
+# as t^2 vertices under prod="tensor" (SF(100)'s clique has 9900).
+MAX_T = 100
 
 
-def require_rebuildable(kind: str, param: int, profile: InterpretationProfile, dense: bool = False) -> None:
-    """ValueError, unbuilt, for a target whose largest stage (the whole
-    graph, when ``dense``) is above ``MAX_REBUILD_VERTICES``, and for the
-    builders' invalid kinds and parameters."""
-    size, what = target_vertex_count(kind, param, profile), f"{kind}({param}) has"
-    if kind == "SF" and not dense:
-        size, what = target_vertex_count("F", param, profile), f"SF({param}) has a stage of"
-    if size > MAX_REBUILD_VERTICES:
-        raise ValueError(f"{what} {size} vertices, above the limit of {MAX_REBUILD_VERTICES}")
+def require_rebuildable(kind: str, param: int) -> None:
+    """The one check of a target, ``construct._require_param``, and a
+    ValueError, unbuilt, for a parameter above ``MAX_T``."""
+    _require_param(kind, param)
+    if param > MAX_T:
+        raise ValueError(f"{kind}({param}) is above the limit of t = {MAX_T}")
 
 
 def make_report(stack: Stack, tc: TheoremCheck, started, finished) -> dict:
@@ -158,15 +154,15 @@ def verify_report(report) -> list[str]:
     """Re-run a loaded report's job and compare.
 
     Reads three fields first, each in place: schema_version must be "1",
-    profile and target objects, and target.param exactly an int; the first
-    that fails is the one problem, naming its value by ``reprlib.repr``.
-    Then rebuilds the stages of the report's stated target (refusing,
-    unbuilt, one with a stage above ``MAX_REBUILD_VERTICES``), re-runs the
-    check its kind picks on them, re-assembles the report with
-    ``make_report`` from the re-run alone, and names each field where the
-    two differ.  So every field, the claim, its r and the witness vertex
-    for vertex included, must be the re-run's: checked optima that
-    ``Stack.holds`` passed.  Copied, not compared: ``generated_by``.
+    and profile and target objects; the first that fails is the one
+    problem, naming its value by ``reprlib.repr``.  Then checks the stated
+    target with ``require_rebuildable`` (so target.param is exactly an int
+    from 3 to ``MAX_T``), rebuilds its stages, re-runs the check its kind
+    picks on them, re-assembles the report with ``make_report`` from the
+    re-run alone, and names each field where the two differ.  So every
+    field, the claim, its r and the witness vertex for vertex included,
+    must be the re-run's: checked optima that ``Stack.holds`` passed.
+    Copied, not compared: ``generated_by``.
     Returns a list of problems, empty when the report stands; never raises.
     """
     if not isinstance(report, dict):
@@ -177,13 +173,9 @@ def verify_report(report) -> list[str]:
         if not isinstance(report.get(field), dict):
             return [f"report: {field} is {reprlib.repr(report.get(field))}, not an object"]
     kind, param = report["target"].get("kind"), report["target"].get("param")
-    # Exactly an int: JSON true loads as a bool, and 4.0 keys the stage memo as 4 does.
-    if type(param) is not int:
-        return [f"report: target.param is {reprlib.repr(param)}, not an integer"]
     try:
-        profile = InterpretationProfile.from_dict(report["profile"])
-        require_rebuildable(kind, param, profile)
-        stack = Stack(kind, param, profile)
+        require_rebuildable(kind, param)
+        stack = Stack(kind, param, InterpretationProfile.from_dict(report["profile"]))
     except (KeyError, ValueError) as exc:
         return [f"cannot rebuild target: {exc}"]
 
@@ -217,12 +209,12 @@ def run_verification(
     profile: InterpretationProfile = DEFAULT_PROFILE,
 ) -> dict:
     """Build the claim's target as a stack of memoized stages, run the check
-    of its kind on it, and assemble the full report.  The theorem, r and the
-    target's largest stage (``verify_report``'s limit) are checked before
-    anything is built.
+    of its kind on it, and assemble the full report.  The theorem and r are
+    checked, and the target by ``require_rebuildable``, the loader's own
+    check, before anything is built: a float r is refused, memo or not.
     """
     started = _now()
     target = claim_target(theorem, r)
-    require_rebuildable(*target, profile)
+    require_rebuildable(*target)
     stack = Stack(*target, profile)
     return make_report(stack, _check(stack), started, _now())

@@ -112,6 +112,15 @@ def stacked_vertex_count(t: int, explicit_base: bool) -> int:
     return total
 
 
+def vertex_rule_accepts(kind: str, param: int, profile: InterpretationProfile, dense: bool) -> bool:
+    """The vertex rule that the stage-parameter bound replaced: a target
+    loads and runs if its largest stage, and exports (``dense``) if its
+    whole graph, has at most 20,000 vertices."""
+    explicit = profile.base_case == "explicit_path"
+    sizes = [6 if r == 3 and explicit else stage_vertex_count(r) for r in (range(3, param + 1) if kind == "SF" else (param,))]
+    return (sum(sizes) if dense else max(sizes)) <= 20_000
+
+
 def layout_cuts(kind: str, param: int, profile: InterpretationProfile) -> tuple[int, ...]:
     """Where each part of F(param) or SF(param) after the first starts,
     written out by the nested loops of the layout: the base path is one

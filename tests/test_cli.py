@@ -37,8 +37,8 @@ class TestBuild:
         assert code == 0
         assert out.read_text().startswith("p edge 6 5\n")
 
-    @pytest.mark.parametrize("kind, param, size", [("SF", 400, 42666390), ("SF", 32, 21814), ("F", 101, 20200)])
-    def test_oversized_build_refused_unbuilt(self, kind, param, size, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("kind, param, limit", [("SF", 400, "limit of t = 100"), ("SF", 32, "export limit of t = 31"), ("F", 101, "limit of t = 100")])
+    def test_oversized_build_refused_unbuilt(self, kind, param, limit, tmp_path, monkeypatch, capsys):
         def no_build(*args):
             raise AssertionError("built a target above the export limit")
 
@@ -46,7 +46,7 @@ class TestBuild:
         monkeypatch.setattr(cli, "build_SF", no_build)
         out = tmp_path / "big.g6"
         assert main(["build", "--kind", kind, "--r", str(param), "--out", str(out)]) == 2
-        assert f"{kind}({param}) has {size} vertices, above the limit of 20000" in capsys.readouterr().err
+        assert f"{kind}({param}) is above the {limit}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_build_error_exit_2(self, tmp_path, capsys):

@@ -9,20 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sfcheck import cli
 from sfcheck import construct as construct_module
 from sfcheck import solve as solve_module
-from sfcheck.construct import InterpretationProfile, LabeledGraph, build_F, build_SF
+from sfcheck.construct import InterpretationProfile, LabeledGraph, build_F
 from sfcheck.report import (
-    MAX_REBUILD_VERTICES,
+    MAX_T,
     load_report,
     require_rebuildable,
     run_verification,
-    target_vertex_count,
     verify_report,
     write_report,
 )
 
-from oracles import all_profiles
+from oracles import all_profiles, vertex_rule_accepts
 
 DELETE = object()
 
@@ -79,18 +79,18 @@ MALFORMED = {
     "profile is a list": (("profile",), [1, 2]),
     "target is a string": (("target",), "F(3)"),
     "target.param is true": (("target", "param"), True),
-    # Without the exact-int check this report loads: the stage memo keys 3.0 as 3,
+    # Without the target check's exact int this report loads: the stage memo keys 3.0 as 3,
     # and the re-run's r and claim come out as the same floats.
     "target.param, r and claim are floats": ((), as_floats),
 }
 
-# The problem each read before the re-run gives, naming the value it read.
+# The problem each read or check before the re-run gives, naming the value it read.
 MISREAD = {
-    "target.param is a string": "report: target.param is '7', not an integer",
+    "target.param is a string": "cannot rebuild target: stage parameter must be an integer, got '7'",
     "profile is a list": "report: profile is [1, 2], not an object",
     "target is a string": "report: target is 'F(3)', not an object",
-    "target.param is true": "report: target.param is True, not an integer",
-    "target.param, r and claim are floats": "report: target.param is 3.0, not an integer",
+    "target.param is true": "cannot rebuild target: stage parameter must be an integer, got True",
+    "target.param, r and claim are floats": "cannot rebuild target: stage parameter must be an integer, got 3.0",
 }
 
 
@@ -192,11 +192,43 @@ def test_bool_is_not_an_int(theorem, path, tmp_path):
         load_report(target)
 
 
+class Built(Exception):
+    """Raised in place of a dense build: ``build`` got past its checks."""
+
+
+def accepts(call, *args) -> bool:
+    """Whether ``call(*args)`` gets past its checks: it returns, or reaches a dense build."""
+    try:
+        call(*args)
+    except ValueError:
+        return False
+    except Built:
+        pass
+    return True
+
+
+def profile_argv(profile):
+    """The ``sfcheck`` flags that select ``profile``."""
+    flags = (("--sum", cli._SUM_FLAGS, profile.sum), ("--prod", cli._PROD_FLAGS, profile.prod), ("--base", cli._BASE_FLAGS, profile.base_case))
+    return [arg for flag, names, reading in flags for arg in (flag, next(k for k, v in names.items() if v == reading))] + ["--y-label", str(profile.y_label)]
+
+
 @pytest.mark.parametrize("profile", all_profiles(), ids=str)
-def test_target_vertex_count_matches_builds(profile):
-    for r in range(3, 9):
-        assert target_vertex_count("F", r, profile) == build_F(r, profile).graph.n
-        assert target_vertex_count("SF", r, profile) == build_SF(r, profile).graph.n
+def test_parameter_bound_accepts_what_the_vertex_rule_did(profile, monkeypatch):
+    """The stage route's check and ``sfcheck build`` accept exactly the
+    targets that the vertex rule they replace did, at t = 3..250: F(r) and
+    SF(t) up to t = 100, and an export up to F(100) and SF(31)."""
+    def built(*args):
+        raise Built
+
+    monkeypatch.setattr(cli, "build_F", built)
+    monkeypatch.setattr(cli, "build_SF", built)
+    parser = cli._make_parser()
+    for kind in ("F", "SF"):
+        for param in range(3, 251):
+            args = parser.parse_args(["build", "--kind", kind, "--r", str(param), *profile_argv(profile), "--out", "unwritten"])
+            assert accepts(require_rebuildable, kind, param) == vertex_rule_accepts(kind, param, profile, dense=False), (kind, param)
+            assert accepts(args.func, args) == vertex_rule_accepts(kind, param, profile, dense=True), (kind, param)
 
 
 @pytest.mark.parametrize("theorem, param", [("1.2", 101), ("1.2", 10**9), ("1.1", 101)])
@@ -209,7 +241,7 @@ def test_oversized_target_refused_unbuilt(theorem, param, monkeypatch):
     monkeypatch.setattr(construct_module, "build_SF", no_build)
     monkeypatch.setattr(solve_module, "build_block", no_build)
     problems = verify_report(report)
-    assert len(problems) == 1 and f"above the limit of {MAX_REBUILD_VERTICES}" in problems[0]
+    assert problems == [f"cannot rebuild target: {report['target']['kind']}({param}) is above the limit of t = {MAX_T}"]
 
 
 @pytest.mark.parametrize("param", [4, 10**9])
@@ -226,8 +258,8 @@ def test_parameter_below_3_named_before_sizing(kind, name, param):
 
 
 def test_sf30_is_within_the_rebuild_limit():
-    for profile in all_profiles():
-        assert target_vertex_count("SF", 30, profile) <= MAX_REBUILD_VERTICES
+    require_rebuildable("SF", 30)
+    assert all(vertex_rule_accepts("SF", 30, profile, dense=False) for profile in all_profiles())
 
 
 @pytest.mark.parametrize("profile", all_profiles(), ids=str)
@@ -290,19 +322,19 @@ def test_float_labels_are_refused():
 
 
 def test_sf100_is_the_largest_stack_within_the_limit():
-    # Verification rebuilds stages, so the limit bounds the largest stage,
-    # F(t); a dense build, for export, is limited in its total.
+    # Verification rebuilds stages, so the limit bounds the stage parameter;
+    # a dense build, for export, is limited in its total, to SF(31).
+    require_rebuildable("SF", 100)
+    with pytest.raises(ValueError, match=r"^SF\(101\) is above the limit of t = 100$"):
+        require_rebuildable("SF", 101)
+    assert (MAX_T, cli.MAX_EXPORT_T) == (100, 31)
     for profile in all_profiles():
-        require_rebuildable("SF", 100, profile)
-        with pytest.raises(ValueError, match="SF.101. has a stage of 20200 vertices"):
-            require_rebuildable("SF", 101, profile)
-        require_rebuildable("SF", 31, profile, dense=True)
-        with pytest.raises(ValueError, match=r"SF.32. has \d+ vertices"):
-            require_rebuildable("SF", 32, profile, dense=True)
+        assert [vertex_rule_accepts("SF", t, profile, dense=False) for t in (100, 101)] == [True, False]
+        assert [vertex_rule_accepts("SF", t, profile, dense=True) for t in (31, 32)] == [True, False]
 
 
 @pytest.mark.parametrize(
-    "theorem, r, target", [("1.2", 100, "SF(101) has a stage of 20200"), ("1.1", 101, "F(101) has 20200")]
+    "theorem, r, target", [("1.2", 100, "SF(101)"), ("1.1", 101, "F(101)")]
 )
 def test_run_verification_refuses_what_verify_report_would(theorem, r, target, monkeypatch):
     def no_build(*args):
@@ -311,10 +343,10 @@ def test_run_verification_refuses_what_verify_report_would(theorem, r, target, m
     monkeypatch.setattr(construct_module, "build_F", no_build)
     monkeypatch.setattr(construct_module, "build_SF", no_build)
     monkeypatch.setattr(solve_module, "build_block", no_build)
-    message = f"{target} vertices, above the limit of {MAX_REBUILD_VERTICES}"
+    message = f"{target} is above the limit of t = {MAX_T}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         run_verification(theorem, r)
-    kind, param = target.split()[0].rstrip(")").split("(")
+    kind, param = target.rstrip(")").split("(")
     report = edited(base_report(theorem), ("target",), {"kind": kind, "param": int(param)})
     assert verify_report(report) == [f"cannot rebuild target: {message}"]
 

@@ -504,5 +504,5 @@ def test_unloadable_targets_refused_unbuilt(argv, tmp_path, monkeypatch, capsys)
     monkeypatch.setattr(solve_module, "build_block", no_build)
     out_dir = tmp_path / "out"
     assert main([arg.replace("DIR", str(out_dir)) for arg in argv]) == 2
-    assert "above the limit of 20000" in capsys.readouterr().err
+    assert "is above the limit of t = 100" in capsys.readouterr().err
     assert not out_dir.exists()

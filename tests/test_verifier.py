@@ -1,8 +1,10 @@
 """Verifier tests: verdict logic, certificates, Ramsey ground truth."""
 
 import itertools
+import os
 import random
 import re
+import subprocess
 import sys
 from collections import Counter
 
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sfcheck
 from sfcheck import solve
 from sfcheck.construct import DEFAULT_PROFILE, build_F, build_SF
 from sfcheck.graphs import complement, complete, cycle, empty, random_graph
@@ -197,6 +200,45 @@ class TestClaimMinimum:
     def test_run_verification_rejects_unknown_theorem(self):
         with pytest.raises(ValueError, match="unknown theorem"):
             run_verification("2.1", 3)
+
+
+class TestExactIntParameter:
+    """A parameter that is not exactly an int is refused before the stage
+    memo, which keys 4.0 as 4 and True as 1, sees it."""
+
+    def test_float_r_is_refused_memo_or_not(self):
+        # A fresh process, so the first call meets an empty stage memo and
+        # the last one a memo holding stage 4.
+        script = (
+            "from sfcheck.report import run_verification\n"
+            "for r in (4.0, 4, 4.0):\n"
+            "    try:\n"
+            "        run_verification('1.1', r)\n"
+            "        print(r, 'ran')\n"
+            "    except Exception as exc:\n"
+            "        print(r, type(exc).__name__)\n"
+        )
+        src = os.path.dirname(os.path.dirname(sfcheck.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True
+        )
+        assert done.stdout.splitlines() == ["4.0 ValueError", "4 ran", "4.0 ValueError"]
+
+    @pytest.mark.parametrize(
+        "call, value",
+        [
+            (lambda: Stack("F", 4.0, DEFAULT_PROFILE), 4.0),
+            (lambda: build_F(4.0), 4.0),
+            (lambda: build_SF(5.0), 5.0),
+            (lambda: Stack("SF", True, DEFAULT_PROFILE), True),
+            (lambda: build_F(True), True),
+            (lambda: build_SF(True), True),
+        ],
+        ids=["Stack F 4.0", "build_F 4.0", "build_SF 5.0", "Stack SF True", "build_F True", "build_SF True"],
+    )
+    def test_non_int_parameter_is_named(self, call, value):
+        with pytest.raises(ValueError, match=f"^st(age|ack) parameter must be an integer, got {value!r}$"):
+            call()
 
 
 class TestBoundReport:
