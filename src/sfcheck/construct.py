@@ -5,7 +5,7 @@ The construction stacks stages: each stage r contributes a block graph G_z
 H side that is the complement of the G side on a fresh vertex range, and
 cross edges that join exactly the opposite-parity label pairs.  SF(t)
 chains stages 3..t, again joining opposite-parity pairs across stages.
-A build records that layout once, as its list of stages.
+That layout is ``solve.Stack``'s; a dense build is its graph and labels.
 
 Verification builds neither F(r) nor SF(t) whole: ``solve.Stack`` holds
 its stages, of which the stage memo keeps one block each, from
@@ -25,10 +25,8 @@ from __future__ import annotations
 import reprlib
 from collections import namedtuple
 
-from sfcheck.graphs import Checked, Graph, combine, complement, complete, empty, path, product
+from sfcheck.graphs import COMBINE_OPS, PRODUCT_KINDS, Checked, Graph, combine, complement, complete, empty, path, product
 
-PROFILE_SUMS = ("disjoint_union", "join")
-PROFILE_PRODS = ("lexicographic", "cartesian", "tensor")
 PROFILE_BASES = ("explicit_path", "general")
 LABELS = (1, 2)
 
@@ -67,7 +65,7 @@ class InterpretationProfile(Checked, namedtuple(
     __slots__ = ()
 
     def __post_init__(self) -> None:
-        for field, readings in (("sum", PROFILE_SUMS), ("prod", PROFILE_PRODS), ("base_case", PROFILE_BASES)):
+        for field, readings in (("sum", COMBINE_OPS), ("prod", PRODUCT_KINDS), ("base_case", PROFILE_BASES)):
             if getattr(self, field) not in readings:
                 raise ValueError(f"unknown {field} reading {reprlib.repr(getattr(self, field))}")
         if type(self.y_label) is not int or self.y_label not in LABELS:
@@ -84,12 +82,6 @@ class InterpretationProfile(Checked, namedtuple(
 DEFAULT_PROFILE = InterpretationProfile()
 
 
-def stage_size(r: int, base_path: bool) -> int:
-    """Vertex count of stage r: 6 for the explicit base path (r = 3 under
-    ``base_path``), else two sides of r-1 copies of an r-vertex block."""
-    return 6 if r == 3 and base_path else 2 * r * (r - 1)
-
-
 def _require_param(kind: str, param: int) -> None:
     """ValueError, naming the value, for an unknown target kind or a
     parameter that is not exactly an int of at least 3: the one check of a
@@ -101,23 +93,17 @@ def _require_param(kind: str, param: int) -> None:
         raise ValueError(f"{'stage' if kind == 'F' else 'stack'} parameter must be {rule}, got {reprlib.repr(param)}")
 
 
-class LabeledGraph(Checked, namedtuple("LabeledGraph", "graph labels stages base_path")):
-    """Graph plus per-vertex labels and the stage layout that places them.
-
-    ``stages`` holds each stage's r in vertex order; ``base_path`` says
-    whether stage 3 is the six-vertex explicit path.  Any other stage is a
-    G side then an H side, each r-1 copies of an x block of r // 2 vertices
-    then a y block; G vertex v corresponds to H vertex v + half.
-    """
+class LabeledGraph(Checked, namedtuple("LabeledGraph", "graph labels")):
+    """A dense build: its graph and one label per vertex, each exactly the
+    int 1 or 2.  Its vertices are in the order of ``solve.Stack``'s parts:
+    the base path, or a G side then an H side; G vertex v corresponds to
+    H vertex v + half."""
 
     __slots__ = ()
 
     def __post_init__(self) -> None:
         if len(self.labels) != self.graph.n:
             raise ValueError("labels length must equal vertex count")
-        laid_out = sum(stage_size(r, self.base_path) for r in self.stages)
-        if laid_out != self.graph.n or any(r < 3 for r in self.stages):
-            raise ValueError(f"stages {self.stages} do not lay out {self.graph.n} vertices")
         for lab in self.labels:
             if type(lab) is not int or lab not in LABELS:
                 raise ValueError(f"label {lab!r} outside {{1, 2}}")
@@ -191,5 +177,4 @@ def _build_stages(stages: range, profile: InterpretationProfile) -> LabeledGraph
             starts.append(len(rows))
             rows.extend(row << starts[-1] for row in part.rows)
             labels += part_labels
-    graph = _join_opposite_parity(rows, labels, starts[1:])
-    return LabeledGraph(graph, labels, tuple(stages), profile.base_case == "explicit_path")
+    return LabeledGraph(_join_opposite_parity(rows, labels, starts[1:]), labels)

@@ -9,9 +9,9 @@ Claim T1.2: SF(r+1) contains neither a clique nor an independent set on
 r+1 vertices.
 
 Each claim's rules are written once.  ``CLAIMS`` gives its smallest r and
-the target it is checked on, and ``claim_verdict`` its claimed value,
-status and witness mode from r and the computed sizes.  A check reads r
-and the profile from its one argument, a stack of memoized stages that
+the target it is checked on; its check states its claimed value, status
+and witness mode from r and the computed sizes.  A check reads r and the
+profile from its one argument, a stack of memoized stages that
 ``report.run_verification`` builds, and refuses only the other claim's
 kind; ``report.verify_report`` re-runs it and re-assembles the report.
 ``bound_report_from_counts`` turns T1.2's omega and alpha into the
@@ -22,6 +22,7 @@ exhaustively by confirm_R3 and used to flag contradictory implications.
 
 from __future__ import annotations
 
+import reprlib
 from functools import cache
 from itertools import combinations
 from typing import NamedTuple
@@ -44,33 +45,17 @@ CLAIMS = {"1.1": (3, "F", 0), "1.2": (2, "SF", 1)}
 def claim_target(theorem: str, r: int) -> tuple[str, int]:
     """(kind, param) of the target claim T<theorem> is checked on at r.
 
-    ValueError for an unknown theorem or an r below the claim's minimum.
+    ValueError for an unknown theorem, or an r that is not exactly an int
+    or is below the claim's minimum.
     """
     if theorem not in CLAIMS:
         raise ValueError(f"unknown theorem {theorem!r}")
     min_r, kind, shift = CLAIMS[theorem]
+    if type(r) is not int:
+        raise ValueError(f"claim T{theorem} needs an integer r, got {reprlib.repr(r)}")
     if r < min_r:
         raise ValueError(f"claim T{theorem} needs r >= {min_r}, got {r}")
     return kind, r + shift
-
-
-def claim_verdict(theorem_id: str, r: int, computed: dict) -> tuple[object, str, str]:
-    """(claimed, status, witness_mode) of claim ``theorem_id`` at r, given
-    its computed sizes: the one verdict rule per claim, applied by the
-    check, which ``report.verify_report`` re-runs.
-
-    T1.2's certificate is the violating clique first, else the violating
-    independent set, else the maximum clique.
-    """
-    if theorem_id == "T1_1":
-        claimed = (r + 1) // 2
-        holds, mode = computed["mono_clique"] == claimed, "clique"
-    else:
-        omega, alpha = computed["omega"], computed["alpha"]
-        claimed = f"omega(SF({r + 1})) <= {r} and alpha(SF({r + 1})) <= {r}"
-        holds = omega <= r and alpha <= r
-        mode = "independent" if omega <= r < alpha else "clique"
-    return claimed, "CONFIRMED" if holds else "REFUTED", mode
 
 
 class TheoremCheck(NamedTuple):
@@ -117,11 +102,11 @@ def check_theorem_1_1(stack: Stack) -> TheoremCheck:
     _, _, _, odd, _ = stack.parts[i]
     if mask & odd not in (0, mask):
         raise AssertionError("single-label witness spans both labels")
-    computed = {"mono_clique": res.size}
-    claimed, status, mode = claim_verdict("T1_1", r, computed)
+    claimed = (r + 1) // 2
+    status = "CONFIRMED" if res.size == claimed else "REFUTED"
     return TheoremCheck(
-        "T1_1", r, stack.profile, claimed, computed, status, stack.members(res.masks, mode), mode,
-        {"mono_nodes": res.nodes_explored},
+        "T1_1", r, stack.profile, claimed, {"mono_clique": res.size}, status, stack.members(res.masks, "clique"),
+        "clique", {"mono_nodes": res.nodes_explored},
     )
 
 
@@ -131,16 +116,18 @@ def check_theorem_1_2(stack: Stack) -> TheoremCheck:
 
     Its omega and alpha come from its memoized stages (``solve.stage_solve``),
     which checks both witnesses' part masks on the stack before it returns
-    them; only the witness the report stores is listed.
+    them; only the witness the report stores is listed: the violating
+    clique first, else the violating independent set, else the maximum
+    clique.
     """
     r = _claim_r("1.2", stack)
     omega, alpha = stage_solve(stack)
-    computed = {"omega": omega.size, "alpha": alpha.size}
-    claimed, status, mode = claim_verdict("T1_2", r, computed)
-    witness = stack.members((alpha if mode == "independent" else omega).masks, mode)
+    claimed = f"omega(SF({r + 1})) <= {r} and alpha(SF({r + 1})) <= {r}"
+    status = "CONFIRMED" if omega.size <= r and alpha.size <= r else "REFUTED"
+    mode, shown = ("independent", alpha) if omega.size <= r < alpha.size else ("clique", omega)
     return TheoremCheck(
-        "T1_2", r, stack.profile, claimed, computed, status, witness, mode,
-        {"omega_nodes": omega.nodes_explored, "alpha_nodes": alpha.nodes_explored},
+        "T1_2", r, stack.profile, claimed, {"omega": omega.size, "alpha": alpha.size}, status,
+        stack.members(shown.masks, mode), mode, {"omega_nodes": omega.nodes_explored, "alpha_nodes": alpha.nodes_explored},
     )
 
 

@@ -11,7 +11,7 @@ import itertools
 from functools import reduce
 from operator import or_
 
-from sfcheck.construct import InterpretationProfile, stage_size
+from sfcheck.construct import InterpretationProfile
 from sfcheck.formats import Graph6ParseError
 from sfcheck.graphs import Graph, complement, induced
 from sfcheck.solve import (
@@ -136,26 +136,22 @@ def layout_cuts(kind: str, param: int, profile: InterpretationProfile) -> tuple[
     return tuple(starts[1:])
 
 
-def stage_spans(lg) -> list[tuple[int, int, int]]:
-    """(r, start, stop) of each stage's vertex range in the build ``lg``,
-    in vertex order, from the layout the build records."""
-    spans, stop = [], 0
-    for r in lg.stages:
-        start, stop = stop, stop + stage_size(r, lg.base_path)
-        spans.append((r, start, stop))
-    return spans
-
-
-def stage_cuts(lg) -> tuple[int, ...]:
-    """Where each part of the build ``lg`` after the first starts, a part
-    being the base path or one side of a stage, from the layout the build
-    records."""
-    cuts = []
-    for r, start, stop in stage_spans(lg):
-        cuts.append(start)
-        if not (r == 3 and lg.base_path):
-            cuts.append((start + stop) // 2)
-    return tuple(cuts[1:])
+def reference_verdict(theorem_id: str, r: int, computed: dict) -> tuple[object, str, str]:
+    """(claimed, status, witness_mode) of claim ``theorem_id`` at r, from
+    its computed sizes, as the claims state them; the reference for the
+    checks' own verdicts.  T1.1: the largest single-label clique of F(r)
+    has ceil(r/2) vertices, shown by one.  T1.2: SF(r+1) has no clique and
+    no independent set on r+1 vertices; its certificate is a violating
+    clique, else a violating independent set, else a maximum clique."""
+    if theorem_id == "T1_1":
+        claimed = -(-r // 2)
+        return claimed, "CONFIRMED" if computed["mono_clique"] == claimed else "REFUTED", "clique"
+    claimed = f"omega(SF({r + 1})) <= {r} and alpha(SF({r + 1})) <= {r}"
+    if computed["omega"] > r:
+        return claimed, "REFUTED", "clique"
+    if computed["alpha"] > r:
+        return claimed, "REFUTED", "independent"
+    return claimed, "CONFIRMED", "clique"
 
 
 def label_counts(lg) -> dict[int, int]:

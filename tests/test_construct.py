@@ -25,22 +25,17 @@ from sfcheck.graphs import Graph, complete, induced
 from sfcheck.report import load_report
 from sfcheck.solve import Stack, max_clique, max_independent_set, stage, stage_solve
 
-from oracles import all_profiles, class_masks, label_counts, layout_cuts, stack_labels, stacked_vertex_count, stage_cuts, stage_spans, stage_vertex_count
+from oracles import all_profiles, class_masks, label_counts, layout_cuts, stack_labels, stacked_vertex_count, stage_vertex_count
 
 GENERAL = DEFAULT_PROFILE.replace(base_case="general")
 
 
-def cross_pairs_by_rule(lg):
+def cross_pairs_by_rule(lg, cuts):
     """Pairs the opposite-parity rule applies to: those in different parts,
-    a part being the base path or one side of a stage, laid out by hand."""
-    part = []
-    for r in lg.stages:
-        if r == 3 and lg.base_path:
-            part += [len(part)] * 6
-        else:
-            part += [len(part)] * (r - 1) * r
-            part += [len(part)] * (r - 1) * r
+    a part being the base path or one side of a stage, split at ``cuts``,
+    from ``layout_cuts``."""
     n = lg.graph.n
+    part = [sum(v >= cut for cut in cuts) for v in range(n)]
     return [(v, w) for v in range(n) for w in range(v + 1, n) if part[v] != part[w]]
 
 
@@ -120,7 +115,6 @@ class TestBuildF:
         lg = build_F(3, DEFAULT_PROFILE)
         assert lg.graph.n == 6 and lg.graph.m == 5
         assert lg.labels == (1, 2, 1, 1, 2, 2)
-        assert lg.stages == (3,) and lg.base_path
 
     def test_explicit_path_y_label_one(self):
         lg = build_F(3, DEFAULT_PROFILE.replace(y_label=1))
@@ -159,7 +153,7 @@ class TestBuildF:
 
     def test_cross_edges_follow_parity_rule(self):
         lg = build_F(4, DEFAULT_PROFILE)
-        for v, w in cross_pairs_by_rule(lg):
+        for v, w in cross_pairs_by_rule(lg, layout_cuts("F", 4, DEFAULT_PROFILE)):
             differs = label_parity(lg.labels[v]) != label_parity(lg.labels[w])
             assert lg.graph.has_edge(v, w) == differs
 
@@ -200,7 +194,7 @@ class TestBuildSF:
 
     def test_cross_stage_edges_follow_parity_rule(self):
         lg = build_SF(5, DEFAULT_PROFILE)
-        for v, w in cross_pairs_by_rule(lg):
+        for v, w in cross_pairs_by_rule(lg, layout_cuts("SF", 5, DEFAULT_PROFILE)):
             differs = label_parity(lg.labels[v]) != label_parity(lg.labels[w])
             assert lg.graph.has_edge(v, w) == differs
 
@@ -214,47 +208,31 @@ class TestBuildSF:
     @pytest.mark.parametrize("t", range(3, 8))
     @pytest.mark.parametrize("profile", all_profiles())
     def test_all_profiles_meet_the_premise(self, profile, t):
-        assert not rule_breaks(build_F(t, profile))
+        assert not rule_breaks(build_F(t, profile), layout_cuts("F", t, profile))
 
 
 class TestLayout:
     @pytest.mark.parametrize("profile", all_profiles(), ids=str)
-    def test_stage_cuts_match_nested_loop_layout(self, profile):
-        for kind, build in (("F", build_F), ("SF", build_SF)):
+    def test_stack_parts_start_at_the_nested_loop_cuts(self, profile):
+        # The stack owns the layout; the dense builds are checked against
+        # the same cuts by the rule tests and the part optima.
+        for kind in ("F", "SF"):
             for param in range(3, 9):
-                assert stage_cuts(build(param, profile)) == layout_cuts(kind, param, profile), (kind, param)
-
-    def test_stages_record_the_stack(self):
-        lg = build_SF(6, GENERAL)
-        assert lg.stages == (3, 4, 5, 6) and not lg.base_path
-        assert stage_spans(lg) == [(3, 0, 12), (4, 12, 36), (5, 36, 76), (6, 76, 136)]
-        assert stage_cuts(lg) == (6, 12, 24, 36, 56, 76, 106)
+                starts = tuple(start for start, *_ in Stack(kind, param, profile).parts)
+                assert starts[1:] == layout_cuts(kind, param, profile), (kind, param)
 
     def test_labeled_graph_rejects_bad_shapes(self):
         lg = build_F(3, DEFAULT_PROFILE)
         with pytest.raises(ValueError):
-            LabeledGraph(lg.graph, lg.labels[:-1], lg.stages, lg.base_path)
+            LabeledGraph(lg.graph, lg.labels[:-1])
         with pytest.raises(ValueError):
-            LabeledGraph(lg.graph, (0,) * 6, lg.stages, lg.base_path)
-
-    @pytest.mark.parametrize(
-        "stages, base_path", [((3,), False), ((4,), True), ((3, 4), True), ((), True)]
-    )
-    def test_labeled_graph_rejects_stage_size_mismatch(self, stages, base_path):
-        lg = build_F(3, DEFAULT_PROFILE)
-        with pytest.raises(ValueError, match="do not lay out 6 vertices"):
-            LabeledGraph(lg.graph, lg.labels, stages, base_path)
-
-    def test_labeled_graph_rejects_stage_below_three(self):
-        # Stage 2 would lay out 2 * 2 * 1 = 4 vertices, but no build has one.
-        with pytest.raises(ValueError, match="do not lay out 4 vertices"):
-            LabeledGraph(Graph(4, (0,) * 4), (1, 2, 2, 1), (2,), False)
+            LabeledGraph(lg.graph, (0,) * 6)
 
     def test_labeled_graph_rejects_bool_label(self):
         # True == 1, so a plain membership test in (1, 2) would accept it.
         lg = build_F(3, DEFAULT_PROFILE)
         with pytest.raises(ValueError, match="outside"):
-            LabeledGraph(lg.graph, (True,) + lg.labels[1:], lg.stages, lg.base_path)
+            LabeledGraph(lg.graph, (True,) + lg.labels[1:])
 
 
 class TestLabelMasks:
@@ -277,12 +255,12 @@ class TestLabelMasks:
         assert label_masks(labels)[y_label - 1] >> 4 & 1
 
 
-def rule_breaks(lg):
-    """The pairs in different parts of ``lg`` whose adjacency is not the
-    opposite-parity rule's."""
+def rule_breaks(lg, cuts):
+    """The pairs in different parts of ``lg``, split at ``cuts``, whose
+    adjacency is not the opposite-parity rule's."""
     return [
         (v, w)
-        for v, w in cross_pairs_by_rule(lg)
+        for v, w in cross_pairs_by_rule(lg, cuts)
         if lg.graph.has_edge(v, w) != (label_parity(lg.labels[v]) != label_parity(lg.labels[w]))
     ]
 
@@ -333,7 +311,7 @@ class TestPremise:
         assert (kept.block, kept.labels) != real and kept.k == 3
         for lo in (0, 4, 8):
             assert (kept.block, kept.labels) == (induced(doctored.graph, range(lo, lo + 4)), doctored.labels[lo : lo + 4])
-        assert not rule_breaks(doctored)
+        assert not rule_breaks(doctored, layout_cuts("F", 4, DEFAULT_PROFILE))
         assert_stack_matches_dense(5, DEFAULT_PROFILE)
 
     @pytest.mark.parametrize("fault", FAULTS)
@@ -360,5 +338,5 @@ class TestPremise:
                     return block, tuple(flip_label(x) if f else x for x, f in zip(labels, relabel))
 
                 seed_stage(r, doctor)
-                assert not rule_breaks(build_F(r, profile))
+                assert not rule_breaks(build_F(r, profile), layout_cuts("F", r, profile))
                 assert_stack_matches_dense(r, profile)

@@ -1,5 +1,6 @@
 """Serialization tests: graph6, DIMACS, and JSON reports."""
 
+import hashlib
 import json
 import random
 
@@ -251,3 +252,18 @@ def test_full_corpus_round_trip():
         for t in range(3, 7):
             g = build_SF(t, profile).graph
             assert decode_graph6(encode_graph6(g)) == g
+
+
+def test_exports_match_their_digest():
+    """What ``sfcheck build`` writes, pinned: one sha256 over the graph6
+    and DIMACS text and the label bytes of F(3..8), then SF(3..7), under
+    each profile in ``all_profiles`` order."""
+    total = hashlib.sha256()
+    for profile in all_profiles():
+        for build, params in ((build_F, range(3, 9)), (build_SF, range(3, 8))):
+            for param in params:
+                lg = build(param, profile)
+                total.update(encode_graph6(lg.graph).encode())
+                total.update(encode_dimacs(lg.graph).encode())
+                total.update(bytes(lg.labels))
+    assert total.hexdigest() == "44609028c458978a96e841c54f9eaf88856d50f8675d9c80f68e754ffcf5e8f4"

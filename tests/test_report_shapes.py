@@ -318,7 +318,7 @@ def test_float_labels_are_refused():
         InterpretationProfile(y_label=2.0)
     lg = build_F(3)
     with pytest.raises(ValueError, match="label 1.0 outside"):
-        LabeledGraph(lg.graph, (1.0, *lg.labels[1:]), lg.stages, lg.base_path)
+        LabeledGraph(lg.graph, (1.0, *lg.labels[1:]))
 
 
 def test_sf100_is_the_largest_stack_within_the_limit():

@@ -44,8 +44,8 @@ from oracles import (
     label_counts,
     max_mono_clique,
     pairwise_composition,
+    layout_cuts,
     stack_labels,
-    stage_cuts,
 )
 
 
@@ -103,7 +103,7 @@ def test_stages_match_the_dense_build(profile):
         stack, lg = Stack("F", r, profile), build_F(r, profile)
         assert (stack.n, stack.m, stack.label_counts) == (lg.graph.n, lg.graph.m, label_counts(lg)), r
         assert stack_labels(stack) == list(lg.labels), r
-        assert over_copies(stack.stages[0]) == {mode: flat_optima(parts) for mode, parts in dense_part_optima(lg).items()}, r
+        assert over_copies(stack.stages[0]) == {mode: flat_optima(parts) for mode, parts in dense_part_optima(lg, layout_cuts("F", r, profile)).items()}, r
 
 
 def test_an_h_side_shares_its_g_sides_results():
@@ -317,11 +317,12 @@ def test_stack_witness_check_refuses_what_the_dense_one_does(members):
         assert verify_report(forged), field
 
 
-def dense_part_optima(lg):
+def dense_part_optima(lg, cuts):
     """Per mode, each part's whole, label-1 and label-2 optima, numbered
-    within the part, each from a split of its own set in the dense build."""
+    within the part, each from a split of its own set in the dense build
+    ``lg``, whose parts ``cuts`` separates."""
     g, classes = lg.graph, class_masks(lg.labels)
-    bounds = [0, *stage_cuts(lg), g.n]
+    bounds = [0, *cuts, g.n]
     optima = {"clique": [], "independent": []}
     for lo, hi in zip(bounds, bounds[1:]):
         part = (1 << hi) - (1 << lo)
@@ -421,7 +422,7 @@ def test_check_lists_only_the_witness_it_stores(monkeypatch):
     for profile in all_profiles():
         optima = {"clique": [], "independent": []}  # per part of SF(t), numbered within the part
         for t in range(3, 21):
-            for mode, parts in dense_part_optima(build_F(t, profile)).items():
+            for mode, parts in dense_part_optima(build_F(t, profile), layout_cuts("F", t, profile)).items():
                 optima[mode] += parts
             stack = Stack("SF", t, profile)
             listed.clear()

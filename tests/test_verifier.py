@@ -4,16 +4,18 @@ import itertools
 import os
 import random
 import re
+import reprlib
 import subprocess
 import sys
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sfcheck
-from sfcheck import solve
+from sfcheck import solve, verify
 from sfcheck.construct import DEFAULT_PROFILE, build_F, build_SF
 from sfcheck.graphs import complement, complete, cycle, empty, random_graph
 from sfcheck.report import run_verification, verify_report
@@ -22,9 +24,10 @@ from sfcheck.verify import (
     bound_report_from_counts,
     check_theorem_1_1,
     check_theorem_1_2,
-    claim_verdict,
     confirm_R3,
 )
+
+from oracles import reference_verdict
 
 GENERAL = DEFAULT_PROFILE.replace(base_case="general")
 TENSOR = GENERAL.replace(prod="tensor")
@@ -99,10 +102,20 @@ class TestTheorem12:
 
 
 def oracle_verdict(g, r):
-    """T1.2's verdict rule on g's clique and independence numbers, both
-    counted by the enumeration oracle."""
+    """(computed, (claimed, status, witness_mode)) of ``check_theorem_1_2``
+    on a stand-in SF(r+1) whose stage route reports g's clique and
+    independence numbers, both counted by the enumeration oracle.  Each
+    result's masks name it, so the stand-in's witness is the name of the
+    result the check lists."""
     computed = {"omega": oracle_max_clique(g), "alpha": oracle_max_clique(complement(g))}
-    return computed, claim_verdict("T1_2", r, computed)
+    results = [SimpleNamespace(size=computed[name], masks=name, nodes_explored=0) for name in ("omega", "alpha")]
+    stack = SimpleNamespace(kind="SF", param=r + 1, profile=DEFAULT_PROFILE, members=lambda masks, mode: masks)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "stage_solve", lambda stack: results)
+        tc = check_theorem_1_2(stack)
+    assert tc.computed == computed
+    assert tc.witness == ("alpha" if tc.witness_mode == "independent" else "omega")
+    return computed, (tc.claimed, tc.status, tc.witness_mode)
 
 
 class TestTheorem12Rule:
@@ -110,21 +123,23 @@ class TestTheorem12Rule:
     come from the enumeration oracle."""
 
     def test_cycle5_confirmed(self):
-        computed, (claimed, status, mode) = oracle_verdict(cycle(5), 2)
+        computed, verdict = oracle_verdict(cycle(5), 2)
         assert computed == {"omega": 2, "alpha": 2}
-        assert claimed == "omega(SF(3)) <= 2 and alpha(SF(3)) <= 2"
-        assert (status, mode) == ("CONFIRMED", "clique")
+        assert verdict == ("omega(SF(3)) <= 2 and alpha(SF(3)) <= 2", "CONFIRMED", "clique")
+        assert verdict == reference_verdict("T1_2", 2, computed)
 
     @pytest.mark.parametrize("n, r", [(6, 2), (5, 4)])
     def test_complete_refuted_with_clique(self, n, r):
-        computed, (_, status, mode) = oracle_verdict(complete(n), r)
+        computed, verdict = oracle_verdict(complete(n), r)
         assert computed == {"omega": n, "alpha": 1}
-        assert (status, mode) == ("REFUTED", "clique")
+        assert verdict[1:] == ("REFUTED", "clique")
+        assert verdict == reference_verdict("T1_2", r, computed)
 
     def test_empty6_refuted_with_independent_set(self):
-        computed, (_, status, mode) = oracle_verdict(empty(6), 2)
+        computed, verdict = oracle_verdict(empty(6), 2)
         assert computed == {"omega": 1, "alpha": 6}
-        assert (status, mode) == ("REFUTED", "independent")
+        assert verdict[1:] == ("REFUTED", "independent")
+        assert verdict == reference_verdict("T1_2", 2, computed)
 
 
 class TestCheckKind:
@@ -153,7 +168,7 @@ class TestCheckKind:
             for param in (3, 4, 7):
                 tc = check(Stack(kind, param, profile))
                 assert (tc.r, tc.profile) == (param - shift, profile), (profile, param)
-                assert tc.status == claim_verdict(tc.theorem_id, tc.r, tc.computed)[1], (profile, param)
+                assert (tc.claimed, tc.status, tc.witness_mode) == reference_verdict(tc.theorem_id, tc.r, tc.computed), (profile, param)
 
 
 def test_each_job_calls_its_check_by_every_module_binding(monkeypatch):
@@ -240,6 +255,14 @@ class TestExactIntParameter:
         with pytest.raises(ValueError, match=f"^st(age|ack) parameter must be an integer, got {value!r}$"):
             call()
 
+    @pytest.mark.parametrize("theorem, r", [("1.1", "7"), ("1.2", None), ("1.1", True), ("1.2", 2.0)])
+    def test_non_int_r_is_named(self, theorem, r):
+        # Checked before r is compared with the claim's minimum: "7" and
+        # None do not compare with it, True passes for 1 and 2.0 would
+        # reach the target as 3.0.
+        with pytest.raises(ValueError, match=f"^claim T{re.escape(theorem)} needs an integer r, got {re.escape(reprlib.repr(r))}$"):
+            run_verification(theorem, r)
+
 
 class TestBoundReport:
     def test_t3_explicit_no_implication(self):
@@ -312,7 +335,9 @@ class TestConfirmR3:
     r=st.integers(min_value=2, max_value=5),
 )
 def test_t12_rule_on_enumeration_oracle_sizes(n, density, seed, r):
-    computed, (_, status, mode) = oracle_verdict(random_graph(n, density, random.Random(seed)), r)
+    computed, verdict = oracle_verdict(random_graph(n, density, random.Random(seed)), r)
+    assert verdict == reference_verdict("T1_2", r, computed)
+    _, status, mode = verdict
     omega, alpha = computed["omega"], computed["alpha"]
     assert status == ("CONFIRMED" if omega <= r and alpha <= r else "REFUTED")
     # The violating clique first, else the violating independent set, else
