@@ -234,6 +234,12 @@ class TestLayout:
         with pytest.raises(ValueError, match="outside"):
             LabeledGraph(lg.graph, (True,) + lg.labels[1:])
 
+    def test_labeled_graph_rejects_float_label(self):
+        # 2.0 == 2 as well, so only the exact-int test refuses it.
+        lg = build_F(3, DEFAULT_PROFILE)
+        with pytest.raises(ValueError, match=r"^label 2\.0 outside \{1, 2\}$"):
+            LabeledGraph(lg.graph, lg.labels[:-1] + (2.0,))
+
 
 class TestLabelMasks:
     """``label_masks`` reads the two label classes from the label bytes;

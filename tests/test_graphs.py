@@ -436,6 +436,7 @@ INVALID_RECORDS = [
     (DEFAULT_PROFILE, {"y_label": 3}, "y_label must be 1 or 2, got 3"),
     (DEFAULT_PROFILE, {"sum": "meet"}, "unknown sum reading 'meet'"),
     (build_F(4), {"labels": (1,) * 23 + (3,)}, "label 3 outside {1, 2}"),
+    (build_F(4), {"labels": (1,) * 23 + (2.0,)}, "label 2.0 outside {1, 2}"),
     (build_F(4), {"labels": (1, 2)}, "labels length must equal vertex count"),
 ]
 
