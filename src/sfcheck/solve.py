@@ -2,7 +2,10 @@
 
 max_clique is a branch-and-bound search: a greedy clique seeds the lower
 bound, root vertices are processed in degeneracy order, and inside the tree
-candidate sets are bounded by a greedy coloring.  The search runs on an
+candidate sets are bounded by a greedy coloring.  As in BBMC (San Segundo
+et al., Computers & OR 38(2), 2011) it searches a copy renumbered in
+reverse degeneracy order, so the coloring peels the dense core first, and
+maps a best clique back when it finds one.  The search runs on an
 explicit stack of (classes, color, candidates) frames, so its depth is not
 bounded by Python's recursion limit.  Each coloring step and each branch
 reads a table built once per call and indexed by ``bit.bit_length()``
@@ -17,8 +20,9 @@ independent of the main solver so the two can cross-check each other on
 small graphs.
 
 All searches are single-threaded and fully deterministic (ties break toward
-the lowest vertex index), so sizes, witnesses, and node counts reproduce
-across runs.
+the lowest vertex index, in max_clique's renumbering; the base path's
+witnesses are unchanged by it), so sizes, witnesses, and node counts
+reproduce across runs.
 
 stage_solve is the stage route: omega and alpha of a Stack, SF(t) laid
 out as its stages F(3..t), composed from solves on its parts.  A part is
@@ -62,7 +66,7 @@ so no part's complement is built.  A piece of the set, in that view:
 
 The pieces' cliques are combined children first.  On a tie the component
 with the lowest first vertex wins, and a search breaks ties toward the
-lowest vertex index.
+lowest vertex index in its renumbering.
 T1.1 reads the same optima: a label class has one parity, so no edge of
 it crosses between parts, and its largest clique is its parts' largest.
 
@@ -244,14 +248,19 @@ def _greedy_clique(rows: tuple[int, ...], n: int) -> list[int]:
 
 
 def max_clique(g: Graph) -> CliqueResult:
-    """Exact maximum clique by branch and bound with a greedy-coloring bound."""
+    """Exact maximum clique by branch and bound with a greedy-coloring bound,
+    on the reverse-degeneracy renumbering; the witness is in ``g``'s."""
     n = g.n
-    rows = g.rows
     nodes = 0
 
-    seed = _greedy_clique(rows, n)
+    seed = _greedy_clique(g.rows, n)
     best_size = len(seed)
     best_witness = tuple(sorted(seed))
+
+    # New vertex i is old[i]: the dense core takes the low indices.
+    old = _degeneracy_order(g.rows, n)[::-1]
+    new_bit = {v: 1 << i for i, v in enumerate(old)}
+    rows = [sum(map(new_bit.__getitem__, _members(g.rows[v]))) for v in old]
 
     # Tables indexed by bit.bit_length(), i.e. v + 1 for bit = 1 << v:
     # nn[v + 1] masks out v and its neighbours, rb[v + 1] is row v.
@@ -259,11 +268,8 @@ def max_clique(g: Graph) -> CliqueResult:
     nn = (0, *(full ^ (row | 1 << v) for v, row in enumerate(rows)))
     rb = (0, *rows)
 
-    order = _degeneracy_order(rows, n)
-    remaining = full
-    for v in order:
-        remaining ^= 1 << v
-        cand = rows[v] & remaining
+    for v in range(n - 1, -1, -1):
+        cand = rows[v] & ((1 << v) - 1)
         if 1 + cand.bit_count() <= best_size:
             continue
         # Depth-first search from root v.  The node being expanded keeps its
@@ -293,7 +299,7 @@ def max_clique(g: Graph) -> CliqueResult:
             else:
                 if depth > best_size:
                     best_size = depth
-                    best_witness = tuple(sorted(b.bit_length() - 1 for b in base))
+                    best_witness = tuple(sorted(old[b.bit_length() - 1] for b in base))
                 color = 0
             # Branch on the next vertex of the highest class left; once the
             # bound prunes or the classes run out, resume the parent.

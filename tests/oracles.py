@@ -196,14 +196,19 @@ def recursive_max_clique(g: Graph) -> CliqueResult:
     """The solver's search as a recursive ``expand``, kept as it was before
     the explicit stack: the reference for the tree ``max_clique`` explores
     (same classes, same branching order, same node count and witness).
+    Like the solver, it searches a copy numbered in reverse degeneracy
+    order, built here one bit at a time, and maps its best clique back.
     Recursion depth grows with the clique, so keep inputs small."""
     n = g.n
-    rows = g.rows
     nodes = 0
 
-    seed = _greedy_clique(rows, n)
+    seed = _greedy_clique(g.rows, n)
     best_size = len(seed)
     best_witness = tuple(sorted(seed))
+
+    # New vertex i is old vertex old[i]; the roots run from the last.
+    old = _degeneracy_order(g.rows, n)[::-1]
+    rows = [sum(1 << i for i, w in enumerate(old) if g.rows[v] >> w & 1) for v in old]
 
     def expand(base: list[int], cand: int) -> None:
         nonlocal nodes, best_size, best_witness
@@ -211,7 +216,7 @@ def recursive_max_clique(g: Graph) -> CliqueResult:
         if cand == 0:
             if len(base) > best_size:
                 best_size = len(base)
-                best_witness = tuple(sorted(base))
+                best_witness = tuple(sorted(old[v] for v in base))
             return
         # Greedy coloring: peel independent classes; a vertex in class c can
         # extend the clique to at most len(base) + c.
@@ -241,11 +246,8 @@ def recursive_max_clique(g: Graph) -> CliqueResult:
                 expand(base, cur & rows[v])
                 base.pop()
 
-    order = _degeneracy_order(rows, n)
-    remaining = (1 << n) - 1
-    for v in order:
-        remaining &= ~(1 << v)
-        cand = rows[v] & remaining
+    for v in range(n - 1, -1, -1):
+        cand = rows[v] & ((1 << v) - 1)
         if 1 + cand.bit_count() <= best_size:
             continue
         expand([v], cand)

@@ -265,13 +265,39 @@ def test_search_tree_matches_recursive_search_on_builds(profile):
 
 def test_deep_search_needs_no_recursion(monkeypatch):
     """A one-vertex seed makes the search descend through all 1200 vertices
-    of the complete graph, past Python's default recursion limit."""
+    of the complete graph, past Python's default recursion limit: one node
+    per level, from the one root the bound leaves."""
     monkeypatch.setattr(solve, "_greedy_clique", lambda rows, n: [0] if n else [])
-    expected = tuple(range(1200))
-    res = max_clique(complete(1200))
-    assert res.size == 1200 and res.witness == expected
-    res = max_independent_set(empty(1200))
-    assert res.size == 1200 and res.witness == expected
+    expected = (1200, tuple(range(1200)), 1200)
+    assert max_clique(complete(1200)) == expected
+    assert max_independent_set(empty(1200)) == expected
+
+
+def test_base_path_searches_are_pinned():
+    """The base path and its complement are the only graphs a report sends
+    to the search, so a change to the search that would move a report's
+    witness or node count fails here first."""
+    assert max_clique(path(6)) == (2, (0, 1), 0)
+    assert max_clique(complement(path(6))) == (3, (0, 2, 4), 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=60),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_search_is_invariant_under_relabelling(n, p, seed):
+    """A permuted copy has the same clique number, and each witness is a
+    clique of its own graph in that graph's numbering."""
+    rng = random.Random(seed)
+    g = random_graph(n, p, rng)
+    perm = rng.sample(range(n), n)
+    h = Graph.from_edges(n, ((perm[u], perm[v]) for u in range(n) for v in range(u + 1, n) if g.has_edge(u, v)))
+    a, b = max_clique(g), max_clique(h)
+    assert a.size == b.size
+    assert pairwise_witness_ok(g, a.witness, "clique") and len(a.witness) == a.size
+    assert pairwise_witness_ok(h, b.witness, "clique") and len(b.witness) == b.size
 
 
 @settings(max_examples=200, deadline=None)
