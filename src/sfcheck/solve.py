@@ -4,25 +4,27 @@ max_clique is a branch-and-bound search: a greedy clique seeds the lower
 bound, root vertices are processed in degeneracy order, and inside the tree
 candidate sets are bounded by a greedy coloring.  As in BBMC (San Segundo
 et al., Computers & OR 38(2), 2011) it searches a copy renumbered in
-reverse degeneracy order, so the coloring peels the dense core first, and
-maps a best clique back when it finds one.  The search runs on an
-explicit stack of (classes, color, candidates) frames, so its depth is not
-bounded by Python's recursion limit.  Each coloring step and each branch
-reads a table built once per call and indexed by ``bit.bit_length()``
-(v + 1 for bit 1 << v): the mask that removes v and its neighbours, and
-v's row.  That saves the shifts and complements of a per-vertex step but
-explores exactly the tree of the recursive search it replaced
-(``recursive_max_clique`` in ``tests/oracles.py``): the same classes and
-the same branching order, hence the same node counts and witnesses.
+degeneracy order, the dense core taking the high indices, and takes the
+highest bit first, so the coloring peels the dense core first; it maps a
+best clique back when it finds one.  The search runs on an explicit stack
+of (classes, color, candidates) frames, so its depth is not bounded by
+Python's recursion limit.  Each coloring step and each branch reads tables
+built once per call and indexed by b = x.bit_length(), v + 1 for v the
+highest vertex of x: v's bit, the mask that removes v and its neighbours,
+and v's row, so a coloring step is one bit_length() and two table reads.
+It is the mirror image (vertex i as n - 1 - i) of the recursive search it
+replaced (``recursive_max_clique`` in ``tests/oracles.py``), which peels
+the lowest bit of the reverse renumbering: the same classes and the same
+branching order, hence the same node counts and witnesses.
 
 oracle_max_clique is a deliberately plain clique enumeration kept
 independent of the main solver so the two can cross-check each other on
 small graphs.
 
 All searches are single-threaded and fully deterministic (ties break toward
-the lowest vertex index, in max_clique's renumbering; the base path's
-witnesses are unchanged by it), so sizes, witnesses, and node counts
-reproduce across runs.
+the highest vertex index in max_clique's renumbering, the same vertex as
+the reference's lowest; the base path's witnesses are unchanged by it), so
+sizes, witnesses, and node counts reproduce across runs.
 
 stage_solve is the stage route: omega and alpha of a Stack, SF(t) laid
 out as its stages F(3..t), composed from solves on its parts.  A part is
@@ -66,7 +68,7 @@ so no part's complement is built.  A piece of the set, in that view:
 
 The pieces' cliques are combined children first.  On a tie the component
 with the lowest first vertex wins, and a search breaks ties toward the
-lowest vertex index in its renumbering.
+highest vertex index in its renumbering.
 T1.1 reads the same optima: a label class has one parity, so no edge of
 it crosses between parts, and its largest clique is its parts' largest.
 
@@ -117,7 +119,7 @@ from __future__ import annotations
 import re
 from functools import cached_property, lru_cache, reduce
 from itertools import accumulate
-from operator import or_
+from operator import itemgetter, or_
 from typing import NamedTuple
 
 from sfcheck.construct import (
@@ -249,7 +251,7 @@ def _greedy_clique(rows: tuple[int, ...], n: int) -> list[int]:
 
 def max_clique(g: Graph) -> CliqueResult:
     """Exact maximum clique by branch and bound with a greedy-coloring bound,
-    on the reverse-degeneracy renumbering; the witness is in ``g``'s."""
+    on the degeneracy renumbering, highest bit first; the witness is in g's."""
     n = g.n
     nodes = 0
 
@@ -257,41 +259,44 @@ def max_clique(g: Graph) -> CliqueResult:
     best_size = len(seed)
     best_witness = tuple(sorted(seed))
 
-    # New vertex i is old[i]: the dense core takes the low indices.
-    old = _degeneracy_order(g.rows, n)[::-1]
-    new_bit = {v: 1 << i for i, v in enumerate(old)}
-    rows = [sum(map(new_bit.__getitem__, _members(g.rows[v]))) for v in old]
+    # New vertex i is old[i]: the dense core takes the high indices.  Each
+    # row's binary digits are permuted as one string, at C speed.
+    old = _degeneracy_order(g.rows, n)
+    pick = itemgetter(*(n - 1 - w for w in reversed(old))) if n else None
+    rows = [int("".join(pick(format(g.rows[v], f"0{n}b"))), 2) for v in old]
 
-    # Tables indexed by bit.bit_length(), i.e. v + 1 for bit = 1 << v:
-    # nn[v + 1] masks out v and its neighbours, rb[v + 1] is row v.
+    # Tables indexed by b = x.bit_length(), v + 1 for x's highest vertex v:
+    # bt[b] is v's bit, nn[b] masks out v and its neighbours, rb[b] is row v.
     full = (1 << n) - 1
     nn = (0, *(full ^ (row | 1 << v) for v, row in enumerate(rows)))
     rb = (0, *rows)
+    bt = (0, *(1 << v for v in range(n)))
 
-    for v in range(n - 1, -1, -1):
-        cand = rows[v] & ((1 << v) - 1)
+    for v in range(n):
+        cand = rows[v] >> (v + 1) << (v + 1)
         if 1 + cand.bit_count() <= best_size:
             continue
         # Depth-first search from root v.  The node being expanded keeps its
         # state in (classes, color, cur), each ancestor's state waits on
-        # ``stack``, and base[i] is the bit of the i-th clique vertex.
-        base = [1 << v]
+        # ``stack``, and base[i] is b of the i-th clique vertex.
+        base = [v + 1]
         stack: list[tuple[list[int], int, int]] = []
         while True:
             nodes += 1
             depth = len(base)
             if cand:
-                # Greedy coloring: peel independent classes; a vertex in
-                # class c can extend the clique to at most depth + c.
+                # Greedy coloring: peel independent classes, highest vertex
+                # first; a vertex in class c can extend the clique to at
+                # most depth + c.
                 classes: list[int] = []
                 rest = cand
                 while rest:
                     avail = rest
                     cls = 0
                     while avail:
-                        bit = avail & -avail
-                        cls |= bit
-                        avail &= nn[bit.bit_length()]
+                        b = avail.bit_length()
+                        cls |= bt[b]
+                        avail &= nn[b]
                     classes.append(cls)
                     rest ^= cls
                 color = len(classes)
@@ -299,10 +304,10 @@ def max_clique(g: Graph) -> CliqueResult:
             else:
                 if depth > best_size:
                     best_size = depth
-                    best_witness = tuple(sorted(old[b.bit_length() - 1] for b in base))
+                    best_witness = tuple(sorted(old[b - 1] for b in base))
                 color = 0
-            # Branch on the next vertex of the highest class left; once the
-            # bound prunes or the classes run out, resume the parent.
+            # Branch on the highest vertex of the highest class left; once
+            # the bound prunes or the classes run out, resume the parent.
             while True:
                 while color and depth + color > best_size:
                     rem = classes[color - 1] & cur
@@ -316,11 +321,11 @@ def max_clique(g: Graph) -> CliqueResult:
                     depth -= 1
                     classes, color, cur = stack.pop()
                     continue
-                bit = rem & -rem
-                cur ^= bit
+                b = rem.bit_length()
+                cur ^= bt[b]
                 stack.append((classes, color, cur))
-                base.append(bit)
-                cand = cur & rb[bit.bit_length()]
+                base.append(b)
+                cand = cur & rb[b]
                 break
             if not stack:
                 break

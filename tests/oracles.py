@@ -196,9 +196,11 @@ def recursive_max_clique(g: Graph) -> CliqueResult:
     """The solver's search as a recursive ``expand``, kept as it was before
     the explicit stack: the reference for the tree ``max_clique`` explores
     (same classes, same branching order, same node count and witness).
-    Like the solver, it searches a copy numbered in reverse degeneracy
-    order, built here one bit at a time, and maps its best clique back.
-    Recursion depth grows with the clique, so keep inputs small."""
+    It stays low-bit-first on a copy numbered in reverse degeneracy order,
+    built here one bit at a time, and maps its best clique back;
+    ``max_clique`` explores its mirror image (vertex i as n - 1 - i),
+    highest bit first on the forward order.  Recursion depth grows with
+    the clique, so keep inputs small."""
     n = g.n
     nodes = 0
 

@@ -247,6 +247,10 @@ TREE_PROFILES = [
 )
 @example(80, 0.5, 1)
 @example(80, 0.85, 2)
+@example(0, 0.5, 0)
+@example(1, 0.5, 0)
+@example(2, 1.0, 0)
+@example(120, 0.7, 3)
 def test_search_tree_matches_recursive_search(n, p, seed):
     """Same size, witness and node count as the recursive search."""
     g = random_graph(n, p, random.Random(seed))
