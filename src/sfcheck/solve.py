@@ -6,9 +6,12 @@ candidate sets are bounded by a greedy coloring.  As in BBMC (San Segundo
 et al., Computers & OR 38(2), 2011) it searches a copy renumbered in
 degeneracy order, the dense core taking the high indices, and takes the
 highest bit first, so the coloring peels the dense core first; it maps a
-best clique back when it finds one.  The search runs on an explicit stack
-of (classes, color, candidates) frames, so its depth is not bounded by
-Python's recursion limit.  Each coloring step and each branch reads tables
+best clique back when it finds one.  A node is colored where its parent
+branches to it; the classes at or below best - depth can never be branched
+on, so they are peeled but not kept, and a node they use up is counted and
+left there, as is a leaf.  The rest wait on an explicit stack of (classes,
+color, candidates, offset) frames, so the depth is not bounded by Python's
+recursion limit.  Each coloring step and each branch reads tables
 built once per call and indexed by b = x.bit_length(), v + 1 for v the
 highest vertex of x: v's bit, the mask that removes v and its neighbours,
 and v's row, so a coloring step is one bit_length() and two table reads.
@@ -251,7 +254,9 @@ def _greedy_clique(rows: tuple[int, ...], n: int) -> list[int]:
 
 def max_clique(g: Graph) -> CliqueResult:
     """Exact maximum clique by branch and bound with a greedy-coloring bound,
-    on the degeneracy renumbering, highest bit first; the witness is in g's."""
+    on the degeneracy renumbering, highest bit first; the witness is in g's.
+    Each node is colored where its parent branches to it, keeping only the
+    classes above best - depth, the ones it can branch on: the same tree."""
     n = g.n
     nodes = 0
 
@@ -276,40 +281,50 @@ def max_clique(g: Graph) -> CliqueResult:
         cand = rows[v] >> (v + 1) << (v + 1)
         if 1 + cand.bit_count() <= best_size:
             continue
-        # Depth-first search from root v.  The node being expanded keeps its
-        # state in (classes, color, cur), each ancestor's state waits on
-        # ``stack``, and base[i] is b of the i-th clique vertex.
-        base = [v + 1]
-        stack: list[tuple[list[int], int, int]] = []
+        # Depth-first search from root v, branched to on b by a parent with
+        # no classes.  The node being expanded keeps (classes, color, cur,
+        # top), each ancestor's state waits on ``stack``, and base[i] is b
+        # of the i-th clique vertex.
+        b, base, stack = v + 1, [], []
+        classes, color, cur, top = [], 0, 0, 0
         while True:
+            # Color the child cand that b leads to, at depth d, peeling
+            # classes highest vertex first: class c bounds a clique by d + c.
+            # best_size only grows, so the first sub = max(best_size - d, 0)
+            # are never branched on: they are peeled unkept, and a child they
+            # use up is counted and left here, as a leaf is checked here.
             nodes += 1
-            depth = len(base)
+            d = len(base) + 1
             if cand:
-                # Greedy coloring: peel independent classes, highest vertex
-                # first; a vertex in class c can extend the clique to at
-                # most depth + c.
-                classes: list[int] = []
                 rest = cand
-                while rest:
+                for _ in range(best_size - d):
                     avail = rest
-                    cls = 0
                     while avail:
-                        b = avail.bit_length()
-                        cls |= bt[b]
-                        avail &= nn[b]
-                    classes.append(cls)
-                    rest ^= cls
-                color = len(classes)
-                cur = cand
-            else:
-                if depth > best_size:
-                    best_size = depth
-                    best_witness = tuple(sorted(old[b - 1] for b in base))
-                color = 0
+                        w = avail.bit_length()
+                        rest ^= bt[w]
+                        avail &= nn[w]
+                if rest:
+                    # classes[i] is class sub + i + 1, and top = d + sub.
+                    stack.append((classes, color, cur, top))
+                    base.append(b)
+                    classes, cur, top = [], cand, best_size if best_size > d else d
+                    while rest:
+                        avail = rest
+                        cls = 0
+                        while avail:
+                            w = avail.bit_length()
+                            cls |= bt[w]
+                            avail &= nn[w]
+                        classes.append(cls)
+                        rest ^= cls
+                    color = len(classes)
+            elif d > best_size:
+                best_size = d
+                best_witness = tuple(sorted(old[w - 1] for w in (*base, b)))
             # Branch on the highest vertex of the highest class left; once
             # the bound prunes or the classes run out, resume the parent.
             while True:
-                while color and depth + color > best_size:
+                while color and top + color > best_size:
                     rem = classes[color - 1] & cur
                     if rem:
                         break
@@ -318,13 +333,10 @@ def max_clique(g: Graph) -> CliqueResult:
                     if not stack:
                         break
                     base.pop()
-                    depth -= 1
-                    classes, color, cur = stack.pop()
+                    classes, color, cur, top = stack.pop()
                     continue
                 b = rem.bit_length()
                 cur ^= bt[b]
-                stack.append((classes, color, cur))
-                base.append(b)
                 cand = cur & rb[b]
                 break
             if not stack:

@@ -285,6 +285,34 @@ def test_base_path_searches_are_pinned():
     assert max_clique(complement(path(6))) == (3, (0, 2, 4), 1)
 
 
+def test_search_colors_nodes_deeper_than_best():
+    """The circulant C_17(2, 4, 5, 6, 7, 8) (degree 12, omega 7) beside a
+    hub of 13 pendant vertices: the hub's degree draws the greedy seed to
+    the hub and one pendant, so the search colors nodes of depth 3 and more
+    while best_size is 2.  Such a node skips max(best_size - depth, 0) = 0
+    classes; without the clamp at 0 it would be bounded by best_size, not
+    its depth, and prune a branch the reference takes."""
+    n = 17
+    edges = {tuple(sorted((u, (u + s) % n))) for u in range(n) for s in (2, 4, 5, 6, 7, 8)}
+    g = Graph.from_edges(n + 14, [*edges, *((n, v) for v in range(n + 1, n + 14))])
+    assert len(solve._greedy_clique(g.rows, g.n)) == 2
+    assert max_clique(g) == recursive_max_clique(g)
+    assert max_clique(g) == (7, (0, 2, 4, 6, 8, 10, 15), 21)
+
+
+def test_search_counts_leaves_and_pruned_children_in_place():
+    """Seven nodes, each counted where its parent branches to it.  The
+    greedy seed is {0, 3, 4}.  Root 0 branches to {0, 3}, whose candidates
+    4 and 7 are one class, at or below best - depth = 1: a child pruned by
+    its first classes.  Root 3 is pruned the same way, and root 1 descends
+    through {1, 2} and {1, 2, 4} to the leaf {1, 2, 4, 5}."""
+    edges = [(0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (1, 2), (1, 4), (1, 5)]
+    edges += [(1, 7), (2, 3), (2, 4), (2, 5), (2, 7), (3, 4), (3, 7), (4, 5)]
+    g = Graph.from_edges(8, edges)
+    assert max_clique(g) == (4, (1, 2, 4, 5), 7)
+    assert max_clique(g).nodes_explored == recursive_max_clique(g).nodes_explored == 7
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(min_value=0, max_value=60),
