@@ -76,6 +76,9 @@ class InterpretationProfile(Checked, namedtuple(
 
     @classmethod
     def from_dict(cls, d: dict) -> InterpretationProfile:
+        for field in cls._fields:
+            if field not in d:
+                raise ValueError(f"profile has no {field!r} field")
         return cls(*(d[field] for field in cls._fields))
 
 

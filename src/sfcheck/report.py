@@ -93,18 +93,19 @@ def report_to_json(report: dict) -> str:
 
 
 def write_report(path, report: dict) -> None:
-    """Atomic write: the file appears complete or not at all."""
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    """Atomic write: the file appears complete or not at all.  An OSError
+    names ``path``, not the temporary file written beside it."""
+    path, tmp = os.fspath(path), None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.write(report_to_json(report))
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def strip_volatile(report: dict) -> dict:
@@ -176,7 +177,7 @@ def verify_report(report) -> list[str]:
     try:
         require_rebuildable(kind, param)
         stack = Stack(kind, param, InterpretationProfile.from_dict(report["profile"]))
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         return [f"cannot rebuild target: {exc}"]
 
     expected = make_report(stack, _check(stack), None, None)

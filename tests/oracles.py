@@ -504,4 +504,4 @@ def stack_labels(stack) -> list[int]:
     """Every vertex's label in ``stack``, in the stack's numbering: each
     part's block labels read from its odd class mask, once per copy, for
     comparison with a dense build's labels."""
-    return [1 if odd >> v & 1 else 2 for _, s, _, odd, _ in stack.parts for _ in range(s.k) for v in range(s.block.n)]
+    return [1 if odd >> v & 1 else 2 for _, s, _, odd, _ in stack.parts for _ in range(s.k) for v in range(s.block_n)]

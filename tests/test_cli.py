@@ -112,6 +112,12 @@ class TestVerify:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not report_path.exists()
 
+    def test_unwritable_report_names_its_path_exit_2(self, tmp_path, capsys):
+        report_path = tmp_path / "missing" / "dir" / "r.json"
+        assert main(["verify", "--theorem", "1.2", "--r", "4", "--report", str(report_path)]) == 2
+        err = capsys.readouterr().err
+        assert str(report_path) in err and ".tmp" not in err
+
     def test_verify_usage_error_exit_2(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["verify", "--theorem", "2.1", "--r", "3", "--report", "x"])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from sfcheck import solve
 from sfcheck.cli import main
 from sfcheck.construct import (
     DEFAULT_PROFILE,
@@ -313,10 +314,11 @@ class TestPremise:
     def test_seeded_fault_reaches_both_builds(self, fault, seed_stage):
         real = build_block(4)[:2]
         seed_stage(4, FAULTS[fault])
-        doctored, kept = build_F(4), stage(4, DEFAULT_PROFILE)
-        assert (kept.block, kept.labels) != real and kept.k == 3
+        doctored, kept, (block, labels, _) = build_F(4), stage(4, DEFAULT_PROFILE), solve.build_block(4, DEFAULT_PROFILE)
+        assert (block, labels) != real and kept.k == 3 and kept.parts[0][2:] == class_masks(labels)
         for lo in (0, 4, 8):
-            assert (kept.block, kept.labels) == (induced(doctored.graph, range(lo, lo + 4)), doctored.labels[lo : lo + 4])
+            assert (block, labels) == (induced(doctored.graph, range(lo, lo + 4)), doctored.labels[lo : lo + 4])
+        assert (kept.n, kept.m, kept.label_counts) == (doctored.graph.n, doctored.graph.m, label_counts(doctored))
         assert not rule_breaks(doctored, layout_cuts("F", 4, DEFAULT_PROFILE))
         assert_stack_matches_dense(5, DEFAULT_PROFILE)
 

@@ -202,16 +202,16 @@ def test_memos_stay_bounded():
     for profile in all_profiles():
         if profile.base_case == "general" and profile.y_label == 2:
             for r in range(3, 91):
-                solve.stage(r, profile).optima
+                solve.stage(r, profile)
     info = solve.stage.cache_info()
     assert info.maxsize == MEMO_SIZE and info.currsize <= MEMO_SIZE < info.misses
     solve.stage.cache_clear()
 
 
 def test_a_cold_base_stage_searches_only_its_prime_queries(monkeypatch):
-    """The six queries of the base path split on their own, with no
-    recursion: only the whole path and its complement are prime, so
-    they are the only two pieces induced and searched."""
+    """Building the base stage splits its six queries, each on its own,
+    with no recursion: only the whole path and its complement are prime,
+    so they are the only two pieces induced and searched."""
     calls = {"induced": 0, "max_clique": 0, "_split_clique": 0}
 
     def counting(name, fn):
@@ -224,7 +224,7 @@ def test_a_cold_base_stage_searches_only_its_prime_queries(monkeypatch):
     for name in calls:
         monkeypatch.setattr(solve, name, counting(name, getattr(solve, name)))
     solve.stage.cache_clear()
-    solve.stage(3, DEFAULT_PROFILE).optima
+    solve.stage(3, DEFAULT_PROFILE)
     assert calls == {"induced": 2, "max_clique": 2, "_split_clique": 6}
     solve.stage.cache_clear()
 

@@ -79,6 +79,7 @@ MALFORMED = {
     "profile is a list": (("profile",), [1, 2]),
     "target is a string": (("target",), "F(3)"),
     "target.param is true": (("target", "param"), True),
+    "profile without prod": (("profile", "prod"), DELETE),
     # Without the target check's exact int this report loads: the stage memo keys 3.0 as 3,
     # and the re-run's r and claim come out as the same floats.
     "target.param, r and claim are floats": ((), as_floats),
@@ -90,6 +91,7 @@ MISREAD = {
     "profile is a list": "report: profile is [1, 2], not an object",
     "target is a string": "report: target is 'F(3)', not an object",
     "target.param is true": "cannot rebuild target: stage parameter must be an integer, got True",
+    "profile without prod": "cannot rebuild target: profile has no 'prod' field",
     "target.param, r and claim are floats": "cannot rebuild target: stage parameter must be an integer, got 3.0",
 }
 

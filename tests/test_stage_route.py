@@ -22,7 +22,7 @@ from sfcheck import construct as construct_module
 from sfcheck import solve as solve_module
 from sfcheck.cli import main
 from sfcheck.construct import DEFAULT_PROFILE, InterpretationProfile, build_F, build_SF, build_side
-from sfcheck.graphs import Graph
+from sfcheck.graphs import Graph, empty, product
 from sfcheck.report import report_to_json, run_verification, strip_volatile, verify_report
 from sfcheck.solve import (
     LABELS,
@@ -83,7 +83,7 @@ def over_copies(s):
     fills, numbered within its part: every copy for an independent set of
     G (part 0 in "independent") and a clique of H (part 1 in "clique"),
     copy 0 alone for the rest.  The base path is one copy."""
-    b = s.block.n
+    b = s.block_n
     out = {}
     for mode, (nodes, share, sizes, masks) in s.optima.items():
         fills = (mode == "independent", mode == "clique")
@@ -123,17 +123,24 @@ def test_an_h_side_shares_its_g_sides_results():
                     assert len(ours) == 3 and all(a is b for a, b in zip(ours, (whole, two, one))), (r, mode)
 
 
-def test_a_stage_keeps_one_block_of_rows():
-    """The stage memo keeps one block of r rows, each below 2^r, of a stage
-    of 2r(r-1) vertices, its side's r-1 copies, and no other graph; the
-    base path keeps its own six rows, one copy."""
+def test_a_stage_keeps_its_answers_not_its_block():
+    """Every stage memo entry keeps only its answers: counts, each part as
+    (first vertex, inverse, odd, even) and per mode (node sum, label share,
+    sizes, masks) with three queries per part, so no graph and no tuple of
+    one entry per vertex.  A paired stage of 2r(r-1) vertices has a block
+    of r vertices and its side's r-1 copies; the base path is six
+    vertices, one copy."""
+    fields = {"block_n", "k", "paired", "parts", "n", "m", "label_counts", "optima"}
     for profile in all_profiles():
         for r in range(3, 13):
             s = solve_module.stage(r, profile)
-            b = s.block.n
-            assert [value for value in vars(s).values() if isinstance(value, Graph)] == [s.block]
-            assert len(s.block.rows) == b and all(0 <= row < 1 << b for row in s.block.rows)
-            assert (s.n, b, s.k) == ((2 * r * (r - 1), r, r - 1) if s.paired else (6, 6, 1))
+            assert set(vars(s)) == fields and not any(isinstance(value, Graph) for value in vars(s).values()), (profile, r)
+            assert [len(part) for part in s.parts] == [4] * (1 + s.paired) and s.label_counts.keys() == {1, 2}
+            for nodes, share, sizes, masks in s.optima.values():
+                assert isinstance(nodes, int) and isinstance(share, int), (profile, r)
+                assert [len(part) for part in (*sizes, *masks)] == [3] * 2 * len(s.parts), (profile, r)
+                assert all(type(value) is int for part in (*sizes, *masks) for value in part), (profile, r)
+            assert (s.n, s.block_n, s.k) == ((2 * r * (r - 1), r, r - 1) if s.paired else (6, 6, 1))
 
 
 def test_optima_are_block_masks():
@@ -143,7 +150,7 @@ def test_optima_are_block_masks():
         for r in range(3, 13):
             s = solve_module.stage(r, profile)
             assert not hasattr(s, "repunit"), (profile, r)
-            assert all(0 <= mask < 1 << s.block.n for *_, masks in s.optima.values() for part in masks for mask in part), (profile, r)
+            assert all(0 <= mask < 1 << s.block_n for *_, masks in s.optima.values() for part in masks for mask in part), (profile, r)
 
 
 def test_a_warm_rerun_checks_no_optimum_again(monkeypatch):
@@ -184,16 +191,19 @@ def test_stage_solve_follows_the_closed_forms_past_the_loader_limit(t):
 
 
 def test_block_copies_match_the_dense_side():
-    """k shifted copies of a stage's block are ``build_side``'s G side, rows
-    and labels, under every profile (the fact about ``graphs.product`` that
-    the copy rule rests on), and the stage's n, m and label counts are
-    ``build_F``'s."""
+    """k shifted copies of the block a stage is built from, one copy of the
+    G side, are ``build_side``'s G side, rows and labels, under every
+    profile (the fact about ``graphs.product`` that the copy rule rests
+    on), and the stage's n, m and label counts are ``build_F``'s."""
     for profile in all_profiles():
         for r in range(4, 41):
             s, (side, labels, paired) = solve_module.stage(r, profile), build_side(r, profile)
-            b = s.block.n
-            rows = tuple(row << c * b for c in range(s.k) for row in s.block.rows)
-            assert (s.k * b, rows, s.labels * s.k, s.paired) == (side.n, side.rows, labels, paired), (profile, r)
+            block, block_labels, _ = construct_module.build_block(r, profile)
+            block = product(empty(1), block, profile.prod)
+            b = s.block_n
+            rows = tuple(row << c * b for c in range(s.k) for row in block.rows)
+            assert (s.k * b, rows, block_labels * s.k, s.paired) == (side.n, side.rows, labels, paired), (profile, r)
+            assert s.parts[0][2:] == class_masks(block_labels), (profile, r)
             lg = build_F(r, profile)
             assert (s.n, s.m, s.label_counts) == (lg.graph.n, lg.graph.m, label_counts(lg)), (profile, r)
 
@@ -381,7 +391,7 @@ def test_theorem_1_1_reads_the_stage_as_the_whole_graph_is_split(profile):
 
 def test_profiles_that_differ_only_in_y_label_share_all_but_the_base_path():
     one, two = (Stack("SF", 5, InterpretationProfile(y_label=y)) for y in LABELS)
-    assert one.stages[0] is not two.stages[0] and one.stages[0].labels != two.stages[0].labels
+    assert one.stages[0] is not two.stages[0] and one.stages[0].parts != two.stages[0].parts
     assert one.stages[1:] == two.stages[1:]
     assert all(a is b for a, b in zip(one.stages[1:], two.stages[1:]))
     general = [Stack("F", 3, InterpretationProfile(base_case="general", y_label=y)) for y in LABELS]
@@ -394,7 +404,7 @@ def test_stage_solve_picks_the_pairwise_composition_winner(stages):
     """On stand-in stages whose part optima tie often, sizes alone pick the
     witness that building every candidate picks.  Each optimum gets its own
     vertices, so the witness names the candidate that won."""
-    copy = SimpleNamespace(k=1, block=SimpleNamespace(n=24))  # every part one copy of 24 vertices
+    copy = SimpleNamespace(k=1, block_n=24)  # every part one copy of 24 vertices
     stack = SimpleNamespace(parts=[], stages=[], holds=lambda masks, mode: True)
     optima = {"clique": [], "independent": []}  # per part of every stage
     for parts in stages:
@@ -438,7 +448,7 @@ def test_profiles_that_differ_only_in_base_case_share_every_stage_after_the_thir
     for profile in all_profiles():
         ours = Stack("SF", 6, profile)
         other = Stack("SF", 6, profile.replace(base_case="general" if profile.base_case == "explicit_path" else "explicit_path"))
-        assert (ours.stages[0].block, ours.stages[0].paired) != (other.stages[0].block, other.stages[0].paired)
+        assert (ours.stages[0].block_n, ours.stages[0].paired) != (other.stages[0].block_n, other.stages[0].paired)
         assert all(a is b for a, b in zip(ours.stages[1:], other.stages[1:]))
         assert Stack("F", 4, profile).stages[0] is other.stages[1]
 
@@ -455,9 +465,10 @@ def test_flipped_edge_within_a_side_is_solved(seed_stage):
     # A block's own edges are whatever the build holds; its copies, the H
     # side and the edges between the sides follow from them.  The dense
     # SF(6) sees the same doctored block of F(4) in each of its copies.
-    edge = build_F(4).graph.has_edge(0, 1)
+    edge, optima = build_F(4).graph.has_edge(0, 1), solve_module.stage(4, DEFAULT_PROFILE).optima
     seed_stage(4, lambda block, labels: (flipped(block, 0, 1), labels))
-    assert solve_module.stage(4, DEFAULT_PROFILE).block.has_edge(0, 1) != edge
+    assert solve_module.build_block(4, DEFAULT_PROFILE)[0].has_edge(0, 1) != edge
+    assert solve_module.stage(4, DEFAULT_PROFILE).optima != optima
     assert build_F(4).graph.has_edge(0, 1) != edge and build_F(4).graph.has_edge(8, 9) != edge
     assert_route_matches_monolithic(6)
 
