@@ -5,7 +5,7 @@ is present, 2 on usage or build errors, 3 on an internal error (any other
 exception, such as a failed witness re-check, RecursionError or
 MemoryError), so a crash never reads as a refutation.  ``sweep`` runs its
 jobs in order in one process, writes each report as its job finishes, and
-ends with its wall time and the stage memo's builds and hits over the sweep.
+ends with its wall time and each memo's builds and hits over the sweep.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from sfcheck.construct import DEFAULT_PROFILE, InterpretationProfile, build_F, b
 from sfcheck.formats import encode_dimacs, encode_graph6
 from sfcheck.graphs import complement, random_graph
 from sfcheck.report import require_rebuildable, run_verification, write_report
-from sfcheck.solve import ORACLE_MAX_N, max_clique, max_independent_set, oracle_max_clique, stage
+from sfcheck.solve import ORACLE_MAX_N, max_clique, max_independent_set, oracle_max_clique, prefix, stage
 from sfcheck.verify import CLAIMS
 
 _SUM_FLAGS = {"union": "disjoint_union", "join": "join"}
@@ -102,7 +102,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for r in range(min_r, args.t_max - shift + 1)
     ]
     os.makedirs(args.report_dir, exist_ok=True)
-    refuted, started, memo = False, time.perf_counter(), stage.cache_info()
+    refuted, started, before = False, time.perf_counter(), [memo.cache_info() for memo in (stage, prefix)]
     # Each report is written as its job finishes, so a failed job keeps
     # the reports of the jobs before it.
     for theorem, r in jobs:
@@ -110,9 +110,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         write_report(os.path.join(args.report_dir, f"t{theorem.replace('.', '')}_r{r}.json"), report)
         print(_check_summary(report))
         refuted = refuted or report["checks"][0]["status"] == "REFUTED"
-    seconds, after = time.perf_counter() - started, stage.cache_info()
-    print(f"sweep: {len(jobs)} reports -> {args.report_dir} in {seconds:.2f} s; "
-          f"stage memo: {after.misses - memo.misses} built, {after.hits - memo.hits} hits")
+    seconds, after = time.perf_counter() - started, [memo.cache_info() for memo in (stage, prefix)]
+    counts = [f"{a.misses - b.misses} built, {a.hits - b.hits} hits" for a, b in zip(after, before)]
+    print(f"sweep: {len(jobs)} reports -> {args.report_dir} in {seconds:.2f} s; stage memo: {counts[0]}; prefix memo: {counts[1]}")
     return 1 if refuted else 0
 
 

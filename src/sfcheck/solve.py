@@ -29,14 +29,13 @@ the highest vertex index in max_clique's renumbering, the same vertex as
 the reference's lowest; the base path's witnesses are unchanged by it), so
 sizes, witnesses, and node counts reproduce across runs.
 
-stage_solve is the stage route: omega and alpha of a Stack, SF(t) laid
-out as its stages F(3..t), composed from solves on its parts.  A part is
-the base path or one side of a stage.  Two vertices of different parts
-are adjacent exactly when their label parities differ (label 1 is odd,
-label 2 even): that is how SF(t) joins its stages, and how F(r) joins
-its G and H sides, so neither dense graph is built.  Write omega_1,
-omega_2 (alpha_1, alpha_2) for the clique (independence) number of one
-part's label-1 and label-2 classes.  Then
+stage_solve is the stage route: omega and alpha of a Stack, SF(t) as
+its stages F(3..t), composed from solves on its parts, each the base
+path or one side of a stage.  Two vertices of different parts are
+adjacent exactly when their label parities differ (label 1 is odd, label
+2 even): so SF(t) joins its stages, and F(r) its G and H sides, and
+neither dense graph is built.  With omega_1, omega_2 (alpha_1, alpha_2)
+the clique (independence) numbers of a part's label-1 and label-2 classes,
 
     omega = max(max_r omega(r), max over r != s of omega_1(r) + omega_2(s)),
     alpha = max(max_r alpha(r), sum_r alpha_1(r), sum_r alpha_2(r)).
@@ -53,85 +52,73 @@ most alpha(r) or sum_r alpha_p(r) for its class p.  Each bound is met:
 by one part's optimum, by an odd clique and an even clique of two
 parts (every pair across them is joined), and by one class's
 independent sets of every part (no pair across them is joined).
-
-Each of a part's six optima (the part, label 1 and label 2, for clique
-and for independent set) is found by splitting its set alone, parents
-first, in the query's view: the graph, or for an independent set (a
-clique of the complement) its complement, read through the graph's rows,
-so no part's complement is built.  A piece of the set, in that view:
-
-- a clique is its own maximum clique; a piece with no edge gives its
-  lowest vertex;
-- a disconnected piece has omega = max over its components: a clique is
-  connected, so it lies in one;
-- a piece with a disconnected complement has omega = sum over its
-  co-components: each vertex of one is joined to every vertex of the
-  others, so a clique is one clique from each;
-- only a prime piece, connected and co-connected, is searched.
-
-The pieces' cliques are combined children first.  On a tie the component
-with the lowest first vertex wins, and a search breaks ties toward the
-highest vertex index in its renumbering.
 T1.1 reads the same optima: a label class has one parity, so no edge of
 it crosses between parts, and its largest clique is its parts' largest.
 
-Cographs are exactly the graphs this split leaves no prime piece of
-(Corneil, Lerchs and Stewart Burlingham, Discrete Applied Mathematics
-3(3), 1981).  Every stage side is one under every profile (r-1 disjoint
-copies of K_a + K_(r-a) or of K_r, or edgeless, and their complement).
-Only the six-vertex base path and its complement are prime.
+A part's six optima (whole, label 1, label 2; clique, independent set)
+each split their set alone, parents first, in the query's view (the
+graph, or its complement read through the graph's rows).  A clique piece
+is its own answer, an edgeless piece gives its lowest vertex, a
+disconnected piece its best component's (a clique lies in one), and a
+piece with a disconnected complement the union of its co-components'
+(each joined to the others); only a prime piece is searched.  On a tie
+the component with the lowest first vertex wins.  Cographs are exactly
+the graphs this split leaves no prime piece of (Corneil, Lerchs and
+Stewart Burlingham, Discrete Applied Mathematics 3(3), 1981).  Every
+stage side is one under every profile (r-1 disjoint copies of K_a +
+K_(r-a) or of K_r, or edgeless, and their complement); only the
+six-vertex base path and its complement are prime.
 
-The stage memo, ``stage``, of MEMO_SIZE entries keyed on (r, profile),
-is the one memo of solved results.  A Stack asks it for each stage under
-the profile fields that stage reads alone (``_stage_profiles``): sum and
-prod, base_case at r = 3, and for the base path y_label only.  It builds
-one block of F(r)'s first part, from ``construct.build_block``: the base
-path (k = 1 copy), or one copy of the G side, ``product(empty(1), G_z,
-prod)``.  The G side is k = r-1 disjoint copies of it, since a product
-joins two copies only through an edge of ``empty(r - 1)``.  The build
-splits the block six times, per view (the graph or its complement) and
-set (the block, its label-1 or its label-2 vertices), each optimum
-checked by ``_holds`` where it is found, and keeps only the answers
-``Stage`` lists: 0.20 MB for SF(100)'s 98 stages under the default
-profile, and 1.3 MB for the 512 the memo holds after SF(800), where
-block rows took 29.5 MB (tracemalloc).  A part's query in mode flip is
-its block's in view flip ^ inverse (-1 for an H side, else 0), read by
-the copy rule: a clique lies in one copy, so its optimum is the block's,
-in copy 0; an independent set (view -1) is one in each copy, so its
-optimum is the block's in every copy, k times the size, and is kept as
-the block's mask too.  Node counts are the block's.  The inverse is the
-duality of the H side that follows a G side of h vertices: H is G's
-complement with labels flipped, so a clique of H is an independent set
-of G at the same offsets, H's label 1 being G's label 2.  Hence
+The stage memo, ``stage``, of MEMO_SIZE entries keyed on (r, profile) as
+``_stage_profiles`` reads it, keeps each stage's answers.  It splits one
+block of F(r)'s first part,
+``construct.build_block``'s base path (k = 1 copy) or one copy of the G
+side, ``product(empty(1), G_z, prod)``: a product joins two copies only
+through an edge of ``empty(r - 1)``, so the G side is k = r-1 disjoint
+copies.  Each optimum is checked by ``_holds`` where it is found.  A
+part's query in mode flip is its block's in view flip ^ inverse (-1 for
+an H side, else 0), by the copy rule: a clique lies in one copy, the
+block's in copy 0; an independent set is one in each copy, k times the
+block's size, kept as the block's mask.  Node counts are the block's.
+H is G's complement with labels flipped, so
 
     omega(H) = alpha(G),  omega_1(H) = alpha_2(G),  omega_2(H) = alpha_1(G),
 
 masks and node counts included, and the same with omega and alpha
-exchanged: H's optima are G's masks themselves, shared, not copied.
-``stage_solve`` picks the winner from the sizes and keeps its witness
-as {part index: block mask}; ``Stack.holds`` checks that each part's
-mask is one of that part's optima, and the parity rule across parts.
-Only a caller that stores a witness lists its vertices, copy by copy
-(``Stack.members``).  A loaded report's witness is not checked on its
-own: the loader re-runs the check and compares the witness it lists.
-G and H hold h(h-1)/2 edges together, and a vertex of G is joined to the
-H vertices of the other parity, the flips of G's vertices of its own
-label; with c1 and c2 G's label counts, m(F(r)) = h(h-1)/2 + c1^2 +
-c2^2, and the base path's m is its block's.  A Stack reads its n, m and
-label counts from the stages' in closed form.
+exchanged.  With h = |G| and c1, c2 G's label counts, m(F(r)) = h(h-1)/2
++ c1^2 + c2^2; the base path's m is its block's.
+
+Each formula is a max or a sum over parts, so SF(t) follows from SF(t - 1)
+and stage t in O(1): the prefix memo, ``prefix``, keeps SF(t) as a
+``Prefix`` of SF(t - 1)'s.  n, the label counts and node sums add; m adds
+stage t's m and c1 d2 + c2 d1 cross edges (c1, c2 SF(t - 1)'s label
+counts, d1, d2 stage t's); per mode the best whole part, the best two
+label-1 and two label-2 optima and the label-class sums take in stage
+t's parts.  F(r) is a one-stage prefix.  Ties go to the first largest
+candidate, listed as each whole part, each ordered pair of parts in
+``itertools.permutations`` order (the first's label-1 clique, the
+second's label-2), then label 1's sum and label 2's.  So a best changes
+only for a larger size, a pair or sum wins only above the best whole
+part, and the pair is the best label-1 and label-2 cliques of two parts,
+or if both are one part's, the larger of (best label-1, second label-2)
+and (second label-1, best label-2), the earlier label-1 part on a tie.
+A new part's label-class optima must lie in their class: the parity
+rule of every pair and sum.  Only the witness a report stores is listed,
+by ``Stack.members``, which checks it whole first, on every job and load.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from functools import lru_cache, reduce
-from itertools import accumulate
 from operator import itemgetter, or_
+from types import SimpleNamespace
 from typing import NamedTuple
+from weakref import WeakValueDictionary
 
 from sfcheck.construct import (
     DEFAULT_PROFILE,
-    LABELS,
     InterpretationProfile,
     _require_param,
     build_block,
@@ -159,7 +146,7 @@ def verify_witness(g: Graph, members, mode: str) -> bool:
     ``_holds``: each member's row mask against the set, not each pair.
 
     Independent of the solvers; every part optimum that leaves this module
-    has passed ``_holds``, every composed witness ``Stack.holds``, and a
+    has passed ``_holds``, every listed witness ``Stack.holds``, and a
     report loads only if a re-run of its check lists the same witness.
     """
     flip = _flip(mode)
@@ -421,12 +408,11 @@ def _split_clique(g: Graph, within: int, flip: int) -> tuple[int, int, int]:
 
 
 class StackResult(NamedTuple):
-    """An optimum of a Stack: its size, its witness as one block mask per
-    part index (``Stack.members`` lists it), and the node count it rests
-    on."""
+    """An optimum of a Stack: its size, its witness as a block mask per
+    part (``Stack.members`` lists it), and the node count it rests on."""
 
     size: int
-    masks: dict[int, int]
+    masks: Mapping[tuple, int]
     nodes_explored: int
 
 
@@ -482,57 +468,118 @@ def _stage_profiles(profile: InterpretationProfile) -> tuple[InterpretationProfi
     return DEFAULT_PROFILE.replace(y_label=profile.y_label) if path else rest.replace(base_case="general"), rest
 
 
+class _ClassSum(Mapping):
+    """A label-class sum's witness: each part's independent-set optimum in
+    that class, read from a prefix's chain of parts only when listed."""
+
+    def __init__(self, chain: tuple | None, label: int) -> None:
+        self.chain, self.label = chain, label
+
+    def __iter__(self):
+        chain = self.chain
+        while chain:
+            chain, part = chain
+            yield part
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+    def __getitem__(self, part: tuple) -> int:
+        return part[1].optima["independent"][3][part[2]][self.label]
+
+
+_NONE = (-1, None, 0)  # no candidate: (size, part, block mask) that any optimum beats
+
+
+def _top2(top: tuple, new: tuple) -> tuple:
+    """The best two of ``top`` and a later part's ``new``, earlier on a tie."""
+    return (new, top[0]) if new[0] > top[0][0] else (top[0], new) if new[0] > top[1][0] else top
+
+
+class Prefix:
+    """SF(t), or F(r) as a one-stage stack: ``prev`` (None for none) and
+    stage ``s``.  It keeps n, m, the label counts, ``parts`` as a chain
+    (earlier parts, part), each (first vertex, stage, inverse, odd, even),
+    and per mode ``optima``: node sum, label share, best whole part, best
+    two label-1 and label-2 optima, each (size, part, block mask), and the
+    label-class sums.  New label-class optima must lie in their class."""
+
+    def __init__(self, prev: Prefix | None, s: Stage) -> None:
+        prev = prev or _EMPTY
+        (c1, c2), (d1, d2) = prev.label_counts.values(), s.label_counts.values()
+        # The cross edges join the new stage's odd vertices to the even ones before it, and back.
+        self.n, self.m, self.label_counts = prev.n + s.n, prev.m + s.m + c1 * d2 + c2 * d1, {1: c1 + d1, 2: c2 + d2}
+        parts = [(prev.n + offset, s, *part) for offset, *part in s.parts]
+        self.parts = reduce(lambda chain, part: (chain, part), parts, prev.parts)
+        self.optima = {}
+        for mode, (nodes, share, whole, ones, twos, sums) in prev.optima.items():
+            for part, (w, a, b), (wm, am, bm) in zip(parts, *s.optima[mode][2:]):
+                if am & part[4] or bm & part[3]:
+                    raise AssertionError(f"a label class's {mode} optimum spans both parities")
+                whole = max(whole, (w, part, wm), key=itemgetter(0))
+                ones, twos, sums = _top2(ones, (a, part, am)), _top2(twos, (b, part, bm)), (sums[0] + a, sums[1] + b)
+            self.optima[mode] = nodes + s.optima[mode][0], share + s.optima[mode][1], whole, ones, twos, sums
+
+
+_EMPTY = SimpleNamespace(n=0, m=0, label_counts={1: 0, 2: 0}, parts=None, optima=dict.fromkeys(("clique", "independent"), (0, 0, _NONE, (_NONE,) * 2, (_NONE,) * 2, (0, 0))))
+
+
+_held: WeakValueDictionary = WeakValueDictionary()  # each Prefix still held, by its prefix memo key
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def prefix(t: int, base: InterpretationProfile, rest: InterpretationProfile) -> Prefix:
+    """SF(t) as a Prefix, keyed on t and ``_stage_profiles``' two keys.  A
+    miss memoizes one stage at a time from the highest prefix still held,
+    each a miss whose prefix is held, so no call nests deeper."""
+    u = t - 1
+    while u > 2 and (u, base, rest) not in _held:
+        u -= 1
+    for u in range(u + 1, t):
+        prefix(u, base, rest)
+    entry = _held[t, base, rest] = Prefix(_held.get((t - 1, base, rest)), stage(t, base if t == 3 else rest))
+    return entry
+
+
 class Stack:
     """F(param) or SF(param) under ``profile`` (kept as ``kind``, ``param``
-    and ``profile``) as its memoized stages laid out in order, F(3..t) for
-    SF(t); the builders' ValueError on another kind or a parameter below 3.
-
-    Two vertices of different parts are adjacent exactly when their label
-    parities differ, so n, m, the label counts and every witness check
-    follow from the stages, and the dense graph is never built.  Each part
-    is (first vertex, stage, inverse, odd, even), as its stage lists it.
-    """
+    and ``profile``) as a Prefix, ``prefix``, and its n, m and label
+    counts: SF(t) from the prefix memo, F(r) as one stage.  The builders'
+    ValueError on another kind or a parameter below 3; no dense graph."""
 
     def __init__(self, kind: str, param: int, profile: InterpretationProfile) -> None:
         _require_param(kind, param)
         self.kind, self.param, self.profile = kind, param, profile
         base, rest = _stage_profiles(profile)
-        self.stages = [stage(r, base if r == 3 else rest) for r in ((param,) if kind == "F" else range(3, param + 1))]
-        *self.starts, self.n = accumulate((s.n for s in self.stages), initial=0)
-        self.parts = [(start + offset, s, *part) for start, s in zip(self.starts, self.stages) for offset, *part in s.parts]
-        ones, twos = (sum(s.label_counts[label] for s in self.stages) for label in LABELS)
-        self.label_counts = {1: ones, 2: twos}
-        # The cross edges are the sum over stages i < j of odd_i * even_j +
-        # even_i * odd_j: every odd-even pair but those within one stage.
-        cross = ones * twos - sum(s.label_counts[1] * s.label_counts[2] for s in self.stages)
-        self.m = sum(s.m for s in self.stages) + cross
+        self.prefix = prefix(param, base, rest) if kind == "SF" else Prefix(None, stage(param, base if param == 3 else rest))
+        self.n, self.m, self.label_counts = self.prefix.n, self.prefix.m, self.prefix.label_counts
 
-    def members(self, masks: dict[int, int], mode: str) -> tuple[int, ...]:
+    @staticmethod
+    def members(masks: Mapping[tuple, int], mode: str) -> tuple[int, ...]:
         """The vertices of ``masks``, a ``mode`` witness as a block mask
-        per part index, numbered in the stack, ascending.  The copy rule: a
-        part's mask fills all k copies of its block where it is an
-        independent set in G's view (an independent set of G, or a clique
-        of H), since no edge of G joins two copies, and copy 0 alone
-        otherwise."""
+        per part, numbered in the stack, ascending, once ``holds`` has
+        passed it (AssertionError otherwise).  The copy rule: a part's
+        mask fills all k copies of its block where it is an independent
+        set in G's view (an independent set of G, or a clique of H), since
+        no edge of G joins two copies, and copy 0 alone otherwise."""
+        if not Stack.holds(masks, mode):
+            raise AssertionError(f"stage route assembled an invalid {mode} witness")
         flip, listed = _flip(mode), []
-        for i in sorted(masks):
-            start, s, inverse, *_ = self.parts[i]
-            block, b = _members(masks[i]), s.block_n
+        for (start, s, inverse, *_), mask in sorted(masks.items()):
+            block, b = _members(mask), s.block_n
             for first in range(start, start + (s.k if flip ^ inverse else 1) * b, b):
                 listed += [first + v for v in block]
         return tuple(listed)
 
-    def holds(self, masks: dict[int, int], mode: str) -> bool:
-        """Whether ``masks``, a block mask per part index, is a ``mode``
-        witness of the stack as the stage route composes it.  Each part's
-        mask must be one of that part's optima in ``mode``, which
-        ``_split_clique`` checked where it found them; any other mask,
-        valid or not, is refused.  Across parts, the parity rule: a clique
-        meets at most two parts, one parity in each and opposite, and an
-        independent set that meets two or more lies in one parity."""
+    @staticmethod
+    def holds(masks: Mapping[tuple, int], mode: str) -> bool:
+        """Whether ``masks``, a block mask per part, is a ``mode`` witness
+        as the stage route composes it: each mask one of its part's optima
+        in ``mode`` (checked where found), any other refused, valid or not,
+        and the parity rule across parts: a clique meets at most two, one
+        parity in each and opposite; an independent set, one parity."""
         parities = []
-        for i, mask in masks.items():
-            _, s, inverse, odd, even = self.parts[i]
+        for (_, s, inverse, odd, even), mask in masks.items():
             if mask not in s.optima[mode][3][inverse]:  # inverse -1 picks an H side, the stage's last part
                 return False
             parities.append(bool(mask & odd) | bool(mask & even) << 1)
@@ -543,52 +590,27 @@ class Stack:
         return reduce(or_, parities) != 3
 
 
-def _checked(stack: Stack, masks: dict[int, int], mode: str, size: int, nodes: int) -> StackResult:
-    """``masks`` as a StackResult of ``size``, once ``Stack.holds`` has passed it."""
-    if not stack.holds(masks, mode):
-        raise AssertionError(f"stage route assembled an invalid {mode} witness")
-    return StackResult(size, masks, nodes)
-
-
 def stage_solve(stack: Stack) -> tuple[StackResult, StackResult]:
-    """Maximum clique and maximum independent set of ``stack``, composed
-    from its stages' memoized part optima (the module docstring proves the
-    formulas).
-
-    Sizes pick the winner, whose masks alone are checked; none is listed.
-    Ties go to a single part, then to the first candidate in part order
-    (pairs in ``itertools.permutations`` order); the node count sums every
-    solve the answer rests on, memoized or not, so it does not depend on
-    what ran before.
-    """
-    results = []
-    for mode in ("clique", "independent"):
-        optima = [s.optima[mode] for s in stack.stages]
-        # Per part, the sizes and masks of its whole, label-1 and label-2 optima.
-        sizes, masks = ([part for o in optima for part in o[j]] for j in (2, 3))
-        # Each candidate is (size, [(part, 0 whole or a label), ...]).
-        candidates = [(whole, [(i, 0)]) for i, (whole, _, _) in enumerate(sizes)]
-        if mode == "independent":
-            candidates += [(sum(part[label] for part in sizes), [(i, label) for i in range(len(sizes))]) for label in LABELS]
-        elif len(sizes) > 1:
-            # Part i's first best partner: the first part j != i with the largest label-2 clique.
-            by_two = sorted(range(len(sizes)), key=lambda j: -sizes[j][2])[:2]
-            for i, (_, one, _) in enumerate(sizes):
-                j = by_two[1] if by_two[0] == i else by_two[0]
-                candidates.append((one + sizes[j][2], [(i, 1), (j, 2)]))
-        size, chosen = max(candidates, key=lambda c: c[0])
-        results.append(_checked(stack, {i: masks[i][k] for i, k in chosen}, mode, size, sum(o[0] for o in optima)))
-    return results[0], results[1]
+    """Maximum clique and maximum independent set of ``stack``, read from
+    its prefix in O(1) by the module docstring's formulas and tie rule."""
+    nodes, _, whole, (a0, a1), (b0, b1), _ = stack.prefix.optima["clique"]
+    # Part i's label-1 clique with the first best label-2 clique of a part j != i; the first best i.
+    pairs = [(a0, b0)] if a0[1] != b0[1] else [(a0, b1), (a1, b0)] if b1[1] else []
+    one, two = max(pairs, key=lambda p: (p[0][0] + p[1][0], -p[0][1][0]), default=(_NONE, _NONE))
+    omega = StackResult(one[0] + two[0], dict([one[1:], two[1:]]), nodes) if one[0] + two[0] > whole[0] else StackResult(whole[0], dict([whole[1:]]), nodes)
+    nodes, _, whole, _, _, sums = stack.prefix.optima["independent"]
+    label = 2 if sums[1] > sums[0] else 1
+    alpha = StackResult(whole[0], dict([whole[1:]]), nodes) if whole[0] >= sums[label - 1] else StackResult(sums[label - 1], _ClassSum(stack.prefix.parts, label), nodes)
+    return omega, alpha
 
 
 def stage_mono_clique(stack: Stack) -> StackResult:
     """Largest single-label clique of ``stack``: its parts' largest (the
     module docstring says why), label 1 and then the first part in order
     winning a tie; the node count sums both classes' solves of every part."""
-    optima = [s.optima["clique"] for s in stack.stages]
-    sizes, masks = ([part for o in optima for part in o[j]] for j in (2, 3))
-    label, i = max(((label, i) for label in LABELS for i in range(len(sizes))), key=lambda c: sizes[c[1]][c[0]])
-    return _checked(stack, {i: masks[i][label]}, "clique", sizes[i][label], sum(o[1] for o in optima))
+    _, share, _, (a0, _), (b0, _), _ = stack.prefix.optima["clique"]
+    best = a0 if a0[0] >= b0[0] else b0
+    return StackResult(best[0], dict([best[1:]]), share)
 
 
 def oracle_max_clique(g: Graph) -> int:

@@ -98,8 +98,7 @@ def check_theorem_1_1(stack: Stack) -> TheoremCheck:
     AND with that part's label-1 class shows that it has one label."""
     r = _claim_r("1.1", stack)
     res = stage_mono_clique(stack)
-    ((i, mask),) = res.masks.items()
-    _, _, _, odd, _ = stack.parts[i]
+    (((*_, odd, _), mask),) = res.masks.items()
     if mask & odd not in (0, mask):
         raise AssertionError("single-label witness spans both labels")
     claimed = (r + 1) // 2
@@ -114,11 +113,10 @@ def check_theorem_1_2(stack: Stack) -> TheoremCheck:
     """Check that ``stack``, SF(r+1) under its profile, has no clique or
     independent set on r+1 vertices.
 
-    Its omega and alpha come from its memoized stages (``solve.stage_solve``),
-    which checks both witnesses' part masks on the stack before it returns
-    them; only the witness the report stores is listed: the violating
-    clique first, else the violating independent set, else the maximum
-    clique.
+    Its omega and alpha come from its prefix (``solve.stage_solve``);
+    only the witness the report stores is checked and listed
+    (``Stack.members``): the violating clique first, else the violating
+    independent set, else the maximum clique.
     """
     r = _claim_r("1.2", stack)
     omega, alpha = stage_solve(stack)

@@ -6,6 +6,7 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))
 
 from sfcheck import construct, solve  # noqa: E402
+from oracles import clear_memos  # noqa: E402
 
 
 @pytest.fixture
@@ -13,8 +14,9 @@ def seed_stage(monkeypatch):
     """``seed_stage(r, fault)`` makes every build of F(r)'s block (one copy
     of the G side's block graph, or the base path), the stage memo's and
     the dense ``build_side``'s alike, come out as ``fault`` of the real
-    (graph, labels).  The stage memo is emptied at each seeding and after
-    the test, so no doctored stage outlives it."""
+    (graph, labels).  The stage memo and the prefix memo, whose entries
+    hold its stages, are emptied at each seeding and after the test, so no
+    doctored stage outlives it."""
     real = construct.build_block
 
     def seed(r, fault):
@@ -24,7 +26,7 @@ def seed_stage(monkeypatch):
 
         monkeypatch.setattr(construct, "build_block", build)
         monkeypatch.setattr(solve, "build_block", build)
-        solve.stage.cache_clear()
+        clear_memos()
 
     yield seed
-    solve.stage.cache_clear()
+    clear_memos()

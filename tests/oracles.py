@@ -11,11 +11,13 @@ import itertools
 from functools import reduce
 from operator import or_
 
+from sfcheck import solve
 from sfcheck.construct import InterpretationProfile
 from sfcheck.formats import Graph6ParseError
 from sfcheck.graphs import Graph, complement, induced
 from sfcheck.solve import (
     CliqueResult,
+    StackResult,
     _components,
     _degeneracy_order,
     _greedy_clique,
@@ -455,7 +457,7 @@ def pairwise_composition(parts, part_optima, mode: str) -> tuple[int, ...]:
     every candidate whole, as it once did, from each part's whole, label-1
     and label-2 optima ((size, mask, nodes) triples, masks over the part's
     own vertices, whose first vertex leads its entry of ``parts``, as in
-    ``solve.Stack.parts``): each part's optimum, then every ordered pair
+    ``stack_parts``): each part's optimum, then every ordered pair
     of parts' label-1 and label-2 cliques in ``itertools.permutations``
     order, or each label's independent sets over all parts; the first
     longest wins."""
@@ -504,4 +506,68 @@ def stack_labels(stack) -> list[int]:
     """Every vertex's label in ``stack``, in the stack's numbering: each
     part's block labels read from its odd class mask, once per copy, for
     comparison with a dense build's labels."""
-    return [1 if odd >> v & 1 else 2 for _, s, _, odd, _ in stack.parts for _ in range(s.k) for v in range(s.block_n)]
+    return [1 if odd >> v & 1 else 2 for _, s, _, odd, _ in stack_parts(stack) for _ in range(s.k) for v in range(s.block_n)]
+
+
+def clear_memos() -> None:
+    """Empty the stage memo and the prefix memo, whose entries hold the
+    stage memo's stages, and forget every prefix still held elsewhere, so
+    that the next job builds both afresh."""
+    solve.stage.cache_clear()
+    solve.prefix.cache_clear()
+    solve._held.clear()
+
+
+def listed_members(masks, mode: str) -> tuple[int, ...]:
+    """The vertices of ``masks``, a block mask per part, checked or not,
+    by the copy rule written out vertex by vertex: a part's mask fills
+    every copy of its block for an independent set of a G side or the base
+    path (inverse 0) and for a clique of an H side (inverse -1), and copy 0
+    alone otherwise."""
+    listed = []
+    for (start, s, inverse, *_), mask in masks.items():
+        copies = s.k if (mode == "independent") != bool(inverse) else 1
+        listed += [start + c * s.block_n + v for c in range(copies) for v in range(s.block_n) if mask >> v & 1]
+    return tuple(sorted(listed))
+
+
+def stack_parts(stack) -> list[tuple]:
+    """The parts of ``stack`` in order, each (first vertex, stage, inverse,
+    odd, even), read from its prefix's chain, which holds them last first."""
+    parts, chain = [], stack.prefix.parts
+    while chain:
+        chain, part = chain
+        parts.append(part)
+    return parts[::-1]
+
+
+def stack_stages(stack) -> list:
+    """The stages of ``stack`` in order, each an entry of the stage memo."""
+    return list(dict.fromkeys(s for _, s, *_ in stack_parts(stack)))
+
+
+def reference_stage_solve(parts) -> tuple[StackResult, StackResult]:
+    """Maximum clique and maximum independent set of a stack of ``parts``
+    (``stack_parts``), as ``solve.stage_solve`` composed them before a
+    stack kept a prefix: from candidate lists over every part, O(t) per
+    stack.  Ties go to a single part, then to the first candidate in part
+    order, with pairs in ``itertools.permutations`` order; a witness is a
+    block mask per part, the node count each mode's sum over the stages."""
+    optima = [s.optima for s in dict.fromkeys(s for _, s, *_ in parts)]
+    results = []
+    for mode in ("clique", "independent"):
+        # Per part, the sizes and masks of its whole, label-1 and label-2 optima.
+        sizes, masks = ([part for o in optima for part in o[mode][j]] for j in (2, 3))
+        # Each candidate is (size, [(part, 0 whole or a label), ...]).
+        candidates = [(whole, [(i, 0)]) for i, (whole, _, _) in enumerate(sizes)]
+        if mode == "independent":
+            candidates += [(sum(part[label] for part in sizes), [(i, label) for i in range(len(sizes))]) for label in (1, 2)]
+        elif len(sizes) > 1:
+            # Part i's first best partner: the first part j != i with the largest label-2 clique.
+            by_two = sorted(range(len(sizes)), key=lambda j: -sizes[j][2])[:2]
+            for i, (_, one, _) in enumerate(sizes):
+                j = by_two[1] if by_two[0] == i else by_two[0]
+                candidates.append((one + sizes[j][2], [(i, 1), (j, 2)]))
+        size, chosen = max(candidates, key=lambda c: c[0])
+        results.append(StackResult(size, {parts[i]: masks[i][k] for i, k in chosen}, sum(o[mode][0] for o in optima)))
+    return results[0], results[1]

@@ -15,6 +15,8 @@ from sfcheck.formats import decode_graph6
 from sfcheck.graphs import path
 from sfcheck.report import load_report
 
+from oracles import clear_memos
+
 
 class TestBuild:
     def test_explicit_base_path_graph6(self, tmp_path, capsys):
@@ -164,13 +166,15 @@ class TestSweep:
             load_report(tmp_path / name)
         assert capsys.readouterr().out.count("T1_1") == 2
 
-    def test_sweep_ends_with_its_time_and_stage_memo(self, tmp_path, capsys):
-        # On an empty memo, the default profile's F(3..12) are built once each;
-        # every T1.2 job at r reads stages 3..r+1 from the memo.
-        solve.stage.cache_clear()
+    def test_sweep_ends_with_its_time_and_both_memos(self, tmp_path, capsys):
+        # On empty memos, the default profile's F(3..12) are built once each
+        # by the T1.1 jobs; each T1.2 job at r builds SF(r+1) on SF(r), which
+        # the job before it built, and reads stage r+1, one stage memo hit.
+        clear_memos()
         main(["sweep", "--t-max", "12", "--report-dir", str(tmp_path)])
         last = capsys.readouterr().out.splitlines()[-1]
-        pattern = rf"sweep: 20 reports -> {re.escape(str(tmp_path))} in \d+\.\d\d s; stage memo: 10 built, 55 hits"
+        pattern = (rf"sweep: 20 reports -> {re.escape(str(tmp_path))} in \d+\.\d\d s; "
+                   r"stage memo: 10 built, 10 hits; prefix memo: 10 built, 0 hits")
         assert re.fullmatch(pattern, last), last
 
 

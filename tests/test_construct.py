@@ -26,7 +26,7 @@ from sfcheck.graphs import Graph, complete, induced
 from sfcheck.report import load_report
 from sfcheck.solve import Stack, max_clique, max_independent_set, stage, stage_solve
 
-from oracles import all_profiles, class_masks, label_counts, layout_cuts, stack_labels, stacked_vertex_count, stage_vertex_count
+from oracles import all_profiles, class_masks, label_counts, layout_cuts, stack_labels, stack_parts, stacked_vertex_count, stage_vertex_count
 
 GENERAL = DEFAULT_PROFILE.replace(base_case="general")
 
@@ -219,7 +219,7 @@ class TestLayout:
         # the same cuts by the rule tests and the part optima.
         for kind in ("F", "SF"):
             for param in range(3, 9):
-                starts = tuple(start for start, *_ in Stack(kind, param, profile).parts)
+                starts = tuple(start for start, *_ in stack_parts(Stack(kind, param, profile)))
                 assert starts[1:] == layout_cuts(kind, param, profile), (kind, param)
 
     def test_labeled_graph_rejects_bad_shapes(self):

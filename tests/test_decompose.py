@@ -17,11 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfcheck import solve
-from sfcheck.construct import DEFAULT_PROFILE, InterpretationProfile, build_F, label_masks
+from sfcheck.construct import DEFAULT_PROFILE, LABELS, InterpretationProfile, build_F, label_masks
 from sfcheck.graphs import Graph, combine, complement, induced, random_graph
 from sfcheck.report import run_verification
 from sfcheck.solve import (
-    LABELS,
     MEMO_SIZE,
     Stack,
     _split_clique,
@@ -30,7 +29,7 @@ from sfcheck.solve import (
     stage_solve,
 )
 
-from oracles import all_profiles, class_split, max_mono_clique
+from oracles import all_profiles, class_split, clear_memos, max_mono_clique, stack_stages
 
 VERTEX = Graph(1, (0,))
 MODES = ("clique", "independent")
@@ -166,7 +165,7 @@ def test_search_sees_nothing_past_the_base_path(monkeypatch):
         return max_clique(g)
 
     monkeypatch.setattr(solve, "max_clique", recording)
-    solve.stage.cache_clear()
+    clear_memos()
     for profile in all_profiles():
         for t in range(3, 13):
             stage_solve(Stack("SF", t, profile))
@@ -186,26 +185,26 @@ def test_no_part_complement_is_built(monkeypatch):
         return complement(g)
 
     monkeypatch.setattr(solve, "complement", recording)
-    solve.stage.cache_clear()
+    clear_memos()
     for profile in all_profiles():
         run_verification("1.2", 11, profile)
         run_verification("1.1", 12, profile)
     assert sizes and max(sizes) <= 6
-    solve.stage.cache_clear()
+    clear_memos()
 
 
 def test_memos_stay_bounded():
-    """The stage memo, the one memo of solved results, drops its least
-    recently used stages once past MEMO_SIZE: the six sum and prod
-    readings at r = 3..90 key 528 stages."""
-    solve.stage.cache_clear()
+    """The stage memo and the prefix memo, the memos of solved results,
+    drop their least recently used entries once past MEMO_SIZE: the six
+    sum and prod readings of SF(3..90) key 528 stages and 528 prefixes."""
+    clear_memos()
     for profile in all_profiles():
         if profile.base_case == "general" and profile.y_label == 2:
-            for r in range(3, 91):
-                solve.stage(r, profile)
-    info = solve.stage.cache_info()
-    assert info.maxsize == MEMO_SIZE and info.currsize <= MEMO_SIZE < info.misses
-    solve.stage.cache_clear()
+            solve.prefix(90, *solve._stage_profiles(profile))
+    for memo in (solve.stage, solve.prefix):
+        info = memo.cache_info()
+        assert info.maxsize == MEMO_SIZE and info.currsize <= MEMO_SIZE < info.misses == 528
+    clear_memos()
 
 
 def test_a_cold_base_stage_searches_only_its_prime_queries(monkeypatch):
@@ -236,4 +235,4 @@ def test_the_base_stage_is_shared_by_sum_and_prod():
         p = InterpretationProfile(y_label=y_label)
         for q in all_profiles():
             if (q.base_case, q.y_label) == ("explicit_path", y_label):
-                assert Stack("F", 3, p).stages[0] is Stack("F", 3, q).stages[0], q
+                assert stack_stages(Stack("F", 3, p))[0] is stack_stages(Stack("F", 3, q))[0], q

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sfcheck import solve
 from sfcheck.construct import DEFAULT_PROFILE, build_F, build_SF
 from sfcheck.formats import decode_graph6, encode_graph6
 from sfcheck.graphs import (
@@ -35,6 +34,7 @@ from oracles import (
     all_profiles,
     bitwise_transpose,
     brute_force_isomorphic,
+    clear_memos,
     edge_set,
     naive_product_edges,
     pairwise_induced,
@@ -398,7 +398,7 @@ def checked(monkeypatch):
 
 class TestTrustBoundary:
     def test_only_boundary_constructions_check(self, checked):
-        solve.stage.cache_clear()  # so that run_verification builds every stage of SF(8)
+        clear_memos()  # so that run_verification builds every stage of SF(8)
         run_verification("1.2", 7)
         max_independent_set(build_SF(8).graph)
         # One check per build of stages 3..8: the explicit base path's from_edges.

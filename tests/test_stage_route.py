@@ -21,31 +21,35 @@ from sfcheck import cli as cli_module
 from sfcheck import construct as construct_module
 from sfcheck import solve as solve_module
 from sfcheck.cli import main
-from sfcheck.construct import DEFAULT_PROFILE, InterpretationProfile, build_F, build_SF, build_side
+from sfcheck.construct import DEFAULT_PROFILE, LABELS, InterpretationProfile, build_F, build_SF, build_side
 from sfcheck.graphs import Graph, empty, product
-from sfcheck.report import report_to_json, run_verification, strip_volatile, verify_report
+from sfcheck.report import load_report, report_to_json, run_verification, strip_volatile, verify_report, write_report
 from sfcheck.solve import (
-    LABELS,
+    Prefix,
     Stack,
-    _checked,
     _split_clique,
     max_clique,
     max_independent_set,
     stage_solve,
     verify_witness,
 )
-from sfcheck.verify import check_theorem_1_1, check_theorem_1_2
+from sfcheck.verify import CLAIMS, check_theorem_1_1, check_theorem_1_2
 
 from oracles import (
     all_profiles,
     block_optima,
     class_masks,
+    clear_memos,
     flat_optima,
     label_counts,
     max_mono_clique,
     pairwise_composition,
     layout_cuts,
+    listed_members,
+    reference_stage_solve,
     stack_labels,
+    stack_parts,
+    stack_stages,
 )
 
 
@@ -103,7 +107,7 @@ def test_stages_match_the_dense_build(profile):
         stack, lg = Stack("F", r, profile), build_F(r, profile)
         assert (stack.n, stack.m, stack.label_counts) == (lg.graph.n, lg.graph.m, label_counts(lg)), r
         assert stack_labels(stack) == list(lg.labels), r
-        assert over_copies(stack.stages[0]) == {mode: flat_optima(parts) for mode, parts in dense_part_optima(lg, layout_cuts("F", r, profile)).items()}, r
+        assert over_copies(stack_stages(stack)[0]) == {mode: flat_optima(parts) for mode, parts in dense_part_optima(lg, layout_cuts("F", r, profile)).items()}, r
 
 
 def test_an_h_side_shares_its_g_sides_results():
@@ -178,7 +182,7 @@ def stage_sizes(r, profile):
 @pytest.mark.parametrize("profile", all_profiles(), ids=str)
 def test_stage_optima_follow_the_block_shapes(profile):
     for r in range(3, 201):
-        optima = Stack("F", r, profile).stages[0].optima
+        optima = stack_stages(Stack("F", r, profile))[0].optima
         assert {mode: sizes for mode, (_, _, sizes, _) in optima.items()} == stage_sizes(r, profile), r
 
 
@@ -229,11 +233,11 @@ def stack_witnesses(draw):
     t = draw(st.integers(3, 7))
     profile = draw(st.sampled_from(all_profiles()))
     mode = draw(st.sampled_from(["clique", "independent"]))
-    stack = Stack("SF", t, profile)
+    parts = stack_parts(Stack("SF", t, profile))
     masks = {}
-    for i in draw(st.lists(st.integers(0, len(stack.parts) - 1), min_size=1, unique=True)):
-        _, s, inverse, *_ = stack.parts[i]
-        masks[i] = s.optima[mode][3][1 if inverse else 0][draw(st.integers(0, 2))]
+    for i in draw(st.lists(st.integers(0, len(parts) - 1), min_size=1, unique=True)):
+        _, s, inverse, *_ = parts[i]
+        masks[parts[i]] = s.optima[mode][3][1 if inverse else 0][draw(st.integers(0, 2))]
     return t, profile, mode, masks
 
 
@@ -241,16 +245,19 @@ def stack_witnesses(draw):
 @given(stack_witnesses())
 def test_stack_witness_check_matches_the_dense_one(case):
     """``Stack.holds`` on part optima: the dense check's verdict on the
-    vertices ``Stack.members`` lists for them."""
+    vertices they stand for, which ``Stack.members`` lists where it holds."""
     t, profile, mode, masks = case
-    stack = Stack("SF", t, profile)
-    assert stack.holds(masks, mode) == verify_witness(build_SF(t, profile).graph, stack.members(masks, mode), mode)
+    stack, members = Stack("SF", t, profile), listed_members(masks, mode)
+    assert stack.holds(masks, mode) == verify_witness(build_SF(t, profile).graph, members, mode)
+    if stack.holds(masks, mode):
+        assert stack.members(masks, mode) == members
 
 
 # SF(5) under the default profile: the base path is part 0 (0..5), F(4)'s G
 # side part 1 (6..17), three copies of a block K_2 + K_2 (labels 1, 1, 2,
 # 2), and its H side part 2 (18..29).  A block mask fills every copy as an
-# independent set of G or a clique of H, and copy 0 alone otherwise.
+# independent set of G or a clique of H, and copy 0 alone otherwise.  Each
+# case names its parts by index; the witness is keyed by the parts.
 @pytest.mark.parametrize(
     "masks, mode, members",
     [
@@ -264,30 +271,32 @@ def test_stack_witness_check_matches_the_dense_one(case):
 )
 def test_members_lists_each_mask_over_the_copies_it_fills(masks, mode, members):
     stack, g = Stack("SF", 5, DEFAULT_PROFILE), build_SF(5).graph
-    assert stack.members(masks, mode) == tuple(members)
+    masks = {stack_parts(stack)[i]: mask for i, mask in masks.items()}
+    assert stack.members(masks, mode) == listed_members(masks, mode) == tuple(members)
     assert stack.holds(masks, mode) and verify_witness(g, members, mode)
 
 
 def mask_cases(stack):
     """Per case, (masks, mode) on ``stack``, SF(5), from its stages' own
     optima.  Stage 4's G side, part g, is three copies of a four-vertex
-    block, its H side is part g + 1, and the base path is part 0.  The
-    last five cases meet several parts, for the parity rule."""
-    g = next(i for i, (_, s, inverse, *_) in enumerate(stack.parts) if s is stack.stages[1] and not inverse)
-    s = stack.stages[1]
+    block, its H side is part h, and the base path is part 0.  The last
+    five cases meet several parts, for the parity rule."""
+    parts, stages = stack_parts(stack), stack_stages(stack)
+    path, g, h = parts[0], *(part for part in parts if part[1] is stages[1])
+    s = stages[1]
     # Per mode, G's and H's whole, label-1 and label-2 optima, and the base path's.
     (gc, hc), (gi, hi) = (s.optima[mode][3] for mode in ("clique", "independent"))
-    path = stack.stages[0].optima["clique"][3][0]
+    path_masks = stages[0].optima["clique"][3][0]
     return {
         "G clique": ({g: gc[0]}, "clique"),
         "G independent set over every copy": ({g: gi[0]}, "independent"),
-        "H clique over every copy": ({g + 1: hc[0]}, "clique"),
-        "H independent set": ({g + 1: hi[0]}, "independent"),
-        "odd clique of G, even clique of H": ({g: gc[1], g + 1: hc[2]}, "clique"),
-        "odd cliques of G and of H": ({g: gc[1], g + 1: hc[1]}, "clique"),
-        "cliques of three parts": ({0: path[1], g: gc[2], g + 1: hc[1]}, "clique"),
-        "odd independent sets of G and of H": ({g: gi[1], g + 1: hi[1]}, "independent"),
-        "odd independent set of G, even of H": ({g: gi[1], g + 1: hi[2]}, "independent"),
+        "H clique over every copy": ({h: hc[0]}, "clique"),
+        "H independent set": ({h: hi[0]}, "independent"),
+        "odd clique of G, even clique of H": ({g: gc[1], h: hc[2]}, "clique"),
+        "odd cliques of G and of H": ({g: gc[1], h: hc[1]}, "clique"),
+        "cliques of three parts": ({path: path_masks[1], g: gc[2], h: hc[1]}, "clique"),
+        "odd independent sets of G and of H": ({g: gi[1], h: hi[1]}, "independent"),
+        "odd independent set of G, even of H": ({g: gi[1], h: hi[2]}, "independent"),
     }
 
 
@@ -297,18 +306,18 @@ def test_mask_check_matches_the_dense_one(profile):
     list are a clique or an independent set of the dense SF(5)."""
     stack, g = Stack("SF", 5, profile), build_SF(5, profile).graph
     for case, (masks, mode) in mask_cases(stack).items():
-        assert stack.holds(masks, mode) == verify_witness(g, stack.members(masks, mode), mode), case
+        assert stack.holds(masks, mode) == verify_witness(g, listed_members(masks, mode), mode), case
 
 
-def test_checked_refuses_a_valid_set_the_route_does_not_compose():
+def test_members_refuses_a_valid_set_the_route_does_not_compose():
     """A clique that is no optimum, G's less its lowest vertex, is refused
     though the dense check passes it."""
     stack = Stack("SF", 5, DEFAULT_PROFILE)
     masks, mode = mask_cases(stack)["G clique"]
-    less = {i: mask & mask - 1 for i, mask in masks.items()}
-    assert verify_witness(build_SF(5).graph, stack.members(less, mode), mode)
+    less = {part: mask & mask - 1 for part, mask in masks.items()}
+    assert verify_witness(build_SF(5).graph, listed_members(less, mode), mode)
     with pytest.raises(AssertionError, match="invalid clique witness"):
-        _checked(stack, less, mode, 1, 0)
+        stack.members(less, mode)
 
 
 @pytest.mark.parametrize("members", [[0, 0], [-1], [30], [True]], ids=["repeated", "negative", "n", "bool"])
@@ -390,35 +399,78 @@ def test_theorem_1_1_reads_the_stage_as_the_whole_graph_is_split(profile):
 
 
 def test_profiles_that_differ_only_in_y_label_share_all_but_the_base_path():
-    one, two = (Stack("SF", 5, InterpretationProfile(y_label=y)) for y in LABELS)
-    assert one.stages[0] is not two.stages[0] and one.stages[0].parts != two.stages[0].parts
-    assert one.stages[1:] == two.stages[1:]
-    assert all(a is b for a, b in zip(one.stages[1:], two.stages[1:]))
-    general = [Stack("F", 3, InterpretationProfile(base_case="general", y_label=y)) for y in LABELS]
-    assert general[0].stages[0] is general[1].stages[0]
+    one, two = (stack_stages(Stack("SF", 5, InterpretationProfile(y_label=y))) for y in LABELS)
+    assert one[0] is not two[0] and one[0].parts != two[0].parts
+    assert one[1:] == two[1:]
+    assert all(a is b for a, b in zip(one[1:], two[1:]))
+    general = [stack_stages(Stack("F", 3, InterpretationProfile(base_case="general", y_label=y))) for y in LABELS]
+    assert general[0][0] is general[1][0]
+
+
+class StandIn:
+    """A stand-in stage, keyed by identity as a stage is, so that its parts
+    can key a witness."""
+
+    def __init__(self, **fields):
+        vars(self).update(fields)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.lists(st.tuples(*[st.integers(0, 3)] * 6), min_size=1, max_size=3), min_size=1, max_size=4))
+@given(st.lists(st.lists(st.tuples(*[st.integers(0, 3)] * 6), min_size=1, max_size=2), min_size=1, max_size=4))
 def test_stage_solve_picks_the_pairwise_composition_winner(stages):
-    """On stand-in stages whose part optima tie often, sizes alone pick the
-    witness that building every candidate picks.  Each optimum gets its own
-    vertices, so the witness names the candidate that won."""
-    copy = SimpleNamespace(k=1, block_n=24)  # every part one copy of 24 vertices
-    stack = SimpleNamespace(parts=[], stages=[], holds=lambda masks, mode: True)
-    optima = {"clique": [], "independent": []}  # per part of every stage
+    """On stand-in stages whose part optima tie often, the prefix built one
+    stage at a time picks the witness that building every candidate picks,
+    with the reference's sizes, part masks and node counts.  Each optimum
+    gets its own vertices, so the witness names the candidate that won."""
+    # Optimum k of a part holds its vertices 4k.. of 24, numbered within the
+    # part, so label 1 lies in vertices 4..7 and 16..19, label 2 in 8..11 and 20..23.
+    odd, even = 0xF00F0, 0xF00F00
+    prefix, optima = None, {"clique": [], "independent": []}  # per part of every stage
     for parts in stages:
-        first = len(stack.parts)
-        for sizes in parts:
-            # Optimum k of a part holds its vertices 4k.. of 24, numbered within the part.
-            results = [(size, (1 << size) - 1 << 4 * k, 0) for k, size in enumerate(sizes)]
+        first = len(optima["clique"])
+        for k, sizes in enumerate(parts):
+            results = [(size, (1 << size) - 1 << 4 * j, j + k) for j, size in enumerate(sizes)]
             optima["clique"].append(tuple(results[:3]))
             optima["independent"].append(tuple(results[3:]))
-            stack.parts.append((24 * len(stack.parts), copy, 0))
-        stack.stages.append(SimpleNamespace(optima={mode: flat_optima(optima[mode][first:]) for mode in optima}))
-    for mode, res in zip(optima, stage_solve(stack)):
-        witness = Stack.members(stack, res.masks, mode)
-        assert witness == pairwise_composition(stack.parts, optima[mode], mode) and res.size == len(witness)
+        layout = tuple((24 * j, inverse, odd, even) for j, inverse in zip(range(len(parts)), (0, -1)))
+        s = StandIn(n=24 * len(parts), m=0, label_counts={1: 0, 2: 0}, parts=layout, k=1, block_n=24,
+                    optima={mode: flat_optima(optima[mode][first:]) for mode in optima})
+        prefix = Prefix(prefix, s)
+    stack = SimpleNamespace(prefix=prefix)
+    results = stage_solve(stack)
+    assert results == reference_stage_solve(stack_parts(stack))
+    for mode, res in zip(optima, results):
+        witness = listed_members(res.masks, mode)
+        assert witness == pairwise_composition(stack_parts(stack), optima[mode], mode) and res.size == len(witness)
+
+
+@pytest.mark.parametrize("profile", all_profiles(), ids=str)
+def test_prefix_route_matches_the_reference(profile):
+    """SF(t)'s prefix, composed from SF(t - 1)'s and stage t's in O(1),
+    gives the sizes, part masks and node counts of composing every
+    candidate over every part (``reference_stage_solve``), for t <= 60,
+    and so does F(r), a one-stage prefix."""
+    for t in range(3, 61):
+        for kind in ("F", "SF"):
+            stack = Stack(kind, t, profile)
+            assert stage_solve(stack) == reference_stage_solve(stack_parts(stack)), (kind, t)
+
+
+@pytest.mark.parametrize("profile", [DEFAULT_PROFILE, DEFAULT_PROFILE.replace(prod="tensor")], ids=["default", "tensor"])
+def test_a_job_list_reads_each_stage_once_per_job(profile):
+    """From empty memos, the job list to t = 60 builds each stage and each
+    prefix once, and each job adds at most one hit to the stage memo: a
+    T1.2 job extends the prefix before it by one stage, and re-reads none
+    of stages 3..t."""
+    clear_memos()
+    hits = []
+    for theorem, (min_r, _, shift) in CLAIMS.items():
+        for r in range(min_r, 60 - shift + 1):
+            before = solve_module.stage.cache_info().hits
+            run_verification(theorem, r, profile)
+            hits.append(solve_module.stage.cache_info().hits - before)
+    assert solve_module.stage.cache_info().misses == solve_module.prefix.cache_info().misses == 58
+    assert max(hits) == 1
 
 
 def test_check_lists_only_the_witness_it_stores(monkeypatch):
@@ -427,7 +479,7 @@ def test_check_lists_only_the_witness_it_stores(monkeypatch):
     Under every profile at t <= 20, that witness is the one that building
     every candidate whole from the parts of the dense F(3..t) gives."""
     listed, members = [], Stack.members
-    monkeypatch.setattr(Stack, "members", lambda self, masks, mode: listed.append(masks) or members(self, masks, mode))
+    monkeypatch.setattr(Stack, "members", staticmethod(lambda masks, mode: listed.append(masks) or members(masks, mode)))
     refuted_by_clique = 0
     for profile in all_profiles():
         optima = {"clique": [], "independent": []}  # per part of SF(t), numbered within the part
@@ -439,18 +491,18 @@ def test_check_lists_only_the_witness_it_stores(monkeypatch):
             tc = check_theorem_1_2(stack)
             omega, alpha = stage_solve(stack)
             assert listed == [(alpha if tc.witness_mode == "independent" else omega).masks], (profile, t)
-            assert tc.witness == pairwise_composition(stack.parts, optima[tc.witness_mode], tc.witness_mode), (profile, t)
+            assert tc.witness == pairwise_composition(stack_parts(stack), optima[tc.witness_mode], tc.witness_mode), (profile, t)
             refuted_by_clique += tc.status == "REFUTED" and tc.witness_mode == "clique"
     assert refuted_by_clique
 
 
 def test_profiles_that_differ_only_in_base_case_share_every_stage_after_the_third():
     for profile in all_profiles():
-        ours = Stack("SF", 6, profile)
-        other = Stack("SF", 6, profile.replace(base_case="general" if profile.base_case == "explicit_path" else "explicit_path"))
-        assert (ours.stages[0].block_n, ours.stages[0].paired) != (other.stages[0].block_n, other.stages[0].paired)
-        assert all(a is b for a, b in zip(ours.stages[1:], other.stages[1:]))
-        assert Stack("F", 4, profile).stages[0] is other.stages[1]
+        ours = stack_stages(Stack("SF", 6, profile))
+        other = stack_stages(Stack("SF", 6, profile.replace(base_case="general" if profile.base_case == "explicit_path" else "explicit_path")))
+        assert (ours[0].block_n, ours[0].paired) != (other[0].block_n, other[0].paired)
+        assert all(a is b for a, b in zip(ours[1:], other[1:]))
+        assert stack_stages(Stack("F", 4, profile))[0] is other[1]
 
 
 def flipped(g, u, v):
@@ -485,7 +537,10 @@ def test_verification_never_builds_the_dense_stack(monkeypatch):
 
 def test_reports_do_not_depend_on_what_ran_before(tmp_path):
     """One report, from ``verify`` in a fresh process (no memo) and from a
-    sweep (memo filled by the jobs before it)."""
+    sweep (memo filled by the jobs before it).  And T1.2 reports for
+    r = 2..19 under four profiles, run in ascending order, in descending
+    order from empty memos, and with the prefix memo emptied before each
+    job."""
     src = os.path.dirname(os.path.dirname(sfcheck.__file__))
     alone = tmp_path / "alone.json"
     subprocess.run(
@@ -498,6 +553,51 @@ def test_reports_do_not_depend_on_what_ran_before(tmp_path):
     texts = [alone.read_text(), (tmp_path / "sweep" / "t12_r9.json").read_text()]
     stripped = [report_to_json(strip_volatile(json.loads(text))) for text in texts]
     assert stripped[0] == stripped[1]
+
+    def reports(rs, profile, cold=False):
+        texts = {}
+        for r in rs:
+            if cold:
+                solve_module.prefix.cache_clear()
+            texts[r] = report_to_json(strip_volatile(run_verification("1.2", r, profile)))
+        return texts
+
+    join = InterpretationProfile(sum="join", prod="cartesian")
+    for profile in (DEFAULT_PROFILE, DEFAULT_PROFILE.replace(prod="tensor"), join, DEFAULT_PROFILE.replace(base_case="general")):
+        ascending = reports(range(2, 20), profile)
+        clear_memos()
+        assert reports(range(19, 1, -1), profile) == ascending, profile
+        assert reports(range(2, 20), profile, cold=True) == ascending, profile
+
+
+def test_a_cold_load_builds_only_its_own_stages_and_prefixes(tmp_path):
+    """From empty memos, loading one SF(20) report builds its 18 stages and
+    its 18 prefixes, no more."""
+    path = tmp_path / "r19.json"
+    write_report(path, run_verification("1.2", 19))
+    clear_memos()
+    load_report(path)
+    assert (solve_module.stage.cache_info().misses, solve_module.prefix.cache_info().misses) == (18, 18)
+
+
+def test_a_warm_load_still_checks_the_stored_witness(tmp_path, monkeypatch):
+    """With the prefix memo warm, so that the load composes nothing, the
+    re-run still passes the stored witness through ``Stack.holds`` (in
+    ``Stack.members``), and a report with one witness vertex moved does
+    not load."""
+    report = run_verification("1.2", 19)
+    forged = json.loads(report_to_json(report))
+    witness = forged["checks"][0]["witness"]
+    moved = next(v for v in range(witness[0] + 1, forged["graph_stats"]["n"]) if v not in witness)
+    forged["checks"][0]["witness"] = sorted([moved, *witness[1:]])
+    path = tmp_path / "forged.json"
+    path.write_text(report_to_json(forged))
+    calls, holds = [], Stack.holds
+    monkeypatch.setattr(Stack, "holds", staticmethod(lambda masks, mode: calls.append(mode) or holds(masks, mode)))
+    built = solve_module.prefix.cache_info().misses
+    with pytest.raises(ValueError, match=r"checks\[0\]\.witness\[0\] differs"):
+        load_report(path)
+    assert calls == ["clique"] and solve_module.prefix.cache_info().misses == built
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sfcheck
-from sfcheck import solve, verify
+from sfcheck import verify
 from sfcheck.construct import DEFAULT_PROFILE, build_F, build_SF
 from sfcheck.graphs import complement, complete, cycle, empty, random_graph
 from sfcheck.report import run_verification, verify_report
@@ -27,7 +27,7 @@ from sfcheck.verify import (
     confirm_R3,
 )
 
-from oracles import reference_verdict
+from oracles import clear_memos, reference_verdict
 
 GENERAL = DEFAULT_PROFILE.replace(base_case="general")
 TENSOR = GENERAL.replace(prod="tensor")
@@ -91,7 +91,7 @@ class TestTheorem12:
 
     def test_deterministic_reruns(self):
         a = check_theorem_1_2(Stack("SF", 4, DEFAULT_PROFILE))
-        solve.stage.cache_clear()
+        clear_memos()
         b = check_theorem_1_2(Stack("SF", 4, DEFAULT_PROFILE))
         assert a == b
 
