@@ -20,7 +20,7 @@ from sfcheck.construct import DEFAULT_PROFILE, InterpretationProfile, build_F, b
 from sfcheck.formats import encode_dimacs, encode_graph6
 from sfcheck.graphs import complement, random_graph
 from sfcheck.report import require_rebuildable, run_verification, write_report
-from sfcheck.solve import ORACLE_MAX_N, max_clique, max_independent_set, oracle_max_clique, prefix, stage
+from sfcheck.solve import ORACLE_MAX_N, _chains, max_clique, max_independent_set, oracle_max_clique, stage
 from sfcheck.verify import CLAIMS
 
 _SUM_FLAGS = {"union": "disjoint_union", "join": "join"}
@@ -90,6 +90,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if report["checks"][0]["status"] == "REFUTED" else 0
 
 
+def _built() -> tuple[int, int, int]:
+    """Stages built, stage memo hits and prefixes built in this process."""
+    return stage.cache_info().misses, stage.cache_info().hits, sum(map(len, _chains.values()))
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     # Each claim's largest target has parameter t-max, so this one check
     # refuses, before any job runs, a sweep that no loader would rebuild.
@@ -102,7 +107,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for r in range(min_r, args.t_max - shift + 1)
     ]
     os.makedirs(args.report_dir, exist_ok=True)
-    refuted, started, before = False, time.perf_counter(), [memo.cache_info() for memo in (stage, prefix)]
+    refuted, started, before = False, time.perf_counter(), _built()
     # Each report is written as its job finishes, so a failed job keeps
     # the reports of the jobs before it.
     for theorem, r in jobs:
@@ -110,9 +115,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         write_report(os.path.join(args.report_dir, f"t{theorem.replace('.', '')}_r{r}.json"), report)
         print(_check_summary(report))
         refuted = refuted or report["checks"][0]["status"] == "REFUTED"
-    seconds, after = time.perf_counter() - started, [memo.cache_info() for memo in (stage, prefix)]
-    counts = [f"{a.misses - b.misses} built, {a.hits - b.hits} hits" for a, b in zip(after, before)]
-    print(f"sweep: {len(jobs)} reports -> {args.report_dir} in {seconds:.2f} s; stage memo: {counts[0]}; prefix memo: {counts[1]}")
+    seconds = time.perf_counter() - started
+    stages, hits, prefixes = (a - b for a, b in zip(_built(), before))
+    print(f"sweep: {len(jobs)} reports -> {args.report_dir} in {seconds:.2f} s; stage memo: {stages} built, {hits} hits; prefixes: {prefixes} built")
     return 1 if refuted else 0
 
 

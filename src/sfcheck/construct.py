@@ -7,8 +7,8 @@ cross edges that join exactly the opposite-parity label pairs.  SF(t)
 chains stages 3..t, again joining opposite-parity pairs across stages.
 That layout is ``solve.Stack``'s; a dense build is its graph and labels.
 
-Verification builds neither F(r) nor SF(t) whole: ``solve.Stack`` holds
-its stages, of which the stage memo keeps one block each, from
+Verification builds neither F(r) nor SF(t) whole: ``solve.Stack`` is
+its prefix, whose stages keep their answers, found from one block of
 ``build_block``: the base path, or one copy of the G side, which is r-1
 disjoint copies.  The H side and the rule between parts follow by
 definition, so n, m and the label counts come in closed form.

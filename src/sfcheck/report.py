@@ -4,7 +4,7 @@ Reports are plain dicts with a mandatory schema_version.  Serialization is
 canonical (sorted keys, fixed separators), so two runs over the same target
 and profile produce byte-identical files except for the timestamps block.
 A report loads only if its job re-runs to it: the loader re-runs the
-check on the target's stages, rebuilt through the stage memo,
+check on the target's prefix, whose stages keep their answers,
 re-assembles the report through ``make_report``, witness included, and
 names each field that differs, apart from ``timestamps`` and
 ``generated_by``.  Both routes check the target once, by its parameter,
@@ -41,10 +41,10 @@ def _now() -> str:
 
 # The largest stage parameter the stage route takes: ``require_rebuildable``
 # refuses, unbuilt, F(r) and SF(t) above it, in ``run_verification`` and in
-# the loader alike.  Each stage keeps one r-vertex block, so the route's
-# cost is not what limits t: the cap bounds the stages a report can name,
-# and so the loader's re-run, and the witness a report stores, which grows
-# as t^2 vertices under prod="tensor" (SF(100)'s clique has 9900).
+# the loader alike.  Each stage keeps its answers, not its block, so the
+# route's cost is not what limits t: the cap bounds the memos and the
+# stages a report can name, and so the loader's re-run, and the witness
+# a report stores: t^2 vertices under prod="tensor", 9900 in SF(100)'s.
 MAX_T = 100
 
 
@@ -209,8 +209,8 @@ def run_verification(
     r: int,
     profile: InterpretationProfile = DEFAULT_PROFILE,
 ) -> dict:
-    """Build the claim's target as a stack of memoized stages, run the check
-    of its kind on it, and assemble the full report.  The theorem and r are
+    """Build the claim's target as a stack, its prefix, run the check of
+    its kind on it, and assemble the full report.  The theorem and r are
     checked, and the target by ``require_rebuildable``, the loader's own
     check, before anything is built: a float r is refused, memo or not.
     """

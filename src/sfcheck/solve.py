@@ -69,9 +69,9 @@ stage side is one under every profile (r-1 disjoint copies of K_a +
 K_(r-a) or of K_r, or edgeless, and their complement); only the
 six-vertex base path and its complement are prime.
 
-The stage memo, ``stage``, of MEMO_SIZE entries keyed on (r, profile) as
-``_stage_profiles`` reads it, keeps each stage's answers.  It splits one
-block of F(r)'s first part,
+The stage memo, ``stage``, keyed on (r, profile) as ``_stage_profiles``
+reads it, by the block the stage reads, keeps each stage's answers and
+evicts none.  It splits one block of F(r)'s first part,
 ``construct.build_block``'s base path (k = 1 copy) or one copy of the G
 side, ``product(empty(1), G_z, prod)``: a product joins two copies only
 through an edge of ``empty(r - 1)``, so the G side is k = r-1 disjoint
@@ -89,8 +89,8 @@ exchanged.  With h = |G| and c1, c2 G's label counts, m(F(r)) = h(h-1)/2
 + c1^2 + c2^2; the base path's m is its block's.
 
 Each formula is a max or a sum over parts, so SF(t) follows from SF(t - 1)
-and stage t in O(1): the prefix memo, ``prefix``, keeps SF(t) as a
-``Prefix`` of SF(t - 1)'s.  n, the label counts and node sums add; m adds
+and stage t in O(1): ``prefix`` keeps SF(t) as a ``Prefix`` of SF(t - 1)'s
+in its stage family's list.  n, the label counts and node sums add; m adds
 stage t's m and c1 d2 + c2 d1 cross edges (c1, c2 SF(t - 1)'s label
 counts, d1, d2 stage t's); per mode the best whole part, the best two
 label-1 and two label-2 optima and the label-class sums take in stage
@@ -111,11 +111,10 @@ from __future__ import annotations
 
 import re
 from collections.abc import Mapping
-from functools import lru_cache, reduce
+from functools import cache, reduce
 from operator import itemgetter, or_
 from types import SimpleNamespace
 from typing import NamedTuple
-from weakref import WeakValueDictionary
 
 from sfcheck.construct import (
     DEFAULT_PROFILE,
@@ -127,10 +126,6 @@ from sfcheck.construct import (
 from sfcheck.graphs import Graph, as_vertex_set, complement, empty, induced, product
 
 ORACLE_MAX_N = 24
-
-# Entries each memo keeps.  An in-process sweep to t-max 100, the largest a
-# report loader accepts, keys 98 stages under one profile.
-MEMO_SIZE = 512
 
 
 class CliqueResult(NamedTuple):
@@ -450,20 +445,21 @@ class Stage:
             self.optima[mode] = sum(map(sum, nodes)), sum(sum(part[1:]) for part in nodes), sizes, masks
 
 
-@lru_cache(maxsize=MEMO_SIZE)
+@cache
 def stage(r: int, profile: InterpretationProfile) -> Stage:
     """F(r) under ``profile`` as one block of its first part, built once."""
     block, labels, paired = build_block(r, profile)
     return Stage(product(empty(1), block, profile.prod), labels, r - 1, True) if paired else Stage(block, labels, 1, False)
 
 
-@lru_cache(maxsize=MEMO_SIZE)
+@cache
 def _stage_profiles(profile: InterpretationProfile) -> tuple[InterpretationProfile, InterpretationProfile]:
     """The profiles under which ``profile``'s stage 3 and its later stages
-    are memoized: stages after the third read only sum and prod, the
-    general stage 3 ignores y_label, and the base path reads y_label
-    alone."""
-    rest = DEFAULT_PROFILE.replace(sum=profile.sum, prod=profile.prod)
+    are memoized, by the block each reads: the base path reads y_label
+    alone, the general stage 3 ignores it, and a later stage's block,
+    ``product(empty(1), G_z, prod)``, is G_z under cartesian as under
+    lexicographic, and edgeless under tensor whatever the sum."""
+    rest = DEFAULT_PROFILE.replace(prod="tensor") if profile.prod == "tensor" else DEFAULT_PROFILE.replace(sum=profile.sum)
     path = profile.base_case == "explicit_path"
     return DEFAULT_PROFILE.replace(y_label=profile.y_label) if path else rest.replace(base_case="general"), rest
 
@@ -524,27 +520,22 @@ class Prefix:
 _EMPTY = SimpleNamespace(n=0, m=0, label_counts={1: 0, 2: 0}, parts=None, optima=dict.fromkeys(("clique", "independent"), (0, 0, _NONE, (_NONE,) * 2, (_NONE,) * 2, (0, 0))))
 
 
-_held: WeakValueDictionary = WeakValueDictionary()  # each Prefix still held, by its prefix memo key
+_chains: dict[tuple[InterpretationProfile, InterpretationProfile], list[Prefix]] = {}  # per stage family, [SF(3), SF(4), ...]
 
 
-@lru_cache(maxsize=MEMO_SIZE)
 def prefix(t: int, base: InterpretationProfile, rest: InterpretationProfile) -> Prefix:
-    """SF(t) as a Prefix, keyed on t and ``_stage_profiles``' two keys.  A
-    miss memoizes one stage at a time from the highest prefix still held,
-    each a miss whose prefix is held, so no call nests deeper."""
-    u = t - 1
-    while u > 2 and (u, base, rest) not in _held:
-        u -= 1
-    for u in range(u + 1, t):
-        prefix(u, base, rest)
-    entry = _held[t, base, rest] = Prefix(_held.get((t - 1, base, rest)), stage(t, base if t == 3 else rest))
-    return entry
+    """SF(t) as a Prefix, from the list of ``_stage_profiles``' two keys,
+    grown in order, one stage at a time, up to SF(t): no recursion."""
+    chain = _chains.setdefault((base, rest), [])
+    for u in range(len(chain) + 3, t + 1):
+        chain.append(Prefix(chain[-1] if chain else None, stage(u, base if u == 3 else rest)))
+    return chain[t - 3]
 
 
 class Stack:
     """F(param) or SF(param) under ``profile`` (kept as ``kind``, ``param``
     and ``profile``) as a Prefix, ``prefix``, and its n, m and label
-    counts: SF(t) from the prefix memo, F(r) as one stage.  The builders'
+    counts: SF(t) from its stage family's list, F(r) as one stage.  The builders'
     ValueError on another kind or a parameter below 3; no dense graph."""
 
     def __init__(self, kind: str, param: int, profile: InterpretationProfile) -> None:

@@ -11,9 +11,9 @@ r+1 vertices.
 Each claim's rules are written once.  ``CLAIMS`` gives its smallest r and
 the target it is checked on; its check states its claimed value, status
 and witness mode from r and the computed sizes.  A check reads r and the
-profile from its one argument, a stack of memoized stages that
-``report.run_verification`` builds, and refuses only the other claim's
-kind; ``report.verify_report`` re-runs it and re-assembles the report.
+profile from its one argument, a stack, its prefix of answered stages,
+that ``report.run_verification`` builds, and refuses only the other
+claim's kind; ``report.verify_report`` re-runs it, re-assembling the report.
 ``bound_report_from_counts`` turns T1.2's omega and alpha into the
 Ramsey implication R(t) > n of SF(t), t = r+1.  The one diagonal Ramsey
 value small enough to re-derive at desk scale, R(3) = 6, is established

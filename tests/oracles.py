@@ -510,12 +510,17 @@ def stack_labels(stack) -> list[int]:
 
 
 def clear_memos() -> None:
-    """Empty the stage memo and the prefix memo, whose entries hold the
-    stage memo's stages, and forget every prefix still held elsewhere, so
-    that the next job builds both afresh."""
+    """Empty the stage memo and each stage family's list of prefixes,
+    whose prefixes hold the stage memo's stages, so that the next job
+    builds both afresh."""
     solve.stage.cache_clear()
-    solve.prefix.cache_clear()
-    solve._held.clear()
+    solve._chains.clear()
+
+
+def prefixes_built() -> int:
+    """The prefixes built since the memos were last emptied: the lengths of
+    every stage family's list."""
+    return sum(map(len, solve._chains.values()))
 
 
 def listed_members(masks, mode: str) -> tuple[int, ...]:

@@ -174,7 +174,7 @@ class TestSweep:
         main(["sweep", "--t-max", "12", "--report-dir", str(tmp_path)])
         last = capsys.readouterr().out.splitlines()[-1]
         pattern = (rf"sweep: 20 reports -> {re.escape(str(tmp_path))} in \d+\.\d\d s; "
-                   r"stage memo: 10 built, 10 hits; prefix memo: 10 built, 0 hits")
+                   r"stage memo: 10 built, 10 hits; prefixes: 10 built")
         assert re.fullmatch(pattern, last), last
 
 

@@ -9,6 +9,7 @@ the same sizes, witnesses and node counts.  Branch and bound
 (``max_clique``) checks the sizes.
 """
 
+import gc
 import random
 from functools import reduce
 
@@ -16,20 +17,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sfcheck import solve
+from sfcheck import report, solve
 from sfcheck.construct import DEFAULT_PROFILE, LABELS, InterpretationProfile, build_F, label_masks
 from sfcheck.graphs import Graph, combine, complement, induced, random_graph
 from sfcheck.report import run_verification
 from sfcheck.solve import (
-    MEMO_SIZE,
     Stack,
     _split_clique,
     max_clique,
     max_independent_set,
     stage_solve,
 )
+from sfcheck.verify import CLAIMS
 
-from oracles import all_profiles, class_split, clear_memos, max_mono_clique, stack_stages
+from oracles import all_profiles, class_split, clear_memos, max_mono_clique, prefixes_built, stack_stages
 
 VERTEX = Graph(1, (0,))
 MODES = ("clique", "independent")
@@ -193,17 +194,37 @@ def test_no_part_complement_is_built(monkeypatch):
     clear_memos()
 
 
+def job_list(t_max, profile):
+    """Every job of ``sfcheck sweep --t-max t_max`` under ``profile``, run."""
+    for theorem, (min_r, _, shift) in CLAIMS.items():
+        for r in range(min_r, t_max - shift + 1):
+            run_verification(theorem, r, profile)
+
+
 def test_memos_stay_bounded():
-    """The stage memo and the prefix memo, the memos of solved results,
-    drop their least recently used entries once past MEMO_SIZE: the six
-    sum and prod readings of SF(3..90) key 528 stages and 528 prefixes."""
+    """The memos evict nothing, and their keys bound them: the 24 profiles'
+    job lists to t = 30 read three block families after stage 3, so they
+    build 3 * 27 later stages, two base paths and three general stages 3,
+    and 9 lists (base-path y_label or general, by family) of 28 prefixes."""
     clear_memos()
     for profile in all_profiles():
-        if profile.base_case == "general" and profile.y_label == 2:
-            solve.prefix(90, *solve._stage_profiles(profile))
-    for memo in (solve.stage, solve.prefix):
-        info = memo.cache_info()
-        assert info.maxsize == MEMO_SIZE and info.currsize <= MEMO_SIZE < info.misses == 528
+        job_list(30, profile)
+    assert (solve.stage.cache_info().misses, prefixes_built()) == (86, 252)
+    clear_memos()
+
+
+def test_a_job_list_past_the_old_bound_builds_each_stage_once(monkeypatch):
+    """With ``report.MAX_T`` at 600, the default job list builds each of
+    stages 3..600 once and each of the prefixes SF(3..600) once, and
+    leaves one live Stage per stage."""
+    monkeypatch.setattr(report, "MAX_T", 600)
+    clear_memos()
+    gc.collect()
+    before = sum(isinstance(o, solve.Stage) for o in gc.get_objects())
+    job_list(600, DEFAULT_PROFILE)
+    gc.collect()
+    alive = sum(isinstance(o, solve.Stage) for o in gc.get_objects()) - before
+    assert (solve.stage.cache_info().misses, prefixes_built(), alive) == (598, 598, 598)
     clear_memos()
 
 

@@ -44,6 +44,7 @@ from oracles import (
     label_counts,
     max_mono_clique,
     pairwise_composition,
+    prefixes_built,
     layout_cuts,
     listed_members,
     reference_stage_solve,
@@ -469,7 +470,7 @@ def test_a_job_list_reads_each_stage_once_per_job(profile):
             before = solve_module.stage.cache_info().hits
             run_verification(theorem, r, profile)
             hits.append(solve_module.stage.cache_info().hits - before)
-    assert solve_module.stage.cache_info().misses == solve_module.prefix.cache_info().misses == 58
+    assert solve_module.stage.cache_info().misses == prefixes_built() == 58
     assert max(hits) == 1
 
 
@@ -494,6 +495,20 @@ def test_check_lists_only_the_witness_it_stores(monkeypatch):
             assert tc.witness == pairwise_composition(stack_parts(stack), optima[tc.witness_mode], tc.witness_mode), (profile, t)
             refuted_by_clique += tc.status == "REFUTED" and tc.witness_mode == "clique"
     assert refuted_by_clique
+
+
+def test_each_profile_reads_the_stage_of_its_block():
+    """F(r)'s stage under a profile's own reading equals the stage under
+    its ``_stage_profiles`` key, which reads cartesian as lexicographic and
+    tensor under either sum as under disjoint_union: the same block.  So
+    the 24 profiles key three families of stages after the third."""
+    fields = ("block_n", "k", "parts", "n", "m", "label_counts", "optima")
+    for profile in all_profiles():
+        base, rest = solve_module._stage_profiles(profile)
+        for r in range(3, 41):
+            own, keyed = solve_module.stage.__wrapped__(r, profile), solve_module.stage(r, base if r == 3 else rest)
+            assert [getattr(own, f) for f in fields] == [getattr(keyed, f) for f in fields], (profile, r)
+    assert len({solve_module._stage_profiles(profile)[1] for profile in all_profiles()}) == 3
 
 
 def test_profiles_that_differ_only_in_base_case_share_every_stage_after_the_third():
@@ -539,8 +554,8 @@ def test_reports_do_not_depend_on_what_ran_before(tmp_path):
     """One report, from ``verify`` in a fresh process (no memo) and from a
     sweep (memo filled by the jobs before it).  And T1.2 reports for
     r = 2..19 under four profiles, run in ascending order, in descending
-    order from empty memos, and with the prefix memo emptied before each
-    job."""
+    order from empty memos, and with every list of prefixes emptied before
+    each job."""
     src = os.path.dirname(os.path.dirname(sfcheck.__file__))
     alone = tmp_path / "alone.json"
     subprocess.run(
@@ -558,7 +573,7 @@ def test_reports_do_not_depend_on_what_ran_before(tmp_path):
         texts = {}
         for r in rs:
             if cold:
-                solve_module.prefix.cache_clear()
+                solve_module._chains.clear()
             texts[r] = report_to_json(strip_volatile(run_verification("1.2", r, profile)))
         return texts
 
@@ -577,11 +592,11 @@ def test_a_cold_load_builds_only_its_own_stages_and_prefixes(tmp_path):
     write_report(path, run_verification("1.2", 19))
     clear_memos()
     load_report(path)
-    assert (solve_module.stage.cache_info().misses, solve_module.prefix.cache_info().misses) == (18, 18)
+    assert (solve_module.stage.cache_info().misses, prefixes_built()) == (18, 18)
 
 
 def test_a_warm_load_still_checks_the_stored_witness(tmp_path, monkeypatch):
-    """With the prefix memo warm, so that the load composes nothing, the
+    """With SF(20)'s prefix built, so that the load composes nothing, the
     re-run still passes the stored witness through ``Stack.holds`` (in
     ``Stack.members``), and a report with one witness vertex moved does
     not load."""
@@ -594,10 +609,10 @@ def test_a_warm_load_still_checks_the_stored_witness(tmp_path, monkeypatch):
     path.write_text(report_to_json(forged))
     calls, holds = [], Stack.holds
     monkeypatch.setattr(Stack, "holds", staticmethod(lambda masks, mode: calls.append(mode) or holds(masks, mode)))
-    built = solve_module.prefix.cache_info().misses
+    built = prefixes_built()
     with pytest.raises(ValueError, match=r"checks\[0\]\.witness\[0\] differs"):
         load_report(path)
-    assert calls == ["clique"] and solve_module.prefix.cache_info().misses == built
+    assert calls == ["clique"] and prefixes_built() == built
 
 
 @pytest.mark.parametrize(
