@@ -1,26 +1,24 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 when a REFUTED verdict (or an oracle disagreement)
-is present, 2 on usage or build errors, 3 on an internal error (any other
-exception, such as a failed witness re-check, RecursionError or
-MemoryError), so a crash never reads as a refutation.  ``sweep`` runs its
-jobs in order in one process, writes each report as its job finishes, and
-ends with its wall time and each memo's builds and hits over the sweep.
+Exit codes: 0 success, 1 when a REFUTED verdict is present, 2 on usage or
+build errors, 3 on an internal error (any other exception, such as a
+failed witness re-check, RecursionError or MemoryError), so a crash never
+reads as a refutation.  ``sweep`` runs its jobs in order in one process,
+writes each report as its job finishes, and ends with its wall time and
+each memo's builds and hits; once stdout's reader has gone it runs on silent.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-import random
 import sys
 import time
 
 from sfcheck.construct import DEFAULT_PROFILE, InterpretationProfile, build_F, build_SF
 from sfcheck.formats import encode_dimacs, encode_graph6
-from sfcheck.graphs import complement, random_graph
 from sfcheck.report import require_rebuildable, run_verification, write_report
-from sfcheck.solve import ORACLE_MAX_N, _chains, max_clique, max_independent_set, oracle_max_clique, stage
+from sfcheck.solve import _chains, stage
 from sfcheck.verify import CLAIMS
 
 _SUM_FLAGS = {"union": "disjoint_union", "join": "join"}
@@ -95,6 +93,15 @@ def _built() -> tuple[int, int, int]:
     return stage.cache_info().misses, stage.cache_info().hits, sum(map(len, _chains.values()))
 
 
+def _say(line: str) -> None:
+    """Print ``line``; once stdout's reader has gone, send all later output nowhere."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     # Each claim's largest target has parameter t-max, so this one check
     # refuses, before any job runs, a sweep that no loader would rebuild.
@@ -113,48 +120,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for theorem, r in jobs:
         report = run_verification(theorem, r, profile)
         write_report(os.path.join(args.report_dir, f"t{theorem.replace('.', '')}_r{r}.json"), report)
-        print(_check_summary(report))
+        _say(_check_summary(report))
         refuted = refuted or report["checks"][0]["status"] == "REFUTED"
     seconds = time.perf_counter() - started
     stages, hits, prefixes = (a - b for a, b in zip(_built(), before))
-    print(f"sweep: {len(jobs)} reports -> {args.report_dir} in {seconds:.2f} s; stage memo: {stages} built, {hits} hits; prefixes: {prefixes} built")
+    _say(f"sweep: {len(jobs)} reports -> {args.report_dir} in {seconds:.2f} s; stage memo: {stages} built, {hits} hits; prefixes: {prefixes} built")
     return 1 if refuted else 0
-
-
-def _cmd_oracle_check(args: argparse.Namespace) -> int:
-    if args.trials < 1:
-        print("error: --trials must be >= 1", file=sys.stderr)
-        return 2
-    if args.max_n < 1:
-        print("error: --max-n must be >= 1", file=sys.stderr)
-        return 2
-    if args.max_n > ORACLE_MAX_N:
-        print(f"error: --max-n above the oracle cap of {ORACLE_MAX_N}", file=sys.stderr)
-        return 2
-    rng = random.Random(args.seed)
-    densities = (0.2, 0.5, 0.8)
-    failures = 0
-    for trial in range(args.trials):
-        density = densities[trial % len(densities)]
-        n = rng.randint(1, args.max_n)
-        g = random_graph(n, density, rng)
-        solver_omega = max_clique(g).size
-        oracle_omega = oracle_max_clique(g)
-        solver_alpha = max_independent_set(g).size
-        oracle_alpha = oracle_max_clique(complement(g))
-        if solver_omega != oracle_omega or solver_alpha != oracle_alpha:
-            failures += 1
-            print(
-                f"disagreement on trial {trial} (n={n}, density={density}): "
-                f"clique {solver_omega} vs {oracle_omega}, "
-                f"independent {solver_alpha} vs {oracle_alpha}: {encode_graph6(g)}",
-                file=sys.stderr,
-            )
-    print(
-        f"oracle-check: {args.trials - failures}/{args.trials} agreements "
-        f"(max n {args.max_n}, densities {densities}, seed {args.seed})"
-    )
-    return 0 if failures == 0 else 1
 
 
 def _make_parser() -> argparse.ArgumentParser:
@@ -185,12 +156,6 @@ def _make_parser() -> argparse.ArgumentParser:
     _add_profile_args(p_sweep)
     p_sweep.add_argument("--report-dir", dest="report_dir", required=True)
     p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_oracle = sub.add_parser("oracle-check", help="cross-check the solver against the enumeration oracle")
-    p_oracle.add_argument("--trials", type=int, default=200)
-    p_oracle.add_argument("--max-n", dest="max_n", type=int, default=12)
-    p_oracle.add_argument("--seed", type=int, default=7)
-    p_oracle.set_defaults(func=_cmd_oracle_check)
 
     return parser
 

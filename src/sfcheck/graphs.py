@@ -8,8 +8,8 @@ for products).
 ``Graph.problems()`` is the one check of the range, loop and symmetry
 invariants.  ``Graph.__post_init__`` raises its first problem; it runs at
 the trust boundary: ``Graph(...)``, ``replace`` and unpickling (``Checked``),
-``Graph.from_edges`` (hence ``path`` and ``cycle``), ``random_graph`` and
-``formats.decode_graph6``.
+``Graph.from_edges`` (hence ``path`` and ``cycle``), ``random_graph`` (which
+only tests and the benchmark call) and ``formats.decode_graph6``.
 The check runs in full at that boundary, on whole big ints: the range by
 the least and greatest row, then the rows are packed into one int
 (``_packed``), loops are one AND with the diagonal, and symmetry is the
@@ -20,7 +20,8 @@ per-bit walk runs only on a graph that fails, to name its violations.
 The algebra below (``complement``, ``combine``, ``product``, ``induced``,
 ``complete`` and ``empty``) and the builders in ``construct`` derive
 rows from graphs that already satisfy the invariants, so they wrap their
-output with the unchecked ``Graph._trusted``.
+output with the unchecked ``Graph._trusted``; ``product`` refuses a left
+factor with an edge, which no build passes.
 ``test_operations_preserve_invariants`` and ``test_builds_preserve_invariants``
 in ``tests/test_graphs.py`` re-run the full check on every trusted path,
 the builds under all 24 profiles included.
@@ -307,32 +308,16 @@ def combine(a: Graph, b: Graph, op: str) -> Graph:
 
 
 def product(a: Graph, b: Graph, kind: str) -> Graph:
-    """Cartesian, tensor, or lexicographic product; (i, j) -> i*b.n + j."""
+    """The product of an edgeless ``a`` with ``b``; (i, j) -> i*b.n + j: a.n
+    shifted copies of b under cartesian and lexicographic, which join two
+    copies only through an edge of ``a``, and a.n*b.n isolated vertices
+    under tensor.  A left factor with an edge raises ValueError."""
     if kind not in PRODUCT_KINDS:
         raise ValueError(f"unknown product kind {kind!r}")
-
-    def spread(arow: int, mask: int) -> int:
-        """``mask`` placed in the block of every vertex set in ``arow``."""
-        out = 0
-        while arow:
-            i2 = (arow & -arow).bit_length() - 1
-            arow &= arow - 1
-            out |= mask << (i2 * b.n)
-        return out
-
-    rows = []
-    for i in range(a.n):
-        arow = a.rows[i]
-        blocks = spread(arow, (1 << b.n) - 1) if kind == "lexicographic" else 0
-        for j in range(b.n):
-            own = b.rows[j] << (i * b.n)
-            if kind == "cartesian":
-                rows.append(own | spread(arow, 1 << j))
-            elif kind == "tensor":
-                rows.append(spread(arow, b.rows[j]))
-            else:
-                rows.append(own | blocks)
-    return Graph._trusted(a.n * b.n, tuple(rows))
+    if any(a.rows):
+        raise ValueError("product takes an edgeless left factor")
+    rows = (0,) * b.n if kind == "tensor" else b.rows
+    return Graph._trusted(a.n * b.n, tuple(row << (i * b.n) for i in range(a.n) for row in rows))
 
 
 def induced(g: Graph, members: Iterable[int]) -> Graph:

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import sfcheck
-from sfcheck import cli, solve
+from sfcheck import cli
 from sfcheck.cli import main
 from sfcheck.formats import decode_graph6
 from sfcheck.graphs import path
@@ -177,6 +177,28 @@ class TestSweep:
                    r"stage memo: 10 built, 10 hits; prefixes: 10 built")
         assert re.fullmatch(pattern, last), last
 
+    def test_sweep_runs_on_after_its_reader_closes_the_pipe(self, tmp_path):
+        # As `sfcheck sweep --t-max 40 ... | head -1`: the reader takes one
+        # line and closes the pipe, and unbuffered, each later line meets the
+        # closed pipe.  The sweep still writes every report, prints nothing
+        # more, not even an error, and exits by its verdicts.
+        src = os.path.dirname(os.path.dirname(sfcheck.__file__))
+        argv = ["sweep", "--t-max", "40", "--report-dir", str(tmp_path)]
+        sweep = subprocess.Popen(
+            [sys.executable, "-u", "-m", "sfcheck.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=src),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert sweep.stdout.readline().startswith(b"T1_1 r=3 on F(3)")
+        sweep.stdout.close()
+        assert sweep.stderr.read() == b""
+        assert sweep.wait() == 1
+        paths = sorted(tmp_path.glob("*.json"))
+        assert len(paths) == 76
+        for path in paths:
+            load_report(path)
+
 
 class TestInternalError:
     @pytest.mark.parametrize(
@@ -200,34 +222,6 @@ class TestInternalError:
         monkeypatch.setattr("sfcheck.verify.stage_mono_clique", crash)
         assert main(["sweep", "--t-max", "3", "--report-dir", str(tmp_path)]) == 3
         assert "internal error: AssertionError" in capsys.readouterr().err
-
-
-class TestOracleCheck:
-    def test_quick_run_exit_0(self, capsys):
-        code = main(["oracle-check", "--trials", "30", "--max-n", "10", "--seed", "7"])
-        assert code == 0
-        assert "30/30 agreements" in capsys.readouterr().out
-
-    def test_rejects_oversized_max_n(self, capsys):
-        assert main(["oracle-check", "--trials", "1", "--max-n", "30", "--seed", "1"]) == 2
-
-    def test_max_n_is_capped_at_the_oracle_cap(self, capsys):
-        cap = solve.ORACLE_MAX_N
-        assert main(["oracle-check", "--trials", "1", "--max-n", str(cap + 1)]) == 2
-        assert capsys.readouterr().err == f"error: --max-n above the oracle cap of {cap}\n"
-        assert main(["oracle-check", "--trials", "1", "--max-n", str(cap)]) == 0
-
-    @pytest.mark.parametrize("trials", ["0", "-5"])
-    def test_rejects_trials_below_one(self, capsys, trials):
-        assert main(["oracle-check", "--trials", trials]) == 2
-        captured = capsys.readouterr()
-        assert "--trials must be >= 1" in captured.err
-        assert "agreements" not in captured.out
-
-    @pytest.mark.parametrize("max_n", ["0", "-1"])
-    def test_rejects_max_n_below_one(self, capsys, max_n):
-        assert main(["oracle-check", "--trials", "1", "--max-n", max_n]) == 2
-        assert "--max-n must be >= 1" in capsys.readouterr().err
 
 
 def test_runtime_loads_only_the_standard_library():

