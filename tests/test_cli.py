@@ -200,6 +200,22 @@ class TestSweep:
             load_report(path)
 
 
+class TestCommands:
+    def test_help_lists_build_verify_and_sweep(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["--help"])
+        assert err.value.code == 0
+        assert re.search(r"\{build,verify,sweep\}", capsys.readouterr().out)
+
+    def test_oracle_check_is_not_a_command(self, capsys):
+        # The solver's check against the enumeration oracle runs in
+        # tests/test_solvers.py::TestSolverAgainstOracle, not on the command line.
+        with pytest.raises(SystemExit) as err:
+            main(["oracle-check", "--trials", "1"])
+        assert err.value.code == 2
+        assert "invalid choice: 'oracle-check'" in capsys.readouterr().err
+
+
 class TestInternalError:
     @pytest.mark.parametrize(
         "exc", [AssertionError("witness failed"), RecursionError("too deep"), MemoryError()]

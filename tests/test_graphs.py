@@ -225,6 +225,22 @@ class TestProduct:
         with pytest.raises(ValueError, match="edgeless left factor"):
             product(path(2), complete(2), kind)
 
+    @pytest.mark.parametrize("kind", PRODUCT_KINDS)
+    def test_edgeless_left_factor_gives_copies_or_isolated_vertices(self, kind):
+        # The identity the stage memo keys on: empty(k) x G is k disjoint
+        # copies of G under lexicographic and cartesian, and edgeless under tensor.
+        rng = random.Random(12)
+        for _ in range(12):
+            k = rng.randint(0, 4)
+            b = random_graph(rng.randint(0, 5), 0.5, rng)
+            if kind == "tensor":
+                expected = empty(k * b.n)
+            else:
+                expected = empty(0)
+                for _ in range(k):
+                    expected = combine(expected, b, "disjoint_union")
+            assert product(empty(k), b, kind) == expected
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             product(empty(2), empty(2), "strong")
