@@ -5,7 +5,8 @@ build errors, 3 on an internal error (any other exception, such as a
 failed witness re-check, RecursionError or MemoryError), so a crash never
 reads as a refutation.  ``sweep`` runs its jobs in order in one process,
 writes each report as its job finishes, and ends with its wall time and
-each memo's builds and hits; once stdout's reader has gone it runs on silent.
+each memo's builds and hits.  Once stdout's reader has gone, every command
+runs on silent and exits as it would have.
 """
 
 from __future__ import annotations
@@ -60,6 +61,15 @@ def _check_summary(report: dict) -> str:
     )
 
 
+def _say(line: str) -> None:
+    """Print ``line``; once stdout's reader has gone, send all later output nowhere."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+
+
 # The largest SF that ``build`` exports whole: SF(31) has 19830 vertices and SF(32) 21814.
 MAX_EXPORT_T = 31
 
@@ -73,7 +83,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
     text = encode_graph6(g) + "\n" if args.format == "graph6" else encode_dimacs(g)
     with open(args.out, "w") as fh:
         fh.write(text)
-    print(f"{args.kind}({args.param}): n={g.n} m={g.m} -> {args.out} [{args.format}]")
+    _say(f"{args.kind}({args.param}): n={g.n} m={g.m} -> {args.out} [{args.format}]")
     return 0
 
 
@@ -81,25 +91,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     profile = _profile_from_args(args)
     report = run_verification(args.theorem, args.r, profile)
     write_report(args.report, report)
-    print(_check_summary(report))
+    _say(_check_summary(report))
     if report["bound"] is not None:
         bound = report["bound"]
-        print(f"bound: witness_ok={bound['witness_ok']} implied={bound['implied']!r}")
+        _say(f"bound: witness_ok={bound['witness_ok']} implied={bound['implied']!r}")
     return 1 if report["checks"][0]["status"] == "REFUTED" else 0
 
 
 def _built() -> tuple[int, int, int]:
     """Stages built, stage memo hits and prefixes built in this process."""
     return stage.cache_info().misses, stage.cache_info().hits, sum(map(len, _chains.values()))
-
-
-def _say(line: str) -> None:
-    """Print ``line``; once stdout's reader has gone, send all later output nowhere."""
-    try:
-        print(line, flush=True)
-    except BrokenPipeError:
-        with open(os.devnull, "w") as devnull:
-            os.dup2(devnull.fileno(), sys.stdout.fileno())
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

@@ -15,10 +15,14 @@ and reverses the bits of each byte, so that triangle bit p is bit p of
 one little-endian int.  Column j, row j's neighbors below j, is then read
 from the few bytes that hold it; row j's neighbors above j are column j
 of that lower triangle, so the rows are the lower rows OR their transpose
-(``graphs.transpose_rows``).  Base-2 ``int`` and ``format`` are exempt
-from the int string-digit limit.  DIMACS turns each row's bits above the
-diagonal into a flag string and joins the vertex numbers it selects with
-``itertools.compress``.
+(``graphs.transpose_rows``).  Decode checks the text in full: its
+characters, size header, length and trailing data.  The rows need no
+check, so it wraps them with the unchecked ``Graph._trusted``: each lower
+row keeps only bits below its own index, so the rows are loop-free and in
+range, and a matrix OR its transpose is symmetric.  Base-2 ``int`` and
+``format`` are exempt from the int string-digit limit.  DIMACS turns each
+row's bits above the diagonal into a flag string and joins the vertex
+numbers it selects with ``itertools.compress``.
 """
 
 from __future__ import annotations
@@ -113,14 +117,12 @@ def decode_graph6(text: str) -> Graph:
     data += b"A" * (-len(data) % 4)  # 'A' is base64 zero
     triangle = binascii.a2b_base64(data)
     del body, raw, data  # the text's copies, about n²/4 bytes, before the rows are built
-    return Graph(n, _triangle_rows(triangle, n))
+    return Graph._trusted(n, _triangle_rows(triangle, n))
 
 
 def _triangle_rows(triangle: bytes, n: int) -> tuple[int, ...]:
     """The rows of the n-vertex graph whose upper triangle, column-major,
-    is the bit string of ``triangle``, trailing padding bits ignored.  It is a
-    function of its own so that the triangle and the lower rows are freed
-    before ``decode_graph6`` runs the ``Graph(n, rows)`` check."""
+    is the bit string of ``triangle``, trailing padding bits ignored."""
     # Triangle bit p, the p-th of the string, is bit p of ``bits`` read as
     # one little-endian int; column j is the j bits from p = j(j-1)/2.
     bits = triangle.translate(_REVERSED_BITS)

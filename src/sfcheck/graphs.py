@@ -6,17 +6,13 @@ its output vertex order deterministically (first operand first, copy-major
 for products).
 
 ``Graph.problems()`` is the one check of the range, loop and symmetry
-invariants.  ``Graph.__post_init__`` raises its first problem; it runs at
-the trust boundary: ``Graph(...)``, ``replace`` and unpickling (``Checked``),
-``Graph.from_edges`` (hence ``path`` and ``cycle``), ``random_graph`` (which
-only tests and the benchmark call) and ``formats.decode_graph6``.
-The check runs in full at that boundary, on whole big ints: the range by
-the least and greatest row, then the rows are packed into one int
-(``_packed``), loops are one AND with the diagonal, and symmetry is the
-packed matrix equal to its transpose (``_transpose_packed``: three delta
-swaps transpose every 8 x 8 tile at once, and one stride slice per row
-gathers its bytes; ``transpose_rows`` serves other callers).  The
-per-bit walk runs only on a graph that fails, to name its violations.
+invariants, a per-bit walk over every row.  ``Graph.__post_init__`` raises
+its first problem; it runs at the trust boundary: ``Graph(...)``,
+``replace`` and unpickling (``Checked``), ``Graph.from_edges`` (hence
+``path`` and ``cycle``) and ``random_graph`` (which only tests and the
+benchmark call).  No run of the stage route checks a graph but the
+six-vertex base path.  ``formats.decode_graph6`` checks its text in full
+and builds rows that are valid by construction, so it wraps them unchecked.
 The algebra below (``complement``, ``combine``, ``product``, ``induced``,
 ``complete`` and ``empty``) and the builders in ``construct`` derive
 rows from graphs that already satisfy the invariants, so they wrap their
@@ -31,7 +27,6 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
-from functools import lru_cache
 from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
@@ -65,8 +60,8 @@ class Graph(Checked, namedtuple("Graph", "n rows")):
 
     ``Graph(n, rows)`` raises ValueError with the first of ``problems()``:
     n must be an int and rows a tuple of n ints, symmetric, loop-free and
-    inside 0..n-1.  Only the package's own algebra and builders skip that
-    check, through ``_trusted`` (see the module docstring).
+    inside 0..n-1.  Only the package's own algebra, builders and graph6
+    decoder skip that check, through ``_trusted`` (see the module docstring).
     """
 
     __slots__ = ()
@@ -78,26 +73,15 @@ class Graph(Checked, namedtuple("Graph", "n rows")):
     def problems(self) -> Iterator[str]:
         """Every range, self-loop and asymmetry violation, row by row; never raises.
 
-        A whole-matrix check clears a valid graph in a few big-int
-        operations; the per-bit walk below runs only when it fails, to name
-        each violation in row order.  A ``shape_problem()`` (a count or row
-        that is not an int, rows not a tuple of n) is named alone, before
-        the rest.
+        One walk over each row's bits names each violation in row order.
+        A ``shape_problem()`` (a count or row that is not an int, rows not
+        a tuple of n) is named alone, before the rest.
         """
         shape = self.shape_problem()
         if shape:
             yield shape
             return
         n, rows = self.n, self.rows
-        if not rows:
-            return
-        # Range first: packing a negative row, or one of n // 8 + 1 bytes
-        # or more, would raise OverflowError.
-        if min(rows) >= 0 and not max(rows) >> n:
-            packed, width = _packed(rows)
-            loops = int.from_bytes(packed, "little") & (_kept_masks(width)[0] if width <= 32 else _diagonal(width))
-            if not loops and _transpose_packed(packed, width) == packed:
-                return
         full = (1 << n) - 1
         for i, row in enumerate(rows):
             if row & ~full:
@@ -167,17 +151,9 @@ class Graph(Checked, namedtuple("Graph", "n rows")):
 
 
 # A packed bit matrix is its rows end to end, each as ``width`` bytes,
-# little-endian (``_packed``): bit j of row i is bit 8 * width * i + j of
-# the bytes read as one little-endian int, and rows 8k..8k+7 with byte c of
-# each form the 8 x 8 tile (k, c).
-
-
-def _diagonal(width: int) -> int:
-    """Bit i of row i, for the 8 * width rows of a packed matrix: byte 0 of
-    row r is 1 << r in a group of 8 rows, and each group starts one byte
-    further right, so the mask is that group and a zero byte, repeated."""
-    group = b"".join((1 << r).to_bytes(width, "little") for r in range(8))
-    return int.from_bytes((group + b"\0") * width, "little")
+# little-endian: bit j of row i is bit 8 * width * i + j of the bytes read
+# as one little-endian int, and rows 8k..8k+7 with byte c of each form the
+# 8 x 8 tile (k, c).
 
 
 def _tile_swaps(width: int) -> Iterator[tuple[int, int]]:
@@ -193,43 +169,21 @@ def _tile_swaps(width: int) -> Iterator[tuple[int, int]]:
         yield b * (8 * width - 1), int.from_bytes(rows * (4 // b) * width, "little")
 
 
-@lru_cache(maxsize=None)
-def _kept_masks(width: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """``_diagonal`` and ``_tile_swaps`` for a width of at most 32 bytes
-    (graphs below 256 vertices), built on first use and kept.  Wider masks
-    are built on each use, one at a time: they cost a fraction of the
-    transpose they serve, and kept they would hold n²/8 bytes each for the
-    life of the process."""
-    return _diagonal(width), tuple(_tile_swaps(width))
-
-
 def transpose_rows(rows: Sequence[int]) -> tuple[int, ...]:
     """The rows of the transpose of the square bit matrix ``rows``: bit i
     of row j is bit j of row i.  Every row must be a nonnegative int with no
-    bit at or past n = len(rows)."""
-    packed, width = _packed(rows)
-    packed = _transpose_packed(packed, width)
-    return tuple(int.from_bytes(packed[k : k + width], "little") for k in range(0, len(packed), width))
+    bit at or past n = len(rows).
 
-
-def _packed(rows: Sequence[int]) -> tuple[bytes, int]:
-    """``rows`` as a packed bit matrix, and its width: n // 8 + 1 bytes, room
-    for the n = len(rows) bits that each row must fit in."""
-    width = len(rows) // 8 + 1
-    return b"".join(map(int.to_bytes, rows, repeat(width), repeat("little"))), width
-
-
-def _transpose_packed(packed: bytes, width: int) -> bytes:
-    """The transpose of a square packed bit matrix of n = len(packed) // width
-    rows, n < 8 * width.
-
+    The rows are packed ``width`` = n // 8 + 1 bytes each, and
     ``_transpose_tiles`` transposes every tile in place.  Row r of tile
     (k, c) then holds bits 8k..8k+7 of row 8c + r of the transpose, so that
     row is the stride-8·width slice of bytes that starts at row r, byte c.
     The padded matrix is at most 8 rows and columns larger than n, at any n."""
+    width = len(rows) // 8 + 1
+    packed = b"".join(map(int.to_bytes, rows, repeat(width), repeat("little")))
     tiles = _transpose_tiles(packed, width).to_bytes(8 * width * width, "little")
     step = 8 * width
-    return b"".join([tiles[(j & 7) * width + (j >> 3) :: step] for j in range(len(packed) // width)])
+    return tuple(int.from_bytes(tiles[(j & 7) * width + (j >> 3) :: step], "little") for j in range(len(rows)))
 
 
 def _transpose_tiles(packed: bytes, width: int) -> int:
@@ -238,7 +192,7 @@ def _transpose_tiles(packed: bytes, width: int) -> int:
     2nd ed., §7-3, "Transposing a Bit Matrix").  A function of its own so
     that its big temporaries are freed when it returns."""
     x = int.from_bytes(packed, "little")
-    for shift, mask in _kept_masks(width)[1] if width <= 32 else _tile_swaps(width):
+    for shift, mask in _tile_swaps(width):
         t = (x ^ (x >> shift)) & mask
         x ^= t
         t <<= shift

@@ -11,11 +11,29 @@ import pytest
 import sfcheck
 from sfcheck import cli
 from sfcheck.cli import main
+from sfcheck.construct import build_SF
 from sfcheck.formats import decode_graph6
 from sfcheck.graphs import path
 from sfcheck.report import load_report
 
 from oracles import clear_memos
+
+
+def run_with_stdout_gone(argv):
+    """``sfcheck argv`` in a fresh process whose stdout is a pipe with its
+    read end already closed, so its first line meets the closed pipe."""
+    src = os.path.dirname(os.path.dirname(sfcheck.__file__))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "sfcheck.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=src),
+            stdout=write,
+            stderr=subprocess.PIPE,
+        )
+    finally:
+        os.close(write)
 
 
 class TestBuild:
@@ -50,6 +68,14 @@ class TestBuild:
         assert main(["build", "--kind", kind, "--r", str(param), "--out", str(out)]) == 2
         assert f"{kind}({param}) is above the {limit}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_build_runs_on_after_its_reader_closes_the_pipe(self, tmp_path):
+        # The file is written before the line that meets the closed pipe;
+        # the build still exits 0, with no error.
+        out = tmp_path / "sf5.g6"
+        build = run_with_stdout_gone(["build", "--kind", "SF", "--t", "5", "--out", str(out)])
+        assert (build.returncode, build.stderr) == (0, b"")
+        assert decode_graph6(out.read_text()) == build_SF(5).graph
 
     def test_build_error_exit_2(self, tmp_path, capsys):
         out = tmp_path / "x.g6"
@@ -103,6 +129,14 @@ class TestVerify:
         assert report["checks"][0]["status"] == "REFUTED"
         assert report["target"] == {"kind": "SF", "param": 3}
         assert report["bound"]["witness_ok"] is False
+
+    def test_refuted_verdict_exits_1_after_its_reader_closes_the_pipe(self, tmp_path):
+        # A REFUTED verdict keeps exit 1, not the usage error's 2, when its
+        # summary line meets the closed pipe.
+        report_path = tmp_path / "x.json"
+        verify = run_with_stdout_gone(["verify", "--theorem", "1.2", "--r", "3", "--report", str(report_path)])
+        assert (verify.returncode, verify.stderr) == (1, b"")
+        assert load_report(report_path)["checks"][0]["status"] == "REFUTED"
 
     @pytest.mark.parametrize(
         "theorem, r, message",

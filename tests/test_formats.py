@@ -27,6 +27,7 @@ from oracles import (
     bitwise_decode_graph6,
     bitwise_encode_graph6,
     edgewise_encode_dimacs,
+    walk_problems,
 )
 
 
@@ -34,6 +35,14 @@ def nx_encode(g: Graph) -> str:
     h = nx.empty_graph(g.n)
     h.add_edges_from(g.edges())
     return nx.to_graph6_bytes(h, header=False).decode("ascii").strip()
+
+
+def decoded(text: str) -> Graph:
+    """``decode_graph6(text)``, whose rows the per-bit walk must pass: decode
+    checks the text, not the rows it builds from it."""
+    g = decode_graph6(text)
+    assert walk_problems(g.n, g.rows) == []
+    return g
 
 
 def nx_decode(text: str) -> Graph:
@@ -57,7 +66,7 @@ class TestGraph6:
     def test_round_trip_constructed_stages(self):
         for r in range(3, 7):
             g = build_F(r, DEFAULT_PROFILE).graph
-            assert decode_graph6(encode_graph6(g)) == g
+            assert decoded(encode_graph6(g)) == g
 
     def test_matches_networkx_both_directions(self):
         rng = random.Random(2)
@@ -72,13 +81,18 @@ class TestGraph6:
         encoded = encode_graph6(g)
         assert encoded.startswith("~")
         assert encoded == nx_encode(g)
-        assert decode_graph6(encoded) == g
+        assert decoded(encoded) == g
+
+    @pytest.mark.parametrize("n", [255, 256, 257, 513])
+    def test_round_trip_across_byte_widths(self, n):
+        for g in (random_graph(n, 0.5, random.Random(n)), complete(n), empty(n)):
+            assert decoded(encode_graph6(g)) == g
 
     def test_header_tolerated(self):
-        assert decode_graph6(">>graph6<<Bw\n") == complete(3)
+        assert decoded(">>graph6<<Bw\n") == complete(3)
 
     def test_nonzero_padding_tolerated_on_decode(self):
-        assert decode_graph6("B~") == complete(3)
+        assert decoded("B~") == complete(3)
 
     def test_empty_input(self):
         with pytest.raises(Graph6ParseError) as err:
@@ -107,14 +121,14 @@ class TestGraph6:
 
     def test_non_canonical_long_forms_accepted(self):
         # n=3 spelled in the 18-bit and 36-bit headers; decoders take both.
-        assert decode_graph6("~??Bw") == complete(3)
-        assert decode_graph6("~~?????Bw") == complete(3)
+        assert decoded("~??Bw") == complete(3)
+        assert decoded("~~?????Bw") == complete(3)
 
 
 @st.composite
 def gnp(draw):
-    """G(n, p) with n = 0..140, across the 62/63 header switch and the 256
-    vertices up to which the packed transpose keeps its masks."""
+    """G(n, p) with n = 0..140, across the 62/63 header switch, and a few
+    byte widths past 256 vertices."""
     n = draw(st.one_of(st.integers(min_value=0, max_value=140), st.sampled_from([62, 63, 255, 256, 257, 300])))
     return random_graph(n, draw(st.floats(0, 1)), random.Random(draw(st.integers(0, 2**32))))
 
@@ -158,7 +172,7 @@ class TestCodecsMatchTheBitwiseOracles:
     def test_encode_decode_dimacs(self, g):
         text = encode_graph6(g)
         assert text == bitwise_encode_graph6(g)
-        assert decode_graph6(text) == bitwise_decode_graph6(text) == g
+        assert decoded(text) == bitwise_decode_graph6(text) == g
         assert encode_dimacs(g) == edgewise_encode_dimacs(g)
 
     @settings(max_examples=300, deadline=None)
@@ -172,7 +186,7 @@ class TestCodecsMatchTheBitwiseOracles:
         pad = -(g.n * (g.n - 1) // 2) % 6
         text = encode_graph6(g)
         text = text[:-1] + chr(ord(text[-1]) | bits & ((1 << pad) - 1))
-        assert decode_graph6(text) == bitwise_decode_graph6(text) == g
+        assert decoded(text) == bitwise_decode_graph6(text) == g
 
 
 class TestDimacs:
@@ -248,10 +262,10 @@ def test_full_corpus_round_trip():
     for profile in all_profiles():
         for r in range(3, 7):
             g = build_F(r, profile).graph
-            assert decode_graph6(encode_graph6(g)) == g
+            assert decoded(encode_graph6(g)) == g
         for t in range(3, 7):
             g = build_SF(t, profile).graph
-            assert decode_graph6(encode_graph6(g)) == g
+            assert decoded(encode_graph6(g)) == g
 
 
 def test_exports_match_their_digest():
