@@ -8,11 +8,12 @@ for products).
 ``Graph.problems()`` is the one check of the range, loop and symmetry
 invariants, a per-bit walk over every row.  ``Graph.__post_init__`` raises
 its first problem; it runs at the trust boundary: ``Graph(...)``,
-``replace`` and unpickling (``Checked``), ``Graph.from_edges`` (hence
-``path`` and ``cycle``) and ``random_graph`` (which only tests and the
-benchmark call).  No run of the stage route checks a graph but the
+``replace`` and unpickling (``Checked``) and ``Graph.from_edges`` (hence
+``path`` and ``cycle``).  No run of the stage route checks a graph but the
 six-vertex base path.  ``formats.decode_graph6`` checks its text in full
-and builds rows that are valid by construction, so it wraps them unchecked.
+and builds rows that are valid by construction, so it wraps them unchecked,
+as ``random_graph`` (which no command calls) wraps the rows it draws, each
+edge set in both rows and none on the diagonal.
 The algebra below (``complement``, ``combine``, ``product``, ``induced``,
 ``complete`` and ``empty``) and the builders in ``construct`` derive
 rows from graphs that already satisfy the invariants, so they wrap their
@@ -294,4 +295,4 @@ def random_graph(n: int, edge_probability: float, rng: random.Random) -> Graph:
             if rng.random() < edge_probability:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-    return Graph(n, tuple(rows))
+    return Graph._trusted(n, tuple(rows))

@@ -1,7 +1,9 @@
 """JSON verification reports: assembly, canonical serialization, loading.
 
-Reports are plain dicts with a mandatory schema_version.  Serialization is
-canonical (sorted keys, fixed separators), so two runs over the same target
+Reports are plain dicts with a mandatory schema_version.  One encoder,
+``_ENCODER``, serializes them: compact, sorted keys, ASCII, the ``","``
+and ``":"`` separators.  The writer adds one trailing newline to its text,
+and the loader compares values by it, so two runs over the same target
 and profile produce byte-identical files except for the timestamps block.
 A report loads only if its job re-runs to it: the loader re-runs the
 check on the target's prefix, whose stages keep their answers,
@@ -88,8 +90,13 @@ def make_report(stack: Stack, tc: TheoremCheck, started, finished) -> dict:
     }
 
 
+# The one serializer of reports, the writer's and the loader's comparison.
+# Without an indent, ``encode`` runs ``json``'s C encoder.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return _ENCODER.encode(report) + "\n"
 
 
 def write_report(path, report: dict) -> None:
@@ -101,6 +108,7 @@ def write_report(path, report: dict) -> None:
         with os.fdopen(fd, "w") as fh:
             fh.write(report_to_json(report))
         os.replace(tmp, path)
+        tmp = None
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from exc
     finally:
@@ -123,10 +131,11 @@ _MISSING = object()
 
 
 def _canonical(value) -> str | None:
-    """Compact sorted-key JSON of ``value``, in which 0, 0.0 and false
-    differ; None for a value JSON cannot hold or nests too deep to write."""
+    """``value`` as the writer serializes it, less the trailing newline, in
+    which 0, 0.0 and false differ; None for a value JSON cannot hold or
+    nests too deep to write."""
     try:
-        return json.dumps(value, sort_keys=True)
+        return _ENCODER.encode(value)
     except (TypeError, ValueError, RecursionError):
         return None
 

@@ -13,6 +13,7 @@ from sfcheck.construct import DEFAULT_PROFILE, build_F, build_SF
 from sfcheck.formats import Graph6ParseError, decode_graph6, encode_dimacs, encode_graph6
 from sfcheck.graphs import Graph, complete, empty, path, random_graph
 from sfcheck.report import (
+    _canonical,
     load_report,
     read_report,
     report_to_json,
@@ -255,7 +256,20 @@ class TestReports:
         report = run_verification("1.1", 3, DEFAULT_PROFILE)
         text = report_to_json(report)
         assert json.loads(text) == report
-        assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+        assert text == json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+
+    @pytest.mark.parametrize("theorem, r", [("1.1", 3), ("1.2", 5)])
+    def test_loader_compares_by_the_writers_serializer(self, theorem, r):
+        report = run_verification(theorem, r, DEFAULT_PROFILE)
+        assert _canonical(report) + "\n" == report_to_json(report)
+
+    def test_indented_report_still_loads(self, tmp_path):
+        """A report in the two-space indented form reports were once
+        written in loads: the loader compares values, not text."""
+        report = run_verification("1.2", 4, DEFAULT_PROFILE)
+        target = tmp_path / "indented.json"
+        target.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        assert load_report(target) == report
 
 
 def test_full_corpus_round_trip():

@@ -295,7 +295,8 @@ def assert_passes_public_check(g):
 @settings(max_examples=40, deadline=None)
 @given(graphs(max_n=6), graphs(max_n=6), st.sets(st.integers(min_value=0, max_value=5)))
 def test_operations_preserve_invariants(a, b, picks):
-    # The algebra builds its output unchecked; re-run the public check on it.
+    # The algebra and random_graph build their output unchecked; re-run
+    # the public check on it.
     outputs = [
         complement(a),
         combine(a, b, "disjoint_union"),
@@ -303,6 +304,7 @@ def test_operations_preserve_invariants(a, b, picks):
         induced(a, [v for v in picks if v < a.n]),
         complete(a.n),
         empty(a.n),
+        random_graph(a.n, 0.5, random.Random(sum(picks))),
     ]
     outputs.extend(product(empty(a.n), b, kind) for kind in PRODUCT_KINDS)
     for g in outputs:
@@ -429,13 +431,17 @@ class TestTrustBoundary:
         assert len(checked) == 1
         Graph.from_edges(3, [(0, 1)])
         assert len(checked) == 2
-        random_graph(4, 0.5, random.Random(1))
-        assert len(checked) == 3
 
     def test_decode_runs_no_check(self, checked):
         # The text is checked in full, and the rows it gives are valid by
         # construction; tests/test_formats.py walks every decoded graph.
         assert decode_graph6("Bw") == complete(3)
+        assert checked == []
+
+    def test_random_graph_runs_no_check(self, checked):
+        # Each edge drawn is set in both rows and none on the diagonal;
+        # test_operations_preserve_invariants walks what it returns.
+        assert random_graph(4, 1.0, random.Random(1)) == complete(4)
         assert checked == []
 
     @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
 """Byte identity of reports across every interpretation profile.
 
-``report_digests.json`` holds the sha256 of
-``report_to_json(strip_volatile(report))`` for each of the 24 profiles
+The content of a report is pinned through ``pinned_text``, a fixed
+indented form kept here, so that the pins do not move with the writer's
+whitespace.  ``report_digests.json`` holds the sha256 of
+``pinned_text(strip_volatile(report))`` for each of the 24 profiles
 under T1.1 at r=3..7 and T1.2 at r=2..6.  They were last recorded when
 the stage sides came to be solved by the component and co-component
 split, which changed only witnesses and node counts (those of 144
@@ -17,6 +19,9 @@ Past r = 7 the reports are pinned by three sha256 digests of
 concatenations, recorded when the loader came to read its three fields in
 place: the 24 profiles up to r = 20, and the default and tensor profiles'
 196 reports of ``sweep --t-max 100``.
+
+One more digest pins the bytes the writer puts on disk, those of
+``report_to_json``, for the 240 reports.
 """
 
 import hashlib
@@ -38,22 +43,32 @@ VALUES = os.path.join(os.path.dirname(__file__), "report_values.json")
 # itertools.product(sums, prods, bases, y_labels) order, T1.1 before T1.2,
 # r ascending.
 ALL_REPORTS_SHA256 = "e0b3f21b278af515a830b72e8bd266670612e5ce80c576938df731b47ec72104"
+# The same 240 reports as ``report_to_json`` writes them, concatenated.
+ALL_REPORTS_WRITTEN_SHA256 = "e10def451fdeea85fa9de0d484ae1a8f9f735c1d9fe22bdfd58745c56c08c17b"
+
+
+def pinned_text(value) -> str:
+    """The form the content digests were recorded in."""
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
 def test_reports_match_recorded_digests():
     with open(DIGESTS) as fh:
         entries = json.load(fh)
     assert len(entries) == 240
-    total = hashlib.sha256()
+    total, written = hashlib.sha256(), hashlib.sha256()
     mismatches = []
     for s, p, b, y, theorem, r, digest in entries:
         profile = InterpretationProfile(sum=s, prod=p, base_case=b, y_label=y)
-        data = report_to_json(strip_volatile(run_verification(theorem, r, profile))).encode()
+        report = strip_volatile(run_verification(theorem, r, profile))
+        data = pinned_text(report).encode()
         total.update(data)
+        written.update(report_to_json(report).encode())
         if hashlib.sha256(data).hexdigest() != digest:
             mismatches.append((s, p, b, y, theorem, r))
     assert mismatches == []
     assert total.hexdigest() == ALL_REPORTS_SHA256
+    assert written.hexdigest() == ALL_REPORTS_WRITTEN_SHA256
 
 
 def test_reports_keep_the_monolithic_values():
@@ -82,12 +97,12 @@ def test_reports_keep_the_monolithic_values():
 
 
 def reports_sha256(jobs, profiles):
-    """sha256 of ``report_to_json(strip_volatile(...))`` of each job under
+    """sha256 of ``pinned_text(strip_volatile(...))`` of each job under
     each profile, profiles outermost, concatenated."""
     total = hashlib.sha256()
     for profile in profiles:
         for theorem, r in jobs:
-            total.update(report_to_json(strip_volatile(run_verification(theorem, r, profile))).encode())
+            total.update(pinned_text(strip_volatile(run_verification(theorem, r, profile))).encode())
     return total.hexdigest()
 
 
