@@ -1,12 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 when a REFUTED verdict is present, 2 on usage or
-build errors, 3 on an internal error (any other exception, such as a
-failed witness re-check, RecursionError or MemoryError), so a crash never
-reads as a refutation.  ``sweep`` runs its jobs in order in one process,
-writes each report as its job finishes, and ends with its wall time and
-each memo's builds and hits.  Once stdout's reader has gone, every command
-runs on silent and exits as it would have.
+build errors, 3 on an internal error (any other exception, such as a failed
+witness re-check, RecursionError or MemoryError), so a crash never reads as
+a refutation.  ``report.write_text`` writes every file, DIMACS streamed.
+``sweep`` runs its jobs in order, writes each report as its job finishes,
+and ends with its wall time and each memo's builds and hits.  Once stdout's
+reader has gone, every command runs on silent and exits as it would have.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ import sys
 import time
 
 from sfcheck.construct import DEFAULT_PROFILE, InterpretationProfile, build_F, build_SF
-from sfcheck.formats import encode_dimacs, encode_graph6
-from sfcheck.report import require_rebuildable, run_verification, write_report
+from sfcheck.formats import dimacs_rows, encode_graph6
+from sfcheck.report import require_rebuildable, run_verification, write_report, write_text
 from sfcheck.solve import _chains, stage
 from sfcheck.verify import CLAIMS
 
@@ -36,16 +36,10 @@ def _add_profile_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _profile_from_args(args: argparse.Namespace) -> InterpretationProfile:
-    updates = {}
-    if args.sum is not None:
-        updates["sum"] = _SUM_FLAGS[args.sum]
-    if args.prod is not None:
-        updates["prod"] = _PROD_FLAGS[args.prod]
-    if args.base is not None:
-        updates["base_case"] = _BASE_FLAGS[args.base]
-    if args.y_label is not None:
-        updates["y_label"] = args.y_label
-    return DEFAULT_PROFILE.replace(**updates)
+    # An axis whose flag is unset maps to None and keeps its default.
+    updates = {"sum": _SUM_FLAGS.get(args.sum), "prod": _PROD_FLAGS.get(args.prod),
+               "base_case": _BASE_FLAGS.get(args.base), "y_label": args.y_label}
+    return DEFAULT_PROFILE.replace(**{axis: v for axis, v in updates.items() if v is not None})
 
 
 def _check_summary(report: dict) -> str:
@@ -80,9 +74,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
     if args.kind == "SF" and args.param > MAX_EXPORT_T:
         raise ValueError(f"SF({args.param}) is above the export limit of t = {MAX_EXPORT_T}")
     g = (build_F if args.kind == "F" else build_SF)(args.param, profile).graph
-    text = encode_graph6(g) + "\n" if args.format == "graph6" else encode_dimacs(g)
-    with open(args.out, "w") as fh:
-        fh.write(text)
+    write_text(args.out, (encode_graph6(g), "\n") if args.format == "graph6" else dimacs_rows(g))
     _say(f"{args.kind}({args.param}): n={g.n} m={g.m} -> {args.out} [{args.format}]")
     return 0
 

@@ -20,9 +20,9 @@ characters, size header, length and trailing data.  The rows need no
 check, so it wraps them with the unchecked ``Graph._trusted``: each lower
 row keeps only bits below its own index, so the rows are loop-free and in
 range, and a matrix OR its transpose is symmetric.  Base-2 ``int`` and
-``format`` are exempt from the int string-digit limit.  DIMACS turns each
-row's bits above the diagonal into a flag string and joins the vertex
-numbers it selects with ``itertools.compress``.
+``format`` are exempt from the int string-digit limit.  ``dimacs_rows``
+yields DIMACS a vertex's lines at a time, for ``build`` to stream, picking
+the neighbors above it with ``itertools.compress`` from its row's bits.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from __future__ import annotations
 import binascii
 from itertools import accumulate, compress
 from operator import or_
+from typing import Iterator
 
 from sfcheck.graphs import Graph, transpose_rows
 
@@ -133,16 +134,19 @@ def _triangle_rows(triangle: bytes, n: int) -> tuple[int, ...]:
     return tuple(map(or_, lower, transpose_rows(lower)))
 
 
-def encode_dimacs(g: Graph) -> str:
-    """DIMACS edge format: "p edge n m" then 1-indexed "e u v" lines, u < v,
-    in lexicographic order."""
+def dimacs_rows(g: Graph) -> Iterator[str]:
+    """DIMACS edge format, one string at a time: the "p edge n m" line,
+    then for each vertex u its 1-indexed "e u v" lines, v > u, ascending."""
     names = [str(v + 1) for v in range(g.n)]
-    lines = [f"p edge {g.n} {g.m}"]
+    yield f"p edge {g.n} {g.m}\n"
     for i, row in enumerate(g.rows):
         # flags[k] is 1 when i is adjacent to i + 1 + k; one join per row.
         flags = format(row >> (i + 1), "b")[::-1].encode().translate(_FLAGS)
         sep = f"\ne {i + 1} "
         ends = sep.join(compress(names[i + 1 :], flags))
         if ends:
-            lines.append(sep[1:] + ends)
-    return "\n".join(lines) + "\n"
+            yield f"{sep[1:]}{ends}\n"
+
+
+def encode_dimacs(g: Graph) -> str:
+    return "".join(dimacs_rows(g))

@@ -12,7 +12,7 @@ names each field that differs, apart from ``timestamps`` and
 ``generated_by``.  Both routes check the target once, by its parameter,
 before anything is built: ``require_rebuildable``, which takes an exact
 int from 3 to ``MAX_T``.  Neither builds the dense graph; only ``sfcheck
-build``, for graph6 and DIMACS export, does.
+build`` does, to export it.  ``write_text`` writes every file sfcheck writes.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import os
 import reprlib
-import tempfile
 from datetime import datetime, timezone
 from typing import Iterator
 
@@ -99,21 +98,27 @@ def report_to_json(report: dict) -> str:
     return _ENCODER.encode(report) + "\n"
 
 
-def write_report(path, report: dict) -> None:
-    """Atomic write: the file appears complete or not at all.  An OSError
-    names ``path``, not the temporary file written beside it."""
-    path, tmp = os.fspath(path), None
+def write_text(path, chunks) -> None:
+    """Write the strings ``chunks`` to ``path`` atomically, through a new
+    temporary beside it that ``open`` creates exclusively, never through a
+    symlink, and that is removed on any failure.  An OSError names ``path``."""
+    path, made = os.fspath(path), False
+    tmp = os.path.join(os.path.dirname(path), f".sfcheck-{os.urandom(8).hex()}.tmp")
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
-        with os.fdopen(fd, "w") as fh:
-            fh.write(report_to_json(report))
+        with open(tmp, "x") as fh:
+            made = True
+            fh.writelines(chunks)
         os.replace(tmp, path)
-        tmp = None
+        made = False
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from exc
     finally:
-        if tmp is not None and os.path.exists(tmp):
+        if made:
             os.unlink(tmp)
+
+
+def write_report(path, report: dict) -> None:
+    write_text(path, (report_to_json(report),))
 
 
 def strip_volatile(report: dict) -> dict:

@@ -30,3 +30,11 @@ def seed_stage(monkeypatch):
 
     yield seed
     clear_memos()
+
+
+@pytest.fixture(params=[0o022, 0o077], ids=lambda mask: f"umask{mask:03o}")
+def umask(request):
+    """Run the test under umask 022 and 077; the process's umask is restored after."""
+    old = os.umask(request.param)
+    yield request.param
+    os.umask(old)

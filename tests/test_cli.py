@@ -1,10 +1,12 @@
 """Command-line behavior: subcommands, exit codes, file outputs."""
 
+import errno
 import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -77,6 +79,37 @@ class TestBuild:
         assert (build.returncode, build.stderr) == (0, b"")
         assert decode_graph6(out.read_text()) == build_SF(5).graph
 
+    @pytest.mark.parametrize("fmt", ["graph6", "dimacs"])
+    def test_output_mode_is_what_open_gives_a_new_file(self, fmt, tmp_path, umask):
+        out = tmp_path / "sf4.out"
+        assert main(["build", "--kind", "SF", "--t", "4", "--format", fmt, "--out", str(out)]) == 0
+        assert os.stat(out).st_mode & 0o777 == 0o666 & ~umask
+
+    def test_a_write_that_fails_partway_keeps_the_old_file(self, tmp_path, monkeypatch, capsys):
+        def rows_then_disk_full(g):
+            yield f"p edge {g.n} {g.m}\n"
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cli, "dimacs_rows", rows_then_disk_full)
+        out = tmp_path / "sf4.dim"
+        out.write_text("old\n")
+        assert main(["build", "--kind", "SF", "--t", "4", "--format", "dimacs", "--out", str(out)]) == 2
+        assert str(out) in capsys.readouterr().err
+        assert out.read_text() == "old\n" and os.listdir(tmp_path) == ["sf4.dim"]
+
+    def test_dimacs_is_streamed_to_the_file(self, tmp_path, capsys):
+        # SF(14)'s DIMACS text is 8.8 MB; written whole it peaks at about
+        # three times that, streamed row by row at under 1 MB.
+        out = tmp_path / "sf14.dim"
+        tracemalloc.start()
+        try:
+            code = main(["build", "--kind", "SF", "--t", "14", "--format", "dimacs", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and out.stat().st_size > 8_000_000
+        assert peak < out.stat().st_size, f"peak {peak} bytes for a {out.stat().st_size}-byte file"
+
     def test_build_error_exit_2(self, tmp_path, capsys):
         out = tmp_path / "x.g6"
         assert main(["build", "--kind", "F", "--r", "2", "--out", str(out)]) == 2
@@ -148,11 +181,17 @@ class TestVerify:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not report_path.exists()
 
-    def test_unwritable_report_names_its_path_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--theorem", "1.2", "--r", "4", "--report"], ["build", "--kind", "SF", "--t", "4", "--format", "dimacs", "--out"]],
+        ids=["verify", "build"],
+    )
+    def test_unwritable_report_names_its_path_exit_2(self, argv, tmp_path, capsys):
         report_path = tmp_path / "missing" / "dir" / "r.json"
-        assert main(["verify", "--theorem", "1.2", "--r", "4", "--report", str(report_path)]) == 2
+        assert main([*argv, str(report_path)]) == 2
         err = capsys.readouterr().err
         assert str(report_path) in err and ".tmp" not in err
+        assert os.listdir(tmp_path) == []
 
     def test_verify_usage_error_exit_2(self, tmp_path):
         with pytest.raises(SystemExit) as err:

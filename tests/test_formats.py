@@ -1,7 +1,9 @@
 """Serialization tests: graph6, DIMACS, and JSON reports."""
 
+import errno
 import hashlib
 import json
+import os
 import random
 
 import networkx as nx
@@ -21,6 +23,7 @@ from sfcheck.report import (
     strip_volatile,
     verify_report,
     write_report,
+    write_text,
 )
 
 from oracles import (
@@ -270,6 +273,67 @@ class TestReports:
         target = tmp_path / "indented.json"
         target.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
         assert load_report(target) == report
+
+
+def failing_chunks():
+    """A chunk source that fails partway, after some text was written."""
+    yield "p edge 3 2\n"
+    raise ValueError("the source failed")
+
+
+class TestAtomicWriter:
+    def test_report_mode_is_what_open_gives_a_new_file(self, tmp_path, umask):
+        target = tmp_path / "r.json"
+        write_report(target, run_verification("1.1", 3, DEFAULT_PROFILE))
+        assert os.stat(target).st_mode & 0o777 == 0o666 & ~umask
+
+    def test_a_source_that_fails_partway_leaves_no_file(self, tmp_path):
+        with pytest.raises(ValueError, match="the source failed"):
+            write_text(tmp_path / "t.txt", failing_chunks())
+        assert os.listdir(tmp_path) == []
+
+    def test_an_existing_target_survives_a_failed_rewrite(self, tmp_path):
+        target = tmp_path / "t.txt"
+        target.write_text("old\n")
+        with pytest.raises(ValueError, match="the source failed"):
+            write_text(target, failing_chunks())
+        assert target.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["t.txt"]
+
+    def test_a_missing_directory_is_an_oserror_naming_the_target(self, tmp_path):
+        target = tmp_path / "missing" / "r.json"
+        with pytest.raises(OSError) as exc:
+            write_report(target, run_verification("1.1", 3, DEFAULT_PROFILE))
+        assert exc.value.errno == errno.ENOENT and exc.value.filename == str(target)
+        assert os.listdir(tmp_path) == []
+
+    def test_a_target_name_at_the_length_limit_is_written(self, tmp_path):
+        # The temporary's name does not grow with the target's.
+        target = tmp_path / ("x" * 255)
+        write_text(target, iter(["p edge 2 1\n", "e 1 2\n"]))
+        assert target.read_text() == "p edge 2 1\ne 1 2\n"
+        assert os.listdir(tmp_path) == [target.name]
+
+    def test_a_symlink_in_the_temporarys_place_is_not_followed_nor_removed(self, tmp_path, monkeypatch):
+        # With its random bytes fixed, the writer draws one temporary name,
+        # seen by a chunk source that lists the directory mid-write.
+        monkeypatch.setattr(os, "urandom", lambda size: bytes(size))
+        seen = []
+
+        def listing():
+            seen.extend(os.listdir(tmp_path))
+            yield ""
+
+        write_text(tmp_path / "probe", listing())
+        [tmp] = set(seen) - {"probe"}
+        victim, target = tmp_path / "victim", tmp_path / "t.txt"
+        victim.write_text("keep\n")
+        (tmp_path / tmp).symlink_to(victim)
+        with pytest.raises(OSError) as exc:
+            write_text(target, ["new\n"])
+        assert exc.value.errno == errno.EEXIST and exc.value.filename == str(target)
+        assert victim.read_text() == "keep\n" and (tmp_path / tmp).is_symlink()
+        assert not target.exists()
 
 
 def test_full_corpus_round_trip():

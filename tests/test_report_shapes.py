@@ -369,9 +369,11 @@ def nested(depth):
 
 
 def test_notes_nested_too_deep_to_serialize_are_a_problem_not_a_crash(tmp_path):
-    """JSON decodes a 990-deep list, but writing it back for the comparison
-    passes the recursion limit."""
-    report = dict(base_report("1.1"), notes=nested(989))
+    """Serializing a 100,000-deep list for the comparison passes the
+    recursion limit from any stack depth, where 989 deep fails only below
+    pytest's frames.  JSON decodes a 990-deep list from the file, but
+    writing it back there passes the limit too."""
+    report = dict(base_report("1.1"), notes=nested(100_000))
     assert verify_report(report) == ["notes[0] differs from the re-assembled report"]
     target = tmp_path / "r.json"
     target.write_text(json.dumps(dict(report, notes="DEEP")).replace('"DEEP"', "[" * 990 + "]" * 990))
