@@ -4,9 +4,10 @@ Exit codes: 0 success, 1 when a REFUTED verdict is present, 2 on usage or
 build errors, 3 on an internal error (any other exception, such as a failed
 witness re-check, RecursionError or MemoryError), so a crash never reads as
 a refutation.  ``report.write_text`` writes every file, DIMACS streamed.
-``sweep`` runs its jobs in order, writes each report as its job finishes,
-and ends with its wall time and each memo's builds and hits.  Once stdout's
-reader has gone, every command runs on silent and exits as it would have.
+``sweep`` runs its jobs in order in one process, writes each report as its
+job finishes, and ends with its wall time and each memo's builds and hits.
+Once stdout's reader has gone, every command runs on silent and exits as it
+would have.
 """
 
 from __future__ import annotations
@@ -36,10 +37,16 @@ def _add_profile_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _profile_from_args(args: argparse.Namespace) -> InterpretationProfile:
-    # An axis whose flag is unset maps to None and keeps its default.
-    updates = {"sum": _SUM_FLAGS.get(args.sum), "prod": _PROD_FLAGS.get(args.prod),
-               "base_case": _BASE_FLAGS.get(args.base), "y_label": args.y_label}
-    return DEFAULT_PROFILE.replace(**{axis: v for axis, v in updates.items() if v is not None})
+    updates = {}
+    if args.sum is not None:
+        updates["sum"] = _SUM_FLAGS[args.sum]
+    if args.prod is not None:
+        updates["prod"] = _PROD_FLAGS[args.prod]
+    if args.base is not None:
+        updates["base_case"] = _BASE_FLAGS[args.base]
+    if args.y_label is not None:
+        updates["y_label"] = args.y_label
+    return DEFAULT_PROFILE.replace(**updates)
 
 
 def _check_summary(report: dict) -> str:

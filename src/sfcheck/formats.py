@@ -149,4 +149,5 @@ def dimacs_rows(g: Graph) -> Iterator[str]:
 
 
 def encode_dimacs(g: Graph) -> str:
+    """DIMACS edge format as one string: the join of ``dimacs_rows(g)``."""
     return "".join(dimacs_rows(g))

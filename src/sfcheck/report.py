@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import os
 import reprlib
+import stat
 from datetime import datetime, timezone
 from typing import Iterator
 
@@ -99,16 +100,27 @@ def report_to_json(report: dict) -> str:
 
 
 def write_text(path, chunks) -> None:
-    """Write the strings ``chunks`` to ``path`` atomically, through a new
-    temporary beside it that ``open`` creates exclusively, never through a
-    symlink, and that is removed on any failure.  An OSError names ``path``."""
+    """Write the strings ``chunks`` to ``path``.  A regular or new file is
+    replaced atomically: through a new temporary beside it (beside the file
+    a symlink names), created exclusively by ``open``, never through a
+    symlink, given an existing file's mode, and removed on any failure.  A
+    device or a pipe, /dev/stdout say, is written in place.  An OSError
+    names ``path``."""
     path, made = os.fspath(path), False
-    tmp = os.path.join(os.path.dirname(path), f".sfcheck-{os.urandom(8).hex()}.tmp")
     try:
+        mode = os.stat(path).st_mode if os.path.exists(path) else None
+        if mode is not None and not stat.S_ISREG(mode):
+            with open(path, "w") as fh:
+                fh.writelines(chunks)
+            return
+        real = os.path.realpath(path) if os.path.islink(path) else path
+        tmp = os.path.join(os.path.dirname(real), f".sfcheck-{os.urandom(8).hex()}.tmp")
         with open(tmp, "x") as fh:
             made = True
+            if mode is not None:
+                os.chmod(fh.fileno(), stat.S_IMODE(mode))
             fh.writelines(chunks)
-        os.replace(tmp, path)
+        os.replace(tmp, real)
         made = False
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from exc

@@ -85,6 +85,21 @@ class TestBuild:
         assert main(["build", "--kind", "SF", "--t", "4", "--format", fmt, "--out", str(out)]) == 0
         assert os.stat(out).st_mode & 0o777 == 0o666 & ~umask
 
+    def test_build_writes_a_pipe_in_place(self, capsys):
+        # `build --out /dev/stdout | solver` names a pipe through /dev/fd.
+        reader, writer = os.pipe()
+        try:
+            out = f"/dev/fd/{writer}"
+            assert main(["build", "--kind", "F", "--r", "3", "--base", "explicit", "--out", out]) == 0
+            os.close(writer)
+            writer = None
+            assert decode_graph6(os.read(reader, 1 << 16).decode()) == path(6)
+        finally:
+            os.close(reader)
+            if writer is not None:
+                os.close(writer)
+        assert f"-> {out} [graph6]" in capsys.readouterr().out
+
     def test_a_write_that_fails_partway_keeps_the_old_file(self, tmp_path, monkeypatch, capsys):
         def rows_then_disk_full(g):
             yield f"p edge {g.n} {g.m}\n"

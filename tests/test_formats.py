@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import random
+import stat
 
 import networkx as nx
 import pytest
@@ -334,6 +335,49 @@ class TestAtomicWriter:
         assert exc.value.errno == errno.EEXIST and exc.value.filename == str(target)
         assert victim.read_text() == "keep\n" and (tmp_path / tmp).is_symlink()
         assert not target.exists()
+
+    def test_a_symlinked_target_is_written_through(self, tmp_path):
+        # The file the symlink names is replaced; the symlink stays.
+        real, link = tmp_path / "real.dim", tmp_path / "link.dim"
+        real.write_text("old\n")
+        link.symlink_to("real.dim")
+        write_text(link, ["p edge 2 1\n", "e 1 2\n"])
+        assert link.is_symlink() and os.readlink(link) == "real.dim"
+        assert real.read_text() == "p edge 2 1\ne 1 2\n"
+        assert sorted(os.listdir(tmp_path)) == ["link.dim", "real.dim"]
+
+    def test_an_existing_targets_mode_is_kept(self, tmp_path, umask):
+        target = tmp_path / "t.txt"
+        target.write_text("old\n")
+        target.chmod(0o640)
+        write_text(target, ["new\n"])
+        assert target.read_text() == "new\n" and os.stat(target).st_mode & 0o777 == 0o640
+
+    def test_a_fifo_is_written_in_place(self, tmp_path):
+        # A reader opened without blocking lets the writer open the FIFO;
+        # the text fits the pipe's buffer, so the write never waits.
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            write_text(fifo, ["p edge 2 1\n", "e 1 2\n"])
+            assert os.read(reader, 1 << 16) == b"p edge 2 1\ne 1 2\n"
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode) and os.listdir(tmp_path) == ["out.fifo"]
+
+    def test_a_pipe_named_by_dev_fd_is_written_in_place(self):
+        # As `--out /dev/stdout` does when stdout is a pipe.
+        reader, writer = os.pipe()
+        try:
+            write_text(f"/dev/fd/{writer}", ["p edge 2 1\n", "e 1 2\n"])
+            os.close(writer)
+            writer = None
+            assert os.read(reader, 1 << 16) == b"p edge 2 1\ne 1 2\n"
+        finally:
+            os.close(reader)
+            if writer is not None:
+                os.close(writer)
 
 
 def test_full_corpus_round_trip():
