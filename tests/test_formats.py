@@ -366,19 +366,6 @@ class TestAtomicWriter:
             os.close(reader)
         assert stat.S_ISFIFO(os.lstat(fifo).st_mode) and os.listdir(tmp_path) == ["out.fifo"]
 
-    def test_a_pipe_named_by_dev_fd_is_written_in_place(self):
-        # As `--out /dev/stdout` does when stdout is a pipe.
-        reader, writer = os.pipe()
-        try:
-            write_text(f"/dev/fd/{writer}", ["p edge 2 1\n", "e 1 2\n"])
-            os.close(writer)
-            writer = None
-            assert os.read(reader, 1 << 16) == b"p edge 2 1\ne 1 2\n"
-        finally:
-            os.close(reader)
-            if writer is not None:
-                os.close(writer)
-
 
 def test_full_corpus_round_trip():
     for profile in all_profiles():
