@@ -93,7 +93,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     _say(_check_summary(report))
     if report["bound"] is not None:
         bound = report["bound"]
-        _say(f"bound: witness_ok={bound['witness_ok']} implied={bound['implied']!r}")
+        _say(f"bound: implied={bound['implied']!r}")
     return 1 if report["checks"][0]["status"] == "REFUTED" else 0
 
 

@@ -29,7 +29,7 @@ from sfcheck.construct import DEFAULT_PROFILE, InterpretationProfile, _require_p
 from sfcheck.solve import Stack
 from sfcheck.verify import TheoremCheck, bound_report_from_counts, check_theorem_1_1, check_theorem_1_2, claim_target
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 Y_LABEL_NOTE = (
     "the label of base-path vertex y is an interpretation choice recorded in "
@@ -69,22 +69,20 @@ def make_report(stack: Stack, tc: TheoremCheck, started, finished) -> dict:
         omega, alpha = tc.computed["omega"], tc.computed["alpha"]
         bound = bound_report_from_counts(stack.param, stack.n, omega, alpha)._asdict()
     notes = []
-    if tc.profile.base_case == "explicit_path":
+    if stack.profile.base_case == "explicit_path":
         notes.append(Y_LABEL_NOTE)
     return {
         "schema_version": SCHEMA_VERSION,
         "generated_by": f"sfcheck {__version__}",
         "target": {"kind": stack.kind, "param": stack.param},
-        "profile": tc.profile.to_dict(),
-        "deterministic": True,
+        "profile": stack.profile.to_dict(),
         "graph_stats": {
             "n": stack.n,
             "m": stack.m,
             "label_counts": {str(k): v for k, v in stack.label_counts.items()},
         },
-        "checks": [dict(tc._asdict(), profile=tc.profile.to_dict(), witness=list(tc.witness))],
+        "checks": [dict(tc._asdict(), witness=list(tc.witness))],
         "bound": bound,
-        "solver_stats": {"nodes_explored": sum(tc.solver_stats.values())},
         "notes": notes,
         "timestamps": {"started": started, "finished": finished},
     }
@@ -180,7 +178,7 @@ def _differences(expected, actual, where: str = "") -> Iterator[str]:
 def verify_report(report) -> list[str]:
     """Re-run a loaded report's job and compare.
 
-    Reads three fields first, each in place: schema_version must be "1",
+    Reads three fields first, each in place: schema_version must be "2",
     and profile and target objects; the first that fails is the one
     problem, naming its value by ``reprlib.repr``.  Then checks the stated
     target with ``require_rebuildable`` (so target.param is exactly an int

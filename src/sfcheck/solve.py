@@ -79,18 +79,18 @@ copies.  Each optimum is checked by ``_holds`` where it is found.  A
 part's query in mode flip is its block's in view flip ^ inverse (-1 for
 an H side, else 0), by the copy rule: a clique lies in one copy, the
 block's in copy 0; an independent set is one in each copy, k times the
-block's size, kept as the block's mask.  Node counts are the block's.
-H is G's complement with labels flipped, so
+block's size, kept as the block's mask.  H is G's complement with labels
+flipped, so
 
     omega(H) = alpha(G),  omega_1(H) = alpha_2(G),  omega_2(H) = alpha_1(G),
 
-masks and node counts included, and the same with omega and alpha
-exchanged.  With h = |G| and c1, c2 G's label counts, m(F(r)) = h(h-1)/2
-+ c1^2 + c2^2; the base path's m is its block's.
+masks included, and the same with omega and alpha exchanged.  With
+h = |G| and c1, c2 G's label counts, m(F(r)) = h(h-1)/2 + c1^2 + c2^2;
+the base path's m is its block's.
 
 Each formula is a max or a sum over parts, so SF(t) follows from SF(t - 1)
 and stage t in O(1): ``prefix`` keeps SF(t) as a ``Prefix`` of SF(t - 1)'s
-in its stage family's list.  n, the label counts and node sums add; m adds
+in its stage family's list.  n and the label counts add; m adds
 stage t's m and c1 d2 + c2 d1 cross edges (c1, c2 SF(t - 1)'s label
 counts, d1, d2 stage t's); per mode the best whole part, the best two
 label-1 and two label-2 optima and the label-class sums take in stage
@@ -366,15 +366,14 @@ def _components(rows: tuple[int, ...], mask: int, flip: int) -> list[int]:
     return parts
 
 
-def _split_clique(g: Graph, within: int, flip: int) -> tuple[int, int, int]:
+def _split_clique(g: Graph, within: int, flip: int) -> tuple[int, int]:
     """A maximum clique (flip 0) or independent set (flip -1) of ``g``
-    within ``within``, as (size, witness mask, branch-and-bound nodes), by
-    the module docstring's split, with no recursion to limit its depth.  A
-    prime piece is induced, complemented for an independent set, and
-    searched."""
+    within ``within``, as (size, witness mask), by the module docstring's
+    split, with no recursion to limit its depth.  A prime piece is
+    induced, complemented for an independent set, and searched."""
     rows = g.rows
     # Per piece, its clique's mask; per split piece, (union, first, end) of its children.
-    pieces, found, splits, nodes = [within], [], {}, 0
+    pieces, found, splits = [within], [], {}
     for piece in pieces:
         if _holds(rows, piece, flip):  # a clique in the query's view, taken whole
             found.append(piece)
@@ -392,23 +391,21 @@ def _split_clique(g: Graph, within: int, flip: int) -> tuple[int, int, int]:
                 members = _members(piece)
                 h = induced(g, members)
                 res = max_clique(complement(h) if flip else h)
-                nodes += res.nodes_explored
                 found.append(sum(1 << members[v] for v in res.witness))
     for i, (union, lo, hi) in reversed(splits.items()):  # children first
         found[i] = reduce(or_, found[lo:hi]) if union else max(found[lo:hi], key=int.bit_count)
     witness = found[0]
     if not _holds(rows, witness, flip):
         raise AssertionError(f"decomposition produced an invalid {'independent set' if flip else 'clique'}")
-    return witness.bit_count(), witness, nodes
+    return witness.bit_count(), witness
 
 
 class StackResult(NamedTuple):
-    """An optimum of a Stack: its size, its witness as a block mask per
-    part (``Stack.members`` lists it), and the node count it rests on."""
+    """An optimum of a Stack: its size, and its witness as a block mask
+    per part (``Stack.members`` lists it)."""
 
     size: int
     masks: Mapping[tuple, int]
-    nodes_explored: int
 
 
 class Stage:
@@ -418,8 +415,8 @@ class Stage:
     part's copy count, ``paired`` whether an H side follows, ``parts`` each
     part as (first vertex in the stage, inverse, odd, even), then the
     stage's n, m and label counts (label 1 is odd, label 2 even), and
-    ``optima``, per mode, (node sum, its label-1 and label-2 share, sizes,
-    block masks), per part those of its whole, label-1 and label-2 optima."""
+    ``optima``, per mode, (sizes, block masks), per part those of its
+    whole, label-1 and label-2 optima."""
 
     def __init__(self, block: Graph, labels: tuple[int, ...], k: int, paired: bool) -> None:
         self.block_n, self.k, self.paired = block.n, k, paired
@@ -435,14 +432,13 @@ class Stage:
         full, solves = (1 << block.n) - 1, {}
         for view, copies in ((0, 1), (-1, k)):
             for within in (full, odd, even):
-                size, mask, nodes = _split_clique(block, within, view)
-                solves[view, within] = copies * size, mask, nodes
+                size, mask = _split_clique(block, within, view)
+                solves[view, within] = copies * size, mask
         self.optima = {}
         for mode, flip in (("clique", 0), ("independent", -1)):
-            # Per part, the sizes, masks and node counts of its whole, label-1 and label-2 optima.
+            # Per part, the sizes and masks of its whole, label-1 and label-2 optima.
             parts = [zip(*(solves[flip ^ inverse, within] for within in (full, *classes))) for _, inverse, *classes in self.parts]
-            sizes, masks, nodes = zip(*parts)
-            self.optima[mode] = sum(map(sum, nodes)), sum(sum(part[1:]) for part in nodes), sizes, masks
+            self.optima[mode] = tuple(zip(*parts))
 
 
 @cache
@@ -481,7 +477,7 @@ class _ClassSum(Mapping):
         return sum(1 for _ in self)
 
     def __getitem__(self, part: tuple) -> int:
-        return part[1].optima["independent"][3][part[2]][self.label]
+        return part[1].optima["independent"][1][part[2]][self.label]
 
 
 _NONE = (-1, None, 0)  # no candidate: (size, part, block mask) that any optimum beats
@@ -496,9 +492,9 @@ class Prefix:
     """SF(t), or F(r) as a one-stage stack: ``prev`` (None for none) and
     stage ``s``.  It keeps n, m, the label counts, ``parts`` as a chain
     (earlier parts, part), each (first vertex, stage, inverse, odd, even),
-    and per mode ``optima``: node sum, label share, best whole part, best
-    two label-1 and label-2 optima, each (size, part, block mask), and the
-    label-class sums.  New label-class optima must lie in their class."""
+    and per mode ``optima``: best whole part, best two label-1 and label-2
+    optima, each (size, part, block mask), and the label-class sums.  New
+    label-class optima must lie in their class."""
 
     def __init__(self, prev: Prefix | None, s: Stage) -> None:
         prev = prev or _EMPTY
@@ -508,16 +504,16 @@ class Prefix:
         parts = [(prev.n + offset, s, *part) for offset, *part in s.parts]
         self.parts = reduce(lambda chain, part: (chain, part), parts, prev.parts)
         self.optima = {}
-        for mode, (nodes, share, whole, ones, twos, sums) in prev.optima.items():
-            for part, (w, a, b), (wm, am, bm) in zip(parts, *s.optima[mode][2:]):
+        for mode, (whole, ones, twos, sums) in prev.optima.items():
+            for part, (w, a, b), (wm, am, bm) in zip(parts, *s.optima[mode]):
                 if am & part[4] or bm & part[3]:
                     raise AssertionError(f"a label class's {mode} optimum spans both parities")
                 whole = max(whole, (w, part, wm), key=itemgetter(0))
                 ones, twos, sums = _top2(ones, (a, part, am)), _top2(twos, (b, part, bm)), (sums[0] + a, sums[1] + b)
-            self.optima[mode] = nodes + s.optima[mode][0], share + s.optima[mode][1], whole, ones, twos, sums
+            self.optima[mode] = whole, ones, twos, sums
 
 
-_EMPTY = SimpleNamespace(n=0, m=0, label_counts={1: 0, 2: 0}, parts=None, optima=dict.fromkeys(("clique", "independent"), (0, 0, _NONE, (_NONE,) * 2, (_NONE,) * 2, (0, 0))))
+_EMPTY = SimpleNamespace(n=0, m=0, label_counts={1: 0, 2: 0}, parts=None, optima=dict.fromkeys(("clique", "independent"), (_NONE, (_NONE,) * 2, (_NONE,) * 2, (0, 0))))
 
 
 _chains: dict[tuple[InterpretationProfile, InterpretationProfile], list[Prefix]] = {}  # per stage family, [SF(3), SF(4), ...]
@@ -571,7 +567,7 @@ class Stack:
         parity in each and opposite; an independent set, one parity."""
         parities = []
         for (_, s, inverse, odd, even), mask in masks.items():
-            if mask not in s.optima[mode][3][inverse]:  # inverse -1 picks an H side, the stage's last part
+            if mask not in s.optima[mode][1][inverse]:  # inverse -1 picks an H side, the stage's last part
                 return False
             parities.append(bool(mask & odd) | bool(mask & even) << 1)
         if len(parities) < 2:
@@ -584,24 +580,24 @@ class Stack:
 def stage_solve(stack: Stack) -> tuple[StackResult, StackResult]:
     """Maximum clique and maximum independent set of ``stack``, read from
     its prefix in O(1) by the module docstring's formulas and tie rule."""
-    nodes, _, whole, (a0, a1), (b0, b1), _ = stack.prefix.optima["clique"]
+    whole, (a0, a1), (b0, b1), _ = stack.prefix.optima["clique"]
     # Part i's label-1 clique with the first best label-2 clique of a part j != i; the first best i.
     pairs = [(a0, b0)] if a0[1] != b0[1] else [(a0, b1), (a1, b0)] if b1[1] else []
     one, two = max(pairs, key=lambda p: (p[0][0] + p[1][0], -p[0][1][0]), default=(_NONE, _NONE))
-    omega = StackResult(one[0] + two[0], dict([one[1:], two[1:]]), nodes) if one[0] + two[0] > whole[0] else StackResult(whole[0], dict([whole[1:]]), nodes)
-    nodes, _, whole, _, _, sums = stack.prefix.optima["independent"]
+    omega = StackResult(one[0] + two[0], dict([one[1:], two[1:]])) if one[0] + two[0] > whole[0] else StackResult(whole[0], dict([whole[1:]]))
+    whole, _, _, sums = stack.prefix.optima["independent"]
     label = 2 if sums[1] > sums[0] else 1
-    alpha = StackResult(whole[0], dict([whole[1:]]), nodes) if whole[0] >= sums[label - 1] else StackResult(sums[label - 1], _ClassSum(stack.prefix.parts, label), nodes)
+    alpha = StackResult(whole[0], dict([whole[1:]])) if whole[0] >= sums[label - 1] else StackResult(sums[label - 1], _ClassSum(stack.prefix.parts, label))
     return omega, alpha
 
 
 def stage_mono_clique(stack: Stack) -> StackResult:
     """Largest single-label clique of ``stack``: its parts' largest (the
     module docstring says why), label 1 and then the first part in order
-    winning a tie; the node count sums both classes' solves of every part."""
-    _, share, _, (a0, _), (b0, _), _ = stack.prefix.optima["clique"]
+    winning a tie."""
+    _, (a0, _), (b0, _), _ = stack.prefix.optima["clique"]
     best = a0 if a0[0] >= b0[0] else b0
-    return StackResult(best[0], dict([best[1:]]), share)
+    return StackResult(best[0], dict([best[1:]]))
 
 
 def oracle_max_clique(g: Graph) -> int:

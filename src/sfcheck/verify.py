@@ -10,10 +10,10 @@ r+1 vertices.
 
 Each claim's rules are written once.  ``CLAIMS`` gives its smallest r and
 the target it is checked on; its check states its claimed value, status
-and witness mode from r and the computed sizes.  A check reads r and the
-profile from its one argument, a stack, its prefix of answered stages,
-that ``report.run_verification`` builds, and refuses only the other
-claim's kind; ``report.verify_report`` re-runs it, re-assembling the report.
+and witness mode from r and the computed sizes.  A check reads r from its
+one argument, a stack, its prefix of answered stages, that
+``report.run_verification`` builds, and refuses only the other claim's
+kind; ``report.verify_report`` re-runs it, re-assembling the report.
 ``bound_report_from_counts`` turns T1.2's omega and alpha into the
 Ramsey implication R(t) > n of SF(t), t = r+1.  The one diagonal Ramsey
 value small enough to re-derive at desk scale, R(3) = 6, is established
@@ -27,7 +27,6 @@ from functools import cache
 from itertools import combinations
 from typing import NamedTuple
 
-from sfcheck.construct import InterpretationProfile
 from sfcheck.graphs import cycle
 from sfcheck.solve import Stack, stage_mono_clique, stage_solve
 
@@ -63,21 +62,16 @@ class TheoremCheck(NamedTuple):
 
     theorem_id: str
     r: int
-    profile: InterpretationProfile
     claimed: object
     computed: dict
     status: str
     witness: tuple[int, ...]
     witness_mode: str
-    solver_stats: dict
 
 
 class BoundReport(NamedTuple):
     """The Ramsey implication of one SF(t) build."""
 
-    t: int
-    n: int
-    witness_ok: bool
     implied: str | None
     contradiction: str | None
     reference: str | None
@@ -103,10 +97,7 @@ def check_theorem_1_1(stack: Stack) -> TheoremCheck:
         raise AssertionError("single-label witness spans both labels")
     claimed = (r + 1) // 2
     status = "CONFIRMED" if res.size == claimed else "REFUTED"
-    return TheoremCheck(
-        "T1_1", r, stack.profile, claimed, {"mono_clique": res.size}, status, stack.members(res.masks, "clique"),
-        "clique", {"mono_nodes": res.nodes_explored},
-    )
+    return TheoremCheck("T1_1", r, claimed, {"mono_clique": res.size}, status, stack.members(res.masks, "clique"), "clique")
 
 
 def check_theorem_1_2(stack: Stack) -> TheoremCheck:
@@ -124,17 +115,16 @@ def check_theorem_1_2(stack: Stack) -> TheoremCheck:
     status = "CONFIRMED" if omega.size <= r and alpha.size <= r else "REFUTED"
     mode, shown = ("independent", alpha) if omega.size <= r < alpha.size else ("clique", omega)
     return TheoremCheck(
-        "T1_2", r, stack.profile, claimed, {"omega": omega.size, "alpha": alpha.size}, status,
-        stack.members(shown.masks, mode), mode, {"omega_nodes": omega.nodes_explored, "alpha_nodes": alpha.nodes_explored},
+        "T1_2", r, claimed, {"omega": omega.size, "alpha": alpha.size}, status, stack.members(shown.masks, mode), mode,
     )
 
 
 def bound_report_from_counts(t: int, n: int, omega: int, alpha: int) -> BoundReport:
-    """Assemble the implication from already-computed exact counts."""
-    witness_ok = omega < t and alpha < t
-    implied = f"R({t}) > {n}" if witness_ok else None
+    """Assemble the implication from already-computed exact counts: SF(t)
+    on n vertices with omega and alpha both below t shows R(t) > n."""
+    implied = f"R({t}) > {n}" if omega < t and alpha < t else None
     contradiction = None
-    if witness_ok and t == 3 and n >= 6 and confirm_R3():
+    if implied and t == 3 and n >= 6 and confirm_R3():
         contradiction = (
             f"implication R(3) > {n} contradicts R(3) = 6, which confirm_R3 "
             "establishes by exhaustive enumeration"
@@ -145,7 +135,7 @@ def bound_report_from_counts(t: int, n: int, omega: int, alpha: int) -> BoundRep
             f"known value R({t}) = {KNOWN_DIAGONAL_RAMSEY[t]} "
             "(reference annotation only; verdicts never consult it)"
         )
-    return BoundReport(t, n, witness_ok, implied, contradiction, reference)
+    return BoundReport(implied, contradiction, reference)
 
 
 @cache

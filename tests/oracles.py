@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import itertools
 from functools import reduce
-from operator import or_
+from operator import itemgetter, or_
+from typing import NamedTuple
 
 from sfcheck import solve
 from sfcheck.construct import InterpretationProfile
@@ -261,12 +262,12 @@ def recursive_max_clique(g: Graph) -> CliqueResult:
     return CliqueResult(best_size, best_witness, nodes)
 
 
-def class_split(g: Graph, mode: str, labels: tuple[int, ...] = (), label: int | None = None) -> tuple[int, int, int]:
+def class_split(g: Graph, mode: str, labels: tuple[int, ...] = (), label: int | None = None) -> tuple[int, int]:
     """The ``mode`` optimum of ``g``, or of its vertices whose ``labels``
     entry is ``label``, by splitting that set alone, on ``g`` or on its
     built complement: the reference for ``solve._split_clique``, which
-    reads the complement through the graph's rows (the same size, witness
-    mask and node count).
+    reads the complement through the graph's rows (the same size and
+    witness mask).
 
     Pieces are split, parents first, until each is a clique or prime, and
     a prime piece is induced and searched.  Their cliques are combined
@@ -275,7 +276,7 @@ def class_split(g: Graph, mode: str, labels: tuple[int, ...] = (), label: int | 
     mask = (1 << g.n) - 1 if label is None else sum(1 << v for v, lab in enumerate(labels) if lab == label)
     h = g if mode == "clique" else complement(g)
     rows = h.rows
-    pieces, found, splits, nodes = [mask], [], [], 0
+    pieces, found, splits = [mask], [], []
     for piece in pieces:
         best, split = 0, None
         if all(rows[v] & piece == piece ^ (1 << v) for v in _members(piece)):
@@ -289,26 +290,30 @@ def class_split(g: Graph, mode: str, labels: tuple[int, ...] = (), label: int | 
                     break
             else:
                 members = list(_members(piece))
-                res = max_clique(induced(h, members))
-                nodes += res.nodes_explored
-                best = sum(1 << members[i] for i in res.witness)
+                best = sum(1 << members[i] for i in max_clique(induced(h, members)).witness)
         found.append(best)
         splits.append(split)
     for i in reversed(range(len(pieces))):
         if splits[i]:
             union, lo, hi = splits[i]
             found[i] = reduce(or_, found[lo:hi]) if union else max(found[lo:hi], key=int.bit_count)
-    return found[0].bit_count(), found[0], nodes
+    return found[0].bit_count(), found[0]
 
 
-def max_mono_clique(g: Graph, labels: tuple[int, ...]) -> CliqueResult:
+class MonoClique(NamedTuple):
+    """A largest single-label clique: its size and its vertices."""
+
+    size: int
+    witness: tuple[int, ...]
+
+
+def max_mono_clique(g: Graph, labels: tuple[int, ...]) -> MonoClique:
     """Largest clique of ``g`` whose vertices all carry one label (1 or 2),
-    label 1 on a tie, from a split of each label class of ``g``; the node
-    count sums both classes' solves.  The dense reference for T1.1, which reads
-    the stage's part optima (``solve.stage_mono_clique``)."""
-    results = [_split_clique(g, within, 0) for within in class_masks(labels)]
-    size, mask, _ = max(results, key=lambda res: res[0])
-    return CliqueResult(size, tuple(_members(mask)), sum(nodes for _, _, nodes in results))
+    label 1 on a tie, from a split of each label class of ``g``.  The dense
+    reference for T1.1, which reads the stage's part optima
+    (``solve.stage_mono_clique``)."""
+    size, mask = max((_split_clique(g, within, 0) for within in class_masks(labels)), key=itemgetter(0))
+    return MonoClique(size, tuple(_members(mask)))
 
 
 def walk_problems(n: int, rows: tuple[int, ...]) -> list[str]:
@@ -455,13 +460,13 @@ def pairwise_witness_ok(g: Graph, members, mode: str) -> bool:
 def pairwise_composition(parts, part_optima, mode: str) -> tuple[int, ...]:
     """The witness ``solve.stage_solve`` composes for ``mode``, by building
     every candidate whole, as it once did, from each part's whole, label-1
-    and label-2 optima ((size, mask, nodes) triples, masks over the part's
+    and label-2 optima ((size, mask) pairs, masks over the part's
     own vertices, whose first vertex leads its entry of ``parts``, as in
     ``stack_parts``): each part's optimum, then every ordered pair
     of parts' label-1 and label-2 cliques in ``itertools.permutations``
     order, or each label's independent sets over all parts; the first
     longest wins."""
-    optima = [[tuple(v + start for v in _members(mask)) for _, mask, _ in solves] for (start, *_), solves in zip(parts, part_optima)]
+    optima = [[tuple(v + start for v in _members(mask)) for _, mask in solves] for (start, *_), solves in zip(parts, part_optima)]
     candidates = [whole for whole, _, _ in optima]
     if mode == "clique":
         candidates += [a[1] + b[2] for a, b in itertools.permutations(optima, 2)]
@@ -489,16 +494,13 @@ def block_optima(r: int, profile: InterpretationProfile) -> tuple[int, ...]:
     return r - a, a, r - a, 2, 1, 1
 
 
-def flat_optima(part_optima) -> tuple[int, int, tuple, tuple]:
-    """Per-part (size, mask, nodes) triples, each part's whole, label-1
-    and label-2 optima, masks over the part's own vertices, in the form of
-    one mode of ``solve.Stage.optima``: (node sum, its label-1 and label-2
-    share, sizes, masks)."""
+def flat_optima(part_optima) -> tuple[tuple, tuple]:
+    """Per-part (size, mask) pairs, each part's whole, label-1 and label-2
+    optima, masks over the part's own vertices, in the form of one mode of
+    ``solve.Stage.optima``: (sizes, masks)."""
     return (
-        sum(nodes for solves in part_optima for _, _, nodes in solves),
-        sum(nodes for solves in part_optima for _, _, nodes in solves[1:]),
-        tuple(tuple(size for size, _, _ in solves) for solves in part_optima),
-        tuple(tuple(mask for _, mask, _ in solves) for solves in part_optima),
+        tuple(tuple(size for size, _ in solves) for solves in part_optima),
+        tuple(tuple(mask for _, mask in solves) for solves in part_optima),
     )
 
 
@@ -557,12 +559,12 @@ def reference_stage_solve(parts) -> tuple[StackResult, StackResult]:
     stack kept a prefix: from candidate lists over every part, O(t) per
     stack.  Ties go to a single part, then to the first candidate in part
     order, with pairs in ``itertools.permutations`` order; a witness is a
-    block mask per part, the node count each mode's sum over the stages."""
+    block mask per part."""
     optima = [s.optima for s in dict.fromkeys(s for _, s, *_ in parts)]
     results = []
     for mode in ("clique", "independent"):
         # Per part, the sizes and masks of its whole, label-1 and label-2 optima.
-        sizes, masks = ([part for o in optima for part in o[mode][j]] for j in (2, 3))
+        sizes, masks = ([part for o in optima for part in o[mode][j]] for j in (0, 1))
         # Each candidate is (size, [(part, 0 whole or a label), ...]).
         candidates = [(whole, [(i, 0)]) for i, (whole, _, _) in enumerate(sizes)]
         if mode == "independent":
@@ -574,5 +576,33 @@ def reference_stage_solve(parts) -> tuple[StackResult, StackResult]:
                 j = by_two[1] if by_two[0] == i else by_two[0]
                 candidates.append((one + sizes[j][2], [(i, 1), (j, 2)]))
         size, chosen = max(candidates, key=lambda c: c[0])
-        results.append(StackResult(size, {parts[i]: masks[i][k] for i, k in chosen}, sum(o[mode][0] for o in optima)))
+        results.append(StackResult(size, {parts[i]: masks[i][k] for i, k in chosen}))
     return results[0], results[1]
+
+
+def schema1(report: dict) -> dict:
+    """``report``, a schema-2 report, in its schema-1 form: each field that
+    schema 2 deleted, rebuilt from the field it restated.  ``deterministic``
+    is true; ``checks[0].profile`` is ``profile``; ``bound.t`` is
+    ``target.param``, ``bound.n`` is ``graph_stats.n`` and
+    ``bound.witness_ok`` is whether the status is CONFIRMED (omega and
+    alpha both below t); and every node count is 0 but T1.2's
+    ``alpha_nodes``, 1 under ``explicit_path``, where the base path's
+    complement is the one prime piece searched, in one node.  The top-level
+    ``nodes_explored`` is the check's sum."""
+    check = report["checks"][0]
+    if check["theorem_id"] == "T1_1":
+        stats = {"mono_nodes": 0}
+    else:
+        stats = {"omega_nodes": 0, "alpha_nodes": int(report["profile"]["base_case"] == "explicit_path")}
+    bound = report["bound"]
+    if bound is not None:
+        bound = dict(bound, t=report["target"]["param"], n=report["graph_stats"]["n"], witness_ok=check["status"] == "CONFIRMED")
+    return dict(
+        report,
+        schema_version="1",
+        deterministic=True,
+        checks=[dict(check, profile=report["profile"], solver_stats=stats)],
+        bound=bound,
+        solver_stats={"nodes_explored": sum(stats.values())},
+    )

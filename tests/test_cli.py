@@ -166,7 +166,7 @@ class TestVerify:
         assert check["computed"] == {"mono_clique": 2}
         assert "CONFIRMED" in capsys.readouterr().out
 
-    def test_theorem_12_r2_refuted_exit_1(self, tmp_path):
+    def test_theorem_12_r2_refuted_exit_1(self, tmp_path, capsys):
         report_path = tmp_path / "out.json"
         code = main(
             ["verify", "--theorem", "1.2", "--r", "2",
@@ -176,7 +176,8 @@ class TestVerify:
         report = load_report(report_path)
         assert report["checks"][0]["status"] == "REFUTED"
         assert report["target"] == {"kind": "SF", "param": 3}
-        assert report["bound"]["witness_ok"] is False
+        assert report["bound"]["implied"] is None
+        assert capsys.readouterr().out.splitlines()[-1] == "bound: implied=None"
 
     def test_refuted_verdict_exits_1_after_its_reader_closes_the_pipe(self, tmp_path):
         # A REFUTED verdict keeps exit 1, not the usage error's 2, when its

@@ -5,8 +5,10 @@ alone on the graph or its built complement, is the reference: on random
 cographs, where the split leaves no prime piece, on G(n, p) graphs and
 their complements, where it leaves prime pieces to search, and on the
 base path, ``_split_clique``, which splits in the query's view, must give
-the same sizes, witnesses and node counts.  Branch and bound
-(``max_clique``) checks the sizes.
+the same sizes and witnesses.  Branch and bound (``max_clique``) checks
+the sizes.  The pieces the split passes branch and bound are recorded: a
+cograph's split passes none, the base path's its whole path and its
+complement.
 """
 
 import gc
@@ -75,19 +77,32 @@ def six_queries(g, labels):
     return [_split_clique(g, within, flip) for flip in (0, -1) for within in (full, *label_masks(labels))]
 
 
+def searches(fn, *args):
+    """``fn(*args)`` and the pieces that ``solve._split_clique`` passed
+    branch and bound meanwhile, by size."""
+    sizes, search = [], solve.max_clique
+
+    def recording(g):
+        sizes.append(g.n)
+        return search(g)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solve, "max_clique", recording)
+        return fn(*args), sizes
+
+
 def assert_read_matches_reference(g, labels):
-    """Returns the nodes the six queries' searches took."""
-    results = six_queries(g, labels)
+    """Returns the sizes of the pieces the six queries searched."""
+    results, searched = searches(six_queries, g, labels)
     expected = [class_split(g, mode, labels, label) for mode in MODES for label in (None, *LABELS)]
     assert results == expected
     assert (results[0][0], results[3][0]) == (max_clique(g).size, max_independent_set(g).size)
-    for label, (size, _, _) in zip(LABELS, results[1:3]):
+    for label, (size, _) in zip(LABELS, results[1:3]):
         assert size == max_clique(induced(g, [v for v in range(g.n) if labels[v] == label])).size
     mono = max_mono_clique(g, labels)
-    size, mask, _ = max(results[1:3], key=lambda res: res[0])
+    size, mask = max(results[1:3], key=lambda res: res[0])
     assert (mono.size, sum(1 << v for v in mono.witness)) == (size, mask)
-    assert mono.nodes_explored == results[1][2] + results[2][2]
-    return sum(nodes for _, _, nodes in results)
+    return searched
 
 
 @settings(max_examples=150, deadline=None)
@@ -95,7 +110,7 @@ def assert_read_matches_reference(g, labels):
 def test_read_matches_reference_on_cographs(g, seed):
     rng = random.Random(seed)
     labels = tuple(rng.choice(LABELS) for _ in range(g.n))
-    assert assert_read_matches_reference(g, labels) == 0  # no piece of a cograph is prime
+    assert assert_read_matches_reference(g, labels) == []  # no piece of a cograph is prime
 
 
 @settings(max_examples=100, deadline=None)
@@ -116,7 +131,7 @@ def test_read_matches_reference_on_random_graphs(n, p, seed):
 def test_read_matches_reference_on_the_base_path(y_label):
     lg = build_F(3, InterpretationProfile(y_label=y_label))
     assert lg.graph.n == 6
-    assert assert_read_matches_reference(lg.graph, lg.labels) > 0  # P6 is prime
+    assert assert_read_matches_reference(lg.graph, lg.labels) == [6, 6]  # P6 and its complement are prime
 
 
 # Two graphs in which label 1 (every vertex but 5) splits further than the
@@ -150,10 +165,10 @@ def test_deep_cotree_needs_no_recursion():
     g = Graph(n, tuple(rows))
     rng = random.Random(5)
     labels = tuple(rng.choice(LABELS) for _ in range(n))
-    results = six_queries(g, labels)
+    results, searched = searches(six_queries, g, labels)
     assert results == [class_split(g, mode, labels, label) for mode in MODES for label in (None, *LABELS)]
     assert (results[0][0], results[3][0]) == (n // 2 + 1, n // 2)
-    assert all(nodes == 0 for _, _, nodes in results)
+    assert searched == []
 
 
 def test_search_sees_nothing_past_the_base_path(monkeypatch):

@@ -22,7 +22,7 @@ from sfcheck.report import (
     write_report,
 )
 
-from oracles import all_profiles, vertex_rule_accepts
+from oracles import all_profiles, schema1, vertex_rule_accepts
 
 DELETE = object()
 
@@ -131,26 +131,21 @@ def forged(**computed):
 
 def implies(bound):
     """Edits that turn a T1.2 report into a CONFIRMED one that implies ``bound``."""
-    return [(CHECK + ("status",), "CONFIRMED"), (("bound", "witness_ok"), True), (("bound", "implied"), bound)]
+    return [(CHECK + ("status",), "CONFIRMED"), (("bound", "implied"), bound)]
 
 TAMPERED = {
     "T1.1 r=4 claims 3, CONFIRMED": ("1.1", 4, [(CHECK + ("claimed",), 3), (CHECK + ("status",), "CONFIRMED")]),
     "T1.1 r set to 99": ("1.1", 3, [(CHECK + ("r",), 99)]),
     "T1.2 r=3 set to r=100, CONFIRMED": ("1.2", 3, [(CHECK + ("r",), 100), (CHECK + ("status",), "CONFIRMED")]),
-    "bound.implied forged": ("1.2", 3, [(("bound", "implied"), "R(4) > 1000000"), (("bound", "witness_ok"), True)]),
-    "bound.t set to 99": ("1.2", 3, [(("bound", "t"), 99)]),
+    "bound.implied forged": ("1.2", 3, [(("bound", "implied"), "R(4) > 1000000")]),
     "bound is null": ("1.2", 3, [(("bound",), None)]),
     "checks is empty": ("1.1", 3, [(("checks",), [])]),
     "label_counts forged": ("1.1", 3, [(("graph_stats", "label_counts"), {"1": 4, "2": 2})]),
-    "check profile differs": ("1.1", 3, [(CHECK + ("profile", "sum"), "join")]),
     "T1.1 r=4 computed lowered to the claim": (
         "1.1", 4, [(CHECK + ("computed", "mono_clique"), 2), (CHECK + ("status",), "CONFIRMED")]
     ),
-    # JSON values that Python's == takes for the recorded ones: 0 == False, 30.0 == 30, 1 == True.
-    "bound.witness_ok is 0": ("1.2", 3, [(("bound", "witness_ok"), 0)]),
+    # A JSON value that Python's == takes for the recorded one: 30.0 == 30.
     "graph_stats.n is a float": ("1.2", 3, [(("graph_stats", "n"), 30.0)]),
-    "solver_stats.nodes_explored is false": ("1.1", 3, [(("solver_stats", "nodes_explored"), False)]),
-    "deterministic is 1": ("1.1", 3, [(("deterministic",), 1)]),
     # Forged numbers with a witness cut to fit them, or with no witness behind them: only a
     # re-run of the check shows them.
     "T1.1 r=4 REFUTED forged to CONFIRMED": ("1.1", 4, [*forged(mono_clique=2), (CHECK + ("status",), "CONFIRMED")]),
@@ -159,7 +154,6 @@ TAMPERED = {
     "T1.2 r=3 REFUTED forged to CONFIRMED, R(4) > 30": ("1.2", 3, [*forged(omega=3, alpha=3), *implies("R(4) > 30")]),
     "T1.2 r=20 REFUTED forged to CONFIRMED, R(21) > 6150": ("1.2", 20, [*forged(omega=20, alpha=20), *implies("R(21) > 6150")]),
     "T1.2 r=3 alpha lowered from 7 to 3": ("1.2", 3, [(CHECK + ("computed", "alpha"), 3)]),
-    "T1.2 r=3 node counts forged": ("1.2", 3, [(CHECK + ("solver_stats", "alpha_nodes"), 0), (("solver_stats", "nodes_explored"), 0)]),
     # Another valid optimum: F(4)'s single-label clique moved up one vertex is one too.
     "T1.1 r=4 witness moved up one vertex": ("1.1", 4, [(CHECK + ("witness",), lambda w: [v + 1 for v in w])]),
     "T1.2 r=3 witness reversed": ("1.2", 3, [(CHECK + ("witness",), lambda w: w[::-1])]),
@@ -178,6 +172,44 @@ def test_tampered_report_is_rejected(case, tmp_path):
     for path, value in edits:
         report = edited(report, path, value(report_path_value(report, path)) if callable(value) else value)
     assert_rejected(report, tmp_path)
+
+
+# The fields of schema 1 that schema 2 dropped, each a restatement of
+# another field, which ``oracles.schema1`` rebuilds; T1.1 has no bound.
+DROPPED = {
+    "deterministic": ("deterministic",),
+    "checks[0].profile": CHECK + ("profile",),
+    "checks[0].solver_stats": CHECK + ("solver_stats",),
+    "solver_stats": ("solver_stats",),
+    "bound.t": ("bound", "t"),
+    "bound.n": ("bound", "n"),
+    "bound.witness_ok": ("bound", "witness_ok"),
+}
+
+
+@pytest.mark.parametrize(
+    "theorem, field",
+    [(theorem, field) for theorem in ("1.1", "1.2") for field in DROPPED if theorem == "1.2" or not field.startswith("bound")],
+)
+def test_a_dropped_field_put_back_is_refused_by_name(theorem, field, tmp_path):
+    """A report with one field that schema 2 dropped put back, with its
+    schema-1 value, does not load, and the one problem names that field."""
+    report = base_report(theorem, 3)
+    path = DROPPED[field]
+    target = tmp_path / "r.json"
+    write_report(target, edited(report, path, report_path_value(schema1(report), path)))
+    with pytest.raises(ValueError, match=f"failed re-verification: {re.escape(field)} differs from the re-assembled report$"):
+        load_report(target)
+
+
+@pytest.mark.parametrize("theorem", ["1.1", "1.2"])
+def test_a_schema_1_report_is_refused(theorem, tmp_path):
+    """A report in its schema-1 form, every dropped field back, is refused
+    on its schema_version alone."""
+    target = tmp_path / "r.json"
+    write_report(target, schema1(base_report(theorem, 3)))
+    with pytest.raises(ValueError, match="failed re-verification: unsupported schema_version '1'$"):
+        load_report(target)
 
 
 @pytest.mark.parametrize(
@@ -301,10 +333,9 @@ def test_verify_report_never_raises(report):
 
 @pytest.mark.parametrize("theorem", ["1.1", "1.2"])
 def test_float_y_label_cannot_rebuild(theorem, tmp_path):
-    report = base_report(theorem, 3)
-    for path in (("profile", "y_label"), CHECK + ("profile", "y_label")):
-        assert report_path_value(report, path) == 2
-        report = edited(report, path, 2.0)
+    path = ("profile", "y_label")
+    assert report_path_value(base_report(theorem, 3), path) == 2
+    report = edited(base_report(theorem, 3), path, 2.0)
     assert verify_report(report) == ["cannot rebuild target: y_label must be 1 or 2, got 2.0"]
     assert_rejected(report, tmp_path)
 

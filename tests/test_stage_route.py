@@ -90,10 +90,10 @@ def over_copies(s):
     copy 0 alone for the rest.  The base path is one copy."""
     b = s.block_n
     out = {}
-    for mode, (nodes, share, sizes, masks) in s.optima.items():
+    for mode, (sizes, masks) in s.optima.items():
         fills = (mode == "independent", mode == "clique")
         masks = tuple(tuple(sum(mask << c * b for c in range(s.k if fill else 1)) for mask in part) for part, fill in zip(masks, fills))
-        out[mode] = (nodes, share, sizes, masks)
+        out[mode] = (sizes, masks)
     return out
 
 
@@ -102,8 +102,8 @@ def test_stages_match_the_dense_build(profile):
     """Each part-native stage, its H side read by duality, against the
     dense F(r): n, m, label counts, every vertex's label, and each part's
     six optima, sizes and witness masks written out over the copies they
-    fill and numbered within the part, with their node sums, as splits of
-    that part of the dense graph give them."""
+    fill and numbered within the part, as splits of that part of the dense
+    graph give them."""
     for r in range(3, 17):
         stack, lg = Stack("F", r, profile), build_F(r, profile)
         assert (stack.n, stack.m, stack.label_counts) == (lg.graph.n, lg.graph.m, label_counts(lg)), r
@@ -123,15 +123,15 @@ def test_an_h_side_shares_its_g_sides_results():
                 continue
             for mode, other in (("clique", "independent"), ("independent", "clique")):
                 # Sizes, then masks: G's of the other mode, part 0, and H's, part 1.
-                for g, h in zip(s.optima[other][2:], s.optima[mode][2:]):
+                for g, h in zip(s.optima[other], s.optima[mode]):
                     (whole, one, two), ours = g[0], h[1]
                     assert len(ours) == 3 and all(a is b for a, b in zip(ours, (whole, two, one))), (r, mode)
 
 
 def test_a_stage_keeps_its_answers_not_its_block():
     """Every stage memo entry keeps only its answers: counts, each part as
-    (first vertex, inverse, odd, even) and per mode (node sum, label share,
-    sizes, masks) with three queries per part, so no graph and no tuple of
+    (first vertex, inverse, odd, even) and per mode (sizes, masks) with
+    three queries per part, so no graph and no tuple of
     one entry per vertex.  A paired stage of 2r(r-1) vertices has a block
     of r vertices and its side's r-1 copies; the base path is six
     vertices, one copy."""
@@ -141,8 +141,7 @@ def test_a_stage_keeps_its_answers_not_its_block():
             s = solve_module.stage(r, profile)
             assert set(vars(s)) == fields and not any(isinstance(value, Graph) for value in vars(s).values()), (profile, r)
             assert [len(part) for part in s.parts] == [4] * (1 + s.paired) and s.label_counts.keys() == {1, 2}
-            for nodes, share, sizes, masks in s.optima.values():
-                assert isinstance(nodes, int) and isinstance(share, int), (profile, r)
+            for sizes, masks in s.optima.values():
                 assert [len(part) for part in (*sizes, *masks)] == [3] * 2 * len(s.parts), (profile, r)
                 assert all(type(value) is int for part in (*sizes, *masks) for value in part), (profile, r)
             assert (s.n, s.block_n, s.k) == ((2 * r * (r - 1), r, r - 1) if s.paired else (6, 6, 1))
@@ -184,7 +183,7 @@ def stage_sizes(r, profile):
 def test_stage_optima_follow_the_block_shapes(profile):
     for r in range(3, 201):
         optima = stack_stages(Stack("F", r, profile))[0].optima
-        assert {mode: sizes for mode, (_, _, sizes, _) in optima.items()} == stage_sizes(r, profile), r
+        assert {mode: sizes for mode, (sizes, _) in optima.items()} == stage_sizes(r, profile), r
 
 
 @pytest.mark.parametrize("t", [100, 200, 400])
@@ -215,9 +214,9 @@ def test_block_copies_match_the_dense_side():
 
 @pytest.mark.parametrize("profile", all_profiles(), ids=str)
 def test_copy_rule_optima_match_a_split_of_the_dense_side(profile):
-    """The six optima that the copy rule reads from a block, sizes,
-    witness masks written out over the copies they fill and node sums, are
-    those of splits of the whole dense side, and H's are G's by duality."""
+    """The six optima that the copy rule reads from a block, sizes and
+    witness masks written out over the copies they fill, are those of
+    splits of the whole dense side, and H's are G's by duality."""
     for r in range(4, 21):
         s, (side, labels, _) = solve_module.stage(r, profile), build_side(r, profile)
         full = (1 << side.n) - 1
@@ -238,7 +237,7 @@ def stack_witnesses(draw):
     masks = {}
     for i in draw(st.lists(st.integers(0, len(parts) - 1), min_size=1, unique=True)):
         _, s, inverse, *_ = parts[i]
-        masks[parts[i]] = s.optima[mode][3][1 if inverse else 0][draw(st.integers(0, 2))]
+        masks[parts[i]] = s.optima[mode][1][1 if inverse else 0][draw(st.integers(0, 2))]
     return t, profile, mode, masks
 
 
@@ -286,8 +285,8 @@ def mask_cases(stack):
     path, g, h = parts[0], *(part for part in parts if part[1] is stages[1])
     s = stages[1]
     # Per mode, G's and H's whole, label-1 and label-2 optima, and the base path's.
-    (gc, hc), (gi, hi) = (s.optima[mode][3] for mode in ("clique", "independent"))
-    path_masks = stages[0].optima["clique"][3][0]
+    (gc, hc), (gi, hi) = (s.optima[mode][1] for mode in ("clique", "independent"))
+    path_masks = stages[0].optima["clique"][1][0]
     return {
         "G clique": ({g: gc[0]}, "clique"),
         "G independent set over every copy": ({g: gi[0]}, "independent"),
@@ -347,7 +346,7 @@ def dense_part_optima(lg, cuts):
     for lo, hi in zip(bounds, bounds[1:]):
         part = (1 << hi) - (1 << lo)
         solves = [_split_clique(g, part & within, flip) for flip in (0, -1) for within in (part, *classes)]
-        solves = [(size, mask >> lo, nodes) for size, mask, nodes in solves]
+        solves = [(size, mask >> lo) for size, mask in solves]
         optima["clique"].append(tuple(solves[:3]))
         optima["independent"].append(tuple(solves[3:]))
     return optima
@@ -389,14 +388,13 @@ def test_stage_numbers_follow_closed_forms_to_20(sum_, prod):
 @pytest.mark.parametrize("profile", all_profiles(), ids=str)
 def test_theorem_1_1_reads_the_stage_as_the_whole_graph_is_split(profile):
     """T1.1 takes its single-label clique from the stage's part optima;
-    splitting each label class of the whole F(r) gives the same witness
-    and node count."""
+    splitting each label class of the whole F(r) gives the same size and
+    witness."""
     for r in range(3, 17):
         tc = check_theorem_1_1(Stack("F", r, profile))
         lg = build_F(r, profile)
         whole = max_mono_clique(lg.graph, lg.labels)
         assert (tc.computed["mono_clique"], tc.witness) == (whole.size, whole.witness), r
-        assert tc.solver_stats == {"mono_nodes": whole.nodes_explored}, r
 
 
 def test_profiles_that_differ_only_in_y_label_share_all_but_the_base_path():
@@ -421,7 +419,7 @@ class StandIn:
 def test_stage_solve_picks_the_pairwise_composition_winner(stages):
     """On stand-in stages whose part optima tie often, the prefix built one
     stage at a time picks the witness that building every candidate picks,
-    with the reference's sizes, part masks and node counts.  Each optimum
+    with the reference's sizes and part masks.  Each optimum
     gets its own vertices, so the witness names the candidate that won."""
     # Optimum k of a part holds its vertices 4k.. of 24, numbered within the
     # part, so label 1 lies in vertices 4..7 and 16..19, label 2 in 8..11 and 20..23.
@@ -429,8 +427,8 @@ def test_stage_solve_picks_the_pairwise_composition_winner(stages):
     prefix, optima = None, {"clique": [], "independent": []}  # per part of every stage
     for parts in stages:
         first = len(optima["clique"])
-        for k, sizes in enumerate(parts):
-            results = [(size, (1 << size) - 1 << 4 * j, j + k) for j, size in enumerate(sizes)]
+        for sizes in parts:
+            results = [(size, (1 << size) - 1 << 4 * j) for j, size in enumerate(sizes)]
             optima["clique"].append(tuple(results[:3]))
             optima["independent"].append(tuple(results[3:]))
         layout = tuple((24 * j, inverse, odd, even) for j, inverse in zip(range(len(parts)), (0, -1)))
@@ -448,7 +446,7 @@ def test_stage_solve_picks_the_pairwise_composition_winner(stages):
 @pytest.mark.parametrize("profile", all_profiles(), ids=str)
 def test_prefix_route_matches_the_reference(profile):
     """SF(t)'s prefix, composed from SF(t - 1)'s and stage t's in O(1),
-    gives the sizes, part masks and node counts of composing every
+    gives the sizes and part masks of composing every
     candidate over every part (``reference_stage_solve``), for t <= 60,
     and so does F(r), a one-stage prefix."""
     for t in range(3, 61):

@@ -18,7 +18,7 @@ import sfcheck
 from sfcheck import verify
 from sfcheck.construct import DEFAULT_PROFILE, build_F, build_SF
 from sfcheck.graphs import complement, complete, cycle, empty, random_graph
-from sfcheck.report import run_verification, verify_report
+from sfcheck.report import make_report, run_verification, verify_report
 from sfcheck.solve import Stack, oracle_max_clique, verify_witness
 from sfcheck.verify import (
     bound_report_from_counts,
@@ -108,8 +108,8 @@ def oracle_verdict(g, r):
     result's masks name it, so the stand-in's witness is the name of the
     result the check lists."""
     computed = {"omega": oracle_max_clique(g), "alpha": oracle_max_clique(complement(g))}
-    results = [SimpleNamespace(size=computed[name], masks=name, nodes_explored=0) for name in ("omega", "alpha")]
-    stack = SimpleNamespace(kind="SF", param=r + 1, profile=DEFAULT_PROFILE, members=lambda masks, mode: masks)
+    results = [SimpleNamespace(size=computed[name], masks=name) for name in ("omega", "alpha")]
+    stack = SimpleNamespace(kind="SF", param=r + 1, members=lambda masks, mode: masks)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(verify, "stage_solve", lambda stack: results)
         tc = check_theorem_1_2(stack)
@@ -143,8 +143,9 @@ class TestTheorem12Rule:
 
 
 class TestCheckKind:
-    """A check reads r and the profile from the stack it judges; the one
-    stack it refuses is one of the other claim's kind."""
+    """A check reads r from the stack it judges, and its report the
+    profile; the one stack a check refuses is one of the other claim's
+    kind."""
 
     @pytest.mark.parametrize(
         "check, stack, message",
@@ -166,8 +167,10 @@ class TestCheckKind:
     def test_r_and_profile_come_from_the_stack(self, check, kind, shift):
         for profile in (DEFAULT_PROFILE, GENERAL.replace(sum="join"), TENSOR):
             for param in (3, 4, 7):
-                tc = check(Stack(kind, param, profile))
-                assert (tc.r, tc.profile) == (param - shift, profile), (profile, param)
+                stack = Stack(kind, param, profile)
+                tc = check(stack)
+                assert tc.r == param - shift, (profile, param)
+                assert make_report(stack, tc, None, None)["profile"] == profile.to_dict(), (profile, param)
                 assert (tc.claimed, tc.status, tc.witness_mode) == reference_verdict(tc.theorem_id, tc.r, tc.computed), (profile, param)
 
 
@@ -267,20 +270,20 @@ class TestExactIntParameter:
 class TestBoundReport:
     def test_t3_explicit_no_implication(self):
         b = run_verification("1.2", 2)["bound"]
-        assert not b["witness_ok"]
+        assert b.keys() == {"implied", "contradiction", "reference"}
         assert b["implied"] is None
         assert b["contradiction"] is None
 
     def test_t3_c5_implication(self):
         b = bound_report_from_counts(3, 5, 2, 2)
-        assert b.witness_ok
         assert b.implied == "R(3) > 5"
         assert b.contradiction is None
 
     def test_t4_default_consistency(self):
-        b = run_verification("1.2", 3)["bound"]
-        assert b["t"] == 4 and b["n"] == 30
-        assert b["witness_ok"] == (b["implied"] is not None)
+        report = run_verification("1.2", 3)
+        b = report["bound"]
+        assert (report["target"]["param"], report["graph_stats"]["n"]) == (4, 30)
+        assert (report["checks"][0]["status"] == "CONFIRMED") == (b["implied"] is not None)
         assert "R(4) = 18" in b["reference"]
 
     def test_contradiction_flag_guards_r3(self):
@@ -288,7 +291,6 @@ class TestBoundReport:
         # is exactly what confirm_R3 proves), so the flag is exercised on
         # counts no solver can return.
         b = bound_report_from_counts(3, 6, 2, 2)
-        assert b.witness_ok
         assert b.implied == "R(3) > 6"
         assert b.contradiction is not None and "R(3) = 6" in b.contradiction
 
