@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 when a REFUTED verdict is present, 2 on usage or
 build errors, 3 on an internal error (any other exception, such as a failed
 witness re-check, RecursionError or MemoryError), so a crash never reads as
-a refutation.  ``report.write_text`` writes every file, DIMACS streamed.
+a refutation.  ``report.write_text`` writes every file; ``build`` streams
+graph6 and DIMACS to it a chunk at a time, never holding the text whole.
 ``sweep`` runs its jobs in order in one process, writes each report as its
 job finishes, and ends with its wall time and each memo's builds and hits.
 Once stdout's reader has gone, every command runs on silent and exits as it
@@ -16,9 +17,10 @@ import argparse
 import os
 import sys
 import time
+from itertools import chain
 
 from sfcheck.construct import DEFAULT_PROFILE, InterpretationProfile, build_F, build_SF
-from sfcheck.formats import dimacs_rows, encode_graph6
+from sfcheck.formats import dimacs_rows, graph6_chunks
 from sfcheck.report import require_rebuildable, run_verification, write_report, write_text
 from sfcheck.solve import _chains, stage
 from sfcheck.verify import CLAIMS
@@ -81,7 +83,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
     if args.kind == "SF" and args.param > MAX_EXPORT_T:
         raise ValueError(f"SF({args.param}) is above the export limit of t = {MAX_EXPORT_T}")
     g = (build_F if args.kind == "F" else build_SF)(args.param, profile).graph
-    write_text(args.out, (encode_graph6(g), "\n") if args.format == "graph6" else dimacs_rows(g))
+    write_text(args.out, chain(graph6_chunks(g), ("\n",)) if args.format == "graph6" else dimacs_rows(g))
     _say(f"{args.kind}({args.param}): n={g.n} m={g.m} -> {args.out} [{args.format}]")
     return 0
 

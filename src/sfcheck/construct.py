@@ -13,7 +13,12 @@ its prefix, whose stages keep their answers, found from one block of
 disjoint copies.  The H side and the rule between parts follow by
 definition, so n, m and the label counts come in closed form.
 ``build_side``, ``build_F`` and ``build_SF`` make the dense graphs from
-the same ``build_block``, for export and as the tests' reference.
+the same ``build_block``, for export and as the tests' reference.  A
+dense build places each part's rows in one pass: a G side's rows shifted
+to its range, an H side's the complement of its G side's within its own
+range, and each ORed with every vertex of the other parity outside its
+part.  The labels stay bytes until the end, an H side's flipped by one
+``bytes.translate``, and ``LabeledGraph`` checks them at C speed.
 
 Several operators in that recipe admit more than one defensible reading.
 An InterpretationProfile pins all of them explicitly, so every build is a
@@ -25,24 +30,17 @@ from __future__ import annotations
 import reprlib
 from collections import namedtuple
 
-from sfcheck.graphs import COMBINE_OPS, PRODUCT_KINDS, Checked, Graph, combine, complement, complete, empty, path, product
+from sfcheck.graphs import COMBINE_OPS, PRODUCT_KINDS, Checked, Graph, combine, complete, empty, path, product
 
 PROFILE_BASES = ("explicit_path", "general")
 LABELS = (1, 2)
 
 
-def label_parity(label: int) -> int:
-    return label % 2
-
-
-def flip_label(label: int) -> int:
-    return 3 - label
-
-
 _ONES = bytes.maketrans(b"\x01\x02", b"10")
+_FLIPPED = bytes.maketrans(b"\x01\x02", b"\x02\x01")
 
 
-def label_masks(labels: tuple[int, ...]) -> tuple[int, int]:
+def label_masks(labels: bytes | tuple[int, ...]) -> tuple[int, int]:
     """The vertices labeled 1 (odd) and those labeled 2 (even), as two
     masks with bit v for vertex v, read from the label bytes at C speed:
     reversed, so vertex 0 is the last and lowest digit, and mapped to
@@ -107,22 +105,9 @@ class LabeledGraph(Checked, namedtuple("LabeledGraph", "graph labels")):
     def __post_init__(self) -> None:
         if len(self.labels) != self.graph.n:
             raise ValueError("labels length must equal vertex count")
-        for lab in self.labels:
-            if type(lab) is not int or lab not in LABELS:
-                raise ValueError(f"label {lab!r} outside {{1, 2}}")
-
-
-def _join_opposite_parity(rows: list[int], labels: tuple[int, ...], cuts: list[int]) -> Graph:
-    """Add to ``rows`` (in place) every opposite-parity edge across a cut, in
-    one pass: each vertex joins those of the other parity outside its range."""
-    odd, even = label_masks(labels)
-    bounds = [0, *cuts, len(rows)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        outside = ~((1 << hi) - (1 << lo))
-        joins = (odd & outside, even & outside)
-        for v in range(lo, hi):
-            rows[v] |= joins[label_parity(labels[v])]
-    return Graph._trusted(len(rows), tuple(rows))
+        if not (set(map(type, self.labels)) <= {int} and set(self.labels) <= set(LABELS)):
+            lab = next(lab for lab in self.labels if type(lab) is not int or lab not in LABELS)
+            raise ValueError(f"label {lab!r} outside {{1, 2}}")
 
 
 def build_block(r: int, profile: InterpretationProfile = DEFAULT_PROFILE) -> tuple[Graph, tuple[int, ...], bool]:
@@ -165,19 +150,26 @@ def build_SF(t: int, profile: InterpretationProfile = DEFAULT_PROFILE) -> Labele
 
 def _build_stages(stages: range, profile: InterpretationProfile) -> LabeledGraph:
     """The dense graph of ``stages`` in order: each stage's parts, the base
-    path or the G side and then the H side, placed disjointly, and every
-    opposite-parity pair across two parts joined in one pass.  Within a
+    path or the G side and then the H side, placed disjointly, each row
+    with every vertex of the other parity outside its part.  Within a
     stage that joins the sides; across stages it joins the stages."""
-    rows: list[int] = []
-    labels: tuple[int, ...] = ()
-    starts = []
+    parts = []  # (rows of the stage's first part, the part's labels, whether the part is the H side)
     for r in stages:
         side, side_labels, paired = build_side(r, profile)
-        parts = [(side, side_labels)]
+        parts.append((side.rows, bytes(side_labels), False))
         if paired:
-            parts.append((complement(side), tuple(map(flip_label, side_labels))))
-        for part, part_labels in parts:
-            starts.append(len(rows))
-            rows.extend(row << starts[-1] for row in part.rows)
-            labels += part_labels
-    return LabeledGraph(_join_opposite_parity(rows, labels, starts[1:]), labels)
+            parts.append((side.rows, parts[-1][1].translate(_FLIPPED), True))
+    labels = b"".join(part_labels for _, part_labels, _ in parts)
+    odd, even = label_masks(labels)
+    rows: list[int] = []
+    for part_rows, part_labels, inverse in parts:
+        start, end = len(rows), len(rows) + len(part_rows)
+        own = (1 << end) - (1 << start)
+        # A vertex labeled 1 (odd) joins the even vertices outside its part, and one labeled 2 the odd ones.
+        joins = (0, even & ~own, odd & ~own)
+        if inverse:  # the complement of the G side's rows within the part, each vertex's own bit cleared
+            bits = map((1).__lshift__, range(start, end))
+            rows += [own ^ (row << start | bit) | joins[label] for row, label, bit in zip(part_rows, part_labels, bits)]
+        else:
+            rows += [row << start | joins[label] for row, label in zip(part_rows, part_labels)]
+    return LabeledGraph(Graph._trusted(len(rows), tuple(rows)), tuple(labels))

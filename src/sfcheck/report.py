@@ -8,8 +8,10 @@ and profile produce byte-identical files except for the timestamps block.
 A report loads only if its job re-runs to it: the loader re-runs the
 check on the target's prefix, whose stages keep their answers,
 re-assembles the report through ``make_report``, witness included, and
-names each field that differs, apart from ``timestamps`` and
-``generated_by``.  Both routes check the target once, by its parameter,
+names each field that differs, is missing or is extra, apart from
+``timestamps`` and ``generated_by``.  A file that is already the
+writer's text of the re-run, its own timestamps put in, stands after
+that one encode.  Both routes check the target once, by its parameter,
 before anything is built: ``require_rebuildable``, which takes an exact
 int from 3 to ``MAX_T``.  Neither builds the dense graph; only ``sfcheck
 build`` does, to export it.  ``write_text`` writes every file sfcheck writes.
@@ -156,15 +158,18 @@ def _canonical(value) -> str | None:
 
 
 def _differences(expected, actual, where: str = "") -> Iterator[str]:
-    """The path of each field where ``actual`` differs from ``expected``,
-    is missing or is extra.  Values are compared as JSON, so a bool, an
-    int and a float never stand for each other.  Equal subtrees are passed
-    over in one comparison, so an unedited report costs one serialization
-    of each side."""
+    """A problem for each field where ``actual`` differs from ``expected``,
+    is missing or is extra, named by its path.  Values are compared as
+    JSON, so a bool, an int and a float never stand for each other.  Equal
+    subtrees are passed over in one comparison."""
     text = _canonical(expected)
     if text is not None and text == _canonical(actual):
         return
-    if isinstance(expected, dict) and isinstance(actual, dict):
+    if actual is _MISSING:
+        yield f"{where} is missing"
+    elif expected is _MISSING:
+        yield f"{where} is not in the re-assembled report"
+    elif isinstance(expected, dict) and isinstance(actual, dict):
         for key in [*expected, *(k for k in actual if k not in expected)]:
             path = f"{where}.{key}" if where else key
             yield from _differences(expected.get(key, _MISSING), actual.get(key, _MISSING), path)
@@ -172,42 +177,57 @@ def _differences(expected, actual, where: str = "") -> Iterator[str]:
         for i, (e, a) in enumerate(zip(expected, actual)):
             yield from _differences(e, a, f"{where}[{i}]")
     else:
-        yield where
+        yield f"{where} differs from the re-assembled report"
 
 
-def verify_report(report) -> list[str]:
-    """Re-run a loaded report's job and compare.
+def _rerun(report) -> dict | str:
+    """The report that a loaded report's job re-runs to, or the one problem
+    that stops the re-run.
 
     Reads three fields first, each in place: schema_version must be "2",
     and profile and target objects; the first that fails is the one
     problem, naming its value by ``reprlib.repr``.  Then checks the stated
     target with ``require_rebuildable`` (so target.param is exactly an int
     from 3 to ``MAX_T``), rebuilds its stages, re-runs the check its kind
-    picks on them, re-assembles the report with ``make_report`` from the
-    re-run alone, and names each field where the two differ.  So every
-    field, the claim, its r and the witness vertex for vertex included,
-    must be the re-run's: checked optima that ``Stack.holds`` passed.
-    Copied, not compared: ``generated_by``.
-    Returns a list of problems, empty when the report stands; never raises.
+    picks on them, and re-assembles the report with ``make_report`` from
+    the re-run alone, ``generated_by`` copied from ``report``.
     """
     if not isinstance(report, dict):
-        return [f"report: expected an object, got {type(report).__name__}"]
+        return f"report: expected an object, got {type(report).__name__}"
     if report.get("schema_version") != SCHEMA_VERSION:
-        return [f"unsupported schema_version {reprlib.repr(report.get('schema_version'))}"]
+        return f"unsupported schema_version {reprlib.repr(report.get('schema_version'))}"
     for field in ("profile", "target"):
         if not isinstance(report.get(field), dict):
-            return [f"report: {field} is {reprlib.repr(report.get(field))}, not an object"]
+            return f"report: {field} is {reprlib.repr(report.get(field))}, not an object"
     kind, param = report["target"].get("kind"), report["target"].get("param")
     try:
         require_rebuildable(kind, param)
         stack = Stack(kind, param, InterpretationProfile.from_dict(report["profile"]))
     except ValueError as exc:
-        return [f"cannot rebuild target: {exc}"]
-
+        return f"cannot rebuild target: {exc}"
     expected = make_report(stack, _check(stack), None, None)
     expected["generated_by"] = report.get("generated_by")
-    diffs = _differences(strip_volatile(expected), strip_volatile(report))
-    return [f"{path} differs from the re-assembled report" for path in diffs]
+    return expected
+
+
+def _problems(expected: dict | str, report) -> list[str]:
+    """The problems of ``report`` against ``expected``, ``_rerun``'s
+    result: its one problem, or each field where the two differ, apart
+    from ``timestamps``."""
+    if isinstance(expected, str):
+        return [expected]
+    return list(_differences(strip_volatile(expected), strip_volatile(report)))
+
+
+def verify_report(report) -> list[str]:
+    """Re-run a loaded report's job (``_rerun``) and name each field where
+    the report differs from the re-run's.  So every field, the claim, its r
+    and the witness vertex for vertex included, must be the re-run's:
+    checked optima that ``Stack.holds`` passed.  Copied, not compared:
+    ``generated_by``.  Returns a list of problems, empty when the report
+    stands; never raises.
+    """
+    return _problems(_rerun(report), report)
 
 
 def read_report(path) -> dict:
@@ -217,12 +237,25 @@ def read_report(path) -> dict:
 
 def load_report(path) -> dict:
     """Read a report and re-verify it; ValueError, naming the path, lists
-    the problems found or says that the file does not decode."""
+    the problems found or says that the file does not decode.  A file that
+    is, byte for byte, the writer's text of the re-run's report with the
+    file's own timestamps stands after that one encode; any other goes
+    field by field through ``verify_report``'s comparison."""
     try:
-        report = read_report(path)
+        with open(path) as fh:
+            text = fh.read()
+        report = json.loads(text)
     except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep to decode
         raise ValueError(f"report {path} does not decode as JSON: {exc}") from None
-    problems = verify_report(report)
+    expected = _rerun(report)
+    if isinstance(expected, dict):
+        rewritten = strip_volatile(expected)
+        if "timestamps" in report:
+            rewritten["timestamps"] = report["timestamps"]
+        encoded = _canonical(rewritten)
+        if encoded is not None and encoded + "\n" == text:
+            return report
+    problems = _problems(expected, report)
     if problems:
         raise ValueError(f"report {path} failed re-verification: " + "; ".join(problems))
     return report

@@ -554,8 +554,8 @@ class Stack:
         flip, listed = _flip(mode), []
         for (start, s, inverse, *_), mask in sorted(masks.items()):
             block, b = _members(mask), s.block_n
-            for first in range(start, start + (s.k if flip ^ inverse else 1) * b, b):
-                listed += [first + v for v in block]
+            copies = range(start, start + (s.k if flip ^ inverse else 1) * b, b)
+            listed += [first + v for first in copies for v in block]
         return tuple(listed)
 
     @staticmethod

@@ -7,6 +7,7 @@ the library code paths under test.
 
 from __future__ import annotations
 
+import binascii
 import itertools
 from functools import reduce
 from operator import itemgetter, or_
@@ -371,6 +372,32 @@ def bitwise_encode_graph6(g: Graph) -> str:
     return "".join(out)
 
 
+_B64_TO_G6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
+)
+
+
+def rowwise_encode_graph6(g: Graph) -> str:
+    """graph6 from one '0'/'1' string per column, read as one big int and
+    spelled by base64; the encoder ``graph6_chunks`` replaced, and its
+    reference at sizes the bitwise walk is too slow for."""
+    n = g.n
+    if n <= 62:
+        out = [chr(n + 63)]
+    elif n <= 258047:
+        out = ["~", chr((n >> 12) + 63), chr(((n >> 6) & 63) + 63), chr((n & 63) + 63)]
+    else:
+        out = ["~", "~"]
+        out.extend(chr(((n >> shift) & 63) + 63) for shift in range(30, -1, -6))
+    rows = g.rows
+    bits = "".join(format(rows[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n))
+    nchars = (len(bits) + 5) // 6
+    bits += "0" * (-len(bits) % 24)  # whole base64 quanta, so no '=' padding
+    raw = int(bits or "0", 2).to_bytes(len(bits) // 8, "big")
+    out.append(binascii.b2a_base64(raw, newline=False)[:nchars].translate(_B64_TO_G6).decode())
+    return "".join(out)
+
+
 def bitwise_decode_graph6(text: str) -> Graph:
     """graph6 one character and one bit at a time, with the same errors;
     the reference for ``decode_graph6``."""
@@ -502,6 +529,16 @@ def flat_optima(part_optima) -> tuple[tuple, tuple]:
         tuple(tuple(size for size, _ in solves) for solves in part_optima),
         tuple(tuple(mask for _, mask in solves) for solves in part_optima),
     )
+
+
+def label_parity(label: int) -> int:
+    """1 for label 1 (odd), 0 for label 2 (even)."""
+    return label % 2
+
+
+def flip_label(label: int) -> int:
+    """The other label: an H side's label for its G side's ``label``."""
+    return 3 - label
 
 
 def stack_labels(stack) -> list[int]:

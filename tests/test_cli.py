@@ -125,6 +125,21 @@ class TestBuild:
         assert code == 0 and out.stat().st_size > 8_000_000
         assert peak < out.stat().st_size, f"peak {peak} bytes for a {out.stat().st_size}-byte file"
 
+    def test_graph6_is_streamed_to_the_file(self, tmp_path, capsys):
+        # SF(16)'s graph6 text is 0.61 MB and its rows take 1.5 times that.
+        # Streamed a chunk at a time the build peaks at 1.4 MB; with the
+        # text held whole at 2.4 MB, and at 8.6 MB when it was spelled from
+        # one '0'/'1' string.
+        out = tmp_path / "sf16.g6"
+        tracemalloc.start()
+        try:
+            code = main(["build", "--kind", "SF", "--t", "16", "--format", "graph6", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and out.stat().st_size > 600_000
+        assert peak < 3 * out.stat().st_size, f"peak {peak} bytes for a {out.stat().st_size}-byte file"
+
     def test_build_error_exit_2(self, tmp_path, capsys):
         out = tmp_path / "x.g6"
         assert main(["build", "--kind", "F", "--r", "2", "--out", str(out)]) == 2

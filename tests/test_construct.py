@@ -18,15 +18,13 @@ from sfcheck.construct import (
     build_SF,
     build_block,
     build_side,
-    flip_label,
     label_masks,
-    label_parity,
 )
 from sfcheck.graphs import Graph, complete, induced
 from sfcheck.report import load_report
 from sfcheck.solve import Stack, max_clique, max_independent_set, stage, stage_solve
 
-from oracles import all_profiles, class_masks, label_counts, layout_cuts, stack_labels, stack_parts, stacked_vertex_count, stage_vertex_count
+from oracles import all_profiles, class_masks, flip_label, label_counts, label_parity, layout_cuts, stack_labels, stack_parts, stacked_vertex_count, stage_vertex_count
 
 GENERAL = DEFAULT_PROFILE.replace(base_case="general")
 

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sfcheck import formats
 from sfcheck.construct import DEFAULT_PROFILE, build_F, build_SF
-from sfcheck.formats import Graph6ParseError, decode_graph6, encode_dimacs, encode_graph6
+from sfcheck.formats import Graph6ParseError, decode_graph6, encode_dimacs, encode_graph6, graph6_chunks
 from sfcheck.graphs import Graph, complete, empty, path, random_graph
 from sfcheck.report import (
     _canonical,
@@ -32,6 +33,7 @@ from oracles import (
     bitwise_decode_graph6,
     bitwise_encode_graph6,
     edgewise_encode_dimacs,
+    rowwise_encode_graph6,
     walk_problems,
 )
 
@@ -138,6 +140,26 @@ def gnp(draw):
     return random_graph(n, draw(st.floats(0, 1)), random.Random(draw(st.integers(0, 2**32))))
 
 
+def first_n_past(bits: int) -> int:
+    """The least n whose triangle, n(n-1)/2 bits, holds more than ``bits``."""
+    n = 0
+    while n * (n - 1) // 2 <= bits:
+        n += 1
+    return n
+
+
+# n whose triangle crosses one chunk boundary of ``graph6_chunks``, then two.
+CHUNK_CROSSING = [first_n_past(k * formats._CHUNK_BITS) + d for k in (1, 2) for d in (-1, 0, 1)]
+
+
+@st.composite
+def chunked_gnp(draw):
+    """G(n, p) with n = 0..70, across the 62/63 header switch, and n whose
+    triangle ``graph6_chunks`` spells in one, two or three chunks."""
+    n = draw(st.one_of(st.integers(min_value=0, max_value=70), st.sampled_from([62, 63, *CHUNK_CROSSING])))
+    return random_graph(n, draw(st.floats(0, 1)), random.Random(draw(st.integers(0, 2**32))))
+
+
 def decode_outcome(decode, text):
     """The graph a decoder returns, or the message and offset it raises."""
     try:
@@ -179,6 +201,12 @@ class TestCodecsMatchTheBitwiseOracles:
         assert text == bitwise_encode_graph6(g)
         assert decoded(text) == bitwise_decode_graph6(text) == g
         assert encode_dimacs(g) == edgewise_encode_dimacs(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(chunked_gnp())
+    def test_graph6_matches_the_rowwise_encoder(self, g):
+        expected = rowwise_encode_graph6(g)
+        assert encode_graph6(g) == "".join(graph6_chunks(g)) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(damaged_graph6())

@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 
 from sfcheck import cli
 from sfcheck import construct as construct_module
+from sfcheck import report as report_module
 from sfcheck import solve as solve_module
 from sfcheck.construct import InterpretationProfile, LabeledGraph, build_F
 from sfcheck.report import (
     MAX_T,
     load_report,
+    read_report,
     require_rebuildable,
     run_verification,
     verify_report,
@@ -97,12 +99,16 @@ MISREAD = {
 
 
 def assert_rejected(report, tmp_path):
+    """``verify_report`` names problems in ``report``, and the loader
+    refuses its file with the problems it names in the report read back."""
     problems = verify_report(report)
     assert isinstance(problems, list) and problems
     target = tmp_path / "r.json"
     write_report(target, report)
-    with pytest.raises(ValueError, match="re-verification"):
+    with pytest.raises(ValueError) as refused:
         load_report(target)
+    read_back = verify_report(read_report(target))
+    assert str(refused.value) == f"report {target} failed re-verification: " + "; ".join(read_back)
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -198,8 +204,46 @@ def test_a_dropped_field_put_back_is_refused_by_name(theorem, field, tmp_path):
     path = DROPPED[field]
     target = tmp_path / "r.json"
     write_report(target, edited(report, path, report_path_value(schema1(report), path)))
-    with pytest.raises(ValueError, match=f"failed re-verification: {re.escape(field)} differs from the re-assembled report$"):
+    with pytest.raises(ValueError, match=f"failed re-verification: {re.escape(field)} is not in the re-assembled report$"):
         load_report(target)
+
+
+# Fields a truncated report lacks, each named as missing, not as changed.
+MISSING = {
+    "notes": ("1.1", ("notes",)),
+    "bound": ("1.1", ("bound",)),
+    "graph_stats.m": ("1.2", ("graph_stats", "m")),
+    "checks[0].witness": ("1.2", CHECK + ("witness",)),
+}
+
+
+@pytest.mark.parametrize("field", sorted(MISSING))
+def test_a_missing_field_is_refused_by_name(field, tmp_path):
+    theorem, path = MISSING[field]
+    target = tmp_path / "r.json"
+    write_report(target, edited(base_report(theorem, 3), path, DELETE))
+    with pytest.raises(ValueError, match=f"failed re-verification: {re.escape(field)} is missing$"):
+        load_report(target)
+
+
+@pytest.mark.parametrize("theorem", ["1.1", "1.2"])
+def test_an_unedited_load_encodes_once(theorem, tmp_path, monkeypatch):
+    """A file that is the writer's text of its re-run stands after one
+    encode, that of the re-run; the field-by-field comparison, which
+    encodes both sides, is for any other file."""
+    target = tmp_path / "r.json"
+    write_report(target, base_report(theorem, 5))
+    encoded = []
+
+    class Counting:
+        def encode(self, value):
+            encoded.append(value)
+            return encoder.encode(value)
+
+    encoder = report_module._ENCODER
+    monkeypatch.setattr(report_module, "_ENCODER", Counting())
+    assert load_report(target) == base_report(theorem, 5)
+    assert len(encoded) == 1
 
 
 @pytest.mark.parametrize("theorem", ["1.1", "1.2"])
