@@ -24,7 +24,10 @@ trailing data.  The rows need no check, so it wraps them with the
 unchecked ``Graph._trusted``: each lower row keeps only bits below its
 own index, so the rows are loop-free and in range, and a matrix OR its
 transpose is symmetric.  ``dimacs_rows`` yields DIMACS a vertex's lines
-at a time, for ``build`` to stream, picking the neighbors above it with
+at a time, for ``build`` to stream.  Row i's neighbors above i are row
+i-1's above i-1 less i itself exactly when the rows agree above i, as
+twins do (64-70% of SF(7)'s rows, 88% of SF(24)'s); such a row keeps the
+row before's names, any other picks them afresh with
 ``itertools.compress`` from its row's bits.  Base-2 ``format`` is exempt
 from the int string-digit limit.
 """
@@ -166,16 +169,23 @@ def _triangle_rows(triangle: bytes, n: int) -> tuple[int, ...]:
 
 def dimacs_rows(g: Graph) -> Iterator[str]:
     """DIMACS edge format, one string at a time: the "p edge n m" line,
-    then for each vertex u its 1-indexed "e u v" lines, v > u, ascending."""
+    then for each vertex u its 1-indexed "e u v" lines, v > u, ascending;
+    a row that agrees above itself with the row before reuses its names."""
     names = [f"{v + 1}\n" for v in range(g.n)]
     yield f"p edge {g.n} {g.m}\n"
+    kept, last = [], -1  # row i-1's neighbor names above i-1, and those bits
     for i, row in enumerate(g.rows):
         above = row >> (i + 1)
-        if above:
-            # flags[k] is 1 when i is adjacent to i + 1 + k; one join per row.
+        if above != last >> 1:
+            # flags[k] is 1 when i is adjacent to i + 1 + k.
             flags = format(above, "b")[::-1].encode().translate(_FLAGS)
+            kept = list(compress(names[i + 1 :], flags))
+        elif last & 1:
+            del kept[0]  # i itself, row i-1's first neighbor above it
+        if kept:
             head = f"e {i + 1} "
-            yield head + head.join(compress(names[i + 1 :], flags))
+            yield head + head.join(kept)
+        last = above
 
 
 def encode_dimacs(g: Graph) -> str:

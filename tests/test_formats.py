@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from sfcheck import formats
 from sfcheck.construct import DEFAULT_PROFILE, build_F, build_SF
 from sfcheck.formats import Graph6ParseError, decode_graph6, encode_dimacs, encode_graph6, graph6_chunks
-from sfcheck.graphs import Graph, complete, empty, path, random_graph
+from sfcheck.graphs import Graph, combine, complete, empty, path, random_graph
 from sfcheck.report import (
     _canonical,
     load_report,
@@ -160,6 +160,23 @@ def chunked_gnp(draw):
     return random_graph(n, draw(st.floats(0, 1)), random.Random(draw(st.integers(0, 2**32))))
 
 
+@st.composite
+def blown_up(draw):
+    """A random base graph on 1..30 vertices, each vertex blown up into a
+    run of 1..5 consecutive twins, true (adjacent to each other) or false.
+    Twins agree above themselves, the rows whose names ``dimacs_rows``
+    keeps from the row before; ``gnp`` draws them almost only at p = 0 or 1."""
+    base = random_graph(draw(st.integers(1, 30)), draw(st.floats(0, 1)), random.Random(draw(st.integers(0, 2**32))))
+    runs = draw(st.lists(st.tuples(st.integers(1, 5), st.booleans()), min_size=base.n, max_size=base.n))
+    owner = [x for x, (size, _) in enumerate(runs) for _ in range(size)]
+    edges = []
+    for v, y in enumerate(owner):
+        for u, x in enumerate(owner[:v]):
+            if runs[x][1] if x == y else base.has_edge(x, y):
+                edges.append((u, v))
+    return Graph.from_edges(len(owner), edges)
+
+
 def decode_outcome(decode, text):
     """The graph a decoder returns, or the message and offset it raises."""
     try:
@@ -231,6 +248,28 @@ class TestDimacs:
 
     def test_complete3_sorted(self):
         assert encode_dimacs(complete(3)) == "p edge 3 3\ne 1 2\ne 1 3\ne 2 3\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(blown_up())
+    def test_twin_runs_match_the_edgewise_encoder(self, g):
+        assert encode_dimacs(g) == edgewise_encode_dimacs(g)
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_one_twin_run_to_the_last_vertex(self, n):
+        # Every row agrees with the row before above it: K_n drops the
+        # first name each row, empty(n) keeps an empty list.
+        for g in (complete(n), empty(n)):
+            assert encode_dimacs(g) == edgewise_encode_dimacs(g)
+
+    @pytest.mark.parametrize("a", range(13))
+    def test_complete_bipartite_in_either_order(self, a):
+        # K_{a,b}: a false twins naming the whole second part, then b false
+        # twins with no neighbor above, the last of them the last vertex.
+        # At b = 1 that vertex's empty list is the row before's less its one
+        # name.  (a, b) and (b, a) both run, so each order of the parts does.
+        for b in range(13 - a):
+            g = combine(empty(a), empty(b), "join")
+            assert encode_dimacs(g) == edgewise_encode_dimacs(g)
 
 
 class TestReports:
