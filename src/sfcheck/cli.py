@@ -22,7 +22,7 @@ from itertools import chain
 from sfcheck.construct import DEFAULT_PROFILE, InterpretationProfile, build_F, build_SF
 from sfcheck.formats import dimacs_rows, graph6_chunks
 from sfcheck.report import require_rebuildable, run_verification, write_report, write_text
-from sfcheck.solve import _chains, stage
+from sfcheck.solve import memo_counts
 from sfcheck.verify import CLAIMS
 
 _SUM_FLAGS = {"union": "disjoint_union", "join": "join"}
@@ -99,11 +99,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if report["checks"][0]["status"] == "REFUTED" else 0
 
 
-def _built() -> tuple[int, int, int]:
-    """Stages built, stage memo hits and prefixes built in this process."""
-    return stage.cache_info().misses, stage.cache_info().hits, sum(map(len, _chains.values()))
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     # Each claim's largest target has parameter t-max, so this one check
     # refuses, before any job runs, a sweep that no loader would rebuild.
@@ -116,7 +111,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for r in range(min_r, args.t_max - shift + 1)
     ]
     os.makedirs(args.report_dir, exist_ok=True)
-    refuted, started, before = False, time.perf_counter(), _built()
+    refuted, started, before = False, time.perf_counter(), memo_counts()
     # Each report is written as its job finishes, so a failed job keeps
     # the reports of the jobs before it.
     for theorem, r in jobs:
@@ -125,7 +120,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         _say(_check_summary(report))
         refuted = refuted or report["checks"][0]["status"] == "REFUTED"
     seconds = time.perf_counter() - started
-    stages, hits, prefixes = (a - b for a, b in zip(_built(), before))
+    stages, hits, prefixes = (a - b for a, b in zip(memo_counts(), before))
     _say(f"sweep: {len(jobs)} reports -> {args.report_dir} in {seconds:.2f} s; stage memo: {stages} built, {hits} hits; prefixes: {prefixes} built")
     return 1 if refuted else 0
 

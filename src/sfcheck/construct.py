@@ -7,11 +7,11 @@ cross edges that join exactly the opposite-parity label pairs.  SF(t)
 chains stages 3..t, again joining opposite-parity pairs across stages.
 That layout is ``solve.Stack``'s; a dense build is its graph and labels.
 
-Verification builds neither F(r) nor SF(t) whole: ``solve.Stack`` is
-its prefix, whose stages keep their answers, found from one block of
-``build_block``: the base path, or one copy of the G side, which is r-1
-disjoint copies.  The H side and the rule between parts follow by
-definition, so n, m and the label counts come in closed form.
+Verification builds neither F(r) nor SF(t) whole: ``solve.Stack`` is its
+prefix, whose stages keep their answers, found from one ``stage_block``
+under a ``stage_family`` key: the base path, or one copy of the G side,
+which is r-1 disjoint copies.  The H side and the rule between parts
+follow by definition, so n, m and the label counts come in closed form.
 ``build_side``, ``build_F`` and ``build_SF`` make the dense graphs from
 the same ``build_block``, for export and as the tests' reference.  A
 dense build places each part's rows in one pass: a G side's rows shifted
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import reprlib
 from collections import namedtuple
+from functools import cache
 
 from sfcheck.graphs import COMBINE_OPS, PRODUCT_KINDS, Checked, Graph, combine, complete, empty, path, product
 
@@ -122,6 +123,26 @@ def build_block(r: int, profile: InterpretationProfile = DEFAULT_PROFILE) -> tup
         return path(6), (1, 2, 1, 1, profile.y_label, 2), False
     a = r // 2
     return combine(complete(a), complete(r - a), profile.sum), (1,) * a + (2,) * (r - a), True
+
+
+def stage_block(r: int, profile: InterpretationProfile) -> tuple[Graph, tuple[int, ...], int, bool]:
+    """One block of F(r)'s first part as (block, labels, copies, paired):
+    the base path, once, or ``product(empty(1), G_z, prod)``, of which
+    the G side is r-1 disjoint copies."""
+    block, labels, paired = build_block(r, profile)
+    return (product(empty(1), block, profile.prod), labels, r - 1, True) if paired else (block, labels, 1, False)
+
+
+@cache
+def stage_family(profile: InterpretationProfile) -> tuple[InterpretationProfile, InterpretationProfile]:
+    """``profile``'s stage family: the keys its stage 3 and its later
+    stages are built and memoized under, one per block ``stage_block``
+    reads, 9 for the 24 profiles.  The base path reads y_label alone, and
+    - cartesian reads as lexicographic, because the left factor is edgeless;
+    - tensor ignores sum: its copies are edgeless whatever G_z is;
+    - the general base ignores y_label."""
+    rest = DEFAULT_PROFILE.replace(prod="tensor") if profile.prod == "tensor" else DEFAULT_PROFILE.replace(sum=profile.sum)
+    return DEFAULT_PROFILE.replace(y_label=profile.y_label) if profile.base_case == "explicit_path" else rest.replace(base_case="general"), rest
 
 
 def build_side(r: int, profile: InterpretationProfile = DEFAULT_PROFILE) -> tuple[Graph, tuple[int, ...], bool]:

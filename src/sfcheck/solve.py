@@ -69,18 +69,16 @@ stage side is one under every profile (r-1 disjoint copies of K_a +
 K_(r-a) or of K_r, or edgeless, and their complement); only the
 six-vertex base path and its complement are prime.
 
-The stage memo, ``stage``, keyed on (r, profile) as ``_stage_profiles``
-reads it, by the block the stage reads, keeps each stage's answers and
-evicts none.  It splits one block of F(r)'s first part,
-``construct.build_block``'s base path (k = 1 copy) or one copy of the G
-side, ``product(empty(1), G_z, prod)``: a product joins two copies only
-through an edge of ``empty(r - 1)``, so the G side is k = r-1 disjoint
-copies.  Each optimum is checked by ``_holds`` where it is found.  A
-part's query in mode flip is its block's in view flip ^ inverse (-1 for
-an H side, else 0), by the copy rule: a clique lies in one copy, the
-block's in copy 0; an independent set is one in each copy, k times the
-block's size, kept as the block's mask.  H is G's complement with labels
-flipped, so
+The stage memo, ``stage``, keyed on r and a ``construct.stage_family``
+key, keeps each stage's answers and evicts none.  It splits one block of
+F(r)'s first part, ``construct.stage_block``'s base path (k = 1 copy) or
+one copy of the G side: a product joins two copies only through an edge
+of ``empty(r - 1)``, so the G side is k = r-1 disjoint copies.  Each
+optimum is checked by ``_holds`` where it is found.  A part's query in
+mode flip is its block's in view flip ^ inverse (-1 for an H side, else
+0), by the copy rule: a clique lies in one copy, the block's in copy 0;
+an independent set is one in each copy, k times the block's size, kept
+as the block's mask.  H is G's complement with labels flipped, so
 
     omega(H) = alpha(G),  omega_1(H) = alpha_2(G),  omega_2(H) = alpha_1(G),
 
@@ -116,14 +114,8 @@ from operator import itemgetter, or_
 from types import SimpleNamespace
 from typing import NamedTuple
 
-from sfcheck.construct import (
-    DEFAULT_PROFILE,
-    InterpretationProfile,
-    _require_param,
-    build_block,
-    label_masks,
-)
-from sfcheck.graphs import Graph, as_vertex_set, complement, empty, induced, product
+from sfcheck.construct import InterpretationProfile, _require_param, label_masks, stage_block, stage_family
+from sfcheck.graphs import Graph, as_vertex_set, complement, induced
 
 ORACLE_MAX_N = 24
 
@@ -442,22 +434,9 @@ class Stage:
 
 
 @cache
-def stage(r: int, profile: InterpretationProfile) -> Stage:
-    """F(r) under ``profile`` as one block of its first part, built once."""
-    block, labels, paired = build_block(r, profile)
-    return Stage(product(empty(1), block, profile.prod), labels, r - 1, True) if paired else Stage(block, labels, 1, False)
-
-
-@cache
-def _stage_profiles(profile: InterpretationProfile) -> tuple[InterpretationProfile, InterpretationProfile]:
-    """The profiles under which ``profile``'s stage 3 and its later stages
-    are memoized, by the block each reads: the base path reads y_label
-    alone, the general stage 3 ignores it, and a later stage's block,
-    ``product(empty(1), G_z, prod)``, is G_z under cartesian as under
-    lexicographic, and edgeless under tensor whatever the sum."""
-    rest = DEFAULT_PROFILE.replace(prod="tensor") if profile.prod == "tensor" else DEFAULT_PROFILE.replace(sum=profile.sum)
-    path = profile.base_case == "explicit_path"
-    return DEFAULT_PROFILE.replace(y_label=profile.y_label) if path else rest.replace(base_case="general"), rest
+def stage(r: int, key: InterpretationProfile) -> Stage:
+    """F(r) under a ``stage_family`` key as one block of its first part, built once."""
+    return Stage(*stage_block(r, key))
 
 
 class _ClassSum(Mapping):
@@ -519,13 +498,18 @@ _EMPTY = SimpleNamespace(n=0, m=0, label_counts={1: 0, 2: 0}, parts=None, optima
 _chains: dict[tuple[InterpretationProfile, InterpretationProfile], list[Prefix]] = {}  # per stage family, [SF(3), SF(4), ...]
 
 
-def prefix(t: int, base: InterpretationProfile, rest: InterpretationProfile) -> Prefix:
-    """SF(t) as a Prefix, from the list of ``_stage_profiles``' two keys,
+def prefix(t: int, family: tuple[InterpretationProfile, InterpretationProfile]) -> Prefix:
+    """SF(t) as a Prefix, from the list of ``stage_family``'s two keys,
     grown in order, one stage at a time, up to SF(t): no recursion."""
-    chain = _chains.setdefault((base, rest), [])
+    chain, (base, rest) = _chains.setdefault(family, []), family
     for u in range(len(chain) + 3, t + 1):
         chain.append(Prefix(chain[-1] if chain else None, stage(u, base if u == 3 else rest)))
     return chain[t - 3]
+
+
+def memo_counts() -> tuple[int, int, int]:
+    """Stages built, stage memo hits and prefixes built in this process."""
+    return stage.cache_info().misses, stage.cache_info().hits, sum(map(len, _chains.values()))
 
 
 class Stack:
@@ -537,8 +521,8 @@ class Stack:
     def __init__(self, kind: str, param: int, profile: InterpretationProfile) -> None:
         _require_param(kind, param)
         self.kind, self.param, self.profile = kind, param, profile
-        base, rest = _stage_profiles(profile)
-        self.prefix = prefix(param, base, rest) if kind == "SF" else Prefix(None, stage(param, base if param == 3 else rest))
+        base, rest = family = stage_family(profile)
+        self.prefix = prefix(param, family) if kind == "SF" else Prefix(None, stage(param, base if param == 3 else rest))
         self.n, self.m, self.label_counts = self.prefix.n, self.prefix.m, self.prefix.label_counts
 
     @staticmethod

@@ -5,18 +5,19 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from sfcheck import construct, solve  # noqa: E402
+from sfcheck import construct  # noqa: E402
 from oracles import clear_memos  # noqa: E402
 
 
 @pytest.fixture
 def seed_stage(monkeypatch):
     """``seed_stage(r, fault)`` makes every build of F(r)'s block (one copy
-    of the G side's block graph, or the base path), the stage memo's and
-    the dense ``build_side``'s alike, come out as ``fault`` of the real
-    (graph, labels).  The stage memo and the lists of prefixes, whose entries
-    hold its stages, are emptied at each seeding and after the test, so no
-    doctored stage outlives it."""
+    of the G side's block graph, or the base path), the stage memo's,
+    through ``construct.stage_block``, and the dense ``build_side``'s
+    alike, come out as ``fault`` of the real (graph, labels).  The stage
+    memo and the lists of prefixes, whose entries hold its stages, are
+    emptied at each seeding and after the test, so no doctored stage
+    outlives it."""
     real = construct.build_block
 
     def seed(r, fault):
@@ -25,7 +26,6 @@ def seed_stage(monkeypatch):
             return (*fault(block, labels), paired) if r_ == r else (block, labels, paired)
 
         monkeypatch.setattr(construct, "build_block", build)
-        monkeypatch.setattr(solve, "build_block", build)
         clear_memos()
 
     yield seed

@@ -13,7 +13,7 @@ from functools import reduce
 from operator import itemgetter, or_
 from typing import NamedTuple
 
-from sfcheck import solve
+from sfcheck import construct, solve
 from sfcheck.construct import InterpretationProfile
 from sfcheck.formats import Graph6ParseError
 from sfcheck.graphs import Graph, complement, induced
@@ -102,6 +102,18 @@ def all_profiles() -> list[InterpretationProfile]:
                 for y in (1, 2):
                     out.append(InterpretationProfile(sum=s, prod=p, base_case=b, y_label=y))
     return out
+
+
+def family_representatives() -> list[InterpretationProfile]:
+    """The first profile of each stage family, ``construct.stage_family``,
+    in ``all_profiles`` order.  The profiles of a family build the same
+    dense graphs and stage route results (``test_construct.py``'s
+    ``check_stage_families``), so a test that reaches only those loops
+    over these nine."""
+    first = {}
+    for profile in all_profiles():
+        first.setdefault(construct.stage_family(profile), profile)
+    return list(first.values())
 
 
 def stage_vertex_count(r: int) -> int:
@@ -559,7 +571,7 @@ def clear_memos() -> None:
 def prefixes_built() -> int:
     """The prefixes built since the memos were last emptied: the lengths of
     every stage family's list."""
-    return sum(map(len, solve._chains.values()))
+    return solve.memo_counts()[2]
 
 
 def listed_members(masks, mode: str) -> tuple[int, ...]:

@@ -25,7 +25,7 @@ from sfcheck.report import load_report, strip_volatile
 from sfcheck.solve import ORACLE_MAX_N, Stack, _split_clique, oracle_max_clique, verify_witness
 from sfcheck.verify import bound_report_from_counts, check_theorem_1_2
 
-from oracles import all_profiles
+from oracles import family_representatives
 
 GENERAL = DEFAULT_PROFILE.replace(base_case="general")
 
@@ -186,7 +186,7 @@ def test_criterion_6_construction_arithmetic():
 
 
 def test_criterion_7_format_fidelity():
-    for profile in all_profiles():
+    for profile in family_representatives():
         for r in range(3, 7):
             g = build_F(r, profile).graph
             assert decode_graph6(encode_graph6(g)) == g

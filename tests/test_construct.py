@@ -2,12 +2,13 @@
 the rule between the sides of a stage on the dense and doctored builds."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from sfcheck import solve
+from sfcheck import construct, solve
 from sfcheck.cli import main
 from sfcheck.construct import (
     DEFAULT_PROFILE,
@@ -22,9 +23,21 @@ from sfcheck.construct import (
 )
 from sfcheck.graphs import Graph, complete, induced
 from sfcheck.report import load_report
-from sfcheck.solve import Stack, max_clique, max_independent_set, stage, stage_solve
+from sfcheck.solve import Prefix, Stack, Stage, max_clique, max_independent_set, stage, stage_mono_clique, stage_solve
 
-from oracles import all_profiles, class_masks, flip_label, label_counts, label_parity, layout_cuts, stack_labels, stack_parts, stacked_vertex_count, stage_vertex_count
+from oracles import (
+    all_profiles,
+    class_masks,
+    clear_memos,
+    flip_label,
+    label_counts,
+    label_parity,
+    layout_cuts,
+    stack_labels,
+    stack_parts,
+    stacked_vertex_count,
+    stage_vertex_count,
+)
 
 GENERAL = DEFAULT_PROFILE.replace(base_case="general")
 
@@ -312,7 +325,7 @@ class TestPremise:
     def test_seeded_fault_reaches_both_builds(self, fault, seed_stage):
         real = build_block(4)[:2]
         seed_stage(4, FAULTS[fault])
-        doctored, kept, (block, labels, _) = build_F(4), stage(4, DEFAULT_PROFILE), solve.build_block(4, DEFAULT_PROFILE)
+        doctored, kept, (block, labels, _) = build_F(4), stage(4, DEFAULT_PROFILE), construct.build_block(4, DEFAULT_PROFILE)
         assert (block, labels) != real and kept.k == 3 and kept.parts[0][2:] == class_masks(labels)
         for lo in (0, 4, 8):
             assert (block, labels) == (induced(doctored.graph, range(lo, lo + 4)), doctored.labels[lo : lo + 4])
@@ -346,3 +359,72 @@ class TestPremise:
                 seed_stage(r, doctor)
                 assert not rule_breaks(build_F(r, profile), layout_cuts("F", r, profile))
                 assert_stack_matches_dense(r, profile)
+
+
+# The dense builds that ``check_stage_families`` holds equal within a family.
+DENSE_BUILDS = [(build_F, r) for r in range(3, 9)] + [(build_SF, t) for t in range(3, 8)]
+
+
+def route_results(stack):
+    """The sizes and listed witnesses of ``stage_solve``'s omega and alpha
+    and of ``stage_mono_clique`` on ``stack``."""
+    omega, alpha = stage_solve(stack)
+    modes = ((omega, "clique"), (alpha, "independent"), (stage_mono_clique(stack), "clique"))
+    return [(res.size, Stack.members(res.masks, mode)) for res, mode in modes]
+
+
+def check_stage_families():
+    """Each of the 24 profiles against its family's representative, the
+    first profile in ``all_profiles`` order that ``construct.stage_family``
+    maps to the same family: its dense F(3..8) and SF(3..7), graphs and
+    labels, are the representative's, and so are the route results of
+    F(t) and SF(t), t <= 20, each stage built under the profile's own
+    reading, ``stage_block(r, profile)``, outside the stage memo.  There
+    are nine representatives, and no two agree on every dense build."""
+    reps, builds = {}, {}
+    for profile in all_profiles():
+        rep = reps.setdefault(construct.stage_family(profile), profile)
+        builds[profile] = tuple(build(param, profile) for build, param in DENSE_BUILDS)
+        assert builds[profile] == builds[rep], f"dense builds under {profile} differ from its representative {rep}'s"
+        prefix = None
+        for t in range(3, 21):
+            own = Stage(*construct.stage_block(t, profile))
+            prefix = Prefix(prefix, own)
+            for kind, ours in (("F", Prefix(None, own)), ("SF", prefix)):
+                theirs = Stack(kind, t, rep)
+                assert route_results(SimpleNamespace(prefix=ours)) == route_results(theirs), f"route on {kind}({t}) under {profile} differs from {rep}'s"
+    assert len(reps) == 9, f"{len(reps)} stage families"
+    assert len({builds[rep] for rep in reps.values()}) == 9, "two representatives agree on every dense build"
+
+
+class TestStageFamilies:
+    """``construct.stage_family`` names the 9 stage families of the 24
+    profiles, and a fault in it shows in ``check_stage_families``."""
+
+    def test_each_profile_builds_what_its_representative_does(self):
+        check_stage_families()
+
+    @pytest.mark.parametrize(
+        "fault, seen",
+        [
+            # Groups tensor with lexicographic, whose dense builds differ.
+            (lambda family, p: family(p.replace(prod="lexicographic") if p.prod == "tensor" else p), "^dense builds under"),
+            # Groups as the map does, but keys a tensor family's stages under cartesian.
+            (lambda family, p: tuple(key.replace(prod="cartesian") for key in family(p)) if p.prod == "tensor" else family(p), "^route on"),
+        ],
+        ids=["tensor read as lexicographic", "tensor keyed as cartesian"],
+    )
+    def test_a_faulty_map_fails_the_family_check(self, fault, seen, monkeypatch):
+        real = construct.stage_family
+
+        def doctored(profile):
+            return fault(real, profile)
+
+        monkeypatch.setattr(construct, "stage_family", doctored)
+        monkeypatch.setattr(solve, "stage_family", doctored)
+        clear_memos()
+        try:
+            with pytest.raises(AssertionError, match=seen):
+                check_stage_families()
+        finally:
+            clear_memos()

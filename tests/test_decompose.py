@@ -32,7 +32,7 @@ from sfcheck.solve import (
 )
 from sfcheck.verify import CLAIMS
 
-from oracles import all_profiles, class_split, clear_memos, max_mono_clique, prefixes_built, stack_stages
+from oracles import all_profiles, class_split, clear_memos, family_representatives, max_mono_clique, prefixes_built, stack_stages
 
 VERTEX = Graph(1, (0,))
 MODES = ("clique", "independent")
@@ -172,7 +172,7 @@ def test_deep_cotree_needs_no_recursion():
 
 
 def test_search_sees_nothing_past_the_base_path(monkeypatch):
-    """Under every profile, the route on SF(3..12) and the single-label
+    """Under every stage family, the route on SF(3..12) and the single-label
     cliques of F(3..12) pass branch and bound no piece above six vertices."""
     sizes = []
 
@@ -182,7 +182,7 @@ def test_search_sees_nothing_past_the_base_path(monkeypatch):
 
     monkeypatch.setattr(solve, "max_clique", recording)
     clear_memos()
-    for profile in all_profiles():
+    for profile in family_representatives():
         for t in range(3, 13):
             stage_solve(Stack("SF", t, profile))
             f = build_F(t, profile)
@@ -202,7 +202,7 @@ def test_no_part_complement_is_built(monkeypatch):
 
     monkeypatch.setattr(solve, "complement", recording)
     clear_memos()
-    for profile in all_profiles():
+    for profile in family_representatives():
         run_verification("1.2", 11, profile)
         run_verification("1.1", 12, profile)
     assert sizes and max(sizes) <= 6

@@ -40,6 +40,7 @@ from oracles import (
     block_optima,
     class_masks,
     clear_memos,
+    family_representatives,
     flat_optima,
     label_counts,
     max_mono_clique,
@@ -115,7 +116,7 @@ def test_an_h_side_shares_its_g_sides_results():
     """An H side's optima are its G side's masks, not copies: its whole,
     label-1 and label-2 optima are G's whole, label-2 and label-1 optima of
     the other mode."""
-    for profile in all_profiles():
+    for profile in family_representatives():
         for r in range(3, 9):
             s = solve_module.stage(r, profile)
             if not s.paired:
@@ -136,7 +137,7 @@ def test_a_stage_keeps_its_answers_not_its_block():
     of r vertices and its side's r-1 copies; the base path is six
     vertices, one copy."""
     fields = {"block_n", "k", "paired", "parts", "n", "m", "label_counts", "optima"}
-    for profile in all_profiles():
+    for profile in family_representatives():
         for r in range(3, 13):
             s = solve_module.stage(r, profile)
             assert set(vars(s)) == fields and not any(isinstance(value, Graph) for value in vars(s).values()), (profile, r)
@@ -150,7 +151,7 @@ def test_a_stage_keeps_its_answers_not_its_block():
 def test_optima_are_block_masks():
     """A stage keeps each part optimum as a mask over its block alone, and
     no mask of its copies."""
-    for profile in all_profiles():
+    for profile in family_representatives():
         for r in range(3, 13):
             s = solve_module.stage(r, profile)
             assert not hasattr(s, "repunit"), (profile, r)
@@ -231,7 +232,7 @@ def stack_witnesses(draw):
     of its whole, label-1 and label-2 optima in ``mode``, so that parts
     meet within a stage and across stages, in every pair of parities."""
     t = draw(st.integers(3, 7))
-    profile = draw(st.sampled_from(all_profiles()))
+    profile = draw(st.sampled_from(family_representatives()))
     mode = draw(st.sampled_from(["clique", "independent"]))
     parts = stack_parts(Stack("SF", t, profile))
     masks = {}
@@ -480,7 +481,7 @@ def test_check_lists_only_the_witness_it_stores(monkeypatch):
     listed, members = [], Stack.members
     monkeypatch.setattr(Stack, "members", staticmethod(lambda masks, mode: listed.append(masks) or members(masks, mode)))
     refuted_by_clique = 0
-    for profile in all_profiles():
+    for profile in family_representatives():
         optima = {"clique": [], "independent": []}  # per part of SF(t), numbered within the part
         for t in range(3, 21):
             for mode, parts in dense_part_optima(build_F(t, profile), layout_cuts("F", t, profile)).items():
@@ -497,16 +498,16 @@ def test_check_lists_only_the_witness_it_stores(monkeypatch):
 
 def test_each_profile_reads_the_stage_of_its_block():
     """F(r)'s stage under a profile's own reading equals the stage under
-    its ``_stage_profiles`` key, which reads cartesian as lexicographic and
+    its ``stage_family`` key, which reads cartesian as lexicographic and
     tensor under either sum as under disjoint_union: the same block.  So
     the 24 profiles key three families of stages after the third."""
     fields = ("block_n", "k", "parts", "n", "m", "label_counts", "optima")
     for profile in all_profiles():
-        base, rest = solve_module._stage_profiles(profile)
+        base, rest = construct_module.stage_family(profile)
         for r in range(3, 41):
             own, keyed = solve_module.stage.__wrapped__(r, profile), solve_module.stage(r, base if r == 3 else rest)
             assert [getattr(own, f) for f in fields] == [getattr(keyed, f) for f in fields], (profile, r)
-    assert len({solve_module._stage_profiles(profile)[1] for profile in all_profiles()}) == 3
+    assert len({construct_module.stage_family(profile)[1] for profile in all_profiles()}) == 3
 
 
 def test_profiles_that_differ_only_in_base_case_share_every_stage_after_the_third():
@@ -532,7 +533,7 @@ def test_flipped_edge_within_a_side_is_solved(seed_stage):
     # SF(6) sees the same doctored block of F(4) in each of its copies.
     edge, optima = build_F(4).graph.has_edge(0, 1), solve_module.stage(4, DEFAULT_PROFILE).optima
     seed_stage(4, lambda block, labels: (flipped(block, 0, 1), labels))
-    assert solve_module.build_block(4, DEFAULT_PROFILE)[0].has_edge(0, 1) != edge
+    assert construct_module.build_block(4, DEFAULT_PROFILE)[0].has_edge(0, 1) != edge
     assert solve_module.stage(4, DEFAULT_PROFILE).optima != optima
     assert build_F(4).graph.has_edge(0, 1) != edge and build_F(4).graph.has_edge(8, 9) != edge
     assert_route_matches_monolithic(6)
@@ -626,7 +627,7 @@ def test_unloadable_targets_refused_unbuilt(argv, tmp_path, monkeypatch, capsys)
     monkeypatch.setattr(cli_module, "build_SF", no_build)
     monkeypatch.setattr(construct_module, "build_F", no_build)
     monkeypatch.setattr(construct_module, "build_SF", no_build)
-    monkeypatch.setattr(solve_module, "build_block", no_build)
+    monkeypatch.setattr(construct_module, "build_block", no_build)
     out_dir = tmp_path / "out"
     assert main([arg.replace("DIR", str(out_dir)) for arg in argv]) == 2
     assert "is above the limit of t = 100" in capsys.readouterr().err
