@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 when a REFUTED verdict is present, 2 on usage or
 build errors, 3 on an internal error (any other exception, such as a failed
 witness re-check, RecursionError or MemoryError), so a crash never reads as
 a refutation.  ``report.write_text`` writes every file; ``build`` streams
-graph6 and DIMACS to it a chunk at a time, never holding the text whole.
+graph6 and DIMACS to it a chunk at a time, from rows ``construct.build_stream``
+yields a part at a time, never holding the text or the graph whole.
 ``sweep`` runs its jobs in order in one process, writes each report as its
 job finishes, and ends with its wall time and each memo's builds and hits.
 Once stdout's reader has gone, every command runs on silent and exits as it
@@ -19,10 +20,10 @@ import sys
 import time
 from itertools import chain
 
-from sfcheck.construct import DEFAULT_PROFILE, InterpretationProfile, build_F, build_SF
+from sfcheck.construct import DEFAULT_PROFILE, InterpretationProfile, build_stream
 from sfcheck.formats import dimacs_rows, graph6_chunks
 from sfcheck.report import require_rebuildable, run_verification, write_report, write_text
-from sfcheck.solve import memo_counts
+from sfcheck.solve import Stack, memo_counts
 from sfcheck.verify import CLAIMS
 
 _SUM_FLAGS = {"union": "disjoint_union", "join": "join"}
@@ -39,16 +40,8 @@ def _add_profile_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _profile_from_args(args: argparse.Namespace) -> InterpretationProfile:
-    updates = {}
-    if args.sum is not None:
-        updates["sum"] = _SUM_FLAGS[args.sum]
-    if args.prod is not None:
-        updates["prod"] = _PROD_FLAGS[args.prod]
-    if args.base is not None:
-        updates["base_case"] = _BASE_FLAGS[args.base]
-    if args.y_label is not None:
-        updates["y_label"] = args.y_label
-    return DEFAULT_PROFILE.replace(**updates)
+    readings = {"sum": _SUM_FLAGS.get(args.sum), "prod": _PROD_FLAGS.get(args.prod), "base_case": _BASE_FLAGS.get(args.base), "y_label": args.y_label}
+    return DEFAULT_PROFILE.replace(**{field: reading for field, reading in readings.items() if reading is not None})
 
 
 def _check_summary(report: dict) -> str:
@@ -73,7 +66,8 @@ def _say(line: str) -> None:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
 
 
-# The largest SF that ``build`` exports whole: SF(31) has 19830 vertices and SF(32) 21814.
+# The largest SF that ``build`` exports.  The export streams, so the cap bounds the file:
+# SF(31), 19830 vertices, is 33 MB as graph6 and 1.27 GB as DIMACS; SF(32) has 21814.
 MAX_EXPORT_T = 31
 
 
@@ -82,9 +76,11 @@ def _cmd_build(args: argparse.Namespace) -> int:
     require_rebuildable(args.kind, args.param)
     if args.kind == "SF" and args.param > MAX_EXPORT_T:
         raise ValueError(f"SF({args.param}) is above the export limit of t = {MAX_EXPORT_T}")
-    g = (build_F if args.kind == "F" else build_SF)(args.param, profile).graph
-    write_text(args.out, chain(graph6_chunks(g), ("\n",)) if args.format == "graph6" else dimacs_rows(g))
-    _say(f"{args.kind}({args.param}): n={g.n} m={g.m} -> {args.out} [{args.format}]")
+    stack, parts = Stack(args.kind, args.param, profile), build_stream(args.kind, args.param, profile)
+    next(parts)  # the label bytes, which neither format writes
+    rows = chain.from_iterable(parts)
+    write_text(args.out, chain(graph6_chunks(stack.n, rows), ("\n",)) if args.format == "graph6" else dimacs_rows(stack.n, stack.m, rows))
+    _say(f"{args.kind}({args.param}): n={stack.n} m={stack.m} -> {args.out} [{args.format}]")
     return 0
 
 

@@ -12,13 +12,15 @@ prefix, whose stages keep their answers, found from one ``stage_block``
 under a ``stage_family`` key: the base path, or one copy of the G side,
 which is r-1 disjoint copies.  The H side and the rule between parts
 follow by definition, so n, m and the label counts come in closed form.
-``build_side``, ``build_F`` and ``build_SF`` make the dense graphs from
-the same ``build_block``, for export and as the tests' reference.  A
-dense build places each part's rows in one pass: a G side's rows shifted
-to its range, an H side's the complement of its G side's within its own
-range, and each ORed with every vertex of the other parity outside its
-part.  The labels stay bytes until the end, an H side's flipped by one
-``bytes.translate``, and ``LabeledGraph`` checks them at C speed.
+``build_stream`` writes the dense graph from the same ``stage_block``,
+the one reading of a stage's first part: its label bytes, then each
+part's rows as one list, the block's rows laid out as its k copies and
+shifted into place, an H side's complemented within the part, and each
+ORed with every vertex of the other parity outside its part.  ``sfcheck
+build`` encodes the rows as they come, so an export never holds n rows;
+``build_F`` and ``build_SF`` are the tuple of the stream, the tests'
+reference.  The labels stay bytes until the end, an H side's flipped by
+one ``bytes.translate``, and ``LabeledGraph`` checks them at C speed.
 
 Several operators in that recipe admit more than one defensible reading.
 An InterpretationProfile pins all of them explicitly, so every build is a
@@ -30,6 +32,8 @@ from __future__ import annotations
 import reprlib
 from collections import namedtuple
 from functools import cache
+from itertools import chain
+from typing import Iterator
 
 from sfcheck.graphs import COMBINE_OPS, PRODUCT_KINDS, Checked, Graph, combine, complete, empty, path, product
 
@@ -112,10 +116,10 @@ class LabeledGraph(Checked, namedtuple("LabeledGraph", "graph labels")):
 
 
 def build_block(r: int, profile: InterpretationProfile = DEFAULT_PROFILE) -> tuple[Graph, tuple[int, ...], bool]:
-    """F(r)'s first part as (block, labels, paired), the one reading that
-    ``build_side`` and the stage memo share.  Normally the block graph G_z
-    of a G side, which an H side follows (paired): a clique on r // 2
-    vertices labeled 1 and one on the rest labeled 2, combined per
+    """F(r)'s first part as (block, labels, paired), as ``stage_block``
+    reads it for the stage memo and the dense builds.  Normally the block
+    graph G_z of a G side, which an H side follows (paired): a clique on
+    r // 2 vertices labeled 1 and one on the rest labeled 2, combined per
     profile.sum.  Under base_case="explicit_path", F(3) is the whole part,
     the fixed 6-vertex path v-u-w-x-y-t with labels 1,2,1,1,y_label,2."""
     _require_param("F", r)
@@ -145,52 +149,50 @@ def stage_family(profile: InterpretationProfile) -> tuple[InterpretationProfile,
     return DEFAULT_PROFILE.replace(y_label=profile.y_label) if profile.base_case == "explicit_path" else rest.replace(base_case="general"), rest
 
 
-def build_side(r: int, profile: InterpretationProfile = DEFAULT_PROFILE) -> tuple[Graph, tuple[int, ...], bool]:
-    """F(r)'s first part as (graph, labels, paired): the base path, or the
-    G side, r-1 product copies (profile.prod) of ``build_block``'s block."""
-    block, labels, paired = build_block(r, profile)
-    return (product(empty(r - 1), block, profile.prod), labels * (r - 1), True) if paired else (block, labels, False)
-
-
 def build_F(r: int, profile: InterpretationProfile = DEFAULT_PROFILE) -> LabeledGraph:
-    """Stage graph F(r): ``build_side``'s G side, then its H side, the
-    complement of the G side on a fresh vertex range with labels flipped.
-    Every opposite-parity pair across the sides is an edge.  Under
+    """Stage graph F(r): its G side, then its H side, the complement of the
+    G side on a fresh vertex range with labels flipped.  Every
+    opposite-parity pair across the sides is an edge.  Under
     base_case="explicit_path", F(3) is the base path alone."""
-    _require_param("F", r)
-    return _build_stages(range(r, r + 1), profile)
+    return _dense(build_stream("F", r, profile))
 
 
 def build_SF(t: int, profile: InterpretationProfile = DEFAULT_PROFILE) -> LabeledGraph:
     """Stacked graph SF(t): stages 3..t placed disjointly in order, with an
     edge between vertices of different stages exactly when their label
     parities differ.  The stage-(t-1) prefix is an induced copy of SF(t-1)."""
-    _require_param("SF", t)
-    return _build_stages(range(3, t + 1), profile)
+    return _dense(build_stream("SF", t, profile))
 
 
-def _build_stages(stages: range, profile: InterpretationProfile) -> LabeledGraph:
-    """The dense graph of ``stages`` in order: each stage's parts, the base
-    path or the G side and then the H side, placed disjointly, each row
-    with every vertex of the other parity outside its part.  Within a
-    stage that joins the sides; across stages it joins the stages."""
-    parts = []  # (rows of the stage's first part, the part's labels, whether the part is the H side)
-    for r in stages:
-        side, side_labels, paired = build_side(r, profile)
-        parts.append((side.rows, bytes(side_labels), False))
-        if paired:
-            parts.append((side.rows, parts[-1][1].translate(_FLIPPED), True))
-    labels = b"".join(part_labels for _, part_labels, _ in parts)
-    odd, even = label_masks(labels)
-    rows: list[int] = []
-    for part_rows, part_labels, inverse in parts:
-        start, end = len(rows), len(rows) + len(part_rows)
+def _dense(stream: Iterator) -> LabeledGraph:
+    labels = next(stream)
+    rows = tuple(chain.from_iterable(stream))
+    return LabeledGraph(Graph._trusted(len(rows), rows), tuple(labels))
+
+
+def build_stream(kind: str, param: int, profile: InterpretationProfile = DEFAULT_PROFILE) -> Iterator:
+    """F(param) or SF(param) as its label bytes, then each part's rows as
+    a list: each stage's base path, or G side and then H side, in order,
+    each row with every vertex of the other parity outside its part, which
+    joins the sides and the stages.  The builders' ValueError comes first."""
+    _require_param(kind, param)
+    parts = []  # (rows of one block of the part, its labels, its copies, whether it is the H side)
+    for r in range(param, param + 1) if kind == "F" else range(3, param + 1):
+        block, block_labels, k, paired = stage_block(r, profile)
+        parts.append((block.rows, bytes(block_labels), k, False))
+        if paired:  # the H side's block rows with each vertex's own bit, for the complement
+            parts.append(([row | 1 << v for v, row in enumerate(block.rows)], parts[-1][1].translate(_FLIPPED), k, True))
+    labels = b"".join(part_labels * k for _, part_labels, k, _ in parts)
+    yield labels
+    odd, even, end = *label_masks(labels), 0
+    for block_rows, part_labels, k, inverse in parts:
+        b, start = len(block_rows), end
+        end += k * b
         own = (1 << end) - (1 << start)
         # A vertex labeled 1 (odd) joins the even vertices outside its part, and one labeled 2 the odd ones.
         joins = (0, even & ~own, odd & ~own)
+        pairs = [(row, joins[label]) for row, label in zip(block_rows, part_labels)]
         if inverse:  # the complement of the G side's rows within the part, each vertex's own bit cleared
-            bits = map((1).__lshift__, range(start, end))
-            rows += [own ^ (row << start | bit) | joins[label] for row, label, bit in zip(part_rows, part_labels, bits)]
+            yield [own ^ row << shift | join for shift in range(start, end, b) for row, join in pairs]
         else:
-            rows += [row << start | joins[label] for row, label in zip(part_rows, part_labels)]
-    return LabeledGraph(Graph._trusted(len(rows), tuple(rows)), tuple(labels))
+            yield [row << shift | join for shift in range(start, end, b) for row, join in pairs]

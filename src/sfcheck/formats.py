@@ -10,15 +10,18 @@ data is base64 with another alphabet: the base64 character of value v
 becomes chr(63 + v).  Triangle bit p, the p-th of the string, is bit p
 of one little-endian int, and column j, row j's neighbors below j, is
 the j bits from p = j(j-1)/2.  ``graph6_chunks`` ORs each column (bits
-0..j-1 of ``rows[j]``) in at its offset and, once ``_CHUNK_BITS`` are
-held, spells the whole 3-byte quanta at C speed: ``int.to_bytes``, the
-bits of each byte reversed (``_REVERSED_BITS``), ``binascii.b2a_base64``
-and ``bytes.translate``; the last chunk is padded to a quantum and cut
-to the text's length.  So ``build`` streams graph6 a chunk at a time and
-``encode_graph6`` is their join.  Decode runs the same steps backwards to
-the triangle's bytes and reads each column from the few bytes that hold
-it; row j's neighbors above j are column j of that lower triangle, so the
-rows are the lower rows OR their transpose (``graphs.transpose_rows``).
+0..j-1 of row j) in at its offset and, once ``_CHUNK_BITS`` are held,
+spells the whole 3-byte quanta at C speed: ``int.to_bytes``, the bits
+of each byte reversed (``_REVERSED_BITS``), ``binascii.b2a_base64`` and
+``bytes.translate``; the last chunk is padded to a quantum and cut to
+the text's length.  Both encoders read rows once, in order, from any
+iterable, and take the header's n (and m) apart, which the rows must
+meet (AssertionError): so ``build`` streams ``construct.build_stream``'s
+rows under ``solve.Stack``'s closed forms.  Decode runs the same steps
+backwards to the triangle's bytes and reads each column from the few
+bytes that hold it; row j's neighbors above j are column j of that lower
+triangle, so the rows are the lower rows OR their transpose
+(``graphs.transpose_rows``).
 Decode checks the text in full: its characters, size header, length and
 trailing data.  The rows need no check, so it wraps them with the
 unchecked ``Graph._trusted``: each lower row keeps only bits below its
@@ -35,9 +38,10 @@ from the int string-digit limit.
 from __future__ import annotations
 
 import binascii
+from functools import reduce
 from itertools import accumulate, compress
 from operator import or_
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from sfcheck.graphs import Graph, transpose_rows
 
@@ -84,12 +88,12 @@ def _graph6_data(bits: int, nbits: int) -> str:
     return binascii.b2a_base64(raw, newline=False).translate(_B64_TO_G6).decode()
 
 
-def graph6_chunks(g: Graph) -> Iterator[str]:
-    """graph6 text, one string at a time: the size header, then the
-    triangle's characters a chunk at a time, for ``build`` to stream."""
-    yield _graph6_size(g.n)
-    bits = held = 0
-    for j, row in enumerate(g.rows):
+def graph6_chunks(n: int, rows: Iterable[int]) -> Iterator[str]:
+    """graph6 text of the n ``rows``, one string at a time: the size
+    header, then the triangle's characters a chunk at a time."""
+    yield _graph6_size(n)
+    bits, held, j = 0, 0, -1
+    for j, row in enumerate(rows):
         bits |= (row & ((1 << j) - 1)) << held
         held += j
         if held >= _CHUNK_BITS:
@@ -97,12 +101,14 @@ def graph6_chunks(g: Graph) -> Iterator[str]:
             yield _graph6_data(bits & ((1 << whole) - 1), whole)
             bits >>= whole
             held -= whole
+    if j + 1 != n:
+        raise AssertionError(f"graph6 header names {n} vertices, the rows {j + 1}")
     yield _graph6_data(bits, held + -held % 24)[: (held + 5) // 6]
 
 
 def encode_graph6(g: Graph) -> str:
-    """graph6 text as one string: the join of ``graph6_chunks(g)``."""
-    return "".join(graph6_chunks(g))
+    """graph6 text as one string: the join of ``graph6_chunks``."""
+    return "".join(graph6_chunks(g.n, g.rows))
 
 
 def decode_graph6(text: str) -> Graph:
@@ -121,21 +127,11 @@ def decode_graph6(text: str) -> Graph:
     raw = body.encode()
     vals = [c - 63 for c in raw[:8]]
 
-    if vals[0] < 63:
-        n = vals[0]
-        pos = 1
-    elif len(raw) >= 2 and vals[1] < 63:
-        if len(raw) < 4:
-            raise Graph6ParseError("truncated size header", base + len(body))
-        n = (vals[1] << 12) | (vals[2] << 6) | vals[3]
-        pos = 4
-    else:
-        if len(raw) < 8:
-            raise Graph6ParseError("truncated size header", base + len(body))
-        n = 0
-        for v in vals[2:8]:
-            n = (n << 6) | v
-        pos = 8
+    # N(n) ends at pos: one character below 63, else '~' and three of six bits each, or '~~' and six.
+    pos = 1 if vals[0] < 63 else 4 if len(raw) >= 2 and vals[1] < 63 else 8
+    if len(raw) < pos:
+        raise Graph6ParseError("truncated size header", base + len(body))
+    n = reduce(lambda high, v: high << 6 | v, vals[pos // 4 : pos])
 
     nbits = n * (n - 1) // 2
     ndata = (nbits + 5) // 6
@@ -167,14 +163,15 @@ def _triangle_rows(triangle: bytes, n: int) -> tuple[int, ...]:
     return tuple(map(or_, lower, transpose_rows(lower)))
 
 
-def dimacs_rows(g: Graph) -> Iterator[str]:
-    """DIMACS edge format, one string at a time: the "p edge n m" line,
-    then for each vertex u its 1-indexed "e u v" lines, v > u, ascending;
-    a row that agrees above itself with the row before reuses its names."""
-    names = [f"{v + 1}\n" for v in range(g.n)]
-    yield f"p edge {g.n} {g.m}\n"
-    kept, last = [], -1  # row i-1's neighbor names above i-1, and those bits
-    for i, row in enumerate(g.rows):
+def dimacs_rows(n: int, m: int, rows: Iterable[int]) -> Iterator[str]:
+    """DIMACS edge format of the n ``rows`` and m edges, one string at a
+    time: the "p edge n m" line, then for each vertex u its 1-indexed
+    "e u v" lines, v > u, ascending; a row that agrees above itself with
+    the row before reuses its names."""
+    names = [f"{v + 1}\n" for v in range(n)]
+    yield f"p edge {n} {m}\n"
+    kept, last, i, edges = [], -1, -1, 0  # row i-1's neighbor names above i-1, and those bits
+    for i, row in enumerate(rows):
         above = row >> (i + 1)
         if above != last >> 1:
             # flags[k] is 1 when i is adjacent to i + 1 + k.
@@ -183,11 +180,14 @@ def dimacs_rows(g: Graph) -> Iterator[str]:
         elif last & 1:
             del kept[0]  # i itself, row i-1's first neighbor above it
         if kept:
+            edges += len(kept)
             head = f"e {i + 1} "
             yield head + head.join(kept)
         last = above
+    if (i + 1, edges) != (n, m):
+        raise AssertionError(f"DIMACS header names {n} vertices and {m} edges, the rows {i + 1} and {edges}")
 
 
 def encode_dimacs(g: Graph) -> str:
-    """DIMACS edge format as one string: the join of ``dimacs_rows(g)``."""
-    return "".join(dimacs_rows(g))
+    """DIMACS edge format as one string: the join of ``dimacs_rows``."""
+    return "".join(dimacs_rows(g.n, g.m, g.rows))

@@ -13,8 +13,8 @@ names each field that differs, is missing or is extra, apart from
 writer's text of the re-run, its own timestamps put in, stands after
 that one encode.  Both routes check the target once, by its parameter,
 before anything is built: ``require_rebuildable``, which takes an exact
-int from 3 to ``MAX_T``.  Neither builds the dense graph; only ``sfcheck
-build`` does, to export it.  ``write_text`` writes every file sfcheck writes.
+int from 3 to ``MAX_T``.  Neither builds the dense graph; ``sfcheck
+build`` streams its rows to export it.  ``write_text`` writes every file.
 """
 
 from __future__ import annotations

@@ -12,12 +12,11 @@ from oracles import clear_memos  # noqa: E402
 @pytest.fixture
 def seed_stage(monkeypatch):
     """``seed_stage(r, fault)`` makes every build of F(r)'s block (one copy
-    of the G side's block graph, or the base path), the stage memo's,
-    through ``construct.stage_block``, and the dense ``build_side``'s
-    alike, come out as ``fault`` of the real (graph, labels).  The stage
-    memo and the lists of prefixes, whose entries hold its stages, are
-    emptied at each seeding and after the test, so no doctored stage
-    outlives it."""
+    of the G side's block graph, or the base path) through
+    ``construct.stage_block``, the stage memo's and the dense builds' alike,
+    come out as ``fault`` of the real (graph, labels).  The stage memo and
+    the lists of prefixes, whose entries hold its stages, are emptied at
+    each seeding and after the test, so no doctored stage outlives it."""
     real = construct.build_block
 
     def seed(r, fault):

@@ -10,10 +10,10 @@ from __future__ import annotations
 import binascii
 import itertools
 from functools import reduce
-from operator import itemgetter, or_
+from operator import itemgetter, lt, or_
 from typing import NamedTuple
 
-from sfcheck import construct, solve
+from sfcheck import cli, construct, solve
 from sfcheck.construct import InterpretationProfile
 from sfcheck.formats import Graph6ParseError
 from sfcheck.graphs import Graph, complement, induced
@@ -116,6 +116,12 @@ def family_representatives() -> list[InterpretationProfile]:
     return list(first.values())
 
 
+def profile_argv(profile: InterpretationProfile) -> list[str]:
+    """The ``sfcheck`` flags that select ``profile``."""
+    flags = (("--sum", cli._SUM_FLAGS, profile.sum), ("--prod", cli._PROD_FLAGS, profile.prod), ("--base", cli._BASE_FLAGS, profile.base_case))
+    return [arg for flag, names, reading in flags for arg in (flag, next(k for k, v in names.items() if v == reading))] + ["--y-label", str(profile.y_label)]
+
+
 def stage_vertex_count(r: int) -> int:
     """Closed form for a general-profile stage: both sides of r-1 copies."""
     return 2 * (r - 1) * r
@@ -150,6 +156,16 @@ def layout_cuts(kind: str, param: int, profile: InterpretationProfile) -> tuple[
             starts.append(n)
             n += 6 if sides == 1 else (r - 1) * r
     return tuple(starts[1:])
+
+
+def dense_first_part(r: int, profile: InterpretationProfile) -> tuple[Graph, tuple[int, ...], bool]:
+    """F(r)'s first part cut from the dense ``build_F(r)``, as (graph,
+    labels, paired): the base path alone, or the G side, the first half,
+    which an H side follows (paired)."""
+    lg = construct.build_F(r, profile)
+    paired = not (r == 3 and profile.base_case == "explicit_path")
+    h = lg.graph.n // 2 if paired else lg.graph.n
+    return Graph._trusted(h, tuple(row & (1 << h) - 1 for row in lg.graph.rows[:h])), lg.labels[:h], paired
 
 
 def reference_verdict(theorem_id: str, r: int, computed: dict) -> tuple[object, str, str]:
@@ -473,6 +489,21 @@ def edgewise_encode_dimacs(g: Graph) -> str:
             if (g.rows[i] >> j) & 1:
                 lines.append(f"e {i + 1} {j + 1}")
     return "\n".join(lines) + "\n"
+
+
+def parse_dimacs(text: str) -> tuple[int, set[tuple[int, int]]]:
+    """n and the edges of DIMACS edge-format text, each edge as its two
+    1-indexed vertices (u, v), u < v, read from its words alone.
+    AssertionError unless the text is a "p edge n m" line and m distinct
+    "e u v" lines with 1 <= u < v <= n."""
+    header, _, body = text.partition("\n")
+    p, kind, n, m = header.split()
+    n, m, words = int(n), int(m), body.split()
+    assert (p, kind) == ("p", "edge") and len(words) == 3 * m and set(words[::3]) <= {"e"}, "not DIMACS edge format"
+    us, vs = list(map(int, words[1::3])), list(map(int, words[2::3]))
+    edges = set(zip(us, vs))
+    assert len(edges) == m and min(us, default=1) >= 1 and max(vs, default=n) <= n and all(map(lt, us, vs)), "a repeated or out-of-range edge"
+    return n, edges
 
 
 def pairwise_induced(g: Graph, members) -> Graph:

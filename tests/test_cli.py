@@ -16,9 +16,10 @@ from sfcheck.cli import main
 from sfcheck.construct import build_SF
 from sfcheck.formats import decode_graph6
 from sfcheck.graphs import path
-from sfcheck.report import load_report
+from sfcheck.report import load_report, run_verification
+from sfcheck.verify import CLAIMS
 
-from oracles import clear_memos
+from oracles import clear_memos, family_representatives, parse_dimacs, profile_argv
 
 
 def run_with_stdout_gone(argv):
@@ -36,6 +37,24 @@ def run_with_stdout_gone(argv):
         )
     finally:
         os.close(write)
+
+
+@pytest.mark.parametrize("profile", family_representatives(), ids=str)
+def test_every_report_witness_holds_in_the_exported_dimacs(profile, tmp_path, capsys):
+    """Every report target with t <= 12, exported as DIMACS through the
+    command line and read back by a parser of its own, holds its report's
+    witness pair by pair: report vertex v is DIMACS vertex v + 1."""
+    out = tmp_path / "target.dim"
+    for theorem, (min_r, _, shift) in CLAIMS.items():
+        for r in range(min_r, 12 - shift + 1):
+            report = run_verification(theorem, r, profile)
+            (kind, param), check = report["target"].values(), report["checks"][0]
+            assert main(["build", "--kind", kind, "--t", str(param), *profile_argv(profile), "--format", "dimacs", "--out", str(out)]) == 0
+            n, edges = parse_dimacs(out.read_text())
+            assert n == report["graph_stats"]["n"] and len(edges) == report["graph_stats"]["m"], (theorem, r)
+            witness = [v + 1 for v in check["witness"]]
+            adjacent = {(u, v) in edges for i, u in enumerate(witness) for v in witness[i + 1 :]}
+            assert len(witness) in check["computed"].values() and adjacent <= {check["witness_mode"] == "clique"}, (theorem, r)
 
 
 class TestBuild:
@@ -64,8 +83,9 @@ class TestBuild:
         def no_build(*args):
             raise AssertionError("built a target above the export limit")
 
-        monkeypatch.setattr(cli, "build_F", no_build)
-        monkeypatch.setattr(cli, "build_SF", no_build)
+        # The stack, which gives n and m, and the row stream are all that ``build`` builds.
+        monkeypatch.setattr(cli, "Stack", no_build)
+        monkeypatch.setattr(cli, "build_stream", no_build)
         out = tmp_path / "big.g6"
         assert main(["build", "--kind", kind, "--r", str(param), "--out", str(out)]) == 2
         assert f"{kind}({param}) is above the {limit}" in capsys.readouterr().err
@@ -101,8 +121,8 @@ class TestBuild:
         assert f"-> {out} [graph6]" in capsys.readouterr().out
 
     def test_a_write_that_fails_partway_keeps_the_old_file(self, tmp_path, monkeypatch, capsys):
-        def rows_then_disk_full(g):
-            yield f"p edge {g.n} {g.m}\n"
+        def rows_then_disk_full(n, m, rows):
+            yield f"p edge {n} {m}\n"
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
         monkeypatch.setattr(cli, "dimacs_rows", rows_then_disk_full)
@@ -112,33 +132,41 @@ class TestBuild:
         assert str(out) in capsys.readouterr().err
         assert out.read_text() == "old\n" and os.listdir(tmp_path) == ["sf4.dim"]
 
-    def test_dimacs_is_streamed_to_the_file(self, tmp_path, capsys):
-        # SF(14)'s DIMACS text is 8.8 MB; written whole it peaks at about
-        # three times that, streamed row by row at under 1 MB.
-        out = tmp_path / "sf14.dim"
+    @pytest.mark.parametrize("fmt, size", [("graph6", 600_000), ("dimacs", 20_000_000)])
+    def test_export_is_streamed_to_the_file(self, fmt, size, tmp_path, capsys):
+        # SF(16) has n = 2710, and its dense rows take about n²/8 = 0.92 MB;
+        # its graph6 text is 0.61 MB and its DIMACS text 20.5 MB.  Streamed
+        # from the stage blocks a part at a time, the build peaks at about
+        # 0.36 MB (graph6) and 0.34 MB (DIMACS); built dense first, at 1.39
+        # and 1.32 MB.
+        out = tmp_path / f"sf16.{fmt}"
         tracemalloc.start()
         try:
-            code = main(["build", "--kind", "SF", "--t", "14", "--format", "dimacs", "--out", str(out)])
+            code = main(["build", "--kind", "SF", "--t", "16", "--format", fmt, "--out", str(out)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert code == 0 and out.stat().st_size > 8_000_000
-        assert peak < out.stat().st_size, f"peak {peak} bytes for a {out.stat().st_size}-byte file"
+        assert code == 0 and out.stat().st_size > size
+        assert peak < 2710**2 / 8, f"peak {peak} bytes, the dense rows {2710**2 // 8}"
 
-    def test_graph6_is_streamed_to_the_file(self, tmp_path, capsys):
-        # SF(16)'s graph6 text is 0.61 MB and its rows take 1.5 times that.
-        # Streamed a chunk at a time the build peaks at 1.4 MB; with the
-        # text held whole at 2.4 MB, and at 8.6 MB when it was spelled from
-        # one '0'/'1' string.
-        out = tmp_path / "sf16.g6"
-        tracemalloc.start()
-        try:
-            code = main(["build", "--kind", "SF", "--t", "16", "--format", "graph6", "--out", str(out)])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 0 and out.stat().st_size > 600_000
-        assert peak < 3 * out.stat().st_size, f"peak {peak} bytes for a {out.stat().st_size}-byte file"
+    @pytest.mark.parametrize("fmt, field, off", [("graph6", "n", 1), ("graph6", "n", -1), ("dimacs", "n", 1), ("dimacs", "m", 1), ("dimacs", "m", -1)])
+    def test_a_header_that_the_rows_do_not_meet_fails_the_export(self, fmt, field, off, tmp_path, monkeypatch, capsys):
+        # The header's n and m come from the stack's closed forms, and the
+        # encoders check the rows against them: exit 3, and no file written.
+        class Miscounted(cli.Stack):
+            def __init__(self, *args):
+                super().__init__(*args)
+                setattr(self, field, getattr(self, field) + off)
+
+        monkeypatch.setattr(cli, "Stack", Miscounted)
+        out = tmp_path / "sf5.out"
+        out.write_text("old\n")
+        assert main(["build", "--kind", "SF", "--t", "5", "--format", fmt, "--out", str(out)]) == 3
+        assert "internal error: AssertionError" in capsys.readouterr().err
+        assert out.read_text() == "old\n" and os.listdir(tmp_path) == ["sf5.out"]
+        out.unlink()
+        assert main(["build", "--kind", "SF", "--t", "5", "--format", fmt, "--out", str(out)]) == 3
+        assert os.listdir(tmp_path) == []
 
     def test_build_error_exit_2(self, tmp_path, capsys):
         out = tmp_path / "x.g6"

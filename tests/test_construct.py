@@ -18,7 +18,6 @@ from sfcheck.construct import (
     build_F,
     build_SF,
     build_block,
-    build_side,
     label_masks,
 )
 from sfcheck.graphs import Graph, complete, induced
@@ -29,6 +28,7 @@ from oracles import (
     all_profiles,
     class_masks,
     clear_memos,
+    dense_first_part,
     flip_label,
     label_counts,
     label_parity,
@@ -268,7 +268,7 @@ class TestLabelMasks:
 
     @pytest.mark.parametrize("y_label", LABELS)
     def test_base_path(self, y_label):
-        _, labels, _ = build_side(3, DEFAULT_PROFILE.replace(y_label=y_label))
+        _, labels, _ = dense_first_part(3, DEFAULT_PROFILE.replace(y_label=y_label))
         assert label_masks(labels) == class_masks(labels)
         assert label_masks(labels)[y_label - 1] >> 4 & 1
 

@@ -235,7 +235,7 @@ class TestCodecsMatchTheBitwiseOracles:
     @given(chunked_gnp())
     def test_graph6_matches_the_rowwise_encoder(self, g):
         expected = rowwise_encode_graph6(g)
-        assert encode_graph6(g) == "".join(graph6_chunks(g)) == expected
+        assert encode_graph6(g) == "".join(graph6_chunks(g.n, iter(g.rows))) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(damaged_graph6())

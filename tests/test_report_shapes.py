@@ -23,7 +23,7 @@ from sfcheck.report import (
     write_report,
 )
 
-from oracles import all_profiles, schema1, vertex_rule_accepts
+from oracles import all_profiles, profile_argv, schema1, vertex_rule_accepts
 
 DELETE = object()
 
@@ -284,12 +284,6 @@ def accepts(call, *args) -> bool:
     return True
 
 
-def profile_argv(profile):
-    """The ``sfcheck`` flags that select ``profile``."""
-    flags = (("--sum", cli._SUM_FLAGS, profile.sum), ("--prod", cli._PROD_FLAGS, profile.prod), ("--base", cli._BASE_FLAGS, profile.base_case))
-    return [arg for flag, names, reading in flags for arg in (flag, next(k for k, v in names.items() if v == reading))] + ["--y-label", str(profile.y_label)]
-
-
 @pytest.mark.parametrize("profile", all_profiles(), ids=str)
 def test_parameter_bound_accepts_what_the_vertex_rule_did(profile, monkeypatch):
     """The stage route's check and ``sfcheck build`` accept exactly the
@@ -298,8 +292,7 @@ def test_parameter_bound_accepts_what_the_vertex_rule_did(profile, monkeypatch):
     def built(*args):
         raise Built
 
-    monkeypatch.setattr(cli, "build_F", built)
-    monkeypatch.setattr(cli, "build_SF", built)
+    monkeypatch.setattr(cli, "Stack", built)
     parser = cli._make_parser()
     for kind in ("F", "SF"):
         for param in range(3, 251):

@@ -21,7 +21,7 @@ from sfcheck import cli as cli_module
 from sfcheck import construct as construct_module
 from sfcheck import solve as solve_module
 from sfcheck.cli import main
-from sfcheck.construct import DEFAULT_PROFILE, LABELS, InterpretationProfile, build_F, build_SF, build_side
+from sfcheck.construct import DEFAULT_PROFILE, LABELS, InterpretationProfile, build_F, build_SF
 from sfcheck.graphs import Graph, empty, product
 from sfcheck.report import load_report, report_to_json, run_verification, strip_volatile, verify_report, write_report
 from sfcheck.solve import (
@@ -40,6 +40,7 @@ from oracles import (
     block_optima,
     class_masks,
     clear_memos,
+    dense_first_part,
     family_representatives,
     flat_optima,
     label_counts,
@@ -197,17 +198,19 @@ def test_stage_solve_follows_the_closed_forms_past_the_loader_limit(t):
 
 def test_block_copies_match_the_dense_side():
     """k shifted copies of the block a stage is built from, one copy of the
-    G side, are ``build_side``'s G side, rows and labels, under every
-    profile (the fact about ``graphs.product`` that the copy rule rests
-    on), and the stage's n, m and label counts are ``build_F``'s."""
+    G side, are r-1 product copies of ``build_block``'s block and the first
+    part of the dense ``build_F(r)``, rows and labels, under every profile
+    (the fact about ``graphs.product`` that the copy rule rests on), and
+    the stage's n, m and label counts are ``build_F``'s."""
     for profile in all_profiles():
         for r in range(4, 41):
-            s, (side, labels, paired) = solve_module.stage(r, profile), build_side(r, profile)
+            s, (side, labels, paired) = solve_module.stage(r, profile), dense_first_part(r, profile)
             block, block_labels, _ = construct_module.build_block(r, profile)
+            product_side = product(empty(r - 1), block, profile.prod)
             block = product(empty(1), block, profile.prod)
             b = s.block_n
             rows = tuple(row << c * b for c in range(s.k) for row in block.rows)
-            assert (s.k * b, rows, block_labels * s.k, s.paired) == (side.n, side.rows, labels, paired), (profile, r)
+            assert (s.k * b, rows, block_labels * s.k, s.paired) == (side.n, side.rows, labels, paired) == (product_side.n, product_side.rows, labels, True), (profile, r)
             assert s.parts[0][2:] == class_masks(block_labels), (profile, r)
             lg = build_F(r, profile)
             assert (s.n, s.m, s.label_counts) == (lg.graph.n, lg.graph.m, label_counts(lg)), (profile, r)
@@ -217,9 +220,10 @@ def test_block_copies_match_the_dense_side():
 def test_copy_rule_optima_match_a_split_of_the_dense_side(profile):
     """The six optima that the copy rule reads from a block, sizes and
     witness masks written out over the copies they fill, are those of
-    splits of the whole dense side, and H's are G's by duality."""
+    splits of the whole G side of the dense ``build_F(r)``, and H's are
+    G's by duality."""
     for r in range(4, 21):
-        s, (side, labels, _) = solve_module.stage(r, profile), build_side(r, profile)
+        s, (side, labels, _) = solve_module.stage(r, profile), dense_first_part(r, profile)
         full = (1 << side.n) - 1
         dense = [_split_clique(side, within, flip) for flip in (0, -1) for within in (full, *class_masks(labels))]
         for mode, (g, h) in (("clique", (dense[:3], dense[3:])), ("independent", (dense[3:], dense[:3]))):
@@ -623,8 +627,8 @@ def test_unloadable_targets_refused_unbuilt(argv, tmp_path, monkeypatch, capsys)
     def no_build(*args):
         raise AssertionError("built a target no loader would accept")
 
-    monkeypatch.setattr(cli_module, "build_F", no_build)
-    monkeypatch.setattr(cli_module, "build_SF", no_build)
+    monkeypatch.setattr(cli_module, "Stack", no_build)
+    monkeypatch.setattr(cli_module, "build_stream", no_build)
     monkeypatch.setattr(construct_module, "build_F", no_build)
     monkeypatch.setattr(construct_module, "build_SF", no_build)
     monkeypatch.setattr(construct_module, "build_block", no_build)
