@@ -19,7 +19,7 @@ _MODULES = {
     "graphs": ("Graph", "complete", "empty", "path", "cycle", "complement", "combine", "product", "induced"),
     "construct": ("InterpretationProfile", "DEFAULT_PROFILE", "LabeledGraph", "build_F", "build_SF"),
     "solve": ("CliqueResult", "max_clique", "max_independent_set", "oracle_max_clique", "verify_witness"),
-    "verify": ("TheoremCheck", "BoundReport", "check_theorem_1_1", "check_theorem_1_2", "confirm_R3"),
+    "verify": ("check_theorem_1_1", "check_theorem_1_2", "confirm_R3"),
     "formats": ("encode_graph6", "decode_graph6", "encode_dimacs", "Graph6ParseError"),
 }
 _EXPORTS = {name: module for module, names in _MODULES.items() for name in names}

@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import reprlib
 from collections import namedtuple
+from collections.abc import Iterator
 from functools import cache
 from itertools import chain
-from typing import Iterator
 
 from sfcheck.graphs import COMBINE_OPS, PRODUCT_KINDS, Checked, Graph, combine, complete, empty, path, product
 

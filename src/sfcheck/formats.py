@@ -38,10 +38,10 @@ from the int string-digit limit.
 from __future__ import annotations
 
 import binascii
+from collections.abc import Iterable, Iterator
 from functools import reduce
 from itertools import accumulate, compress
 from operator import or_
-from typing import Iterable, Iterator
 
 from sfcheck.graphs import Graph, transpose_rows
 

@@ -26,10 +26,9 @@ the builds under all 24 profiles included.
 
 from __future__ import annotations
 
-import random
 from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import repeat
-from typing import Iterable, Iterator, Sequence
 
 COMBINE_OPS = ("disjoint_union", "join")
 PRODUCT_KINDS = ("cartesian", "tensor", "lexicographic")

@@ -1,10 +1,12 @@
 """JSON verification reports: assembly, canonical serialization, loading.
 
-Reports are plain dicts with a mandatory schema_version.  One encoder,
-``_ENCODER``, serializes them: compact, sorted keys, ASCII, the ``","``
-and ``":"`` separators.  The writer adds one trailing newline to its text,
-and the loader compares values by it, so two runs over the same target
-and profile produce byte-identical files except for the timestamps block.
+Reports are plain dicts with a mandatory schema_version.  ``verify``
+builds a check and a bound in the form a report stores them, and
+``make_report`` puts them in unchanged.  One encoder, ``_ENCODER``,
+serializes reports: compact, sorted keys, ASCII, the ``","`` and ``":"``
+separators.  The writer adds one trailing newline to its text, and the
+loader compares values by it, so two runs over the same target and
+profile produce byte-identical files except for the timestamps block.
 A report loads only if its job re-runs to it: the loader re-runs the
 check on the target's prefix, whose stages keep their answers,
 re-assembles the report through ``make_report``, witness included, and
@@ -23,13 +25,13 @@ import json
 import os
 import reprlib
 import stat
+from collections.abc import Iterator
 from datetime import datetime, timezone
-from typing import Iterator
 
 from sfcheck import __version__
 from sfcheck.construct import DEFAULT_PROFILE, InterpretationProfile, _require_param
 from sfcheck.solve import Stack
-from sfcheck.verify import TheoremCheck, bound_report_from_counts, check_theorem_1_1, check_theorem_1_2, claim_target
+from sfcheck.verify import bound_report_from_counts, check_theorem_1_1, check_theorem_1_2, claim_target
 
 SCHEMA_VERSION = "2"
 
@@ -60,16 +62,16 @@ def require_rebuildable(kind: str, param: int) -> None:
         raise ValueError(f"{kind}({param}) is above the limit of t = {MAX_T}")
 
 
-def make_report(stack: Stack, tc: TheoremCheck, started, finished) -> dict:
-    """The report of check ``tc`` on ``stack``, the claim's target, which
-    the report names.  For T1.2 the Ramsey implication of SF(t), t the
-    stack's parameter, is derived from the check's omega and alpha, not
-    re-solved.
+def make_report(stack: Stack, check: dict, started, finished) -> dict:
+    """The report of ``check`` on ``stack``, the claim's target, which the
+    report names.  The check is stored as built.  For T1.2 the Ramsey
+    implication of SF(t), t the stack's parameter, is derived from the
+    check's omega and alpha, not re-solved.
     """
     bound = None
-    if tc.theorem_id == "T1_2":
-        omega, alpha = tc.computed["omega"], tc.computed["alpha"]
-        bound = bound_report_from_counts(stack.param, stack.n, omega, alpha)._asdict()
+    if check["theorem_id"] == "T1_2":
+        computed = check["computed"]
+        bound = bound_report_from_counts(stack.param, stack.n, computed["omega"], computed["alpha"])
     notes = []
     if stack.profile.base_case == "explicit_path":
         notes.append(Y_LABEL_NOTE)
@@ -83,7 +85,7 @@ def make_report(stack: Stack, tc: TheoremCheck, started, finished) -> dict:
             "m": stack.m,
             "label_counts": {str(k): v for k, v in stack.label_counts.items()},
         },
-        "checks": [dict(tc._asdict(), witness=list(tc.witness))],
+        "checks": [check],
         "bound": bound,
         "notes": notes,
         "timestamps": {"started": started, "finished": finished},
@@ -138,7 +140,7 @@ def strip_volatile(report: dict) -> dict:
     return {k: v for k, v in report.items() if k != "timestamps"}
 
 
-def _check(stack: Stack) -> TheoremCheck:
+def _check(stack: Stack) -> dict:
     """Run on ``stack`` the check its kind picks, by its module-level name,
     so that a wrapper bound in its place runs."""
     return (check_theorem_1_1 if stack.kind == "F" else check_theorem_1_2)(stack)
@@ -228,11 +230,6 @@ def verify_report(report) -> list[str]:
     stands; never raises.
     """
     return _problems(_rerun(report), report)
-
-
-def read_report(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
 
 
 def load_report(path) -> dict:

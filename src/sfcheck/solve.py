@@ -108,11 +108,11 @@ by ``Stack.members``, which checks it whole first, on every job and load.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from collections.abc import Mapping
 from functools import cache, reduce
 from operator import itemgetter, or_
 from types import SimpleNamespace
-from typing import NamedTuple
 
 from sfcheck.construct import InterpretationProfile, _require_param, label_masks, stage_block, stage_family
 from sfcheck.graphs import Graph, as_vertex_set, complement, induced
@@ -120,12 +120,10 @@ from sfcheck.graphs import Graph, as_vertex_set, complement, induced
 ORACLE_MAX_N = 24
 
 
-class CliqueResult(NamedTuple):
+class CliqueResult(namedtuple("CliqueResult", "size witness nodes_explored")):
     """Optimum size, a verified witness, and search statistics."""
 
-    size: int
-    witness: tuple[int, ...]
-    nodes_explored: int
+    __slots__ = ()
 
 
 def verify_witness(g: Graph, members, mode: str) -> bool:
@@ -392,12 +390,11 @@ def _split_clique(g: Graph, within: int, flip: int) -> tuple[int, int]:
     return witness.bit_count(), witness
 
 
-class StackResult(NamedTuple):
+class StackResult(namedtuple("StackResult", "size masks")):
     """An optimum of a Stack: its size, and its witness as a block mask
     per part (``Stack.members`` lists it)."""
 
-    size: int
-    masks: Mapping[tuple, int]
+    __slots__ = ()
 
 
 class Stage:

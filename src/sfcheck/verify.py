@@ -10,14 +10,17 @@ r+1 vertices.
 
 Each claim's rules are written once.  ``CLAIMS`` gives its smallest r and
 the target it is checked on; its check states its claimed value, status
-and witness mode from r and the computed sizes.  A check reads r from its
-one argument, a stack, its prefix of answered stages, that
-``report.run_verification`` builds, and refuses only the other claim's
-kind; ``report.verify_report`` re-runs it, re-assembling the report.
-``bound_report_from_counts`` turns T1.2's omega and alpha into the
-Ramsey implication R(t) > n of SF(t), t = r+1.  The one diagonal Ramsey
-value small enough to re-derive at desk scale, R(3) = 6, is established
-exhaustively by confirm_R3 and used to flag contradictory implications.
+and witness mode from r and the computed sizes, and is built in the form
+a report stores as ``checks[0]``: a dict, its witness a list.  A check
+reads r from its one argument, a stack, its prefix of answered stages,
+that ``report.run_verification`` builds, and refuses only the other
+claim's kind; ``report.verify_report`` re-runs it, re-assembling the
+report.  ``bound_report_from_counts`` turns T1.2's omega and alpha into
+the Ramsey implication R(t) > n of SF(t), t = r+1, in the form a report
+stores as ``bound``; ``report.make_report`` puts both in unchanged.  The
+one diagonal Ramsey value small enough to re-derive at desk scale,
+R(3) = 6, is established exhaustively by confirm_R3 and used to flag
+contradictory implications.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from __future__ import annotations
 import reprlib
 from functools import cache
 from itertools import combinations
-from typing import NamedTuple
 
 from sfcheck.graphs import cycle
 from sfcheck.solve import Stack, stage_mono_clique, stage_solve
@@ -57,26 +59,6 @@ def claim_target(theorem: str, r: int) -> tuple[str, int]:
     return kind, r + shift
 
 
-class TheoremCheck(NamedTuple):
-    """One claim instance: what was claimed, what was computed, verdict."""
-
-    theorem_id: str
-    r: int
-    claimed: object
-    computed: dict
-    status: str
-    witness: tuple[int, ...]
-    witness_mode: str
-
-
-class BoundReport(NamedTuple):
-    """The Ramsey implication of one SF(t) build."""
-
-    implied: str | None
-    contradiction: str | None
-    reference: str | None
-
-
 def _claim_r(theorem: str, stack: Stack) -> int:
     """r of claim T<theorem> on ``stack``; ValueError for a stack of another kind."""
     _, kind, shift = CLAIMS[theorem]
@@ -85,7 +67,7 @@ def _claim_r(theorem: str, stack: Stack) -> int:
     return stack.param - shift
 
 
-def check_theorem_1_1(stack: Stack) -> TheoremCheck:
+def check_theorem_1_1(stack: Stack) -> dict:
     """Compare the largest single-label clique of ``stack``, F(r) under its
     profile, read from its stage's part optima (``solve.stage_mono_clique``),
     against ceil(r/2).  Its witness is one block mask of one part, so one
@@ -97,10 +79,13 @@ def check_theorem_1_1(stack: Stack) -> TheoremCheck:
         raise AssertionError("single-label witness spans both labels")
     claimed = (r + 1) // 2
     status = "CONFIRMED" if res.size == claimed else "REFUTED"
-    return TheoremCheck("T1_1", r, claimed, {"mono_clique": res.size}, status, stack.members(res.masks, "clique"), "clique")
+    return {
+        "theorem_id": "T1_1", "r": r, "claimed": claimed, "computed": {"mono_clique": res.size}, "status": status,
+        "witness": list(stack.members(res.masks, "clique")), "witness_mode": "clique",
+    }
 
 
-def check_theorem_1_2(stack: Stack) -> TheoremCheck:
+def check_theorem_1_2(stack: Stack) -> dict:
     """Check that ``stack``, SF(r+1) under its profile, has no clique or
     independent set on r+1 vertices.
 
@@ -114,14 +99,15 @@ def check_theorem_1_2(stack: Stack) -> TheoremCheck:
     claimed = f"omega(SF({r + 1})) <= {r} and alpha(SF({r + 1})) <= {r}"
     status = "CONFIRMED" if omega.size <= r and alpha.size <= r else "REFUTED"
     mode, shown = ("independent", alpha) if omega.size <= r < alpha.size else ("clique", omega)
-    return TheoremCheck(
-        "T1_2", r, claimed, {"omega": omega.size, "alpha": alpha.size}, status, stack.members(shown.masks, mode), mode,
-    )
+    return {
+        "theorem_id": "T1_2", "r": r, "claimed": claimed, "computed": {"omega": omega.size, "alpha": alpha.size}, "status": status,
+        "witness": list(stack.members(shown.masks, mode)), "witness_mode": mode,
+    }
 
 
-def bound_report_from_counts(t: int, n: int, omega: int, alpha: int) -> BoundReport:
-    """Assemble the implication from already-computed exact counts: SF(t)
-    on n vertices with omega and alpha both below t shows R(t) > n."""
+def bound_report_from_counts(t: int, n: int, omega: int, alpha: int) -> dict:
+    """The report's ``bound``, assembled from already-computed exact counts:
+    SF(t) on n vertices with omega and alpha both below t shows R(t) > n."""
     implied = f"R({t}) > {n}" if omega < t and alpha < t else None
     contradiction = None
     if implied and t == 3 and n >= 6 and confirm_R3():
@@ -135,7 +121,7 @@ def bound_report_from_counts(t: int, n: int, omega: int, alpha: int) -> BoundRep
             f"known value R({t}) = {KNOWN_DIAGONAL_RAMSEY[t]} "
             "(reference annotation only; verdicts never consult it)"
         )
-    return BoundReport(implied, contradiction, reference)
+    return {"implied": implied, "contradiction": contradiction, "reference": reference}
 
 
 @cache

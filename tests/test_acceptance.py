@@ -105,12 +105,12 @@ def test_criterion_2_theorem_sweep(tmp_path):
 def test_criterion_3_base_case_honesty():
     g = build_SF(3, DEFAULT_PROFILE).graph
     tc = check_theorem_1_2(Stack("SF", 3, DEFAULT_PROFILE))
-    assert tc.status == "REFUTED"
-    assert tc.computed == {"omega": 2, "alpha": 3}
-    assert tc.witness_mode == "independent"
-    assert len(tc.witness) == 3
-    assert verify_witness(g, tc.witness, "independent")
-    print(f"\nPASS criterion 3: SF(3) honestly REFUTED with independent set {tc.witness}")
+    assert tc["status"] == "REFUTED"
+    assert tc["computed"] == {"omega": 2, "alpha": 3}
+    assert tc["witness_mode"] == "independent"
+    assert len(tc["witness"]) == 3
+    assert verify_witness(g, tc["witness"], "independent")
+    print(f"\nPASS criterion 3: SF(3) honestly REFUTED with independent set {tc['witness']}")
 
 
 def random_cograph(n, rng):
@@ -169,8 +169,8 @@ def test_criterion_5_ramsey_ground_truth():
     # Any implication R(3) > n with n >= 6 must carry the contradiction flag;
     # no real graph can produce one, so pass counts no solver can return.
     bound = bound_report_from_counts(3, 6, 2, 2)
-    assert bound.implied == "R(3) > 6"
-    assert bound.contradiction is not None
+    assert bound["implied"] == "R(3) > 6"
+    assert bound["contradiction"] is not None
     print(f"\nPASS criterion 5: R(3)=6 re-derived over 32768 colorings in {elapsed:.2f}s; contradiction flag guards")
 
 

@@ -390,10 +390,13 @@ def test_runtime_loads_only_the_standard_library():
 
 @pytest.mark.parametrize("module", ["sfcheck", "sfcheck.cli"])
 def test_import_loads_neither_dataclasses_nor_inspect(module):
-    # The package's records are named tuples, so a cold start does not pay
-    # for dataclasses or for the inspect, ast and dis modules it loads.
+    # The package's records are collections.namedtuple classes and its
+    # annotations name collections.abc, so a cold start does not pay for
+    # dataclasses or for the inspect, ast and dis modules it loads, nor for
+    # typing or random.
     src = os.path.dirname(os.path.dirname(sfcheck.__file__))
-    code = f"import sys, {module}; print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"
+    refused = {"dataclasses", "inspect", "typing", "random"}
+    code = f"import sys, {module}; print(sorted({refused!r} & set(sys.modules)))"
     out = subprocess.run(
         [sys.executable, "-S", "-c", code],
         env=dict(os.environ, PYTHONPATH=src),
@@ -432,7 +435,7 @@ def test_package_names_load_lazily():
         "graphs": "Graph complete empty path cycle complement combine product induced",
         "construct": "InterpretationProfile DEFAULT_PROFILE LabeledGraph build_F build_SF",
         "solve": "CliqueResult max_clique max_independent_set oracle_max_clique verify_witness",
-        "verify": "TheoremCheck BoundReport check_theorem_1_1 check_theorem_1_2 confirm_R3",
+        "verify": "check_theorem_1_1 check_theorem_1_2 confirm_R3",
         "formats": "encode_graph6 decode_graph6 encode_dimacs Graph6ParseError",
     }
     code = """if True:

@@ -16,7 +16,6 @@ from sfcheck.construct import InterpretationProfile, LabeledGraph, build_F
 from sfcheck.report import (
     MAX_T,
     load_report,
-    read_report,
     require_rebuildable,
     run_verification,
     verify_report,
@@ -106,7 +105,7 @@ def assert_rejected(report, tmp_path):
     write_report(target, report)
     with pytest.raises(ValueError) as refused:
         load_report(target)
-    read_back = verify_report(read_report(target))
+    read_back = verify_report(json.loads(target.read_text()))
     assert str(refused.value) == f"report {target} failed re-verification: " + "; ".join(read_back)
 
 

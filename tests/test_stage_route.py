@@ -399,7 +399,7 @@ def test_theorem_1_1_reads_the_stage_as_the_whole_graph_is_split(profile):
         tc = check_theorem_1_1(Stack("F", r, profile))
         lg = build_F(r, profile)
         whole = max_mono_clique(lg.graph, lg.labels)
-        assert (tc.computed["mono_clique"], tc.witness) == (whole.size, whole.witness), r
+        assert (tc["computed"]["mono_clique"], tc["witness"]) == (whole.size, list(whole.witness)), r
 
 
 def test_profiles_that_differ_only_in_y_label_share_all_but_the_base_path():
@@ -494,9 +494,9 @@ def test_check_lists_only_the_witness_it_stores(monkeypatch):
             listed.clear()
             tc = check_theorem_1_2(stack)
             omega, alpha = stage_solve(stack)
-            assert listed == [(alpha if tc.witness_mode == "independent" else omega).masks], (profile, t)
-            assert tc.witness == pairwise_composition(stack_parts(stack), optima[tc.witness_mode], tc.witness_mode), (profile, t)
-            refuted_by_clique += tc.status == "REFUTED" and tc.witness_mode == "clique"
+            assert listed == [(alpha if tc["witness_mode"] == "independent" else omega).masks], (profile, t)
+            assert tc["witness"] == list(pairwise_composition(stack_parts(stack), optima[tc["witness_mode"]], tc["witness_mode"])), (profile, t)
+            refuted_by_clique += tc["status"] == "REFUTED" and tc["witness_mode"] == "clique"
     assert refuted_by_clique
 
 

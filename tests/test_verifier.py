@@ -1,6 +1,7 @@
 """Verifier tests: verdict logic, certificates, Ramsey ground truth."""
 
 import itertools
+import json
 import os
 import random
 import re
@@ -18,7 +19,7 @@ import sfcheck
 from sfcheck import verify
 from sfcheck.construct import DEFAULT_PROFILE, build_F, build_SF
 from sfcheck.graphs import complement, complete, cycle, empty, random_graph
-from sfcheck.report import make_report, run_verification, verify_report
+from sfcheck.report import make_report, report_to_json, run_verification, verify_report
 from sfcheck.solve import Stack, oracle_max_clique, verify_witness
 from sfcheck.verify import (
     bound_report_from_counts,
@@ -27,7 +28,7 @@ from sfcheck.verify import (
     confirm_R3,
 )
 
-from oracles import clear_memos, reference_verdict
+from oracles import clear_memos, family_representatives, reference_verdict
 
 GENERAL = DEFAULT_PROFILE.replace(base_case="general")
 TENSOR = GENERAL.replace(prod="tensor")
@@ -36,10 +37,10 @@ TENSOR = GENERAL.replace(prod="tensor")
 class TestTheorem11:
     def test_r3_explicit_confirmed(self):
         tc = check_theorem_1_1(Stack("F", 3, DEFAULT_PROFILE))
-        assert tc.status == "CONFIRMED"
-        assert tc.claimed == 2
-        assert tc.computed == {"mono_clique": 2}
-        assert tc.witness == (2, 3)
+        assert tc["status"] == "CONFIRMED"
+        assert tc["claimed"] == 2
+        assert tc["computed"] == {"mono_clique": 2}
+        assert tc["witness"] == [2, 3]
 
     def test_r4_default_verdict_from_solver(self):
         # The harness must not presume the claim holds; at r=4 the computed
@@ -47,22 +48,22 @@ class TestTheorem11:
         # claimed 2, so the honest verdict is REFUTED.
         lg = build_F(4, DEFAULT_PROFILE)
         tc = check_theorem_1_1(Stack("F", 4, DEFAULT_PROFILE))
-        assert tc.claimed == 2
-        assert tc.computed["mono_clique"] == 3
-        assert tc.status == "REFUTED"
-        assert verify_witness(lg.graph, tc.witness, "clique")
-        assert len({lg.labels[v] for v in tc.witness}) == 1
+        assert tc["claimed"] == 2
+        assert tc["computed"]["mono_clique"] == 3
+        assert tc["status"] == "REFUTED"
+        assert verify_witness(lg.graph, tc["witness"], "clique")
+        assert len({lg.labels[v] for v in tc["witness"]}) == 1
 
     @pytest.mark.parametrize("r", [3, 4, 5])
     def test_tensor_profile_still_computes_both_sides(self, r):
         tc = check_theorem_1_1(Stack("F", r, TENSOR))
-        assert tc.computed["mono_clique"] >= 1
-        assert tc.status == ("CONFIRMED" if tc.computed["mono_clique"] == tc.claimed else "REFUTED")
+        assert tc["computed"]["mono_clique"] >= 1
+        assert tc["status"] == ("CONFIRMED" if tc["computed"]["mono_clique"] == tc["claimed"] else "REFUTED")
 
     def test_status_is_pure_arithmetic(self):
         for r in (3, 4, 5):
             tc = check_theorem_1_1(Stack("F", r, GENERAL))
-            assert (tc.status == "CONFIRMED") == (tc.computed["mono_clique"] == tc.claimed)
+            assert (tc["status"] == "CONFIRMED") == (tc["computed"]["mono_clique"] == tc["claimed"])
 
     def test_rejects_small_r(self):
         # r = 2 would be checked on F(2), a stack that cannot be built.
@@ -74,20 +75,20 @@ class TestTheorem12:
     def test_base_case_honest_refutation(self):
         g = build_SF(3, DEFAULT_PROFILE).graph
         tc = check_theorem_1_2(Stack("SF", 3, DEFAULT_PROFILE))
-        assert tc.status == "REFUTED"
-        assert tc.computed == {"omega": 2, "alpha": 3}
-        assert tc.witness_mode == "independent"
-        assert len(tc.witness) == 3
-        assert verify_witness(g, tc.witness, "independent")
+        assert tc["status"] == "REFUTED"
+        assert tc["computed"] == {"omega": 2, "alpha": 3}
+        assert tc["witness_mode"] == "independent"
+        assert len(tc["witness"]) == 3
+        assert verify_witness(g, tc["witness"], "independent")
 
     def test_r3_default_certificate(self):
         g = build_SF(4, DEFAULT_PROFILE).graph
         tc = check_theorem_1_2(Stack("SF", 4, DEFAULT_PROFILE))
-        assert verify_witness(g, tc.witness, tc.witness_mode)
-        confirmed = tc.computed["omega"] <= 3 and tc.computed["alpha"] <= 3
-        assert tc.status == ("CONFIRMED" if confirmed else "REFUTED")
-        if tc.status == "REFUTED":
-            assert len(tc.witness) >= 4
+        assert verify_witness(g, tc["witness"], tc["witness_mode"])
+        confirmed = tc["computed"]["omega"] <= 3 and tc["computed"]["alpha"] <= 3
+        assert tc["status"] == ("CONFIRMED" if confirmed else "REFUTED")
+        if tc["status"] == "REFUTED":
+            assert len(tc["witness"]) >= 4
 
     def test_deterministic_reruns(self):
         a = check_theorem_1_2(Stack("SF", 4, DEFAULT_PROFILE))
@@ -105,17 +106,17 @@ def oracle_verdict(g, r):
     """(computed, (claimed, status, witness_mode)) of ``check_theorem_1_2``
     on a stand-in SF(r+1) whose stage route reports g's clique and
     independence numbers, both counted by the enumeration oracle.  Each
-    result's masks name it, so the stand-in's witness is the name of the
-    result the check lists."""
+    result's masks name it, so the stand-in's witness lists the name of
+    the result the check lists."""
     computed = {"omega": oracle_max_clique(g), "alpha": oracle_max_clique(complement(g))}
     results = [SimpleNamespace(size=computed[name], masks=name) for name in ("omega", "alpha")]
-    stack = SimpleNamespace(kind="SF", param=r + 1, members=lambda masks, mode: masks)
+    stack = SimpleNamespace(kind="SF", param=r + 1, members=lambda masks, mode: (masks,))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(verify, "stage_solve", lambda stack: results)
         tc = check_theorem_1_2(stack)
-    assert tc.computed == computed
-    assert tc.witness == ("alpha" if tc.witness_mode == "independent" else "omega")
-    return computed, (tc.claimed, tc.status, tc.witness_mode)
+    assert tc["computed"] == computed
+    assert tc["witness"] == ["alpha" if tc["witness_mode"] == "independent" else "omega"]
+    return computed, (tc["claimed"], tc["status"], tc["witness_mode"])
 
 
 class TestTheorem12Rule:
@@ -169,9 +170,27 @@ class TestCheckKind:
             for param in (3, 4, 7):
                 stack = Stack(kind, param, profile)
                 tc = check(stack)
-                assert tc.r == param - shift, (profile, param)
+                assert tc["r"] == param - shift, (profile, param)
                 assert make_report(stack, tc, None, None)["profile"] == profile.to_dict(), (profile, param)
-                assert (tc.claimed, tc.status, tc.witness_mode) == reference_verdict(tc.theorem_id, tc.r, tc.computed), (profile, param)
+                assert (tc["claimed"], tc["status"], tc["witness_mode"]) == reference_verdict(tc["theorem_id"], tc["r"], tc["computed"]), (profile, param)
+
+
+@pytest.mark.parametrize("profile", family_representatives(), ids=str)
+def test_checks_and_bounds_are_stored_as_built(profile):
+    """A check is built in the form a report stores it: its JSON reads
+    back equal, ``make_report`` stores it unchanged, and a T1.2 report
+    stores the bound that ``bound_report_from_counts`` builds from its
+    counts, so no second form of either can come between."""
+    for kind, check in (("F", check_theorem_1_1), ("SF", check_theorem_1_2)):
+        for param in range(3, 9):
+            stack = Stack(kind, param, profile)
+            tc = check(stack)
+            assert tc == json.loads(report_to_json(tc)), (kind, param)
+            report = make_report(stack, tc, None, None)
+            assert report["checks"] == [tc], (kind, param)
+            computed = tc["computed"]
+            bound = bound_report_from_counts(param, stack.n, computed["omega"], computed["alpha"]) if kind == "SF" else None
+            assert report["bound"] == bound, (kind, param)
 
 
 def test_each_job_calls_its_check_by_every_module_binding(monkeypatch):
@@ -276,8 +295,8 @@ class TestBoundReport:
 
     def test_t3_c5_implication(self):
         b = bound_report_from_counts(3, 5, 2, 2)
-        assert b.implied == "R(3) > 5"
-        assert b.contradiction is None
+        assert b["implied"] == "R(3) > 5"
+        assert b["contradiction"] is None
 
     def test_t4_default_consistency(self):
         report = run_verification("1.2", 3)
@@ -291,8 +310,8 @@ class TestBoundReport:
         # is exactly what confirm_R3 proves), so the flag is exercised on
         # counts no solver can return.
         b = bound_report_from_counts(3, 6, 2, 2)
-        assert b.implied == "R(3) > 6"
-        assert b.contradiction is not None and "R(3) = 6" in b.contradiction
+        assert b["implied"] == "R(3) > 6"
+        assert b["contradiction"] is not None and "R(3) = 6" in b["contradiction"]
 
 
 class TestConfirmR3:
