@@ -282,8 +282,9 @@ def induced(g: Graph, members: Iterable[int]) -> Graph:
     return Graph._trusted(len(vs), tuple(sum((g.rows[v] >> u & 1) << i for i, u in enumerate(vs)) for v in vs))
 
 
-def random_graph(n: int, edge_probability: float, rng: random.Random) -> Graph:
-    """G(n, p) sample; edge draws follow (i, j) lexicographic order."""
+def random_graph(n: int, edge_probability: float, rng) -> Graph:
+    """G(n, p) sample drawn from ``rng``, a ``random.Random``; edge draws
+    follow (i, j) lexicographic order."""
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
     if not 0.0 <= edge_probability <= 1.0:

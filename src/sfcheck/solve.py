@@ -40,20 +40,8 @@ the clique (independence) numbers of a part's label-1 and label-2 classes,
     omega = max(max_r omega(r), max over r != s of omega_1(r) + omega_2(s)),
     alpha = max(max_r alpha(r), sum_r alpha_1(r), sum_r alpha_2(r)).
 
-Proof.  A clique K that meets parts r != s is joined across them, so every
-vertex of K in r has the parity opposite to every vertex of K in s: all of
-K within r lies in one class, all of K within s in the other.  Three
-parts would need three pairwise opposite parities, so K meets at most
-two, and |K| is at most omega(r) or omega_1(r) + omega_2(s) for some
-r != s.  An independent set I that meets parts r != s has no edge across
-them, so each of its vertices in r shares the parity of each in s, and
-then of every vertex of I: I lies in one class throughout, and |I| is at
-most alpha(r) or sum_r alpha_p(r) for its class p.  Each bound is met:
-by one part's optimum, by an odd clique and an even clique of two
-parts (every pair across them is joined), and by one class's
-independent sets of every part (no pair across them is joined).
-T1.1 reads the same optima: a label class has one parity, so no edge of
-it crosses between parts, and its largest clique is its parts' largest.
+README's "Why the composition is exact" proves both, and that T1.1's
+single-label clique is its parts' largest.
 
 A part's six optima (whole, label 1, label 2; clique, independent set)
 each split their set alone, parents first, in the query's view (the

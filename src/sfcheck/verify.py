@@ -78,6 +78,8 @@ def check_theorem_1_1(stack: Stack) -> dict:
     if mask & odd not in (0, mask):
         raise AssertionError("single-label witness spans both labels")
     claimed = (r + 1) // 2
+    if res.size < claimed:  # F(r) holds a one-label clique of ceil(r/2): a smaller size is a solver fault
+        raise AssertionError(f"single-label clique of {res.size} below the claim's {claimed}")
     status = "CONFIRMED" if res.size == claimed else "REFUTED"
     return {
         "theorem_id": "T1_1", "r": r, "claimed": claimed, "computed": {"mono_clique": res.size}, "status": status,

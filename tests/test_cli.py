@@ -1,17 +1,21 @@
 """Command-line behavior: subcommands, exit codes, file outputs."""
 
 import errno
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
 import tracemalloc
+import typing
 
 import pytest
 
 import sfcheck
-from sfcheck import cli
+from sfcheck import cli, solve
 from sfcheck.cli import main
 from sfcheck.construct import build_SF
 from sfcheck.formats import decode_graph6
@@ -371,6 +375,28 @@ class TestInternalError:
         assert main(["sweep", "--t-max", "3", "--report-dir", str(tmp_path)]) == 3
         assert "internal error: AssertionError" in capsys.readouterr().err
 
+    def test_a_t11_result_below_the_claim_exit_3(self, tmp_path, capsys, monkeypatch):
+        # A split short by one vertex on every clique-view query gives F(3) a
+        # single-label clique of 1 against the claim's 2.  Its witness is a
+        # smaller clique and refutes nothing: a solver fault, not a REFUTED
+        # report that loads.
+        real = solve._split_clique
+
+        def short_by_one(g, within, flip):
+            size, mask = real(g, within, flip)
+            return (size - 1, mask & (mask - 1)) if flip == 0 and size else (size, mask)
+
+        monkeypatch.setattr(solve, "_split_clique", short_by_one)
+        report_path = tmp_path / "t11_r3.json"
+        clear_memos()
+        try:
+            code = main(["verify", "--theorem", "1.1", "--r", "3", "--report", str(report_path)])
+        finally:
+            clear_memos()
+        assert code == 3
+        assert "internal error: AssertionError: single-label clique of 1 below the claim's 2" in capsys.readouterr().err
+        assert not report_path.exists()
+
 
 def test_runtime_loads_only_the_standard_library():
     # -S skips site's .pth hooks, so every module listed was loaded by the import.
@@ -405,6 +431,21 @@ def test_import_loads_neither_dataclasses_nor_inspect(module):
         check=True,
     ).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("module", ["sfcheck", *(f"sfcheck.{m.name}" for m in pkgutil.iter_modules(sfcheck.__path__))])
+def test_every_annotation_resolves(module):
+    # Annotations stay strings (PEP 563), so one that names a module the
+    # package does not import fails only when a tool resolves it.
+    mod = importlib.import_module(module)
+    defined = [v for v in vars(mod).values() if (inspect.isfunction(v) or inspect.isclass(v)) and v.__module__ == module]
+    assert defined
+    for obj in defined:
+        typing.get_type_hints(obj)
+        for member in vars(obj).values() if inspect.isclass(obj) else ():
+            func = getattr(member, "__func__", getattr(member, "fget", member))  # a staticmethod, classmethod or property
+            if inspect.isfunction(func):
+                typing.get_type_hints(func)
 
 
 def test_serial_sweep_starts_without_multiprocessing(tmp_path):
