@@ -1,4 +1,4 @@
-"""Immutable dense graphs and the algebra used to assemble composite builds.
+"""Immutable dense graphs, and the algebra of the paper's graph operators.
 
 Vertices are the integers 0..n-1 and adjacency is one bitmask per vertex,
 so equality of two graphs is bit-identity and every operation here defines
@@ -14,11 +14,11 @@ six-vertex base path.  ``formats.decode_graph6`` checks its text in full
 and builds rows that are valid by construction, so it wraps them unchecked,
 as ``random_graph`` (which no command calls) wraps the rows it draws, each
 edge set in both rows and none on the diagonal.
-The algebra below (``complement``, ``combine``, ``product``, ``induced``,
-``complete`` and ``empty``) and the builders in ``construct`` derive
-rows from graphs that already satisfy the invariants, so they wrap their
-output with the unchecked ``Graph._trusted``; ``product`` refuses a left
-factor with an edge, which no build passes.
+The algebra below (``complement``, ``combine``, ``product``, ``complete``
+and ``empty``) derives rows from valid graphs, and ``construct``'s dense
+builds from the stage blocks, so both wrap them with the unchecked
+``Graph._trusted``; ``product`` refuses a left factor with an edge.  No
+command runs the algebra: the tests hold the stage blocks' clusters to it.
 ``test_operations_preserve_invariants`` and ``test_builds_preserve_invariants``
 in ``tests/test_graphs.py`` re-run the full check on every trusted path,
 the builds under all 24 profiles included.
@@ -272,14 +272,6 @@ def product(a: Graph, b: Graph, kind: str) -> Graph:
         raise ValueError("product takes an edgeless left factor")
     rows = (0,) * b.n if kind == "tensor" else b.rows
     return Graph._trusted(a.n * b.n, tuple(row << (i * b.n) for i in range(a.n) for row in rows))
-
-
-def induced(g: Graph, members: Iterable[int]) -> Graph:
-    """Subgraph on ``members``, renumbered in increasing original order,
-    one bit test per member pair: the solver induces only prime pieces, at
-    most the six-vertex base path and its complement."""
-    vs = as_vertex_set(g, members)
-    return Graph._trusted(len(vs), tuple(sum((g.rows[v] >> u & 1) << i for i, u in enumerate(vs)) for v in vs))
 
 
 def random_graph(n: int, edge_probability: float, rng) -> Graph:

@@ -22,12 +22,13 @@ branching order, hence the same node counts and witnesses.
 
 oracle_max_clique is a deliberately plain clique enumeration kept
 independent of the main solver so the two can cross-check each other on
-small graphs.
+small graphs.  No command calls either: the stage route below searches
+nothing, and the tests check it against them.
 
 All searches are single-threaded and fully deterministic (ties break toward
 the highest vertex index in max_clique's renumbering, the same vertex as
-the reference's lowest; the base path's witnesses are unchanged by it), so
-sizes, witnesses, and node counts reproduce across runs.
+the reference's lowest), so sizes, witnesses, and node counts reproduce
+across runs.
 
 stage_solve is the stage route: omega and alpha of a Stack, SF(t) as
 its stages F(3..t), composed from solves on its parts, each the base
@@ -44,29 +45,26 @@ README's "Why the composition is exact" proves both, and that T1.1's
 single-label clique is its parts' largest.
 
 A part's six optima (whole, label 1, label 2; clique, independent set)
-each split their set alone, parents first, in the query's view (the
-graph, or its complement read through the graph's rows).  A clique piece
-is its own answer, an edgeless piece gives its lowest vertex, a
-disconnected piece its best component's (a clique lies in one), and a
-piece with a disconnected complement the union of its co-components'
-(each joined to the others); only a prime piece is searched.  On a tie
-the component with the lowest first vertex wins.  Cographs are exactly
-the graphs this split leaves no prime piece of (Corneil, Lerchs and
-Stewart Burlingham, Discrete Applied Mathematics 3(3), 1981).  Every
-stage side is one under every profile (r-1 disjoint copies of K_a +
-K_(r-a) or of K_r, or edgeless, and their complement); only the
-six-vertex base path and its complement are prime.
+come from one block of it, ``construct.stage_block``'s, by ``_optimum``,
+in the query's view (the graph, or its complement read through the
+graph's rows).  The block is the base path (k = 1 copy) or one copy of
+the G side, which is k = r-1 disjoint copies: a product joins two copies
+only through an edge of ``empty(r - 1)``.  Every block but the base path
+is a disjoint union of cliques, its clusters: K_a and K_(r-a), K_r, or r
+single vertices.  A clique lies in one cluster, since no edge joins two,
+so the largest within a set W is the first largest C & W; an independent
+set meets each cluster at most once, and one vertex of each is one, so
+the largest within W is the lowest vertex of each C & W.  The six-vertex
+base path, no cluster graph, takes the first largest of its 64 subsets
+of W that ``_holds`` passes, masks ascending.  Each optimum is checked by
+``_holds`` where it is found.
 
 The stage memo, ``stage``, keyed on r and a ``construct.stage_family``
-key, keeps each stage's answers and evicts none.  It splits one block of
-F(r)'s first part, ``construct.stage_block``'s base path (k = 1 copy) or
-one copy of the G side: a product joins two copies only through an edge
-of ``empty(r - 1)``, so the G side is k = r-1 disjoint copies.  Each
-optimum is checked by ``_holds`` where it is found.  A part's query in
-mode flip is its block's in view flip ^ inverse (-1 for an H side, else
-0), by the copy rule: a clique lies in one copy, the block's in copy 0;
-an independent set is one in each copy, k times the block's size, kept
-as the block's mask.  H is G's complement with labels flipped, so
+key, keeps each stage's answers and evicts none.  A part's query in mode
+flip is its block's in view flip ^ inverse (-1 for an H side, else 0),
+by the copy rule: a clique lies in one copy, the block's in copy 0; an
+independent set is one in each copy, k times the block's size, kept as
+the block's mask.  H is G's complement with labels flipped, so
 
     omega(H) = alpha(G),  omega_1(H) = alpha_2(G),  omega_2(H) = alpha_1(G),
 
@@ -95,15 +93,14 @@ by ``Stack.members``, which checks it whole first, on every job and load.
 
 from __future__ import annotations
 
-import re
 from collections import namedtuple
 from collections.abc import Mapping
 from functools import cache, reduce
 from operator import itemgetter, or_
 from types import SimpleNamespace
 
-from sfcheck.construct import InterpretationProfile, _require_param, label_masks, stage_block, stage_family
-from sfcheck.graphs import Graph, as_vertex_set, complement, induced
+from sfcheck.construct import InterpretationProfile, _members, _require_param, label_masks, stage_block, stage_family
+from sfcheck.graphs import Graph, as_vertex_set, complement
 
 ORACLE_MAX_N = 24
 
@@ -319,63 +316,19 @@ def max_independent_set(g: Graph) -> CliqueResult:
     return res
 
 
-def _members(mask: int) -> list[int]:
-    """The vertices of ``mask``, ascending: where its binary digits, lowest
-    first, hold a 1, found at C speed in place of one big-int step each."""
-    return [found.start() for found in re.finditer("1", bin(mask)[:1:-1])]
-
-
-def _components(rows: tuple[int, ...], mask: int, flip: int) -> list[int]:
-    """The components of ``mask`` in the graph of ``rows`` (flip 0) or in
-    its complement (flip -1), as masks, lowest vertex first."""
-    parts = []
-    while mask:
-        part = frontier = mask & -mask
-        mask ^= part
-        while frontier and mask:
-            bit = frontier & -frontier
-            frontier ^= bit
-            new = mask & (rows[bit.bit_length() - 1] ^ flip)
-            if new:
-                part |= new
-                frontier |= new
-                mask ^= new
-        parts.append(part)
-    return parts
-
-
-def _split_clique(g: Graph, within: int, flip: int) -> tuple[int, int]:
-    """A maximum clique (flip 0) or independent set (flip -1) of ``g``
-    within ``within``, as (size, witness mask), by the module docstring's
-    split, with no recursion to limit its depth.  A prime piece is
-    induced, complemented for an independent set, and searched."""
-    rows = g.rows
-    # Per piece, its clique's mask; per split piece, (union, first, end) of its children.
-    pieces, found, splits = [within], [], {}
-    for piece in pieces:
-        if _holds(rows, piece, flip):  # a clique in the query's view, taken whole
-            found.append(piece)
-        elif _holds(rows, piece, ~flip):  # no edge in the query's view: its lowest vertex
-            found.append(piece & -piece)
-        else:
-            for union, view in ((False, flip), (True, ~flip)):
-                parts = _components(rows, piece, view)
-                if len(parts) > 1:  # components, or co-components for a union
-                    splits[len(found)] = (union, len(pieces), len(pieces) + len(parts))
-                    found.append(0)
-                    pieces += parts
-                    break
-            else:  # prime
-                members = _members(piece)
-                h = induced(g, members)
-                res = max_clique(complement(h) if flip else h)
-                found.append(sum(1 << members[v] for v in res.witness))
-    for i, (union, lo, hi) in reversed(splits.items()):  # children first
-        found[i] = reduce(or_, found[lo:hi]) if union else max(found[lo:hi], key=int.bit_count)
-    witness = found[0]
-    if not _holds(rows, witness, flip):
-        raise AssertionError(f"decomposition produced an invalid {'independent set' if flip else 'clique'}")
-    return witness.bit_count(), witness
+def _optimum(clusters: tuple[int, ...] | None, rows: tuple[int, ...], within: int, flip: int) -> int:
+    """A stage block's maximum clique (flip 0) or independent set (flip -1)
+    within ``within``, as a mask, by the module docstring's cluster rule,
+    or the base path's (clusters None) subsets; checked by ``_holds``."""
+    if clusters is None:
+        found = max((chosen for chosen in range(within + 1) if chosen & within == chosen and _holds(rows, chosen, flip)), key=int.bit_count)
+    elif flip:
+        found = sum(meet & -meet for meet in (cluster & within for cluster in clusters))
+    else:
+        found = max((cluster & within for cluster in clusters), key=int.bit_count, default=0)
+    if not _holds(rows, found, flip):
+        raise AssertionError(f"cluster rule produced an invalid {'independent set' if flip else 'clique'}")
+    return found
 
 
 class StackResult(namedtuple("StackResult", "size masks")):
@@ -395,22 +348,20 @@ class Stage:
     ``optima``, per mode, (sizes, block masks), per part those of its
     whole, label-1 and label-2 optima."""
 
-    def __init__(self, block: Graph, labels: tuple[int, ...], k: int, paired: bool) -> None:
-        self.block_n, self.k, self.paired = block.n, k, paired
+    def __init__(self, clusters: tuple[int, ...] | None, rows: tuple[int, ...], labels: tuple[int, ...], k: int) -> None:
+        self.block_n, self.k, self.paired = len(rows), k, clusters is not None
         odd, even = label_masks(labels)
-        h, c1 = k * block.n, k * odd.bit_count()
+        h, c1 = k * len(rows), k * odd.bit_count()
         # An H side, inverse -1, is read on its G side's block, flip inverted and classes swapped.
-        self.parts = ((0, 0, odd, even), (h, -1, even, odd))[: 1 + paired]
-        if paired:  # the module docstring counts m
+        self.parts = ((0, 0, odd, even), (h, -1, even, odd))[: 1 + self.paired]
+        if self.paired:  # the module docstring counts m
             self.n, self.m, self.label_counts = 2 * h, h * (h - 1) // 2 + c1**2 + (h - c1) ** 2, {1: h, 2: h}
         else:
-            self.n, self.m, self.label_counts = h, k * block.m, {1: c1, 2: h - c1}
-        # The block's six splits, per view and set; one in view -1 covers all k copies.
-        full, solves = (1 << block.n) - 1, {}
-        for view, copies in ((0, 1), (-1, k)):
-            for within in (full, odd, even):
-                size, mask = _split_clique(block, within, view)
-                solves[view, within] = copies * size, mask
+            self.n, self.m, self.label_counts = h, k * sum(map(int.bit_count, rows)) // 2, {1: c1, 2: h - c1}
+        # The block's six optima, per view and set, as (size, mask); one in view -1 covers all k copies.
+        full = (1 << len(rows)) - 1
+        masks = {(view, within): _optimum(clusters, rows, within, view) for view in (0, -1) for within in (full, odd, even)}
+        solves = {(view, within): ((k if view else 1) * mask.bit_count(), mask) for (view, within), mask in masks.items()}
         self.optima = {}
         for mode, flip in (("clique", 0), ("independent", -1)):
             # Per part, the sizes and masks of its whole, label-1 and label-2 optima.

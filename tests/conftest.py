@@ -5,26 +5,35 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from sfcheck import construct  # noqa: E402
+from sfcheck import construct, solve  # noqa: E402
 from oracles import clear_memos  # noqa: E402
 
 
 @pytest.fixture
 def seed_stage(monkeypatch):
-    """``seed_stage(r, fault)`` makes every build of F(r)'s block (one copy
-    of the G side's block graph, or the base path) through
-    ``construct.stage_block``, the stage memo's and the dense builds' alike,
-    come out as ``fault`` of the real (graph, labels).  The stage memo and
-    the lists of prefixes, whose entries hold its stages, are emptied at
-    each seeding and after the test, so no doctored stage outlives it."""
-    real = construct.build_block
+    """``seed_stage(r, fault)`` makes every build of F(r)'s block through
+    ``construct.stage_block``, the stage memo's and the dense builds'
+    alike, come out as ``fault(block, labels)`` of the real block and
+    labels.  A clustered block is its cluster table, whose rows follow
+    from the doctored table; the base path, no cluster graph, is its rows,
+    which a fault may change at will.  The stage memo and the lists of
+    prefixes, whose entries hold its stages, are emptied at each seeding
+    and after the test, so no doctored stage outlives it."""
+    real = construct.stage_block
 
     def seed(r, fault):
-        def build(r_, profile=construct.DEFAULT_PROFILE):
-            block, labels, paired = real(r_, profile)
-            return (*fault(block, labels), paired) if r_ == r else (block, labels, paired)
+        def build(r_, profile):
+            clusters, rows, labels, k = real(r_, profile)
+            if r_ != r:
+                return clusters, rows, labels, k
+            if clusters is None:
+                rows, labels = fault(rows, labels)
+                return None, rows, labels, k
+            clusters, labels = fault(clusters, labels)
+            return clusters, construct.cluster_rows(clusters), labels, k
 
-        monkeypatch.setattr(construct, "build_block", build)
+        monkeypatch.setattr(construct, "stage_block", build)
+        monkeypatch.setattr(solve, "stage_block", build)
         clear_memos()
 
     yield seed

@@ -16,15 +16,13 @@ from typing import NamedTuple
 from sfcheck import cli, construct, solve
 from sfcheck.construct import InterpretationProfile
 from sfcheck.formats import Graph6ParseError
-from sfcheck.graphs import Graph, complement, induced
+from sfcheck.graphs import Graph, complement
 from sfcheck.solve import (
     CliqueResult,
     StackResult,
-    _components,
     _degeneracy_order,
     _greedy_clique,
     _members,
-    _split_clique,
     max_clique,
     verify_witness,
 )
@@ -291,35 +289,63 @@ def recursive_max_clique(g: Graph) -> CliqueResult:
     return CliqueResult(best_size, best_witness, nodes)
 
 
-def class_split(g: Graph, mode: str, labels: tuple[int, ...] = (), label: int | None = None) -> tuple[int, int]:
-    """The ``mode`` optimum of ``g``, or of its vertices whose ``labels``
-    entry is ``label``, by splitting that set alone, on ``g`` or on its
-    built complement: the reference for ``solve._split_clique``, which
-    reads the complement through the graph's rows (the same size and
-    witness mask).
+def components(rows: tuple[int, ...], mask: int, flip: int) -> list[int]:
+    """The components of ``mask`` in the graph of ``rows`` (flip 0) or in
+    its complement (flip -1), as masks, lowest vertex first, by a plain
+    walk that visits each vertex once, from the lowest one left."""
+    parts = []
+    while mask:
+        part = mask & -mask
+        todo = [part.bit_length() - 1]
+        while todo:
+            new = mask & (rows[todo.pop()] ^ flip) & ~part
+            part |= new
+            todo += _members(new)
+        parts.append(part)
+        mask &= ~part
+    return parts
 
-    Pieces are split, parents first, until each is a clique or prime, and
-    a prime piece is induced and searched.  Their cliques are combined
-    children first; a component split keeps its first largest clique.
+
+def random_cluster_table(n: int, rng) -> tuple[int, ...]:
+    """A random partition of 0..n-1 into clusters, as masks: each vertex
+    goes to one of at most n clusters at random, and the clusters come in
+    random order, so that neither a cluster nor the first of a tie need be
+    a contiguous range."""
+    owner = [rng.randrange(rng.randint(1, n)) for _ in range(n)]
+    clusters = [sum(1 << v for v in range(n) if owner[v] == c) for c in set(owner)]
+    rng.shuffle(clusters)
+    return tuple(clusters)
+
+
+def class_split(g: Graph, within: int, flip: int) -> tuple[int, int]:
+    """The maximum clique (flip 0) or independent set (flip -1) of ``g``
+    within the mask ``within``, as (size, mask), by a split of that set
+    alone on ``g`` or on its built complement: the dense reference for the
+    stage route's part optima, which it reads from cluster tables.
+
+    Pieces are split, parents first, into components or else
+    co-components, until each is a clique or prime, and a prime piece is
+    induced and searched.  Their cliques are combined children first: a
+    co-component split keeps their union, a component split its first
+    largest clique.
     """
-    mask = (1 << g.n) - 1 if label is None else sum(1 << v for v, lab in enumerate(labels) if lab == label)
-    h = g if mode == "clique" else complement(g)
+    h = complement(g) if flip else g
     rows = h.rows
-    pieces, found, splits = [mask], [], []
+    pieces, found, splits = [within], [], []
     for piece in pieces:
         best, split = 0, None
         if all(rows[v] & piece == piece ^ (1 << v) for v in _members(piece)):
             best = piece
         else:
-            for union, flip in ((False, 0), (True, -1)):
-                parts = _components(rows, piece, flip)
+            for union, view in ((False, 0), (True, -1)):
+                parts = components(rows, piece, view)
                 if len(parts) > 1:
                     split = (union, len(pieces), len(pieces) + len(parts))
                     pieces += parts
                     break
             else:
-                members = list(_members(piece))
-                best = sum(1 << members[i] for i in max_clique(induced(h, members)).witness)
+                members = _members(piece)
+                best = sum(1 << members[i] for i in max_clique(pairwise_induced(h, members)).witness)
         found.append(best)
         splits.append(split)
     for i in reversed(range(len(pieces))):
@@ -341,7 +367,7 @@ def max_mono_clique(g: Graph, labels: tuple[int, ...]) -> MonoClique:
     label 1 on a tie, from a split of each label class of ``g``.  The dense
     reference for T1.1, which reads the stage's part optima
     (``solve.stage_mono_clique``)."""
-    size, mask = max((_split_clique(g, within, 0) for within in class_masks(labels)), key=itemgetter(0))
+    size, mask = max((class_split(g, within, 0) for within in class_masks(labels)), key=itemgetter(0))
     return MonoClique(size, tuple(_members(mask)))
 
 
@@ -508,7 +534,7 @@ def parse_dimacs(text: str) -> tuple[int, set[tuple[int, int]]]:
 
 def pairwise_induced(g: Graph, members) -> Graph:
     """Induced subgraph by one bit test per member pair, renumbered in
-    increasing original order; the reference for ``graphs.induced``."""
+    increasing original order."""
     vs = sorted(members)
     k = len(vs)
     rows = [0] * k
@@ -547,7 +573,7 @@ def pairwise_composition(parts, part_optima, mode: str) -> tuple[int, ...]:
 
 def block_optima(r: int, profile: InterpretationProfile) -> tuple[int, ...]:
     """(omega, omega_1, omega_2, alpha, alpha_1, alpha_2) of one block of
-    F(r)'s first part, from the shapes ``construct.build_block`` gives it,
+    F(r)'s first part, from the shapes ``construct.stage_block`` gives it,
     with a = r // 2 vertices labeled 1 and r - a labeled 2.  A G side's
     block is ``product(empty(1), G_z, prod)``: G_z itself under the
     lexicographic and cartesian products, and edgeless under tensor.  G_z
@@ -667,8 +693,8 @@ def schema1(report: dict) -> dict:
     ``target.param``, ``bound.n`` is ``graph_stats.n`` and
     ``bound.witness_ok`` is whether the status is CONFIRMED (omega and
     alpha both below t); and every node count is 0 but T1.2's
-    ``alpha_nodes``, 1 under ``explicit_path``, where the base path's
-    complement is the one prime piece searched, in one node.  The top-level
+    ``alpha_nodes``, 1 under ``explicit_path``, the one node in which
+    schema 1's solver searched the base path's complement.  The top-level
     ``nodes_explored`` is the check's sum."""
     check = report["checks"][0]
     if check["theorem_id"] == "T1_1":

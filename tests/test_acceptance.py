@@ -18,14 +18,14 @@ import networkx as nx
 import sfcheck.verify as verify_mod
 from sfcheck import solve
 from sfcheck.cli import main
-from sfcheck.construct import DEFAULT_PROFILE, build_F, build_SF
+from sfcheck.construct import DEFAULT_PROFILE, build_F, build_SF, cluster_rows
 from sfcheck.formats import decode_graph6, encode_graph6
-from sfcheck.graphs import COMBINE_OPS, Graph, combine, complement, complete, empty
+from sfcheck.graphs import Graph, complement, complete
 from sfcheck.report import load_report, strip_volatile
-from sfcheck.solve import ORACLE_MAX_N, Stack, _split_clique, oracle_max_clique, verify_witness
+from sfcheck.solve import ORACLE_MAX_N, Stack, _optimum, oracle_max_clique, verify_witness
 from sfcheck.verify import bound_report_from_counts, check_theorem_1_2
 
-from oracles import family_representatives
+from oracles import family_representatives, pairwise_induced, random_cluster_table
 
 GENERAL = DEFAULT_PROFILE.replace(base_case="general")
 
@@ -113,38 +113,31 @@ def test_criterion_3_base_case_honesty():
     print(f"\nPASS criterion 3: SF(3) honestly REFUTED with independent set {tc['witness']}")
 
 
-def random_cograph(n, rng):
-    """A cograph on n vertices: one vertex, or a random union or join of two
-    smaller cographs, with its vertices shuffled."""
-    if n == 1:
-        return empty(1)
-    k = rng.randint(1, n - 1)
-    g = combine(random_cograph(k, rng), random_cograph(n - k, rng), rng.choice(COMBINE_OPS))
-    order = rng.sample(range(n), n)
-    return Graph.from_edges(n, ((order[u], order[v]) for u, v in g.edges()))
-
-
 def test_criterion_4_oracle_equivalence(monkeypatch):
-    # The split that gives every stage's optima, against the enumeration
-    # oracle, on the graphs it must solve with no search: cographs.  A
+    # The cluster rule that gives every stage block's optima but the base
+    # path's, against the enumeration oracle, on random cluster tables, in
+    # both views, within the whole table and within a random subset.  A
     # search would call branch and bound, which here refuses.
     def no_search(g):
-        raise AssertionError(f"a cograph's split searched a prime piece of {g.n} vertices")
+        raise AssertionError(f"the cluster rule searched a graph of {g.n} vertices")
 
     monkeypatch.setattr(solve, "max_clique", no_search)
     rng = random.Random(4)
     start = time.perf_counter()
     for _ in range(300):
         n = rng.randint(1, ORACLE_MAX_N)
-        g = random_cograph(n, rng)
-        for mode, flip, view in (("clique", 0, g), ("independent", -1, complement(g))):
-            size, mask = _split_clique(g, (1 << n) - 1, flip)
-            witness = [v for v in range(n) if mask >> v & 1]
-            assert size == len(witness) == oracle_max_clique(view), encode_graph6(g)
-            assert verify_witness(g, witness, mode)
+        clusters = random_cluster_table(n, rng)
+        g = Graph(n, cluster_rows(clusters))
+        for within in ((1 << n) - 1, rng.getrandbits(n)):
+            members = [v for v in range(n) if within >> v & 1]
+            for mode, flip, view in (("clique", 0, g), ("independent", -1, complement(g))):
+                mask = _optimum(clusters, g.rows, within, flip)
+                witness = [v for v in range(n) if mask >> v & 1]
+                assert mask & ~within == 0 and len(witness) == oracle_max_clique(pairwise_induced(view, members)), encode_graph6(g)
+                assert verify_witness(g, witness, mode)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
-    print(f"\nPASS criterion 4: split equals enumeration on 300 random cographs, both views, in {elapsed:.2f}s")
+    print(f"\nPASS criterion 4: cluster rule equals enumeration on 300 random cluster tables, both views, in {elapsed:.2f}s")
 
 
 def test_criterion_5_ramsey_ground_truth():

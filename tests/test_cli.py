@@ -376,17 +376,17 @@ class TestInternalError:
         assert "internal error: AssertionError" in capsys.readouterr().err
 
     def test_a_t11_result_below_the_claim_exit_3(self, tmp_path, capsys, monkeypatch):
-        # A split short by one vertex on every clique-view query gives F(3) a
+        # Optima short by one vertex on every clique-view query give F(3) a
         # single-label clique of 1 against the claim's 2.  Its witness is a
         # smaller clique and refutes nothing: a solver fault, not a REFUTED
         # report that loads.
-        real = solve._split_clique
+        real = solve._optimum
 
-        def short_by_one(g, within, flip):
-            size, mask = real(g, within, flip)
-            return (size - 1, mask & (mask - 1)) if flip == 0 and size else (size, mask)
+        def short_by_one(clusters, rows, within, flip):
+            mask = real(clusters, rows, within, flip)
+            return mask & (mask - 1) if flip == 0 else mask
 
-        monkeypatch.setattr(solve, "_split_clique", short_by_one)
+        monkeypatch.setattr(solve, "_optimum", short_by_one)
         report_path = tmp_path / "t11_r3.json"
         clear_memos()
         try:
@@ -473,7 +473,7 @@ def test_package_names_load_lazily():
     # loading went lazy, is imported on first use; sfcheck.cli still loads
     # every module, which bench/tracer.py wraps.
     exports = {
-        "graphs": "Graph complete empty path cycle complement combine product induced",
+        "graphs": "Graph complete empty path cycle complement combine product",
         "construct": "InterpretationProfile DEFAULT_PROFILE LabeledGraph build_F build_SF",
         "solve": "CliqueResult max_clique max_independent_set oracle_max_clique verify_witness",
         "verify": "check_theorem_1_1 check_theorem_1_2 confirm_R3",

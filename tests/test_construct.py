@@ -17,10 +17,9 @@ from sfcheck.construct import (
     LabeledGraph,
     build_F,
     build_SF,
-    build_block,
     label_masks,
 )
-from sfcheck.graphs import Graph, complete, induced
+from sfcheck.graphs import complete
 from sfcheck.report import load_report
 from sfcheck.solve import Prefix, Stack, Stage, max_clique, max_independent_set, stage, stage_mono_clique, stage_solve
 
@@ -33,6 +32,8 @@ from oracles import (
     label_counts,
     label_parity,
     layout_cuts,
+    pairwise_induced,
+    random_cluster_table,
     stack_labels,
     stack_parts,
     stacked_vertex_count,
@@ -85,13 +86,13 @@ class TestBuildBlock:
 
     def test_r3_disjoint_union(self):
         lg = build_F(3, GENERAL)
-        assert induced(lg.graph, range(3)).m == 1
+        assert pairwise_induced(lg.graph, range(3)).m == 1
         assert lg.labels[:3] == (1, 2, 2)
 
     @pytest.mark.parametrize("prod", ["lexicographic", "cartesian"])
     def test_r4_disjoint_union(self, prod):
         lg = build_F(4, DEFAULT_PROFILE.replace(prod=prod))
-        block = induced(lg.graph, range(4))
+        block = pairwise_induced(lg.graph, range(4))
         assert lg.labels[:4] == (1, 1, 2, 2)
         assert block.m == 2
         assert block.has_edge(0, 1) and block.has_edge(2, 3)
@@ -99,20 +100,20 @@ class TestBuildBlock:
     @pytest.mark.parametrize("prod", ["lexicographic", "cartesian"])
     def test_r5_join(self, prod):
         lg = build_F(5, DEFAULT_PROFILE.replace(sum="join", prod=prod))
-        assert induced(lg.graph, range(5)) == complete(5)
+        assert pairwise_induced(lg.graph, range(5)) == complete(5)
         assert lg.labels[:5] == (1, 1, 2, 2, 2)
 
 
 class TestBuildSides:
     def test_r3_general(self):
         lg = build_F(3, GENERAL)
-        assert induced(lg.graph, range(6)).m == 2
-        assert induced(lg.graph, range(6, 12)).m == 15 - 2
+        assert pairwise_induced(lg.graph, range(6)).m == 2
+        assert pairwise_induced(lg.graph, range(6, 12)).m == 15 - 2
 
     def test_r4_tensor_degenerate(self):
         lg = build_F(4, DEFAULT_PROFILE.replace(prod="tensor"))
-        assert induced(lg.graph, range(12)).m == 0
-        assert induced(lg.graph, range(12, 24)) == complete(12)
+        assert pairwise_induced(lg.graph, range(12)).m == 0
+        assert pairwise_induced(lg.graph, range(12, 24)) == complete(12)
 
     @pytest.mark.parametrize("r", [3, 4, 5, 6])
     def test_label_flip_across_correspondence(self, r):
@@ -135,8 +136,8 @@ class TestBuildF:
     def test_r3_general_counts(self):
         lg = build_F(3, GENERAL)
         assert lg.graph.n == 12
-        g_m = induced(lg.graph, range(6)).m
-        h_m = induced(lg.graph, range(6, 12)).m
+        g_m = pairwise_induced(lg.graph, range(6)).m
+        h_m = pairwise_induced(lg.graph, range(6, 12)).m
         cross = lg.graph.m - g_m - h_m
         assert (g_m, h_m, cross) == (2, 13, 20)
         assert lg.graph.m == 35
@@ -144,8 +145,8 @@ class TestBuildF:
     def test_r4_general_counts(self):
         lg = build_F(4, GENERAL)
         assert lg.graph.n == 24
-        g_m = induced(lg.graph, range(12)).m
-        h_m = induced(lg.graph, range(12, 24)).m
+        g_m = pairwise_induced(lg.graph, range(12)).m
+        h_m = pairwise_induced(lg.graph, range(12, 24)).m
         assert (g_m, h_m, lg.graph.m - g_m - h_m) == (6, 60, 72)
         assert lg.graph.m == 138
 
@@ -184,8 +185,8 @@ class TestBuildSF:
     def test_sf4_default_counts(self):
         lg = build_SF(4, DEFAULT_PROFILE)
         assert lg.graph.n == 30
-        prefix_m = induced(lg.graph, range(6)).m
-        stage_m = induced(lg.graph, range(6, 30)).m
+        prefix_m = pairwise_induced(lg.graph, range(6)).m
+        stage_m = pairwise_induced(lg.graph, range(6, 30)).m
         assert (prefix_m, stage_m, lg.graph.m - prefix_m - stage_m) == (5, 138, 72)
         assert lg.graph.m == 215
 
@@ -201,7 +202,7 @@ class TestBuildSF:
     def test_prefix_is_induced_previous_stack(self, t):
         prev = build_SF(t - 1, DEFAULT_PROFILE)
         cur = build_SF(t, DEFAULT_PROFILE)
-        assert induced(cur.graph, range(prev.graph.n)) == prev.graph
+        assert pairwise_induced(cur.graph, range(prev.graph.n)) == prev.graph
         assert cur.labels[: prev.graph.n] == prev.labels
 
     def test_cross_stage_edges_follow_parity_rule(self):
@@ -283,24 +284,31 @@ def rule_breaks(lg, cuts):
     ]
 
 
-def flipped_edge(g, v, w):
-    rows = list(g.rows)
+def flipped_edge(rows, v, w):
+    """``rows`` with the pair (v, w) toggled."""
+    rows = list(rows)
     rows[v] ^= 1 << w
     rows[w] ^= 1 << v
-    return Graph(g.n, tuple(rows))
+    return tuple(rows)
+
+
+def moved(clusters, v, i):
+    """The cluster table ``clusters`` with vertex v moved to cluster i."""
+    return tuple((cluster & ~(1 << v)) | (j == i) << v for j, cluster in enumerate(clusters))
 
 
 def flipped_label(labels, v):
     return labels[:v] + (flip_label(labels[v]),) + labels[v + 1 :]
 
 
-# Seeded faults in the block of F(4), and so in each of the three copies
-# that make its G side, stage 4 of SF(5): vertices 0..3, 4..7 and 8..11.
-# The H side and the edges between the sides, and between stages, follow
-# from the G side by definition, so no fault can be seeded there.
+# Seeded faults in the cluster table of F(4)'s block, K_2 and K_2, and so
+# in each of the three copies that make its G side, stage 4 of SF(5):
+# vertices 0..3, 4..7 and 8..11.  The H side and the edges between the
+# sides, and between stages, follow from the G side by definition, so no
+# fault can be seeded there.
 FAULTS = {
-    "edge within the G side": lambda side, labels: (flipped_edge(side, 0, 1), labels),
-    "label of one vertex of the G side": lambda side, labels: (side, flipped_label(labels, 0)),
+    "vertex moved between the block's clusters": lambda clusters, labels: (moved(clusters, 0, 1), labels),
+    "label of one vertex of the G side": lambda clusters, labels: (clusters, flipped_label(labels, 0)),
 }
 
 
@@ -323,12 +331,12 @@ class TestPremise:
 
     @pytest.mark.parametrize("fault", FAULTS)
     def test_seeded_fault_reaches_both_builds(self, fault, seed_stage):
-        real = build_block(4)[:2]
+        real = construct.stage_block(4, DEFAULT_PROFILE)
         seed_stage(4, FAULTS[fault])
-        doctored, kept, (block, labels, _) = build_F(4), stage(4, DEFAULT_PROFILE), construct.build_block(4, DEFAULT_PROFILE)
-        assert (block, labels) != real and kept.k == 3 and kept.parts[0][2:] == class_masks(labels)
+        doctored, kept, (clusters, rows, labels, _) = build_F(4), stage(4, DEFAULT_PROFILE), construct.stage_block(4, DEFAULT_PROFILE)
+        assert (clusters, labels) != real[::2] and kept.k == 3 and kept.parts[0][2:] == class_masks(labels)
         for lo in (0, 4, 8):
-            assert (block, labels) == (induced(doctored.graph, range(lo, lo + 4)), doctored.labels[lo : lo + 4])
+            assert (rows, labels) == (pairwise_induced(doctored.graph, range(lo, lo + 4)).rows, doctored.labels[lo : lo + 4])
         assert (kept.n, kept.m, kept.label_counts) == (doctored.graph.n, doctored.graph.m, label_counts(doctored))
         assert not rule_breaks(doctored, layout_cuts("F", 4, DEFAULT_PROFILE))
         assert_stack_matches_dense(5, DEFAULT_PROFILE)
@@ -338,23 +346,31 @@ class TestPremise:
         seed_stage(4, FAULTS[fault])
         out = tmp_path / "r.json"
         assert main(["verify", "--theorem", "1.1", "--r", "4", "--report", str(out)]) in (0, 1)
-        seed_stage(4, lambda side, labels: (side, labels))
+        seed_stage(4, lambda block, labels: (block, labels))
         with pytest.raises(ValueError, match="failed re-verification"):
             load_report(out)
 
     @pytest.mark.parametrize("profile", all_profiles(), ids=str)
     def test_doctored_sides_keep_the_rule(self, profile, seed_stage):
+        """Random cluster tables for a clustered block, and random edge
+        flips for the base path, each with random labels flipped: the
+        doctored dense build keeps the rule between its parts, and the
+        stage route still reads branch and bound's omega and alpha."""
         rng = random.Random(11)
         for r in (3, 4, 5):
-            block, _, _ = build_block(r, profile)
+            clusters, rows, _, _ = construct.stage_block(r, profile)
             for _ in range(8):
-                flips = [rng.sample(range(block.n), 2) for _ in range(rng.randint(1, 4))]
-                relabel = [rng.random() < 0.2 for _ in range(block.n)]
+                relabel = [rng.random() < 0.2 for _ in range(len(rows))]
+                if clusters is None:
+                    flips = [rng.sample(range(len(rows)), 2) for _ in range(rng.randint(1, 4))]
 
-                def doctor(block, labels, flips=flips, relabel=relabel):
-                    for v, w in flips:
-                        block = flipped_edge(block, v, w)
-                    return block, tuple(flip_label(x) if f else x for x, f in zip(labels, relabel))
+                    def doctor(rows, labels, flips=flips, relabel=relabel):
+                        for v, w in flips:
+                            rows = flipped_edge(rows, v, w)
+                        return rows, tuple(flip_label(x) if f else x for x, f in zip(labels, relabel))
+                else:
+                    def doctor(clusters, labels, table=random_cluster_table(r, rng), relabel=relabel):
+                        return table, tuple(flip_label(x) if f else x for x, f in zip(labels, relabel))
 
                 seed_stage(r, doctor)
                 assert not rule_breaks(build_F(r, profile), layout_cuts("F", r, profile))

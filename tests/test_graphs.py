@@ -21,7 +21,6 @@ from sfcheck.graphs import (
     complete,
     cycle,
     empty,
-    induced,
     path,
     product,
     random_graph,
@@ -246,21 +245,6 @@ class TestProduct:
             product(empty(2), empty(2), "strong")
 
 
-class TestInduced:
-    def test_path_alternating(self):
-        assert induced(path(6), [0, 2, 4]) == empty(3)
-
-    def test_complete_subset(self):
-        assert induced(complete(5), [1, 2, 3]) == complete(3)
-
-    def test_cycle_to_path(self):
-        assert induced(cycle(5), [0, 1, 2]) == path(3)
-
-    def test_out_of_range_member(self):
-        with pytest.raises(ValueError):
-            induced(path(3), [0, 3])
-
-
 @settings(max_examples=60, deadline=None)
 @given(graphs())
 def test_complement_is_involution(g):
@@ -284,7 +268,7 @@ def test_edgeless_factor_product_properties(k, b):
     assert lex.m == k * b.m
     # Each copy is the base graph.
     for i in range(k):
-        assert induced(lex, range(i * b.n, (i + 1) * b.n)) == b
+        assert pairwise_induced(lex, range(i * b.n, (i + 1) * b.n)) == b
 
 
 def assert_passes_public_check(g):
@@ -301,7 +285,6 @@ def test_operations_preserve_invariants(a, b, picks):
         complement(a),
         combine(a, b, "disjoint_union"),
         combine(a, b, "join"),
-        induced(a, [v for v in picks if v < a.n]),
         complete(a.n),
         empty(a.n),
         random_graph(a.n, 0.5, random.Random(sum(picks))),
@@ -500,10 +483,3 @@ def test_valid_records_survive_every_construction_path(record):
         record.replace(no_such_field=1)
     with pytest.raises(AttributeError):
         record.no_such_field = 1
-
-
-@settings(max_examples=200, deadline=None)
-@given(graphs(max_n=12), st.sets(st.integers(min_value=0, max_value=11)))
-def test_induced_matches_pairwise_reference(g, picks):
-    members = [v for v in picks if v < g.n]
-    assert induced(g, members) == pairwise_induced(g, members)

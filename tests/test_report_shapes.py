@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from sfcheck import cli
 from sfcheck import construct as construct_module
 from sfcheck import report as report_module
+from sfcheck import solve as solve_module
 from sfcheck.construct import InterpretationProfile, LabeledGraph, build_F
 from sfcheck.report import (
     MAX_T,
@@ -308,7 +309,8 @@ def test_oversized_target_refused_unbuilt(theorem, param, monkeypatch):
     report = edited(base_report(theorem), ("target", "param"), param)
     monkeypatch.setattr(construct_module, "build_F", no_build)
     monkeypatch.setattr(construct_module, "build_SF", no_build)
-    monkeypatch.setattr(construct_module, "build_block", no_build)
+    monkeypatch.setattr(construct_module, "stage_block", no_build)
+    monkeypatch.setattr(solve_module, "stage_block", no_build)
     problems = verify_report(report)
     assert problems == [f"cannot rebuild target: {report['target']['kind']}({param}) is above the limit of t = {MAX_T}"]
 
@@ -410,7 +412,8 @@ def test_run_verification_refuses_what_verify_report_would(theorem, r, target, m
 
     monkeypatch.setattr(construct_module, "build_F", no_build)
     monkeypatch.setattr(construct_module, "build_SF", no_build)
-    monkeypatch.setattr(construct_module, "build_block", no_build)
+    monkeypatch.setattr(construct_module, "stage_block", no_build)
+    monkeypatch.setattr(solve_module, "stage_block", no_build)
     message = f"{target} is above the limit of t = {MAX_T}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         run_verification(theorem, r)

@@ -22,12 +22,11 @@ from sfcheck import construct as construct_module
 from sfcheck import solve as solve_module
 from sfcheck.cli import main
 from sfcheck.construct import DEFAULT_PROFILE, LABELS, InterpretationProfile, build_F, build_SF
-from sfcheck.graphs import Graph, empty, product
+from sfcheck.graphs import Graph, combine, complete, empty, product
 from sfcheck.report import load_report, report_to_json, run_verification, strip_volatile, verify_report, write_report
 from sfcheck.solve import (
     Prefix,
     Stack,
-    _split_clique,
     max_clique,
     max_independent_set,
     stage_solve,
@@ -39,6 +38,7 @@ from oracles import (
     all_profiles,
     block_optima,
     class_masks,
+    class_split,
     clear_memos,
     dense_first_part,
     family_representatives,
@@ -198,18 +198,17 @@ def test_stage_solve_follows_the_closed_forms_past_the_loader_limit(t):
 
 def test_block_copies_match_the_dense_side():
     """k shifted copies of the block a stage is built from, one copy of the
-    G side, are r-1 product copies of ``build_block``'s block and the first
-    part of the dense ``build_F(r)``, rows and labels, under every profile
-    (the fact about ``graphs.product`` that the copy rule rests on), and
-    the stage's n, m and label counts are ``build_F``'s."""
+    G side, are r-1 product copies of G_z, built by the graph operators,
+    and the first part of the dense ``build_F(r)``, rows and labels, under
+    every profile (the fact about ``graphs.product`` that the copy rule
+    rests on), and the stage's n, m and label counts are ``build_F``'s."""
     for profile in all_profiles():
         for r in range(4, 41):
             s, (side, labels, paired) = solve_module.stage(r, profile), dense_first_part(r, profile)
-            block, block_labels, _ = construct_module.build_block(r, profile)
-            product_side = product(empty(r - 1), block, profile.prod)
-            block = product(empty(1), block, profile.prod)
+            _, rows, block_labels, _ = construct_module.stage_block(r, profile)
+            product_side = product(empty(r - 1), combine(complete(r // 2), complete(r - r // 2), profile.sum), profile.prod)
             b = s.block_n
-            rows = tuple(row << c * b for c in range(s.k) for row in block.rows)
+            rows = tuple(row << c * b for c in range(s.k) for row in rows)
             assert (s.k * b, rows, block_labels * s.k, s.paired) == (side.n, side.rows, labels, paired) == (product_side.n, product_side.rows, labels, True), (profile, r)
             assert s.parts[0][2:] == class_masks(block_labels), (profile, r)
             lg = build_F(r, profile)
@@ -225,7 +224,7 @@ def test_copy_rule_optima_match_a_split_of_the_dense_side(profile):
     for r in range(4, 21):
         s, (side, labels, _) = solve_module.stage(r, profile), dense_first_part(r, profile)
         full = (1 << side.n) - 1
-        dense = [_split_clique(side, within, flip) for flip in (0, -1) for within in (full, *class_masks(labels))]
+        dense = [class_split(side, within, flip) for flip in (0, -1) for within in (full, *class_masks(labels))]
         for mode, (g, h) in (("clique", (dense[:3], dense[3:])), ("independent", (dense[3:], dense[:3]))):
             assert over_copies(s)[mode] == flat_optima([g, (h[0], h[2], h[1])]), (r, mode)
 
@@ -350,7 +349,7 @@ def dense_part_optima(lg, cuts):
     optima = {"clique": [], "independent": []}
     for lo, hi in zip(bounds, bounds[1:]):
         part = (1 << hi) - (1 << lo)
-        solves = [_split_clique(g, part & within, flip) for flip in (0, -1) for within in (part, *classes)]
+        solves = [class_split(g, part & within, flip) for flip in (0, -1) for within in (part, *classes)]
         solves = [(size, mask >> lo) for size, mask in solves]
         optima["clique"].append(tuple(solves[:3]))
         optima["independent"].append(tuple(solves[3:]))
@@ -362,7 +361,7 @@ def stage_numbers(lg):
     and _2 are its label-1 and label-2 classes.  Each is a split of its
     own set in the whole stage."""
     full = (1 << lg.graph.n) - 1
-    return [_split_clique(lg.graph, within, flip)[0] for flip in (0, -1) for within in (full, *class_masks(lg.labels))]
+    return [class_split(lg.graph, within, flip)[0] for flip in (0, -1) for within in (full, *class_masks(lg.labels))]
 
 
 def closed_form(profile, r):
@@ -523,21 +522,14 @@ def test_profiles_that_differ_only_in_base_case_share_every_stage_after_the_thir
         assert stack_stages(Stack("F", 4, profile))[0] is other[1]
 
 
-def flipped(g, u, v):
-    """``g`` with the pair (u, v) toggled."""
-    rows = list(g.rows)
-    rows[u] ^= 1 << v
-    rows[v] ^= 1 << u
-    return Graph(g.n, tuple(rows))
-
-
-def test_flipped_edge_within_a_side_is_solved(seed_stage):
-    # A block's own edges are whatever the build holds; its copies, the H
-    # side and the edges between the sides follow from them.  The dense
-    # SF(6) sees the same doctored block of F(4) in each of its copies.
+def test_a_doctored_cluster_table_is_solved(seed_stage):
+    # A block's own edges are whatever its cluster table makes them; its
+    # copies, the H side and the edges between the sides follow from them.
+    # The dense SF(6) sees the same doctored block of F(4), vertex 0 moved
+    # from K_2 {0, 1} to K_2 {2, 3}, in each of its copies.
     edge, optima = build_F(4).graph.has_edge(0, 1), solve_module.stage(4, DEFAULT_PROFILE).optima
-    seed_stage(4, lambda block, labels: (flipped(block, 0, 1), labels))
-    assert construct_module.build_block(4, DEFAULT_PROFILE)[0].has_edge(0, 1) != edge
+    seed_stage(4, lambda clusters, labels: ((0b0010, 0b1101), labels))
+    assert construct_module.stage_block(4, DEFAULT_PROFILE)[1] == (0b1100, 0, 0b1001, 0b0101)
     assert solve_module.stage(4, DEFAULT_PROFILE).optima != optima
     assert build_F(4).graph.has_edge(0, 1) != edge and build_F(4).graph.has_edge(8, 9) != edge
     assert_route_matches_monolithic(6)
@@ -631,7 +623,8 @@ def test_unloadable_targets_refused_unbuilt(argv, tmp_path, monkeypatch, capsys)
     monkeypatch.setattr(cli_module, "build_stream", no_build)
     monkeypatch.setattr(construct_module, "build_F", no_build)
     monkeypatch.setattr(construct_module, "build_SF", no_build)
-    monkeypatch.setattr(construct_module, "build_block", no_build)
+    monkeypatch.setattr(construct_module, "stage_block", no_build)
+    monkeypatch.setattr(solve_module, "stage_block", no_build)
     out_dir = tmp_path / "out"
     assert main([arg.replace("DIR", str(out_dir)) for arg in argv]) == 2
     assert "is above the limit of t = 100" in capsys.readouterr().err
