@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 
 # The public names of each submodule; _EXPORTS maps each name to its module.
 _MODULES = {
-    "graphs": ("Graph", "complete", "empty", "path", "cycle", "complement", "combine", "product"),
+    "graphs": ("Graph", "complete", "complement"),
     "construct": ("InterpretationProfile", "DEFAULT_PROFILE", "LabeledGraph", "build_F", "build_SF"),
     "solve": ("CliqueResult", "max_clique", "max_independent_set", "oracle_max_clique", "verify_witness"),
     "verify": ("check_theorem_1_1", "check_theorem_1_2", "confirm_R3"),

@@ -9,16 +9,17 @@ That layout is ``solve.Stack``'s; a dense build is its graph and labels.
 
 Verification builds neither F(r) nor SF(t) whole: ``solve.Stack`` is its
 prefix, whose stages keep their answers, found from one ``stage_block``
-under a ``stage_family`` key: the base path, or one copy of the G side,
-which is r-1 disjoint copies, a disjoint union of cliques (its clusters)
-read from r and the key with no graph operator.  The H side and the
-rule between parts follow by definition, so n, m and the label counts
-come in closed form.  ``build_stream`` writes the dense graph from the
-same ``stage_block``, the one reading of a stage's first part: its label
-bytes, then each part's rows as one list, the block's rows (row v is v's
-cluster without v) laid out as its k copies and shifted into place, an
-H side's complemented within the part, and each ORed with every vertex
-of the other parity outside its part.  ``sfcheck
+under a ``stage_family`` key: the base path, six literal rows, or one copy
+of the G side, which is r-1 disjoint copies, a disjoint union of cliques
+(its clusters) read from r and the key with no graph operator; the tests
+hold every block to the paper's operators, which ``tests/oracles.py``
+keeps.  The H side and the rule between parts follow by definition, so n,
+m and the label counts come in closed form.  ``build_stream`` writes the
+dense graph from the same ``stage_block``, the one reading of a stage's
+first part: its label bytes, then each part's rows as one list, the
+block's rows (row v is v's cluster without v) laid out as its k copies and
+shifted into place, an H side's complemented within the part, and each
+ORed with every vertex of the other parity outside its part.  ``sfcheck
 build`` encodes the rows as they come, so an export never holds n rows;
 ``build_F`` and ``build_SF`` are the tuple of the stream, the tests'
 reference.  The labels stay bytes until the end, an H side's flipped by
@@ -38,8 +39,10 @@ from collections.abc import Iterator
 from functools import cache
 from itertools import chain
 
-from sfcheck.graphs import COMBINE_OPS, PRODUCT_KINDS, Checked, Graph, path
+from sfcheck.graphs import Checked, Graph
 
+COMBINE_OPS = ("disjoint_union", "join")
+PRODUCT_KINDS = ("cartesian", "tensor", "lexicographic")
 PROFILE_BASES = ("explicit_path", "general")
 LABELS = (1, 2)
 
@@ -125,9 +128,10 @@ def stage_block(r: int, profile: InterpretationProfile) -> tuple[tuple[int, ...]
     rest labeled 2 combined per sum, as its cliques: K_a and K_(r-a) under
     disjoint_union, K_r under join, r single vertices under tensor.  Under
     base_case="explicit_path", F(3) is the fixed 6-vertex path
-    v-u-w-x-y-t, once, with labels 1,2,1,1,y_label,2 and clusters None."""
+    v-u-w-x-y-t, once, with labels 1,2,1,1,y_label,2 and clusters None:
+    its rows are literal, row i holding i - 1 and i + 1."""
     if r == 3 and profile.base_case == "explicit_path":
-        return None, path(6).rows, (1, 2, 1, 1, profile.y_label, 2), 1
+        return None, (2, 5, 10, 20, 40, 16), (1, 2, 1, 1, profile.y_label, 2), 1
     a = r // 2
     clusters = tuple(1 << v for v in range(r)) if profile.prod == "tensor" else ((1 << r) - 1,) if profile.sum == "join" else ((1 << a) - 1, (1 << r) - (1 << a))
     return clusters, cluster_rows(clusters), (1,) * a + (2,) * (r - a), r - 1

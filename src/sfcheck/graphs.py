@@ -1,27 +1,30 @@
-"""Immutable dense graphs, and the algebra of the paper's graph operators.
+"""Immutable dense graphs: the ``Graph`` record, its invariant check, and
+the few operations that the dense solvers and the graph6 decoder need.
 
 Vertices are the integers 0..n-1 and adjacency is one bitmask per vertex,
-so equality of two graphs is bit-identity and every operation here defines
-its output vertex order deterministically (first operand first, copy-major
-for products).
+so equality of two graphs is bit-identity.
 
 ``Graph.problems()`` is the one check of the range, loop and symmetry
 invariants, a per-bit walk over every row.  ``Graph.__post_init__`` raises
 its first problem; it runs at the trust boundary: ``Graph(...)``,
-``replace`` and unpickling (``Checked``) and ``Graph.from_edges`` (hence
-``path`` and ``cycle``).  No run of the stage route checks a graph but the
-six-vertex base path.  ``formats.decode_graph6`` checks its text in full
-and builds rows that are valid by construction, so it wraps them unchecked,
-as ``random_graph`` (which no command calls) wraps the rows it draws, each
-edge set in both rows and none on the diagonal.
-The algebra below (``complement``, ``combine``, ``product``, ``complete``
-and ``empty``) derives rows from valid graphs, and ``construct``'s dense
-builds from the stage blocks, so both wrap them with the unchecked
-``Graph._trusted``; ``product`` refuses a left factor with an edge.  No
-command runs the algebra: the tests hold the stage blocks' clusters to it.
+``replace`` and unpickling (``Checked``).  ``formats.decode_graph6``
+checks its text in full and builds rows that are valid by construction,
+and ``complete``, ``complement`` and ``construct``'s dense builds derive
+theirs from a count, a valid graph or the stage blocks, so each wraps its
+rows with the unchecked ``Graph._trusted``.
 ``test_operations_preserve_invariants`` and ``test_builds_preserve_invariants``
-in ``tests/test_graphs.py`` re-run the full check on every trusted path,
+in ``tests/test_graphs.py`` re-run the full check on every such path,
 the builds under all 24 profiles included.
+
+No command constructs a Graph (``tests/test_cli.py`` checks it); ``bench/``
+needs each part.  ``Graph`` holds its search graphs, and its check is the
+tracer's ``graphs.graph_init`` span; ``complete`` is the setup probe;
+``complement`` serves ``solve.max_independent_set``, the tile transpose
+``formats.decode_graph6`` and ``as_vertex_set`` ``solve.verify_witness``.
+``Checked`` is the base of ``Graph`` and of ``construct``'s records, and
+is here because ``construct`` imports ``Graph``.  The paper's operators
+(``combine``, ``product``, ``empty``, ``path``, ``cycle``) and
+``random_graph`` are the tests' reference, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -29,10 +32,6 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import repeat
-
-COMBINE_OPS = ("disjoint_union", "join")
-PRODUCT_KINDS = ("cartesian", "tensor", "lexicographic")
-
 
 class Checked:
     """Base of a named tuple whose ``__post_init__`` (on Graph, the hook
@@ -60,8 +59,9 @@ class Graph(Checked, namedtuple("Graph", "n rows")):
 
     ``Graph(n, rows)`` raises ValueError with the first of ``problems()``:
     n must be an int and rows a tuple of n ints, symmetric, loop-free and
-    inside 0..n-1.  Only the package's own algebra, builders and graph6
-    decoder skip that check, through ``_trusted`` (see the module docstring).
+    inside 0..n-1.  Only the package's own operations, builders and graph6
+    decoder, and the tests' operators, skip that check, through
+    ``_trusted`` (see the module docstring).
     """
 
     __slots__ = ()
@@ -115,18 +115,6 @@ class Graph(Checked, namedtuple("Graph", "n rows")):
         """Wrap rows already known to satisfy the invariants, without the check."""
         return tuple.__new__(cls, (n, rows))
 
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-        rows = [0] * n
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop edge ({u}, {v})")
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        return cls(n, tuple(rows))
-
     @property
     def m(self) -> int:
         """Number of edges."""
@@ -136,18 +124,6 @@ class Graph(Checked, namedtuple("Graph", "n rows")):
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise ValueError(f"vertex pair ({i}, {j}) out of range for n={self.n}")
         return bool((self.rows[i] >> j) & 1)
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Edges as (u, v) with u < v, in lexicographic order."""
-        for i in range(self.n):
-            mask = self.rows[i] >> (i + 1)
-            j = i + 1
-            while mask:
-                step = (mask & -mask).bit_length() - 1
-                j += step
-                yield (i, j)
-                mask >>= step + 1
-                j += 1
 
 
 # A packed bit matrix is its rows end to end, each as ``width`` bytes,
@@ -228,63 +204,7 @@ def complete(n: int) -> Graph:
     return Graph._trusted(n, tuple(full & ~(1 << i) for i in range(n)))
 
 
-def empty(n: int) -> Graph:
-    if n < 0:
-        raise ValueError("vertex count must be nonnegative")
-    return Graph._trusted(n, (0,) * n)
-
-
-def path(n: int) -> Graph:
-    return Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)))
-
-
-def cycle(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("cycle requires at least 3 vertices")
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
 def complement(g: Graph) -> Graph:
     """Edge present iff absent in the input; the diagonal stays clear."""
     full = (1 << g.n) - 1
     return Graph._trusted(g.n, tuple((full & ~row) & ~(1 << i) for i, row in enumerate(g.rows)))
-
-
-def combine(a: Graph, b: Graph, op: str) -> Graph:
-    """Disjoint union or join; a keeps indices [0, a.n), b gets [a.n, a.n+b.n)."""
-    if op not in COMBINE_OPS:
-        raise ValueError(f"unknown combine op {op!r}")
-    cross_b = (((1 << b.n) - 1) << a.n) if op == "join" else 0
-    cross_a = ((1 << a.n) - 1) if op == "join" else 0
-    rows = [row | cross_b for row in a.rows]
-    rows.extend((row << a.n) | cross_a for row in b.rows)
-    return Graph._trusted(a.n + b.n, tuple(rows))
-
-
-def product(a: Graph, b: Graph, kind: str) -> Graph:
-    """The product of an edgeless ``a`` with ``b``; (i, j) -> i*b.n + j: a.n
-    shifted copies of b under cartesian and lexicographic, which join two
-    copies only through an edge of ``a``, and a.n*b.n isolated vertices
-    under tensor.  A left factor with an edge raises ValueError."""
-    if kind not in PRODUCT_KINDS:
-        raise ValueError(f"unknown product kind {kind!r}")
-    if any(a.rows):
-        raise ValueError("product takes an edgeless left factor")
-    rows = (0,) * b.n if kind == "tensor" else b.rows
-    return Graph._trusted(a.n * b.n, tuple(row << (i * b.n) for i in range(a.n) for row in rows))
-
-
-def random_graph(n: int, edge_probability: float, rng) -> Graph:
-    """G(n, p) sample drawn from ``rng``, a ``random.Random``; edge draws
-    follow (i, j) lexicographic order."""
-    if n < 0:
-        raise ValueError("vertex count must be nonnegative")
-    if not 0.0 <= edge_probability <= 1.0:
-        raise ValueError("edge probability must lie in [0, 1]")
-    rows = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < edge_probability:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph._trusted(n, tuple(rows))

@@ -46,18 +46,18 @@ single-label clique is its parts' largest.
 
 A part's six optima (whole, label 1, label 2; clique, independent set)
 come from one block of it, ``construct.stage_block``'s, by ``_optimum``,
-in the query's view (the graph, or its complement read through the
-graph's rows).  The block is the base path (k = 1 copy) or one copy of
-the G side, which is k = r-1 disjoint copies: a product joins two copies
-only through an edge of ``empty(r - 1)``.  Every block but the base path
-is a disjoint union of cliques, its clusters: K_a and K_(r-a), K_r, or r
-single vertices.  A clique lies in one cluster, since no edge joins two,
-so the largest within a set W is the first largest C & W; an independent
-set meets each cluster at most once, and one vertex of each is one, so
-the largest within W is the lowest vertex of each C & W.  The six-vertex
-base path, no cluster graph, takes the first largest of its 64 subsets
-of W that ``_holds`` passes, masks ascending.  Each optimum is checked by
-``_holds`` where it is found.
+in the query's view (the graph, or its complement read through the graph's
+rows).  The block is the base path (k = 1 copy) or one copy of the G side,
+which is k = r-1 disjoint copies: a product joins two copies only through
+an edge of its left factor, r-1 vertices with none.  Every block but the
+base path is a disjoint union of cliques, its clusters: K_a and K_(r-a),
+K_r, or r single vertices.  A clique lies in one cluster, since no edge
+joins two, so the largest within a set W is the first largest C & W; an
+independent set meets each cluster at most once, and one vertex of each is
+one, so the largest within W is the lowest vertex of each C & W.  The
+six-vertex base path, no cluster graph, takes the first largest of its 64
+subsets of W that ``_holds`` passes, masks ascending.  Each optimum is
+checked by ``_holds`` where it is found.
 
 The stage memo, ``stage``, keyed on r and a ``construct.stage_family``
 key, keeps each stage's answers and evicts none.  A part's query in mode
@@ -94,7 +94,6 @@ by ``Stack.members``, which checks it whole first, on every job and load.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Mapping
 from functools import cache, reduce
 from operator import itemgetter, or_
 from types import SimpleNamespace
@@ -375,26 +374,6 @@ def stage(r: int, key: InterpretationProfile) -> Stage:
     return Stage(*stage_block(r, key))
 
 
-class _ClassSum(Mapping):
-    """A label-class sum's witness: each part's independent-set optimum in
-    that class, read from a prefix's chain of parts only when listed."""
-
-    def __init__(self, chain: tuple | None, label: int) -> None:
-        self.chain, self.label = chain, label
-
-    def __iter__(self):
-        chain = self.chain
-        while chain:
-            chain, part = chain
-            yield part
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self)
-
-    def __getitem__(self, part: tuple) -> int:
-        return part[1].optima["independent"][1][part[2]][self.label]
-
-
 _NONE = (-1, None, 0)  # no candidate: (size, part, block mask) that any optimum beats
 
 
@@ -462,7 +441,7 @@ class Stack:
         self.n, self.m, self.label_counts = self.prefix.n, self.prefix.m, self.prefix.label_counts
 
     @staticmethod
-    def members(masks: Mapping[tuple, int], mode: str) -> tuple[int, ...]:
+    def members(masks: dict[tuple, int], mode: str) -> tuple[int, ...]:
         """The vertices of ``masks``, a ``mode`` witness as a block mask
         per part, numbered in the stack, ascending, once ``holds`` has
         passed it (AssertionError otherwise).  The copy rule: a part's
@@ -479,7 +458,7 @@ class Stack:
         return tuple(listed)
 
     @staticmethod
-    def holds(masks: Mapping[tuple, int], mode: str) -> bool:
+    def holds(masks: dict[tuple, int], mode: str) -> bool:
         """Whether ``masks``, a block mask per part, is a ``mode`` witness
         as the stage route composes it: each mask one of its part's optima
         in ``mode`` (checked where found), any other refused, valid or not,
@@ -499,7 +478,8 @@ class Stack:
 
 def stage_solve(stack: Stack) -> tuple[StackResult, StackResult]:
     """Maximum clique and maximum independent set of ``stack``, read from
-    its prefix in O(1) by the module docstring's formulas and tie rule."""
+    its prefix by the module docstring's formulas and tie rule: in O(1),
+    but for a winning label-class sum, whose witness is a mask per part."""
     whole, (a0, a1), (b0, b1), _ = stack.prefix.optima["clique"]
     # Part i's label-1 clique with the first best label-2 clique of a part j != i; the first best i.
     pairs = [(a0, b0)] if a0[1] != b0[1] else [(a0, b1), (a1, b0)] if b1[1] else []
@@ -507,8 +487,13 @@ def stage_solve(stack: Stack) -> tuple[StackResult, StackResult]:
     omega = StackResult(one[0] + two[0], dict([one[1:], two[1:]])) if one[0] + two[0] > whole[0] else StackResult(whole[0], dict([whole[1:]]))
     whole, _, _, sums = stack.prefix.optima["independent"]
     label = 2 if sums[1] > sums[0] else 1
-    alpha = StackResult(whole[0], dict([whole[1:]])) if whole[0] >= sums[label - 1] else StackResult(sums[label - 1], _ClassSum(stack.prefix.parts, label))
-    return omega, alpha
+    if whole[0] >= sums[label - 1]:
+        return omega, StackResult(whole[0], dict([whole[1:]]))
+    masks, chain = {}, stack.prefix.parts  # each part's independent-set optimum in the class
+    while chain:
+        chain, part = chain
+        masks[part] = part[1].optima["independent"][1][part[2]][label]
+    return omega, StackResult(sums[label - 1], masks)
 
 
 def stage_mono_clique(stack: Stack) -> StackResult:

@@ -19,8 +19,8 @@ report.  ``bound_report_from_counts`` turns T1.2's omega and alpha into
 the Ramsey implication R(t) > n of SF(t), t = r+1, in the form a report
 stores as ``bound``; ``report.make_report`` puts both in unchanged.  The
 one diagonal Ramsey value small enough to re-derive at desk scale,
-R(3) = 6, is established exhaustively by confirm_R3 and used to flag
-contradictory implications.
+R(3) = 6, is established exhaustively by confirm_R3, on K_6 and on K_5
+colored by C5's five edges, and used to flag contradictory implications.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import reprlib
 from functools import cache
 from itertools import combinations
 
-from sfcheck.graphs import cycle
 from sfcheck.solve import Stack, stage_mono_clique, stage_solve
 
 # Reference metadata only: shipped for report annotations, never consulted
@@ -132,7 +131,8 @@ def confirm_R3() -> bool:
 
     Enumerates all 2^15 red/blue colorings of K_6's edges and confirms each
     contains a monochromatic triangle, then confirms the 5-cycle coloring of
-    K_5 contains none.  The result is cached after the first call.
+    K_5 contains none: C5's five edges, written out, red, and the other
+    five pairs blue.  The result is cached after the first call.
     """
     pairs = list(combinations(range(6), 2))
     index = {p: i for i, p in enumerate(pairs)}
@@ -152,12 +152,6 @@ def confirm_R3() -> bool:
             k6_forced = False
             break
 
-    c5 = cycle(5)
-    k5_free = True
-    for a, b, c in combinations(range(5), 3):
-        red = int(c5.has_edge(a, b)) + int(c5.has_edge(a, c)) + int(c5.has_edge(b, c))
-        if red in (0, 3):
-            k5_free = False
-            break
-
+    red = {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}  # C5's edges; the other five pairs are blue
+    k5_free = all(0 < len(red & {(a, b), (a, c), (b, c)}) < 3 for a, b, c in combinations(range(5), 3))
     return k6_forced and k5_free

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import binascii
 import itertools
+from collections.abc import Iterable
 from functools import reduce
 from operator import itemgetter, lt, or_
 from typing import NamedTuple
@@ -26,6 +27,81 @@ from sfcheck.solve import (
     max_clique,
     verify_witness,
 )
+
+
+# The paper's graph operators, and the graphs the tests build with them.
+# No command calls these: they are the reference that the stage blocks'
+# clusters are held to (``test_decompose.py``), one reading of each
+# profile's sum and prod, ``construct.COMBINE_OPS`` and
+# ``construct.PRODUCT_KINDS``.
+
+
+def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+    rows = [0] * n
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"self-loop edge ({u}, {v})")
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return Graph(n, tuple(rows))
+
+
+def empty(n: int) -> Graph:
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    return Graph._trusted(n, (0,) * n)
+
+
+def path(n: int) -> Graph:
+    return from_edges(n, ((i, i + 1) for i in range(n - 1)))
+
+
+def cycle(n: int) -> Graph:
+    if n < 3:
+        raise ValueError("cycle requires at least 3 vertices")
+    return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def combine(a: Graph, b: Graph, op: str) -> Graph:
+    """Disjoint union or join; a keeps indices [0, a.n), b gets [a.n, a.n+b.n)."""
+    if op not in construct.COMBINE_OPS:
+        raise ValueError(f"unknown combine op {op!r}")
+    cross_b = (((1 << b.n) - 1) << a.n) if op == "join" else 0
+    cross_a = ((1 << a.n) - 1) if op == "join" else 0
+    rows = [row | cross_b for row in a.rows]
+    rows.extend((row << a.n) | cross_a for row in b.rows)
+    return Graph._trusted(a.n + b.n, tuple(rows))
+
+
+def product(a: Graph, b: Graph, kind: str) -> Graph:
+    """The product of an edgeless ``a`` with ``b``; (i, j) -> i*b.n + j: a.n
+    shifted copies of b under cartesian and lexicographic, which join two
+    copies only through an edge of ``a``, and a.n*b.n isolated vertices
+    under tensor.  A left factor with an edge raises ValueError."""
+    if kind not in construct.PRODUCT_KINDS:
+        raise ValueError(f"unknown product kind {kind!r}")
+    if any(a.rows):
+        raise ValueError("product takes an edgeless left factor")
+    rows = (0,) * b.n if kind == "tensor" else b.rows
+    return Graph._trusted(a.n * b.n, tuple(row << (i * b.n) for i in range(a.n) for row in rows))
+
+
+def random_graph(n: int, edge_probability: float, rng) -> Graph:
+    """G(n, p) sample drawn from ``rng``, a ``random.Random``; edge draws
+    follow (i, j) lexicographic order."""
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    if not 0.0 <= edge_probability <= 1.0:
+        raise ValueError("edge probability must lie in [0, 1]")
+    rows = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < edge_probability:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return Graph._trusted(n, tuple(rows))
 
 
 def edge_set(g: Graph) -> set[frozenset[int]]:

@@ -11,19 +11,20 @@ import subprocess
 import sys
 import tracemalloc
 import typing
+from pathlib import Path
 
 import pytest
 
 import sfcheck
-from sfcheck import cli, solve
+from sfcheck import cli, report, solve
 from sfcheck.cli import main
 from sfcheck.construct import build_SF
 from sfcheck.formats import decode_graph6
-from sfcheck.graphs import path
+from sfcheck.graphs import Graph, complete
 from sfcheck.report import load_report, run_verification
 from sfcheck.verify import CLAIMS
 
-from oracles import clear_memos, family_representatives, parse_dimacs, profile_argv
+from oracles import clear_memos, family_representatives, parse_dimacs, path, profile_argv
 
 
 def run_with_stdout_gone(argv):
@@ -473,7 +474,7 @@ def test_package_names_load_lazily():
     # loading went lazy, is imported on first use; sfcheck.cli still loads
     # every module, which bench/tracer.py wraps.
     exports = {
-        "graphs": "Graph complete empty path cycle complement combine product",
+        "graphs": "Graph complete complement",
         "construct": "InterpretationProfile DEFAULT_PROFILE LabeledGraph build_F build_SF",
         "solve": "CliqueResult max_clique max_independent_set oracle_max_clique verify_witness",
         "verify": "check_theorem_1_1 check_theorem_1_2 confirm_R3",
@@ -527,3 +528,41 @@ def test_package_names_load_lazily():
     assert all(out["same"].values()), out["same"]
     assert out["all"] == [name for names in exports.values() for name in names.split()] + ["__version__"]
     assert out["dir"] == []
+
+
+def command_outputs(root, monkeypatch) -> dict[str, bytes]:
+    """The files that a sweep --t-max 20 under one profile of each stage
+    family, verify --theorem 1.2 --r 5, an SF(9) graph6 build and an F(7)
+    DIMACS build write under ``root``, each command from empty memos and
+    with one fixed timestamp, after each sweep's reports load."""
+    monkeypatch.setattr(report, "_now", lambda: "2000-01-01T00:00:00+00:00")
+    commands = [
+        *(["sweep", "--t-max", "20", *profile_argv(profile), "--report-dir", str(root / f"sweep{i}")] for i, profile in enumerate(family_representatives())),
+        ["verify", "--theorem", "1.2", "--r", "5", "--report", str(root / "verify.json")],
+        ["build", "--kind", "SF", "--t", "9", "--format", "graph6", "--out", str(root / "sf9.g6")],
+        ["build", "--kind", "F", "--r", "7", "--format", "dimacs", "--out", str(root / "f7.dimacs")],
+    ]
+    for argv in commands:
+        clear_memos()
+        assert main(argv) in (0, 1), argv
+        if argv[0] == "sweep":
+            paths = sorted(Path(argv[-1]).glob("*.json"))
+            assert paths and all(load_report(path) for path in paths), argv
+    return {str(path.relative_to(root)): path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def test_the_command_path_builds_no_graph(tmp_path, monkeypatch):
+    """Sweeps under every stage family, their loads, verify and both
+    build formats construct no Graph, checked or trusted, and write the
+    same bytes as with Graph left alone."""
+    plain = command_outputs(tmp_path / "plain", monkeypatch)
+
+    def refuse(*args):
+        raise AssertionError("the command path built a Graph")
+
+    monkeypatch.setattr(Graph, "__post_init__", refuse)
+    monkeypatch.setattr(Graph, "_trusted", classmethod(refuse))
+    with pytest.raises(AssertionError, match="built a Graph"):
+        complete(3)
+    assert command_outputs(tmp_path / "patched", monkeypatch) == plain
+    assert len(plain) == 9 * 36 + 3  # T1.1 at r = 3..20 and T1.2 at r = 2..19 per sweep

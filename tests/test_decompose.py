@@ -3,8 +3,8 @@
 Every stage block but the six-vertex base path is a disjoint union of
 cliques, which ``construct.stage_block`` gives as its cluster table.  The
 graph operators' reading of the block, ``product(empty(1), G_z, prod)``
-with G_z = ``combine(complete(a), complete(r - a), sum)``, is the
-reference for the table; ``class_split`` in ``tests/oracles.py``, which
+with G_z = ``combine(complete(a), complete(r - a), sum)`` (the operators
+are in ``tests/oracles.py``), is the reference for the table; ``class_split`` in ``tests/oracles.py``, which
 splits a set of the dense graph into components, is the reference for the
 optima ``solve._optimum`` reads from it, witnesses and ties included, and
 the recursive search is the reference for the base path's.  Nothing the
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from sfcheck import report, solve
 from sfcheck.cli import main
 from sfcheck.construct import DEFAULT_PROFILE, LABELS, InterpretationProfile, _members, cluster_rows, label_masks, stage_block
-from sfcheck.graphs import Graph, combine, complement, complete, empty, path, product
+from sfcheck.graphs import Graph, complement, complete
 from sfcheck.report import run_verification
 from sfcheck.solve import Stack, _optimum
 from sfcheck.verify import CLAIMS
@@ -29,9 +29,13 @@ from oracles import (
     all_profiles,
     class_split,
     clear_memos,
+    combine,
+    empty,
     family_representatives,
     pairwise_induced,
+    path,
     prefixes_built,
+    product,
     profile_argv,
     recursive_max_clique,
     stack_stages,

@@ -10,22 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sfcheck.construct import DEFAULT_PROFILE, build_F, build_SF
+from sfcheck.construct import DEFAULT_PROFILE, PRODUCT_KINDS, build_F, build_SF
 from sfcheck.formats import decode_graph6, encode_graph6
-from sfcheck.graphs import (
-    PRODUCT_KINDS,
-    Graph,
-    as_vertex_set,
-    combine,
-    complement,
-    complete,
-    cycle,
-    empty,
-    path,
-    product,
-    random_graph,
-    transpose_rows,
-)
+from sfcheck.graphs import Graph, as_vertex_set, complement, complete, transpose_rows
 from sfcheck.report import run_verification
 from sfcheck.solve import max_independent_set, verify_witness
 
@@ -34,9 +21,16 @@ from oracles import (
     bitwise_transpose,
     brute_force_isomorphic,
     clear_memos,
+    combine,
+    cycle,
     edge_set,
+    empty,
+    from_edges,
     naive_product_edges,
     pairwise_induced,
+    path,
+    product,
+    random_graph,
     walk_problems,
 )
 
@@ -46,7 +40,7 @@ def graphs(draw, max_n=8):
     n = draw(st.integers(min_value=0, max_value=max_n))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     picks = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return Graph.from_edges(n, (p for p, keep in zip(pairs, picks) if keep))
+    return from_edges(n, (p for p, keep in zip(pairs, picks) if keep))
 
 
 class TestGraphValue:
@@ -68,13 +62,15 @@ class TestGraphValue:
 
     def test_from_edges_rejects_bad_edge(self):
         with pytest.raises(ValueError):
-            Graph.from_edges(3, [(0, 3)])
+            from_edges(3, [(0, 3)])
         with pytest.raises(ValueError):
-            Graph.from_edges(3, [(1, 1)])
+            from_edges(3, [(1, 1)])
 
     def test_edges_lexicographic(self):
-        g = Graph.from_edges(4, [(2, 3), (0, 2), (0, 1)])
-        assert list(g.edges()) == [(0, 1), (0, 2), (2, 3)]
+        # Edges in any order and orientation give the same rows.
+        g = from_edges(4, [(3, 2), (0, 2), (1, 0)])
+        assert g.rows == (0b0110, 0b0001, 0b1001, 0b0100)
+        assert g == from_edges(4, [(0, 1), (0, 2), (2, 3)])
 
     def test_vertex_set_validation(self):
         g = path(4)
@@ -279,7 +275,7 @@ def assert_passes_public_check(g):
 @settings(max_examples=40, deadline=None)
 @given(graphs(max_n=6), graphs(max_n=6), st.sets(st.integers(min_value=0, max_value=5)))
 def test_operations_preserve_invariants(a, b, picks):
-    # The algebra and random_graph build their output unchecked; re-run
+    # The operations and random_graph build their output unchecked; re-run
     # the public check on it.
     outputs = [
         complement(a),
@@ -384,8 +380,6 @@ def test_decode_memory_stays_near_the_matrix():
     assert peak < n * n  # eight times the rows' n²/8 bytes
 
 
-PATH6_ROWS = path(6).rows
-
 
 @pytest.fixture
 def checked(monkeypatch):
@@ -406,13 +400,13 @@ class TestTrustBoundary:
         clear_memos()  # so that run_verification builds every stage of SF(8)
         run_verification("1.2", 7)
         max_independent_set(build_SF(8).graph)
-        # One check per build of stages 3..8: the explicit base path's from_edges.
-        assert checked == [(6, PATH6_ROWS)] * 2
+        # The base path is six literal rows, and every other graph is derived.
+        assert checked == []
 
     def test_public_constructors_check_once(self, checked):
         Graph(3, (0b110, 0b101, 0b011))
         assert len(checked) == 1
-        Graph.from_edges(3, [(0, 1)])
+        from_edges(3, [(0, 1)])
         assert len(checked) == 2
 
     def test_decode_runs_no_check(self, checked):

@@ -14,16 +14,7 @@ from sfcheck.construct import (
     build_SF,
 )
 from sfcheck.formats import encode_graph6
-from sfcheck.graphs import (
-    Graph,
-    combine,
-    complement,
-    complete,
-    cycle,
-    empty,
-    path,
-    random_graph,
-)
+from sfcheck.graphs import Graph, complement, complete
 from sfcheck import solve
 from sfcheck.solve import (
     _degeneracy_order,
@@ -34,8 +25,14 @@ from sfcheck.solve import (
 )
 
 from oracles import (
+    combine,
+    cycle,
+    empty,
+    from_edges,
     max_mono_clique,
     pairwise_witness_ok,
+    path,
+    random_graph,
     recursive_max_clique,
     scan_degeneracy_order,
     subset_max_clique,
@@ -48,7 +45,7 @@ def graphs(draw, max_n=9):
     n = draw(st.integers(min_value=0, max_value=max_n))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     picks = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return Graph.from_edges(n, (p for p, keep in zip(pairs, picks) if keep))
+    return from_edges(n, (p for p, keep in zip(pairs, picks) if keep))
 
 
 class TestMaxClique:
@@ -302,7 +299,7 @@ def test_search_colors_nodes_deeper_than_best():
     its depth, and prune a branch the reference takes."""
     n = 17
     edges = {tuple(sorted((u, (u + s) % n))) for u in range(n) for s in (2, 4, 5, 6, 7, 8)}
-    g = Graph.from_edges(n + 14, [*edges, *((n, v) for v in range(n + 1, n + 14))])
+    g = from_edges(n + 14, [*edges, *((n, v) for v in range(n + 1, n + 14))])
     assert len(solve._greedy_clique(g.rows, g.n)) == 2
     assert max_clique(g) == recursive_max_clique(g)
     assert max_clique(g) == (7, (0, 2, 4, 6, 8, 10, 15), 21)
@@ -316,7 +313,7 @@ def test_search_counts_leaves_and_pruned_children_in_place():
     through {1, 2} and {1, 2, 4} to the leaf {1, 2, 4, 5}."""
     edges = [(0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (1, 2), (1, 4), (1, 5)]
     edges += [(1, 7), (2, 3), (2, 4), (2, 5), (2, 7), (3, 4), (3, 7), (4, 5)]
-    g = Graph.from_edges(8, edges)
+    g = from_edges(8, edges)
     assert max_clique(g) == (4, (1, 2, 4, 5), 7)
     assert max_clique(g).nodes_explored == recursive_max_clique(g).nodes_explored == 7
 
@@ -333,7 +330,7 @@ def test_search_is_invariant_under_relabelling(n, p, seed):
     rng = random.Random(seed)
     g = random_graph(n, p, rng)
     perm = rng.sample(range(n), n)
-    h = Graph.from_edges(n, ((perm[u], perm[v]) for u in range(n) for v in range(u + 1, n) if g.has_edge(u, v)))
+    h = from_edges(n, ((perm[u], perm[v]) for u in range(n) for v in range(u + 1, n) if g.has_edge(u, v)))
     a, b = max_clique(g), max_clique(h)
     assert a.size == b.size
     assert pairwise_witness_ok(g, a.witness, "clique") and len(a.witness) == a.size

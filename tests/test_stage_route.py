@@ -22,7 +22,7 @@ from sfcheck import construct as construct_module
 from sfcheck import solve as solve_module
 from sfcheck.cli import main
 from sfcheck.construct import DEFAULT_PROFILE, LABELS, InterpretationProfile, build_F, build_SF
-from sfcheck.graphs import Graph, combine, complete, empty, product
+from sfcheck.graphs import Graph, complete
 from sfcheck.report import load_report, report_to_json, run_verification, strip_volatile, verify_report, write_report
 from sfcheck.solve import (
     Prefix,
@@ -40,13 +40,16 @@ from oracles import (
     class_masks,
     class_split,
     clear_memos,
+    combine,
     dense_first_part,
+    empty,
     family_representatives,
     flat_optima,
     label_counts,
     max_mono_clique,
     pairwise_composition,
     prefixes_built,
+    product,
     layout_cuts,
     listed_members,
     reference_stage_solve,

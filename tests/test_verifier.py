@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import sfcheck
 from sfcheck import verify
 from sfcheck.construct import DEFAULT_PROFILE, build_F, build_SF
-from sfcheck.graphs import complement, complete, cycle, empty, random_graph
+from sfcheck.graphs import complement, complete
 from sfcheck.report import make_report, report_to_json, run_verification, verify_report
 from sfcheck.solve import Stack, oracle_max_clique, verify_witness
 from sfcheck.verify import (
@@ -28,7 +28,7 @@ from sfcheck.verify import (
     confirm_R3,
 )
 
-from oracles import clear_memos, family_representatives, reference_verdict
+from oracles import clear_memos, cycle, empty, family_representatives, random_graph, reference_verdict
 
 GENERAL = DEFAULT_PROFILE.replace(base_case="general")
 TENSOR = GENERAL.replace(prod="tensor")
