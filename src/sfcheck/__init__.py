@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 _MODULES = {
     "graphs": ("Graph", "complete", "complement"),
     "construct": ("InterpretationProfile", "DEFAULT_PROFILE", "LabeledGraph", "build_F", "build_SF"),
-    "solve": ("CliqueResult", "max_clique", "max_independent_set", "oracle_max_clique", "verify_witness"),
+    "solve": ("CliqueResult", "max_clique", "max_independent_set", "oracle_max_clique"),
     "verify": ("check_theorem_1_1", "check_theorem_1_2", "confirm_R3"),
     "formats": ("encode_graph6", "decode_graph6", "encode_dimacs", "Graph6ParseError"),
 }

@@ -19,8 +19,8 @@ the builds under all 24 profiles included.
 No command constructs a Graph (``tests/test_cli.py`` checks it); ``bench/``
 needs each part.  ``Graph`` holds its search graphs, and its check is the
 tracer's ``graphs.graph_init`` span; ``complete`` is the setup probe;
-``complement`` serves ``solve.max_independent_set``, the tile transpose
-``formats.decode_graph6`` and ``as_vertex_set`` ``solve.verify_witness``.
+``complement`` serves ``solve.max_independent_set`` and the tile transpose
+``formats.decode_graph6``.
 ``Checked`` is the base of ``Graph`` and of ``construct``'s records, and
 is here because ``construct`` imports ``Graph``.  The paper's operators
 (``combine``, ``product``, ``empty``, ``path``, ``cycle``) and
@@ -30,7 +30,7 @@ is here because ``construct`` imports ``Graph``.  The paper's operators
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from itertools import repeat
 
 class Checked:
@@ -175,26 +175,6 @@ def _transpose_tiles(packed: bytes, width: int) -> int:
         x ^= t
         del t, mask  # before the next mask is built: four ints of the matrix's size at most
     return x
-
-
-def as_vertex_set(g: Graph, members: Iterable[int]) -> tuple[int, ...]:
-    """Normalize to a sorted tuple; rejects duplicates, out-of-range ids and
-    any vertex that is not an int, bools included.  The types are checked
-    before sorting and the range by the ends of the sorted tuple; the
-    vertices are walked only to name the first offender."""
-    vs = list(members)
-    types = set(map(type, vs))
-    if not types <= {int, bool}:
-        v = next(v for v in vs if type(v) not in (int, bool))
-        raise ValueError(f"vertex {v!r} is not an int")
-    vs.sort()
-    vs = tuple(vs)
-    if len(set(vs)) != len(vs):
-        raise ValueError("vertex set contains duplicates")
-    if bool in types or vs and (vs[0] < 0 or vs[-1] >= g.n):
-        v = next(v for v in vs if type(v) is bool or not 0 <= v < g.n)
-        raise ValueError(f"vertex {v!r} out of range for n={g.n}")
-    return vs
 
 
 def complete(n: int) -> Graph:

@@ -56,8 +56,7 @@ joins two, so the largest within a set W is the first largest C & W; an
 independent set meets each cluster at most once, and one vertex of each is
 one, so the largest within W is the lowest vertex of each C & W.  The
 six-vertex base path, no cluster graph, takes the first largest of its 64
-subsets of W that ``_holds`` passes, masks ascending.  Each optimum is
-checked by ``_holds`` where it is found.
+subsets of W that ``_holds`` passes, masks ascending.
 
 The stage memo, ``stage``, keyed on r and a ``construct.stage_family``
 key, keeps each stage's answers and evicts none.  A part's query in mode
@@ -89,6 +88,9 @@ and (second label-1, best label-2), the earlier label-1 part on a tie.
 A new part's label-class optima must lie in their class: the parity
 rule of every pair and sum.  Only the witness a report stores is listed,
 by ``Stack.members``, which checks it whole first, on every job and load.
+``_holds`` checks each witness that the program finds, where it is found;
+the loader's re-run (``report.load_report``) checks a witness that a file
+states, which must be the re-run's own.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ from operator import itemgetter, or_
 from types import SimpleNamespace
 
 from sfcheck.construct import InterpretationProfile, _members, _require_param, label_masks, stage_block, stage_family
-from sfcheck.graphs import Graph, as_vertex_set, complement
+from sfcheck.graphs import Graph, complement
 
 ORACLE_MAX_N = 24
 
@@ -108,18 +110,6 @@ class CliqueResult(namedtuple("CliqueResult", "size witness nodes_explored")):
     """Optimum size, a verified witness, and search statistics."""
 
     __slots__ = ()
-
-
-def verify_witness(g: Graph, members, mode: str) -> bool:
-    """Whether ``members`` is a clique / independent set of ``g``, by
-    ``_holds``: each member's row mask against the set, not each pair.
-
-    Independent of the solvers; every part optimum that leaves this module
-    has passed ``_holds``, every listed witness ``Stack.holds``, and a
-    report loads only if a re-run of its check lists the same witness.
-    """
-    flip = _flip(mode)
-    return _holds(g.rows, sum(1 << v for v in as_vertex_set(g, members)), flip)
 
 
 def _flip(mode: str) -> int:
@@ -302,7 +292,7 @@ def max_clique(g: Graph) -> CliqueResult:
             if not stack:
                 break
 
-    if not verify_witness(g, best_witness, "clique"):
+    if not _holds(g.rows, sum(1 << v for v in best_witness), 0):
         raise AssertionError("solver produced an invalid clique witness")
     return CliqueResult(best_size, best_witness, nodes)
 
@@ -310,7 +300,7 @@ def max_clique(g: Graph) -> CliqueResult:
 def max_independent_set(g: Graph) -> CliqueResult:
     """Exact maximum independent set via the complement's maximum clique."""
     res = max_clique(complement(g))
-    if not verify_witness(g, res.witness, "independent"):
+    if not _holds(g.rows, sum(1 << v for v in res.witness), -1):
         raise AssertionError("solver produced an invalid independent-set witness")
     return res
 

@@ -25,7 +25,6 @@ from sfcheck.solve import (
     _greedy_clique,
     _members,
     max_clique,
-    verify_witness,
 )
 
 
@@ -360,7 +359,7 @@ def recursive_max_clique(g: Graph) -> CliqueResult:
             continue
         expand([v], cand)
 
-    if not verify_witness(g, best_witness, "clique"):
+    if not pairwise_witness_ok(g, best_witness, "clique"):
         raise AssertionError("solver produced an invalid clique witness")
     return CliqueResult(best_size, best_witness, nodes)
 
@@ -623,10 +622,18 @@ def pairwise_induced(g: Graph, members) -> Graph:
 
 
 def pairwise_witness_ok(g: Graph, members, mode: str) -> bool:
-    """Clique / independent-set check by one ``has_edge`` per member pair;
-    the reference for ``solve.verify_witness``."""
+    """Whether ``members`` is a clique / independent set of ``g``, by one
+    ``has_edge`` per member pair: the tests' check of every witness in a
+    dense graph, written apart from ``solve._holds``, the program's.
+    ValueError for an unknown mode, a member that is not an int (bools
+    included), a repeated member, or one outside 0..n-1."""
+    if mode not in ("clique", "independent"):
+        raise ValueError(f"unknown witness mode {mode!r}")
+    members = list(members)
+    if not all(type(v) is int and 0 <= v < g.n for v in members) or len(set(members)) != len(members):
+        raise ValueError(f"{members!r} is not a set of vertices 0..{g.n - 1}")
     want = mode == "clique"
-    return all(g.has_edge(a, b) == want for a, b in itertools.combinations(sorted(members), 2))
+    return all(g.has_edge(a, b) == want for a, b in itertools.combinations(members, 2))
 
 
 def pairwise_composition(parts, part_optima, mode: str) -> tuple[int, ...]:

@@ -22,10 +22,10 @@ from sfcheck.construct import DEFAULT_PROFILE, build_F, build_SF, cluster_rows
 from sfcheck.formats import decode_graph6, encode_graph6
 from sfcheck.graphs import Graph, complement, complete
 from sfcheck.report import load_report, strip_volatile
-from sfcheck.solve import ORACLE_MAX_N, Stack, _optimum, oracle_max_clique, verify_witness
+from sfcheck.solve import ORACLE_MAX_N, Stack, _optimum, oracle_max_clique
 from sfcheck.verify import bound_report_from_counts, check_theorem_1_2
 
-from oracles import family_representatives, pairwise_induced, random_cluster_table
+from oracles import family_representatives, pairwise_induced, pairwise_witness_ok, random_cluster_table
 
 GENERAL = DEFAULT_PROFILE.replace(base_case="general")
 
@@ -90,7 +90,7 @@ def test_criterion_2_theorem_sweep(tmp_path):
             target["param"], DEFAULT_PROFILE
         )
         assert lg.graph.n <= 160
-        assert verify_witness(lg.graph, tuple(check["witness"]), check["witness_mode"])
+        assert pairwise_witness_ok(lg.graph, tuple(check["witness"]), check["witness_mode"])
         verdicts[name] = check["status"]
     assert set(verdicts.values()) <= {"CONFIRMED", "REFUTED"}
 
@@ -109,7 +109,7 @@ def test_criterion_3_base_case_honesty():
     assert tc["computed"] == {"omega": 2, "alpha": 3}
     assert tc["witness_mode"] == "independent"
     assert len(tc["witness"]) == 3
-    assert verify_witness(g, tc["witness"], "independent")
+    assert pairwise_witness_ok(g, tc["witness"], "independent")
     print(f"\nPASS criterion 3: SF(3) honestly REFUTED with independent set {tc['witness']}")
 
 
@@ -134,7 +134,7 @@ def test_criterion_4_oracle_equivalence(monkeypatch):
                 mask = _optimum(clusters, g.rows, within, flip)
                 witness = [v for v in range(n) if mask >> v & 1]
                 assert mask & ~within == 0 and len(witness) == oracle_max_clique(pairwise_induced(view, members)), encode_graph6(g)
-                assert verify_witness(g, witness, mode)
+                assert pairwise_witness_ok(g, witness, mode)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     print(f"\nPASS criterion 4: cluster rule equals enumeration on 300 random cluster tables, both views, in {elapsed:.2f}s")

@@ -353,6 +353,24 @@ class TestCommands:
         assert "invalid choice: 'oracle-check'" in capsys.readouterr().err
 
 
+@pytest.fixture
+def short_cliques(monkeypatch):
+    """Optima short by one vertex, the lowest, on every clique-view query
+    of ``solve._optimum``: each is still a clique, so ``_holds`` passes it.
+    The memos are emptied at the seeding and after the test, so only the
+    test's jobs build stages under the fault."""
+    real = solve._optimum
+
+    def short_by_one(clusters, rows, within, flip):
+        mask = real(clusters, rows, within, flip)
+        return mask & (mask - 1) if flip == 0 else mask
+
+    monkeypatch.setattr(solve, "_optimum", short_by_one)
+    clear_memos()
+    yield
+    clear_memos()
+
+
 class TestInternalError:
     @pytest.mark.parametrize(
         "exc", [AssertionError("witness failed"), RecursionError("too deep"), MemoryError()]
@@ -376,27 +394,35 @@ class TestInternalError:
         assert main(["sweep", "--t-max", "3", "--report-dir", str(tmp_path)]) == 3
         assert "internal error: AssertionError" in capsys.readouterr().err
 
-    def test_a_t11_result_below_the_claim_exit_3(self, tmp_path, capsys, monkeypatch):
-        # Optima short by one vertex on every clique-view query give F(3) a
-        # single-label clique of 1 against the claim's 2.  Its witness is a
-        # smaller clique and refutes nothing: a solver fault, not a REFUTED
-        # report that loads.
-        real = solve._optimum
-
-        def short_by_one(clusters, rows, within, flip):
-            mask = real(clusters, rows, within, flip)
-            return mask & (mask - 1) if flip == 0 else mask
-
-        monkeypatch.setattr(solve, "_optimum", short_by_one)
+    def test_a_t11_result_below_the_claim_exit_3(self, tmp_path, capsys, short_cliques):
+        # Short clique-view optima give F(3) a single-label clique of 1
+        # against the claim's 2.  Its witness is a smaller clique and
+        # refutes nothing: a solver fault, not a REFUTED report that loads.
         report_path = tmp_path / "t11_r3.json"
-        clear_memos()
-        try:
-            code = main(["verify", "--theorem", "1.1", "--r", "3", "--report", str(report_path)])
-        finally:
-            clear_memos()
+        code = main(["verify", "--theorem", "1.1", "--r", "3", "--report", str(report_path)])
         assert code == 3
         assert "internal error: AssertionError: single-label clique of 1 below the claim's 2" in capsys.readouterr().err
         assert not report_path.exists()
+
+    def test_a_short_t12_alpha_fails_to_load_without_the_fault(self, tmp_path, monkeypatch, short_cliques):
+        # Short clique-view optima are H's short independent sets, so SF(6)
+        # reads alpha 19 in place of 22.  The verdict stands on omega's
+        # witness, and the report loads under the same fault; once the
+        # fault is gone, the re-run names the number.
+        report_path = tmp_path / "t12_r5.json"
+        assert main(["verify", "--theorem", "1.2", "--r", "5", "--report", str(report_path)]) == 1
+        assert json.loads(report_path.read_text())["checks"][0]["computed"] == {"omega": 10, "alpha": 19}
+        assert load_report(report_path)
+        monkeypatch.undo()
+        clear_memos()
+        with pytest.raises(ValueError, match=re.escape("checks[0].computed.alpha differs")):
+            load_report(report_path)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="nothing checks a T1.2 number's upper end, so a short alpha is written as found")
+    def test_a_short_t12_alpha_exit_3(self, tmp_path, short_cliques):
+        report_path = tmp_path / "t12_r5.json"
+        code = main(["verify", "--theorem", "1.2", "--r", "5", "--report", str(report_path)])
+        assert code == 3 and not report_path.exists()
 
 
 def test_runtime_loads_only_the_standard_library():
@@ -476,7 +502,7 @@ def test_package_names_load_lazily():
     exports = {
         "graphs": "Graph complete complement",
         "construct": "InterpretationProfile DEFAULT_PROFILE LabeledGraph build_F build_SF",
-        "solve": "CliqueResult max_clique max_independent_set oracle_max_clique verify_witness",
+        "solve": "CliqueResult max_clique max_independent_set oracle_max_clique",
         "verify": "check_theorem_1_1 check_theorem_1_2 confirm_R3",
         "formats": "encode_graph6 decode_graph6 encode_dimacs Graph6ParseError",
     }

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from sfcheck.construct import DEFAULT_PROFILE, PRODUCT_KINDS, build_F, build_SF
 from sfcheck.formats import decode_graph6, encode_graph6
-from sfcheck.graphs import Graph, as_vertex_set, complement, complete, transpose_rows
+from sfcheck.graphs import Graph, complement, complete, transpose_rows
 from sfcheck.report import run_verification
-from sfcheck.solve import max_independent_set, verify_witness
+from sfcheck.solve import max_independent_set
 
 from oracles import (
     all_profiles,
@@ -71,39 +71,6 @@ class TestGraphValue:
         g = from_edges(4, [(3, 2), (0, 2), (1, 0)])
         assert g.rows == (0b0110, 0b0001, 0b1001, 0b0100)
         assert g == from_edges(4, [(0, 1), (0, 2), (2, 3)])
-
-    def test_vertex_set_validation(self):
-        g = path(4)
-        assert as_vertex_set(g, [3, 0]) == (0, 3)
-        with pytest.raises(ValueError):
-            as_vertex_set(g, [0, 0])
-        with pytest.raises(ValueError):
-            as_vertex_set(g, [4])
-
-    def test_vertex_set_rejects_bools(self):
-        with pytest.raises(ValueError):
-            as_vertex_set(path(4), [True, 2])
-
-    @pytest.mark.parametrize(
-        "members, message",
-        [
-            ([1.5, 2], "vertex 1.5 is not an int"),
-            (["a"], "vertex 'a' is not an int"),
-            ([2, "a", 1], "vertex 'a' is not an int"),
-            ([True, 2], "vertex True out of range for n=4"),
-            ([0, 4], "vertex 4 out of range for n=4"),
-            ([-1, 2], "vertex -1 out of range for n=4"),
-            ([1, True], "vertex set contains duplicates"),
-        ],
-    )
-    def test_vertex_set_names_the_offender(self, members, message):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            as_vertex_set(complete(4), members)
-
-    @pytest.mark.parametrize("members", [[1.5, 2], ["a"]])
-    def test_witness_check_rejects_non_int_vertices(self, members):
-        with pytest.raises(ValueError, match="is not an int"):
-            verify_witness(complete(4), members, "clique")
 
     def test_problems_lists_every_violation_without_raising(self):
         g = Graph._trusted(3, (0b1001, 0b011, 0b000))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from sfcheck.construct import (
     DEFAULT_PROFILE,
+    _members,
     InterpretationProfile,
     build_F,
     build_SF,
@@ -18,10 +19,11 @@ from sfcheck.graphs import Graph, complement, complete
 from sfcheck import solve
 from sfcheck.solve import (
     _degeneracy_order,
+    _flip,
+    _holds,
     max_clique,
     max_independent_set,
     oracle_max_clique,
-    verify_witness,
 )
 
 from oracles import (
@@ -68,7 +70,7 @@ class TestMaxClique:
         for _ in range(30):
             g = random_graph(rng.randint(0, 10), rng.choice([0.2, 0.5, 0.8]), rng)
             res = max_clique(g)
-            assert verify_witness(g, res.witness, "clique")
+            assert pairwise_witness_ok(g, res.witness, "clique")
             assert len(res.witness) == res.size
 
     def test_deterministic_across_runs(self):
@@ -97,7 +99,7 @@ class TestMaxIndependentSet:
         rng = random.Random(9)
         g = random_graph(10, 0.5, rng)
         res = max_independent_set(g)
-        assert verify_witness(g, res.witness, "independent")
+        assert pairwise_witness_ok(g, res.witness, "independent")
 
 
 class TestOracle:
@@ -173,23 +175,27 @@ class TestMaxMonoClique:
             assert max_mono_clique(lg.graph, lg.labels).size <= max_clique(lg.graph).size
 
 
-class TestVerifyWitness:
+class TestWitnessChecks:
+    """``_holds``, the program's witness check, on masks, and the tests'
+    pairwise reference, which refuses what is no set of vertices."""
+
     def test_clique_true(self):
-        assert verify_witness(complete(4), (0, 1, 2), "clique")
+        assert _holds(complete(4).rows, 0b0111, _flip("clique"))
 
     def test_independent_true(self):
-        assert verify_witness(path(6), (0, 2, 4), "independent")
+        assert _holds(path(6).rows, 0b10101, _flip("independent"))
 
     def test_clique_false(self):
-        assert not verify_witness(path(6), (0, 1, 3), "clique")
+        assert not _holds(path(6).rows, 0b1011, _flip("clique"))
 
     def test_invalid_set_rejected(self):
-        with pytest.raises(ValueError):
-            verify_witness(path(6), (0, 0), "clique")
-        with pytest.raises(ValueError):
-            verify_witness(path(6), (0, 6), "clique")
-        with pytest.raises(ValueError):
-            verify_witness(path(6), (0, 1), "anticlique")
+        with pytest.raises(ValueError, match="not a set of vertices"):
+            pairwise_witness_ok(path(6), (0, 0), "clique")
+        with pytest.raises(ValueError, match="not a set of vertices"):
+            pairwise_witness_ok(path(6), (0, 6), "independent")
+        for check in (_flip, lambda mode: pairwise_witness_ok(path(6), (0, 1), mode)):
+            with pytest.raises(ValueError, match="unknown witness mode 'anticlique'"):
+                check("anticlique")
 
 
 @settings(max_examples=50, deadline=None)
@@ -338,7 +344,7 @@ def test_search_is_invariant_under_relabelling(n, p, seed):
 
 
 @settings(max_examples=200, deadline=None)
-@given(graphs(), st.sets(st.integers(min_value=0, max_value=8)), st.sampled_from(["clique", "independent"]))
-def test_verify_witness_matches_pairwise_reference(g, picks, mode):
-    members = [v for v in picks if v < g.n]
-    assert verify_witness(g, members, mode) == pairwise_witness_ok(g, members, mode)
+@given(graphs(), st.integers(min_value=0, max_value=2**9 - 1), st.sampled_from(["clique", "independent"]))
+def test_holds_matches_pairwise_reference(g, chosen, mode):
+    chosen &= (1 << g.n) - 1
+    assert _holds(g.rows, chosen, _flip(mode)) == pairwise_witness_ok(g, _members(chosen), mode)

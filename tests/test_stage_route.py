@@ -8,6 +8,7 @@ them.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -30,7 +31,6 @@ from sfcheck.solve import (
     max_clique,
     max_independent_set,
     stage_solve,
-    verify_witness,
 )
 from sfcheck.verify import CLAIMS, check_theorem_1_1, check_theorem_1_2
 
@@ -48,6 +48,7 @@ from oracles import (
     label_counts,
     max_mono_clique,
     pairwise_composition,
+    pairwise_witness_ok,
     prefixes_built,
     product,
     layout_cuts,
@@ -65,7 +66,7 @@ def assert_route_matches_monolithic(t, profile=DEFAULT_PROFILE):
     g = build_SF(t, profile).graph
     assert (omega.size, alpha.size) == (max_clique(g).size, max_independent_set(g).size)
     clique, independent = stack.members(omega.masks, "clique"), stack.members(alpha.masks, "independent")
-    assert verify_witness(g, clique, "clique") and verify_witness(g, independent, "independent")
+    assert pairwise_witness_ok(g, clique, "clique") and pairwise_witness_ok(g, independent, "independent")
     assert len(clique) == omega.size and len(independent) == alpha.size
 
 
@@ -255,7 +256,7 @@ def test_stack_witness_check_matches_the_dense_one(case):
     vertices they stand for, which ``Stack.members`` lists where it holds."""
     t, profile, mode, masks = case
     stack, members = Stack("SF", t, profile), listed_members(masks, mode)
-    assert stack.holds(masks, mode) == verify_witness(build_SF(t, profile).graph, members, mode)
+    assert stack.holds(masks, mode) == pairwise_witness_ok(build_SF(t, profile).graph, members, mode)
     if stack.holds(masks, mode):
         assert stack.members(masks, mode) == members
 
@@ -280,7 +281,7 @@ def test_members_lists_each_mask_over_the_copies_it_fills(masks, mode, members):
     stack, g = Stack("SF", 5, DEFAULT_PROFILE), build_SF(5).graph
     masks = {stack_parts(stack)[i]: mask for i, mask in masks.items()}
     assert stack.members(masks, mode) == listed_members(masks, mode) == tuple(members)
-    assert stack.holds(masks, mode) and verify_witness(g, members, mode)
+    assert stack.holds(masks, mode) and pairwise_witness_ok(g, members, mode)
 
 
 def mask_cases(stack):
@@ -313,7 +314,7 @@ def test_mask_check_matches_the_dense_one(profile):
     list are a clique or an independent set of the dense SF(5)."""
     stack, g = Stack("SF", 5, profile), build_SF(5, profile).graph
     for case, (masks, mode) in mask_cases(stack).items():
-        assert stack.holds(masks, mode) == verify_witness(g, listed_members(masks, mode), mode), case
+        assert stack.holds(masks, mode) == pairwise_witness_ok(g, listed_members(masks, mode), mode), case
 
 
 def test_members_refuses_a_valid_set_the_route_does_not_compose():
@@ -322,25 +323,69 @@ def test_members_refuses_a_valid_set_the_route_does_not_compose():
     stack = Stack("SF", 5, DEFAULT_PROFILE)
     masks, mode = mask_cases(stack)["G clique"]
     less = {part: mask & mask - 1 for part, mask in masks.items()}
-    assert verify_witness(build_SF(5).graph, listed_members(less, mode), mode)
+    assert pairwise_witness_ok(build_SF(5).graph, listed_members(less, mode), mode)
     with pytest.raises(AssertionError, match="invalid clique witness"):
         stack.members(less, mode)
 
 
-@pytest.mark.parametrize("members", [[0, 0], [-1], [30], [True]], ids=["repeated", "negative", "n", "bool"])
-def test_stack_witness_check_refuses_what_the_dense_one_does(members):
-    """A T1.2 r = 3 report, on SF(4), whose witness the dense check
-    refuses, or whose witness mode it does not know, does not load."""
-    report, g = run_verification("1.2", 3), build_SF(4).graph
-    mode = report["checks"][0]["witness_mode"]
-    with pytest.raises(ValueError):
-        verify_witness(g, members, mode)
-    with pytest.raises(ValueError, match="unknown witness mode"):
-        verify_witness(g, [], "path")
-    for field, value in (("witness", members), ("witness_mode", "path")):
-        forged = json.loads(report_to_json(report))
-        forged["checks"][0][field] = value
-        assert verify_report(forged), field
+# Witnesses that are no set of the target's vertices: a repeat, one outside
+# 0..n-1, where AT_N stands for n, or one that is not an int.
+AT_N = object()
+FORGED_WITNESSES = {
+    "repeated": [0, 0],
+    "negative": [-1],
+    "n": [AT_N],
+    "bool": [True],
+    "float": [1.5, 2],
+    "string": ["a"],
+    "string among ints": [2, "a", 1],
+    "bool among ints": [True, 2],
+    "repeat through True": [1, True],
+    "negative among ints": [-1, 2],
+    "n among ints": [0, AT_N],
+}
+REPORTS = pytest.mark.parametrize("theorem, r", [("1.1", 4), ("1.2", 3)], ids=["T1.1 r=4", "T1.2 r=3"])
+
+
+def load_forged(report, path, **fields):
+    """Write ``report`` with ``fields`` set in its check to ``path``, and load it."""
+    forged = json.loads(report_to_json(report))
+    forged["checks"][0].update(fields)
+    write_report(path, forged)
+    return load_report(path)
+
+
+@REPORTS
+@pytest.mark.parametrize("members", FORGED_WITNESSES.values(), ids=FORGED_WITNESSES)
+def test_loader_refuses_a_witness_that_is_no_vertex_set(theorem, r, members, tmp_path):
+    """A report, on F(4) or SF(4), that states no set of its target's
+    vertices as its witness does not load, and the loader names it."""
+    report = run_verification(theorem, r)
+    n = report["graph_stats"]["n"]
+    with pytest.raises(ValueError, match=re.escape("checks[0].witness")):
+        load_forged(report, tmp_path / "forged.json", witness=[n if v is AT_N else v for v in members])
+
+
+@REPORTS
+def test_loader_refuses_an_unknown_witness_mode(theorem, r, tmp_path):
+    with pytest.raises(ValueError, match=re.escape("checks[0].witness_mode differs")):
+        load_forged(run_verification(theorem, r), tmp_path / "forged.json", witness_mode="path")
+
+
+def test_pairwise_check_refuses_what_a_faulty_holds_passes(monkeypatch):
+    """With ``_holds`` passing every set, T1.2 at r = 2 under the default
+    profile, whose base case is the explicit path, lists the whole base
+    path, SF(3), as a clique, and the route's own checks pass it; the
+    tests' pairwise check, written apart from ``_holds``, refuses it."""
+    monkeypatch.setattr(solve_module, "_holds", lambda rows, chosen, flip: True)
+    clear_memos()
+    try:
+        check = run_verification("1.2", 2)["checks"][0]
+    finally:
+        monkeypatch.undo()
+        clear_memos()
+    assert (check["witness"], check["witness_mode"]) == ([0, 1, 2, 3, 4, 5], "clique")
+    assert not pairwise_witness_ok(build_SF(3).graph, check["witness"], "clique")
 
 
 def dense_part_optima(lg, cuts):

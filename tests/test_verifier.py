@@ -20,7 +20,7 @@ from sfcheck import verify
 from sfcheck.construct import DEFAULT_PROFILE, build_F, build_SF
 from sfcheck.graphs import complement, complete
 from sfcheck.report import make_report, report_to_json, run_verification, verify_report
-from sfcheck.solve import Stack, oracle_max_clique, verify_witness
+from sfcheck.solve import Stack, oracle_max_clique
 from sfcheck.verify import (
     bound_report_from_counts,
     check_theorem_1_1,
@@ -28,7 +28,7 @@ from sfcheck.verify import (
     confirm_R3,
 )
 
-from oracles import clear_memos, cycle, empty, family_representatives, random_graph, reference_verdict
+from oracles import clear_memos, cycle, empty, family_representatives, pairwise_witness_ok, random_graph, reference_verdict
 
 GENERAL = DEFAULT_PROFILE.replace(base_case="general")
 TENSOR = GENERAL.replace(prod="tensor")
@@ -51,7 +51,7 @@ class TestTheorem11:
         assert tc["claimed"] == 2
         assert tc["computed"]["mono_clique"] == 3
         assert tc["status"] == "REFUTED"
-        assert verify_witness(lg.graph, tc["witness"], "clique")
+        assert pairwise_witness_ok(lg.graph, tc["witness"], "clique")
         assert len({lg.labels[v] for v in tc["witness"]}) == 1
 
     @pytest.mark.parametrize("r", [3, 4, 5])
@@ -79,12 +79,12 @@ class TestTheorem12:
         assert tc["computed"] == {"omega": 2, "alpha": 3}
         assert tc["witness_mode"] == "independent"
         assert len(tc["witness"]) == 3
-        assert verify_witness(g, tc["witness"], "independent")
+        assert pairwise_witness_ok(g, tc["witness"], "independent")
 
     def test_r3_default_certificate(self):
         g = build_SF(4, DEFAULT_PROFILE).graph
         tc = check_theorem_1_2(Stack("SF", 4, DEFAULT_PROFILE))
-        assert verify_witness(g, tc["witness"], tc["witness_mode"])
+        assert pairwise_witness_ok(g, tc["witness"], tc["witness_mode"])
         confirmed = tc["computed"]["omega"] <= 3 and tc["computed"]["alpha"] <= 3
         assert tc["status"] == ("CONFIRMED" if confirmed else "REFUTED")
         if tc["status"] == "REFUTED":
